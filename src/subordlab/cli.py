@@ -43,13 +43,13 @@ from scipy import integrate
 
 from . import __version__, catalog, criteria, montecarlo, transforms
 from .dickman import (
-    default_recursion_depth,
     dickman_density,
     dickman_rho,
+    recursion_depth,
     sample_dickman_recursion,
 )
 from .errors import NumericalFailure, SubordlabError
-from .simulate import sample_cutoff_cp, sample_marginal, substream
+from .simulate import can_sample, sample_cutoff_cp, sample_marginal, substream
 
 __all__ = ["main", "run", "list_catalog", "SchemaError"]
 
@@ -126,6 +126,28 @@ def _resolve_L(name, path):
     if name not in L_FUNCTIONS:
         raise SchemaError(path, f"unknown L function {name!r}; known: {sorted(L_FUNCTIONS)}")
     return L_FUNCTIONS[name]
+
+
+def _param(params, field, index, default, valid, requirement):
+    """Return params[field] (or default); raise a SchemaError naming the field unless valid(value)."""
+    value = params.get(field, default)
+    try:
+        ok = value is not None and bool(valid(value))
+    except (TypeError, ValueError, OverflowError):
+        ok = False
+    if not ok:
+        raise SchemaError(
+            f"experiments[{index}].params.{field}", f"must be {requirement}, got {value!r}"
+        )
+    return value
+
+
+def _positive(value):
+    return value > 0
+
+
+def _count(value):
+    return int(value) == value >= 1
 
 
 def _ks_result(entry, report, threshold, extra=None):
@@ -362,12 +384,17 @@ def run_experiment(entry, seed, out_dir, index):
         if fname not in FUNCTIONALS:
             raise SchemaError(f"experiments[{index}].params.functional", f"unknown functional {fname!r}")
         f, delta0 = FUNCTIONALS[fname]
+        if model.levy_density is None:
+            raise SchemaError(f"experiments[{index}].model", "ergodic target needs a jump density")
+        if not can_sample(model):
+            raise SchemaError(
+                f"experiments[{index}].model",
+                "ergodic estimate needs an exact sampler or an invertible jump tail",
+            )
         est = montecarlo.estimate_ergodic_functional(
             model, f, delta0, params.get("t", 1e-3), int(params.get("n", 10_000_000)),
             exp_seed, cutoff=params.get("cutoff", 1e-6),
         )
-        if model.levy_density is None:
-            raise SchemaError(f"experiments[{index}].model", "ergodic target needs a jump density")
         upper = model.tail.support_upper if model.tail is not None else np.inf
         target, _ = integrate.quad(
             lambda x: float(f(x)) * float(model.levy_density(x)), delta0,
@@ -419,9 +446,9 @@ def run_experiment(entry, seed, out_dir, index):
         }
 
     if kind == "recursion_mean":
-        gamma = params["gamma"]
-        n = int(params.get("n", 1_000_000))
-        depth = int(params.get("depth", default_recursion_depth(gamma)))
+        gamma = _param(params, "gamma", index, None, _positive, "a number > 0")
+        n = int(_param(params, "n", index, 1_000_000, _count, "an integer >= 1"))
+        depth = int(_param(params, "depth", index, recursion_depth(gamma), _count, "an integer >= 1"))
         rng = substream(exp_seed, 0)
         samples = sample_dickman_recursion(gamma, depth, rng, n)
         mean = float(samples.mean())
@@ -434,11 +461,11 @@ def run_experiment(entry, seed, out_dir, index):
         }
 
     if kind == "two_sampler_ks":
-        gamma = params.get("gamma", 1.0)
-        n = int(params.get("n", 100_000))
+        gamma = _param(params, "gamma", index, 1.0, _positive, "a number > 0")
+        n = int(_param(params, "n", index, 100_000, _count, "an integer >= 1"))
         cutoff = params.get("cutoff", 1e-6)
         model = catalog.build_model("dickman", {"gamma": gamma})
-        rec = sample_dickman_recursion(gamma, default_recursion_depth(gamma), substream(exp_seed, 0), n)
+        rec = sample_dickman_recursion(gamma, recursion_depth(gamma), substream(exp_seed, 0), n)
         cp = sample_cutoff_cp(model.tail, cutoff, 1.0, substream(exp_seed, 1), n)
         stat = montecarlo.two_sample_ks(rec, cp)
         crit = montecarlo.two_sample_ks_critical_value(n, n, asserts.get("level", 0.01))

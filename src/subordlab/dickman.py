@@ -16,6 +16,7 @@ values read back from the already completed part of the table.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,16 +28,20 @@ from .errors import InvalidParameterError, OutOfRangeError
 
 __all__ = [
     "EULER",
+    "RECURSION_REL_BIAS",
     "DickmanFunction",
     "dickman_rho",
     "dickman_density",
     "sample_dickman_recursion",
     "recursion_mean_bias",
-    "default_recursion_depth",
+    "recursion_depth",
     "make_dickman",
 ]
 
 EULER = 0.57721566490153286
+
+# relative mean bias the truncated recursion may leave: bias <= RECURSION_REL_BIAS * theta
+RECURSION_REL_BIAS = 1e-12
 
 
 def _build_log_table(z_max, h):
@@ -125,13 +130,18 @@ class DickmanFunction:
 
 
 _default_table = None
+_table_lock = threading.Lock()
 
 
 def _table():
     global _default_table
-    if _default_table is None:
-        _default_table = DickmanFunction.build()
-    return _default_table
+    table = _default_table
+    if table is None:
+        with _table_lock:
+            if _default_table is None:
+                _default_table = DickmanFunction.build()
+            table = _default_table
+    return table
 
 
 def dickman_rho(z):
@@ -144,41 +154,63 @@ def dickman_density(x):
     return np.exp(-EULER) * dickman_rho(x)
 
 
-def default_recursion_depth(gamma):
-    # keeps the truncated-mean bias below 1e-9 for gamma <= 4
-    return int(math.ceil(60.0 * max(1.0, gamma)))
-
-
 def recursion_mean_bias(gamma, depth):
     """Mean left out by truncating the uniform-product series at `depth` terms."""
     r = gamma / (gamma + 1.0)
     return r ** (depth + 1) * (gamma + 1.0)
 
 
+def recursion_depth(theta):
+    """Fewest terms d >= 1 with recursion_mean_bias(theta, d) <= RECURSION_REL_BIAS * theta.
+
+    The bias falls geometrically in d, so d grows like theta * log(theta / RECURSION_REL_BIAS).
+    """
+    if not (theta > 0 and math.isfinite(theta)):
+        raise InvalidParameterError("theta must be positive and finite")
+    bound = RECURSION_REL_BIAS * theta
+    depth = 1
+    while recursion_mean_bias(theta, depth) > bound:
+        depth += 1
+    return depth
+
+
 def sample_dickman_recursion(gamma, depth, rng, n=1, *, log=False):
     """Draw from the generalized Dickman law as sum_{i<=d} (U_1...U_i)**(1/gamma).
 
-    Runs the product recursion depth times over the whole batch.  With
-    ``log=True`` the running sum is carried through logaddexp, which keeps
-    samples exact for tiny gamma where the linear products underflow.
-    The neglected tail has mean ``recursion_mean_bias(gamma, depth)``.
+    Runs the product recursion depth times over the whole batch, drawing
+    each step's uniforms into one reused buffer and updating the running
+    product and sum in place.  With ``log=True`` the running sum is
+    carried through logaddexp, which keeps samples exact for tiny gamma
+    where the linear products underflow.  The neglected tail has mean
+    ``recursion_mean_bias(gamma, depth)``; ``recursion_depth(gamma)`` is
+    the fewest terms that hold it to ``RECURSION_REL_BIAS * gamma``.
     """
     if gamma <= 0:
         raise InvalidParameterError("gamma must be positive")
     if depth < 1:
         raise InvalidParameterError("depth must be >= 1")
+    u = np.empty(n)
     if log:
         acc = np.full(n, -np.inf)
         log_prod = np.zeros(n)
         for _ in range(depth):
-            log_prod = log_prod + np.log1p(-rng.random(n)) / gamma
-            acc = np.logaddexp(acc, log_prod)
+            rng.random(n, out=u)
+            np.negative(u, out=u)
+            np.log1p(u, out=u)
+            u /= gamma
+            log_prod += u
+            np.logaddexp(acc, log_prod, out=acc)
         return acc
+    e = 1.0 / gamma
     acc = np.zeros(n)
     prod = np.ones(n)
     for _ in range(depth):
-        prod = prod * (1.0 - rng.random(n)) ** (1.0 / gamma)
-        acc = acc + prod
+        rng.random(n, out=u)
+        np.subtract(1.0, u, out=u)
+        # the in-place operator keeps numpy's scalar-exponent fast paths (2 -> square, 0.5 -> sqrt)
+        u **= e
+        prod *= u
+        acc += prod
     return acc
 
 
@@ -206,7 +238,8 @@ def make_dickman(gamma):
     Tail -gamma*log(x) with exact inverse, closed-form exponent
     gamma*(euler + log s + E1(s)), exact marginal sampler through the
     uniform-product recursion (Y_t is generalized Dickman with parameter
-    t*gamma), and for gamma = 1 the rho-based marginal density.
+    t*gamma, run to recursion_depth(t*gamma) terms), and for gamma = 1
+    the rho-based marginal density.
     """
     if gamma <= 0:
         raise InvalidParameterError("gamma must be positive")
@@ -227,11 +260,11 @@ def make_dickman(gamma):
 
     def sampler(t, n, rng):
         theta = t * gamma
-        return sample_dickman_recursion(theta, default_recursion_depth(gamma), rng, n)
+        return sample_dickman_recursion(theta, recursion_depth(theta), rng, n)
 
     def log_sampler(t, n, rng):
         theta = t * gamma
-        return sample_dickman_recursion(theta, default_recursion_depth(gamma), rng, n, log=True)
+        return sample_dickman_recursion(theta, recursion_depth(theta), rng, n, log=True)
 
     density1 = None
     if gamma == 1.0:

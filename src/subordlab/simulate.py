@@ -29,6 +29,7 @@ __all__ = [
     "RngState",
     "SamplePlan",
     "substream",
+    "can_sample",
     "sample_marginal",
     "sample_cutoff_cp",
     "to_neg_t_power",
@@ -113,6 +114,13 @@ def sample_cutoff_cp(tail: LevyTail, eps, t, rng, n=1):
     return sums
 
 
+def can_sample(model: SubordinatorModel):
+    """Whether ``sample_marginal`` can draw from the model: exact sampler or invertible tail."""
+    return model.sampler is not None or (
+        model.tail is not None and model.tail.inverse_tail is not None
+    )
+
+
 def sample_marginal(model: SubordinatorModel, t, n, rng, *, cutoff=1e-6, log=False):
     """Draw n values of Y_t: exact sampler if the model has one, else cutoff CP.
 
@@ -124,14 +132,14 @@ def sample_marginal(model: SubordinatorModel, t, n, rng, *, cutoff=1e-6, log=Fal
         raise InvalidParameterError("time must be positive")
     if log and model.log_sampler is not None:
         return model.log_sampler(t, n, rng)
-    if model.sampler is not None:
-        values = model.sampler(t, n, rng)
-    elif model.tail is not None and model.tail.inverse_tail is not None:
-        values = sample_cutoff_cp(model.tail, cutoff, t, rng, n)
-    else:
+    if not can_sample(model):
         raise UnsupportedModelError(
             f"model {model.name!r} has neither an exact sampler nor an invertible tail"
         )
+    if model.sampler is not None:
+        values = model.sampler(t, n, rng)
+    else:
+        values = sample_cutoff_cp(model.tail, cutoff, t, rng, n)
     if log:
         with np.errstate(divide="ignore"):
             return np.log(values)

@@ -15,9 +15,9 @@ from scipy.integrate import quad
 
 from subordlab import catalog, cli, criteria, montecarlo as mc, transforms
 from subordlab.dickman import (
-    default_recursion_depth,
     dickman_density,
     dickman_rho,
+    recursion_depth,
     sample_dickman_recursion,
 )
 from subordlab.simulate import sample_cutoff_cp, sample_marginal, substream, to_neg_t_power
@@ -115,7 +115,7 @@ def test_criterion_05_dickman(dickman1):
     assert abs(norm - 1.0) <= 1e-6
     for gamma, stream in ((1.0, 0), (2.0, 1)):
         samples = sample_dickman_recursion(
-            gamma, default_recursion_depth(gamma), substream(SEED, stream), 1_000_000
+            gamma, recursion_depth(gamma), substream(SEED, stream), 1_000_000
         )
         stderr = samples.std(ddof=1) / 1000.0
         assert abs(samples.mean() - gamma) <= 3.0 * stderr, gamma

@@ -5,7 +5,9 @@ import os
 import subprocess
 import sys
 
-from subordlab import cli
+import pytest
+
+from subordlab import cli, montecarlo
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -58,6 +60,54 @@ class TestSchema:
         )
         assert cli.main(["--config", cfg, "--out", str(tmp_path)]) == 2
         assert "transform" in capsys.readouterr().err
+
+
+class TestParameterValidation:
+    @pytest.mark.parametrize("kind", ["recursion_mean", "two_sampler_ks"])
+    @pytest.mark.parametrize(
+        "field,value",
+        [("gamma", 0), ("gamma", -1), ("gamma", "two"), ("n", 0), ("n", 2.5)],
+    )
+    def test_bad_dickman_parameter_exits_two(self, tmp_path, capsys, kind, field, value):
+        params = {"gamma": 1.0, "n": 1000, field: value}
+        cfg = write_config(tmp_path, {"experiments": [{"kind": kind, "params": params}]})
+        assert cli.main(["--config", cfg, "--out", str(tmp_path)]) == 2
+        assert f"experiments[0].params.{field}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("depth", [0, -3])
+    def test_bad_recursion_depth_exits_two(self, tmp_path, capsys, depth):
+        params = {"gamma": 1.0, "n": 1000, "depth": depth}
+        cfg = write_config(tmp_path, {"experiments": [{"kind": "recursion_mean", "params": params}]})
+        assert cli.main(["--config", cfg, "--out", str(tmp_path)]) == 2
+        assert "experiments[0].params.depth" in capsys.readouterr().err
+
+    def test_missing_recursion_gamma_exits_two(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"experiments": [{"kind": "recursion_mean", "params": {}}]})
+        assert cli.main(["--config", cfg, "--out", str(tmp_path)]) == 2
+        assert "experiments[0].params.gamma" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "model",
+        [
+            {"name": "stable", "params": {"a": 1.0, "alpha": 0.5}},  # sampler, no jump density
+            {"name": "weibull", "params": {"gamma": 1.0}},  # neither sampler nor jump density
+            # jump density, but no sampler and no inverse tail
+            {"transform": "tilt", "theta": 0.5, "of": {"name": "dickman", "params": {"gamma": 1.0}}},
+        ],
+    )
+    def test_ergodic_unsupported_model_exits_two_before_sampling(
+        self, tmp_path, capsys, monkeypatch, model
+    ):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled before the model was checked")
+
+        monkeypatch.setattr(montecarlo, "estimate_ergodic_functional", no_sampling)
+        cfg = write_config(
+            tmp_path,
+            {"experiments": [{"kind": "ergodic", "model": model, "params": {"n": 1000}}]},
+        )
+        assert cli.main(["--config", cfg, "--out", str(tmp_path)]) == 2
+        assert "experiments[0].model" in capsys.readouterr().err
 
 
 class TestList:

@@ -1,19 +1,24 @@
 """Dickman machinery: the rho table, density, samplers, and their agreement."""
 
 import math
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from subordlab import dickman
 from subordlab.core import phi_from_levy
 from subordlab.dickman import (
     EULER,
+    RECURSION_REL_BIAS,
     DickmanFunction,
-    default_recursion_depth,
     dickman_density,
     dickman_rho,
     make_dickman,
+    recursion_depth,
     recursion_mean_bias,
     sample_dickman_recursion,
 )
@@ -56,6 +61,38 @@ class TestRho:
         with pytest.raises(InvalidParameterError):
             DickmanFunction.build(z_max=10.0, h=3e-4)  # 1/h not an integer
 
+    def test_table_built_once_under_concurrent_calls(self, monkeypatch):
+        table = dickman._table()
+        builds = []
+
+        def slow_build(cls):
+            builds.append(threading.get_ident())
+            time.sleep(0.05)  # hold the build open while the other thread arrives
+            return table
+
+        monkeypatch.setattr(dickman, "_default_table", None)
+        monkeypatch.setattr(DickmanFunction, "build", classmethod(slow_build))
+        barrier = threading.Barrier(2)
+        values = []
+
+        def call():
+            barrier.wait(timeout=5)
+            values.append(dickman_rho(2.0))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=call) for _ in range(2)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=10)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        assert len(builds) == 1
+        assert values == [table(2.0)] * 2
+
 
 class TestDensity:
     def test_constant_below_one(self):
@@ -75,8 +112,11 @@ class TestRecursionSampler:
     def test_single_term_arithmetic(self):
         # depth 1, gamma = 1/2: the sample is U**(1/gamma) = U**2
         class FixedRng:
-            def random(self, n):
-                return np.full(n, 0.75)  # 1 - 0.75 = 0.25 drawn internally
+            def random(self, n, out=None):
+                if out is None:
+                    out = np.empty(n)
+                out[...] = 0.75  # 1 - 0.75 = 0.25 drawn internally
+                return out
 
         out = sample_dickman_recursion(0.5, 1, FixedRng(), 3)
         np.testing.assert_allclose(out, 0.25**2)
@@ -99,7 +139,43 @@ class TestRecursionSampler:
         r = gamma / (gamma + 1.0)
         brute = sum(r**i for i in range(depth + 1, 400))
         assert recursion_mean_bias(gamma, depth) == pytest.approx(brute, rel=1e-12)
-        assert recursion_mean_bias(4.0, default_recursion_depth(4.0)) < 1e-9
+        assert recursion_mean_bias(4.0, recursion_depth(4.0)) <= 1e-12 * 4.0
+
+    @pytest.mark.parametrize("theta", [0.001, 0.01, 0.2, 1.0, 2.0, 4.0])
+    def test_recursion_depth_is_minimal(self, theta):
+        depth = recursion_depth(theta)
+        assert depth >= 1
+        assert recursion_mean_bias(theta, depth) <= RECURSION_REL_BIAS * theta
+        if depth > 1:
+            assert recursion_mean_bias(theta, depth - 1) > RECURSION_REL_BIAS * theta
+
+    def test_recursion_depth_values(self):
+        thetas = (2.0, 1.0, 0.2, 0.1, 0.05, 0.01)
+        assert [recursion_depth(th) for th in thetas] == [69, 40, 16, 12, 10, 6]
+
+    @pytest.mark.parametrize("theta", [0.0, -1.0, math.inf, math.nan])
+    def test_recursion_depth_rejects_bad_theta(self, theta):
+        with pytest.raises(InvalidParameterError):
+            recursion_depth(theta)
+
+    @pytest.mark.parametrize("log", [False, True])
+    @pytest.mark.parametrize("gamma", [0.5, 1.0, 2.0, 3.0])
+    def test_in_place_kernel_matches_naive_reference(self, gamma, log):
+        # the allocating form of the recursion, one fresh array per operation
+        depth, n = 25, 5000
+        rng = substream(41, 0)
+        if log:
+            acc, log_prod = np.full(n, -np.inf), np.zeros(n)
+            for _ in range(depth):
+                log_prod = log_prod + np.log1p(-rng.random(n)) / gamma
+                acc = np.logaddexp(acc, log_prod)
+        else:
+            acc, prod = np.zeros(n), np.ones(n)
+            for _ in range(depth):
+                prod = prod * (1.0 - rng.random(n)) ** (1.0 / gamma)
+                acc = acc + prod
+        out = sample_dickman_recursion(gamma, depth, substream(41, 0), n, log=log)
+        np.testing.assert_array_equal(out, acc)
 
     def test_log_variant_agrees_with_linear(self):
         lin = sample_dickman_recursion(1.0, 40, substream(7, 0), 2000)
@@ -153,6 +229,23 @@ class TestModel:
         rec = m.sampler(1.0, n, substream(55, 0))
         cp = sample_cutoff_cp(m.tail, 1e-6, 1.0, substream(55, 1), n)
         assert two_sample_ks(rec, cp) <= two_sample_ks_critical_value(n, n, 0.01)
+
+    @pytest.mark.parametrize("gamma,t", [(1.0, 1.0), (2.0, 1.0), (1.0, 0.01), (3.0, 0.05)])
+    def test_samplers_run_depth_from_theta(self, gamma, t):
+        class CountingRng:
+            def __init__(self):
+                self.calls = 0
+                self._rng = substream(9, 0)
+
+            def random(self, n, out=None):
+                self.calls += 1
+                return self._rng.random(n, out=out)
+
+        m = make_dickman(gamma)
+        for draw in (m.sampler, m.log_sampler):
+            rng = CountingRng()
+            draw(t, 10, rng)
+            assert rng.calls == recursion_depth(t * gamma)
 
     def test_density_only_for_unit_gamma(self):
         assert make_dickman(1.0).density1 is not None
