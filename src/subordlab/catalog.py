@@ -167,11 +167,17 @@ def make_gamma(gamma, lam):
 
     def log_sampler(t, n, rng):
         shape = t * gamma
-        if shape >= 1.0:
-            return np.log(rng.gamma(shape, size=n)) - log_lam
-        boost = rng.gamma(shape + 1.0, size=n)
-        u = 1.0 - rng.random(n)  # in (0, 1], keeps the log finite
-        return np.log(boost) + np.log(u) / shape - log_lam
+        out = rng.gamma(shape if shape >= 1.0 else shape + 1.0, size=n)
+        np.log(out, out=out)
+        if shape < 1.0:
+            # boost: add log(u) / shape, u = 1 - U in (0, 1] keeps the log finite
+            u = rng.random(n)
+            np.subtract(1.0, u, out=u)
+            np.log(u, out=u)
+            u /= shape
+            out += u
+        out -= log_lam
+        return out
 
     def sampler(t, n, rng):
         return np.exp(log_sampler(t, n, rng))

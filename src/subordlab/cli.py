@@ -68,9 +68,20 @@ L_FUNCTIONS = {
     "neg_log_cubed": (lambda x: (-np.log(x)) ** 3, lambda ly: (-ly) ** 3),
 }
 
+
+def _ramp(x):
+    """min(1, max(0, 4 * (x - 1/2))), computed in one buffer."""
+    x = np.asarray(x, dtype=float)
+    out = np.subtract(x, 0.5, out=np.empty_like(x))
+    out *= 4.0
+    np.maximum(0.0, out, out=out)
+    np.minimum(1.0, out, out=out)
+    return out if out.ndim else out[()]
+
+
 # named ergodic functionals: name -> (f, delta0)
 FUNCTIONALS = {
-    "ramp": (lambda x: np.minimum(1.0, np.maximum(0.0, (np.asarray(x, dtype=float) - 0.5) * 4.0)), 0.5),
+    "ramp": (_ramp, 0.5),
 }
 
 TRANSFORM_GRAMMAR = (
@@ -148,6 +159,51 @@ def _positive(value):
 
 def _count(value):
     return int(value) == value >= 1
+
+
+def _time_list(value):
+    return isinstance(value, (list, tuple)) and len(value) > 0 and all(_positive(t) for t in value)
+
+
+def _open_unit(value):
+    return 0 < value < 1
+
+
+_SAMPLING_CHECKS = {
+    "n": (_count, "an integer >= 1"),
+    "t": (_positive, "a number > 0"),
+    "t_list": (_time_list, "a non-empty list of numbers > 0"),
+    "cutoff": (_open_unit, "a number in (0, 1)"),
+}
+
+# sampling fields of the Monte Carlo kinds, with their defaults
+_N = montecarlo.DEFAULT_N
+_SAMPLING_DEFAULTS = {
+    "pareto_limit": {"t_list": montecarlo.DEFAULT_T_LIST, "n": _N, "cutoff": 1e-6},
+    "general_limit": {"t_list": (0.01,), "n": _N, "cutoff": 1e-6},
+    "min_rule": {"t": 0.01, "n": _N, "cutoff": 1e-6},
+    "product_rule": {"t": 0.01, "n": _N, "cutoff": 1e-6},
+    "affine": {"t": 0.05, "n": _N, "cutoff": 1e-6},
+    "mixture": {"t": 1e-3, "n": _N, "cutoff": 1e-6},
+    "drift": {"t": 1e-3, "n": _N, "cutoff": 1e-6},
+    "support": {"t": 0.01, "n": _N, "cutoff": 1e-6},
+    "ergodic": {"t": 1e-3, "n": 10_000_000, "cutoff": 1e-6},
+    "recursion_mean": {"n": 1_000_000},
+    "two_sampler_ks": {"n": 100_000, "cutoff": 1e-6},
+}
+
+
+def _sampling_params(entry, index):
+    """The entry's sampling fields, defaults filled in; a SchemaError names the first bad one."""
+    params = entry.get("params", {})
+    values = {}
+    for field, default in _SAMPLING_DEFAULTS[entry["kind"]].items():
+        valid, requirement = _SAMPLING_CHECKS[field]
+        values[field] = _param(params, field, index, default, valid, requirement)
+    values["n"] = int(values["n"])
+    if "t_list" in values:
+        values["t_list"] = tuple(values["t_list"])
+    return values
 
 
 def _ks_result(entry, report, threshold, extra=None):
@@ -273,9 +329,8 @@ def run_experiment(entry, seed, out_dir, index):
 
     if kind == "pareto_limit":
         model = build_model_expr(entry["model"], f"experiments[{index}].model")
-        t_list = tuple(params.get("t_list", montecarlo.DEFAULT_T_LIST))
-        n = int(params.get("n", montecarlo.DEFAULT_N))
-        cutoff = params.get("cutoff", 1e-6)
+        sp = _sampling_params(entry, index)
+        t_list, n, cutoff = sp["t_list"], sp["n"], sp["cutoff"]
         gamma = params.get("gamma")
         reports = montecarlo.experiment_pareto_limit(
             model, t_list, n, exp_seed, cutoff=cutoff, gamma=gamma
@@ -308,11 +363,9 @@ def run_experiment(entry, seed, out_dir, index):
         model = build_model_expr(entry["model"], f"experiments[{index}].model")
         L, L_log = _resolve_L(params.get("L", "neg_log"), f"experiments[{index}].params.L")
         gamma = params["gamma"]
-        t_list = tuple(params.get("t_list", (0.01,)))
-        n = int(params.get("n", montecarlo.DEFAULT_N))
+        sp = _sampling_params(entry, index)
         reports = montecarlo.experiment_general_limit(
-            model, L, gamma, t_list, n, exp_seed,
-            cutoff=params.get("cutoff", 1e-6), L_log=L_log,
+            model, L, gamma, sp["t_list"], sp["n"], exp_seed, cutoff=sp["cutoff"], L_log=L_log,
         )
         final = reports[-1]
         threshold = asserts.get("ks_max")
@@ -322,27 +375,23 @@ def run_experiment(entry, seed, out_dir, index):
         m1 = build_model_expr(entry["model"], f"experiments[{index}].model")
         m2 = build_model_expr(entry["model2"], f"experiments[{index}].model2")
         fn = montecarlo.experiment_min_rule if kind == "min_rule" else montecarlo.experiment_product_rule
-        report = fn(
-            m1, m2, params.get("t", 0.01), int(params.get("n", montecarlo.DEFAULT_N)),
-            exp_seed, cutoff=params.get("cutoff", 1e-6),
-        )
+        sp = _sampling_params(entry, index)
+        report = fn(m1, m2, sp["t"], sp["n"], exp_seed, cutoff=sp["cutoff"])
         return _ks_result(entry, report, asserts.get("ks_max"))
 
     if kind == "affine":
         model = build_model_expr(entry["model"], f"experiments[{index}].model")
+        sp = _sampling_params(entry, index)
         report = montecarlo.experiment_affine(
-            model, params["a"], params["b"], params.get("t", 0.05),
-            int(params.get("n", montecarlo.DEFAULT_N)), exp_seed,
-            cutoff=params.get("cutoff", 1e-6),
+            model, params["a"], params["b"], sp["t"], sp["n"], exp_seed, cutoff=sp["cutoff"],
         )
         return _ks_result(entry, report, asserts.get("ks_max"))
 
     if kind == "mixture":
         model = build_model_expr(entry["model"], f"experiments[{index}].model")
+        sp = _sampling_params(entry, index)
         report, jump = montecarlo.experiment_mixture(
-            model, params["q"], params.get("t", 1e-3),
-            int(params.get("n", montecarlo.DEFAULT_N)), exp_seed,
-            cutoff=params.get("cutoff", 1e-6),
+            model, params["q"], sp["t"], sp["n"], exp_seed, cutoff=sp["cutoff"],
         )
         threshold = asserts.get("ks_max")
         ok = threshold is None or report.ks_statistic <= threshold
@@ -353,10 +402,10 @@ def run_experiment(entry, seed, out_dir, index):
 
     if kind == "drift":
         model = build_model_expr(entry["model"], f"experiments[{index}].model")
+        sp = _sampling_params(entry, index)
         report = montecarlo.experiment_drift(
-            model, params.get("c", 1.0), params.get("t", 1e-3),
-            int(params.get("n", montecarlo.DEFAULT_N)), exp_seed,
-            cutoff=params.get("cutoff", 1e-6), window=params.get("window", 0.05),
+            model, params.get("c", 1.0), sp["t"], sp["n"], exp_seed,
+            cutoff=sp["cutoff"], window=params.get("window", 0.05),
         )
         threshold = asserts.get("min_fraction", 0.99)
         return {
@@ -367,9 +416,9 @@ def run_experiment(entry, seed, out_dir, index):
 
     if kind == "support":
         model = build_model_expr(entry["model"], f"experiments[{index}].model")
-        t = params.get("t", 0.01)
-        n = int(params.get("n", montecarlo.DEFAULT_N))
-        emp = _empirical_for_pareto(model, t, n, exp_seed, params.get("cutoff", 1e-6))
+        sp = _sampling_params(entry, index)
+        t, n = sp["t"], sp["n"]
+        emp = _empirical_for_pareto(model, t, n, exp_seed, sp["cutoff"])
         fraction = montecarlo.support_check(emp, params.get("delta", 0.1))
         threshold = asserts.get("max_fraction", 0.01)
         return {
@@ -391,9 +440,14 @@ def run_experiment(entry, seed, out_dir, index):
                 f"experiments[{index}].model",
                 "ergodic estimate needs an exact sampler or an invertible jump tail",
             )
+        sp = _sampling_params(entry, index)
+        if sp["cutoff"] >= delta0:
+            raise SchemaError(
+                f"experiments[{index}].params.cutoff",
+                f"must lie below the functional's delta0 = {delta0:g}, got {sp['cutoff']!r}",
+            )
         est = montecarlo.estimate_ergodic_functional(
-            model, f, delta0, params.get("t", 1e-3), int(params.get("n", 10_000_000)),
-            exp_seed, cutoff=params.get("cutoff", 1e-6),
+            model, f, delta0, sp["t"], sp["n"], exp_seed, cutoff=sp["cutoff"],
         )
         upper = model.tail.support_upper if model.tail is not None else np.inf
         target, _ = integrate.quad(
@@ -423,7 +477,8 @@ def run_experiment(entry, seed, out_dir, index):
         }
 
     if kind == "dickman_rho":
-        z = params["z"]
+        # the default table covers z in [0, 40]
+        z = _param(params, "z", index, None, lambda v: 0 <= v <= 40, "a number in [0, 40]")
         value = float(dickman_rho(z))
         expected = asserts["expected"]
         tol = asserts.get("tol", 1e-8)
@@ -447,7 +502,7 @@ def run_experiment(entry, seed, out_dir, index):
 
     if kind == "recursion_mean":
         gamma = _param(params, "gamma", index, None, _positive, "a number > 0")
-        n = int(_param(params, "n", index, 1_000_000, _count, "an integer >= 1"))
+        n = _sampling_params(entry, index)["n"]
         depth = int(_param(params, "depth", index, recursion_depth(gamma), _count, "an integer >= 1"))
         rng = substream(exp_seed, 0)
         samples = sample_dickman_recursion(gamma, depth, rng, n)
@@ -462,8 +517,8 @@ def run_experiment(entry, seed, out_dir, index):
 
     if kind == "two_sampler_ks":
         gamma = _param(params, "gamma", index, 1.0, _positive, "a number > 0")
-        n = int(_param(params, "n", index, 100_000, _count, "an integer >= 1"))
-        cutoff = params.get("cutoff", 1e-6)
+        sp = _sampling_params(entry, index)
+        n, cutoff = sp["n"], sp["cutoff"]
         model = catalog.build_model("dickman", {"gamma": gamma})
         rec = sample_dickman_recursion(gamma, recursion_depth(gamma), substream(exp_seed, 0), n)
         cp = sample_cutoff_cp(model.tail, cutoff, 1.0, substream(exp_seed, 1), n)
@@ -485,6 +540,11 @@ def validate_config(config):
     for i, entry in enumerate(config["experiments"]):
         if not isinstance(entry, dict) or "kind" not in entry:
             raise SchemaError(f"experiments[{i}]", "each experiment needs a 'kind'")
+        if not isinstance(entry.get("params", {}), dict):
+            raise SchemaError(f"experiments[{i}].params", "must be an object")
+        # sampling fields are checked for every entry before any entry samples
+        if isinstance(entry["kind"], str) and entry["kind"] in _SAMPLING_DEFAULTS:
+            _sampling_params(entry, i)
 
 
 def run(config_path, out_dir=".", seed=None, threads=1):

@@ -129,10 +129,13 @@ def pareto_cdf(gamma, x):
     """CDF of the Pareto law on [1, inf): 1 - x**(-gamma) for x >= 1."""
     if gamma <= 0:
         raise InvalidParameterError("Pareto index must be positive")
+    # fmax sends NaN and -inf to 1 (CDF 0) and keeps +inf (CDF 1)
     x_arr = np.asarray(x, dtype=float)
-    with np.errstate(invalid="ignore"):
-        out = np.where(x_arr >= 1.0, -np.expm1(-gamma * np.log(np.maximum(x_arr, 1.0))), 0.0)
-    out = np.where(np.isposinf(x_arr), 1.0, out)
+    out = np.fmax(x_arr, 1.0, out=np.empty_like(x_arr))
+    np.log(out, out=out)
+    out *= -gamma
+    np.expm1(out, out=out)
+    np.negative(out, out=out)
     return out if out.ndim else float(out)
 
 
@@ -184,9 +187,12 @@ class ExponentialLaw:
             raise InvalidParameterError("rate must be positive")
 
     def cdf(self, x):
+        # fmax sends NaN and -inf to 0 (CDF 0) and keeps +inf (CDF 1)
         x_arr = np.asarray(x, dtype=float)
-        out = np.where(x_arr >= 0.0, -np.expm1(-self.gamma * np.minimum(x_arr, np.inf)), 0.0)
-        out = np.where(np.isposinf(x_arr), 1.0, out)
+        out = np.fmax(x_arr, 0.0, out=np.empty_like(x_arr))
+        out *= -self.gamma
+        np.expm1(out, out=out)
+        np.negative(out, out=out)
         return out if out.ndim else float(out)
 
     def quantile(self, p):

@@ -106,12 +106,13 @@ def sample_cutoff_cp(tail: LevyTail, eps, t, rng, n=1):
         raise InvalidParameterError(f"invalid cutoff: nu_bar(eps) = {nu_eps!r}")
     counts = rng.poisson(t * nu_eps, n)
     total = int(counts.sum())
-    sums = np.zeros(n)
-    if total:
-        jumps = np.asarray(tail.inverse_tail(rng.random(total) * nu_eps), dtype=float)
-        owner = np.repeat(np.arange(n), counts)
-        sums = np.bincount(owner, weights=jumps, minlength=n)
-    return sums
+    if not total:
+        return np.zeros(n)
+    jumps = np.asarray(tail.inverse_tail(rng.random(total) * nu_eps), dtype=float)
+    # owners are listed for the paths with jumps only, so a mostly void batch
+    # builds no n-long index; each sum adds its jumps in draw order
+    hit = np.flatnonzero(counts)
+    return np.bincount(np.repeat(hit, counts[hit]), weights=jumps, minlength=n)
 
 
 def can_sample(model: SubordinatorModel):
@@ -148,7 +149,8 @@ def sample_marginal(model: SubordinatorModel, t, n, rng, *, cutoff=1e-6, log=Fal
 
 def _split_infinite(values):
     finite = np.isfinite(values)
-    return values[finite], int(values.size - finite.sum())
+    n_inf = int(values.size - np.count_nonzero(finite))
+    return (values[finite] if n_inf else values), n_inf
 
 
 def to_neg_t_power(samples, t, *, log=False):
@@ -168,7 +170,8 @@ def to_neg_t_power(samples, t, *, log=False):
         with np.errstate(divide="ignore"):
             log_y = np.log(arr)
     with np.errstate(over="ignore"):
-        out = np.exp(-t * log_y)
+        out = np.multiply(log_y, -t)
+        np.exp(out, out=out)
     return _split_infinite(out)
 
 

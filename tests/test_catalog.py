@@ -47,6 +47,23 @@ class TestGamma:
         stat = ks_distance(emp, lambda x: gammainc(t, np.asarray(x, dtype=float)))
         assert stat <= ks_critical_value(100_000, 0.01)
 
+    @pytest.mark.parametrize(
+        "gamma,lam,t", [(1.0, 2.0, 0.02), (0.5, 1.0, 0.2), (1.0, 1.0, 1.0), (2.0, 0.5, 0.7)]
+    )
+    def test_log_sampler_matches_allocating_form(self, gamma, lam, t):
+        # the expressions the sampler used before it worked on its draw buffers
+        def allocating(rng, n):
+            shape = t * gamma
+            if shape >= 1.0:
+                return np.log(rng.gamma(shape, size=n)) - math.log(lam)
+            boost = rng.gamma(shape + 1.0, size=n)
+            u = 1.0 - rng.random(n)
+            return np.log(boost) + np.log(u) / shape - math.log(lam)
+
+        got = catalog.make_gamma(gamma, lam).log_sampler(t, 10_000, np.random.default_rng(13))
+        want = allocating(np.random.default_rng(13), 10_000)
+        assert got.tobytes() == want.tobytes()
+
     def test_tail_is_exponential_integral_by_quadrature(self):
         model = catalog.make_gamma(1.5, 2.0)
         for x in (0.05, 0.5, 2.0):

@@ -5,9 +5,12 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from subordlab import cli, montecarlo
+
+GAMMA = {"name": "gamma", "params": {"gamma": 1.0, "lam": 1.0}}
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -108,6 +111,63 @@ class TestParameterValidation:
         )
         assert cli.main(["--config", cfg, "--out", str(tmp_path)]) == 2
         assert "experiments[0].model" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "entry,field",
+        [
+            ({"kind": "pareto_limit", "model": GAMMA, "params": {"t_list": [-0.1]}}, "t_list"),
+            ({"kind": "pareto_limit", "model": GAMMA, "params": {"n": 0}}, "n"),
+            ({"kind": "min_rule", "model": GAMMA, "model2": GAMMA, "params": {"n": "x"}}, "n"),
+            ({"kind": "two_sampler_ks", "params": {"cutoff": 0}}, "cutoff"),
+            (
+                {"kind": "general_limit",
+                 "model": {"name": "log_power", "params": {"gamma": 0.1, "power": 3}},
+                 "params": {"L": "neg_log_cubed", "gamma": 0.1, "cutoff": 2.0}},
+                "cutoff",
+            ),
+            ({"kind": "dickman_rho", "params": {}, "assertions": {"expected": 1.0}}, "z"),
+        ],
+    )
+    def test_bad_sampling_parameter_exits_two(self, tmp_path, capsys, entry, field):
+        cfg = write_config(tmp_path, {"experiments": [entry]})
+        assert cli.main(["--config", cfg, "--out", str(tmp_path)]) == 2
+        assert f"experiments[0].params.{field}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "field,value", [("t", 0), ("t", "0.1"), ("t_list", []), ("cutoff", 1.0), ("n", 2.5)]
+    )
+    def test_every_entry_checked_before_any_samples(
+        self, tmp_path, capsys, monkeypatch, field, value
+    ):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled before every entry was checked")
+
+        monkeypatch.setattr(cli, "sample_marginal", no_sampling)
+        monkeypatch.setattr(montecarlo, "sample_marginal", no_sampling)
+        bad = {"kind": "pareto_limit" if field == "t_list" else "drift", "model": GAMMA,
+               "params": {field: value}}
+        good = {"kind": "support", "model": GAMMA, "params": {"n": 10}}
+        cfg = write_config(tmp_path, {"experiments": [good, bad]})
+        assert cli.main(["--config", cfg, "--out", str(tmp_path)]) == 2
+        assert f"experiments[1].params.{field}" in capsys.readouterr().err
+
+    def test_ergodic_cutoff_must_sit_below_delta0(self, tmp_path, capsys):
+        entry = {"kind": "ergodic", "model": GAMMA, "params": {"n": 10, "cutoff": 0.6}}
+        cfg = write_config(tmp_path, {"experiments": [entry]})
+        assert cli.main(["--config", cfg, "--out", str(tmp_path)]) == 2
+        assert "experiments[0].params.cutoff" in capsys.readouterr().err
+
+
+class TestRamp:
+    def test_matches_allocating_form(self):
+        ramp, _ = cli.FUNCTIONALS["ramp"]
+        old = lambda x: np.minimum(1.0, np.maximum(0.0, (np.asarray(x, dtype=float) - 0.5) * 4.0))
+        points = [-np.inf, -1.0, 0.0, 0.5, 0.6, 0.75, 0.8, 1.0, 10.0, np.inf, np.nan]
+        x = np.concatenate([points, np.random.default_rng(5).random(1000)])
+        assert ramp(x).tobytes() == old(x).tobytes()
+        for point in points:
+            got, want = ramp(point), old(point)
+            assert type(got) is type(want) and got.tobytes() == want.tobytes()
 
 
 class TestList:

@@ -129,6 +129,57 @@ class TestParetoLaw:
         assert np.median(samples) == pytest.approx(law.quantile(0.5), rel=5e-3)
 
 
+CDF_POINTS = [-np.inf, -1.0, -0.0, 0.0, 0.5, 1.0, 2.0, 1e308, np.inf, np.nan]
+
+
+def allocating_pareto_cdf(gamma, x):
+    """pareto_cdf as it was before the in-place rewrite."""
+    x_arr = np.asarray(x, dtype=float)
+    with np.errstate(invalid="ignore"):
+        out = np.where(x_arr >= 1.0, -np.expm1(-gamma * np.log(np.maximum(x_arr, 1.0))), 0.0)
+    out = np.where(np.isposinf(x_arr), 1.0, out)
+    return out if out.ndim else float(out)
+
+
+def allocating_exponential_cdf(gamma, x):
+    """ExponentialLaw.cdf as it was before the in-place rewrite."""
+    x_arr = np.asarray(x, dtype=float)
+    out = np.where(x_arr >= 0.0, -np.expm1(-gamma * np.minimum(x_arr, np.inf)), 0.0)
+    out = np.where(np.isposinf(x_arr), 1.0, out)
+    return out if out.ndim else float(out)
+
+
+NEG_ZERO = CDF_POINTS.index(0.0)  # == also matches -0.0, the first zero
+
+
+class TestCdfKernelsBitwise:
+    @pytest.mark.parametrize("gamma", [0.3, 1.0, 2.5])
+    def test_pareto(self, gamma):
+        self.check(lambda x: pareto_cdf(gamma, x), lambda x: allocating_pareto_cdf(gamma, x), True)
+
+    @pytest.mark.parametrize("gamma", [0.3, 1.0, 2.5])
+    def test_exponential(self, gamma):
+        # the zero returned at x = -0.0 was -0.0; fmax may return either zero on
+        # a tie (numpy's SIMD and scalar loops differ), so only its value is pinned
+        law = ExponentialLaw(gamma)
+        with np.errstate(over="ignore"):  # -gamma * 1e308, in both forms
+            self.check(law.cdf, lambda x: allocating_exponential_cdf(gamma, x), False)
+
+    @staticmethod
+    def check(new, old, neg_zero_sign):
+        x = np.concatenate([CDF_POINTS, np.random.default_rng(3).lognormal(0.0, 3.0, 1000)])
+        got, want = new(x), old(x)
+        np.testing.assert_array_equal(got, want)
+        keep = np.ones(x.size, dtype=bool)
+        keep[NEG_ZERO] = neg_zero_sign
+        assert got[keep].tobytes() == want[keep].tobytes()
+        for k, point in enumerate(CDF_POINTS):
+            got, want = new(point), old(point)
+            assert type(got) is float and got == want
+            if neg_zero_sign or k != NEG_ZERO:
+                assert math.copysign(1.0, got) == math.copysign(1.0, want)
+
+
 class TestExponentialLaw:
     def test_cdf_and_quantile(self):
         law = ExponentialLaw(2.0)

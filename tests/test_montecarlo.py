@@ -1,5 +1,6 @@
 """KS machinery and the named limit experiments."""
 
+import csv
 import math
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from subordlab import catalog, montecarlo as mc
-from subordlab.core import ParetoLaw, pareto_cdf
+from subordlab.core import ExponentialLaw, ParetoLaw, pareto_cdf
 from subordlab.errors import InvalidParameterError, OutOfRangeError
 from subordlab.simulate import sample_marginal, substream, to_neg_t_power
 
@@ -290,3 +291,30 @@ class TestExportCurve:
         assert float(first[0]) == 1.0
         assert float(first[1]) == pytest.approx(1.0 / 3.0)
         assert float(first[2]) == 0.0
+
+    @pytest.mark.parametrize(
+        "values,n_inf,cdf",
+        [
+            # repr switches to exponent form below 1e-4 and from 1e16 up
+            (
+                [1e-300, 3e-5, 1e-4, 0.123, 1.0, 2.5, 1e16, 3.5e17, 1.7e308],
+                3,
+                ExponentialLaw(1.0).cdf,
+            ),
+            (ParetoLaw(1.0).sample(1000, substream(9, 0)), 0, ParetoLaw(0.5).cdf),
+            ([], 2, ParetoLaw(1.0).cdf),
+        ],
+    )
+    def test_bytes_match_csv_writer(self, tmp_path, values, n_inf, cdf):
+        def csv_writer_export(emp, path):
+            targets = np.asarray(cdf(emp.values), dtype=float)
+            with open(path, "w", newline="") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(["x", "ecdf", "target"])
+                for i, (x, tv) in enumerate(zip(emp.values, targets), start=1):
+                    writer.writerow([repr(float(x)), repr(i / emp.n_total), repr(float(tv))])
+
+        emp = mc.EmpiricalDistribution.from_values(np.asarray(values, dtype=float), n_inf)
+        mc.export_curve(emp, cdf, tmp_path / "new.csv")
+        csv_writer_export(emp, tmp_path / "old.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import special as sc
 
 from subordlab import catalog, criteria, montecarlo as mc, transforms
-from subordlab.core import ParetoLaw, pareto_cdf
+from subordlab.core import ExponentialLaw, ParetoLaw, pareto_cdf
 from subordlab.dickman import make_dickman
 from subordlab.simulate import sample_marginal, substream, to_neg_t_power
 
@@ -26,6 +27,116 @@ def brute_force_ks(emp, cdf):
     sup = float(np.max(np.abs(ecdf - f_vals))) if candidates.size else 0.0
     tail_gap = abs(emp.values.size / emp.n_total - float(cdf(np.inf)))
     return max(sup, tail_gap)
+
+
+def two_pass_ks(emp, cdf):
+    """The KS formula before its one-pass rewrite: both one-sided CDF values at every point."""
+    n = emp.n_total
+    m = emp.values.size
+    d = 0.0
+    if m:
+        f_right = np.asarray(cdf(emp.values), dtype=float)
+        f_left = np.asarray(cdf(np.nextafter(emp.values, -np.inf)), dtype=float)
+        i = np.arange(1, m + 1)
+        d = max(np.max(i / n - f_right), np.max(f_left - (i - 1) / n))
+    cdf_inf = float(cdf(np.inf))
+    at_inf = (1.0 - m / n) - (1.0 - cdf_inf)
+    return float(max(d, at_inf, 0.0))
+
+
+def counting(cdf):
+    """Wrap a CDF so the number of points it is evaluated at is recorded."""
+    def wrapped(x):
+        wrapped.points += np.size(x)
+        return cdf(x)
+
+    wrapped.points = 0
+    return wrapped
+
+
+def transformed_gamma(t, n, seed):
+    """(Y_t)**(-t) for the gamma(1, 1) subordinator, as an empirical law."""
+    log_y = catalog.make_gamma(1.0, 1.0).log_sampler(t, n, substream(seed, 0))
+    values, n_inf = to_neg_t_power(log_y, t, log=True)
+    return mc.EmpiricalDistribution.from_values(values, n_inf)
+
+
+class TestKsOnePassEqualsTwoPass:
+    """ks_distance evaluates left limits only where they can matter; the value must not move."""
+
+    def test_continuous_pareto(self):
+        emp = transformed_gamma(0.05, 100_000, 41)
+        law = ParetoLaw(1.0)
+        assert mc.ks_distance(emp, law.cdf) == two_pass_ks(emp, law.cdf)
+
+    def test_mixture_atom_at_one(self):
+        law = mc.ParetoMixtureLaw(q=0.4, gamma=1.0)
+        rng = substream(42, 0)
+        values = np.where(rng.random(50_000) < 0.6, 1.0, ParetoLaw(1.0).sample(50_000, rng))
+        emp = mc.EmpiricalDistribution.from_values(values)
+        assert mc.ks_distance(emp, law.cdf) == two_pass_ks(emp, law.cdf)
+        # the mixture experiment's own batch: atom values just below 1
+        gamma = catalog.make_gamma(1.0, 1.0)
+        report, _ = mc.experiment_mixture(gamma, 0.4, 1e-3, 20_000, seed=43)
+        log_l = gamma.log_sampler(1e-3, 20_000, substream(43, 0))
+        at_one = substream(43, 1).random(20_000) >= 0.4
+        combined = np.where(at_one, np.logaddexp(log_l, 0.0), log_l)
+        emp = mc.EmpiricalDistribution.from_values(*to_neg_t_power(combined, 1e-3, log=True))
+        assert report.ks_statistic == two_pass_ks(emp, law.cdf)
+
+    def test_affine_min_ties_at_b(self):
+        law = mc.AffineMinLaw(2.0, 8.0, 1.0)
+        rng = substream(44, 0)
+        values = np.minimum(2.0 * ParetoLaw(1.0).sample(50_000, rng), 8.0)
+        assert np.sum(values == 8.0) > 5000
+        emp = mc.EmpiricalDistribution.from_values(values)
+        assert mc.ks_distance(emp, law.cdf) == two_pass_ks(emp, law.cdf)
+
+    def test_at_infinity_mass(self):
+        law = ParetoLaw(1.0)
+        emp = mc.EmpiricalDistribution.from_values(
+            law.sample(9000, substream(45, 0)), count_at_infinity=1000
+        )
+        assert mc.ks_distance(emp, law.cdf) == two_pass_ks(emp, law.cdf)
+
+    def test_left_dominated_batch_stays_one_pass(self):
+        # a Pareto(0.99) batch has more mass far out than Pareto(1), so the sup
+        # is a left-limit term and u > sup(right terms) holds almost everywhere
+        values = ParetoLaw(0.99).sample(100_000, substream(46, 0))
+        emp = mc.EmpiricalDistribution.from_values(values)
+        law = ParetoLaw(1.0)
+        i = np.arange(1, values.size + 1)
+        f = law.cdf(emp.values)
+        assert np.max(f - (i - 1) / emp.n_total) > np.max(i / emp.n_total - f)
+        cdf = counting(law.cdf)
+        assert mc.ks_distance(emp, cdf) == two_pass_ks(emp, law.cdf)
+        # one pass over the batch, the infinity point and a handful of left limits
+        assert cdf.points <= values.size + 100
+
+    @pytest.mark.parametrize("shape", [0.05, 0.7, 3.0])
+    def test_gammainc_lambda(self, shape):
+        # gammainc can step back by a few ulps between adjacent floats
+        values = substream(47, 0).gamma(shape, size=100_000)
+        emp = mc.EmpiricalDistribution.from_values(values)
+        for a in (shape, 1.1 * shape):
+            cdf = lambda x, a=a: sc.gammainc(a, x)
+            assert mc.ks_distance(emp, cdf) == two_pass_ks(emp, cdf)
+
+    def test_cdf_stepping_back_by_less_than_the_slack(self):
+        # uniform CDF that steps back by 1e-11 just below x_2, whose u trails the
+        # largest u by 1e-12: the sup is that left term, found through the slack
+        x = np.array([0.5, 0.75 - 1e-12, 0.9, 0.95])
+        bump = np.nextafter(x[1], -np.inf)
+        cdf = lambda v: np.clip(v, 0.0, 1.0) + 1e-11 * (np.asarray(v) == bump)
+        emp = mc.EmpiricalDistribution.from_values(x)
+        assert two_pass_ks(emp, cdf) > 0.5
+        assert mc.ks_distance(emp, cdf) == two_pass_ks(emp, cdf)
+
+    def test_exponential_target(self):
+        values = ExponentialLaw(2.0).sample(20_000, substream(48, 0))
+        emp = mc.EmpiricalDistribution.from_values(values)
+        law = ExponentialLaw(2.1)
+        assert mc.ks_distance(emp, law.cdf) == two_pass_ks(emp, law.cdf)
 
 
 class TestKsAgainstBruteForce:
@@ -76,6 +187,7 @@ class TestKsAgainstBruteForce:
         assert mc.ks_distance(emp, law.cdf) == pytest.approx(
             brute_force_ks(emp, law.cdf), abs=1e-12
         )
+        assert mc.ks_distance(emp, law.cdf) == two_pass_ks(emp, law.cdf)
 
 
 class TestNegativeControls:

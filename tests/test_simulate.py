@@ -124,6 +124,35 @@ class TestCutoffCp:
         fine = sample_cutoff_cp(dickman1.tail, 1e-8, 1.0, substream(34, 1), n)
         assert two_sample_ks(coarse, fine) <= two_sample_ks_critical_value(n, n, 0.01)
 
+    @pytest.mark.parametrize(
+        "model,eps,t,n",
+        [
+            ("dickman", 0.5, 1e-9, 1000),  # void path: no jumps at all
+            ("dickman", 1e-6, 1.0, 1),
+            ("dickman", 1e-6, 1.0, 2000),  # ~14 jumps per path
+            ("gamma", 1e-6, 1e-3, 1_000_000),  # ~1% of paths jump
+        ],
+    )
+    def test_matches_full_length_binning(self, model, eps, t, n):
+        # the binning over all n paths that sample_cutoff_cp used before
+        def full_length(tail, rng):
+            nu_eps = float(tail.tail(eps))
+            counts = rng.poisson(t * nu_eps, n)
+            total = int(counts.sum())
+            sums = np.zeros(n)
+            if total:
+                jumps = np.asarray(tail.inverse_tail(rng.random(total) * nu_eps), dtype=float)
+                owner = np.repeat(np.arange(n), counts)
+                sums = np.bincount(owner, weights=jumps, minlength=n)
+            return sums
+
+        tail = (make_dickman(1.0) if model == "dickman" else catalog.make_gamma(1.0, 1.0)).tail
+        got = sample_cutoff_cp(tail, eps, t, substream(36, 0), n)
+        want = full_length(tail, substream(36, 0))
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        if t == 1e-9:  # the void case really drew no jumps
+            assert not got.any()
+
     def test_exact_vs_cp_gamma(self, gamma11):
         n = 100_000
         exact = gamma11.sampler(1.0, n, substream(35, 0))
@@ -149,6 +178,20 @@ class TestTransforms:
     def test_negative_rejected(self):
         with pytest.raises(InvalidParameterError):
             to_neg_t_power(np.array([-1.0]), 0.1)
+
+    def test_power_matches_allocating_form(self):
+        rng = np.random.default_rng(4)
+        log_y = np.concatenate([[-np.inf, -800.0, 0.0, 800.0], rng.normal(0.0, 50.0, 1000)])
+        for t in (1e-3, 0.3, 2.0):
+            vals, n_inf = to_neg_t_power(log_y, t, log=True)
+            with np.errstate(over="ignore"):
+                old = np.exp(-t * log_y)
+            finite = np.isfinite(old)
+            assert n_inf == int(np.sum(~finite)) and type(n_inf) is int
+            assert vals.tobytes() == old[finite].tobytes()
+        # nothing at infinity: the transformed batch is returned whole
+        vals, n_inf = to_neg_t_power(log_y[1:], 0.3, log=True)
+        assert n_inf == 0 and vals.tobytes() == np.exp(-0.3 * log_y[1:]).tobytes()
 
     def test_tl_arithmetic(self):
         vals, n_inf = to_tl(np.array([math.exp(-5.0)]), lambda y: -np.log(y), 0.2)
