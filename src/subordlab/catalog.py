@@ -102,6 +102,12 @@ def _gamma_inverse_tail_factory(gamma, lam):
 
     Seeds from the two asymptotic regimes of E1 and polishes in log-x
     space, where the derivative is simply -gamma * exp(-lam * x).
+
+    Elementwise: each element takes Newton steps until its own step is
+    below 1e-14 in size (that step included), at most 60, and the steps
+    run only on the elements still moving.  An element's result therefore
+    does not depend on the other values in the batch, so a batch inverted
+    in blocks gives the same bits as one call on the whole batch.
     """
 
     def inverse_tail(y):
@@ -115,14 +121,23 @@ def _gamma_inverse_tail_factory(gamma, lam):
             guess = np.maximum(guess, 1e-12)
             z[big] = guess
         u = np.log(z)
+        # the elements still moving: their indices, log-x values and targets
+        idx = np.arange(u.size)
+        u_act, t_act = u, target
         for _ in range(60):
-            ez = np.exp(u)
-            g = sc.exp1(ez) - target
+            ez = np.exp(u_act)
+            g = sc.exp1(ez) - t_act
             step = g / np.exp(-ez)
             step = np.clip(step, -2.0, 2.0)
-            u = u + step
-            if np.max(np.abs(step)) < 1e-14:
-                break
+            u_act = u_act + step
+            # NaN steps keep moving, as they never pass the size test
+            moving = ~(np.abs(step) < 1e-14)
+            if not moving.all():
+                u[idx] = u_act
+                idx, u_act, t_act = idx[moving], u_act[moving], t_act[moving]
+                if not idx.size:
+                    break
+        u[idx] = u_act
         out = np.exp(u) / lam
         return out if np.asarray(y).ndim else float(out[0])
 

@@ -43,12 +43,13 @@ from scipy import integrate
 
 from . import __version__, catalog, criteria, montecarlo, transforms
 from .dickman import (
+    MAX_RECURSION_DEPTH,
     dickman_density,
     dickman_rho,
     recursion_depth,
     sample_dickman_recursion,
 )
-from .errors import NumericalFailure, SubordlabError
+from .errors import InvalidParameterError, NumericalFailure, SubordlabError
 from .simulate import can_sample, sample_cutoff_cp, sample_marginal, substream
 
 __all__ = ["main", "run", "list_catalog", "SchemaError"]
@@ -78,6 +79,9 @@ def _ramp(x):
     np.minimum(1.0, out, out=out)
     return out if out.ndim else out[()]
 
+
+# criterion -> the model surface its estimator reads
+_CRITERION_SURFACES = {"S5": "phi", "S6": "cdf1", "S7": "tail", "S8": "density1", "GL": "phi"}
 
 # named ergodic functionals: name -> (f, delta0)
 FUNCTIONALS = {
@@ -157,6 +161,10 @@ def _positive(value):
     return value > 0
 
 
+def _above_one(value):
+    return value > 1
+
+
 def _count(value):
     return int(value) == value >= 1
 
@@ -169,41 +177,86 @@ def _open_unit(value):
     return 0 < value < 1
 
 
-_SAMPLING_CHECKS = {
+def _recursion_gamma(value):
+    try:
+        recursion_depth(value)
+    except InvalidParameterError:
+        return False
+    return True
+
+
+def _depth(value):
+    return _count(value) and value <= MAX_RECURSION_DEPTH
+
+
+# field -> (check, requirement)
+_CHECKS = {
     "n": (_count, "an integer >= 1"),
     "t": (_positive, "a number > 0"),
     "t_list": (_time_list, "a non-empty list of numbers > 0"),
     "cutoff": (_open_unit, "a number in (0, 1)"),
+    "a": (_above_one, "a number > 1"),
+    "b": (_above_one, "a number > 1"),
+    "gamma": (_positive, "a number > 0"),
+    "q": (_open_unit, "a number in (0, 1)"),
+    "c": (_positive, "a number > 0"),
+    "delta": (_open_unit, "a number in (0, 1)"),
+    "depth": (_depth, f"an integer in [1, {MAX_RECURSION_DEPTH}]"),
+}
+# the recursion kinds run recursion_depth(gamma) terms, which has a ceiling
+_RECURSION_GAMMA = (
+    _recursion_gamma, f"a number > 0 that needs at most {MAX_RECURSION_DEPTH} recursion terms"
+)
+_KIND_CHECKS = {
+    "recursion_mean": {"gamma": _RECURSION_GAMMA},
+    "two_sampler_ks": {"gamma": _RECURSION_GAMMA},
 }
 
-# sampling fields of the Monte Carlo kinds, with their defaults
+# a field with this default may be left out (its value is then None); a field
+# with the default None is required
+_OPTIONAL = object()
+# checked fields of each kind, with their defaults
 _N = montecarlo.DEFAULT_N
-_SAMPLING_DEFAULTS = {
-    "pareto_limit": {"t_list": montecarlo.DEFAULT_T_LIST, "n": _N, "cutoff": 1e-6},
-    "general_limit": {"t_list": (0.01,), "n": _N, "cutoff": 1e-6},
+_PARAM_DEFAULTS = {
+    "pareto_limit": {
+        "t_list": montecarlo.DEFAULT_T_LIST, "n": _N, "cutoff": 1e-6, "gamma": _OPTIONAL,
+    },
+    "general_limit": {"t_list": (0.01,), "n": _N, "cutoff": 1e-6, "gamma": None},
     "min_rule": {"t": 0.01, "n": _N, "cutoff": 1e-6},
     "product_rule": {"t": 0.01, "n": _N, "cutoff": 1e-6},
-    "affine": {"t": 0.05, "n": _N, "cutoff": 1e-6},
-    "mixture": {"t": 1e-3, "n": _N, "cutoff": 1e-6},
-    "drift": {"t": 1e-3, "n": _N, "cutoff": 1e-6},
-    "support": {"t": 0.01, "n": _N, "cutoff": 1e-6},
+    "affine": {"t": 0.05, "n": _N, "cutoff": 1e-6, "a": None, "b": None},
+    "mixture": {"t": 1e-3, "n": _N, "cutoff": 1e-6, "q": None},
+    "drift": {"t": 1e-3, "n": _N, "cutoff": 1e-6, "c": 1.0},
+    "support": {"t": 0.01, "n": _N, "cutoff": 1e-6, "delta": 0.1},
     "ergodic": {"t": 1e-3, "n": 10_000_000, "cutoff": 1e-6},
-    "recursion_mean": {"n": 1_000_000},
-    "two_sampler_ks": {"n": 100_000, "cutoff": 1e-6},
+    "recursion_mean": {"n": 1_000_000, "gamma": None, "depth": _OPTIONAL},
+    "two_sampler_ks": {"n": 100_000, "cutoff": 1e-6, "gamma": 1.0},
 }
 
 
-def _sampling_params(entry, index):
-    """The entry's sampling fields, defaults filled in; a SchemaError names the first bad one."""
+def _checked_params(entry, index):
+    """The entry's checked fields, defaults filled in; a SchemaError names the first bad one."""
     params = entry.get("params", {})
+    kind = entry["kind"]
+    overrides = _KIND_CHECKS.get(kind, {})
     values = {}
-    for field, default in _SAMPLING_DEFAULTS[entry["kind"]].items():
-        valid, requirement = _SAMPLING_CHECKS[field]
+    for field, default in _PARAM_DEFAULTS[kind].items():
+        if default is _OPTIONAL and field not in params:
+            values[field] = None
+            continue
+        valid, requirement = overrides.get(field, _CHECKS[field])
         values[field] = _param(params, field, index, default, valid, requirement)
     values["n"] = int(values["n"])
     if "t_list" in values:
         values["t_list"] = tuple(values["t_list"])
     return values
+
+
+def _known_index(model, path):
+    """The model's known Pareto index; a SchemaError at path when it has none."""
+    if model.known_gamma is None:
+        raise SchemaError(path, f"model {model.describe()} has no known index")
+    return model.known_gamma
 
 
 def _ks_result(entry, report, threshold, extra=None):
@@ -247,6 +300,14 @@ def run_experiment(entry, seed, out_dir, index):
         model = build_model_expr(entry["model"], f"experiments[{index}].model")
         which = params.get("criterion", "S5")
         grid = params.get("grid")
+        if which not in _CRITERION_SURFACES:
+            raise SchemaError(f"experiments[{index}].params.criterion", f"unknown criterion {which!r}")
+        surface = _CRITERION_SURFACES[which]
+        if getattr(model, surface) is None:
+            raise SchemaError(
+                f"experiments[{index}].model",
+                f"criterion {which} needs a model with {surface}; {model.describe()} has none",
+            )
         if which == "S5":
             est = criteria.estimate_gamma_s5(model.phi, grid)
         elif which == "S6":
@@ -255,11 +316,9 @@ def run_experiment(entry, seed, out_dir, index):
             est = criteria.estimate_gamma_s7(model.tail, grid)
         elif which == "S8":
             est = criteria.estimate_gamma_s8(model.density1, grid)
-        elif which == "GL":
+        else:
             L, _ = _resolve_L(params.get("L", "neg_log"), f"experiments[{index}].params.L")
             est = criteria.estimate_gamma_general(model.phi, L, grid)
-        else:
-            raise SchemaError(f"experiments[{index}].params.criterion", f"unknown criterion {which!r}")
         ok = True
         if "expected_gamma" in asserts:
             tol = asserts.get("tol", 0.02)
@@ -329,9 +388,11 @@ def run_experiment(entry, seed, out_dir, index):
 
     if kind == "pareto_limit":
         model = build_model_expr(entry["model"], f"experiments[{index}].model")
-        sp = _sampling_params(entry, index)
+        sp = _checked_params(entry, index)
         t_list, n, cutoff = sp["t_list"], sp["n"], sp["cutoff"]
-        gamma = params.get("gamma")
+        gamma = sp["gamma"]
+        if gamma is None:
+            gamma = _known_index(model, f"experiments[{index}].params.gamma")
         reports = montecarlo.experiment_pareto_limit(
             model, t_list, n, exp_seed, cutoff=cutoff, gamma=gamma
         )
@@ -351,9 +412,8 @@ def run_experiment(entry, seed, out_dir, index):
             )
         if entry.get("csv"):
             # replay the final-t substream so the curve matches the statistic
-            target_gamma = gamma if gamma is not None else model.known_gamma
             emp = _empirical_for_pareto(model, final.t, n, exp_seed, cutoff, stream=len(t_list) - 1)
-            _maybe_csv(entry, out_dir, emp, montecarlo.ParetoLaw(target_gamma).cdf)
+            _maybe_csv(entry, out_dir, emp, montecarlo.ParetoLaw(gamma).cdf)
         return _ks_result(
             entry, final, threshold,
             extra={"ks_by_t": {str(r.t): r.ks_statistic for r in reports}, "pass": bool(ok)},
@@ -362,10 +422,9 @@ def run_experiment(entry, seed, out_dir, index):
     if kind == "general_limit":
         model = build_model_expr(entry["model"], f"experiments[{index}].model")
         L, L_log = _resolve_L(params.get("L", "neg_log"), f"experiments[{index}].params.L")
-        gamma = params["gamma"]
-        sp = _sampling_params(entry, index)
+        sp = _checked_params(entry, index)
         reports = montecarlo.experiment_general_limit(
-            model, L, gamma, sp["t_list"], sp["n"], exp_seed, cutoff=sp["cutoff"], L_log=L_log,
+            model, L, sp["gamma"], sp["t_list"], sp["n"], exp_seed, cutoff=sp["cutoff"], L_log=L_log,
         )
         final = reports[-1]
         threshold = asserts.get("ks_max")
@@ -375,36 +434,40 @@ def run_experiment(entry, seed, out_dir, index):
         m1 = build_model_expr(entry["model"], f"experiments[{index}].model")
         m2 = build_model_expr(entry["model2"], f"experiments[{index}].model2")
         fn = montecarlo.experiment_min_rule if kind == "min_rule" else montecarlo.experiment_product_rule
-        sp = _sampling_params(entry, index)
+        sp = _checked_params(entry, index)
+        _known_index(m1, f"experiments[{index}].model")
+        _known_index(m2, f"experiments[{index}].model2")
         report = fn(m1, m2, sp["t"], sp["n"], exp_seed, cutoff=sp["cutoff"])
         return _ks_result(entry, report, asserts.get("ks_max"))
 
     if kind == "affine":
         model = build_model_expr(entry["model"], f"experiments[{index}].model")
-        sp = _sampling_params(entry, index)
+        sp = _checked_params(entry, index)
+        _known_index(model, f"experiments[{index}].model")
         report = montecarlo.experiment_affine(
-            model, params["a"], params["b"], sp["t"], sp["n"], exp_seed, cutoff=sp["cutoff"],
+            model, sp["a"], sp["b"], sp["t"], sp["n"], exp_seed, cutoff=sp["cutoff"],
         )
         return _ks_result(entry, report, asserts.get("ks_max"))
 
     if kind == "mixture":
         model = build_model_expr(entry["model"], f"experiments[{index}].model")
-        sp = _sampling_params(entry, index)
+        sp = _checked_params(entry, index)
+        _known_index(model, f"experiments[{index}].model")
         report, jump = montecarlo.experiment_mixture(
-            model, params["q"], sp["t"], sp["n"], exp_seed, cutoff=sp["cutoff"],
+            model, sp["q"], sp["t"], sp["n"], exp_seed, cutoff=sp["cutoff"],
         )
         threshold = asserts.get("ks_max")
         ok = threshold is None or report.ks_statistic <= threshold
         jump_tol = asserts.get("jump_tol")
         if jump_tol is not None:
-            ok = ok and abs(jump - (1.0 - params["q"])) <= jump_tol
+            ok = ok and abs(jump - (1.0 - sp["q"])) <= jump_tol
         return _ks_result(entry, report, threshold, extra={"jump_at_one": jump, "pass": bool(ok)})
 
     if kind == "drift":
         model = build_model_expr(entry["model"], f"experiments[{index}].model")
-        sp = _sampling_params(entry, index)
+        sp = _checked_params(entry, index)
         report = montecarlo.experiment_drift(
-            model, params.get("c", 1.0), sp["t"], sp["n"], exp_seed,
+            model, sp["c"], sp["t"], sp["n"], exp_seed,
             cutoff=sp["cutoff"], window=params.get("window", 0.05),
         )
         threshold = asserts.get("min_fraction", 0.99)
@@ -416,10 +479,10 @@ def run_experiment(entry, seed, out_dir, index):
 
     if kind == "support":
         model = build_model_expr(entry["model"], f"experiments[{index}].model")
-        sp = _sampling_params(entry, index)
+        sp = _checked_params(entry, index)
         t, n = sp["t"], sp["n"]
         emp = _empirical_for_pareto(model, t, n, exp_seed, sp["cutoff"])
-        fraction = montecarlo.support_check(emp, params.get("delta", 0.1))
+        fraction = montecarlo.support_check(emp, sp["delta"])
         threshold = asserts.get("max_fraction", 0.01)
         return {
             "experiment": kind, "model": model.describe(), "params": params,
@@ -440,7 +503,7 @@ def run_experiment(entry, seed, out_dir, index):
                 f"experiments[{index}].model",
                 "ergodic estimate needs an exact sampler or an invertible jump tail",
             )
-        sp = _sampling_params(entry, index)
+        sp = _checked_params(entry, index)
         if sp["cutoff"] >= delta0:
             raise SchemaError(
                 f"experiments[{index}].params.cutoff",
@@ -501,9 +564,9 @@ def run_experiment(entry, seed, out_dir, index):
         }
 
     if kind == "recursion_mean":
-        gamma = _param(params, "gamma", index, None, _positive, "a number > 0")
-        n = _sampling_params(entry, index)["n"]
-        depth = int(_param(params, "depth", index, recursion_depth(gamma), _count, "an integer >= 1"))
+        sp = _checked_params(entry, index)
+        gamma, n = sp["gamma"], sp["n"]
+        depth = recursion_depth(gamma) if sp["depth"] is None else int(sp["depth"])
         rng = substream(exp_seed, 0)
         samples = sample_dickman_recursion(gamma, depth, rng, n)
         mean = float(samples.mean())
@@ -516,9 +579,8 @@ def run_experiment(entry, seed, out_dir, index):
         }
 
     if kind == "two_sampler_ks":
-        gamma = _param(params, "gamma", index, 1.0, _positive, "a number > 0")
-        sp = _sampling_params(entry, index)
-        n, cutoff = sp["n"], sp["cutoff"]
+        sp = _checked_params(entry, index)
+        gamma, n, cutoff = sp["gamma"], sp["n"], sp["cutoff"]
         model = catalog.build_model("dickman", {"gamma": gamma})
         rec = sample_dickman_recursion(gamma, recursion_depth(gamma), substream(exp_seed, 0), n)
         cp = sample_cutoff_cp(model.tail, cutoff, 1.0, substream(exp_seed, 1), n)
@@ -542,9 +604,9 @@ def validate_config(config):
             raise SchemaError(f"experiments[{i}]", "each experiment needs a 'kind'")
         if not isinstance(entry.get("params", {}), dict):
             raise SchemaError(f"experiments[{i}].params", "must be an object")
-        # sampling fields are checked for every entry before any entry samples
-        if isinstance(entry["kind"], str) and entry["kind"] in _SAMPLING_DEFAULTS:
-            _sampling_params(entry, i)
+        # the fields of every entry are checked before any entry samples
+        if isinstance(entry["kind"], str) and entry["kind"] in _PARAM_DEFAULTS:
+            _checked_params(entry, i)
 
 
 def run(config_path, out_dir=".", seed=None, threads=1):

@@ -29,6 +29,7 @@ from .errors import InvalidParameterError, OutOfRangeError
 __all__ = [
     "EULER",
     "RECURSION_REL_BIAS",
+    "MAX_RECURSION_DEPTH",
     "DickmanFunction",
     "dickman_rho",
     "dickman_density",
@@ -42,6 +43,10 @@ EULER = 0.57721566490153286
 
 # relative mean bias the truncated recursion may leave: bias <= RECURSION_REL_BIAS * theta
 RECURSION_REL_BIAS = 1e-12
+# most terms the recursion runs; each term holds its own generator
+MAX_RECURSION_DEPTH = 10_000
+# paths per block of the recursion: its three block buffers stay in cache
+RECURSION_BLOCK = 1 << 14
 
 
 def _build_log_table(z_max, h):
@@ -164,12 +169,18 @@ def recursion_depth(theta):
     """Fewest terms d >= 1 with recursion_mean_bias(theta, d) <= RECURSION_REL_BIAS * theta.
 
     The bias falls geometrically in d, so d grows like theta * log(theta / RECURSION_REL_BIAS).
+    The search stops at ``MAX_RECURSION_DEPTH`` (reached near theta = 360): a theta that needs
+    more terms raises ``InvalidParameterError``.
     """
     if not (theta > 0 and math.isfinite(theta)):
         raise InvalidParameterError("theta must be positive and finite")
     bound = RECURSION_REL_BIAS * theta
     depth = 1
     while recursion_mean_bias(theta, depth) > bound:
+        if depth == MAX_RECURSION_DEPTH:
+            raise InvalidParameterError(
+                f"theta = {theta!r} needs more than {MAX_RECURSION_DEPTH} recursion terms"
+            )
         depth += 1
     return depth
 
@@ -177,40 +188,65 @@ def recursion_depth(theta):
 def sample_dickman_recursion(gamma, depth, rng, n=1, *, log=False):
     """Draw from the generalized Dickman law as sum_{i<=d} (U_1...U_i)**(1/gamma).
 
-    Runs the product recursion depth times over the whole batch, drawing
-    each step's uniforms into one reused buffer and updating the running
-    product and sum in place.  With ``log=True`` the running sum is
-    carried through logaddexp, which keeps samples exact for tiny gamma
-    where the linear products underflow.  The neglected tail has mean
-    ``recursion_mean_bias(gamma, depth)``; ``recursion_depth(gamma)`` is
-    the fewest terms that hold it to ``RECURSION_REL_BIAS * gamma``.
+    With ``log=True`` the running sum is carried through logaddexp, which
+    keeps samples exact for tiny gamma where the linear products
+    underflow.  The neglected tail has mean ``recursion_mean_bias(gamma,
+    depth)``; ``recursion_depth(gamma)`` is the fewest terms that hold it
+    to ``RECURSION_REL_BIAS * gamma``.  ``depth`` may not exceed
+    ``MAX_RECURSION_DEPTH``.
+
+    Block rule: the paths are run ``RECURSION_BLOCK`` at a time, all
+    ``depth`` terms on one block while its buffers stay in cache, with the
+    running product and sum updated in place.  Term k draws its uniforms
+    from its own copy of ``rng``'s PCG64 bit generator advanced by k*n, the
+    stream offset at which the term-by-term loop (all n uniforms of term 1,
+    then of term 2, ...) draws them, so every sample is bitwise the one
+    that loop gives; afterwards ``rng`` is left where that loop leaves it,
+    n*depth doubles on.
     """
     if gamma <= 0:
         raise InvalidParameterError("gamma must be positive")
-    if depth < 1:
-        raise InvalidParameterError("depth must be >= 1")
-    u = np.empty(n)
-    if log:
-        acc = np.full(n, -np.inf)
-        log_prod = np.zeros(n)
-        for _ in range(depth):
-            rng.random(n, out=u)
-            np.negative(u, out=u)
-            np.log1p(u, out=u)
-            u /= gamma
-            log_prod += u
-            np.logaddexp(acc, log_prod, out=acc)
-        return acc
+    if not 1 <= depth <= MAX_RECURSION_DEPTH:
+        raise InvalidParameterError(f"depth must lie in [1, {MAX_RECURSION_DEPTH}]")
+    caller = rng.bit_generator
+    start = caller.state
+    terms = []
+    for k in range(depth):
+        bg = type(caller)()
+        bg.state = start
+        bg.advance(k * n)
+        terms.append(np.random.Generator(bg))
+    acc = np.empty(n)
+    u = np.empty(min(n, RECURSION_BLOCK))
+    prod = np.empty_like(u)
     e = 1.0 / gamma
-    acc = np.zeros(n)
-    prod = np.ones(n)
-    for _ in range(depth):
-        rng.random(n, out=u)
-        np.subtract(1.0, u, out=u)
-        # the in-place operator keeps numpy's scalar-exponent fast paths (2 -> square, 0.5 -> sqrt)
-        u **= e
-        prod *= u
-        acc += prod
+    for lo in range(0, n, RECURSION_BLOCK):
+        m = min(RECURSION_BLOCK, n - lo)
+        a, p, v = acc[lo : lo + m], prod[:m], u[:m]
+        if log:
+            a.fill(-np.inf)
+            p.fill(0.0)
+            for term in terms:
+                term.random(m, out=v)
+                np.negative(v, out=v)
+                np.log1p(v, out=v)
+                v /= gamma
+                p += v
+                np.logaddexp(a, p, out=a)
+        else:
+            a.fill(0.0)
+            p.fill(1.0)
+            for term in terms:
+                term.random(m, out=v)
+                np.subtract(1.0, v, out=v)
+                # the in-place operator keeps numpy's scalar-exponent fast paths
+                # (2 -> square, 0.5 -> sqrt)
+                v **= e
+                p *= v
+                a += p
+    # the bit generator's 32-bit buffer is untouched by double draws
+    end = dict(start, state=terms[-1].bit_generator.state["state"])
+    caller.state = end
     return acc
 
 

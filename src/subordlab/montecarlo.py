@@ -425,6 +425,10 @@ class ErgodicEstimate:
     n: int
 
 
+# samples per block when the functional is applied to the batch
+ERGODIC_BLOCK = 1 << 16
+
+
 def estimate_ergodic_functional(model, f, delta0, t, n, seed=0, *, cutoff=1e-6):
     """Monte Carlo estimate of E f(Y_t) / t, with standard error.
 
@@ -432,6 +436,13 @@ def estimate_ergodic_functional(model, f, delta0, t, n, seed=0, *, cutoff=1e-6):
     the integral of f against the jump measure.  The cutoff must sit
     strictly below delta0, otherwise the dropped jumps bias the
     functional itself.
+
+    Block rule: f is applied ``ERGODIC_BLOCK`` samples at a time, each
+    block overwritten by its image, and the mean and the ``ddof=1``
+    standard deviation are then formed in that same buffer by the
+    reductions ``ndarray.mean`` and ``ndarray.std`` use (one pairwise
+    sum, divide by n; subtract, square, sum, divide by n - 1, sqrt), so
+    both are bitwise theirs while the peak stays one n-float array.
     """
     if delta0 <= cutoff:
         raise InvalidParameterError("need delta0 > cutoff, else the truncation biases f")
@@ -441,13 +452,18 @@ def estimate_ergodic_functional(model, f, delta0, t, n, seed=0, *, cutoff=1e-6):
         # path is exact for the functional and much cheaper at large n
         from .simulate import sample_cutoff_cp
 
-        samples = sample_cutoff_cp(model.tail, cutoff, t, rng, n)
+        vals = sample_cutoff_cp(model.tail, cutoff, t, rng, n)
     else:
-        samples = sample_marginal(model, t, n, rng, cutoff=cutoff)
-    vals = np.asarray(f(samples), dtype=float)
-    del samples  # free the batch before std allocates its own n-float temporary
-    est = float(vals.mean() / t)
-    stderr = float(vals.std(ddof=1) / (np.sqrt(n) * t))
+        vals = sample_marginal(model, t, n, rng, cutoff=cutoff)
+    for lo in range(0, n, ERGODIC_BLOCK):
+        block = vals[lo : lo + ERGODIC_BLOCK]
+        block[...] = f(block)
+    mean = np.add.reduce(vals) / n
+    vals -= mean
+    np.square(vals, out=vals)
+    std = np.sqrt(np.add.reduce(vals) / (n - 1))
+    est = float(mean / t)
+    stderr = float(std / (np.sqrt(n) * t))
     return ErgodicEstimate(value=est, stderr=stderr, t=float(t), n=int(n))
 
 

@@ -89,6 +89,11 @@ class SamplePlan:
         return cls(**data)
 
 
+# paths per block of Poisson counts, and the most jumps per block of jump draws
+# (a path with more jumps than that is drawn as a block of its own)
+CP_BLOCK = 1 << 16
+
+
 def sample_cutoff_cp(tail: LevyTail, eps, t, rng, n=1):
     """Cutoff compound-Poisson batch: sum of Poisson(t*nu_bar(eps)) jumps above eps.
 
@@ -96,6 +101,16 @@ def sample_cutoff_cp(tail: LevyTail, eps, t, rng, n=1):
     Exact zeros occur with probability exp(-t*nu_bar(eps)) (the void
     path) and are legitimate samples.  Mean bias vs. the true marginal
     is -t * integral_0^eps x dnu(x).
+
+    Works in blocks, so that beyond the n-float output its memory grows
+    with neither n nor the jump count (only with the paths that jump):
+    the n Poisson counts are drawn ``CP_BLOCK`` paths at a time, keeping
+    the paths with jumps and their counts; then the jumps are drawn in
+    blocks of at most ``CP_BLOCK`` that end on a path boundary, inverted
+    (``inverse_tail`` must be elementwise), and each path's jumps summed
+    in draw order into its slot.  Successive draws from one generator
+    continue its stream, so the batch is bitwise the one drawn by all n
+    counts, then all jumps, in single calls.
     """
     if tail.inverse_tail is None:
         raise UnsupportedModelError("tail has no inverse; cannot draw jumps")
@@ -104,15 +119,27 @@ def sample_cutoff_cp(tail: LevyTail, eps, t, rng, n=1):
     nu_eps = float(tail.tail(eps))
     if not np.isfinite(nu_eps) or nu_eps <= 0:
         raise InvalidParameterError(f"invalid cutoff: nu_bar(eps) = {nu_eps!r}")
-    counts = rng.poisson(t * nu_eps, n)
-    total = int(counts.sum())
-    if not total:
-        return np.zeros(n)
-    jumps = np.asarray(tail.inverse_tail(rng.random(total) * nu_eps), dtype=float)
-    # owners are listed for the paths with jumps only, so a mostly void batch
-    # builds no n-long index; each sum adds its jumps in draw order
-    hit = np.flatnonzero(counts)
-    return np.bincount(np.repeat(hit, counts[hit]), weights=jumps, minlength=n)
+    lam = t * nu_eps
+    hits = []  # per block of counts: (paths with jumps, their counts)
+    for start in range(0, n, CP_BLOCK):
+        counts = rng.poisson(lam, min(CP_BLOCK, n - start))
+        hit = np.flatnonzero(counts)
+        if hit.size:
+            hits.append((hit + start, counts[hit]))
+    out = np.zeros(n)
+    for hit, counts in hits:
+        ends = np.cumsum(counts)
+        lo = 0
+        while lo < hit.size:
+            done = ends[lo - 1] if lo else 0
+            hi = max(int(np.searchsorted(ends, done + CP_BLOCK, side="right")), lo + 1)
+            jumps = rng.random(int(ends[hi - 1] - done))
+            jumps *= nu_eps
+            jumps = np.asarray(tail.inverse_tail(jumps), dtype=float)
+            owner = np.repeat(np.arange(hi - lo), counts[lo:hi])
+            out[hit[lo:hi]] = np.bincount(owner, weights=jumps, minlength=hi - lo)
+            lo = hi
+    return out
 
 
 def can_sample(model: SubordinatorModel):

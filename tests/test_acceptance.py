@@ -222,7 +222,8 @@ def test_criterion_11_determinism(tmp_path):
     config = cli.default_acceptance_config()
     out1, out2 = tmp_path / "r1", tmp_path / "r2"
     code1, _ = cli.run(config, out_dir=str(out1))
-    code2, _ = cli.run(config, out_dir=str(out2))
+    # concurrent experiments, each making its own generators, agree bit for bit
+    code2, _ = cli.run(config, out_dir=str(out2), threads=2)
     assert code1 == 0 and code2 == 0
     with open(out1 / "report.json") as fh:
         r1 = json.load(fh)
@@ -234,6 +235,7 @@ def test_criterion_11_determinism(tmp_path):
     _emit(
         "criterion 11 (rerun determinism)",
         identical and r1["all_pass"],
-        f"full config rerun byte-identical modulo timestamp, all_pass={r1['all_pass']}, "
+        f"full config rerun at 2 threads byte-identical modulo timestamp, "
+        f"all_pass={r1['all_pass']}, "
         f"{time.time()-t0:.1f}s",
     )

@@ -4,11 +4,13 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
 
 from subordlab import cli, montecarlo
+from subordlab.dickman import MAX_RECURSION_DEPTH
 
 GAMMA = {"name": "gamma", "params": {"gamma": 1.0, "lam": 1.0}}
 
@@ -150,6 +152,83 @@ class TestParameterValidation:
         cfg = write_config(tmp_path, {"experiments": [good, bad]})
         assert cli.main(["--config", cfg, "--out", str(tmp_path)]) == 2
         assert f"experiments[1].params.{field}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "entry,path",
+        [
+            ({"kind": "affine", "model": GAMMA, "params": {"a": 2.0}}, "params.b"),
+            ({"kind": "affine", "model": GAMMA, "params": {"a": 1.0, "b": 4.0}}, "params.a"),
+            (
+                {"kind": "general_limit",
+                 "model": {"name": "log_power", "params": {"gamma": 0.1, "power": 3}},
+                 "params": {"L": "neg_log_cubed"}},
+                "params.gamma",
+            ),
+            ({"kind": "mixture", "model": GAMMA, "params": {"q": 2.0}}, "params.q"),
+            ({"kind": "mixture", "model": GAMMA, "params": {}}, "params.q"),
+            ({"kind": "drift", "model": GAMMA, "params": {"c": 0}}, "params.c"),
+            ({"kind": "support", "model": GAMMA, "params": {"delta": 2.0}}, "params.delta"),
+            ({"kind": "pareto_limit", "model": GAMMA, "params": {"gamma": -1.0}}, "params.gamma"),
+            # model-dependent: no known index, no surface for the criterion
+            (
+                {"kind": "pareto_limit", "model": {"name": "stable", "params": {"a": 1.0, "alpha": 0.5}},
+                 "params": {"t_list": [0.01], "n": 1000}},
+                "params.gamma",
+            ),
+            (
+                {"kind": "affine", "model": {"name": "stable", "params": {"a": 1.0, "alpha": 0.5}},
+                 "params": {"a": 2.0, "b": 4.0}},
+                "model",
+            ),
+            (
+                {"kind": "min_rule", "model": GAMMA,
+                 "model2": {"name": "stable", "params": {"a": 1.0, "alpha": 0.5}}},
+                "model2",
+            ),
+            (
+                {"kind": "criterion", "model": {"name": "weibull", "params": {"gamma": 2.0}},
+                 "params": {"criterion": "S5"}},
+                "model",
+            ),
+            (
+                {"kind": "criterion", "model": GAMMA, "params": {"criterion": "S9"}},
+                "params.criterion",
+            ),
+        ],
+    )
+    def test_malformed_experiment_exits_two_before_sampling(
+        self, tmp_path, capsys, monkeypatch, entry, path
+    ):
+        # each of these exited 1 with a traceback before its fields were checked
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled before the entry was checked")
+
+        monkeypatch.setattr(cli, "sample_marginal", no_sampling)
+        monkeypatch.setattr(montecarlo, "sample_marginal", no_sampling)
+        cfg = write_config(tmp_path, {"experiments": [entry]})
+        assert cli.main(["--config", cfg, "--out", str(tmp_path)]) == 2
+        assert f"experiments[0].{path}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["recursion_mean", "two_sampler_ks"])
+    def test_huge_recursion_gamma_exits_two_at_once(self, tmp_path, capsys, kind):
+        # the recursion depth for gamma 1e9 is past MAX_RECURSION_DEPTH
+        good = {"kind": "recursion_mean", "params": {"gamma": 1.0, "n": 10}}
+        bad = {"kind": kind, "params": {"gamma": 1e9, "n": 1}}
+        cfg = write_config(tmp_path, {"experiments": [good, bad]})
+        t0 = time.perf_counter()
+        assert cli.main(["--config", cfg, "--out", str(tmp_path)]) == 2
+        assert time.perf_counter() - t0 < 5.0
+        assert "experiments[1].params.gamma" in capsys.readouterr().err
+
+    def test_recursion_depth_ceiling(self, tmp_path, capsys):
+        params = {"gamma": 1.0, "n": 2, "depth": MAX_RECURSION_DEPTH + 1}
+        cfg = write_config(tmp_path, {"experiments": [{"kind": "recursion_mean", "params": params}]})
+        assert cli.main(["--config", cfg, "--out", str(tmp_path)]) == 2
+        assert "experiments[0].params.depth" in capsys.readouterr().err
+        params["depth"] = MAX_RECURSION_DEPTH
+        cfg = write_config(tmp_path, {"experiments": [{"kind": "recursion_mean", "params": params}]})
+        code, report = cli.run(cfg, out_dir=str(tmp_path))
+        assert code in (0, 1) and report["results"][0]["n"] == 2
 
     def test_ergodic_cutoff_must_sit_below_delta0(self, tmp_path, capsys):
         entry = {"kind": "ergodic", "model": GAMMA, "params": {"n": 10, "cutoff": 0.6}}

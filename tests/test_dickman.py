@@ -13,6 +13,8 @@ from subordlab import dickman
 from subordlab.core import phi_from_levy
 from subordlab.dickman import (
     EULER,
+    MAX_RECURSION_DEPTH,
+    RECURSION_BLOCK,
     RECURSION_REL_BIAS,
     DickmanFunction,
     dickman_density,
@@ -24,7 +26,25 @@ from subordlab.dickman import (
 )
 from subordlab.errors import InvalidParameterError, OutOfRangeError
 from subordlab.montecarlo import two_sample_ks, two_sample_ks_critical_value
-from subordlab.simulate import sample_cutoff_cp, substream
+from subordlab.simulate import sample_cutoff_cp, sample_marginal, substream
+
+
+def linear_depth_search(theta):
+    """recursion_depth without its ceiling: the plain linear search."""
+    bound = RECURSION_REL_BIAS * theta
+    depth = 1
+    while recursion_mean_bias(theta, depth) > bound:
+        depth += 1
+    return depth
+
+
+def ceiling_theta():
+    """Largest theta (to 1e-9 relative) whose depth is within MAX_RECURSION_DEPTH."""
+    lo, hi = 1.0, 1000.0
+    while hi - lo > 1e-9 * hi:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if linear_depth_search(mid) <= MAX_RECURSION_DEPTH else (lo, mid)
+    return lo
 
 
 class TestRho:
@@ -110,16 +130,14 @@ class TestDensity:
 
 class TestRecursionSampler:
     def test_single_term_arithmetic(self):
-        # depth 1, gamma = 1/2: the sample is U**(1/gamma) = U**2
-        class FixedRng:
-            def random(self, n, out=None):
-                if out is None:
-                    out = np.empty(n)
-                out[...] = 0.75  # 1 - 0.75 = 0.25 drawn internally
-                return out
-
-        out = sample_dickman_recursion(0.5, 1, FixedRng(), 3)
-        np.testing.assert_allclose(out, 0.25**2)
+        # depth 1, gamma = 1/2: the sample is (1 - U)**(1/gamma) = (1 - U)**2
+        rng = substream(8, 0)
+        copy = np.random.Generator(np.random.PCG64())
+        copy.bit_generator.state = rng.bit_generator.state
+        out = sample_dickman_recursion(0.5, 1, rng, 3)
+        np.testing.assert_array_equal(out, (1.0 - copy.random(3)) ** 2)
+        # the caller's generator moved past exactly those three uniforms
+        assert rng.bit_generator.state == copy.bit_generator.state
 
     def test_mean_gamma_one(self):
         rng = substream(101, 0)
@@ -158,24 +176,75 @@ class TestRecursionSampler:
         with pytest.raises(InvalidParameterError):
             recursion_depth(theta)
 
+    def test_recursion_depth_unchanged_up_to_the_ceiling(self):
+        top = ceiling_theta()
+        assert 300.0 < top < 400.0
+        assert linear_depth_search(top) == MAX_RECURSION_DEPTH
+        for theta in np.concatenate([np.geomspace(1e-6, top, 150), [top]]):
+            assert recursion_depth(theta) == linear_depth_search(theta)
+        past = np.nextafter(top * (1.0 + 1e-8), math.inf)
+        assert linear_depth_search(past) == MAX_RECURSION_DEPTH + 1
+        with pytest.raises(InvalidParameterError, match="recursion terms"):
+            recursion_depth(past)
+
+    def test_huge_theta_rejected_at_once(self):
+        # the uncapped search would run for hours here
+        t0 = time.perf_counter()
+        for theta in (1e4, 1e9, 1e300):
+            with pytest.raises(InvalidParameterError):
+                recursion_depth(theta)
+        assert time.perf_counter() - t0 < 5.0
+
+    def test_model_past_the_ceiling_raises_before_drawing(self):
+        m = make_dickman(1e4)  # t * gamma = 1e4 at t = 1
+        for draw in (m.sampler, m.log_sampler):
+            rng = substream(3, 0)
+            before = rng.bit_generator.state
+            with pytest.raises(InvalidParameterError):
+                draw(1.0, 10, rng)
+            assert rng.bit_generator.state == before
+        with pytest.raises(InvalidParameterError):
+            sample_marginal(m, 1.0, 10, substream(3, 0), log=True)
+        with pytest.raises(InvalidParameterError):
+            sample_dickman_recursion(1.0, MAX_RECURSION_DEPTH + 1, substream(3, 0), 10)
+
     @pytest.mark.parametrize("log", [False, True])
     @pytest.mark.parametrize("gamma", [0.5, 1.0, 2.0, 3.0])
     def test_in_place_kernel_matches_naive_reference(self, gamma, log):
-        # the allocating form of the recursion, one fresh array per operation
-        depth, n = 25, 5000
-        rng = substream(41, 0)
-        if log:
-            acc, log_prod = np.full(n, -np.inf), np.zeros(n)
-            for _ in range(depth):
-                log_prod = log_prod + np.log1p(-rng.random(n)) / gamma
-                acc = np.logaddexp(acc, log_prod)
-        else:
-            acc, prod = np.zeros(n), np.ones(n)
-            for _ in range(depth):
-                prod = prod * (1.0 - rng.random(n)) ** (1.0 / gamma)
-                acc = acc + prod
-        out = sample_dickman_recursion(gamma, depth, substream(41, 0), n, log=log)
-        np.testing.assert_array_equal(out, acc)
+        # the allocating form of the recursion, term by term over the whole
+        # batch with one fresh array per operation; n = 1, part of one block,
+        # and three blocks plus a partial one
+        depth = 25
+        for n in (1, 5000, 3 * RECURSION_BLOCK + 7):
+            rng = substream(41, 0)
+            if log:
+                acc, log_prod = np.full(n, -np.inf), np.zeros(n)
+                for _ in range(depth):
+                    log_prod = log_prod + np.log1p(-rng.random(n)) / gamma
+                    acc = np.logaddexp(acc, log_prod)
+            else:
+                acc, prod = np.zeros(n), np.ones(n)
+                for _ in range(depth):
+                    prod = prod * (1.0 - rng.random(n)) ** (1.0 / gamma)
+                    acc = acc + prod
+            caller = substream(41, 0)
+            out = sample_dickman_recursion(gamma, depth, caller, n, log=log)
+            np.testing.assert_array_equal(out, acc)
+            # the caller's generator is left where the term-by-term loop leaves it
+            assert caller.bit_generator.state == rng.bit_generator.state
+
+    def test_caller_generator_keeps_its_32_bit_buffer(self):
+        # a pending 32-bit half-word survives the call, as it does the loop
+        rng, ref = substream(42, 0), substream(42, 0)
+        for g in (rng, ref):
+            g.integers(0, 2**32, dtype=np.uint32)
+        assert rng.bit_generator.state["has_uint32"] == 1
+        out = sample_dickman_recursion(2.0, 7, rng, 100)
+        for _ in range(7):
+            ref.random(100)
+        assert rng.bit_generator.state == ref.bit_generator.state
+        assert rng.integers(0, 2**32, dtype=np.uint32) == ref.integers(0, 2**32, dtype=np.uint32)
+        assert out.shape == (100,)
 
     def test_log_variant_agrees_with_linear(self):
         lin = sample_dickman_recursion(1.0, 40, substream(7, 0), 2000)
@@ -232,20 +301,15 @@ class TestModel:
 
     @pytest.mark.parametrize("gamma,t", [(1.0, 1.0), (2.0, 1.0), (1.0, 0.01), (3.0, 0.05)])
     def test_samplers_run_depth_from_theta(self, gamma, t):
-        class CountingRng:
-            def __init__(self):
-                self.calls = 0
-                self._rng = substream(9, 0)
-
-            def random(self, n, out=None):
-                self.calls += 1
-                return self._rng.random(n, out=out)
-
+        # each sampler draws n uniforms per term: the generator ends n * depth doubles on
+        n = 10
         m = make_dickman(gamma)
         for draw in (m.sampler, m.log_sampler):
-            rng = CountingRng()
-            draw(t, 10, rng)
-            assert rng.calls == recursion_depth(t * gamma)
+            rng = substream(9, 0)
+            want = substream(9, 0)
+            want.bit_generator.advance(n * recursion_depth(t * gamma))
+            draw(t, n, rng)
+            assert rng.bit_generator.state == want.bit_generator.state
 
     def test_density_only_for_unit_gamma(self):
         assert make_dickman(1.0).density1 is not None

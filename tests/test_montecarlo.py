@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from subordlab import catalog, montecarlo as mc
 from subordlab.core import ExponentialLaw, ParetoLaw, pareto_cdf
 from subordlab.errors import InvalidParameterError, OutOfRangeError
-from subordlab.simulate import sample_marginal, substream, to_neg_t_power
+from subordlab.simulate import sample_cutoff_cp, sample_marginal, substream, to_neg_t_power
 
 NEG_LOG = lambda x: -np.log(x)
 NEG_LOG_LOG = lambda ly: -ly
@@ -241,6 +241,36 @@ class TestErgodicFunctional:
         est = mc.estimate_ergodic_functional(gamma11, bump, 0.9, t=0.01, n=2_000_000, seed=6)
         target, _ = quad(lambda x: min(max((x - 0.9) / 0.2, 0.0), 1.0) * math.exp(-x) / x, 0.9, 50.0)
         assert abs(est.value - target) <= 0.05 * target
+
+    @pytest.mark.parametrize(
+        "model,n",
+        [
+            ("gamma", 3 * mc.ERGODIC_BLOCK + 5),  # cutoff compound Poisson
+            ("dickman", 1),
+            ("stable", 2 * mc.ERGODIC_BLOCK),  # exact sampler, no inverse tail
+        ],
+    )
+    def test_blocked_estimate_matches_mean_and_std(self, model, n):
+        # the allocating form: f on the whole batch, then ndarray.mean and std
+        m = {
+            "gamma": lambda: catalog.make_gamma(1.0, 1.0),
+            "dickman": lambda: catalog.make_dickman(1.0),
+            "stable": lambda: catalog.make_stable(1.0, 0.5),
+        }[model]()
+        ramp = lambda x: np.minimum(1.0, np.maximum(0.0, (np.asarray(x, dtype=float) - 0.5) * 4.0))
+        t, seed = 0.05, 11
+        rng = substream(seed, 0)
+        if m.tail is not None and m.tail.inverse_tail is not None:
+            samples = sample_cutoff_cp(m.tail, 1e-6, t, rng, n)
+        else:
+            samples = sample_marginal(m, t, n, rng)
+        vals = ramp(samples)
+        with np.errstate(invalid="ignore"):  # n = 1 leaves no degree of freedom
+            est = mc.estimate_ergodic_functional(m, ramp, 0.5, t, n, seed)
+        assert est.value == float(vals.mean() / t)
+        if n > 1:
+            assert est.stderr == float(vals.std(ddof=1) / (np.sqrt(n) * t))
+            assert est.stderr > 0.0
 
     def test_cutoff_above_delta0_rejected(self, dickman1):
         with pytest.raises(InvalidParameterError):

@@ -1,6 +1,7 @@
 """Samplers, substreams, and the log-space transforms."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from subordlab.dickman import make_dickman
 from subordlab.errors import InvalidParameterError, UnsupportedModelError
 from subordlab.montecarlo import two_sample_ks, two_sample_ks_critical_value
 from subordlab.simulate import (
+    CP_BLOCK,
     RngState,
     SamplePlan,
     sample_cutoff_cp,
@@ -85,6 +87,24 @@ class TestSampleMarginal:
         assert np.all(np.isfinite(log_s))
 
 
+CP_TAILS = {
+    "dickman": lambda: make_dickman(1.0).tail,
+    "gamma": lambda: catalog.make_gamma(1.0, 1.0).tail,
+    "log_power": lambda: catalog.make_log_power(0.1, 3).tail,
+}
+
+
+def traced_peak(fn):
+    """Peak bytes traced while fn runs, counted from the start of the call."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestCutoffCp:
     def test_void_path_probability(self, dickman1):
         # P(sample == 0) = exp(-t * nu_bar(eps))
@@ -131,6 +151,9 @@ class TestCutoffCp:
             ("dickman", 1e-6, 1.0, 1),
             ("dickman", 1e-6, 1.0, 2000),  # ~14 jumps per path
             ("gamma", 1e-6, 1e-3, 1_000_000),  # ~1% of paths jump
+            ("dickman", 1e-6, 1e-3, 1_000_000),  # sparse: ~1.4% of paths jump
+            ("log_power", 1e-8, 0.01, 150_000),  # dense: ~6.3 jumps per path
+            ("log_power", 1e-12, 100.0, 3),  # one path's jumps span several blocks
         ],
     )
     def test_matches_full_length_binning(self, model, eps, t, n):
@@ -146,12 +169,64 @@ class TestCutoffCp:
                 sums = np.bincount(owner, weights=jumps, minlength=n)
             return sums
 
-        tail = (make_dickman(1.0) if model == "dickman" else catalog.make_gamma(1.0, 1.0)).tail
-        got = sample_cutoff_cp(tail, eps, t, substream(36, 0), n)
-        want = full_length(tail, substream(36, 0))
+        tail = CP_TAILS[model]()
+        rng, ref = substream(36, 0), substream(36, 0)
+        got = sample_cutoff_cp(tail, eps, t, rng, n)
+        want = full_length(tail, ref)
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert rng.bit_generator.state == ref.bit_generator.state
         if t == 1e-9:  # the void case really drew no jumps
             assert not got.any()
+
+    def test_block_sizes_are_crossed(self):
+        # the dense case above draws several blocks of counts and of jumps
+        jumps = 0.01 * float(CP_TAILS["log_power"]().tail(1e-8)) * 150_000
+        assert CP_BLOCK < 150_000 and CP_BLOCK < jumps / 4
+
+    def test_sparse_batch_memory_is_the_output_alone(self):
+        # ~1.4% of 1e6 paths jump: beyond the 8n-byte output only the block
+        # buffers and the jumping paths are held
+        n = 1_000_000
+        tail = make_dickman(1.0).tail
+        peak = traced_peak(lambda: sample_cutoff_cp(tail, 1e-6, 1e-3, substream(37, 0), n))
+        assert peak <= 8 * n + 2 * 2**20
+
+    def test_dense_batch_memory_does_not_grow_with_jumps(self):
+        # ~6.3 jumps per path at cutoff 1e-8, ~21 at 1e-12: the same peak
+        n = 100_000
+        tail = catalog.make_log_power(0.1, 3).tail
+        peaks = [
+            traced_peak(lambda: sample_cutoff_cp(tail, eps, 0.01, substream(38, 0), n))
+            for eps in (1e-8, 1e-12)
+        ]
+        assert max(peaks) <= 1.5 * min(peaks)
+
+    @pytest.mark.parametrize(
+        "tail",
+        [
+            catalog.make_gamma(1.0, 1.0).tail,
+            catalog.make_gamma(0.5, 3.0).tail,
+            catalog.make_gamma(2.0, 0.2).tail,
+            make_dickman(1.0).tail,
+            make_dickman(0.3).tail,
+            catalog.make_log_power(0.1, 3).tail,
+            catalog.make_log_power(2.0, 1).tail,
+        ],
+    )
+    def test_inverse_tail_is_elementwise(self, tail):
+        # the blocked sampler inverts each block on its own: blocks of 1 and
+        # 1024 must give the bits of one call on the whole batch
+        nu_eps = float(tail.tail(1e-8))
+        y = substream(39, 0).random(5000) * nu_eps
+        y[:3] = (nu_eps, nu_eps * 1e-12, nu_eps * 0.5)
+        full = np.asarray(tail.inverse_tail(y), dtype=float)
+        for size in (1, 1024):
+            blocks = np.concatenate(
+                [np.asarray(tail.inverse_tail(y[i : i + size]), dtype=float)
+                 for i in range(0, y.size, size)]
+            )
+            assert blocks.tobytes() == full.tobytes()
+        assert tail.inverse_tail(float(y[7])) == full[7]
 
     def test_exact_vs_cp_gamma(self, gamma11):
         n = 100_000
