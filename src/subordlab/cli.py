@@ -231,6 +231,7 @@ _PARAM_DEFAULTS = {
     "ergodic": {"t": 1e-3, "n": 10_000_000, "cutoff": 1e-6},
     "recursion_mean": {"n": 1_000_000, "gamma": None, "depth": _OPTIONAL},
     "two_sampler_ks": {"n": 100_000, "cutoff": 1e-6, "gamma": 1.0},
+    "s2": {"gamma": _OPTIONAL},
 }
 
 
@@ -246,7 +247,8 @@ def _checked_params(entry, index):
             continue
         valid, requirement = overrides.get(field, _CHECKS[field])
         values[field] = _param(params, field, index, default, valid, requirement)
-    values["n"] = int(values["n"])
+    if "n" in values:
+        values["n"] = int(values["n"])
     if "t_list" in values:
         values["t_list"] = tuple(values["t_list"])
     return values
@@ -257,6 +259,48 @@ def _known_index(model, path):
     if model.known_gamma is None:
         raise SchemaError(path, f"model {model.describe()} has no known index")
     return model.known_gamma
+
+
+def _require_surface(model, path, what, surface):
+    """A SchemaError at path unless the model has the surface."""
+    if getattr(model, surface) is None:
+        raise SchemaError(path, f"{what} needs a model with {surface}; {model.describe()} has none")
+
+
+def _sampled_model(entry, index, sp, key="model"):
+    """Build entry[key] for a draw at the entry's times; a SchemaError names the bad field.
+
+    The model must be one that ``sample_marginal`` can draw from.
+    A draw at time t runs each Dickman recursion to ``recursion_depth(t * gamma)``
+    terms, which may not exceed ``MAX_RECURSION_DEPTH``.  Exact samplers survive
+    only ``add`` and ``drift``, so the recursions a draw runs are those of the
+    ``dickman`` leaves reached through them.
+    """
+    model = build_model_expr(entry[key], f"experiments[{index}].{key}")
+    if not can_sample(model):
+        raise SchemaError(
+            f"experiments[{index}].{key}",
+            f"{model.describe()} has neither an exact sampler nor an invertible jump tail",
+        )
+    field = "t_list" if "t_list" in sp else "t"
+    times = sp["t_list"] if field == "t_list" else (sp["t"],)
+    nodes = [entry[key]]
+    while nodes:
+        node = nodes.pop()
+        if node.get("name") == "dickman":
+            gamma = node["params"]["gamma"]
+            for t in times:
+                if not _recursion_gamma(t * gamma):
+                    raise SchemaError(
+                        f"experiments[{index}].params.{field}",
+                        f"t = {t!r} puts the Dickman recursion of {model.describe()} at "
+                        f"theta = t*gamma = {t * gamma:g}, past its {MAX_RECURSION_DEPTH}-term ceiling",
+                    )
+        elif node.get("transform") == "add":
+            nodes.extend(node["of"])
+        elif node.get("transform") == "drift":
+            nodes.append(node["of"])
+    return model
 
 
 def _ks_result(entry, report, threshold, extra=None):
@@ -302,12 +346,9 @@ def run_experiment(entry, seed, out_dir, index):
         grid = params.get("grid")
         if which not in _CRITERION_SURFACES:
             raise SchemaError(f"experiments[{index}].params.criterion", f"unknown criterion {which!r}")
-        surface = _CRITERION_SURFACES[which]
-        if getattr(model, surface) is None:
-            raise SchemaError(
-                f"experiments[{index}].model",
-                f"criterion {which} needs a model with {surface}; {model.describe()} has none",
-            )
+        _require_surface(
+            model, f"experiments[{index}].model", f"criterion {which}", _CRITERION_SURFACES[which]
+        )
         if which == "S5":
             est = criteria.estimate_gamma_s5(model.phi, grid)
         elif which == "S6":
@@ -360,6 +401,8 @@ def run_experiment(entry, seed, out_dir, index):
 
     if kind == "sandwich":
         model = build_model_expr(entry["model"], f"experiments[{index}].model")
+        # psi comes from phi when the model has it, else from quadrature of cdf1
+        _require_surface(model, f"experiments[{index}].model", "sandwich", "cdf1")
         which = params.get("which", "ol")
         tol = params.get("tol", 1e-9)
         if which == "ol":
@@ -375,7 +418,10 @@ def run_experiment(entry, seed, out_dir, index):
 
     if kind == "s2":
         model = build_model_expr(entry["model"], f"experiments[{index}].model")
-        gamma = params.get("gamma", model.known_gamma)
+        _require_surface(model, f"experiments[{index}].model", "s2", "phi")
+        gamma = _checked_params(entry, index)["gamma"]
+        if gamma is None:
+            gamma = _known_index(model, f"experiments[{index}].params.gamma")
         law = montecarlo.ParetoLaw(gamma)
         report = criteria.check_s2(model.phi, law.cdf, params.get("t_grid"), params.get("u_grid"))
         threshold = asserts.get("max_dev", 1e-2)
@@ -387,8 +433,8 @@ def run_experiment(entry, seed, out_dir, index):
         }
 
     if kind == "pareto_limit":
-        model = build_model_expr(entry["model"], f"experiments[{index}].model")
         sp = _checked_params(entry, index)
+        model = _sampled_model(entry, index, sp)
         t_list, n, cutoff = sp["t_list"], sp["n"], sp["cutoff"]
         gamma = sp["gamma"]
         if gamma is None:
@@ -420,9 +466,9 @@ def run_experiment(entry, seed, out_dir, index):
         )
 
     if kind == "general_limit":
-        model = build_model_expr(entry["model"], f"experiments[{index}].model")
-        L, L_log = _resolve_L(params.get("L", "neg_log"), f"experiments[{index}].params.L")
         sp = _checked_params(entry, index)
+        model = _sampled_model(entry, index, sp)
+        L, L_log = _resolve_L(params.get("L", "neg_log"), f"experiments[{index}].params.L")
         reports = montecarlo.experiment_general_limit(
             model, L, sp["gamma"], sp["t_list"], sp["n"], exp_seed, cutoff=sp["cutoff"], L_log=L_log,
         )
@@ -431,18 +477,18 @@ def run_experiment(entry, seed, out_dir, index):
         return _ks_result(entry, final, threshold)
 
     if kind in ("min_rule", "product_rule"):
-        m1 = build_model_expr(entry["model"], f"experiments[{index}].model")
-        m2 = build_model_expr(entry["model2"], f"experiments[{index}].model2")
-        fn = montecarlo.experiment_min_rule if kind == "min_rule" else montecarlo.experiment_product_rule
         sp = _checked_params(entry, index)
+        m1 = _sampled_model(entry, index, sp)
+        m2 = _sampled_model(entry, index, sp, "model2")
+        fn = montecarlo.experiment_min_rule if kind == "min_rule" else montecarlo.experiment_product_rule
         _known_index(m1, f"experiments[{index}].model")
         _known_index(m2, f"experiments[{index}].model2")
         report = fn(m1, m2, sp["t"], sp["n"], exp_seed, cutoff=sp["cutoff"])
         return _ks_result(entry, report, asserts.get("ks_max"))
 
     if kind == "affine":
-        model = build_model_expr(entry["model"], f"experiments[{index}].model")
         sp = _checked_params(entry, index)
+        model = _sampled_model(entry, index, sp)
         _known_index(model, f"experiments[{index}].model")
         report = montecarlo.experiment_affine(
             model, sp["a"], sp["b"], sp["t"], sp["n"], exp_seed, cutoff=sp["cutoff"],
@@ -450,8 +496,8 @@ def run_experiment(entry, seed, out_dir, index):
         return _ks_result(entry, report, asserts.get("ks_max"))
 
     if kind == "mixture":
-        model = build_model_expr(entry["model"], f"experiments[{index}].model")
         sp = _checked_params(entry, index)
+        model = _sampled_model(entry, index, sp)
         _known_index(model, f"experiments[{index}].model")
         report, jump = montecarlo.experiment_mixture(
             model, sp["q"], sp["t"], sp["n"], exp_seed, cutoff=sp["cutoff"],
@@ -464,8 +510,8 @@ def run_experiment(entry, seed, out_dir, index):
         return _ks_result(entry, report, threshold, extra={"jump_at_one": jump, "pass": bool(ok)})
 
     if kind == "drift":
-        model = build_model_expr(entry["model"], f"experiments[{index}].model")
         sp = _checked_params(entry, index)
+        model = _sampled_model(entry, index, sp)
         report = montecarlo.experiment_drift(
             model, sp["c"], sp["t"], sp["n"], exp_seed,
             cutoff=sp["cutoff"], window=params.get("window", 0.05),
@@ -478,8 +524,8 @@ def run_experiment(entry, seed, out_dir, index):
         }
 
     if kind == "support":
-        model = build_model_expr(entry["model"], f"experiments[{index}].model")
         sp = _checked_params(entry, index)
+        model = _sampled_model(entry, index, sp)
         t, n = sp["t"], sp["n"]
         emp = _empirical_for_pareto(model, t, n, exp_seed, sp["cutoff"])
         fraction = montecarlo.support_check(emp, sp["delta"])
@@ -583,7 +629,9 @@ def run_experiment(entry, seed, out_dir, index):
         gamma, n, cutoff = sp["gamma"], sp["n"], sp["cutoff"]
         model = catalog.build_model("dickman", {"gamma": gamma})
         rec = sample_dickman_recursion(gamma, recursion_depth(gamma), substream(exp_seed, 0), n)
-        cp = sample_cutoff_cp(model.tail, cutoff, 1.0, substream(exp_seed, 1), n)
+        idx, sums = sample_cutoff_cp(model.tail, cutoff, 1.0, substream(exp_seed, 1), n)
+        cp = np.zeros(n)
+        cp[idx] = sums
         stat = montecarlo.two_sample_ks(rec, cp)
         crit = montecarlo.two_sample_ks_critical_value(n, n, asserts.get("level", 0.01))
         return {

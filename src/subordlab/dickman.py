@@ -21,7 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import special as sc
-from scipy.interpolate import CubicSpline
 
 from .core import LaplaceExponent, LevyTail, SubordinatorModel
 from .errors import InvalidParameterError, OutOfRangeError
@@ -115,10 +114,13 @@ class DickmanFunction:
     h: float
     z_max: float
     rho_values: np.ndarray
-    _log_spline: CubicSpline
+    _log_spline: "scipy.interpolate.CubicSpline"
 
     @classmethod
     def build(cls, z_max=40.0, h=1e-3):
+        # imported here, so that importing the package does not load scipy.interpolate
+        from scipy.interpolate import CubicSpline
+
         u = _build_log_table(z_max, h)
         zs = np.arange(u.size) * h
         spline = CubicSpline(zs, u)

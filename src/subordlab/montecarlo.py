@@ -24,7 +24,7 @@ import numpy as np
 
 from .core import ExponentialLaw, ParetoLaw, SubordinatorModel, pareto_cdf
 from .errors import InvalidParameterError, NumericalFailure, OutOfRangeError
-from .simulate import sample_marginal, substream, to_neg_t_power, to_tl
+from .simulate import sample_cutoff_cp, sample_marginal, substream, to_neg_t_power, to_tl
 
 __all__ = [
     "EmpiricalDistribution",
@@ -425,8 +425,30 @@ class ErgodicEstimate:
     n: int
 
 
-# samples per block when the functional is applied to the batch
+# samples per block when the functional is applied to a dense batch, and the
+# largest leaf of the summation tree that _sparse_sum rebuilds
 ERGODIC_BLOCK = 1 << 16
+
+
+def _sparse_sum(n, fill, idx, vals, buf, lo=0):
+    """``np.add.reduce`` of the n floats that are ``fill`` but ``vals`` at the ascending ``idx``.
+
+    Replays numpy's pairwise summation tree (split at n//2 rounded down to
+    a multiple of 8) down to leaves of at most ``ERGODIC_BLOCK``; each leaf
+    is rebuilt in ``buf`` (at least ``min(n, ERGODIC_BLOCK)`` floats) and
+    reduced by ``np.add.reduce``, so the sum is bitwise that of the dense
+    array.  ``lo`` is the offset of these n floats in the whole array.
+    """
+    if n > ERGODIC_BLOCK:
+        half = n // 2
+        half -= half % 8
+        return (_sparse_sum(half, fill, idx, vals, buf, lo)
+                + _sparse_sum(n - half, fill, idx, vals, buf, lo + half))
+    a, b = np.searchsorted(idx, (lo, lo + n))
+    leaf = buf[:n]
+    leaf.fill(fill)
+    leaf[idx[a:b] - lo] = vals[a:b]
+    return np.add.reduce(leaf)
 
 
 def estimate_ergodic_functional(model, f, delta0, t, n, seed=0, *, cutoff=1e-6):
@@ -435,14 +457,20 @@ def estimate_ergodic_functional(model, f, delta0, t, n, seed=0, *, cutoff=1e-6):
     For bounded continuous f vanishing on [0, delta0] this converges to
     the integral of f against the jump measure.  The cutoff must sit
     strictly below delta0, otherwise the dropped jumps bias the
-    functional itself.
+    functional itself.  ``f`` must act elementwise on float arrays.
 
-    Block rule: f is applied ``ERGODIC_BLOCK`` samples at a time, each
-    block overwritten by its image, and the mean and the ``ddof=1``
-    standard deviation are then formed in that same buffer by the
-    reductions ``ndarray.mean`` and ``ndarray.std`` use (one pairwise
-    sum, divide by n; subtract, square, sum, divide by n - 1, sqrt), so
-    both are bitwise theirs while the peak stays one n-float array.
+    Memory rule: a model with an invertible tail is drawn by the cutoff
+    compound-Poisson sampler in sparse form and never densified.  f is
+    applied to the jump sums, and only the paths with f(v) != f(0) are
+    kept, so the memory grows with the paths that jump plus one
+    ``ERGODIC_BLOCK`` buffer, not with n.  The mean and the ``ddof=1``
+    standard deviation replay numpy's pairwise summation tree over the n
+    virtual values (``_sparse_sum``).  A model with only an exact sampler
+    is drawn dense, f is applied in place ``ERGODIC_BLOCK`` samples at a
+    time, and the statistics are formed in that buffer (peak one n-float
+    array).  Either way they are the reductions ``ndarray.mean`` and
+    ``ndarray.std`` use (one pairwise sum, divide by n; subtract, square,
+    sum, divide by n - 1, sqrt), so both are bitwise theirs.
     """
     if delta0 <= cutoff:
         raise InvalidParameterError("need delta0 > cutoff, else the truncation biases f")
@@ -450,18 +478,26 @@ def estimate_ergodic_functional(model, f, delta0, t, n, seed=0, *, cutoff=1e-6):
     if model.tail is not None and model.tail.inverse_tail is not None:
         # f ignores everything below delta0 > cutoff, so the truncated
         # path is exact for the functional and much cheaper at large n
-        from .simulate import sample_cutoff_cp
-
-        vals = sample_cutoff_cp(model.tail, cutoff, t, rng, n)
+        idx, sums = sample_cutoff_cp(model.tail, cutoff, t, rng, n)
+        fv = np.asarray(f(sums), dtype=float)
+        del sums
+        f0 = np.asarray(f(np.zeros(1)), dtype=float)[0]
+        keep = fv != f0
+        idx, fv = idx[keep], fv[keep]
+        buf = np.empty(min(n, ERGODIC_BLOCK))
+        mean = _sparse_sum(n, f0, idx, fv, buf) / n
+        fv -= mean
+        np.square(fv, out=fv)
+        std = np.sqrt(_sparse_sum(n, np.square(f0 - mean), idx, fv, buf) / (n - 1))
     else:
         vals = sample_marginal(model, t, n, rng, cutoff=cutoff)
-    for lo in range(0, n, ERGODIC_BLOCK):
-        block = vals[lo : lo + ERGODIC_BLOCK]
-        block[...] = f(block)
-    mean = np.add.reduce(vals) / n
-    vals -= mean
-    np.square(vals, out=vals)
-    std = np.sqrt(np.add.reduce(vals) / (n - 1))
+        for lo in range(0, n, ERGODIC_BLOCK):
+            block = vals[lo : lo + ERGODIC_BLOCK]
+            block[...] = f(block)
+        mean = np.add.reduce(vals) / n
+        vals -= mean
+        np.square(vals, out=vals)
+        std = np.sqrt(np.add.reduce(vals) / (n - 1))
     est = float(mean / t)
     stderr = float(std / (np.sqrt(n) * t))
     return ErgodicEstimate(value=est, stderr=stderr, t=float(t), n=int(n))

@@ -95,22 +95,24 @@ CP_BLOCK = 1 << 16
 
 
 def sample_cutoff_cp(tail: LevyTail, eps, t, rng, n=1):
-    """Cutoff compound-Poisson batch: sum of Poisson(t*nu_bar(eps)) jumps above eps.
+    """Cutoff compound-Poisson batch in sparse form: the paths that jump, and their sums.
 
-    Jumps are inverse-transform draws, inverse_tail(U * nu_bar(eps)).
-    Exact zeros occur with probability exp(-t*nu_bar(eps)) (the void
-    path) and are legitimate samples.  Mean bias vs. the true marginal
-    is -t * integral_0^eps x dnu(x).
+    Each of the n paths is the sum of Poisson(t*nu_bar(eps)) jumps above
+    eps, drawn by inversion, inverse_tail(U * nu_bar(eps)).  Returns
+    ``(idx, sums)``: the ascending indices of the paths with at least one
+    jump (``np.intp``) and each one's jump sum.  Every other path is an
+    exact zero (the void path, probability exp(-t*nu_bar(eps))), a
+    legitimate sample; ``np.zeros(n)`` with ``[idx] = sums`` is the dense
+    batch.  Mean bias vs. the true marginal is -t * integral_0^eps x dnu(x).
 
-    Works in blocks, so that beyond the n-float output its memory grows
-    with neither n nor the jump count (only with the paths that jump):
-    the n Poisson counts are drawn ``CP_BLOCK`` paths at a time, keeping
-    the paths with jumps and their counts; then the jumps are drawn in
-    blocks of at most ``CP_BLOCK`` that end on a path boundary, inverted
-    (``inverse_tail`` must be elementwise), and each path's jumps summed
-    in draw order into its slot.  Successive draws from one generator
-    continue its stream, so the batch is bitwise the one drawn by all n
-    counts, then all jumps, in single calls.
+    Works in blocks, so that its memory grows with neither n nor the jump
+    count, only with the paths that jump: the n Poisson counts are drawn
+    ``CP_BLOCK`` paths at a time, keeping the paths with jumps and their
+    counts; then the jumps are drawn in blocks of at most ``CP_BLOCK``
+    that end on a path boundary, inverted (``inverse_tail`` must be
+    elementwise), and each path's jumps summed in draw order.  Successive
+    draws from one generator continue its stream, so the batch is bitwise
+    the one drawn by all n counts, then all jumps, in single calls.
     """
     if tail.inverse_tail is None:
         raise UnsupportedModelError("tail has no inverse; cannot draw jumps")
@@ -120,26 +122,31 @@ def sample_cutoff_cp(tail: LevyTail, eps, t, rng, n=1):
     if not np.isfinite(nu_eps) or nu_eps <= 0:
         raise InvalidParameterError(f"invalid cutoff: nu_bar(eps) = {nu_eps!r}")
     lam = t * nu_eps
-    hits = []  # per block of counts: (paths with jumps, their counts)
+    hits, hit_counts = [], []  # per block of counts: paths with jumps, their counts
     for start in range(0, n, CP_BLOCK):
         counts = rng.poisson(lam, min(CP_BLOCK, n - start))
         hit = np.flatnonzero(counts)
         if hit.size:
-            hits.append((hit + start, counts[hit]))
-    out = np.zeros(n)
-    for hit, counts in hits:
+            hits.append(hit + start)
+            hit_counts.append(counts[hit])
+    idx = np.concatenate(hits) if hits else np.empty(0, dtype=np.intp)
+    del hits
+    sums = np.empty(idx.size)
+    pos = 0
+    for counts in hit_counts:
         ends = np.cumsum(counts)
         lo = 0
-        while lo < hit.size:
+        while lo < counts.size:
             done = ends[lo - 1] if lo else 0
             hi = max(int(np.searchsorted(ends, done + CP_BLOCK, side="right")), lo + 1)
             jumps = rng.random(int(ends[hi - 1] - done))
             jumps *= nu_eps
             jumps = np.asarray(tail.inverse_tail(jumps), dtype=float)
             owner = np.repeat(np.arange(hi - lo), counts[lo:hi])
-            out[hit[lo:hi]] = np.bincount(owner, weights=jumps, minlength=hi - lo)
+            sums[pos + lo : pos + hi] = np.bincount(owner, weights=jumps, minlength=hi - lo)
             lo = hi
-    return out
+        pos += counts.size
+    return idx, sums
 
 
 def can_sample(model: SubordinatorModel):
@@ -152,7 +159,8 @@ def can_sample(model: SubordinatorModel):
 def sample_marginal(model: SubordinatorModel, t, n, rng, *, cutoff=1e-6, log=False):
     """Draw n values of Y_t: exact sampler if the model has one, else cutoff CP.
 
-    With ``log=True`` the batch is returned as log(Y_t); exact samplers
+    The cutoff-CP batch is scattered from its sparse form into the n-float
+    output.  With ``log=True`` the batch is returned as log(Y_t); exact samplers
     produce it natively (no underflow, no zeros), the compound-Poisson
     path maps its void zeros to -inf.
     """
@@ -167,7 +175,10 @@ def sample_marginal(model: SubordinatorModel, t, n, rng, *, cutoff=1e-6, log=Fal
     if model.sampler is not None:
         values = model.sampler(t, n, rng)
     else:
-        values = sample_cutoff_cp(model.tail, cutoff, t, rng, n)
+        idx, sums = sample_cutoff_cp(model.tail, cutoff, t, rng, n)
+        values = np.zeros(n)
+        values[idx] = sums
+        del idx, sums  # before np.log allocates its output
     if log:
         with np.errstate(divide="ignore"):
             return np.log(values)

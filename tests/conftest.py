@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from subordlab import catalog
 from subordlab.dickman import make_dickman
+from subordlab.simulate import sample_cutoff_cp
 
 
 @pytest.fixture(scope="session")
@@ -18,6 +21,35 @@ def gamma21():
 @pytest.fixture(scope="session")
 def dickman1():
     return make_dickman(1.0)
+
+
+@pytest.fixture(scope="session")
+def dense_cp():
+    """``sample_cutoff_cp`` with its sparse batch scattered into ``np.zeros(n)``."""
+
+    def draw(tail, eps, t, rng, n):
+        idx, sums = sample_cutoff_cp(tail, eps, t, rng, n)
+        out = np.zeros(n)
+        out[idx] = sums
+        return out
+
+    return draw
+
+
+@pytest.fixture(scope="session")
+def traced_peak():
+    """Peak bytes traced while fn() runs, counted from the start of the call."""
+
+    def measure(fn):
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    return measure
 
 
 @pytest.fixture(scope="session")

@@ -20,7 +20,7 @@ from subordlab.dickman import (
     recursion_depth,
     sample_dickman_recursion,
 )
-from subordlab.simulate import sample_cutoff_cp, sample_marginal, substream, to_neg_t_power
+from subordlab.simulate import sample_marginal, substream, to_neg_t_power
 
 N_MC = 100_000
 SEED = 20121
@@ -107,7 +107,7 @@ def test_criterion_04_pareto_monte_carlo(gamma11, dickman1):
     _emit("criterion 4 (Pareto Monte Carlo)", True, "; ".join(details) + f", {time.time()-t0:.1f}s")
 
 
-def test_criterion_05_dickman(dickman1):
+def test_criterion_05_dickman(dickman1, dense_cp):
     t0 = time.time()
     rho_err = abs(dickman_rho(2.0) - (1.0 - math.log(2.0)))
     assert rho_err <= 1e-8
@@ -120,7 +120,7 @@ def test_criterion_05_dickman(dickman1):
         stderr = samples.std(ddof=1) / 1000.0
         assert abs(samples.mean() - gamma) <= 3.0 * stderr, gamma
     rec = sample_dickman_recursion(1.0, 60, substream(SEED, 2), N_MC)
-    cp = sample_cutoff_cp(dickman1.tail, 1e-6, 1.0, substream(SEED, 3), N_MC)
+    cp = dense_cp(dickman1.tail, 1e-6, 1.0, substream(SEED, 3), N_MC)
     two = mc.two_sample_ks(rec, cp)
     crit = mc.two_sample_ks_critical_value(N_MC, N_MC, 0.01)
     assert two <= crit

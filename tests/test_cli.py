@@ -9,10 +9,12 @@ import time
 import numpy as np
 import pytest
 
-from subordlab import cli, montecarlo
+from subordlab import cli, criteria, montecarlo
 from subordlab.dickman import MAX_RECURSION_DEPTH
 
 GAMMA = {"name": "gamma", "params": {"gamma": 1.0, "lam": 1.0}}
+STABLE = {"name": "stable", "params": {"a": 1.0, "alpha": 0.5}}
+DICKMAN_1E5 = {"name": "dickman", "params": {"gamma": 1e5}}
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -229,6 +231,74 @@ class TestParameterValidation:
         cfg = write_config(tmp_path, {"experiments": [{"kind": "recursion_mean", "params": params}]})
         code, report = cli.run(cfg, out_dir=str(tmp_path))
         assert code in (0, 1) and report["results"][0]["n"] == 2
+
+    @pytest.mark.parametrize(
+        "entry,path",
+        [
+            ({"kind": "s2", "model": STABLE}, "params.gamma"),  # no known index
+            ({"kind": "s2", "model": STABLE, "params": {"gamma": -1.0}}, "params.gamma"),
+            ({"kind": "s2", "model": {"name": "weibull", "params": {"gamma": 2.0}}}, "model"),
+            ({"kind": "sandwich", "model": STABLE}, "model"),  # no cdf1
+            ({"kind": "sandwich", "model": STABLE, "params": {"which": "ol2"}}, "model"),
+        ],
+    )
+    def test_check_on_a_model_without_its_surface_exits_two(
+        self, tmp_path, capsys, monkeypatch, entry, path
+    ):
+        # each exited 1 with a TypeError traceback on a None index or surface
+        def no_work(*args, **kwargs):
+            raise AssertionError("the check ran before the model was checked")
+
+        for name in ("check_s2", "check_sandwich_ol", "check_sandwich_ol2"):
+            monkeypatch.setattr(criteria, name, no_work)
+        cfg = write_config(tmp_path, {"experiments": [entry]})
+        assert cli.main(["--config", cfg, "--out", str(tmp_path)]) == 2
+        assert f"experiments[0].{path}" in capsys.readouterr().err
+
+    def test_s2_takes_an_explicit_gamma(self, tmp_path):
+        # stable has no Pareto limit, so the check runs and fails its assertion
+        entry = {"kind": "s2", "model": STABLE, "params": {"gamma": 0.5}}
+        code, report = cli.run(write_config(tmp_path, {"experiments": [entry]}), str(tmp_path))
+        assert code == 1 and report["results"][0]["statistic"] > 1e-2
+
+    @pytest.mark.parametrize(
+        "entry,path",
+        [
+            # t*gamma = 1000 needs more than MAX_RECURSION_DEPTH terms
+            ({"kind": "pareto_limit", "model": DICKMAN_1E5, "params": {"t_list": [0.01]}},
+             "params.t_list"),
+            ({"kind": "pareto_limit", "model": DICKMAN_1E5,
+              "params": {"t_list": [1e-4, 0.01], "gamma": 1.0}}, "params.t_list"),
+            ({"kind": "support", "model": {"transform": "drift", "c": 1.0, "of": DICKMAN_1E5},
+              "params": {"t": 0.01}}, "params.t"),
+            ({"kind": "min_rule", "model": GAMMA,
+              "model2": {"transform": "add", "of": [GAMMA, DICKMAN_1E5]}}, "params.t"),
+            # neither an exact sampler nor an invertible tail
+            ({"kind": "support", "model": {"name": "weibull", "params": {"gamma": 2.0}}}, "model"),
+            ({"kind": "product_rule", "model": GAMMA,
+              "model2": {"transform": "tilt", "theta": 0.5, "of": GAMMA}}, "model2"),
+        ],
+    )
+    def test_model_that_cannot_draw_at_its_times_exits_two_before_sampling(
+        self, tmp_path, capsys, monkeypatch, entry, path
+    ):
+        # each exited 1 with a traceback: InvalidParameterError from
+        # recursion_depth, or UnsupportedModelError from sample_marginal
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled before the recursion depth was checked")
+
+        monkeypatch.setattr(cli, "sample_marginal", no_sampling)
+        monkeypatch.setattr(montecarlo, "sample_marginal", no_sampling)
+        cfg = write_config(tmp_path, {"experiments": [entry]})
+        assert cli.main(["--config", cfg, "--out", str(tmp_path)]) == 2
+        assert f"experiments[0].{path}" in capsys.readouterr().err
+
+    def test_dickman_ceiling_spares_cutoff_cp_draws(self, tmp_path):
+        # the ergodic estimate draws a bare Dickman model by cutoff compound
+        # Poisson, which has no depth ceiling
+        entry = {"kind": "ergodic", "model": DICKMAN_1E5, "params": {"t": 0.01, "n": 1000}}
+        code, report = cli.run(write_config(tmp_path, {"experiments": [entry]}), str(tmp_path))
+        assert code in (0, 1) and report["results"][0]["n"] == 1000
 
     def test_ergodic_cutoff_must_sit_below_delta0(self, tmp_path, capsys):
         entry = {"kind": "ergodic", "model": GAMMA, "params": {"n": 10, "cutoff": 0.6}}

@@ -1,6 +1,8 @@
 """Dickman machinery: the rho table, density, samplers, and their agreement."""
 
 import math
+import os
+import subprocess
 import sys
 import threading
 import time
@@ -9,6 +11,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import subordlab
 from subordlab import dickman
 from subordlab.core import phi_from_levy
 from subordlab.dickman import (
@@ -26,7 +29,7 @@ from subordlab.dickman import (
 )
 from subordlab.errors import InvalidParameterError, OutOfRangeError
 from subordlab.montecarlo import two_sample_ks, two_sample_ks_critical_value
-from subordlab.simulate import sample_cutoff_cp, sample_marginal, substream
+from subordlab.simulate import sample_marginal, substream
 
 
 def linear_depth_search(theta):
@@ -292,11 +295,11 @@ class TestModel:
         oracle = phi_from_levy(lambda x: 1.0 / x, s, upper=1.0)
         assert float(m.phi.eval(s)) == pytest.approx(oracle, rel=1e-8)
 
-    def test_samplers_and_cp_agree(self):
+    def test_samplers_and_cp_agree(self, dense_cp):
         n = 100_000
         m = make_dickman(1.0)
         rec = m.sampler(1.0, n, substream(55, 0))
-        cp = sample_cutoff_cp(m.tail, 1e-6, 1.0, substream(55, 1), n)
+        cp = dense_cp(m.tail, 1e-6, 1.0, substream(55, 1), n)
         assert two_sample_ks(rec, cp) <= two_sample_ks_critical_value(n, n, 0.01)
 
     @pytest.mark.parametrize("gamma,t", [(1.0, 1.0), (2.0, 1.0), (1.0, 0.01), (3.0, 0.05)])
@@ -310,6 +313,19 @@ class TestModel:
             want.bit_generator.advance(n * recursion_depth(t * gamma))
             draw(t, n, rng)
             assert rng.bit_generator.state == want.bit_generator.state
+
+    def test_package_import_leaves_interpolation_unloaded(self):
+        # the spline module loads with the first table build, not with the CLI
+        code = (
+            "import math, sys, subordlab.cli\n"
+            "assert 'scipy.interpolate' not in sys.modules\n"
+            "from subordlab.dickman import dickman_rho\n"
+            "assert abs(dickman_rho(2.0) - (1.0 - math.log(2.0))) <= 1e-8\n"
+        )
+        src = os.path.dirname(os.path.dirname(subordlab.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
 
     def test_density_only_for_unit_gamma(self):
         assert make_dickman(1.0).density1 is not None

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from subordlab import catalog, montecarlo as mc
 from subordlab.core import ExponentialLaw, ParetoLaw, pareto_cdf
 from subordlab.errors import InvalidParameterError, OutOfRangeError
-from subordlab.simulate import sample_cutoff_cp, sample_marginal, substream, to_neg_t_power
+from subordlab.simulate import sample_marginal, substream, to_neg_t_power
 
 NEG_LOG = lambda x: -np.log(x)
 NEG_LOG_LOG = lambda ly: -ly
@@ -248,29 +248,59 @@ class TestErgodicFunctional:
             ("gamma", 3 * mc.ERGODIC_BLOCK + 5),  # cutoff compound Poisson
             ("dickman", 1),
             ("stable", 2 * mc.ERGODIC_BLOCK),  # exact sampler, no inverse tail
+            ("gamma-t1", mc.ERGODIC_BLOCK + 9),  # f(Y_t) > 0 on most paths
         ],
     )
-    def test_blocked_estimate_matches_mean_and_std(self, model, n):
+    def test_blocked_estimate_matches_mean_and_std(self, model, n, dense_cp):
         # the allocating form: f on the whole batch, then ndarray.mean and std
-        m = {
-            "gamma": lambda: catalog.make_gamma(1.0, 1.0),
-            "dickman": lambda: catalog.make_dickman(1.0),
-            "stable": lambda: catalog.make_stable(1.0, 0.5),
+        m, t = {
+            "gamma": lambda: (catalog.make_gamma(1.0, 1.0), 0.05),
+            "dickman": lambda: (catalog.make_dickman(1.0), 0.05),
+            "stable": lambda: (catalog.make_stable(1.0, 0.5), 0.05),
+            "gamma-t1": lambda: (catalog.make_gamma(1.0, 1.0), 1.0),
         }[model]()
         ramp = lambda x: np.minimum(1.0, np.maximum(0.0, (np.asarray(x, dtype=float) - 0.5) * 4.0))
-        t, seed = 0.05, 11
+        seed = 11
         rng = substream(seed, 0)
         if m.tail is not None and m.tail.inverse_tail is not None:
-            samples = sample_cutoff_cp(m.tail, 1e-6, t, rng, n)
+            samples = dense_cp(m.tail, 1e-6, t, rng, n)
         else:
             samples = sample_marginal(m, t, n, rng)
         vals = ramp(samples)
+        if model == "gamma-t1":
+            assert np.count_nonzero(vals) > n / 2
         with np.errstate(invalid="ignore"):  # n = 1 leaves no degree of freedom
             est = mc.estimate_ergodic_functional(m, ramp, 0.5, t, n, seed)
         assert est.value == float(vals.mean() / t)
         if n > 1:
             assert est.stderr == float(vals.std(ddof=1) / (np.sqrt(n) * t))
             assert est.stderr > 0.0
+
+    @pytest.mark.parametrize(
+        "n",
+        [1, 2, 7, 8, 9, 127, 128, 129, mc.ERGODIC_BLOCK - 1, mc.ERGODIC_BLOCK,
+         mc.ERGODIC_BLOCK + 1, 3 * mc.ERGODIC_BLOCK + 7, 2_000_003],
+    )
+    def test_sparse_sum_replays_numpy_summation(self, n):
+        # if numpy ever changes its pairwise summation tree, this fails
+        # instead of the ergodic statistics drifting
+        rng = np.random.default_rng(n)
+        dense = rng.standard_normal(n) * rng.lognormal(0.0, 5.0, n)
+        buf = np.empty(min(n, mc.ERGODIC_BLOCK))
+        got = mc._sparse_sum(n, np.nan, np.arange(n), dense, buf)
+        assert got.tobytes() == np.add.reduce(dense).tobytes()
+        idx = np.flatnonzero(rng.random(n) < 0.01)
+        dense.fill(0.25)
+        dense[idx] = rng.standard_normal(idx.size)
+        got = mc._sparse_sum(n, 0.25, idx, dense[idx], buf)
+        assert got.tobytes() == np.add.reduce(dense).tobytes()
+
+    def test_sparse_estimate_memory_does_not_grow_with_n(self, traced_peak):
+        # ~1.4% of paths jump and ~0.07% reach the ramp: no n-float array is held
+        m = catalog.make_dickman(1.0)
+        ramp = lambda x: np.minimum(1.0, np.maximum(0.0, (np.asarray(x, dtype=float) - 0.5) * 4.0))
+        peak = traced_peak(lambda: mc.estimate_ergodic_functional(m, ramp, 0.5, 1e-3, 2_000_000))
+        assert peak <= 4 * 2**20
 
     def test_cutoff_above_delta0_rejected(self, dickman1):
         with pytest.raises(InvalidParameterError):

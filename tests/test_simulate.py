@@ -1,7 +1,6 @@
 """Samplers, substreams, and the log-space transforms."""
 
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -94,31 +93,20 @@ CP_TAILS = {
 }
 
 
-def traced_peak(fn):
-    """Peak bytes traced while fn runs, counted from the start of the call."""
-    tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        fn()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 class TestCutoffCp:
-    def test_void_path_probability(self, dickman1):
+    def test_void_path_probability(self, dickman1, dense_cp):
         # P(sample == 0) = exp(-t * nu_bar(eps))
         eps, t, n = 1e-2, 0.25, 400_000
         nu_eps = float(dickman1.tail.tail(eps))
-        samples = sample_cutoff_cp(dickman1.tail, eps, t, substream(31, 0), n)
+        samples = dense_cp(dickman1.tail, eps, t, substream(31, 0), n)
         frac_zero = np.mean(samples == 0.0)
         target = math.exp(-t * nu_eps)
         assert abs(frac_zero - target) <= 4.0 * math.sqrt(target * (1 - target) / n)
 
-    def test_truncated_mean(self, dickman1):
+    def test_truncated_mean(self, dickman1, dense_cp):
         # E sum = t * integral_eps^1 x dnu = t * gamma * (1 - eps)
         eps, n = 1e-6, 1_000_000
-        samples = sample_cutoff_cp(dickman1.tail, eps, 1.0, substream(32, 0), n)
+        samples = dense_cp(dickman1.tail, eps, 1.0, substream(32, 0), n)
         stderr = samples.std(ddof=1) / math.sqrt(n)
         assert abs(samples.mean() - (1.0 - eps)) <= 3.0 * stderr
 
@@ -138,10 +126,10 @@ class TestCutoffCp:
         with pytest.raises(InvalidParameterError):
             sample_cutoff_cp(dickman1.tail, 2.0, 1.0, substream(0, 0), 5)
 
-    def test_cutoff_consistency_two_epsilons(self, dickman1):
+    def test_cutoff_consistency_two_epsilons(self, dickman1, dense_cp):
         n = 100_000
-        coarse = sample_cutoff_cp(dickman1.tail, 1e-4, 1.0, substream(34, 0), n)
-        fine = sample_cutoff_cp(dickman1.tail, 1e-8, 1.0, substream(34, 1), n)
+        coarse = dense_cp(dickman1.tail, 1e-4, 1.0, substream(34, 0), n)
+        fine = dense_cp(dickman1.tail, 1e-8, 1.0, substream(34, 1), n)
         assert two_sample_ks(coarse, fine) <= two_sample_ks_critical_value(n, n, 0.01)
 
     @pytest.mark.parametrize(
@@ -156,7 +144,7 @@ class TestCutoffCp:
             ("log_power", 1e-12, 100.0, 3),  # one path's jumps span several blocks
         ],
     )
-    def test_matches_full_length_binning(self, model, eps, t, n):
+    def test_matches_full_length_binning(self, model, eps, t, n, dense_cp):
         # the binning over all n paths that sample_cutoff_cp used before
         def full_length(tail, rng):
             nu_eps = float(tail.tail(eps))
@@ -171,10 +159,14 @@ class TestCutoffCp:
 
         tail = CP_TAILS[model]()
         rng, ref = substream(36, 0), substream(36, 0)
-        got = sample_cutoff_cp(tail, eps, t, rng, n)
+        got = dense_cp(tail, eps, t, rng, n)
         want = full_length(tail, ref)
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
         assert rng.bit_generator.state == ref.bit_generator.state
+        # the sparse form lists exactly the paths that jumped, in ascending order
+        idx, sums = sample_cutoff_cp(tail, eps, t, substream(36, 0), n)
+        assert idx.dtype == np.intp and np.array_equal(idx, np.flatnonzero(want))
+        assert sums.tobytes() == want[idx].tobytes()
         if t == 1e-9:  # the void case really drew no jumps
             assert not got.any()
 
@@ -183,7 +175,7 @@ class TestCutoffCp:
         jumps = 0.01 * float(CP_TAILS["log_power"]().tail(1e-8)) * 150_000
         assert CP_BLOCK < 150_000 and CP_BLOCK < jumps / 4
 
-    def test_sparse_batch_memory_is_the_output_alone(self):
+    def test_sparse_batch_memory_is_the_output_alone(self, traced_peak):
         # ~1.4% of 1e6 paths jump: beyond the 8n-byte output only the block
         # buffers and the jumping paths are held
         n = 1_000_000
@@ -191,7 +183,7 @@ class TestCutoffCp:
         peak = traced_peak(lambda: sample_cutoff_cp(tail, 1e-6, 1e-3, substream(37, 0), n))
         assert peak <= 8 * n + 2 * 2**20
 
-    def test_dense_batch_memory_does_not_grow_with_jumps(self):
+    def test_dense_batch_memory_does_not_grow_with_jumps(self, traced_peak):
         # ~6.3 jumps per path at cutoff 1e-8, ~21 at 1e-12: the same peak
         n = 100_000
         tail = catalog.make_log_power(0.1, 3).tail
@@ -200,6 +192,16 @@ class TestCutoffCp:
             for eps in (1e-8, 1e-12)
         ]
         assert max(peaks) <= 1.5 * min(peaks)
+
+    def test_dense_marginal_pays_nothing_for_the_sparse_form(self, traced_peak):
+        # ~6.3 jumps per path, nearly every path jumps: the sparse pair is
+        # about n indices plus n sums, scattered into the one n-float batch
+        n = 1_000_000
+        model = catalog.make_log_power(0.1, 3)
+        peak = traced_peak(
+            lambda: sample_marginal(model, 0.01, n, substream(40, 0), cutoff=1e-8, log=True)
+        )
+        assert peak <= 32 * 2**20
 
     @pytest.mark.parametrize(
         "tail",
@@ -228,10 +230,10 @@ class TestCutoffCp:
             assert blocks.tobytes() == full.tobytes()
         assert tail.inverse_tail(float(y[7])) == full[7]
 
-    def test_exact_vs_cp_gamma(self, gamma11):
+    def test_exact_vs_cp_gamma(self, gamma11, dense_cp):
         n = 100_000
         exact = gamma11.sampler(1.0, n, substream(35, 0))
-        cp = sample_cutoff_cp(gamma11.tail, 1e-6, 1.0, substream(35, 1), n)
+        cp = dense_cp(gamma11.tail, 1e-6, 1.0, substream(35, 1), n)
         assert two_sample_ks(exact, cp) <= two_sample_ks_critical_value(n, n, 0.01)
 
 
