@@ -16,7 +16,7 @@ import numpy as np
 from scipy import integrate
 from scipy import special as sc
 
-from .core import LaplaceExponent, LevyTail, SubordinatorModel
+from .core import CP_BLOCK, LaplaceExponent, LevyTail, SubordinatorModel
 from .dickman import make_dickman
 from .errors import InvalidParameterError
 
@@ -152,6 +152,12 @@ def make_gamma(gamma, lam):
     log(Y_t) = log(Gamma(shape+1)) + log(U)/shape - log(lam), using the
     exact boost identity Gamma(a) = Gamma(a+1) * U**(1/a); the linear-space
     equivalent underflows to zero once shape drops below ~0.005.
+
+    Memory rule: the n gamma variates are drawn into the output array, and
+    the log, the boost and the scale are applied to it ``CP_BLOCK`` values
+    at a time, each block drawing its own boost uniforms; the uniforms
+    continue the generator's stream, so the batch is bitwise the one drawn
+    by ``rng.gamma`` and ``rng.random`` on all n at once.
     """
     _require_positive(gamma=gamma, lam=lam)
     log_lam = math.log(lam)
@@ -182,16 +188,21 @@ def make_gamma(gamma, lam):
 
     def log_sampler(t, n, rng):
         shape = t * gamma
-        out = rng.gamma(shape if shape >= 1.0 else shape + 1.0, size=n)
-        np.log(out, out=out)
-        if shape < 1.0:
-            # boost: add log(u) / shape, u = 1 - U in (0, 1] keeps the log finite
-            u = rng.random(n)
-            np.subtract(1.0, u, out=u)
-            np.log(u, out=u)
-            u /= shape
-            out += u
-        out -= log_lam
+        boost = shape < 1.0
+        # rng.gamma(k, size=n) is 1.0 * rng.standard_gamma(k, size=n)
+        out = rng.standard_gamma(shape + 1.0 if boost else shape, size=n, out=np.empty(n))
+        u = np.empty(min(n, CP_BLOCK)) if boost else None
+        for lo in range(0, n, CP_BLOCK):
+            block = out[lo : lo + CP_BLOCK]
+            np.log(block, out=block)
+            if boost:
+                # add log(u) / shape, u = 1 - U in (0, 1] keeps the log finite
+                ub = rng.random(out=u[: block.size])
+                np.subtract(1.0, ub, out=ub)
+                np.log(ub, out=ub)
+                ub /= shape
+                block += ub
+            block -= log_lam
         return out
 
     def sampler(t, n, rng):
@@ -223,6 +234,12 @@ def make_stable(a, alpha):
     V uniform on (0,1) and W unit exponential, then Y_t = (a t)**(1/alpha) S.
     The small-time limit degenerates at 1 (no finite Pareto index), so
     known_gamma is absent.
+
+    Memory rule: the n uniforms V are drawn into the output array; then,
+    ``CP_BLOCK`` values at a time, each block draws its exponentials W and
+    overwrites its V with log(Y_t).  W continues the generator's stream
+    after all n uniforms, so the batch is bitwise that of drawing all n V,
+    then all n W, and forming log(Y_t) on the whole arrays.
     """
     _require_positive(a=a)
     if not (0.0 < alpha < 1.0):
@@ -235,17 +252,22 @@ def make_stable(a, alpha):
     ratio = (1.0 - alpha) / alpha
 
     def log_sampler(t, n, rng):
-        v = rng.random(n)
-        v = np.where(v == 0.0, 2.0**-53, v)
-        w = rng.exponential(size=n)
-        w = np.maximum(w, 5e-324)
-        log_s = (
-            np.log(np.sin(alpha * np.pi * v))
-            + ratio * np.log(np.sin((1.0 - alpha) * np.pi * v))
-            - np.log(np.sin(np.pi * v)) / alpha
-            - ratio * np.log(w)
-        )
-        return np.log(a * t) / alpha + log_s
+        out = rng.random(n)
+        w = np.empty(min(n, CP_BLOCK))
+        log_scale = np.log(a * t) / alpha
+        for lo in range(0, n, CP_BLOCK):
+            v = out[lo : lo + CP_BLOCK]
+            v[v == 0.0] = 2.0**-53
+            # rng.exponential() is 1.0 * rng.standard_exponential()
+            wb = rng.standard_exponential(out=w[: v.size])
+            np.maximum(wb, 5e-324, out=wb)
+            v[...] = log_scale + (
+                np.log(np.sin(alpha * np.pi * v))
+                + ratio * np.log(np.sin((1.0 - alpha) * np.pi * v))
+                - np.log(np.sin(np.pi * v)) / alpha
+                - ratio * np.log(wb)
+            )
+        return out
 
     def sampler(t, n, rng):
         return np.exp(log_sampler(t, n, rng))

@@ -49,7 +49,12 @@ from .dickman import (
     recursion_depth,
     sample_dickman_recursion,
 )
-from .errors import InvalidParameterError, NumericalFailure, SubordlabError
+from .errors import (
+    InvalidParameterError,
+    NumericalFailure,
+    SubordlabError,
+    UnsupportedModelError,
+)
 from .simulate import can_sample, sample_cutoff_cp, sample_marginal, substream
 
 __all__ = ["main", "run", "list_catalog", "SchemaError"]
@@ -134,6 +139,8 @@ def build_model_expr(expr, path="model"):
             return transforms.add_drift(build_model_expr(expr["of"], f"{path}.of"), expr["c"])
     except KeyError as exc:
         raise SchemaError(path, f"transform {kind!r} missing field {exc}") from exc
+    except (InvalidParameterError, UnsupportedModelError) as exc:
+        raise SchemaError(path, f"transform {kind!r}: {exc}") from exc
     raise SchemaError(f"{path}.transform", f"unknown transform {kind!r}")
 
 
@@ -330,8 +337,8 @@ def _empirical_for_pareto(model, t, n, seed, cutoff, stream=0):
     from .simulate import to_neg_t_power
 
     log_s = sample_marginal(model, t, n, substream(seed, stream), cutoff=cutoff, log=True)
-    values, n_inf = to_neg_t_power(log_s, t, log=True)
-    return montecarlo.EmpiricalDistribution.from_values(values, n_inf)
+    values, n_inf = to_neg_t_power(log_s, t, log=True, out=log_s)
+    return montecarlo.EmpiricalDistribution.from_values(values, n_inf, in_place=True)
 
 
 def run_experiment(entry, seed, out_dir, index):
@@ -720,7 +727,7 @@ def list_catalog():
         "L_functions": sorted(L_FUNCTIONS),
         "functionals": sorted(FUNCTIONALS),
         "experiment_kinds": [
-            "criterion", "equivalence", "sandwich", "s2", "pareto_limit",
+            "criterion", "criteria_recovery", "equivalence", "sandwich", "s2", "pareto_limit",
             "general_limit", "min_rule", "product_rule", "affine", "mixture",
             "drift", "support", "ergodic", "family_limit", "dickman_rho",
             "dickman_density_norm", "recursion_mean", "two_sampler_ks",

@@ -44,6 +44,10 @@ __all__ = [
 # weighted by exp(-x) are identically zero past this point.
 _EXP_CUTOFF = 745.0
 
+# floats per block of the blocked kernels: the cutoff compound-Poisson
+# draws, and the exact samplers' arithmetic after their first n-float draw
+CP_BLOCK = 1 << 16
+
 
 @dataclass(frozen=True)
 class LaplaceExponent:

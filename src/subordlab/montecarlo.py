@@ -57,6 +57,11 @@ __all__ = [
 DEFAULT_T_LIST = (0.2, 0.1, 0.05, 0.01)
 DEFAULT_N = 100_000
 
+# floats per block of this module's passes over a batch (the KS statistic,
+# the CSV rows, the masks, the functional of a dense ergodic batch), and the
+# largest leaf of the summation tree that _sparse_sum rebuilds
+ERGODIC_BLOCK = 1 << 16
+
 
 @dataclass(frozen=True)
 class EmpiricalDistribution:
@@ -67,8 +72,14 @@ class EmpiricalDistribution:
     n_total: int
 
     @classmethod
-    def from_values(cls, values, count_at_infinity=0):
-        arr = np.sort(np.asarray(values, dtype=float))
+    def from_values(cls, values, count_at_infinity=0, *, in_place=False):
+        """Sort a copy of the values; with ``in_place=True``, ``values`` (a float
+        ndarray the caller gives up) is sorted in place and kept instead."""
+        if in_place:
+            arr = values
+            arr.sort()
+        else:
+            arr = np.sort(np.asarray(values, dtype=float))
         return cls(arr, int(count_at_infinity), arr.size + int(count_at_infinity))
 
     def ecdf(self, x):
@@ -79,6 +90,14 @@ class EmpiricalDistribution:
 # up to ~5e-15 between adjacent floats), so u_i bounds the left term only to
 # within this much; see ks_distance.
 _LEFT_SLACK = 1e-9
+
+
+def _left_max(cdf, xb, lower, sel):
+    """Largest left term F(x-) - (i-1)/n over the block values ``xb[sel]``; (i-1)/n is ``lower``."""
+    x = xb[sel]  # a copy, reused for the differences
+    np.nextafter(x, -np.inf, out=x)
+    f_left = np.asarray(cdf(x), dtype=float)
+    return np.subtract(f_left, lower[sel], out=x).max()
 
 
 def ks_distance(emp: EmpiricalDistribution, cdf):
@@ -92,37 +111,43 @@ def ks_distance(emp: EmpiricalDistribution, cdf):
     statistic).  The at-infinity bucket contributes
     1 - finite/n - (1 - cdf(inf)), the gap left at the far right end.
 
-    ``cdf`` is evaluated once over the sorted values.  Since F(x-) <= F(x),
+    ``cdf`` is evaluated once over the sorted values, ``ERGODIC_BLOCK``
+    of them at a time, so the extra memory is a few blocks whatever n is
+    (``cdf`` must act elementwise).  Since F(x-) <= F(x),
     u_i = F(x_i) - (i-1)/n bounds the left term at x_i from above, so the
-    left limit is needed only where u_i can beat the sup found so far:
-    first at argmax u (which settles the sup when the left side dominates),
-    then wherever u_i exceeds that running sup less ``_LEFT_SLACK``.  Every
-    skipped left term is at most the running sup, so the result equals the
-    two-pass formula exactly, atoms and ties included, for any cdf whose
-    values at adjacent floats never step back by ``_LEFT_SLACK`` or more.
+    left limit is needed only where u_i can beat the sup found so far: at
+    the running (first-occurrence) argmax of u, whenever a block moves it,
+    then at the block's u_i that exceed the running sup less
+    ``_LEFT_SLACK``.  Every skipped left term is at most a term already
+    taken, so the result equals the two-pass formula exactly, atoms and
+    ties included, for any cdf whose values at adjacent floats never step
+    back by ``_LEFT_SLACK`` or more.
     """
     if emp.n_total < 1:
         raise InvalidParameterError("need at least one sample")
     n = emp.n_total
     x = emp.values
     m = x.size
-    d = 0.0
-    if m:
-        f = np.asarray(cdf(x), dtype=float)
-        steps = np.arange(m + 1, dtype=float)
-        steps /= n  # steps[i] = i/n
-        diff = np.subtract(steps[1:], f)
-        d = diff.max()
-        u = np.subtract(f, steps[:-1], out=diff)
-
-        def left_max(idx):
-            f_left = np.asarray(cdf(np.nextafter(x[idx], -np.inf)), dtype=float)
-            return (f_left - steps[idx]).max()
-
-        d = max(d, left_max(np.array([u.argmax()])))
-        candidates = np.flatnonzero(u > d - _LEFT_SLACK)
-        if candidates.size:
-            d = max(d, left_max(candidates))
+    d = -np.inf
+    u_max = -np.inf
+    for lo in range(0, m, ERGODIC_BLOCK):
+        xb = x[lo : lo + ERGODIC_BLOCK]
+        steps = np.arange(lo, lo + xb.size + 1, dtype=float)
+        steps /= n  # steps[j] = (lo + j)/n
+        lower = steps[:-1]  # (i-1)/n
+        f = np.asarray(cdf(xb), dtype=float)
+        u = np.subtract(steps[1:], f)
+        d = max(d, u.max())
+        u = np.subtract(f, lower, out=u)
+        del f
+        j = u.argmax()
+        if u[j] > u_max:
+            u_max = u[j]
+            d = max(d, _left_max(cdf, xb, lower, [j]))
+        candidates = u > d - _LEFT_SLACK
+        del u
+        if candidates.any():
+            d = max(d, _left_max(cdf, xb, lower, candidates))
     cdf_inf = float(cdf(np.inf))
     at_inf = (1.0 - m / n) - (1.0 - cdf_inf)
     return float(max(d, at_inf, 0.0))
@@ -233,14 +258,23 @@ class ParetoMixtureLaw:
 
 
 def _sample_transformed(model, t, n, rng, cutoff):
-    """Log-space marginal batch pushed through the power transform."""
+    """Log-space marginal batch pushed through the power transform, in place."""
     log_samples = sample_marginal(model, t, n, rng, cutoff=cutoff, log=True)
-    values, n_inf = to_neg_t_power(log_samples, t, log=True)
+    values, n_inf = to_neg_t_power(log_samples, t, log=True, out=log_samples)
     if model.log_sampler is not None and n_inf:
         raise NumericalFailure(
             "exact sampler produced an at-infinity sample", op="experiment"
         )
-    return EmpiricalDistribution.from_values(values, n_inf)
+    return EmpiricalDistribution.from_values(values, n_inf, in_place=True)
+
+
+def _fraction_within(values, lo, hi):
+    """``np.mean((values >= lo) & (values <= hi))``, counted a block at a time."""
+    count = 0
+    for start in range(0, values.size, ERGODIC_BLOCK):
+        block = values[start : start + ERGODIC_BLOCK]
+        count += np.count_nonzero((block >= lo) & (block <= hi))
+    return np.float64(count) / values.size
 
 
 def experiment_pareto_limit(
@@ -265,6 +299,7 @@ def experiment_pareto_limit(
                 seed=int(seed),
             )
         )
+        del emp  # before the next t draws its batch
     return reports
 
 
@@ -278,8 +313,10 @@ def experiment_general_limit(
     for k, t in enumerate(t_list):
         rng = substream(seed, k)
         log_samples = sample_marginal(model, t, n, rng, cutoff=cutoff, log=True)
-        values, n_inf = to_tl(log_samples, L, t, log=True, L_log=L_log)
-        emp = EmpiricalDistribution.from_values(values, n_inf)
+        emp = EmpiricalDistribution.from_values(
+            *to_tl(log_samples, L, t, log=True, L_log=L_log, out=log_samples), in_place=True
+        )
+        del log_samples
         reports.append(
             KsReport(
                 model=model.describe(),
@@ -290,14 +327,16 @@ def experiment_general_limit(
                 seed=int(seed),
             )
         )
+        del emp  # before the next t draws its batch
     return reports
 
 
 def _two_model_transformed(m1, m2, t, n, seed, cutoff, combine):
+    """Two independent log batches, ``combine``-d (a ufunc) into the first, transformed in place."""
     l1 = sample_marginal(m1, t, n, substream(seed, 0), cutoff=cutoff, log=True)
-    l2 = sample_marginal(m2, t, n, substream(seed, 1), cutoff=cutoff, log=True)
-    values, n_inf = to_neg_t_power(combine(l1, l2), t, log=True)
-    return EmpiricalDistribution.from_values(values, n_inf)
+    combine(l1, sample_marginal(m2, t, n, substream(seed, 1), cutoff=cutoff, log=True), out=l1)
+    values, n_inf = to_neg_t_power(l1, t, log=True, out=l1)
+    return EmpiricalDistribution.from_values(values, n_inf, in_place=True)
 
 
 def experiment_min_rule(m1, m2, t, n=DEFAULT_N, seed=0, *, cutoff=1e-6):
@@ -317,7 +356,7 @@ def experiment_product_rule(m1, m2, t, n=DEFAULT_N, seed=0, *, cutoff=1e-6):
     """Product of independent marginals, transformed: limit is the Pareto product law."""
     if m1.known_gamma is None or m2.known_gamma is None:
         raise InvalidParameterError("both models need known indices")
-    emp = _two_model_transformed(m1, m2, t, n, seed, cutoff, lambda a, b: a + b)
+    emp = _two_model_transformed(m1, m2, t, n, seed, cutoff, np.add)
     law = ParetoProductLaw(m1.known_gamma, m2.known_gamma)
     return KsReport(
         model=f"{m1.describe()}*{m2.describe()}",
@@ -337,9 +376,10 @@ def experiment_affine(model, a, b, t, n=DEFAULT_N, seed=0, *, cutoff=1e-6):
     if np.exp(log_a_t) == 0.0 or np.exp(log_b_t) == 0.0:
         raise OutOfRangeError("a**(-1/t) underflows; increase t")
     log_y = sample_marginal(model, t, n, substream(seed, 0), cutoff=cutoff, log=True)
-    combined = np.logaddexp(log_a_t + log_y, log_b_t)
-    values, n_inf = to_neg_t_power(combined, t, log=True)
-    emp = EmpiricalDistribution.from_values(values, n_inf)
+    np.add(log_y, log_a_t, out=log_y)
+    np.logaddexp(log_y, log_b_t, out=log_y)
+    values, n_inf = to_neg_t_power(log_y, t, log=True, out=log_y)
+    emp = EmpiricalDistribution.from_values(values, n_inf, in_place=True)
     law = AffineMinLaw(a, b, model.known_gamma)
     return KsReport(
         model=f"affine(a={a:g},b={b:g},{model.describe()})",
@@ -359,20 +399,24 @@ def experiment_mixture(model, q, t, n=DEFAULT_N, seed=0, *, cutoff=1e-6, jump_wi
         raise InvalidParameterError("q must lie in (0, 1)")
     if model.known_gamma is None:
         raise InvalidParameterError("model needs a known index")
-    rng = substream(seed, 0)
-    log_l = sample_marginal(model, t, n, rng, cutoff=cutoff, log=True)
-    at_one = substream(seed, 1).random(n) >= q
-    combined = np.where(at_one, np.logaddexp(log_l, 0.0), log_l)
-    values, n_inf = to_neg_t_power(combined, t, log=True)
-    emp = EmpiricalDistribution.from_values(values, n_inf)
+    log_l = sample_marginal(model, t, n, substream(seed, 0), cutoff=cutoff, log=True)
+    # the level B: the n uniforms of stream 1, drawn a block at a time
+    level_rng = substream(seed, 1)
+    u = np.empty(min(n, ERGODIC_BLOCK))
+    for lo in range(0, n, ERGODIC_BLOCK):
+        block = log_l[lo : lo + ERGODIC_BLOCK]
+        at_one = level_rng.random(out=u[: block.size]) >= q
+        np.logaddexp(block, 0.0, out=block, where=at_one)
+    values, n_inf = to_neg_t_power(log_l, t, log=True, out=log_l)
+    emp = EmpiricalDistribution.from_values(values, n_inf, in_place=True)
     law = ParetoMixtureLaw(q, model.known_gamma)
     report = KsReport(
         model=f"mixture(q={q:g},{model.describe()})",
         t=float(t), n=int(n), target=law.describe(),
         ks_statistic=ks_distance(emp, law.cdf), seed=int(seed),
     )
-    lo, hi = 1.0 - jump_window, 1.0 + 1e-9
-    jump_mass = float(np.mean((values >= lo) & (values <= hi)) * values.size / emp.n_total)
+    inside = _fraction_within(emp.values, 1.0 - jump_window, 1.0 + 1e-9)
+    jump_mass = float(inside * values.size / emp.n_total)
     return report, jump_mass
 
 
@@ -396,9 +440,9 @@ def experiment_drift(model, c, t, n=DEFAULT_N, seed=0, *, cutoff=1e-6, window=0.
     if c <= 0:
         raise InvalidParameterError("drift rate must be positive")
     log_y = sample_marginal(model, t, n, substream(seed, 0), cutoff=cutoff, log=True)
-    combined = np.logaddexp(np.log(c) + np.log(t), log_y)
-    values, _ = to_neg_t_power(combined, t, log=True)
-    inside = np.mean((values >= 1.0 - window) & (values <= 1.0 + window))
+    np.logaddexp(np.log(c) + np.log(t), log_y, out=log_y)
+    values, _ = to_neg_t_power(log_y, t, log=True, out=log_y)
+    inside = _fraction_within(values, 1.0 - window, 1.0 + window)
     return DriftReport(
         model=f"drift(c={c:g},{model.describe()})",
         c=float(c), t=float(t), n=int(n),
@@ -411,7 +455,8 @@ def support_check(samples, delta):
     if not (0.0 < delta < 1.0):
         raise InvalidParameterError("delta must lie in (0, 1)")
     if isinstance(samples, EmpiricalDistribution):
-        below = np.sum(samples.values < 1.0 - delta)
+        # the values are sorted: the count below is a search, not a mask
+        below = np.searchsorted(samples.values, 1.0 - delta)
         return float(below / samples.n_total)
     arr = np.asarray(samples, dtype=float)
     return float(np.mean(arr < 1.0 - delta))
@@ -423,11 +468,6 @@ class ErgodicEstimate:
     stderr: float
     t: float
     n: int
-
-
-# samples per block when the functional is applied to a dense batch, and the
-# largest leaf of the summation tree that _sparse_sum rebuilds
-ERGODIC_BLOCK = 1 << 16
 
 
 def _sparse_sum(n, fill, idx, vals, buf, lo=0):
@@ -538,12 +578,20 @@ def export_curve(emp: EmpiricalDistribution, cdf, path):
     """Write the ECDF-vs-target curve as CSV with columns x, ecdf, target.
 
     Each value is written as its ``repr``, rows end in CRLF and nothing is
-    quoted: the bytes ``csv.writer`` would write, built in one string.
+    quoted: the bytes ``csv.writer`` would write.  The rows are formatted
+    and written ``ERGODIC_BLOCK // 32`` at a time (a row's Python floats
+    and strings take about 32 floats' worth of memory), so the memory is
+    about one block whatever the row count; ``cdf`` must act elementwise.
     """
     n = emp.values.size
-    xs = emp.values.tolist()
-    ecdf = (np.arange(1, n + 1) / emp.n_total).tolist()
-    targets = np.asarray(cdf(emp.values), dtype=float).tolist()
-    rows = [f"{x!r},{e!r},{tv!r}\r\n" for x, e, tv in zip(xs, ecdf, targets)]
+    chunk = ERGODIC_BLOCK // 32
     with open(path, "w", newline="") as fh:
-        fh.write("x,ecdf,target\r\n" + "".join(rows))
+        fh.write("x,ecdf,target\r\n")
+        for lo in range(0, n, chunk):
+            x = emp.values[lo : lo + chunk]
+            ecdf = np.arange(lo + 1, lo + x.size + 1) / emp.n_total
+            targets = np.asarray(cdf(x), dtype=float)
+            fh.write("".join(
+                f"{xv!r},{e!r},{tv!r}\r\n"
+                for xv, e, tv in zip(x.tolist(), ecdf.tolist(), targets.tolist())
+            ))

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from .catalog import build_model
-from .core import SubordinatorModel, LevyTail
+from .core import CP_BLOCK, LevyTail, SubordinatorModel
 from .errors import InvalidParameterError, UnsupportedModelError
 
 __all__ = [
@@ -89,11 +89,6 @@ class SamplePlan:
         return cls(**data)
 
 
-# paths per block of Poisson counts, and the most jumps per block of jump draws
-# (a path with more jumps than that is drawn as a block of its own)
-CP_BLOCK = 1 << 16
-
-
 def sample_cutoff_cp(tail: LevyTail, eps, t, rng, n=1):
     """Cutoff compound-Poisson batch in sparse form: the paths that jump, and their sums.
 
@@ -109,10 +104,11 @@ def sample_cutoff_cp(tail: LevyTail, eps, t, rng, n=1):
     count, only with the paths that jump: the n Poisson counts are drawn
     ``CP_BLOCK`` paths at a time, keeping the paths with jumps and their
     counts; then the jumps are drawn in blocks of at most ``CP_BLOCK``
-    that end on a path boundary, inverted (``inverse_tail`` must be
-    elementwise), and each path's jumps summed in draw order.  Successive
-    draws from one generator continue its stream, so the batch is bitwise
-    the one drawn by all n counts, then all jumps, in single calls.
+    that end on a path boundary (a path with more jumps is a block of its
+    own), inverted (``inverse_tail`` must be elementwise), and each path's
+    jumps summed in draw order.  Successive draws from one generator
+    continue its stream, so the batch is bitwise the one drawn by all n
+    counts, then all jumps, in single calls.
     """
     if tail.inverse_tail is None:
         raise UnsupportedModelError("tail has no inverse; cannot draw jumps")
@@ -162,7 +158,8 @@ def sample_marginal(model: SubordinatorModel, t, n, rng, *, cutoff=1e-6, log=Fal
     The cutoff-CP batch is scattered from its sparse form into the n-float
     output.  With ``log=True`` the batch is returned as log(Y_t); exact samplers
     produce it natively (no underflow, no zeros), the compound-Poisson
-    path maps its void zeros to -inf.
+    path takes the log of its output in place and maps its void zeros to
+    -inf.  Either way the result is a fresh array the caller owns.
     """
     if t <= 0:
         raise InvalidParameterError("time must be positive")
@@ -178,63 +175,80 @@ def sample_marginal(model: SubordinatorModel, t, n, rng, *, cutoff=1e-6, log=Fal
         idx, sums = sample_cutoff_cp(model.tail, cutoff, t, rng, n)
         values = np.zeros(n)
         values[idx] = sums
-        del idx, sums  # before np.log allocates its output
     if log:
         with np.errstate(divide="ignore"):
-            return np.log(values)
+            np.log(values, out=values)
     return values
 
 
-def _split_infinite(values):
-    finite = np.isfinite(values)
-    n_inf = int(values.size - np.count_nonzero(finite))
-    return (values[finite] if n_inf else values), n_inf
+def _log_of(samples, log):
+    """The samples as a float array of log values (a fresh array unless ``log``)."""
+    arr = np.asarray(samples, dtype=float)
+    if log:
+        return arr
+    if np.any(arr < 0):
+        raise InvalidParameterError("samples must be nonnegative")
+    with np.errstate(divide="ignore"):
+        return np.log(arr)
 
 
-def to_neg_t_power(samples, t, *, log=False):
+def to_neg_t_power(samples, t, *, log=False, out=None):
     """Map y to y**(-t) through exp(-t*log y); returns (finite values, at-infinity count).
 
     Zero samples (or -inf log samples) have no finite image and are
     counted in the at-infinity bucket instead.
+
+    The images are written to ``out`` (any float array of the batch's
+    size, the batch itself included) or, by default, to a fresh array, so
+    the caller's samples are never changed unless passed as ``out``.  The
+    finite values are then packed to its front, in order, ``CP_BLOCK`` at
+    a time; the returned values are that prefix, a view of the array.
     """
     if t <= 0:
         raise InvalidParameterError("time must be positive")
-    arr = np.asarray(samples, dtype=float)
-    if log:
-        log_y = arr
-    else:
-        if np.any(arr < 0):
-            raise InvalidParameterError("samples must be nonnegative")
-        with np.errstate(divide="ignore"):
-            log_y = np.log(arr)
+    log_y = _log_of(samples, log)
     with np.errstate(over="ignore"):
-        out = np.multiply(log_y, -t)
-        np.exp(out, out=out)
-    return _split_infinite(out)
+        res = np.multiply(log_y, -t, out=out)
+        np.exp(res, out=res)
+    k = 0
+    for lo in range(0, res.size, CP_BLOCK):
+        block = res[lo : lo + CP_BLOCK]
+        finite = np.isfinite(block)
+        if k == lo and finite.all():
+            k += block.size
+            continue
+        kept = block[finite]
+        res[k : k + kept.size] = kept
+        k += kept.size
+    return res[:k], int(res.size - k)
 
 
-def to_tl(samples, L, t, *, log=False, L_log=None):
+def to_tl(samples, L, t, *, log=False, L_log=None, out=None):
     """Map y to t*L(y) for a decreasing L; returns (finite values, at-infinity count).
 
     ``L_log``, when given, evaluates L at exp(log y) directly from log y,
-    which keeps exact-sampler batches free of spurious underflow.
+    which keeps exact-sampler batches free of spurious underflow.  L (or
+    ``L_log``) sees only the finite log values and must act elementwise:
+    it is applied ``CP_BLOCK`` values at a time.  Samples with no finite
+    image count as at infinity.  The finite images are packed, in order,
+    at the front of ``out`` (any float array of the batch's size, the
+    batch itself included) or, by default, of a fresh array; the returned
+    values are that prefix, a view of the array.
     """
     if t <= 0:
         raise InvalidParameterError("time must be positive")
-    arr = np.asarray(samples, dtype=float)
-    if log:
-        log_y = arr
-    else:
-        if np.any(arr < 0):
-            raise InvalidParameterError("samples must be nonnegative")
-        with np.errstate(divide="ignore"):
-            log_y = np.log(arr)
-    finite = np.isfinite(log_y)
-    n_inf = int(log_y.size - finite.sum())
-    if L_log is not None:
-        vals = t * np.asarray(L_log(log_y[finite]), dtype=float)
-    else:
-        vals = t * np.asarray(L(np.exp(log_y[finite])), dtype=float)
-    keep = np.isfinite(vals)
-    n_inf += int(vals.size - keep.sum())
-    return vals[keep], n_inf
+    log_y = _log_of(samples, log)
+    if out is None:
+        out = np.empty(log_y.size)
+    k = 0
+    for lo in range(0, log_y.size, CP_BLOCK):
+        block = log_y[lo : lo + CP_BLOCK]
+        block = block[np.isfinite(block)]
+        if L_log is not None:
+            vals = t * np.asarray(L_log(block), dtype=float)
+        else:
+            vals = t * np.asarray(L(np.exp(block)), dtype=float)
+        vals = vals[np.isfinite(vals)]
+        out[k : k + vals.size] = vals
+        k += vals.size
+    return out[:k], int(log_y.size - k)

@@ -164,7 +164,9 @@ def add(m1: SubordinatorModel, m2: SubordinatorModel):
     """Independent sum: exponents add, tails add, samplers add.
 
     The minimum of independent Pareto limits is Pareto with summed
-    indices, so known indices add as well.
+    indices, so known indices add as well.  The log sampler reduces the
+    second part's batch into the first's in place, so a draw holds two
+    n-float batches at most.
     """
     phi1 = _require_nondegenerate(m1)
     phi2 = _require_nondegenerate(m2)
@@ -196,7 +198,8 @@ def add(m1: SubordinatorModel, m2: SubordinatorModel):
         ls1, ls2 = m1.log_sampler, m2.log_sampler
 
         def log_sampler(t, n, rng):
-            return np.logaddexp(ls1(t, n, rng), ls2(t, n, rng))
+            out = ls1(t, n, rng)
+            return np.logaddexp(out, ls2(t, n, rng), out=out)
 
     known = None
     if m1.known_gamma is not None and m2.known_gamma is not None:
@@ -218,7 +221,8 @@ def add_drift(model: SubordinatorModel, c):
 
     Drift destroys the power-transform limit (the statistic collapses to
     the point mass at 1), so the known index is cleared and the model is
-    flagged as limit-degenerate.
+    flagged as limit-degenerate.  The log sampler adds the drift to the
+    base batch in place.
     """
     if c <= 0:
         raise InvalidParameterError("drift rate must be positive")
@@ -241,7 +245,8 @@ def add_drift(model: SubordinatorModel, c):
         base_log = model.log_sampler
 
         def log_sampler(t, n, rng):
-            return np.logaddexp(math.log(c) + math.log(t), base_log(t, n, rng))
+            out = base_log(t, n, rng)
+            return np.logaddexp(math.log(c) + math.log(t), out, out=out)
 
     return SubordinatorModel(
         name=f"drift({model.describe()},c={c:g})",

@@ -8,8 +8,13 @@ from scipy.integrate import quad
 from scipy.special import erfc
 
 from subordlab import catalog
+from subordlab.core import CP_BLOCK
 from subordlab.errors import InvalidParameterError
 from subordlab.montecarlo import ks_critical_value, ks_distance, EmpiricalDistribution
+
+
+# batch sizes around the blocks the samplers work in
+BLOCK_EDGES = (1, CP_BLOCK - 1, CP_BLOCK, CP_BLOCK + 1, 3 * CP_BLOCK + 7)
 
 
 class TestGamma:
@@ -60,9 +65,11 @@ class TestGamma:
             u = 1.0 - rng.random(n)
             return np.log(boost) + np.log(u) / shape - math.log(lam)
 
-        got = catalog.make_gamma(gamma, lam).log_sampler(t, 10_000, np.random.default_rng(13))
-        want = allocating(np.random.default_rng(13), 10_000)
-        assert got.tobytes() == want.tobytes()
+        # batches of one block, of several and of a partial last block
+        for n in (10_000, *BLOCK_EDGES):
+            got = catalog.make_gamma(gamma, lam).log_sampler(t, n, np.random.default_rng(13))
+            want = allocating(np.random.default_rng(13), n)
+            assert got.tobytes() == want.tobytes(), n
 
     def test_tail_is_exponential_integral_by_quadrature(self):
         model = catalog.make_gamma(1.5, 2.0)
@@ -82,6 +89,28 @@ class TestStable:
             catalog.make_stable(1.0, 1.0)
         with pytest.raises(InvalidParameterError):
             catalog.make_stable(1.0, 0.0)
+
+    @pytest.mark.parametrize("n", BLOCK_EDGES)
+    def test_log_sampler_matches_allocating_form(self, n):
+        # the expressions the sampler used before it worked on its output in blocks
+        def allocating(a, alpha, t, rng):
+            ratio = (1.0 - alpha) / alpha
+            v = rng.random(n)
+            v = np.where(v == 0.0, 2.0**-53, v)
+            w = rng.exponential(size=n)
+            w = np.maximum(w, 5e-324)
+            log_s = (
+                np.log(np.sin(alpha * np.pi * v))
+                + ratio * np.log(np.sin((1.0 - alpha) * np.pi * v))
+                - np.log(np.sin(np.pi * v)) / alpha
+                - ratio * np.log(w)
+            )
+            return np.log(a * t) / alpha + log_s
+
+        for a, alpha, t in [(1.0, 0.5, 0.01), (2.0, 0.3, 1.0), (0.5, 0.9, 0.2)]:
+            got = catalog.make_stable(a, alpha).log_sampler(t, n, np.random.default_rng(14))
+            want = allocating(a, alpha, t, np.random.default_rng(14))
+            assert got.tobytes() == want.tobytes(), (a, alpha, t)
 
     def test_sampler_matches_laplace_transform(self):
         # E exp(-Y_1) = exp(-1) for a = 1, alpha = 1/2

@@ -307,6 +307,23 @@ class TestParameterValidation:
         assert "experiments[0].params.cutoff" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize(
+        "model,message",
+        [
+            ({"transform": "tilt", "theta": -1.0, "of": GAMMA}, "tilting parameter must be >= 0"),
+            ({"transform": "add", "of": [{"name": "dickman", "params": {"gamma": 1.0}},
+                                         {"name": "weibull", "params": {"gamma": 2.0}}]},
+             "carries no Laplace exponent"),
+        ],
+    )
+    def test_transform_error_exits_two(self, tmp_path, capsys, model, message):
+        # each exited 1 with a traceback: the transform's own error escaped
+        cfg = write_config(tmp_path, {"experiments": [{"kind": "criterion", "model": model}]})
+        assert cli.main(["--config", cfg, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "config error at experiments[0].model:" in err and message in err
+
+
 class TestRamp:
     def test_matches_allocating_form(self):
         ramp, _ = cli.FUNCTIONALS["ramp"]
@@ -334,6 +351,32 @@ class TestList:
 
     def test_inventory_is_stable(self):
         assert cli.list_catalog() == cli.list_catalog()
+
+    @pytest.mark.parametrize(
+        "config",
+        [cli.default_acceptance_config(),
+         os.path.join(os.path.dirname(__file__), "..", "perfbench", "configs", "mc-sweep.json")],
+    )
+    def test_every_kind_a_config_runs_is_listed(self, config):
+        with open(config) as fh:
+            kinds = {entry["kind"] for entry in json.load(fh)["experiments"]}
+        assert kinds <= set(cli.list_catalog()["experiment_kinds"])
+
+    def test_every_listed_kind_is_run(self):
+        # each entry is malformed for its kind, so it fails fast, but never
+        # as an unknown kind
+        listed = cli.list_catalog()["experiment_kinds"]
+        assert len(set(listed)) == len(listed)
+        with pytest.raises(cli.SchemaError) as exc:
+            cli.run_experiment({"kind": "wat"}, 0, None, 0)
+        assert exc.value.path == "experiments[0].kind"
+        for kind in listed:
+            entry = {"kind": kind, "model": {"name": "nope"}, "family": {"name": "nope"},
+                     "params": {"n": 0, "z": -1.0, "z_max": 0}}
+            try:
+                cli.run_experiment(entry, 0, None, 0)
+            except cli.SchemaError as err:
+                assert err.path != "experiments[0].kind", kind
 
 
 class TestRun:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from subordlab import catalog, montecarlo as mc
+from subordlab import catalog, cli, montecarlo as mc
 from subordlab.core import ExponentialLaw, ParetoLaw, pareto_cdf
 from subordlab.errors import InvalidParameterError, OutOfRangeError
 from subordlab.simulate import sample_marginal, substream, to_neg_t_power
@@ -378,3 +378,100 @@ class TestExportCurve:
         mc.export_curve(emp, cdf, tmp_path / "new.csv")
         csv_writer_export(emp, tmp_path / "old.csv")
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+    @pytest.mark.parametrize(
+        "rows", [0, 1, mc.ERGODIC_BLOCK // 32 - 1, mc.ERGODIC_BLOCK // 32,
+                 mc.ERGODIC_BLOCK // 32 + 1, 100_000],
+    )
+    def test_chunked_rows_match_single_string_writer(self, tmp_path, rows):
+        # the writer before it wrote in chunks of rows: every row in one string
+        def single_string_export(emp, cdf, path):
+            n = emp.values.size
+            xs = emp.values.tolist()
+            ecdf = (np.arange(1, n + 1) / emp.n_total).tolist()
+            targets = np.asarray(cdf(emp.values), dtype=float).tolist()
+            lines = [f"{x!r},{e!r},{tv!r}\r\n" for x, e, tv in zip(xs, ecdf, targets)]
+            with open(path, "w", newline="") as fh:
+                fh.write("x,ecdf,target\r\n" + "".join(lines))
+
+        law = ParetoLaw(1.0)
+        emp = mc.EmpiricalDistribution.from_values(law.sample(rows, substream(15, 0)), 2)
+        mc.export_curve(emp, law.cdf, tmp_path / "new.csv")
+        single_string_export(emp, law.cdf, tmp_path / "old.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+    def test_memory_is_one_chunk_of_rows(self, tmp_path, traced_peak):
+        # 28.0 MiB when every row went into one string
+        law = ParetoLaw(1.0)
+        emp = mc.EmpiricalDistribution.from_values(law.sample(100_000, substream(16, 0)))
+        peak = traced_peak(lambda: mc.export_curve(emp, law.cdf, tmp_path / "curve.csv"))
+        assert peak <= 4 * 2**20
+
+
+MIB = 2**20
+N_1E6 = 1_000_000
+GAMMA_11 = {"name": "gamma", "params": {"gamma": 1.0, "lam": 1.0}}
+# Monte Carlo entries of the n = 1e6 sweep config; the comment on each is its
+# peak traced memory before the experiments worked on their own batch in place
+ONE_BATCH_ENTRIES = {
+    "pareto_limit-gamma": {  # 31.5 MiB
+        "kind": "pareto_limit", "model": GAMMA_11,
+        "params": {"t_list": [0.2, 0.1, 0.05, 0.02, 0.01], "n": N_1E6}},
+    "pareto_limit-stable": {  # 38.2 MiB
+        "kind": "pareto_limit", "model": {"name": "stable", "params": {"a": 1.0, "alpha": 0.5}},
+        "params": {"t_list": [0.01], "n": N_1E6, "gamma": 1.0}},
+    "affine": {  # 54.4 MiB
+        "kind": "affine", "model": GAMMA_11,
+        "params": {"a": 2.0, "b": 32.0, "t": 0.05, "n": N_1E6}},
+    "mixture": {  # 71.6 MiB
+        "kind": "mixture", "model": GAMMA_11, "params": {"q": 0.4, "t": 0.001, "n": N_1E6}},
+    "drift": {  # 24.8 MiB
+        "kind": "drift", "model": GAMMA_11,
+        "params": {"c": 2.0, "t": 0.001, "n": N_1E6, "window": 0.05}},
+    "support": {  # 22.9 MiB
+        "kind": "support", "model": {"name": "gamma", "params": {"gamma": 2.0, "lam": 1.0}},
+        "params": {"t": 0.01, "n": N_1E6, "delta": 0.1}},
+}
+TWO_BATCH_ENTRIES = {
+    "min_rule": {  # 31.5 MiB
+        "kind": "min_rule", "model": GAMMA_11,
+        "model2": {"name": "gamma", "params": {"gamma": 0.5, "lam": 2.0}},
+        "params": {"t": 0.01, "n": N_1E6}},
+    "product_rule": {  # 39.1 MiB
+        "kind": "product_rule", "model": GAMMA_11,
+        "model2": {"name": "gamma", "params": {"gamma": 2.0, "lam": 1.0}},
+        "params": {"t": 0.01, "n": N_1E6}},
+    "pareto_limit-add": {  # 31.5 MiB
+        "kind": "pareto_limit",
+        "model": {"transform": "add", "of": [
+            {"name": "gamma", "params": {"gamma": 0.5, "lam": 1.0}},
+            {"name": "gamma", "params": {"gamma": 1.5, "lam": 3.0}}]},
+        "params": {"t_list": [0.05, 0.01], "n": N_1E6}},
+}
+
+
+class TestExperimentMemory:
+    """Each experiment holds one n-float batch, two where two marginals combine."""
+
+    @pytest.mark.parametrize("name", sorted(ONE_BATCH_ENTRIES))
+    def test_single_batch(self, name, traced_peak):
+        entry = ONE_BATCH_ENTRIES[name]
+        peak = traced_peak(lambda: cli.run_experiment(entry, 7, None, 0))
+        assert peak <= 8 * N_1E6 + 4 * MIB
+
+    @pytest.mark.parametrize("name", sorted(TWO_BATCH_ENTRIES))
+    def test_two_batches(self, name, traced_peak):
+        entry = TWO_BATCH_ENTRIES[name]
+        peak = traced_peak(lambda: cli.run_experiment(entry, 7, None, 0))
+        assert peak <= 16 * N_1E6 + 4 * MIB
+
+    def test_general_limit_is_its_cutoff_cp_draw(self, traced_peak):
+        # 46.7 MiB before; the draw of ~6.4e6 jumps now sets the peak
+        entry = {
+            "kind": "general_limit",
+            "model": {"name": "log_power", "params": {"gamma": 0.1, "power": 3}},
+            "params": {"L": "neg_log_cubed", "gamma": 0.1, "t_list": [0.01], "n": N_1E6,
+                       "cutoff": 1e-8},
+        }
+        peak = traced_peak(lambda: cli.run_experiment(entry, 7, None, 0))
+        assert peak <= 32 * MIB

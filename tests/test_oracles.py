@@ -99,6 +99,46 @@ class TestKsOnePassEqualsTwoPass:
         )
         assert mc.ks_distance(emp, law.cdf) == two_pass_ks(emp, law.cdf)
 
+    @pytest.mark.parametrize(
+        "m", [1, mc.ERGODIC_BLOCK - 1, mc.ERGODIC_BLOCK, mc.ERGODIC_BLOCK + 1,
+              3 * mc.ERGODIC_BLOCK + 7],
+    )
+    def test_block_edges(self, m):
+        # the blocked pass against the two-pass formula, one block, several,
+        # and a partial last block; the mixture target puts its atom in every block
+        rng = substream(49, 0)
+        pareto = ParetoLaw(1.0).sample(m, rng)
+        values = np.where(rng.random(m) < 0.3, 1.0, pareto)
+        # too heavy a tail, capped at b: u peaks at the atom at b, while the
+        # sup is the left term just below it, found only as a candidate
+        capped = np.minimum(2.0 * ParetoLaw(0.5).sample(m, rng), 8.0)
+        for emp, law in (
+            (mc.EmpiricalDistribution.from_values(pareto, 5), ParetoLaw(1.1)),
+            (mc.EmpiricalDistribution.from_values(values), mc.ParetoMixtureLaw(0.7, 1.0)),
+            (mc.EmpiricalDistribution.from_values(capped), mc.AffineMinLaw(2.0, 8.0, 1.0)),
+        ):
+            assert mc.ks_distance(emp, law.cdf) == two_pass_ks(emp, law.cdf)
+
+    def test_full_size_mixture_and_affine_batches(self):
+        # the experiments' own atom-heavy batches at n = 1e6, built by the
+        # expressions the experiments used before they worked in place
+        n = 1_000_000
+        gamma = catalog.make_gamma(1.0, 1.0)
+        report, _ = mc.experiment_mixture(gamma, 0.4, 1e-3, n, seed=50)
+        log_l = gamma.log_sampler(1e-3, n, substream(50, 0))
+        at_one = substream(50, 1).random(n) >= 0.4
+        combined = np.where(at_one, np.logaddexp(log_l, 0.0), log_l)
+        emp = mc.EmpiricalDistribution.from_values(*to_neg_t_power(combined, 1e-3, log=True))
+        assert report.ks_statistic == two_pass_ks(emp, mc.ParetoMixtureLaw(0.4, 1.0).cdf)
+
+        report = mc.experiment_affine(gamma, 2.0, 32.0, 0.05, n, seed=51)
+        log_y = gamma.log_sampler(0.05, n, substream(51, 0))
+        combined = np.logaddexp(-np.log(2.0) / 0.05 + log_y, -np.log(32.0) / 0.05)
+        emp = mc.EmpiricalDistribution.from_values(*to_neg_t_power(combined, 0.05, log=True))
+        law = mc.AffineMinLaw(2.0, 32.0, 1.0)
+        assert np.sum(emp.values == emp.values[-1]) > n / 100  # the atom at b
+        assert report.ks_statistic == two_pass_ks(emp, law.cdf)
+
     def test_left_dominated_batch_stays_one_pass(self):
         # a Pareto(0.99) batch has more mass far out than Pareto(1), so the sup
         # is a left-limit term and u > sup(right terms) holds almost everywhere

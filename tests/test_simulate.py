@@ -270,6 +270,54 @@ class TestTransforms:
         vals, n_inf = to_neg_t_power(log_y[1:], 0.3, log=True)
         assert n_inf == 0 and vals.tobytes() == np.exp(-0.3 * log_y[1:]).tobytes()
 
+    @pytest.mark.parametrize("n", [1, CP_BLOCK - 1, CP_BLOCK, CP_BLOCK + 1, 3 * CP_BLOCK + 7])
+    def test_out_matches_default_and_allocating_form(self, n):
+        # the expressions both transforms used before they took out=
+        def allocating_power(log_y, t):
+            with np.errstate(over="ignore"):
+                vals = np.exp(-t * log_y)
+            finite = np.isfinite(vals)
+            return vals[finite], int(np.sum(~finite))
+
+        def allocating_tl(log_y, t, L_log):
+            finite = np.isfinite(log_y)
+            vals = t * L_log(log_y[finite])
+            keep = np.isfinite(vals)
+            return vals[keep], int(np.sum(~finite) + np.sum(~keep))
+
+        rng = np.random.default_rng(n)
+        log_y = rng.normal(0.0, 300.0, n)
+        log_y[rng.random(n) < 0.01] = -np.inf  # void compound-Poisson paths
+        # exp(800 t) and (1e200)**3 overflow: images at infinity
+        head = (-np.inf, -800.0, 800.0, -1e200)[:n]
+        log_y[: len(head)] = head
+
+        def L_log(ly):
+            with np.errstate(over="ignore"):
+                return (-ly) ** 3
+
+        for t in (1e-3, 2.0):
+            for transform, want in (
+                (lambda y, **kw: to_neg_t_power(y, t, log=True, **kw), allocating_power(log_y, t)),
+                (lambda y, **kw: to_tl(y, None, t, log=True, L_log=L_log, **kw),
+                 allocating_tl(log_y, t, L_log)),
+            ):
+                before = log_y.tobytes()
+                vals, n_inf = transform(log_y)
+                assert log_y.tobytes() == before  # the default leaves the batch alone
+                assert vals.tobytes() == want[0].tobytes() and n_inf == want[1]
+                assert type(n_inf) is int
+                batch = log_y.copy()
+                vals, n_inf = transform(batch, out=batch)
+                assert vals.tobytes() == want[0].tobytes() and n_inf == want[1]
+                # written into the batch itself (n = 1 leaves nothing finite)
+                assert np.shares_memory(vals, batch) or not vals.size
+                out = np.empty(n)
+                vals, n_inf = transform(log_y, out=out)
+                assert log_y.tobytes() == before
+                assert vals.tobytes() == want[0].tobytes() and n_inf == want[1]
+                assert np.shares_memory(vals, out) or not vals.size
+
     def test_tl_arithmetic(self):
         vals, n_inf = to_tl(np.array([math.exp(-5.0)]), lambda y: -np.log(y), 0.2)
         assert vals[0] == pytest.approx(1.0, rel=1e-12)
