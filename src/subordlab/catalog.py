@@ -144,19 +144,92 @@ def _gamma_inverse_tail_factory(gamma, lam):
     return inverse_tail
 
 
+# Shapes below this draw log G(a) by the Liu-Martin-Syring rejection sampler,
+# shapes from it up to 1 by the boost.  Measured at n = 1e6 on a 2-core Xeon
+# (Python 3.11, numpy 2.4.6), 25 alternating pairs per shape, median ms
+# rejection / boost: 27.2 / 37.9 at a = 0.3, 32.4 / 37.5 at 0.4, 34.4 / 37.8
+# at 0.45, 34.5 / 36.3 at 0.5 (rejection faster in 16 of 25), 37.8 / 34.7 at
+# 0.55 (2 of 25); below 0.1 the rejection sampler takes 26-30 ms, the boost
+# 44-50 ms.  The two cross at about 0.5, where the acceptance rate is 0.65.
+SMALL_SHAPE = 0.5
+
+
+def _log_gamma_small_shape(a, log_lam, n, rng):
+    """n draws of log(G/lam), G ~ Gamma(a), 0 < a < 1, by rejection.
+
+    Liu, Martin & Syring, "Simulating from a gamma distribution with small
+    shape parameter" (Comput. Stat., 2017), in the variable y = log G.
+    The unnormalized density a*exp(a*y - e^y) (mass Gamma(a+1)) lies under
+    the envelope a*exp(a*y) on y <= 0 (mass 1) and (a/e)*exp(-(1-a)*y) on
+    y > 0 (mass w = a/(e*(1-a))), so the acceptance rate is
+    Gamma(a+1)/(1+w), which tends to 1 as a -> 0.  One uniform u in (0, 1]
+    picks the side and the candidate: y = log(u/ww)/a when
+    u <= ww = 1/(1+w), else y = -log((u-ww)/(1-ww))/(1-a).  An exponential
+    E accepts it when e^y < E (y <= 0) or e^y - 1 - y < E (y > 0).  Every
+    candidate is finite, so no draw is -inf.
+
+    Candidates are drawn ``min(CP_BLOCK, n - filled)`` at a time, all the
+    block's uniforms and then its exponentials, and the accepted ones are
+    appended to the n-float output in draw order until n are filled.
+    """
+    out = np.empty(n)
+    w = a / (math.e * (1.0 - a))
+    ww = 1.0 / (1.0 + w)
+    log_ww = math.log(ww)
+    u = np.empty(min(n, CP_BLOCK))
+    e = np.empty(u.size)
+    ok = np.empty(u.size, dtype=bool)
+    filled = 0
+    while filled < n:
+        k = min(CP_BLOCK, n - filled)
+        ub = rng.random(out=u[:k])
+        np.subtract(1.0, ub, out=ub)
+        eb = rng.standard_exponential(out=e[:k])
+        right = np.flatnonzero(ub > ww)
+        u_right, e_right = ub[right], eb[right]
+        # the y <= 0 side, tested as y < log E
+        np.log(ub, out=ub)
+        ub -= log_ww
+        ub /= a
+        np.log(eb, out=eb)
+        okb = np.less(ub, eb, out=ok[:k])
+        if right.size:
+            u_right -= ww
+            u_right /= w * ww  # 1 - ww, without its cancellation
+            np.log(u_right, out=u_right)
+            u_right /= a - 1.0
+            ub[right] = u_right
+            okb[right] = np.expm1(u_right) - u_right < e_right
+        kept = ub[okb]
+        np.subtract(kept, log_lam, out=out[filled : filled + kept.size])
+        filled += kept.size
+        del kept
+    return out
+
+
 def make_gamma(gamma, lam):
     """Gamma subordinator: exponent gamma*log(1 + s/lam), marginal Gamma(t*gamma, lam).
 
-    The marginal sampler must stay correct for shapes t*gamma far below 1,
-    the regime every small-time experiment lives in.  It therefore draws
-    log(Y_t) = log(Gamma(shape+1)) + log(U)/shape - log(lam), using the
-    exact boost identity Gamma(a) = Gamma(a+1) * U**(1/a); the linear-space
-    equivalent underflows to zero once shape drops below ~0.005.
+    The marginal sampler must stay correct for shapes a = t*gamma far
+    below 1, the regime every small-time experiment lives in, so it draws
+    log(Y_t) = log G(a) - log(lam) in log space: the linear-space draw
+    underflows to zero once a drops below ~0.005.  log G(a) comes from
+    one of three exact draws, chosen by the shape:
 
-    Memory rule: the n gamma variates are drawn into the output array, and
-    the log, the boost and the scale are applied to it ``CP_BLOCK`` values
-    at a time, each block drawing its own boost uniforms; the uniforms
-    continue the generator's stream, so the batch is bitwise the one drawn
+    - a < ``SMALL_SHAPE``: the Liu-Martin-Syring rejection sampler
+      (``_log_gamma_small_shape``), about one uniform and one exponential
+      per draw at small a;
+    - ``SMALL_SHAPE`` <= a < 1: the boost identity
+      Gamma(a) = Gamma(a+1) * U**(1/a), as log(Gamma(a+1)) + log(U)/a;
+    - a >= 1: log of a direct ``standard_gamma`` draw.
+
+    Memory rule: the batch is the n-float output and O(``CP_BLOCK``)
+    buffers.  The rejection sampler writes its accepted draws into the
+    output block by block.  The other two draw the n gamma variates into
+    the output (``rng.gamma(k, size=n)`` is ``1.0 *
+    rng.standard_gamma(k, size=n)``) and take the log, the boost and the
+    scale ``CP_BLOCK`` values at a time, each block drawing its own boost
+    uniforms from the same stream, so that batch is bitwise the one drawn
     by ``rng.gamma`` and ``rng.random`` on all n at once.
     """
     _require_positive(gamma=gamma, lam=lam)
@@ -188,6 +261,8 @@ def make_gamma(gamma, lam):
 
     def log_sampler(t, n, rng):
         shape = t * gamma
+        if shape < SMALL_SHAPE:
+            return _log_gamma_small_shape(shape, log_lam, n, rng)
         boost = shape < 1.0
         # rng.gamma(k, size=n) is 1.0 * rng.standard_gamma(k, size=n)
         out = rng.standard_gamma(shape + 1.0 if boost else shape, size=n, out=np.empty(n))

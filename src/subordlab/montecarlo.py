@@ -118,10 +118,13 @@ def ks_distance(emp: EmpiricalDistribution, cdf):
     left limit is needed only where u_i can beat the sup found so far: at
     the running (first-occurrence) argmax of u, whenever a block moves it,
     then at the block's u_i that exceed the running sup less
-    ``_LEFT_SLACK``.  Every skipped left term is at most a term already
-    taken, so the result equals the two-pass formula exactly, atoms and
-    ties included, for any cdf whose values at adjacent floats never step
-    back by ``_LEFT_SLACK`` or more.
+    ``_LEFT_SLACK`` and start a run of equal values.  Within a run F(x-)
+    is fixed and (i-1)/n grows, so the run's first value has its largest
+    left term; a run that began in an earlier block had its first value
+    taken there, under a smaller sup.  Every skipped left term is at most
+    a term already taken, so the result equals the two-pass formula
+    exactly, atoms and ties included, for any cdf whose values at adjacent
+    floats never step back by ``_LEFT_SLACK`` or more.
     """
     if emp.n_total < 1:
         raise InvalidParameterError("need at least one sample")
@@ -144,9 +147,12 @@ def ks_distance(emp: EmpiricalDistribution, cdf):
         if u[j] > u_max:
             u_max = u[j]
             d = max(d, _left_max(cdf, xb, lower, [j]))
-        candidates = u > d - _LEFT_SLACK
+        candidates = np.flatnonzero(u > d - _LEFT_SLACK)
         del u
-        if candidates.any():
+        # only the first of a run of equal values: its left term is the run's largest
+        first = (candidates + lo == 0) | (x[candidates + (lo - 1)] != xb[candidates])
+        candidates = candidates[first]
+        if candidates.size:
             d = max(d, _left_max(cdf, xb, lower, candidates))
     cdf_inf = float(cdf(np.inf))
     at_inf = (1.0 - m / n) - (1.0 - cdf_inf)

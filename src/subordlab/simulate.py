@@ -17,6 +17,7 @@ every finite threshold.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -89,26 +90,72 @@ class SamplePlan:
         return cls(**data)
 
 
+def _hit_paths(lam, p, n, rng):
+    """Sparse branch of ``sample_cutoff_cp``: the paths that jump, and their counts.
+
+    The gaps between successive paths with at least one jump are
+    Geometric(p), p = 1 - exp(-lam).  They are drawn in blocks of
+    ``min(CP_BLOCK, h + 4*sqrt(h) + 16)``, h = p * (paths left after the
+    last hit), and summed until a position passes n.  Each hit path's count
+    is then drawn from the zero-truncated Poisson(lam), as 1 + Poisson(lam
+    + log1p(-U*p)): the first arrival T <= 1 is inverted from U, and the
+    rest arrive Poisson(lam*(1 - T)) after it.
+    """
+    if p == 0.0:  # lam underflowed: no path jumps
+        return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.int64)
+    hits = []
+    last = -1  # the position of the last hit so far
+    while True:
+        h = (n - 1 - last) * p
+        gaps = rng.geometric(p, min(CP_BLOCK, int(h + 4.0 * math.sqrt(h)) + 16))
+        # a gap past n ends the batch; capping it keeps the positions in range
+        np.minimum(gaps, n + 1, out=gaps)
+        pos = np.cumsum(gaps)
+        pos += last
+        inside = int(np.searchsorted(pos, n))
+        hits.append(pos[:inside])
+        if inside < pos.size:
+            break
+        last = int(pos[-1])
+    idx = np.concatenate(hits).astype(np.intp, copy=False)
+    mu = rng.random(idx.size)
+    mu *= -p
+    np.log1p(mu, out=mu)
+    mu += lam
+    np.maximum(mu, 0.0, out=mu)  # rounding can leave lam + log1p(-p) below 0
+    counts = rng.poisson(mu)
+    counts += 1
+    return idx, counts
+
+
 def sample_cutoff_cp(tail: LevyTail, eps, t, rng, n=1):
     """Cutoff compound-Poisson batch in sparse form: the paths that jump, and their sums.
 
-    Each of the n paths is the sum of Poisson(t*nu_bar(eps)) jumps above
-    eps, drawn by inversion, inverse_tail(U * nu_bar(eps)).  Returns
-    ``(idx, sums)``: the ascending indices of the paths with at least one
-    jump (``np.intp``) and each one's jump sum.  Every other path is an
-    exact zero (the void path, probability exp(-t*nu_bar(eps))), a
-    legitimate sample; ``np.zeros(n)`` with ``[idx] = sums`` is the dense
-    batch.  Mean bias vs. the true marginal is -t * integral_0^eps x dnu(x).
+    Each of the n paths is the sum of Poisson(lam) jumps above eps,
+    lam = t*nu_bar(eps), drawn by inversion, inverse_tail(U * nu_bar(eps)).
+    Returns ``(idx, sums)``: the ascending indices of the paths with at
+    least one jump (``np.intp``) and each one's jump sum.  Every other path
+    is an exact zero (the void path, probability exp(-lam)), a legitimate
+    sample; ``np.zeros(n)`` with ``[idx] = sums`` is the dense batch.  Mean
+    bias vs. the true marginal is -t * integral_0^eps x dnu(x).
 
-    Works in blocks, so that its memory grows with neither n nor the jump
-    count, only with the paths that jump: the n Poisson counts are drawn
-    ``CP_BLOCK`` paths at a time, keeping the paths with jumps and their
-    counts; then the jumps are drawn in blocks of at most ``CP_BLOCK``
+    The paths that jump are found one of two ways, by the chance
+    p = 1 - exp(-lam) that a path jumps:
+
+    - p < 1/2 (sparse): the hit positions are drawn directly, from
+      Geometric(p) gaps, and each hit's count from the zero-truncated
+      Poisson (``_hit_paths``); the work grows with the hits, not with n.
+      A p that underflows to 0 gives no hits.
+    - p >= 1/2 (dense): the n Poisson counts are drawn ``CP_BLOCK`` paths
+      at a time, keeping the paths with jumps and their counts; the batch
+      is bitwise the one drawn by all n counts, then all jumps, in single
+      calls.
+
+    Either way the jumps are then drawn in blocks of at most ``CP_BLOCK``
     that end on a path boundary (a path with more jumps is a block of its
     own), inverted (``inverse_tail`` must be elementwise), and each path's
-    jumps summed in draw order.  Successive draws from one generator
-    continue its stream, so the batch is bitwise the one drawn by all n
-    counts, then all jumps, in single calls.
+    jumps summed in draw order.  Memory grows with neither n nor the jump
+    count, only with the paths that jump.
     """
     if tail.inverse_tail is None:
         raise UnsupportedModelError("tail has no inverse; cannot draw jumps")
@@ -118,15 +165,20 @@ def sample_cutoff_cp(tail: LevyTail, eps, t, rng, n=1):
     if not np.isfinite(nu_eps) or nu_eps <= 0:
         raise InvalidParameterError(f"invalid cutoff: nu_bar(eps) = {nu_eps!r}")
     lam = t * nu_eps
-    hits, hit_counts = [], []  # per block of counts: paths with jumps, their counts
-    for start in range(0, n, CP_BLOCK):
-        counts = rng.poisson(lam, min(CP_BLOCK, n - start))
-        hit = np.flatnonzero(counts)
-        if hit.size:
-            hits.append(hit + start)
-            hit_counts.append(counts[hit])
-    idx = np.concatenate(hits) if hits else np.empty(0, dtype=np.intp)
-    del hits
+    p = -math.expm1(-lam)
+    if p < 0.5:
+        idx, counts = _hit_paths(lam, p, n, rng)
+        hit_counts = [counts]
+    else:
+        hits, hit_counts = [], []  # per block of counts: paths with jumps, their counts
+        for start in range(0, n, CP_BLOCK):
+            counts = rng.poisson(lam, min(CP_BLOCK, n - start))
+            hit = np.flatnonzero(counts)
+            if hit.size:
+                hits.append(hit + start)
+                hit_counts.append(counts[hit])
+        idx = np.concatenate(hits) if hits else np.empty(0, dtype=np.intp)
+        del hits
     sums = np.empty(idx.size)
     pos = 0
     for counts in hit_counts:

@@ -5,12 +5,28 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.special import erfc
+from scipy.special import erfc, gammainc, gammaln
 
 from subordlab import catalog
 from subordlab.core import CP_BLOCK
 from subordlab.errors import InvalidParameterError
 from subordlab.montecarlo import ks_critical_value, ks_distance, EmpiricalDistribution
+
+
+class CountingRng:
+    """A generator that counts the uniforms drawn through it."""
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.uniforms = 0
+
+    def random(self, *args, **kwargs):
+        out = self.rng.random(*args, **kwargs)
+        self.uniforms += np.size(out)
+        return out
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
 
 
 # batch sizes around the blocks the samplers work in
@@ -53,12 +69,35 @@ class TestGamma:
         assert stat <= ks_critical_value(100_000, 0.01)
 
     @pytest.mark.parametrize(
-        "gamma,lam,t", [(1.0, 2.0, 0.02), (0.5, 1.0, 0.2), (1.0, 1.0, 1.0), (2.0, 0.5, 0.7)]
+        "gamma,lam,t",
+        [(1.0, 2.0, 0.02), (0.5, 1.0, 0.2), (1.0, 1.0, 1.0), (2.0, 0.5, 0.7), (1.0, 3.0, 0.7)],
     )
     def test_log_sampler_matches_allocating_form(self, gamma, lam, t):
-        # the expressions the sampler used before it worked on its draw buffers
+        def rejection(rng, n, a):
+            # the Liu-Martin-Syring sampler on whole candidate blocks: all the
+            # block's uniforms, then its exponentials; accepted draws in order
+            w = a / (math.e * (1.0 - a))
+            ww = 1.0 / (1.0 + w)
+            got, filled = [], 0
+            while filled < n:
+                k = min(CP_BLOCK, n - filled)
+                u = 1.0 - rng.random(k)
+                e = rng.standard_exponential(k)
+                left = u <= ww
+                y = np.empty(k)
+                y[left] = (np.log(u[left]) - math.log(ww)) / a
+                y[~left] = -np.log((u[~left] - ww) / (w * ww)) / (1.0 - a)
+                ok = np.where(left, y < np.log(e), np.expm1(y) - y < e)
+                got.append(y[ok] - math.log(lam))
+                filled += int(ok.sum())
+            return np.concatenate(got)
+
+        # the expressions the boost and direct draws used before they worked
+        # on their draw buffers
         def allocating(rng, n):
             shape = t * gamma
+            if shape < catalog.SMALL_SHAPE:
+                return rejection(rng, n, shape)
             if shape >= 1.0:
                 return np.log(rng.gamma(shape, size=n)) - math.log(lam)
             boost = rng.gamma(shape + 1.0, size=n)
@@ -67,9 +106,44 @@ class TestGamma:
 
         # batches of one block, of several and of a partial last block
         for n in (10_000, *BLOCK_EDGES):
-            got = catalog.make_gamma(gamma, lam).log_sampler(t, n, np.random.default_rng(13))
-            want = allocating(np.random.default_rng(13), n)
+            rng, ref = np.random.default_rng(13), np.random.default_rng(13)
+            got = catalog.make_gamma(gamma, lam).log_sampler(t, n, rng)
+            want = allocating(ref, n)
             assert got.tobytes() == want.tobytes(), n
+            assert rng.bit_generator.state == ref.bit_generator.state, n
+
+    @pytest.mark.parametrize(
+        "a",
+        [1e-3, 0.01, 0.05, 0.2, catalog.SMALL_SHAPE - 1e-3, catalog.SMALL_SHAPE + 1e-3, 0.9],
+    )
+    def test_log_sampler_law(self, a):
+        # P(log G <= q) = e^{aq} 1F1(a; a+1; -e^q) / Gamma(a+1), which
+        # does not underflow however small a is; the 1F1 factor is
+        # gammainc's series once e^q is a normal float and 1 to double
+        # precision below that
+        def cdf(q):
+            q = np.asarray(q, dtype=float)
+            tiny = np.exp(a * q - gammaln(a + 1.0))
+            return np.where(q > -700.0, gammainc(a, np.exp(np.maximum(q, -700.0))), tiny)
+
+        n = 1_000_000
+        rng = CountingRng(np.random.default_rng(int(1e6 * a)))
+        log_g = catalog.make_gamma(1.0, 1.0).log_sampler(a, n, rng)
+        assert not np.isneginf(log_g).any() and np.isfinite(log_g).all()
+        emp = EmpiricalDistribution.from_values(log_g, in_place=True)
+        assert ks_distance(emp, cdf) <= ks_critical_value(n, 0.01)
+        if a < catalog.SMALL_SHAPE:
+            # candidates drawn for n acceptances at rate r: mean n/r, sd sqrt(n(1-r))/r
+            w = a / (math.e * (1.0 - a))
+            r = math.gamma(a + 1.0) / (1.0 + w)
+            assert abs(rng.uniforms - n / r) <= 4.0 * math.sqrt(n * (1.0 - r)) / r
+
+    def test_small_shape_memory_is_the_output_alone(self, traced_peak):
+        n = 1_000_000
+        model = catalog.make_gamma(1.0, 1.0)
+        for a in (0.01, catalog.SMALL_SHAPE - 1e-3):
+            peak = traced_peak(lambda: model.log_sampler(a, n, np.random.default_rng(14)))
+            assert peak <= 8 * n + 2 * 2**20, a
 
     def test_tail_is_exponential_integral_by_quadrature(self):
         model = catalog.make_gamma(1.5, 2.0)

@@ -61,6 +61,21 @@ def transformed_gamma(t, n, seed):
     return mc.EmpiricalDistribution.from_values(values, n_inf)
 
 
+def mixture_batch(n, seed):
+    """``experiment_mixture``'s transformed batch (q = 0.4, t = 1e-3) on gamma(1, 1)."""
+    log_l = catalog.make_gamma(1.0, 1.0).log_sampler(1e-3, n, substream(seed, 0))
+    at_one = substream(seed, 1).random(n) >= 0.4
+    combined = np.where(at_one, np.logaddexp(log_l, 0.0), log_l)
+    return mc.EmpiricalDistribution.from_values(*to_neg_t_power(combined, 1e-3, log=True))
+
+
+def affine_batch(n, seed):
+    """``experiment_affine``'s transformed batch (a = 2, b = 32, t = 0.05) on gamma(1, 1)."""
+    log_y = catalog.make_gamma(1.0, 1.0).log_sampler(0.05, n, substream(seed, 0))
+    combined = np.logaddexp(-np.log(2.0) / 0.05 + log_y, -np.log(32.0) / 0.05)
+    return mc.EmpiricalDistribution.from_values(*to_neg_t_power(combined, 0.05, log=True))
+
+
 class TestKsOnePassEqualsTwoPass:
     """ks_distance evaluates left limits only where they can matter; the value must not move."""
 
@@ -125,19 +140,26 @@ class TestKsOnePassEqualsTwoPass:
         n = 1_000_000
         gamma = catalog.make_gamma(1.0, 1.0)
         report, _ = mc.experiment_mixture(gamma, 0.4, 1e-3, n, seed=50)
-        log_l = gamma.log_sampler(1e-3, n, substream(50, 0))
-        at_one = substream(50, 1).random(n) >= 0.4
-        combined = np.where(at_one, np.logaddexp(log_l, 0.0), log_l)
-        emp = mc.EmpiricalDistribution.from_values(*to_neg_t_power(combined, 1e-3, log=True))
+        emp = mixture_batch(n, 50)
         assert report.ks_statistic == two_pass_ks(emp, mc.ParetoMixtureLaw(0.4, 1.0).cdf)
 
         report = mc.experiment_affine(gamma, 2.0, 32.0, 0.05, n, seed=51)
-        log_y = gamma.log_sampler(0.05, n, substream(51, 0))
-        combined = np.logaddexp(-np.log(2.0) / 0.05 + log_y, -np.log(32.0) / 0.05)
-        emp = mc.EmpiricalDistribution.from_values(*to_neg_t_power(combined, 0.05, log=True))
+        emp = affine_batch(n, 51)
         law = mc.AffineMinLaw(2.0, 32.0, 1.0)
         assert np.sum(emp.values == emp.values[-1]) > n / 100  # the atom at b
         assert report.ks_statistic == two_pass_ks(emp, law.cdf)
+
+    def test_ties_take_one_left_limit_per_run(self):
+        # ~60% of the mixture batch ties at the atom; each run of ties needs
+        # one left limit, so the CDF sees about n points, not one per tie
+        n = 1_000_000
+        for emp, law in (
+            (mixture_batch(n, 52), mc.ParetoMixtureLaw(0.4, 1.0)),
+            (affine_batch(n, 53), mc.AffineMinLaw(2.0, 32.0, 1.0)),
+        ):
+            cdf = counting(law.cdf)
+            assert mc.ks_distance(emp, cdf) == two_pass_ks(emp, law.cdf)
+            assert cdf.points <= n + 100
 
     def test_left_dominated_batch_stays_one_pass(self):
         # a Pareto(0.99) batch has more mass far out than Pareto(1), so the sup

@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import chi2
 
 from subordlab import catalog
+from subordlab.core import LevyTail
 from subordlab.dickman import make_dickman
 from subordlab.errors import InvalidParameterError, UnsupportedModelError
 from subordlab.montecarlo import two_sample_ks, two_sample_ks_critical_value
@@ -86,6 +88,17 @@ class TestSampleMarginal:
         assert np.all(np.isfinite(log_s))
 
 
+# level of each chi-square check of the sparse branch: seven of them, so
+# that together they fail a correct sampler less than 1% of the time
+CHI2_LEVEL = 1e-3
+
+# a Poisson process: every jump has size 1, at rate 1, so a path's sum is its count
+UNIT_JUMPS = LevyTail(
+    tail=lambda x: np.where(np.asarray(x) < 1.0, 1.0, 0.0),
+    inverse_tail=lambda y: np.ones(np.shape(y)),
+    support_upper=1.0,
+)
+
 CP_TAILS = {
     "dickman": lambda: make_dickman(1.0).tail,
     "gamma": lambda: catalog.make_gamma(1.0, 1.0).tail,
@@ -145,7 +158,7 @@ class TestCutoffCp:
         ],
     )
     def test_matches_full_length_binning(self, model, eps, t, n, dense_cp):
-        # the binning over all n paths that sample_cutoff_cp used before
+        # p >= 1/2: the binning over all n paths that sample_cutoff_cp used before
         def full_length(tail, rng):
             nu_eps = float(tail.tail(eps))
             counts = rng.poisson(t * nu_eps, n)
@@ -157,10 +170,36 @@ class TestCutoffCp:
                 sums = np.bincount(owner, weights=jumps, minlength=n)
             return sums
 
+        # p < 1/2: the hit positions from geometric gaps, in the sampler's
+        # blocks, then every hit's truncated-Poisson count, then all jumps
+        def hit_gaps(tail, rng):
+            nu_eps = float(tail.tail(eps))
+            lam = t * nu_eps
+            p = -math.expm1(-lam)
+            hits, last = [], -1
+            while True:
+                h = (n - 1 - last) * p
+                gaps = rng.geometric(p, min(CP_BLOCK, int(h + 4.0 * math.sqrt(h)) + 16))
+                pos = last + np.cumsum(np.minimum(gaps, n + 1))
+                hits.extend(pos[pos < n])
+                if pos[-1] >= n:
+                    break
+                last = pos[-1]
+            idx = np.array(hits, dtype=np.intp)
+            counts = 1 + rng.poisson(np.maximum(lam + np.log1p(-rng.random(idx.size) * p), 0.0))
+            total = int(counts.sum())
+            sums = np.zeros(n)
+            if total:
+                jumps = np.asarray(tail.inverse_tail(rng.random(total) * nu_eps), dtype=float)
+                owner = np.repeat(idx, counts)
+                sums = np.bincount(owner, weights=jumps, minlength=n)
+            return sums
+
         tail = CP_TAILS[model]()
+        sparse = -math.expm1(-t * float(tail.tail(eps))) < 0.5
         rng, ref = substream(36, 0), substream(36, 0)
         got = dense_cp(tail, eps, t, rng, n)
-        want = full_length(tail, ref)
+        want = (hit_gaps if sparse else full_length)(tail, ref)
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
         assert rng.bit_generator.state == ref.bit_generator.state
         # the sparse form lists exactly the paths that jumped, in ascending order
@@ -229,6 +268,65 @@ class TestCutoffCp:
             )
             assert blocks.tobytes() == full.tobytes()
         assert tail.inverse_tail(float(y[7])) == full[7]
+
+    @pytest.mark.parametrize("lam", [1e-3, 0.05, 0.3, 0.69])
+    def test_sparse_hits_are_binomial(self, lam):
+        # p = 1 - exp(-lam) < 1/2: the hit count is Binomial(n, p), and the
+        # hits spread evenly over the paths (10 equal bins, by chi-square)
+        n = 1_000_000
+        p = -math.expm1(-lam)
+        idx, _ = sample_cutoff_cp(UNIT_JUMPS, 0.5, lam, substream(41, 0), n)
+        assert abs(idx.size - n * p) <= 4.0 * math.sqrt(n * p * (1.0 - p))
+        assert np.all(np.diff(idx) > 0) and idx[0] >= 0 and idx[-1] < n
+        bins = np.bincount(idx * 10 // n, minlength=10)
+        assert chi2.sf(np.sum((bins - idx.size / 10) ** 2 / (idx.size / 10)), 9) >= CHI2_LEVEL
+
+    @pytest.mark.parametrize("lam", [0.01, 0.3, 0.69])
+    def test_sparse_hit_counts_are_zero_truncated_poisson(self, lam):
+        # unit jumps: each hit path's sum is its count, P(K = k) =
+        # e^-lam lam^k / (k! p) for k >= 1.  Bins 1..last, then one bin
+        # for k > last, each with at least 20 expected hits
+        n = 1_000_000
+        p = -math.expm1(-lam)
+        _, sums = sample_cutoff_cp(UNIT_JUMPS, 0.5, lam, substream(42, 0), n)
+        counts = sums.astype(np.int64)
+        assert np.array_equal(counts, sums) and counts.min() >= 1
+        pmf = [math.exp(-lam) * lam**k / (math.factorial(k) * p) for k in range(1, 30)]
+        expected = counts.size * np.array(pmf)
+        beyond = counts.size - np.cumsum(expected)
+        last = int(np.sum((expected >= 20.0) & (beyond >= 20.0)))
+        observed = np.bincount(np.minimum(counts, last + 1), minlength=last + 2)[1:]
+        expected = np.append(expected[:last], beyond[last - 1])
+        stat = np.sum((observed - expected) ** 2 / expected)
+        assert chi2.sf(stat, expected.size - 1) >= CHI2_LEVEL
+
+    def test_sparse_and_dense_branches_agree_at_half(self, gamma11, dense_cp):
+        # p just below 1/2 draws hit positions, just above draws every count
+        n = 200_000
+        nu_eps = float(gamma11.tail.tail(1e-6))
+        below, above = (
+            dense_cp(gamma11.tail, 1e-6, -math.log1p(-p) / nu_eps, substream(43, i), n)
+            for i, p in enumerate((0.5 - 1e-6, 0.5 + 1e-6))
+        )
+        assert two_sample_ks(below, above) <= two_sample_ks_critical_value(n, n, 0.01)
+
+    def test_sparse_truncated_mean(self, dickman1, dense_cp):
+        # E sum = t * gamma * (1 - eps), at p = 0.013 and p = 0.34
+        eps, n = 1e-6, 1_000_000
+        for stream, t in enumerate((1e-3, 0.03)):
+            samples = dense_cp(dickman1.tail, eps, t, substream(44, stream), n)
+            stderr = samples.std(ddof=1) / math.sqrt(n)
+            assert abs(samples.mean() - t * (1.0 - eps)) <= 3.0 * stderr, t
+
+    @pytest.mark.parametrize("t", [1e-320, 1e-310, 1e-300])
+    def test_vanishing_jump_chance_draws_no_hits(self, gamma11, t):
+        # t * nu_bar(10) = t * 4.2e-6: 0 at t = 1e-320, subnormal at 1e-310
+        rng = substream(45, 0)
+        start = rng.bit_generator.state
+        idx, sums = sample_cutoff_cp(gamma11.tail, 10.0, t, rng, 1_000_000)
+        assert idx.size == 0 and sums.size == 0
+        if t * float(gamma11.tail.tail(10.0)) == 0.0:  # p underflowed: nothing drawn
+            assert rng.bit_generator.state == start
 
     def test_exact_vs_cp_gamma(self, gamma11, dense_cp):
         n = 100_000
