@@ -203,7 +203,7 @@ def _log_gamma_small_shape(a, log_lam, n, rng):
         kept = ub[okb]
         np.subtract(kept, log_lam, out=out[filled : filled + kept.size])
         filled += kept.size
-        del kept
+        del kept  # else the next block's accepted draws are made while it is held
     return out
 
 
