@@ -23,6 +23,11 @@ Model expressions nest transforms over catalog leaves::
     {"transform": "compose_inner", "outer": <expr>, "inner": <expr>}
     {"transform": "drift", "c": 1.0, "of": <expr>}
 
+Each experiment kind is one entry of ``KINDS``: its fields with their
+defaults and checks, its models and what they must offer, and its
+handler.  Every entry of a config is checked against that table before
+any entry runs; ``--list`` prints it.
+
 Exit codes: 0 when every assertion passes, 2 on a config/schema error
 (with the offending field named), 3 on a numerical failure (with the
 failing operation named).  Reports rerun byte-identically for a fixed
@@ -37,27 +42,19 @@ import json
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy import integrate
 
 from . import __version__, catalog, criteria, montecarlo, transforms
 from .dickman import (
-    MAX_RECURSION_DEPTH,
-    dickman_density,
-    dickman_rho,
-    recursion_depth,
-    sample_dickman_recursion,
+    MAX_RECURSION_DEPTH, dickman_density, dickman_rho, recursion_depth, sample_dickman_recursion,
 )
-from .errors import (
-    InvalidParameterError,
-    NumericalFailure,
-    SubordlabError,
-    UnsupportedModelError,
-)
+from .errors import InvalidParameterError, NumericalFailure, SubordlabError, UnsupportedModelError
 from .simulate import can_sample, sample_cutoff_cp, sample_marginal, substream
 
-__all__ = ["main", "run", "list_catalog", "SchemaError"]
+__all__ = ["main", "run", "list_catalog", "SchemaError", "KINDS"]
 
 ENV_SEED = "SUBORDLAB_SEED"
 
@@ -85,8 +82,12 @@ def _ramp(x):
     return out if out.ndim else out[()]
 
 
-# criterion -> the model surface its estimator reads
-_CRITERION_SURFACES = {"S5": "phi", "S6": "cdf1", "S7": "tail", "S8": "density1", "GL": "phi"}
+# criterion -> (the model surface its estimator reads, the estimator's name in criteria)
+CRITERIA = {
+    "S5": ("phi", "estimate_gamma_s5"), "S6": ("cdf1", "estimate_gamma_s6"),
+    "S7": ("tail", "estimate_gamma_s7"), "S8": ("density1", "estimate_gamma_s8"),
+    "GL": ("phi", "estimate_gamma_general"),
+}
 
 # named ergodic functionals: name -> (f, delta0)
 FUNCTIONALS = {
@@ -97,6 +98,9 @@ TRANSFORM_GRAMMAR = (
     "tilt(theta, of) | add(of=[left, right]) | "
     "compose_outer(outer, inner) | compose_inner(outer, inner) | drift(c, of)"
 )
+
+# the family_limit family when the entry names none
+STABLE_NEF = {"name": "stable_nef", "params": {"a": 1.0, "theta": 1.0}}
 
 
 def build_model_expr(expr, path="model"):
@@ -125,13 +129,8 @@ def build_model_expr(expr, path="model"):
                 build_model_expr(parts[0], f"{path}.of[0]"),
                 build_model_expr(parts[1], f"{path}.of[1]"),
             )
-        if kind == "compose_outer":
-            return transforms.compose_outer(
-                build_model_expr(expr["outer"], f"{path}.outer"),
-                build_model_expr(expr["inner"], f"{path}.inner"),
-            )
-        if kind == "compose_inner":
-            return transforms.compose_inner(
+        if kind in ("compose_outer", "compose_inner"):
+            return getattr(transforms, kind)(
                 build_model_expr(expr["outer"], f"{path}.outer"),
                 build_model_expr(expr["inner"], f"{path}.inner"),
             )
@@ -139,198 +138,182 @@ def build_model_expr(expr, path="model"):
             return transforms.add_drift(build_model_expr(expr["of"], f"{path}.of"), expr["c"])
     except KeyError as exc:
         raise SchemaError(path, f"transform {kind!r} missing field {exc}") from exc
-    except (InvalidParameterError, UnsupportedModelError) as exc:
+    except (TypeError, InvalidParameterError, UnsupportedModelError) as exc:
         raise SchemaError(path, f"transform {kind!r}: {exc}") from exc
     raise SchemaError(f"{path}.transform", f"unknown transform {kind!r}")
 
 
-def _resolve_L(name, path):
-    if name not in L_FUNCTIONS:
-        raise SchemaError(path, f"unknown L function {name!r}; known: {sorted(L_FUNCTIONS)}")
-    return L_FUNCTIONS[name]
-
-
-def _param(params, field, index, default, valid, requirement):
-    """Return params[field] (or default); raise a SchemaError naming the field unless valid(value)."""
-    value = params.get(field, default)
+def _build_family(expr, path):
+    expr = STABLE_NEF if expr is None else expr
+    if not isinstance(expr, dict) or expr.get("name") != "stable_nef":
+        raise SchemaError(f"{path}.name", "only stable_nef is available")
     try:
-        ok = value is not None and bool(valid(value))
+        return catalog.make_stable_nef(**expr.get("params", {}))
+    except (TypeError, SubordlabError) as exc:
+        raise SchemaError(f"{path}.params", str(exc)) from exc
+
+
+# Field checks.  A value passes when valid(value) holds without raising; cast,
+# when set, makes the value the handler gets.
+
+class Check(NamedTuple):
+    valid: Callable
+    requirement: str
+    cast: Callable = None
+
+
+def _one_of(names):
+    return Check(lambda v: v in names, f"one of {list(names)}")
+
+
+COUNT = Check(lambda v: int(v) == v >= 1, "an integer >= 1", int)
+SEED = Check(lambda v: int(v) == v >= 0, "an integer >= 0", int)
+NUMBER = Check(lambda v: float(v) == v, "a number")
+POSITIVE = Check(lambda v: v > 0, "a number > 0")
+NONNEGATIVE = Check(lambda v: v >= 0, "a number >= 0")
+ABOVE_ONE = Check(lambda v: v > 1, "a number > 1")
+OPEN_UNIT = Check(lambda v: 0 < v < 1, "a number in (0, 1)")
+UNIT = Check(lambda v: 0 <= v <= 1, "a number in [0, 1]")
+TIMES = Check(lambda v: isinstance(v, list) and len(v) > 0 and all(t > 0 for t in v),
+              "a non-empty list of numbers > 0", tuple)
+GRID = Check(lambda v: isinstance(v, list) and all(float(x) == x for x in v), "a list of numbers")
+FILE_NAME = Check(lambda v: isinstance(v, str) and v != "", "a file name")
+# recursion_depth raises on a theta past the depth ceiling
+RECURSION_GAMMA = Check(
+    recursion_depth, f"a number > 0 that needs at most {MAX_RECURSION_DEPTH} recursion terms")
+DEPTH = Check(lambda v: int(v) == v and 1 <= v <= MAX_RECURSION_DEPTH,
+              f"an integer in [1, {MAX_RECURSION_DEPTH}]", int)
+# the default table of rho covers z in [0, 40]
+Z = Check(lambda v: 0 <= v <= 40, "a number in [0, 40]")
+Z_MAX = Check(lambda v: int(v) == v and 1 <= v <= 40, "an integer in [1, 40]", int)
+
+# the default of a field that must be given; a field whose default is None
+# may be left out, and the handler then gets None
+REQUIRED = object()
+
+
+def _passes(check, value):
+    try:
+        return bool(check.valid(value))
     except (TypeError, ValueError, OverflowError):
-        ok = False
-    if not ok:
-        raise SchemaError(
-            f"experiments[{index}].params.{field}", f"must be {requirement}, got {value!r}"
-        )
-    return value
-
-
-def _positive(value):
-    return value > 0
-
-
-def _above_one(value):
-    return value > 1
-
-
-def _count(value):
-    return int(value) == value >= 1
-
-
-def _time_list(value):
-    return isinstance(value, (list, tuple)) and len(value) > 0 and all(_positive(t) for t in value)
-
-
-def _open_unit(value):
-    return 0 < value < 1
-
-
-def _recursion_gamma(value):
-    try:
-        recursion_depth(value)
-    except InvalidParameterError:
         return False
-    return True
 
 
-def _depth(value):
-    return _count(value) and value <= MAX_RECURSION_DEPTH
+def _value(value, check, path):
+    """value, cast by check; a SchemaError at path unless the check holds."""
+    if not _passes(check, value):
+        raise SchemaError(path, f"must be {check.requirement}, got {value!r}")
+    return value if check.cast is None else check.cast(value)
 
 
-# field -> (check, requirement)
-_CHECKS = {
-    "n": (_count, "an integer >= 1"),
-    "t": (_positive, "a number > 0"),
-    "t_list": (_time_list, "a non-empty list of numbers > 0"),
-    "cutoff": (_open_unit, "a number in (0, 1)"),
-    "a": (_above_one, "a number > 1"),
-    "b": (_above_one, "a number > 1"),
-    "gamma": (_positive, "a number > 0"),
-    "q": (_open_unit, "a number in (0, 1)"),
-    "c": (_positive, "a number > 0"),
-    "delta": (_open_unit, "a number in (0, 1)"),
-    "depth": (_depth, f"an integer in [1, {MAX_RECURSION_DEPTH}]"),
-}
-# the recursion kinds run recursion_depth(gamma) terms, which has a ceiling
-_RECURSION_GAMMA = (
-    _recursion_gamma, f"a number > 0 that needs at most {MAX_RECURSION_DEPTH} recursion terms"
-)
-_KIND_CHECKS = {
-    "recursion_mean": {"gamma": _RECURSION_GAMMA},
-    "two_sampler_ks": {"gamma": _RECURSION_GAMMA},
-}
+def _fields(given, fields, path, others=()):
+    """Checked values of fields, defaults filled in; a SchemaError names the first bad field.
 
-# a field with this default may be left out (its value is then None); a field
-# with the default None is required
-_OPTIONAL = object()
-# checked fields of each kind, with their defaults
-_N = montecarlo.DEFAULT_N
-_PARAM_DEFAULTS = {
-    "pareto_limit": {
-        "t_list": montecarlo.DEFAULT_T_LIST, "n": _N, "cutoff": 1e-6, "gamma": _OPTIONAL,
-    },
-    "general_limit": {"t_list": (0.01,), "n": _N, "cutoff": 1e-6, "gamma": None},
-    "min_rule": {"t": 0.01, "n": _N, "cutoff": 1e-6},
-    "product_rule": {"t": 0.01, "n": _N, "cutoff": 1e-6},
-    "affine": {"t": 0.05, "n": _N, "cutoff": 1e-6, "a": None, "b": None},
-    "mixture": {"t": 1e-3, "n": _N, "cutoff": 1e-6, "q": None},
-    "drift": {"t": 1e-3, "n": _N, "cutoff": 1e-6, "c": 1.0},
-    "support": {"t": 0.01, "n": _N, "cutoff": 1e-6, "delta": 0.1},
-    "ergodic": {"t": 1e-3, "n": 10_000_000, "cutoff": 1e-6},
-    "recursion_mean": {"n": 1_000_000, "gamma": None, "depth": _OPTIONAL},
-    "two_sampler_ks": {"n": 100_000, "cutoff": 1e-6, "gamma": 1.0},
-    "s2": {"gamma": _OPTIONAL},
-}
-
-
-def _checked_params(entry, index):
-    """The entry's checked fields, defaults filled in; a SchemaError names the first bad one."""
-    params = entry.get("params", {})
-    kind = entry["kind"]
-    overrides = _KIND_CHECKS.get(kind, {})
+    A field left out or null takes its default.  A key of given that is
+    neither a field nor one of others is an error.
+    """
+    if not isinstance(given, dict):
+        raise SchemaError(path, "must be an object")
+    for key in given:
+        if key not in fields and key not in others:
+            known = sorted([*fields, *others])
+            raise SchemaError(f"{path}.{key}", f"unknown field; known: {known}")
     values = {}
-    for field, default in _PARAM_DEFAULTS[kind].items():
-        if default is _OPTIONAL and field not in params:
-            values[field] = None
-            continue
-        valid, requirement = overrides.get(field, _CHECKS[field])
-        values[field] = _param(params, field, index, default, valid, requirement)
-    if "n" in values:
-        values["n"] = int(values["n"])
-    if "t_list" in values:
-        values["t_list"] = tuple(values["t_list"])
+    for field, (default, check) in fields.items():
+        value = given.get(field)
+        if value is None and default is REQUIRED:
+            raise SchemaError(f"{path}.{field}", f"must be {check.requirement}, got nothing")
+        values[field] = default if value is None else _value(value, check, f"{path}.{field}")
     return values
 
 
-def _known_index(model, path):
-    """The model's known Pareto index; a SchemaError at path when it has none."""
-    if model.known_gamma is None:
-        raise SchemaError(path, f"model {model.describe()} has no known index")
-    return model.known_gamma
+# Model requirements.  problem(models, values, entry) is false when the need
+# is met, else the message reported at experiments[i].<path>.
+
+class Need(NamedTuple):
+    path: str
+    requirement: str
+    problem: Callable
 
 
-def _require_surface(model, path, what, surface):
-    """A SchemaError at path unless the model has the surface."""
-    if getattr(model, surface) is None:
-        raise SchemaError(path, f"{what} needs a model with {surface}; {model.describe()} has none")
+def _has(surface, key="model"):
+    return Need(key, f"a model with {surface}", lambda m, v, e: getattr(m[key], surface) is None
+                and f"needs a model with {surface}; {m[key].describe()} has none")
 
 
-def _sampled_model(entry, index, sp, key="model"):
-    """Build entry[key] for a draw at the entry's times; a SchemaError names the bad field.
+def _known_index(key="model"):
+    return Need(key, "a model with a known index", lambda m, v, e: m[key].known_gamma is None
+                and f"model {m[key].describe()} has no known index")
 
-    The model must be one that ``sample_marginal`` can draw from.
-    A draw at time t runs each Dickman recursion to ``recursion_depth(t * gamma)``
-    terms, which may not exceed ``MAX_RECURSION_DEPTH``.  Exact samplers survive
-    only ``add`` and ``drift``, so the recursions a draw runs are those of the
-    ``dickman`` leaves reached through them.
+
+def _samplable(key="model"):
+    return Need(key, "an exact sampler or an invertible jump tail", lambda m, v, e: (
+        not can_sample(m[key])
+        and f"{m[key].describe()} has neither an exact sampler nor an invertible jump tail"))
+
+
+def _drawn(key, field):
+    """The model at key can be drawn from at the times in params.<field>.
+
+    A draw at time t runs the recursion of each ``dickman`` leaf reached
+    through ``add`` and ``drift`` (exact samplers survive only those) to
+    ``recursion_depth(t * gamma)`` terms, at most ``MAX_RECURSION_DEPTH``.
     """
-    model = build_model_expr(entry[key], f"experiments[{index}].{key}")
-    if not can_sample(model):
-        raise SchemaError(
-            f"experiments[{index}].{key}",
-            f"{model.describe()} has neither an exact sampler nor an invertible jump tail",
-        )
-    field = "t_list" if "t_list" in sp else "t"
-    times = sp["t_list"] if field == "t_list" else (sp["t"],)
-    nodes = [entry[key]]
-    while nodes:
-        node = nodes.pop()
-        if node.get("name") == "dickman":
-            gamma = node["params"]["gamma"]
-            for t in times:
-                if not _recursion_gamma(t * gamma):
-                    raise SchemaError(
-                        f"experiments[{index}].params.{field}",
-                        f"t = {t!r} puts the Dickman recursion of {model.describe()} at "
-                        f"theta = t*gamma = {t * gamma:g}, past its {MAX_RECURSION_DEPTH}-term ceiling",
-                    )
-        elif node.get("transform") == "add":
-            nodes.extend(node["of"])
-        elif node.get("transform") == "drift":
-            nodes.append(node["of"])
-    return model
+
+    def too_deep(m, v, entry):
+        times = v[field] if field == "t_list" else (v[field],)
+        nodes = [entry[key]]
+        while nodes:
+            node = nodes.pop()
+            if node.get("name") == "dickman":
+                gamma = node["params"]["gamma"]
+                for t in times:
+                    if not _passes(RECURSION_GAMMA, t * gamma):
+                        return (f"t = {t!r} puts the Dickman recursion of {m[key].describe()} at "
+                                f"theta = t*gamma = {t * gamma:g}, past its "
+                                f"{MAX_RECURSION_DEPTH}-term ceiling")
+            elif node.get("transform") == "add":
+                nodes.extend(node["of"])
+            elif node.get("transform") == "drift":
+                nodes.append(node["of"])
+
+    ceiling = f"no Dickman recursion of {key} past {MAX_RECURSION_DEPTH} terms"
+    return _samplable(key), Need(f"params.{field}", ceiling, too_deep)
 
 
-def _ks_result(entry, report, threshold, extra=None):
-    result = {
-        "experiment": entry["kind"],
-        "model": report.model,
-        "params": entry.get("params", {}),
-        "t": report.t,
-        "n": report.n,
-        "statistic": report.ks_statistic,
-        "target": report.target,
-        "threshold": threshold,
-        "pass": bool(report.ks_statistic <= threshold) if threshold is not None else True,
-    }
-    if extra:
-        result.update(extra)
-    return result
+_CRITERION_SURFACE = Need(
+    "model", "a model with the surface its criterion reads", lambda m, v, e: (
+        getattr(m["model"], CRITERIA[v["criterion"]][0]) is None
+        and f"criterion {v['criterion']} needs a model with {CRITERIA[v['criterion']][0]}; "
+            f"{m['model'].describe()} has none"))
+_GAMMA_OR_INDEX = Need(
+    "params.gamma", "given, or the model's known index", lambda m, v, e: (
+        v["gamma"] is None and m["model"].known_gamma is None
+        and f"model {m['model'].describe()} has no known index"))
+_BELOW_DELTA0 = Need(
+    "params.cutoff", "below the functional's delta0", lambda m, v, e: (
+        v["cutoff"] >= FUNCTIONALS[v["functional"]][1]
+        and f"must lie below the functional's delta0 = {FUNCTIONALS[v['functional']][1]:g}, "
+            f"got {v['cutoff']!r}"))
 
 
-def _maybe_csv(entry, out_dir, emp, cdf):
-    csv_name = entry.get("csv")
-    if csv_name and out_dir is not None:
-        montecarlo.export_curve(emp, cdf, os.path.join(out_dir, csv_name))
+# Handlers.  handler(values, models, seed) returns the result's fields; the
+# runner adds "experiment" and "params".
+
+def _result(model, statistic, threshold, ok, **more):
+    return {"model": model, "statistic": statistic, "threshold": threshold, "pass": bool(ok), **more}
+
+
+def _ks_result(report, threshold, ok=True, **more):
+    """The result of a KS report, gated by threshold (when given) and ok."""
+    ks = report.ks_statistic
+    return _result(report.model, ks, threshold, ok and (threshold is None or ks <= threshold),
+                   t=report.t, n=report.n, target=report.target, **more)
+
+
+def _deviation_result(model, report, threshold):
+    return _result(model.describe(), report.final, threshold, report.final <= threshold,
+                   deviations=[float(d) for d in report.deviations])
 
 
 def _empirical_for_pareto(model, t, n, seed, cutoff, stream=0):
@@ -341,327 +324,329 @@ def _empirical_for_pareto(model, t, n, seed, cutoff, stream=0):
     return montecarlo.EmpiricalDistribution.from_values(values, n_inf, in_place=True)
 
 
+def _criterion(v, m, seed):
+    model, which = m["model"], v["criterion"]
+    surface, name = CRITERIA[which]
+    L = (L_FUNCTIONS[v["L"]][0],) if which == "GL" else ()
+    est = getattr(criteria, name)(getattr(model, surface), *L, v["grid"])
+    ok = True
+    if v["expected_gamma"] is not None:
+        tol = 0.02 if v["tol"] is None else v["tol"]
+        ok = est.verdict == "converged" and abs(est.gamma_hat - v["expected_gamma"]) <= tol
+    if v["verdict"] is not None:
+        ok = ok and est.verdict == v["verdict"]
+    return {"model": model.describe(), "threshold": v["tol"], "pass": bool(ok), **est.to_dict()}
+
+
+def _converged(model):
+    ests = criteria.estimate_all(model)
+    return {c: e.gamma_hat for c, e in ests.items() if e.verdict == "converged"}
+
+
+def _criteria_recovery(v, m, seed):
+    expected, tol = v["expected_gamma"], v["tol"]
+    found = _converged(m["model"])
+    worst = max((abs(g - expected) for g in found.values()), default=np.inf)
+    return _result(m["model"].describe(), worst if np.isfinite(worst) else None, tol,
+                   bool(found) and worst <= tol, target=expected,
+                   estimates={c: float(g) for c, g in sorted(found.items())})
+
+
+def _equivalence(v, m, seed):
+    found = _converged(m["model"])
+    spread = max((abs(a - b) for a in found.values() for b in found.values()), default=0.0)
+    return _result(m["model"].describe(), spread, v["pairwise_tol"], spread <= v["pairwise_tol"],
+                   estimates={c: float(g) for c, g in found.items()})
+
+
+def _sandwich(v, m, seed):
+    # psi comes from phi when the model has it, else from quadrature of cdf1
+    model = m["model"]
+    check = getattr(criteria, f"check_sandwich_{v['which']}")
+    violations = check(model.cdf1, model.phi, tol=v["tol"])
+    return _result(model.describe(), len(violations), 0, not violations)
+
+
+def _s2(v, m, seed):
+    model = m["model"]
+    law = montecarlo.ParetoLaw(model.known_gamma if v["gamma"] is None else v["gamma"])
+    report = criteria.check_s2(model.phi, law.cdf, v["t_grid"], v["u_grid"])
+    return _deviation_result(model, report, v["max_dev"])
+
+
+def _pareto_limit(v, m, seed):
+    model, t_list, n, cutoff = m["model"], v["t_list"], v["n"], v["cutoff"]
+    gamma = model.known_gamma if v["gamma"] is None else v["gamma"]
+    reports = montecarlo.experiment_pareto_limit(
+        model, t_list, n, seed, cutoff=cutoff, gamma=gamma)
+    final = reports[-1]
+    ok = v["ks_min"] is None or final.ks_statistic >= v["ks_min"]
+    if v["trend_slack"] is not None:
+        # trend is checked above the sampling resolution: values at the
+        # 1/sqrt(n) noise floor carry no evidence either way
+        floor = montecarlo.ks_critical_value(n, 0.01)
+        ks = [r.ks_statistic for r in reports]
+        ok = ok and all(
+            ks[i + 1] <= ks[i] * (1.0 + v["trend_slack"]) + floor for i in range(len(ks) - 1)
+        )
+    if v["csv"] is not None:
+        # replay the final-t substream so the curve matches the statistic
+        emp = _empirical_for_pareto(model, final.t, n, seed, cutoff, stream=len(t_list) - 1)
+        montecarlo.export_curve(emp, montecarlo.ParetoLaw(gamma).cdf, v["csv"])
+    return _ks_result(final, v["ks_max"], ok, ks_by_t={str(r.t): r.ks_statistic for r in reports})
+
+
+def _general_limit(v, m, seed):
+    L, L_log = L_FUNCTIONS[v["L"]]
+    reports = montecarlo.experiment_general_limit(
+        m["model"], L, v["gamma"], v["t_list"], v["n"], seed, cutoff=v["cutoff"], L_log=L_log)
+    return _ks_result(reports[-1], v["ks_max"])
+
+
+def _ks_experiment(name, *fields):
+    """Handler of montecarlo.<name>(models..., fields..., t, n, seed, cutoff=...)."""
+
+    def handler(v, m, seed):
+        experiment = getattr(montecarlo, name)
+        args = (*m.values(), *(v[field] for field in fields), v["t"], v["n"], seed)
+        return _ks_result(experiment(*args, cutoff=v["cutoff"]), v["ks_max"])
+
+    return handler
+
+
+def _mixture(v, m, seed):
+    report, jump = montecarlo.experiment_mixture(
+        m["model"], v["q"], v["t"], v["n"], seed, cutoff=v["cutoff"])
+    ok = v["jump_tol"] is None or abs(jump - (1.0 - v["q"])) <= v["jump_tol"]
+    return _ks_result(report, v["ks_max"], ok, jump_at_one=jump)
+
+
+def _drift(v, m, seed):
+    report = montecarlo.experiment_drift(
+        m["model"], v["c"], v["t"], v["n"], seed, cutoff=v["cutoff"], window=v["window"])
+    fraction, threshold = report.fraction_within, v["min_fraction"]
+    return _result(report.model, fraction, threshold, fraction >= threshold, t=report.t, n=report.n)
+
+
+def _support(v, m, seed):
+    model, t, n = m["model"], v["t"], v["n"]
+    emp = _empirical_for_pareto(model, t, n, seed, v["cutoff"])
+    fraction = montecarlo.support_check(emp, v["delta"])
+    return _result(model.describe(), fraction, v["max_fraction"], fraction <= v["max_fraction"],
+                   t=t, n=n)
+
+
+def _ergodic(v, m, seed):
+    model = m["model"]
+    f, delta0 = FUNCTIONALS[v["functional"]]
+    est = montecarlo.estimate_ergodic_functional(
+        model, f, delta0, v["t"], v["n"], seed, cutoff=v["cutoff"])
+    upper = model.tail.support_upper if model.tail is not None else np.inf
+    target, _ = integrate.quad(
+        lambda x: float(f(x)) * float(model.levy_density(x)), delta0,
+        upper if np.isfinite(upper) else 100.0, limit=200,
+    )
+    rel_err = abs(est.value - target) / abs(target)
+    return _result(model.describe(), est.value, v["rel_tol"], rel_err <= v["rel_tol"],
+                   t=est.t, n=est.n, stderr=est.stderr, target=target)
+
+
+def _family_limit(v, m, seed):
+    report = montecarlo.check_family_limit(m["family"], v["t_grid"], v["u_grid"])
+    return _deviation_result(m["family"], report, v["max_dev"])
+
+
+def _dickman_rho(v, m, seed):
+    value, expected, tol = float(dickman_rho(v["z"])), v["expected"], v["tol"]
+    return _result("dickman_rho", value, tol, abs(value - expected) <= tol, target=expected)
+
+
+def _dickman_density_norm(v, m, seed):
+    total = sum(integrate.quad(dickman_density, a, a + 1, limit=200)[0]
+                for a in range(v["z_max"]))
+    return _result("dickman_density", total, v["tol"], abs(total - 1.0) <= v["tol"], target=1.0)
+
+
+def _recursion_mean(v, m, seed):
+    gamma, n, mult = v["gamma"], v["n"], v["sigma_mult"]
+    depth = recursion_depth(gamma) if v["depth"] is None else v["depth"]
+    samples = sample_dickman_recursion(gamma, depth, substream(seed, 0), n)
+    mean = float(samples.mean())
+    stderr = float(samples.std(ddof=1) / np.sqrt(n))
+    return _result(f"dickman_recursion(gamma={gamma:g})", mean, mult,
+                   abs(mean - gamma) <= mult * stderr, n=n, stderr=stderr, target=gamma)
+
+
+def _two_sampler_ks(v, m, seed):
+    gamma, n = v["gamma"], v["n"]
+    model = catalog.build_model("dickman", {"gamma": gamma})
+    rec = sample_dickman_recursion(gamma, recursion_depth(gamma), substream(seed, 0), n)
+    idx, sums = sample_cutoff_cp(model.tail, v["cutoff"], 1.0, substream(seed, 1), n)
+    cp = np.zeros(n)
+    cp[idx] = sums
+    stat = montecarlo.two_sample_ks(rec, cp)
+    crit = montecarlo.two_sample_ks_critical_value(n, n, v["level"])
+    return _result(f"dickman(gamma={gamma:g})", stat, crit, stat <= crit, n=n)
+
+
+# The experiment table.
+
+class Kind(NamedTuple):
+    """One experiment kind.
+
+    ``params`` and ``assertions`` map each field to (default, Check); the
+    default is ``REQUIRED``, None (the field may be left out) or a value.
+    ``models`` are the entry keys built into models (``family`` defaults to
+    ``STABLE_NEF``); ``needs`` are checked on them.  A kind with ``csv``
+    accepts an entry field ``csv``, which the handler gets as an output path.
+    """
+
+    handler: Callable
+    params: dict = {}
+    assertions: dict = {}
+    models: tuple = ("model",)
+    needs: tuple = ()
+    csv: bool = False
+
+
+def _draw(t, n=montecarlo.DEFAULT_N, **more):
+    """The fields of a draw of n paths at time t, plus more."""
+    return {"t": (t, POSITIVE), "n": (n, COUNT), "cutoff": (1e-6, OPEN_UNIT), **more}
+
+
+def _draws(t_list, **more):
+    """The fields of draws of n paths at each time of t_list, plus more."""
+    return {"t_list": (t_list, TIMES), "n": (montecarlo.DEFAULT_N, COUNT),
+            "cutoff": (1e-6, OPEN_UNIT), **more}
+
+
+_KS_MAX = {"ks_max": (None, NONNEGATIVE)}
+_GRIDS = {"t_grid": (None, GRID), "u_grid": (None, GRID)}
+_L = ("neg_log", _one_of(L_FUNCTIONS))
+_TWO_DRAWN = (*_drawn("model", "t"), *_drawn("model2", "t"), _known_index(), _known_index("model2"))
+
+KINDS = {
+    "criterion": Kind(
+        _criterion, params={"criterion": ("S5", _one_of(CRITERIA)), "L": _L, "grid": (None, GRID)},
+        assertions={"expected_gamma": (None, POSITIVE), "tol": (None, NONNEGATIVE),
+                    "verdict": (None, _one_of(criteria.VERDICTS))},
+        needs=(_CRITERION_SURFACE,)),
+    "criteria_recovery": Kind(
+        _criteria_recovery,
+        assertions={"expected_gamma": (REQUIRED, POSITIVE), "tol": (0.02, NONNEGATIVE)}),
+    "equivalence": Kind(_equivalence, assertions={"pairwise_tol": (0.05, NONNEGATIVE)}),
+    "sandwich": Kind(
+        _sandwich, params={"which": ("ol", _one_of(("ol", "ol2"))), "tol": (1e-9, NONNEGATIVE)},
+        needs=(_has("cdf1"),)),
+    "s2": Kind(
+        _s2, params={"gamma": (None, POSITIVE), **_GRIDS},
+        assertions={"max_dev": (1e-2, NONNEGATIVE)}, needs=(_has("phi"), _GAMMA_OR_INDEX)),
+    "pareto_limit": Kind(
+        _pareto_limit, params=_draws(montecarlo.DEFAULT_T_LIST, gamma=(None, POSITIVE)),
+        assertions={**_KS_MAX, "ks_min": (None, NONNEGATIVE), "trend_slack": (None, NONNEGATIVE)},
+        needs=(*_drawn("model", "t_list"), _GAMMA_OR_INDEX), csv=True),
+    "general_limit": Kind(
+        _general_limit, params=_draws((0.01,), gamma=(REQUIRED, POSITIVE), L=_L),
+        assertions=_KS_MAX, needs=_drawn("model", "t_list")),
+    "min_rule": Kind(
+        _ks_experiment("experiment_min_rule"), params=_draw(0.01), assertions=_KS_MAX,
+        models=("model", "model2"), needs=_TWO_DRAWN),
+    "product_rule": Kind(
+        _ks_experiment("experiment_product_rule"), params=_draw(0.01), assertions=_KS_MAX,
+        models=("model", "model2"), needs=_TWO_DRAWN),
+    "affine": Kind(
+        _ks_experiment("experiment_affine", "a", "b"),
+        params=_draw(0.05, a=(REQUIRED, ABOVE_ONE), b=(REQUIRED, ABOVE_ONE)),
+        assertions=_KS_MAX, needs=(*_drawn("model", "t"), _known_index())),
+    "mixture": Kind(
+        _mixture, params=_draw(1e-3, q=(REQUIRED, OPEN_UNIT)),
+        assertions={**_KS_MAX, "jump_tol": (None, NONNEGATIVE)},
+        needs=(*_drawn("model", "t"), _known_index())),
+    "drift": Kind(
+        _drift, params=_draw(1e-3, c=(1.0, POSITIVE), window=(0.05, POSITIVE)),
+        assertions={"min_fraction": (0.99, UNIT)}, needs=_drawn("model", "t")),
+    "support": Kind(
+        _support, params=_draw(0.01, delta=(0.1, OPEN_UNIT)),
+        assertions={"max_fraction": (0.01, UNIT)}, needs=_drawn("model", "t")),
+    # the estimate draws by cutoff compound Poisson, which has no depth ceiling
+    "ergodic": Kind(
+        _ergodic, params=_draw(1e-3, 10_000_000, functional=("ramp", _one_of(FUNCTIONALS))),
+        assertions={"rel_tol": (0.05, NONNEGATIVE)},
+        needs=(_has("levy_density"), _samplable(), _BELOW_DELTA0)),
+    "family_limit": Kind(
+        _family_limit, params=_GRIDS, assertions={"max_dev": (1e-3, NONNEGATIVE)},
+        models=("family",)),
+    "dickman_rho": Kind(
+        _dickman_rho, params={"z": (REQUIRED, Z)},
+        assertions={"expected": (REQUIRED, NUMBER), "tol": (1e-8, NONNEGATIVE)}, models=()),
+    "dickman_density_norm": Kind(
+        _dickman_density_norm, params={"z_max": (40, Z_MAX)},
+        assertions={"tol": (1e-6, NONNEGATIVE)}, models=()),
+    "recursion_mean": Kind(
+        _recursion_mean, params={"n": (1_000_000, COUNT), "gamma": (REQUIRED, RECURSION_GAMMA),
+                                 "depth": (None, DEPTH)},
+        assertions={"sigma_mult": (3.0, POSITIVE)}, models=()),
+    "two_sampler_ks": Kind(
+        _two_sampler_ks, params={"n": (100_000, COUNT), "cutoff": (1e-6, OPEN_UNIT),
+                                 "gamma": (1.0, RECURSION_GAMMA)},
+        assertions={"level": (0.01, OPEN_UNIT)}, models=()),
+}
+
+
+def _checked(entry, index):
+    """(kind, checked values, built models) of an entry; a SchemaError names the first bad field."""
+    at = f"experiments[{index}]"
+    if not isinstance(entry, dict) or "kind" not in entry:
+        raise SchemaError(at, "each experiment needs a 'kind'")
+    kind = KINDS.get(entry["kind"]) if isinstance(entry["kind"], str) else None
+    if kind is None:
+        raise SchemaError(f"{at}.kind", f"unknown experiment kind {entry['kind']!r}")
+    top = {"seed": (None, SEED), **({"csv": (None, FILE_NAME)} if kind.csv else {})}
+    values = _fields(entry, top, at, others=("kind", "params", "assertions", *kind.models))
+    values.update(_fields(entry.get("params", {}), kind.params, f"{at}.params"))
+    values.update(_fields(entry.get("assertions", {}), kind.assertions, f"{at}.assertions"))
+    models = {
+        key: (_build_family if key == "family" else build_model_expr)(entry.get(key), f"{at}.{key}")
+        for key in kind.models
+    }
+    for need in kind.needs:
+        problem = need.problem(models, values, entry)
+        if problem:
+            raise SchemaError(f"{at}.{need.path}", problem)
+    return kind, values, models
+
+
 def run_experiment(entry, seed, out_dir, index):
-    kind = entry.get("kind")
-    params = entry.get("params", {})
-    asserts = entry.get("assertions", {})
-    exp_seed = int(entry.get("seed", seed * 1_000_003 + index))
-
-    if kind == "criterion":
-        model = build_model_expr(entry["model"], f"experiments[{index}].model")
-        which = params.get("criterion", "S5")
-        grid = params.get("grid")
-        if which not in _CRITERION_SURFACES:
-            raise SchemaError(f"experiments[{index}].params.criterion", f"unknown criterion {which!r}")
-        _require_surface(
-            model, f"experiments[{index}].model", f"criterion {which}", _CRITERION_SURFACES[which]
-        )
-        if which == "S5":
-            est = criteria.estimate_gamma_s5(model.phi, grid)
-        elif which == "S6":
-            est = criteria.estimate_gamma_s6(model.cdf1, grid)
-        elif which == "S7":
-            est = criteria.estimate_gamma_s7(model.tail, grid)
-        elif which == "S8":
-            est = criteria.estimate_gamma_s8(model.density1, grid)
-        else:
-            L, _ = _resolve_L(params.get("L", "neg_log"), f"experiments[{index}].params.L")
-            est = criteria.estimate_gamma_general(model.phi, L, grid)
-        ok = True
-        if "expected_gamma" in asserts:
-            tol = asserts.get("tol", 0.02)
-            ok = est.verdict == "converged" and abs(est.gamma_hat - asserts["expected_gamma"]) <= tol
-        if "verdict" in asserts:
-            ok = ok and est.verdict == asserts["verdict"]
-        result = {"experiment": kind, "model": model.describe(), "params": params,
-                  "threshold": asserts.get("tol"), "pass": bool(ok)}
-        result.update(est.to_dict())
-        return result
-
-    if kind == "criteria_recovery":
-        model = build_model_expr(entry["model"], f"experiments[{index}].model")
-        expected = asserts["expected_gamma"]
-        tol = asserts.get("tol", 0.02)
-        ests = criteria.estimate_all(model)
-        converged = {c: e.gamma_hat for c, e in ests.items() if e.verdict == "converged"}
-        worst = max((abs(v - expected) for v in converged.values()), default=np.inf)
-        ok = bool(converged) and worst <= tol
-        return {
-            "experiment": kind, "model": model.describe(), "params": params,
-            "estimates": {c: float(v) for c, v in sorted(converged.items())},
-            "statistic": worst if np.isfinite(worst) else None,
-            "target": expected, "threshold": tol, "pass": bool(ok),
-        }
-
-    if kind == "equivalence":
-        model = build_model_expr(entry["model"], f"experiments[{index}].model")
-        ests = criteria.estimate_all(model)
-        values = {c: e.gamma_hat for c, e in ests.items() if e.verdict == "converged"}
-        tol = asserts.get("pairwise_tol", 0.05)
-        names = sorted(values)
-        spread = max((abs(values[a] - values[b]) for a in names for b in names), default=0.0)
-        return {
-            "experiment": kind, "model": model.describe(), "params": params,
-            "estimates": {c: float(v) for c, v in values.items()},
-            "statistic": spread, "threshold": tol, "pass": bool(spread <= tol),
-        }
-
-    if kind == "sandwich":
-        model = build_model_expr(entry["model"], f"experiments[{index}].model")
-        # psi comes from phi when the model has it, else from quadrature of cdf1
-        _require_surface(model, f"experiments[{index}].model", "sandwich", "cdf1")
-        which = params.get("which", "ol")
-        tol = params.get("tol", 1e-9)
-        if which == "ol":
-            violations = criteria.check_sandwich_ol(model.cdf1, model.phi, tol=tol)
-        elif which == "ol2":
-            violations = criteria.check_sandwich_ol2(model.cdf1, model.phi, tol=tol)
-        else:
-            raise SchemaError(f"experiments[{index}].params.which", f"unknown side {which!r}")
-        return {
-            "experiment": kind, "model": model.describe(), "params": params,
-            "statistic": len(violations), "threshold": 0, "pass": not violations,
-        }
-
-    if kind == "s2":
-        model = build_model_expr(entry["model"], f"experiments[{index}].model")
-        _require_surface(model, f"experiments[{index}].model", "s2", "phi")
-        gamma = _checked_params(entry, index)["gamma"]
-        if gamma is None:
-            gamma = _known_index(model, f"experiments[{index}].params.gamma")
-        law = montecarlo.ParetoLaw(gamma)
-        report = criteria.check_s2(model.phi, law.cdf, params.get("t_grid"), params.get("u_grid"))
-        threshold = asserts.get("max_dev", 1e-2)
-        return {
-            "experiment": kind, "model": model.describe(), "params": params,
-            "deviations": [float(d) for d in report.deviations],
-            "statistic": report.final, "threshold": threshold,
-            "pass": bool(report.final <= threshold),
-        }
-
-    if kind == "pareto_limit":
-        sp = _checked_params(entry, index)
-        model = _sampled_model(entry, index, sp)
-        t_list, n, cutoff = sp["t_list"], sp["n"], sp["cutoff"]
-        gamma = sp["gamma"]
-        if gamma is None:
-            gamma = _known_index(model, f"experiments[{index}].params.gamma")
-        reports = montecarlo.experiment_pareto_limit(
-            model, t_list, n, exp_seed, cutoff=cutoff, gamma=gamma
-        )
-        final = reports[-1]
-        threshold = asserts.get("ks_max")
-        ok = threshold is None or final.ks_statistic <= threshold
-        if "ks_min" in asserts:
-            ok = ok and final.ks_statistic >= asserts["ks_min"]
-        slack = asserts.get("trend_slack")
-        if slack is not None:
-            # trend is checked above the sampling resolution: values at the
-            # 1/sqrt(n) noise floor carry no evidence either way
-            floor = montecarlo.ks_critical_value(n, 0.01)
-            ks = [r.ks_statistic for r in reports]
-            ok = ok and all(
-                ks[i + 1] <= ks[i] * (1.0 + slack) + floor for i in range(len(ks) - 1)
-            )
-        if entry.get("csv"):
-            # replay the final-t substream so the curve matches the statistic
-            emp = _empirical_for_pareto(model, final.t, n, exp_seed, cutoff, stream=len(t_list) - 1)
-            _maybe_csv(entry, out_dir, emp, montecarlo.ParetoLaw(gamma).cdf)
-        return _ks_result(
-            entry, final, threshold,
-            extra={"ks_by_t": {str(r.t): r.ks_statistic for r in reports}, "pass": bool(ok)},
-        )
-
-    if kind == "general_limit":
-        sp = _checked_params(entry, index)
-        model = _sampled_model(entry, index, sp)
-        L, L_log = _resolve_L(params.get("L", "neg_log"), f"experiments[{index}].params.L")
-        reports = montecarlo.experiment_general_limit(
-            model, L, sp["gamma"], sp["t_list"], sp["n"], exp_seed, cutoff=sp["cutoff"], L_log=L_log,
-        )
-        final = reports[-1]
-        threshold = asserts.get("ks_max")
-        return _ks_result(entry, final, threshold)
-
-    if kind in ("min_rule", "product_rule"):
-        sp = _checked_params(entry, index)
-        m1 = _sampled_model(entry, index, sp)
-        m2 = _sampled_model(entry, index, sp, "model2")
-        fn = montecarlo.experiment_min_rule if kind == "min_rule" else montecarlo.experiment_product_rule
-        _known_index(m1, f"experiments[{index}].model")
-        _known_index(m2, f"experiments[{index}].model2")
-        report = fn(m1, m2, sp["t"], sp["n"], exp_seed, cutoff=sp["cutoff"])
-        return _ks_result(entry, report, asserts.get("ks_max"))
-
-    if kind == "affine":
-        sp = _checked_params(entry, index)
-        model = _sampled_model(entry, index, sp)
-        _known_index(model, f"experiments[{index}].model")
-        report = montecarlo.experiment_affine(
-            model, sp["a"], sp["b"], sp["t"], sp["n"], exp_seed, cutoff=sp["cutoff"],
-        )
-        return _ks_result(entry, report, asserts.get("ks_max"))
-
-    if kind == "mixture":
-        sp = _checked_params(entry, index)
-        model = _sampled_model(entry, index, sp)
-        _known_index(model, f"experiments[{index}].model")
-        report, jump = montecarlo.experiment_mixture(
-            model, sp["q"], sp["t"], sp["n"], exp_seed, cutoff=sp["cutoff"],
-        )
-        threshold = asserts.get("ks_max")
-        ok = threshold is None or report.ks_statistic <= threshold
-        jump_tol = asserts.get("jump_tol")
-        if jump_tol is not None:
-            ok = ok and abs(jump - (1.0 - sp["q"])) <= jump_tol
-        return _ks_result(entry, report, threshold, extra={"jump_at_one": jump, "pass": bool(ok)})
-
-    if kind == "drift":
-        sp = _checked_params(entry, index)
-        model = _sampled_model(entry, index, sp)
-        report = montecarlo.experiment_drift(
-            model, sp["c"], sp["t"], sp["n"], exp_seed,
-            cutoff=sp["cutoff"], window=params.get("window", 0.05),
-        )
-        threshold = asserts.get("min_fraction", 0.99)
-        return {
-            "experiment": kind, "model": report.model, "params": params,
-            "t": report.t, "n": report.n, "statistic": report.fraction_within,
-            "threshold": threshold, "pass": bool(report.fraction_within >= threshold),
-        }
-
-    if kind == "support":
-        sp = _checked_params(entry, index)
-        model = _sampled_model(entry, index, sp)
-        t, n = sp["t"], sp["n"]
-        emp = _empirical_for_pareto(model, t, n, exp_seed, sp["cutoff"])
-        fraction = montecarlo.support_check(emp, sp["delta"])
-        threshold = asserts.get("max_fraction", 0.01)
-        return {
-            "experiment": kind, "model": model.describe(), "params": params,
-            "t": t, "n": n, "statistic": fraction, "threshold": threshold,
-            "pass": bool(fraction <= threshold),
-        }
-
-    if kind == "ergodic":
-        model = build_model_expr(entry["model"], f"experiments[{index}].model")
-        fname = params.get("functional", "ramp")
-        if fname not in FUNCTIONALS:
-            raise SchemaError(f"experiments[{index}].params.functional", f"unknown functional {fname!r}")
-        f, delta0 = FUNCTIONALS[fname]
-        if model.levy_density is None:
-            raise SchemaError(f"experiments[{index}].model", "ergodic target needs a jump density")
-        if not can_sample(model):
-            raise SchemaError(
-                f"experiments[{index}].model",
-                "ergodic estimate needs an exact sampler or an invertible jump tail",
-            )
-        sp = _checked_params(entry, index)
-        if sp["cutoff"] >= delta0:
-            raise SchemaError(
-                f"experiments[{index}].params.cutoff",
-                f"must lie below the functional's delta0 = {delta0:g}, got {sp['cutoff']!r}",
-            )
-        est = montecarlo.estimate_ergodic_functional(
-            model, f, delta0, sp["t"], sp["n"], exp_seed, cutoff=sp["cutoff"],
-        )
-        upper = model.tail.support_upper if model.tail is not None else np.inf
-        target, _ = integrate.quad(
-            lambda x: float(f(x)) * float(model.levy_density(x)), delta0,
-            upper if np.isfinite(upper) else 100.0, limit=200,
-        )
-        rel_tol = asserts.get("rel_tol", 0.05)
-        rel_err = abs(est.value - target) / abs(target)
-        return {
-            "experiment": kind, "model": model.describe(), "params": params,
-            "t": est.t, "n": est.n, "statistic": est.value, "stderr": est.stderr,
-            "target": target, "threshold": rel_tol, "pass": bool(rel_err <= rel_tol),
-        }
-
-    if kind == "family_limit":
-        fparams = entry.get("family", {"name": "stable_nef", "params": {"a": 1.0, "theta": 1.0}})
-        if fparams.get("name") != "stable_nef":
-            raise SchemaError(f"experiments[{index}].family", "only stable_nef is available")
-        family = catalog.make_stable_nef(**fparams.get("params", {}))
-        report = montecarlo.check_family_limit(family, params.get("t_grid"), params.get("u_grid"))
-        threshold = asserts.get("max_dev", 1e-3)
-        return {
-            "experiment": kind, "model": family.describe(), "params": params,
-            "deviations": [float(d) for d in report.deviations],
-            "statistic": report.final, "threshold": threshold,
-            "pass": bool(report.final <= threshold),
-        }
-
-    if kind == "dickman_rho":
-        # the default table covers z in [0, 40]
-        z = _param(params, "z", index, None, lambda v: 0 <= v <= 40, "a number in [0, 40]")
-        value = float(dickman_rho(z))
-        expected = asserts["expected"]
-        tol = asserts.get("tol", 1e-8)
-        return {
-            "experiment": kind, "model": "dickman_rho", "params": params,
-            "statistic": value, "target": expected, "threshold": tol,
-            "pass": bool(abs(value - expected) <= tol),
-        }
-
-    if kind == "dickman_density_norm":
-        z_max = params.get("z_max", 40)
-        total = sum(
-            integrate.quad(dickman_density, a, a + 1, limit=200)[0] for a in range(int(z_max))
-        )
-        tol = asserts.get("tol", 1e-6)
-        return {
-            "experiment": kind, "model": "dickman_density", "params": params,
-            "statistic": total, "target": 1.0, "threshold": tol,
-            "pass": bool(abs(total - 1.0) <= tol),
-        }
-
-    if kind == "recursion_mean":
-        sp = _checked_params(entry, index)
-        gamma, n = sp["gamma"], sp["n"]
-        depth = recursion_depth(gamma) if sp["depth"] is None else int(sp["depth"])
-        rng = substream(exp_seed, 0)
-        samples = sample_dickman_recursion(gamma, depth, rng, n)
-        mean = float(samples.mean())
-        stderr = float(samples.std(ddof=1) / np.sqrt(n))
-        mult = asserts.get("sigma_mult", 3.0)
-        return {
-            "experiment": kind, "model": f"dickman_recursion(gamma={gamma:g})", "params": params,
-            "n": n, "statistic": mean, "stderr": stderr, "target": gamma,
-            "threshold": mult, "pass": bool(abs(mean - gamma) <= mult * stderr),
-        }
-
-    if kind == "two_sampler_ks":
-        sp = _checked_params(entry, index)
-        gamma, n, cutoff = sp["gamma"], sp["n"], sp["cutoff"]
-        model = catalog.build_model("dickman", {"gamma": gamma})
-        rec = sample_dickman_recursion(gamma, recursion_depth(gamma), substream(exp_seed, 0), n)
-        idx, sums = sample_cutoff_cp(model.tail, cutoff, 1.0, substream(exp_seed, 1), n)
-        cp = np.zeros(n)
-        cp[idx] = sums
-        stat = montecarlo.two_sample_ks(rec, cp)
-        crit = montecarlo.two_sample_ks_critical_value(n, n, asserts.get("level", 0.01))
-        return {
-            "experiment": kind, "model": f"dickman(gamma={gamma:g})", "params": params,
-            "n": n, "statistic": stat, "threshold": crit, "pass": bool(stat <= crit),
-        }
-
-    raise SchemaError(f"experiments[{index}].kind", f"unknown experiment kind {kind!r}")
+    kind, values, models = _checked(entry, index)
+    if kind.csv and values["csv"] is not None:
+        values["csv"] = os.path.join(out_dir, values["csv"]) if out_dir is not None else None
+    exp_seed = seed * 1_000_003 + index if values["seed"] is None else values["seed"]
+    try:
+        result = kind.handler(values, models, exp_seed)
+    except InvalidParameterError as exc:
+        raise SchemaError(f"experiments[{index}].params", str(exc)) from exc
+    return {"experiment": entry["kind"], "params": entry.get("params", {}), **result}
 
 
 def validate_config(config):
+    """Check every entry, fields and models alike; nothing samples."""
     if not isinstance(config, dict):
         raise SchemaError("<root>", "config must be a JSON object")
     if "experiments" not in config or not isinstance(config["experiments"], list):
         raise SchemaError("experiments", "missing or not a list")
     for i, entry in enumerate(config["experiments"]):
-        if not isinstance(entry, dict) or "kind" not in entry:
-            raise SchemaError(f"experiments[{i}]", "each experiment needs a 'kind'")
-        if not isinstance(entry.get("params", {}), dict):
-            raise SchemaError(f"experiments[{i}].params", "must be an object")
-        # the fields of every entry are checked before any entry samples
-        if isinstance(entry["kind"], str) and entry["kind"] in _PARAM_DEFAULTS:
-            _checked_params(entry, i)
+        _checked(entry, i)
+
+
+def _run_seed(seed, config):
+    """The run's seed: the argument, else the config's, else $SUBORDLAB_SEED, else 0."""
+    env = os.environ.get(ENV_SEED)
+    if env is not None and env.strip().isdigit():
+        env = int(env)
+    for path, value in (("--seed", seed), ("seed", config.get("seed")), (ENV_SEED, env)):
+        if value is not None:
+            return _value(value, SEED, path)
+    return 0
 
 
 def run(config_path, out_dir=".", seed=None, threads=1):
@@ -674,12 +659,7 @@ def run(config_path, out_dir=".", seed=None, threads=1):
         return 2, None
     try:
         validate_config(config)
-        effective_seed = seed
-        if effective_seed is None:
-            effective_seed = config.get("seed")
-        if effective_seed is None:
-            effective_seed = int(os.environ.get(ENV_SEED, "0"))
-        effective_seed = int(effective_seed)
+        effective_seed = _run_seed(seed, config)
         entries = config["experiments"]
         os.makedirs(out_dir, exist_ok=True)
 
@@ -714,6 +694,14 @@ def run(config_path, out_dir=".", seed=None, threads=1):
     return (0 if report["all_pass"] else 1), report
 
 
+def _listed(fields):
+    return {
+        field: {"default": "required" if default is REQUIRED else default,
+                "requirement": check.requirement}
+        for field, (default, check) in fields.items()
+    }
+
+
 def list_catalog():
     """Inventory of models, transforms, criteria and experiment kinds."""
     return {
@@ -723,15 +711,19 @@ def list_catalog():
         },
         "families": {"stable_nef": {"params": {"a": "float > 0", "theta": "float > 0"}}},
         "transforms": TRANSFORM_GRAMMAR,
-        "criteria": ["S5", "S6", "S7", "S8", "GL"],
+        "criteria": list(CRITERIA),
         "L_functions": sorted(L_FUNCTIONS),
         "functionals": sorted(FUNCTIONALS),
-        "experiment_kinds": [
-            "criterion", "criteria_recovery", "equivalence", "sandwich", "s2", "pareto_limit",
-            "general_limit", "min_rule", "product_rule", "affine", "mixture",
-            "drift", "support", "ergodic", "family_limit", "dickman_rho",
-            "dickman_density_norm", "recursion_mean", "two_sampler_ks",
-        ],
+        "experiment_kinds": {
+            name: {
+                "params": _listed(kind.params),
+                "assertions": _listed(kind.assertions),
+                "models": list(kind.models),
+                "requires": [f"{need.path}: {need.requirement}" for need in kind.needs],
+                "csv": kind.csv,
+            }
+            for name, kind in KINDS.items()
+        },
     }
 
 

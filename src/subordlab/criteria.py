@@ -25,6 +25,7 @@ from .core import LaplaceExponent, LevyTail, lst_from_cdf
 from .errors import DegenerateModelError, InvalidParameterError, NumericalFailure
 
 __all__ = [
+    "VERDICTS",
     "LimitEstimate",
     "estimate_gamma_s5",
     "estimate_gamma_s6",
@@ -38,6 +39,9 @@ __all__ = [
     "S2Report",
     "SandwichViolation",
 ]
+
+# every verdict an estimate can carry
+VERDICTS = ("converged", "degenerate", "diverged")
 
 _DEFAULT_LOG_S = np.linspace(np.log(1e2), np.log(1e12), 12)
 _DEFAULT_LOG_X = np.linspace(np.log(1e-2), np.log(1e-12), 12)

@@ -18,17 +18,13 @@ every finite threshold.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .catalog import build_model
 from .core import CP_BLOCK, LevyTail, SubordinatorModel
 from .errors import InvalidParameterError, UnsupportedModelError
 
 __all__ = [
-    "RngState",
-    "SamplePlan",
     "substream",
     "can_sample",
     "sample_marginal",
@@ -42,52 +38,6 @@ def substream(seed, stream):
     """Independent, reproducible generator for (seed, stream index)."""
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(int(stream),))
     return np.random.Generator(np.random.PCG64(ss))
-
-
-@dataclass(frozen=True)
-class RngState:
-    """Addressable substream: same (seed, stream) always replays the same draws."""
-
-    seed: int
-    stream: int = 0
-
-    def generator(self):
-        return substream(self.seed, self.stream)
-
-
-@dataclass(frozen=True)
-class SamplePlan:
-    """Everything needed to reproduce one marginal sample batch."""
-
-    model: str
-    params: dict = field(default_factory=dict)
-    t: float = 1.0
-    n: int = 1
-    cutoff: float = 1e-6
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise InvalidParameterError("sample count must be >= 1")
-        if not (0.0 < self.cutoff < 1.0):
-            raise InvalidParameterError("cutoff must lie in (0, 1)")
-        if self.t <= 0:
-            raise InvalidParameterError("time must be positive")
-
-    def resolve(self) -> SubordinatorModel:
-        return build_model(self.model, self.params)
-
-    def run(self):
-        model = self.resolve()
-        rng = substream(self.seed, 0)
-        return sample_marginal(model, self.t, self.n, rng, cutoff=self.cutoff)
-
-    def to_dict(self):
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data):
-        return cls(**data)
 
 
 def _hit_paths(lam, p, n, rng):

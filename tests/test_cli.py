@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from subordlab import cli, criteria, montecarlo
+from subordlab import cli, criteria, dickman, montecarlo, simulate
 from subordlab.dickman import MAX_RECURSION_DEPTH
 
 GAMMA = {"name": "gamma", "params": {"gamma": 1.0, "lam": 1.0}}
@@ -322,6 +322,163 @@ class TestParameterValidation:
         assert cli.main(["--config", cfg, "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert "config error at experiments[0].model:" in err and message in err
+
+
+FIRST = {"kind": "pareto_limit", "model": GAMMA, "params": {"t_list": [0.1], "n": 10}}
+SAMPLERS = ("sample_marginal", "sample_cutoff_cp", "sample_dickman_recursion")
+
+
+@pytest.fixture
+def sampler_calls(monkeypatch):
+    """Counts calls of the samplers at every binding site the runner reaches."""
+    calls = []
+    for module in (cli, montecarlo, simulate, dickman):
+        for name in SAMPLERS:
+            if hasattr(module, name):
+                def counted(*args, _fn=getattr(module, name), **kwargs):
+                    calls.append(_fn)
+                    return _fn(*args, **kwargs)
+
+                monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def assert_exits_two_at(tmp_path, capsys, sampler_calls, entry, path):
+    """A config of a good first entry and this one exits 2 naming path, before any draw."""
+    cfg = write_config(tmp_path, {"experiments": [FIRST, entry]})
+    assert cli.main(["--config", cfg, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(f"config error at experiments[1].{path}:"), err
+    assert sampler_calls == []
+
+
+# a valid value of each required field, so that a test can make any one other field bad
+VALID_REQUIRED = {"a": 2.0, "b": 4.0, "q": 0.3, "gamma": 1.0, "z": 2.0,
+                  "expected_gamma": 1.0, "expected": 0.3}
+
+
+def table_fields():
+    for kind, spec in cli.KINDS.items():
+        for group in ("params", "assertions"):
+            for field in getattr(spec, group):
+                yield kind, group, field
+
+
+class TestExperimentTable:
+    @pytest.mark.parametrize(
+        "entry,path",
+        [
+            ({"kind": "drift", "model": GAMMA, "params": {"window": "x"}}, "params.window"),
+            ({"kind": "dickman_density_norm", "params": {"z_max": "a"}}, "params.z_max"),
+            ({"kind": "pareto_limit", "model": GAMMA, "assertions": {"ks_max": "x"}},
+             "assertions.ks_max"),
+            ({"kind": "criterion", "model": GAMMA, "params": {"grid": "x"}}, "params.grid"),
+            ({"kind": "sandwich", "model": GAMMA, "params": {"tol": "x"}}, "params.tol"),
+            ({"kind": "pareto_limit", "model": GAMMA, "assertions": [1]}, "assertions"),
+            ({"kind": "criteria_recovery", "model": GAMMA, "assertions": {"tol": 0.02}},
+             "assertions.expected_gamma"),
+            ({"kind": "dickman_rho", "params": {"z": 2.0}}, "assertions.expected"),
+            ({"kind": "support", "model": GAMMA, "seed": "abc"}, "seed"),
+            # these were checked only when the entry ran, after earlier entries sampled
+            ({"kind": "general_limit",
+              "model": {"name": "log_power", "params": {"gamma": 0.1, "power": 3}},
+              "params": {"gamma": 0.1, "L": "neg_loglog"}}, "params.L"),
+            ({"kind": "criterion", "model": GAMMA, "params": {"criterion": "S9"}},
+             "params.criterion"),
+            ({"kind": "sandwich", "model": GAMMA, "params": {"which": "ol3"}}, "params.which"),
+            ({"kind": "ergodic", "model": GAMMA, "params": {"functional": "step"}},
+             "params.functional"),
+            ({"kind": "family_limit", "family": {"name": "stable"}}, "family.name"),
+        ],
+    )
+    def test_malformed_field_exits_two_before_any_draw(
+        self, tmp_path, capsys, sampler_calls, entry, path
+    ):
+        # each exited 1 with a traceback, or only after the first entry sampled
+        assert_exits_two_at(tmp_path, capsys, sampler_calls, entry, path)
+
+    @pytest.mark.parametrize("kind,group,field", list(table_fields()))
+    def test_every_table_field_is_checked(self, tmp_path, capsys, sampler_calls, kind, group, field):
+        spec = cli.KINDS[kind]
+        entry = {"kind": kind, "params": {}, "assertions": {}}
+        for g in ("params", "assertions"):
+            for f, (default, _) in getattr(spec, g).items():
+                if default is cli.REQUIRED:
+                    entry[g][f] = VALID_REQUIRED[f]
+        entry[group][field] = "x"
+        assert_exits_two_at(tmp_path, capsys, sampler_calls, entry, f"{group}.{field}")
+
+    @pytest.mark.parametrize(
+        "entry,path",
+        [
+            ({"kind": "pareto_limit", "model": GAMMA, "assertions": {"ks_mx": 0.01}},
+             "assertions.ks_mx"),
+            ({"kind": "pareto_limit", "model": GAMMA, "assertion": {"ks_max": 0.01}},
+             "assertion"),
+            ({"kind": "mixture", "model": GAMMA, "params": {"q": 0.3, "jump_tol": 0.01}},
+             "params.jump_tol"),
+            # only pareto_limit exports a curve
+            ({"kind": "support", "model": GAMMA, "csv": "curve.csv"}, "csv"),
+            ({"kind": "dickman_rho", "model": GAMMA, "params": {"z": 2.0},
+              "assertions": {"expected": 0.3}}, "model"),
+        ],
+    )
+    def test_unknown_key_exits_two(self, tmp_path, capsys, sampler_calls, entry, path):
+        # a misspelt assertion used to drop its gate silently
+        assert_exits_two_at(tmp_path, capsys, sampler_calls, entry, path)
+
+    def test_library_parameter_error_names_params(self, tmp_path, capsys):
+        entry = {"kind": "s2", "model": GAMMA, "params": {"t_grid": [-1.0]}}
+        cfg = write_config(tmp_path, {"experiments": [entry]})
+        assert cli.main(["--config", cfg, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["config error at experiments[0].params: t grid must be positive"]
+
+    @pytest.mark.parametrize(
+        "payload,env,path",
+        [
+            ({"seed": "abc"}, None, "seed"),
+            ({"seed": 1.5}, None, "seed"),
+            ({"seed": -1}, None, "seed"),
+            ({}, "abc", cli.ENV_SEED),
+        ],
+    )
+    def test_malformed_run_seed_exits_two(self, tmp_path, capsys, monkeypatch, payload, env, path):
+        # each exited 1 with a traceback
+        if env is None:
+            monkeypatch.delenv(cli.ENV_SEED, raising=False)
+        else:
+            monkeypatch.setenv(cli.ENV_SEED, env)
+        cfg = write_config(tmp_path, {**payload, "experiments": []})
+        assert cli.main(["--config", cfg, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith(f"config error at {path}:")
+
+    def test_transform_parameter_of_wrong_type_exits_two(self, tmp_path, capsys):
+        model = {"transform": "tilt", "theta": "x", "of": GAMMA}
+        cfg = write_config(tmp_path, {"experiments": [{"kind": "criterion", "model": model}]})
+        assert cli.main(["--config", cfg, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("config error at experiments[0].model:")
+
+    @pytest.mark.parametrize(
+        "params", [{"a": 1.0}, {"a": 1.0, "theta": 1.0, "b": 2.0}, {"a": 1.0, "theta": -1.0}]
+    )
+    def test_family_params_rejected_by_the_family_exit_two(self, tmp_path, capsys, params):
+        entry = {"kind": "family_limit", "family": {"name": "stable_nef", "params": params}}
+        cfg = write_config(tmp_path, {"experiments": [entry]})
+        assert cli.main(["--config", cfg, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("config error at experiments[0].family.params:")
+
+    def test_list_derives_kinds_from_the_table(self):
+        listed = cli.list_catalog()
+        kinds = listed["experiment_kinds"]
+        assert list(kinds) == list(cli.KINDS)
+        assert listed["criteria"] == list(cli.CRITERIA)
+        assert kinds["pareto_limit"]["params"]["n"] == {
+            "default": montecarlo.DEFAULT_N, "requirement": "an integer >= 1"}
+        assert kinds["mixture"]["params"]["q"]["default"] == "required"
+        assert kinds["pareto_limit"]["csv"] is True and kinds["support"]["csv"] is False
+        assert kinds["min_rule"]["models"] == ["model", "model2"]
+        assert "model: a model with cdf1" in kinds["sandwich"]["requires"]
 
 
 class TestRamp:

@@ -13,8 +13,6 @@ from subordlab.errors import InvalidParameterError, UnsupportedModelError
 from subordlab.montecarlo import two_sample_ks, two_sample_ks_critical_value
 from subordlab.simulate import (
     CP_BLOCK,
-    RngState,
-    SamplePlan,
     sample_cutoff_cp,
     sample_marginal,
     substream,
@@ -40,25 +38,6 @@ class TestSubstreams:
         b = substream(7, 1).random(n)
         corr = np.corrcoef(a, b)[0, 1]
         assert abs(corr) < 4.0 / math.sqrt(n)
-
-    def test_rng_state_wrapper(self):
-        state = RngState(seed=5, stream=2)
-        np.testing.assert_array_equal(state.generator().random(8), substream(5, 2).random(8))
-
-
-class TestSamplePlan:
-    def test_roundtrip_and_reproducibility(self):
-        plan = SamplePlan(model="gamma", params={"gamma": 1.0, "lam": 1.0}, t=0.5, n=1000, seed=9)
-        clone = SamplePlan.from_dict(plan.to_dict())
-        np.testing.assert_array_equal(plan.run(), clone.run())
-
-    def test_validation(self):
-        with pytest.raises(InvalidParameterError):
-            SamplePlan(model="gamma", n=0)
-        with pytest.raises(InvalidParameterError):
-            SamplePlan(model="gamma", cutoff=1.5)
-        with pytest.raises(InvalidParameterError):
-            SamplePlan(model="gamma", t=0.0)
 
 
 class TestSampleMarginal:
