@@ -1,9 +1,10 @@
 """Constructors for the concrete subordinator models and parametric families.
 
 Each model carries only the surfaces it genuinely has in closed form
-(exponent, tail, time-1 CDF/density, exact sampler) together with its
-known small-time Pareto index where one exists.  Estimators dispatch on
-availability, so a model with only a CDF is still fully usable.
+(exponent, tail, time-1 CDF/density, exact sampler of log Y_t) together
+with its known small-time Pareto index where one exists.  Estimators
+dispatch on availability, so a model with only a CDF is still fully
+usable.
 """
 
 from __future__ import annotations
@@ -280,16 +281,12 @@ def make_gamma(gamma, lam):
             block -= log_lam
         return out
 
-    def sampler(t, n, rng):
-        return np.exp(log_sampler(t, n, rng))
-
     return SubordinatorModel(
         name="gamma",
         phi=LaplaceExponent(eval_log=eval_log),
         tail=LevyTail(tail=tail, inverse_tail=_gamma_inverse_tail_factory(gamma, lam)),
         cdf1=cdf1,
         density1=density1,
-        sampler=sampler,
         log_sampler=log_sampler,
         levy_density=levy_density,
         known_gamma=float(gamma),
@@ -344,13 +341,9 @@ def make_stable(a, alpha):
             )
         return out
 
-    def sampler(t, n, rng):
-        return np.exp(log_sampler(t, n, rng))
-
     return SubordinatorModel(
         name="stable",
         phi=LaplaceExponent(eval_log=eval_log),
-        sampler=sampler,
         log_sampler=log_sampler,
         params={"a": a, "alpha": alpha},
     )
@@ -652,22 +645,19 @@ def make_stable_nef(a, theta):
     )
 
 
-# name -> (factory, parameter schema, exposed surfaces) for the CLI
+# name -> (factory, parameter schema) for the CLI; a model reports its own
+# surfaces through SubordinatorModel.exposes()
 CATALOG = {
-    "gamma": (make_gamma, {"gamma": "float > 0", "lam": "float > 0"},
-              ("phi", "tail", "cdf1", "density1", "sampler")),
-    "stable": (make_stable, {"a": "float > 0", "alpha": "float in (0,1)"},
-               ("phi", "sampler")),
-    "bessel": (make_bessel, {}, ("phi", "density1")),
-    "thorin_uniform": (make_thorin_uniform, {"gamma": "float > 0"}, ("phi", "tail")),
-    "weibull": (make_weibull, {"gamma": "float > 0"}, ("cdf1", "density1")),
-    "pareto_type": (make_pareto_type, {"a": "float > 0"}, ("cdf1", "density1")),
-    "fdist": (make_fdist, {"a": "float > 0", "b": "float > 0"}, ("cdf1", "density1")),
-    "half_cauchy": (make_half_cauchy, {}, ("cdf1", "density1")),
-    "dickman": (make_dickman, {"gamma": "float > 0"},
-                ("phi", "tail", "density1", "sampler")),
-    "log_power": (make_log_power, {"gamma": "float > 0", "power": "1 or 3"},
-                  ("phi", "tail")),
+    "gamma": (make_gamma, {"gamma": "float > 0", "lam": "float > 0"}),
+    "stable": (make_stable, {"a": "float > 0", "alpha": "float in (0,1)"}),
+    "bessel": (make_bessel, {}),
+    "thorin_uniform": (make_thorin_uniform, {"gamma": "float > 0"}),
+    "weibull": (make_weibull, {"gamma": "float > 0"}),
+    "pareto_type": (make_pareto_type, {"a": "float > 0"}),
+    "fdist": (make_fdist, {"a": "float > 0", "b": "float > 0"}),
+    "half_cauchy": (make_half_cauchy, {}),
+    "dickman": (make_dickman, {"gamma": "float > 0"}),
+    "log_power": (make_log_power, {"gamma": "float > 0", "power": "1 or 3"}),
 }
 
 
@@ -675,5 +665,5 @@ def build_model(name, params=None):
     """Instantiate a catalog model by name; unknown names raise InvalidParameterError."""
     if name not in CATALOG:
         raise InvalidParameterError(f"unknown model {name!r}; known: {sorted(CATALOG)}")
-    factory, _, _ = CATALOG[name]
+    factory, _ = CATALOG[name]
     return factory(**(params or {}))

@@ -39,6 +39,7 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
+import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -94,10 +95,15 @@ FUNCTIONALS = {
     "ramp": (_ramp, 0.5),
 }
 
-TRANSFORM_GRAMMAR = (
-    "tilt(theta, of) | add(of=[left, right]) | "
-    "compose_outer(outer, inner) | compose_inner(outer, inner) | drift(c, of)"
-)
+# transform -> the fields of its expression besides "transform"
+TRANSFORMS = {
+    "tilt": ("theta", "of"), "add": ("of",), "compose_outer": ("outer", "inner"),
+    "compose_inner": ("outer", "inner"), "drift": ("c", "of"),
+}
+TRANSFORM_GRAMMAR = " | ".join(
+    f"{name}({', '.join(fields)})" for name, fields in TRANSFORMS.items())
+# the fields of a catalog leaf and of a family
+LEAF_FIELDS = ("name", "params")
 
 # the family_limit family when the entry names none
 STABLE_NEF = {"name": "stable_nef", "params": {"a": 1.0, "theta": 1.0}}
@@ -108,6 +114,7 @@ def build_model_expr(expr, path="model"):
     if not isinstance(expr, dict):
         raise SchemaError(path, "model expression must be an object")
     if "name" in expr:
+        _no_unknown(expr, LEAF_FIELDS, path)
         name = expr["name"]
         if name not in catalog.CATALOG:
             raise SchemaError(f"{path}.name", f"unknown model {name!r}")
@@ -118,6 +125,9 @@ def build_model_expr(expr, path="model"):
     if "transform" not in expr:
         raise SchemaError(path, "expected either 'name' or 'transform'")
     kind = expr["transform"]
+    if not isinstance(kind, str) or kind not in TRANSFORMS:
+        raise SchemaError(f"{path}.transform", f"unknown transform {kind!r}")
+    _no_unknown(expr, ("transform", *TRANSFORMS[kind]), path)
     try:
         if kind == "tilt":
             return transforms.tilt(build_model_expr(expr["of"], f"{path}.of"), expr["theta"])
@@ -134,19 +144,18 @@ def build_model_expr(expr, path="model"):
                 build_model_expr(expr["outer"], f"{path}.outer"),
                 build_model_expr(expr["inner"], f"{path}.inner"),
             )
-        if kind == "drift":
-            return transforms.add_drift(build_model_expr(expr["of"], f"{path}.of"), expr["c"])
+        return transforms.add_drift(build_model_expr(expr["of"], f"{path}.of"), expr["c"])
     except KeyError as exc:
         raise SchemaError(path, f"transform {kind!r} missing field {exc}") from exc
     except (TypeError, InvalidParameterError, UnsupportedModelError) as exc:
         raise SchemaError(path, f"transform {kind!r}: {exc}") from exc
-    raise SchemaError(f"{path}.transform", f"unknown transform {kind!r}")
 
 
 def _build_family(expr, path):
     expr = STABLE_NEF if expr is None else expr
     if not isinstance(expr, dict) or expr.get("name") != "stable_nef":
         raise SchemaError(f"{path}.name", "only stable_nef is available")
+    _no_unknown(expr, LEAF_FIELDS, path)
     try:
         return catalog.make_stable_nef(**expr.get("params", {}))
     except (TypeError, SubordlabError) as exc:
@@ -168,15 +177,17 @@ def _one_of(names):
 
 COUNT = Check(lambda v: int(v) == v >= 1, "an integer >= 1", int)
 SEED = Check(lambda v: int(v) == v >= 0, "an integer >= 0", int)
-NUMBER = Check(lambda v: float(v) == v, "a number")
-POSITIVE = Check(lambda v: v > 0, "a number > 0")
-NONNEGATIVE = Check(lambda v: v >= 0, "a number >= 0")
-ABOVE_ONE = Check(lambda v: v > 1, "a number > 1")
+# JSON's Infinity reaches here as a float; the numbers a run reads are finite
+NUMBER = Check(math.isfinite, "a finite number")
+POSITIVE = Check(lambda v: math.isfinite(v) and v > 0, "a finite number > 0")
+NONNEGATIVE = Check(lambda v: math.isfinite(v) and v >= 0, "a finite number >= 0")
+ABOVE_ONE = Check(lambda v: math.isfinite(v) and v > 1, "a finite number > 1")
 OPEN_UNIT = Check(lambda v: 0 < v < 1, "a number in (0, 1)")
 UNIT = Check(lambda v: 0 <= v <= 1, "a number in [0, 1]")
-TIMES = Check(lambda v: isinstance(v, list) and len(v) > 0 and all(t > 0 for t in v),
-              "a non-empty list of numbers > 0", tuple)
-GRID = Check(lambda v: isinstance(v, list) and all(float(x) == x for x in v), "a list of numbers")
+TIMES = Check(lambda v: isinstance(v, list) and len(v) > 0 and all(POSITIVE.valid(t) for t in v),
+              "a non-empty list of finite numbers > 0", tuple)
+GRID = Check(lambda v: isinstance(v, list) and all(NUMBER.valid(x) for x in v),
+             "a list of finite numbers")
 FILE_NAME = Check(lambda v: isinstance(v, str) and v != "", "a file name")
 # recursion_depth raises on a theta past the depth ceiling
 RECURSION_GAMMA = Check(
@@ -206,6 +217,13 @@ def _value(value, check, path):
     return value if check.cast is None else check.cast(value)
 
 
+def _no_unknown(given, known, path):
+    """A SchemaError at the first key of the object given that is not in known."""
+    for key in given:
+        if key not in known:
+            raise SchemaError(f"{path}.{key}", f"unknown field; known: {sorted(known)}")
+
+
 def _fields(given, fields, path, others=()):
     """Checked values of fields, defaults filled in; a SchemaError names the first bad field.
 
@@ -214,10 +232,7 @@ def _fields(given, fields, path, others=()):
     """
     if not isinstance(given, dict):
         raise SchemaError(path, "must be an object")
-    for key in given:
-        if key not in fields and key not in others:
-            known = sorted([*fields, *others])
-            raise SchemaError(f"{path}.{key}", f"unknown field; known: {known}")
+    _no_unknown(given, [*fields, *others], path)
     values = {}
     for field, (default, check) in fields.items():
         value = given.get(field)
@@ -319,8 +334,8 @@ def _deviation_result(model, report, threshold):
 def _empirical_for_pareto(model, t, n, seed, cutoff, stream=0):
     from .simulate import to_neg_t_power
 
-    log_s = sample_marginal(model, t, n, substream(seed, stream), cutoff=cutoff, log=True)
-    values, n_inf = to_neg_t_power(log_s, t, log=True, out=log_s)
+    log_s = sample_marginal(model, t, n, substream(seed, stream), cutoff=cutoff)
+    values, n_inf = to_neg_t_power(log_s, t, out=log_s)
     return montecarlo.EmpiricalDistribution.from_values(values, n_inf, in_place=True)
 
 
@@ -625,6 +640,9 @@ def run_experiment(entry, seed, out_dir, index):
         result = kind.handler(values, models, exp_seed)
     except InvalidParameterError as exc:
         raise SchemaError(f"experiments[{index}].params", str(exc)) from exc
+    except MemoryError as exc:
+        # e.g. an n whose batch the machine cannot hold
+        raise NumericalFailure(f"out of memory: {exc}", op=f"experiments[{index}]") from exc
     return {"experiment": entry["kind"], "params": entry.get("params", {}), **result}
 
 
@@ -706,8 +724,7 @@ def list_catalog():
     """Inventory of models, transforms, criteria and experiment kinds."""
     return {
         "models": {
-            name: {"params": schema, "exposes": list(exposes)}
-            for name, (_, schema, exposes) in sorted(catalog.CATALOG.items())
+            name: {"params": schema} for name, (_, schema) in sorted(catalog.CATALOG.items())
         },
         "families": {"stable_nef": {"params": {"a": "float > 0", "theta": "float > 0"}}},
         "transforms": TRANSFORM_GRAMMAR,

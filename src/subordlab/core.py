@@ -97,10 +97,10 @@ class SubordinatorModel:
     """A named driftless subordinator plus whatever surfaces it exposes.
 
     Only the surfaces a model genuinely has are populated; estimators
-    dispatch on availability.  ``sampler``/``log_sampler`` draw the
-    marginal at time t, the latter returning log(Y_t) so that downstream
-    power transforms never underflow.  ``known_gamma`` is the Pareto
-    index of the small-time limit when it is known in closed form.
+    dispatch on availability.  ``log_sampler`` draws the marginal at
+    time t as log(Y_t), so that neither the draw nor the downstream power
+    transforms underflow.  ``known_gamma`` is the Pareto index of the
+    small-time limit when it is known in closed form.
     """
 
     name: str
@@ -108,7 +108,6 @@ class SubordinatorModel:
     tail: Optional[LevyTail] = None
     cdf1: Optional[Callable] = None
     density1: Optional[Callable] = None
-    sampler: Optional[Callable] = None
     log_sampler: Optional[Callable] = None
     levy_density: Optional[Callable] = None
     known_gamma: Optional[float] = None
@@ -117,7 +116,7 @@ class SubordinatorModel:
 
     def exposes(self):
         surfaces = []
-        for attr in ("phi", "tail", "cdf1", "density1", "sampler"):
+        for attr in ("phi", "tail", "cdf1", "density1", "log_sampler"):
             if getattr(self, attr) is not None:
                 surfaces.append(attr)
         return tuple(surfaces)

@@ -36,6 +36,7 @@ __all__ = [
     "check_sandwich_ol",
     "check_sandwich_ol2",
     "estimate_all",
+    "detect_limit",
     "S2Report",
     "SandwichViolation",
 ]
@@ -80,6 +81,25 @@ def _affine_fit(w, r):
     resid = r - design @ coef
     rms = float(np.sqrt(np.mean(resid**2)))
     return float(coef[0]), rms
+
+
+def detect_limit(values_fn, w_fn, grid=_DEFAULT_LOG_S):
+    """Extrapolated limit of a ratio sequence, or None when it degenerates.
+
+    Only the deepest grid points enter the fit: the ratios here can carry
+    power-law corrections that would bias an affine fit over the shallow
+    region, while near the limit they are already flat.
+    """
+    ratios = np.asarray(values_fn(grid), dtype=float)
+    if not np.all(np.isfinite(ratios)):
+        return None
+    if np.all(np.diff(ratios) > 0) and ratios[-1] > 10.0 * max(abs(ratios[0]), 1e-300):
+        return None
+    deep = slice(-4, None)
+    intercept, _ = _affine_fit(np.asarray(w_fn(grid), dtype=float)[deep], ratios[deep])
+    if intercept <= 0.01 or (ratios[0] > 0 and ratios[-1] < 0.6 * ratios[0]):
+        return None
+    return float(intercept)
 
 
 def _classify(ratios, intercept, shift):

@@ -274,8 +274,8 @@ def make_dickman(gamma):
     """Subordinator with jump density gamma/x on (0, 1].
 
     Tail -gamma*log(x) with exact inverse, closed-form exponent
-    gamma*(euler + log s + E1(s)), exact marginal sampler through the
-    uniform-product recursion (Y_t is generalized Dickman with parameter
+    gamma*(euler + log s + E1(s)), exact log-space marginal sampler through
+    the uniform-product recursion (Y_t is generalized Dickman with parameter
     t*gamma, run to recursion_depth(t*gamma) terms), and for gamma = 1
     the rho-based marginal density.
     """
@@ -296,10 +296,6 @@ def make_dickman(gamma):
         out = np.where(x_arr <= 1.0, gamma / x_arr, 0.0)
         return out if out.ndim else float(out)
 
-    def sampler(t, n, rng):
-        theta = t * gamma
-        return sample_dickman_recursion(theta, recursion_depth(theta), rng, n)
-
     def log_sampler(t, n, rng):
         theta = t * gamma
         return sample_dickman_recursion(theta, recursion_depth(theta), rng, n, log=True)
@@ -313,7 +309,6 @@ def make_dickman(gamma):
         phi=LaplaceExponent(eval_log=_phi_log_factory(gamma)),
         tail=LevyTail(tail=tail, inverse_tail=inverse_tail, support_upper=1.0),
         density1=density1,
-        sampler=sampler,
         log_sampler=log_sampler,
         levy_density=levy_density,
         known_gamma=float(gamma),

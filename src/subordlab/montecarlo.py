@@ -200,6 +200,14 @@ class KsReport:
         }
 
 
+def _ks_report(model, t, n, law, emp, seed):
+    """The KS report of ``emp`` against ``law`` for the model labelled ``model``."""
+    return KsReport(
+        model=model, t=float(t), n=int(n), target=law.describe(),
+        ks_statistic=ks_distance(emp, law.cdf), seed=int(seed),
+    )
+
+
 @dataclass(frozen=True)
 class ParetoProductLaw:
     """Law of the product of independent Pareto(g1) and Pareto(g2) variables.
@@ -265,8 +273,8 @@ class ParetoMixtureLaw:
 
 def _sample_transformed(model, t, n, rng, cutoff):
     """Log-space marginal batch pushed through the power transform, in place."""
-    log_samples = sample_marginal(model, t, n, rng, cutoff=cutoff, log=True)
-    values, n_inf = to_neg_t_power(log_samples, t, log=True, out=log_samples)
+    log_samples = sample_marginal(model, t, n, rng, cutoff=cutoff)
+    values, n_inf = to_neg_t_power(log_samples, t, out=log_samples)
     if model.log_sampler is not None and n_inf:
         raise NumericalFailure(
             "exact sampler produced an at-infinity sample", op="experiment"
@@ -295,16 +303,7 @@ def experiment_pareto_limit(
     reports = []
     for k, t in enumerate(t_list):
         emp = _sample_transformed(model, t, n, substream(seed, k), cutoff)
-        reports.append(
-            KsReport(
-                model=model.describe(),
-                t=float(t),
-                n=int(n),
-                target=law.describe(),
-                ks_statistic=ks_distance(emp, law.cdf),
-                seed=int(seed),
-            )
-        )
+        reports.append(_ks_report(model.describe(), t, n, law, emp, seed))
         del emp  # before the next t draws its batch
     return reports
 
@@ -318,30 +317,21 @@ def experiment_general_limit(
     reports = []
     for k, t in enumerate(t_list):
         rng = substream(seed, k)
-        log_samples = sample_marginal(model, t, n, rng, cutoff=cutoff, log=True)
+        log_samples = sample_marginal(model, t, n, rng, cutoff=cutoff)
         emp = EmpiricalDistribution.from_values(
-            *to_tl(log_samples, L, t, log=True, L_log=L_log, out=log_samples), in_place=True
+            *to_tl(log_samples, L, t, L_log=L_log, out=log_samples), in_place=True
         )
         del log_samples
-        reports.append(
-            KsReport(
-                model=model.describe(),
-                t=float(t),
-                n=int(n),
-                target=law.describe(),
-                ks_statistic=ks_distance(emp, law.cdf),
-                seed=int(seed),
-            )
-        )
+        reports.append(_ks_report(model.describe(), t, n, law, emp, seed))
         del emp  # before the next t draws its batch
     return reports
 
 
 def _two_model_transformed(m1, m2, t, n, seed, cutoff, combine):
     """Two independent log batches, ``combine``-d (a ufunc) into the first, transformed in place."""
-    l1 = sample_marginal(m1, t, n, substream(seed, 0), cutoff=cutoff, log=True)
-    combine(l1, sample_marginal(m2, t, n, substream(seed, 1), cutoff=cutoff, log=True), out=l1)
-    values, n_inf = to_neg_t_power(l1, t, log=True, out=l1)
+    l1 = sample_marginal(m1, t, n, substream(seed, 0), cutoff=cutoff)
+    combine(l1, sample_marginal(m2, t, n, substream(seed, 1), cutoff=cutoff), out=l1)
+    values, n_inf = to_neg_t_power(l1, t, out=l1)
     return EmpiricalDistribution.from_values(values, n_inf, in_place=True)
 
 
@@ -351,11 +341,7 @@ def experiment_min_rule(m1, m2, t, n=DEFAULT_N, seed=0, *, cutoff=1e-6):
         raise InvalidParameterError("both models need known indices")
     emp = _two_model_transformed(m1, m2, t, n, seed, cutoff, np.logaddexp)
     law = ParetoLaw(m1.known_gamma + m2.known_gamma)
-    return KsReport(
-        model=f"{m1.describe()}+{m2.describe()}",
-        t=float(t), n=int(n), target=law.describe(),
-        ks_statistic=ks_distance(emp, law.cdf), seed=int(seed),
-    )
+    return _ks_report(f"{m1.describe()}+{m2.describe()}", t, n, law, emp, seed)
 
 
 def experiment_product_rule(m1, m2, t, n=DEFAULT_N, seed=0, *, cutoff=1e-6):
@@ -364,11 +350,7 @@ def experiment_product_rule(m1, m2, t, n=DEFAULT_N, seed=0, *, cutoff=1e-6):
         raise InvalidParameterError("both models need known indices")
     emp = _two_model_transformed(m1, m2, t, n, seed, cutoff, np.add)
     law = ParetoProductLaw(m1.known_gamma, m2.known_gamma)
-    return KsReport(
-        model=f"{m1.describe()}*{m2.describe()}",
-        t=float(t), n=int(n), target=law.describe(),
-        ks_statistic=ks_distance(emp, law.cdf), seed=int(seed),
-    )
+    return _ks_report(f"{m1.describe()}*{m2.describe()}", t, n, law, emp, seed)
 
 
 def experiment_affine(model, a, b, t, n=DEFAULT_N, seed=0, *, cutoff=1e-6):
@@ -381,17 +363,13 @@ def experiment_affine(model, a, b, t, n=DEFAULT_N, seed=0, *, cutoff=1e-6):
     log_b_t = -np.log(b) / t
     if np.exp(log_a_t) == 0.0 or np.exp(log_b_t) == 0.0:
         raise OutOfRangeError("a**(-1/t) underflows; increase t")
-    log_y = sample_marginal(model, t, n, substream(seed, 0), cutoff=cutoff, log=True)
+    log_y = sample_marginal(model, t, n, substream(seed, 0), cutoff=cutoff)
     np.add(log_y, log_a_t, out=log_y)
     np.logaddexp(log_y, log_b_t, out=log_y)
-    values, n_inf = to_neg_t_power(log_y, t, log=True, out=log_y)
+    values, n_inf = to_neg_t_power(log_y, t, out=log_y)
     emp = EmpiricalDistribution.from_values(values, n_inf, in_place=True)
     law = AffineMinLaw(a, b, model.known_gamma)
-    return KsReport(
-        model=f"affine(a={a:g},b={b:g},{model.describe()})",
-        t=float(t), n=int(n), target=law.describe(),
-        ks_statistic=ks_distance(emp, law.cdf), seed=int(seed),
-    )
+    return _ks_report(f"affine(a={a:g},b={b:g},{model.describe()})", t, n, law, emp, seed)
 
 
 def experiment_mixture(model, q, t, n=DEFAULT_N, seed=0, *, cutoff=1e-6, jump_window=0.05):
@@ -405,7 +383,7 @@ def experiment_mixture(model, q, t, n=DEFAULT_N, seed=0, *, cutoff=1e-6, jump_wi
         raise InvalidParameterError("q must lie in (0, 1)")
     if model.known_gamma is None:
         raise InvalidParameterError("model needs a known index")
-    log_l = sample_marginal(model, t, n, substream(seed, 0), cutoff=cutoff, log=True)
+    log_l = sample_marginal(model, t, n, substream(seed, 0), cutoff=cutoff)
     # the level B: the n uniforms of stream 1, drawn a block at a time
     level_rng = substream(seed, 1)
     u = np.empty(min(n, ERGODIC_BLOCK))
@@ -413,14 +391,10 @@ def experiment_mixture(model, q, t, n=DEFAULT_N, seed=0, *, cutoff=1e-6, jump_wi
         block = log_l[lo : lo + ERGODIC_BLOCK]
         at_one = level_rng.random(out=u[: block.size]) >= q
         np.logaddexp(block, 0.0, out=block, where=at_one)
-    values, n_inf = to_neg_t_power(log_l, t, log=True, out=log_l)
+    values, n_inf = to_neg_t_power(log_l, t, out=log_l)
     emp = EmpiricalDistribution.from_values(values, n_inf, in_place=True)
     law = ParetoMixtureLaw(q, model.known_gamma)
-    report = KsReport(
-        model=f"mixture(q={q:g},{model.describe()})",
-        t=float(t), n=int(n), target=law.describe(),
-        ks_statistic=ks_distance(emp, law.cdf), seed=int(seed),
-    )
+    report = _ks_report(f"mixture(q={q:g},{model.describe()})", t, n, law, emp, seed)
     inside = _fraction_within(emp.values, 1.0 - jump_window, 1.0 + 1e-9)
     jump_mass = float(inside * values.size / emp.n_total)
     return report, jump_mass
@@ -445,9 +419,9 @@ def experiment_drift(model, c, t, n=DEFAULT_N, seed=0, *, cutoff=1e-6, window=0.
     """
     if c <= 0:
         raise InvalidParameterError("drift rate must be positive")
-    log_y = sample_marginal(model, t, n, substream(seed, 0), cutoff=cutoff, log=True)
+    log_y = sample_marginal(model, t, n, substream(seed, 0), cutoff=cutoff)
     np.logaddexp(np.log(c) + np.log(t), log_y, out=log_y)
-    values, _ = to_neg_t_power(log_y, t, log=True, out=log_y)
+    values, _ = to_neg_t_power(log_y, t, out=log_y)
     inside = _fraction_within(values, 1.0 - window, 1.0 + window)
     return DriftReport(
         model=f"drift(c={c:g},{model.describe()})",
@@ -512,11 +486,12 @@ def estimate_ergodic_functional(model, f, delta0, t, n, seed=0, *, cutoff=1e-6):
     ``ERGODIC_BLOCK`` buffer, not with n.  The mean and the ``ddof=1``
     standard deviation replay numpy's pairwise summation tree over the n
     virtual values (``_sparse_sum``).  A model with only an exact sampler
-    is drawn dense, f is applied in place ``ERGODIC_BLOCK`` samples at a
-    time, and the statistics are formed in that buffer (peak one n-float
-    array).  Either way they are the reductions ``ndarray.mean`` and
-    ``ndarray.std`` use (one pairwise sum, divide by n; subtract, square,
-    sum, divide by n - 1, sqrt), so both are bitwise theirs.
+    is drawn dense as log(Y_t); ``ERGODIC_BLOCK`` samples at a time are
+    exponentiated and f applied, in place, and the statistics are formed
+    in that buffer (peak one n-float array).  Either way they are the
+    reductions ``ndarray.mean`` and ``ndarray.std`` use (one pairwise sum,
+    divide by n; subtract, square, sum, divide by n - 1, sqrt), so both
+    are bitwise theirs.
     """
     if delta0 <= cutoff:
         raise InvalidParameterError("need delta0 > cutoff, else the truncation biases f")
@@ -539,6 +514,7 @@ def estimate_ergodic_functional(model, f, delta0, t, n, seed=0, *, cutoff=1e-6):
         vals = sample_marginal(model, t, n, rng, cutoff=cutoff)
         for lo in range(0, n, ERGODIC_BLOCK):
             block = vals[lo : lo + ERGODIC_BLOCK]
+            np.exp(block, out=block)
             block[...] = f(block)
         mean = np.add.reduce(vals) / n
         vals -= mean

@@ -8,11 +8,13 @@ with sizes drawn by inverting the tail.  The dropped mass biases the
 mean down by t * integral of x d nu over (0, eps); callers see the bias,
 it is never silently absorbed.
 
-Transformed statistics are computed in log space: y**(-t) as
-exp(-t*log y), so a sample like exp(1e4) poses no problem, and exact
-zeros (possible on the compound-Poisson void path) land in a separate
-at-infinity bucket that downstream ECDF comparisons treat as exceeding
-every finite threshold.
+Every draw is handed on as log(Y_t), the one sampling surface that stays
+exact across the small-time regime (a linear gamma draw underflows to
+zero once its shape drops below about 0.005).  Transformed statistics
+are computed from it: y**(-t) as exp(-t*log y), so a sample like
+exp(1e4) poses no problem, and -inf logs (the compound-Poisson void
+path's exact zeros) land in a separate at-infinity bucket that
+downstream ECDF comparisons treat as exceeding every finite threshold.
 """
 
 from __future__ import annotations
@@ -148,57 +150,41 @@ def sample_cutoff_cp(tail: LevyTail, eps, t, rng, n=1):
 
 
 def can_sample(model: SubordinatorModel):
-    """Whether ``sample_marginal`` can draw from the model: exact sampler or invertible tail."""
-    return model.sampler is not None or (
+    """Whether ``sample_marginal`` can draw from the model: exact log sampler or invertible tail."""
+    return model.log_sampler is not None or (
         model.tail is not None and model.tail.inverse_tail is not None
     )
 
 
-def sample_marginal(model: SubordinatorModel, t, n, rng, *, cutoff=1e-6, log=False):
-    """Draw n values of Y_t: exact sampler if the model has one, else cutoff CP.
+def sample_marginal(model: SubordinatorModel, t, n, rng, *, cutoff=1e-6):
+    """Draw n values of log(Y_t): exact log sampler if the model has one, else cutoff CP.
 
-    The cutoff-CP batch is scattered from its sparse form into the n-float
-    output.  With ``log=True`` the batch is returned as log(Y_t); exact samplers
-    produce it natively (no underflow, no zeros), the compound-Poisson
-    path takes the log of its output in place and maps its void zeros to
-    -inf.  Either way the result is a fresh array the caller owns.
+    Exact samplers produce log(Y_t) natively (no underflow, no zeros).
+    The cutoff-CP batch is scattered from its sparse form into the
+    n-float output, which then takes its log in place, so the void paths
+    become -inf.  Either way the result is a fresh array the caller owns.
     """
     if t <= 0:
         raise InvalidParameterError("time must be positive")
-    if log and model.log_sampler is not None:
+    if model.log_sampler is not None:
         return model.log_sampler(t, n, rng)
     if not can_sample(model):
         raise UnsupportedModelError(
             f"model {model.name!r} has neither an exact sampler nor an invertible tail"
         )
-    if model.sampler is not None:
-        values = model.sampler(t, n, rng)
-    else:
-        idx, sums = sample_cutoff_cp(model.tail, cutoff, t, rng, n)
-        values = np.zeros(n)
-        values[idx] = sums
-    if log:
-        with np.errstate(divide="ignore"):
-            np.log(values, out=values)
+    idx, sums = sample_cutoff_cp(model.tail, cutoff, t, rng, n)
+    values = np.zeros(n)
+    values[idx] = sums
+    with np.errstate(divide="ignore"):
+        np.log(values, out=values)
     return values
 
 
-def _log_of(samples, log):
-    """The samples as a float array of log values (a fresh array unless ``log``)."""
-    arr = np.asarray(samples, dtype=float)
-    if log:
-        return arr
-    if np.any(arr < 0):
-        raise InvalidParameterError("samples must be nonnegative")
-    with np.errstate(divide="ignore"):
-        return np.log(arr)
+def to_neg_t_power(samples, t, *, out=None):
+    """Map log y to y**(-t) = exp(-t*log y); returns (finite values, at-infinity count).
 
-
-def to_neg_t_power(samples, t, *, log=False, out=None):
-    """Map y to y**(-t) through exp(-t*log y); returns (finite values, at-infinity count).
-
-    Zero samples (or -inf log samples) have no finite image and are
-    counted in the at-infinity bucket instead.
+    ``samples`` are log values.  A -inf sample (y = 0) has no finite
+    image and is counted in the at-infinity bucket instead.
 
     The images are written to ``out`` (any float array of the batch's
     size, the batch itself included) or, by default, to a fresh array, so
@@ -208,7 +194,7 @@ def to_neg_t_power(samples, t, *, log=False, out=None):
     """
     if t <= 0:
         raise InvalidParameterError("time must be positive")
-    log_y = _log_of(samples, log)
+    log_y = np.asarray(samples, dtype=float)
     with np.errstate(over="ignore"):
         res = np.multiply(log_y, -t, out=out)
         np.exp(res, out=res)
@@ -225,21 +211,22 @@ def to_neg_t_power(samples, t, *, log=False, out=None):
     return res[:k], int(res.size - k)
 
 
-def to_tl(samples, L, t, *, log=False, L_log=None, out=None):
-    """Map y to t*L(y) for a decreasing L; returns (finite values, at-infinity count).
+def to_tl(samples, L, t, *, L_log=None, out=None):
+    """Map log y to t*L(y) for a decreasing L; returns (finite values, at-infinity count).
 
-    ``L_log``, when given, evaluates L at exp(log y) directly from log y,
-    which keeps exact-sampler batches free of spurious underflow.  L (or
-    ``L_log``) sees only the finite log values and must act elementwise:
-    it is applied ``CP_BLOCK`` values at a time.  Samples with no finite
-    image count as at infinity.  The finite images are packed, in order,
-    at the front of ``out`` (any float array of the batch's size, the
-    batch itself included) or, by default, of a fresh array; the returned
-    values are that prefix, a view of the array.
+    ``samples`` are log values.  ``L_log``, when given, evaluates L at
+    exp(log y) directly from log y, which keeps exact-sampler batches free
+    of spurious underflow.  L (or ``L_log``) sees only the finite log
+    values and must act elementwise: it is applied ``CP_BLOCK`` values at
+    a time.  Samples with no finite image count as at infinity.  The
+    finite images are packed, in order, at the front of ``out`` (any float
+    array of the batch's size, the batch itself included) or, by default,
+    of a fresh array; the returned values are that prefix, a view of the
+    array.
     """
     if t <= 0:
         raise InvalidParameterError("time must be positive")
-    log_y = _log_of(samples, log)
+    log_y = np.asarray(samples, dtype=float)
     if out is None:
         out = np.empty(log_y.size)
     k = 0

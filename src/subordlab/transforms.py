@@ -1,7 +1,7 @@
 """Model algebra: exponential tilting, subordination, independent sums, drift.
 
 Every transform acts at the Laplace-exponent level and returns a fresh
-immutable model.  Composed and summed models carry exponents (plus
+immutable model.  Composed and summed models carry exponents (plus log
 samplers and tails where they survive the operation); marginal CDFs and
 densities do not transform cheaply and are dropped, so criteria
 dispatch falls through to the exponent route.
@@ -15,7 +15,7 @@ import numpy as np
 from scipy import integrate
 
 from .core import LaplaceExponent, LevyTail, SubordinatorModel
-from .criteria import _affine_fit, _DEFAULT_LOG_S
+from .criteria import detect_limit
 from .errors import DegenerateModelError, InvalidParameterError, UnsupportedModelError
 
 __all__ = ["tilt", "compose_outer", "compose_inner", "add", "add_drift"]
@@ -84,25 +84,6 @@ def tilt(model: SubordinatorModel, theta):
     )
 
 
-def _detect_limit(values_fn, w_fn, grid=_DEFAULT_LOG_S):
-    """Extrapolated limit of a ratio sequence, or None when it degenerates.
-
-    Only the deepest grid points enter the fit: the ratios here can carry
-    power-law corrections that would bias an affine fit over the shallow
-    region, while near the limit they are already flat.
-    """
-    ratios = np.asarray(values_fn(grid), dtype=float)
-    if not np.all(np.isfinite(ratios)):
-        return None
-    if np.all(np.diff(ratios) > 0) and ratios[-1] > 10.0 * max(abs(ratios[0]), 1e-300):
-        return None
-    deep = slice(-4, None)
-    intercept, _ = _affine_fit(np.asarray(w_fn(grid), dtype=float)[deep], ratios[deep])
-    if intercept <= 0.01 or (ratios[0] > 0 and ratios[-1] < 0.6 * ratios[0]):
-        return None
-    return float(intercept)
-
-
 def _composed(front, back, name, known_gamma):
     front_phi, back_phi = front.phi, back.phi
 
@@ -127,7 +108,7 @@ def compose_outer(outer: SubordinatorModel, inner: SubordinatorModel):
     """
     _require_nondegenerate(outer)
     phi_inner = _require_nondegenerate(inner)
-    delta = _detect_limit(
+    delta = detect_limit(
         lambda grid: np.log(np.asarray(phi_inner.eval_log(grid), dtype=float)) / grid,
         lambda grid: 1.0 / grid,
     )
@@ -148,7 +129,7 @@ def compose_inner(outer: SubordinatorModel, inner: SubordinatorModel):
     """
     phi_outer = _require_nondegenerate(outer)
     _require_nondegenerate(inner)
-    delta = _detect_limit(
+    delta = detect_limit(
         lambda grid: np.asarray(phi_outer.eval_log(grid), dtype=float) / np.exp(grid),
         lambda grid: 1.0 / grid,
     )
@@ -161,7 +142,7 @@ def compose_inner(outer: SubordinatorModel, inner: SubordinatorModel):
 
 
 def add(m1: SubordinatorModel, m2: SubordinatorModel):
-    """Independent sum: exponents add, tails add, samplers add.
+    """Independent sum: exponents add, tails add, log samplers add by logaddexp.
 
     The minimum of independent Pareto limits is Pareto with summed
     indices, so known indices add as well.  The log sampler reduces the
@@ -186,14 +167,7 @@ def add(m1: SubordinatorModel, m2: SubordinatorModel):
 
         new_tail = LevyTail(tail=tail, support_upper=max(t1.support_upper, t2.support_upper))
 
-    sampler = None
     log_sampler = None
-    if m1.sampler is not None and m2.sampler is not None:
-        s1, s2 = m1.sampler, m2.sampler
-
-        def sampler(t, n, rng):
-            return s1(t, n, rng) + s2(t, n, rng)
-
     if m1.log_sampler is not None and m2.log_sampler is not None:
         ls1, ls2 = m1.log_sampler, m2.log_sampler
 
@@ -209,7 +183,6 @@ def add(m1: SubordinatorModel, m2: SubordinatorModel):
         name=f"add({m1.describe()},{m2.describe()})",
         phi=LaplaceExponent(eval_log=eval_log),
         tail=new_tail,
-        sampler=sampler,
         log_sampler=log_sampler,
         known_gamma=known,
         params={"left": m1.describe(), "right": m2.describe()},
@@ -233,14 +206,7 @@ def add_drift(model: SubordinatorModel, c):
         with np.errstate(over="ignore"):
             return np.asarray(phi.eval_log(ell_arr), dtype=float) + c * np.exp(ell_arr)
 
-    sampler = None
     log_sampler = None
-    if model.sampler is not None:
-        base = model.sampler
-
-        def sampler(t, n, rng):
-            return c * t + base(t, n, rng)
-
     if model.log_sampler is not None:
         base_log = model.log_sampler
 
@@ -251,7 +217,6 @@ def add_drift(model: SubordinatorModel, c):
     return SubordinatorModel(
         name=f"drift({model.describe()},c={c:g})",
         phi=LaplaceExponent(eval_log=eval_log),
-        sampler=sampler,
         log_sampler=log_sampler,
         params={"base": model.describe(), "c": c},
         limit_degenerate_at_1=True,

@@ -191,8 +191,8 @@ def test_criterion_09_mixture_and_support(gamma11):
     report, jump = mc.experiment_mixture(gamma11, q=0.3, t=1e-3, n=N_MC, seed=SEED)
     assert report.ks_statistic <= 0.07
     assert abs(jump - 0.7) <= 0.01
-    log_s = sample_marginal(gamma11, 0.01, N_MC, substream(SEED, 9), log=True)
-    values, n_inf = to_neg_t_power(log_s, 0.01, log=True)
+    log_s = sample_marginal(gamma11, 0.01, N_MC, substream(SEED, 9))
+    values, n_inf = to_neg_t_power(log_s, 0.01)
     emp = mc.EmpiricalDistribution.from_values(values, n_inf)
     fraction = mc.support_check(emp, 0.1)
     _emit(

@@ -389,6 +389,18 @@ class TestExperimentTable:
             ({"kind": "ergodic", "model": GAMMA, "params": {"functional": "step"}},
              "params.functional"),
             ({"kind": "family_limit", "family": {"name": "stable"}}, "family.name"),
+            # JSON's Infinity passed every numeric check
+            ({"kind": "support", "model": GAMMA, "params": {"t": float("inf")}}, "params.t"),
+            ({"kind": "pareto_limit", "model": GAMMA, "params": {"t_list": [0.1, float("inf")]}},
+             "params.t_list"),
+            ({"kind": "affine", "model": GAMMA, "params": {"a": float("inf"), "b": 4.0}},
+             "params.a"),
+            ({"kind": "pareto_limit", "model": GAMMA, "assertions": {"ks_max": float("inf")}},
+             "assertions.ks_max"),
+            ({"kind": "dickman_rho", "params": {"z": 2.0}, "assertions": {"expected": float("inf")}},
+             "assertions.expected"),
+            ({"kind": "s2", "model": GAMMA, "params": {"t_grid": [0.01, float("inf")]}},
+             "params.t_grid"),
         ],
     )
     def test_malformed_field_exits_two_before_any_draw(
@@ -421,6 +433,17 @@ class TestExperimentTable:
             ({"kind": "support", "model": GAMMA, "csv": "curve.csv"}, "csv"),
             ({"kind": "dickman_rho", "model": GAMMA, "params": {"z": 2.0},
               "assertions": {"expected": 0.3}}, "model"),
+            # inside a model expression: a transform key, a leaf key, a family key
+            ({"kind": "criterion", "model": {"transform": "tilt", "theta": 0.5, "thta": 2.0,
+                                             "of": {"name": "bessel", "parms": {"x": 1}}}},
+             "model.thta"),
+            ({"kind": "criterion", "model": {"transform": "tilt", "theta": 0.5,
+                                             "of": {"name": "bessel", "parms": {"x": 1}}}},
+             "model.of.parms"),
+            ({"kind": "support", "model": {"transform": "add", "of": [GAMMA, {**GAMMA, "lam": 2.0}]}},
+             "model.of[1].lam"),
+            ({"kind": "family_limit", "family": {"name": "stable_nef", "parms": {}}},
+             "family.parms"),
         ],
     )
     def test_unknown_key_exits_two(self, tmp_path, capsys, sampler_calls, entry, path):
@@ -500,9 +523,6 @@ class TestList:
         payload = json.loads(out)
         for name in ("gamma", "dickman", "bessel"):
             assert name in payload["models"]
-        assert payload["models"]["gamma"]["exposes"] == [
-            "phi", "tail", "cdf1", "density1", "sampler"
-        ]
         assert "tilt" in payload["transforms"]
         assert payload["criteria"] == ["S5", "S6", "S7", "S8", "GL"]
 
@@ -703,6 +723,15 @@ class TestNumericalFailureExit:
         code = cli.main(["--config", cfg, "--out", str(tmp_path)])
         assert code == 3
         assert "estimate_gamma_s6" in capsys.readouterr().err
+
+    def test_batch_past_the_address_space_exits_three(self, tmp_path, capsys):
+        # 10**15 floats (7.1 PiB) exceed any address space, so the allocation
+        # fails before any memory is touched; it exited 1 with a traceback
+        entry = {"kind": "support", "model": GAMMA, "params": {"n": 10**15}}
+        cfg = write_config(tmp_path, {"experiments": [FIRST, entry]})
+        assert cli.main(["--config", cfg, "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("numerical failure in experiments[1]:"), err
 
 
 def test_bundled_acceptance_config_exists():

@@ -349,7 +349,7 @@ class TestSubordinatorModelInvariants:
                 assert np.all(psi <= f_vals * (1.0 - math.exp(-z)) + math.exp(-z) + 1e-9)
 
     def test_exposes_lists_populated_surfaces(self, gamma11):
-        assert set(gamma11.exposes()) == {"phi", "tail", "cdf1", "density1", "sampler"}
+        assert set(gamma11.exposes()) == {"phi", "tail", "cdf1", "density1", "log_sampler"}
 
 
 def test_degenerate_phi_accepted_by_constructor():

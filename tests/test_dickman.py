@@ -200,14 +200,13 @@ class TestRecursionSampler:
 
     def test_model_past_the_ceiling_raises_before_drawing(self):
         m = make_dickman(1e4)  # t * gamma = 1e4 at t = 1
-        for draw in (m.sampler, m.log_sampler):
-            rng = substream(3, 0)
-            before = rng.bit_generator.state
-            with pytest.raises(InvalidParameterError):
-                draw(1.0, 10, rng)
-            assert rng.bit_generator.state == before
+        rng = substream(3, 0)
+        before = rng.bit_generator.state
         with pytest.raises(InvalidParameterError):
-            sample_marginal(m, 1.0, 10, substream(3, 0), log=True)
+            m.log_sampler(1.0, 10, rng)
+        assert rng.bit_generator.state == before
+        with pytest.raises(InvalidParameterError):
+            sample_marginal(m, 1.0, 10, substream(3, 0))
         with pytest.raises(InvalidParameterError):
             sample_dickman_recursion(1.0, MAX_RECURSION_DEPTH + 1, substream(3, 0), 10)
 
@@ -298,21 +297,20 @@ class TestModel:
     def test_samplers_and_cp_agree(self, dense_cp):
         n = 100_000
         m = make_dickman(1.0)
-        rec = m.sampler(1.0, n, substream(55, 0))
+        rec = np.exp(m.log_sampler(1.0, n, substream(55, 0)))
         cp = dense_cp(m.tail, 1e-6, 1.0, substream(55, 1), n)
         assert two_sample_ks(rec, cp) <= two_sample_ks_critical_value(n, n, 0.01)
 
     @pytest.mark.parametrize("gamma,t", [(1.0, 1.0), (2.0, 1.0), (1.0, 0.01), (3.0, 0.05)])
     def test_samplers_run_depth_from_theta(self, gamma, t):
-        # each sampler draws n uniforms per term: the generator ends n * depth doubles on
+        # the sampler draws n uniforms per term: the generator ends n * depth doubles on
         n = 10
         m = make_dickman(gamma)
-        for draw in (m.sampler, m.log_sampler):
-            rng = substream(9, 0)
-            want = substream(9, 0)
-            want.bit_generator.advance(n * recursion_depth(t * gamma))
-            draw(t, n, rng)
-            assert rng.bit_generator.state == want.bit_generator.state
+        rng = substream(9, 0)
+        want = substream(9, 0)
+        want.bit_generator.advance(n * recursion_depth(t * gamma))
+        m.log_sampler(t, n, rng)
+        assert rng.bit_generator.state == want.bit_generator.state
 
     def test_package_import_leaves_interpolation_unloaded(self):
         # the spline module loads with the first table build, not with the CLI

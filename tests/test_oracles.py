@@ -57,7 +57,7 @@ def counting(cdf):
 def transformed_gamma(t, n, seed):
     """(Y_t)**(-t) for the gamma(1, 1) subordinator, as an empirical law."""
     log_y = catalog.make_gamma(1.0, 1.0).log_sampler(t, n, substream(seed, 0))
-    values, n_inf = to_neg_t_power(log_y, t, log=True)
+    values, n_inf = to_neg_t_power(log_y, t)
     return mc.EmpiricalDistribution.from_values(values, n_inf)
 
 
@@ -66,14 +66,14 @@ def mixture_batch(n, seed):
     log_l = catalog.make_gamma(1.0, 1.0).log_sampler(1e-3, n, substream(seed, 0))
     at_one = substream(seed, 1).random(n) >= 0.4
     combined = np.where(at_one, np.logaddexp(log_l, 0.0), log_l)
-    return mc.EmpiricalDistribution.from_values(*to_neg_t_power(combined, 1e-3, log=True))
+    return mc.EmpiricalDistribution.from_values(*to_neg_t_power(combined, 1e-3))
 
 
 def affine_batch(n, seed):
     """``experiment_affine``'s transformed batch (a = 2, b = 32, t = 0.05) on gamma(1, 1)."""
     log_y = catalog.make_gamma(1.0, 1.0).log_sampler(0.05, n, substream(seed, 0))
     combined = np.logaddexp(-np.log(2.0) / 0.05 + log_y, -np.log(32.0) / 0.05)
-    return mc.EmpiricalDistribution.from_values(*to_neg_t_power(combined, 0.05, log=True))
+    return mc.EmpiricalDistribution.from_values(*to_neg_t_power(combined, 0.05))
 
 
 class TestKsOnePassEqualsTwoPass:
@@ -96,7 +96,7 @@ class TestKsOnePassEqualsTwoPass:
         log_l = gamma.log_sampler(1e-3, 20_000, substream(43, 0))
         at_one = substream(43, 1).random(20_000) >= 0.4
         combined = np.where(at_one, np.logaddexp(log_l, 0.0), log_l)
-        emp = mc.EmpiricalDistribution.from_values(*to_neg_t_power(combined, 1e-3, log=True))
+        emp = mc.EmpiricalDistribution.from_values(*to_neg_t_power(combined, 1e-3))
         assert report.ks_statistic == two_pass_ks(emp, law.cdf)
 
     def test_affine_min_ties_at_b(self):
@@ -257,9 +257,9 @@ class TestNegativeControls:
 
     def test_min_rule_control(self, gamma11, gamma21):
         t, n, seed = 0.01, 50_000, 21
-        l1 = sample_marginal(gamma11, t, n, substream(seed, 0), log=True)
-        l2 = sample_marginal(gamma21, t, n, substream(seed, 1), log=True)
-        values, n_inf = to_neg_t_power(np.logaddexp(l1, l2), t, log=True)
+        l1 = sample_marginal(gamma11, t, n, substream(seed, 0))
+        l2 = sample_marginal(gamma21, t, n, substream(seed, 1))
+        values, n_inf = to_neg_t_power(np.logaddexp(l1, l2), t)
         emp = mc.EmpiricalDistribution.from_values(values, n_inf)
         matched = mc.ks_distance(emp, ParetoLaw(3.0).cdf)
         control = mc.ks_distance(emp, ParetoLaw(6.0).cdf)
@@ -267,9 +267,9 @@ class TestNegativeControls:
 
     def test_product_rule_control(self, gamma11):
         t, n, seed = 0.01, 50_000, 22
-        l1 = sample_marginal(gamma11, t, n, substream(seed, 0), log=True)
-        l2 = sample_marginal(gamma11, t, n, substream(seed, 1), log=True)
-        values, n_inf = to_neg_t_power(l1 + l2, t, log=True)
+        l1 = sample_marginal(gamma11, t, n, substream(seed, 0))
+        l2 = sample_marginal(gamma11, t, n, substream(seed, 1))
+        values, n_inf = to_neg_t_power(l1 + l2, t)
         emp = mc.EmpiricalDistribution.from_values(values, n_inf)
         matched = mc.ks_distance(emp, mc.ParetoProductLaw(1.0, 1.0).cdf)
         control = mc.ks_distance(emp, mc.ParetoProductLaw(2.0, 2.0).cdf)
@@ -279,10 +279,10 @@ class TestNegativeControls:
         report, _ = mc.experiment_mixture(gamma11, q=0.3, t=1e-3, n=50_000, seed=23)
         # same samples, target with doubled index in the Pareto component
         rng = substream(23, 0)
-        log_l = sample_marginal(gamma11, 1e-3, 50_000, rng, log=True)
+        log_l = sample_marginal(gamma11, 1e-3, 50_000, rng)
         at_one = substream(23, 1).random(50_000) >= 0.3
         values, n_inf = to_neg_t_power(
-            np.where(at_one, np.logaddexp(log_l, 0.0), log_l), 1e-3, log=True
+            np.where(at_one, np.logaddexp(log_l, 0.0), log_l), 1e-3
         )
         emp = mc.EmpiricalDistribution.from_values(values, n_inf)
         control = mc.ks_distance(emp, mc.ParetoMixtureLaw(0.3, 2.0).cdf)
