@@ -16,7 +16,9 @@ values read back from the already completed part of the table.
 from __future__ import annotations
 
 import math
+import os
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,8 +46,9 @@ EULER = 0.57721566490153286
 RECURSION_REL_BIAS = 1e-12
 # most terms the recursion runs; each term holds its own generator
 MAX_RECURSION_DEPTH = 10_000
-# paths per block of the recursion: its three block buffers stay in cache
-RECURSION_BLOCK = 1 << 14
+# paths per block of the recursion: a chunk's two block buffers stay in a 2 MB L2, and
+# each draw or ufunc runs long enough between GIL hand-offs for the chunks to overlap
+RECURSION_BLOCK = 1 << 16
 
 
 def _build_log_table(z_max, h):
@@ -88,8 +91,11 @@ def _build_log_table(z_max, h):
             j0 = a - k
             ud_half[0] = (5.0 * u[j0] + 15.0 * u[j0 + 1] - 5.0 * u[j0 + 2] + u[j0 + 3]) / 16.0
             ud_half[-1] = (u[a - 3] - 5.0 * u[a - 2] + 15.0 * u[a - 1] + 5.0 * u[a]) / 16.0
-        ui = u[a]
+        # march on Python floats: the same IEEE arithmetic as numpy scalars, at half the cost
+        ud_grid, ud_half = ud_grid.tolist(), ud_half.tolist()
+        ui = float(u[a])
         half = 0.5 * h
+        march = []
         for i in range(k):
             z = m + i * h
             d0 = ud_grid[i]
@@ -100,7 +106,8 @@ def _build_log_table(z_max, h):
             k3 = -math.exp(dh - (ui + half * k2)) / (z + half)
             k4 = -math.exp(d1 - (ui + h * k3)) / (z + h)
             ui += h * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
-            u[a + i + 1] = ui
+            march.append(ui)
+        u[a + 1 : a + k + 1] = march
         # boundary anchor: (m+1) * rho(m+1) = integral of rho over [m, m+1]
         integral = float(simpson_w @ np.exp(u[a : a + k + 1]))
         u[a + k] = math.log(integral / (m + 1.0))
@@ -187,6 +194,14 @@ def recursion_depth(theta):
     return depth
 
 
+def _usable_cpus():
+    """CPUs this process may run on: its affinity mask where the platform has one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def sample_dickman_recursion(gamma, depth, rng, n=1, *, log=False):
     """Draw from the generalized Dickman law as sum_{i<=d} (U_1...U_i)**(1/gamma).
 
@@ -197,13 +212,21 @@ def sample_dickman_recursion(gamma, depth, rng, n=1, *, log=False):
     to ``RECURSION_REL_BIAS * gamma``.  ``depth`` may not exceed
     ``MAX_RECURSION_DEPTH``.
 
-    Block rule: the paths are run ``RECURSION_BLOCK`` at a time, all
-    ``depth`` terms on one block while its buffers stay in cache, with the
-    running product and sum updated in place.  Term k draws its uniforms
-    from its own copy of ``rng``'s PCG64 bit generator advanced by k*n, the
-    stream offset at which the term-by-term loop (all n uniforms of term 1,
-    then of term 2, ...) draws them, so every sample is bitwise the one
-    that loop gives; afterwards ``rng`` is left where that loop leaves it,
+    Block and chunk rule: the paths are cut into ``RECURSION_BLOCK``-path
+    blocks, and the blocks into one contiguous chunk of whole blocks per
+    usable CPU (the process's CPU affinity), never more chunks than blocks.
+    Each chunk runs all ``depth`` terms on one block at a time, while its
+    two block buffers stay in cache, with the running product and sum
+    updated in place.  Term k of the chunk starting at path lo draws its
+    uniforms from its own copy of ``rng``'s PCG64 bit generator advanced
+    by k*n + lo, the stream offset at which the term-by-term loop (all n
+    uniforms of term 1, then of term 2, ...) draws them, so every sample
+    is bitwise the one that loop gives, whatever the number of chunks.
+    The caller's thread runs the last chunk and a thread pool the others;
+    numpy's draws and ufuncs release the GIL, so the chunks run in
+    parallel.  One chunk (n within one block, or one usable CPU) runs
+    inline and starts no thread, and no thread outlives the call.
+    Afterwards ``rng`` is left where the term-by-term loop leaves it,
     n*depth doubles on.
     """
     if gamma <= 0:
@@ -212,43 +235,58 @@ def sample_dickman_recursion(gamma, depth, rng, n=1, *, log=False):
         raise InvalidParameterError(f"depth must lie in [1, {MAX_RECURSION_DEPTH}]")
     caller = rng.bit_generator
     start = caller.state
-    terms = []
-    for k in range(depth):
-        bg = type(caller)()
-        bg.state = start
-        bg.advance(k * n)
-        terms.append(np.random.Generator(bg))
     acc = np.empty(n)
-    u = np.empty(min(n, RECURSION_BLOCK))
-    prod = np.empty_like(u)
     e = 1.0 / gamma
-    for lo in range(0, n, RECURSION_BLOCK):
-        m = min(RECURSION_BLOCK, n - lo)
-        a, p, v = acc[lo : lo + m], prod[:m], u[:m]
-        if log:
-            a.fill(-np.inf)
-            p.fill(0.0)
-            for term in terms:
-                term.random(m, out=v)
-                np.negative(v, out=v)
-                np.log1p(v, out=v)
-                v /= gamma
-                p += v
-                np.logaddexp(a, p, out=a)
-        else:
-            a.fill(0.0)
-            p.fill(1.0)
-            for term in terms:
-                term.random(m, out=v)
-                np.subtract(1.0, v, out=v)
-                # the in-place operator keeps numpy's scalar-exponent fast paths
-                # (2 -> square, 0.5 -> sqrt)
-                v **= e
-                p *= v
-                a += p
+
+    def run(lo, hi):
+        # paths [lo, hi); returns the last term's bit generator
+        terms = []
+        for k in range(depth):
+            bg = type(caller)()
+            bg.state = start
+            bg.advance(k * n + lo)
+            terms.append(np.random.Generator(bg))
+        u = np.empty(min(hi - lo, RECURSION_BLOCK))
+        prod = np.empty_like(u)
+        for b in range(lo, hi, RECURSION_BLOCK):
+            m = min(RECURSION_BLOCK, hi - b)
+            a, p, v = acc[b : b + m], prod[:m], u[:m]
+            if log:
+                a.fill(-np.inf)
+                p.fill(0.0)
+                for term in terms:
+                    term.random(m, out=v)
+                    np.negative(v, out=v)
+                    np.log1p(v, out=v)
+                    v /= gamma
+                    p += v
+                    np.logaddexp(a, p, out=a)
+            else:
+                a.fill(0.0)
+                p.fill(1.0)
+                for term in terms:
+                    term.random(m, out=v)
+                    np.subtract(1.0, v, out=v)
+                    # the in-place operator keeps numpy's scalar-exponent fast paths
+                    # (2 -> square, 0.5 -> sqrt)
+                    v **= e
+                    p *= v
+                    a += p
+        return terms[-1].bit_generator
+
+    blocks = -(-n // RECURSION_BLOCK)
+    chunks = max(1, min(blocks, _usable_cpus()))
+    cuts = [RECURSION_BLOCK * (blocks * i // chunks) for i in range(chunks)] + [n]
+    if chunks == 1:
+        end = run(0, n)
+    else:
+        with ThreadPoolExecutor(chunks - 1) as pool:
+            rest = [pool.submit(run, lo, hi) for lo, hi in zip(cuts[:-2], cuts[1:-1])]
+            end = run(cuts[-2], n)
+            for future in rest:
+                future.result()
     # the bit generator's 32-bit buffer is untouched by double draws
-    end = dict(start, state=terms[-1].bit_generator.state["state"])
-    caller.state = end
+    caller.state = dict(start, state=end.state["state"])
     return acc
 
 

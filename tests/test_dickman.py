@@ -1,5 +1,6 @@
 """Dickman machinery: the rho table, density, samplers, and their agreement."""
 
+import hashlib
 import math
 import os
 import subprocess
@@ -39,6 +40,22 @@ def linear_depth_search(theta):
     while recursion_mean_bias(theta, depth) > bound:
         depth += 1
     return depth
+
+
+def naive_recursion(gamma, depth, rng, n, log):
+    """The allocating form of the recursion: term by term over the whole batch,
+    one fresh array per operation."""
+    if log:
+        acc, log_prod = np.full(n, -np.inf), np.zeros(n)
+        for _ in range(depth):
+            log_prod = log_prod + np.log1p(-rng.random(n)) / gamma
+            acc = np.logaddexp(acc, log_prod)
+    else:
+        acc, prod = np.zeros(n), np.ones(n)
+        for _ in range(depth):
+            prod = prod * (1.0 - rng.random(n)) ** (1.0 / gamma)
+            acc = acc + prod
+    return acc
 
 
 def ceiling_theta():
@@ -83,6 +100,15 @@ class TestRho:
     def test_custom_table_step_validation(self):
         with pytest.raises(InvalidParameterError):
             DickmanFunction.build(z_max=10.0, h=3e-4)  # 1/h not an integer
+
+    def test_table_bytes_are_pinned(self):
+        # the log table of the default build, bit for bit as the numpy-scalar march
+        # gave it (numpy 2.4.6 on x86-64; the anchor's dot product sums in the
+        # order of the CPU's BLAS kernel, so another kernel may move the last bits)
+        u = dickman._build_log_table(40, 1e-3)
+        assert u.shape == (40_001,)
+        digest = hashlib.sha256(u.tobytes()).hexdigest()
+        assert digest == "955571e2b9cc8d8c1c6f969fe389e049db9d7f2e2b5125cecbe631e2e1c5d284"
 
     def test_table_built_once_under_concurrent_calls(self, monkeypatch):
         table = dickman._table()
@@ -213,27 +239,64 @@ class TestRecursionSampler:
     @pytest.mark.parametrize("log", [False, True])
     @pytest.mark.parametrize("gamma", [0.5, 1.0, 2.0, 3.0])
     def test_in_place_kernel_matches_naive_reference(self, gamma, log):
-        # the allocating form of the recursion, term by term over the whole
-        # batch with one fresh array per operation; n = 1, part of one block,
-        # and three blocks plus a partial one
+        # n = 1, part of one block, and three blocks plus a partial one
         depth = 25
         for n in (1, 5000, 3 * RECURSION_BLOCK + 7):
             rng = substream(41, 0)
-            if log:
-                acc, log_prod = np.full(n, -np.inf), np.zeros(n)
-                for _ in range(depth):
-                    log_prod = log_prod + np.log1p(-rng.random(n)) / gamma
-                    acc = np.logaddexp(acc, log_prod)
-            else:
-                acc, prod = np.zeros(n), np.ones(n)
-                for _ in range(depth):
-                    prod = prod * (1.0 - rng.random(n)) ** (1.0 / gamma)
-                    acc = acc + prod
+            acc = naive_recursion(gamma, depth, rng, n, log)
             caller = substream(41, 0)
             out = sample_dickman_recursion(gamma, depth, caller, n, log=log)
             np.testing.assert_array_equal(out, acc)
             # the caller's generator is left where the term-by-term loop leaves it
             assert caller.bit_generator.state == rng.bit_generator.state
+
+    @pytest.mark.parametrize("log", [False, True])
+    @pytest.mark.parametrize("gamma", [0.5, 2.0])
+    def test_bits_do_not_depend_on_the_chunks(self, monkeypatch, gamma, log):
+        # 1, 2 and 3 chunks over three blocks plus a partial one, so the last
+        # chunk ends in a partial block; the pool is gone when the call returns
+        depth, n = 25, 3 * RECURSION_BLOCK + 7
+        rng = substream(43, 0)
+        acc = naive_recursion(gamma, depth, rng, n, log)
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(dickman, "_usable_cpus", lambda: workers)
+            caller = substream(43, 0)
+            threads = threading.active_count()
+            out = sample_dickman_recursion(gamma, depth, caller, n, log=log)
+            assert threading.active_count() == threads
+            np.testing.assert_array_equal(out, acc)
+            assert caller.bit_generator.state == rng.bit_generator.state
+
+    def test_concurrent_calls_match_their_serial_results(self, monkeypatch):
+        # two experiments drawing at once, as under --threads 2, each on its own generator
+        monkeypatch.setattr(dickman, "_usable_cpus", lambda: 2)
+        depth, n = 25, 3 * RECURSION_BLOCK + 7
+        streams = [(2.0, 44, False), (0.5, 45, True)]
+        serial = []
+        for gamma, seed, log in streams:
+            rng = substream(seed, 0)
+            out = sample_dickman_recursion(gamma, depth, rng, n, log=log)
+            serial.append((out, rng.bit_generator.state))
+        threads = threading.active_count()
+        barrier = threading.Barrier(len(streams))
+        results = [None] * len(streams)
+
+        def call(i, gamma, seed, log):
+            rng = substream(seed, 0)
+            barrier.wait(timeout=5)
+            out = sample_dickman_recursion(gamma, depth, rng, n, log=log)
+            results[i] = (out, rng.bit_generator.state)
+
+        workers = [threading.Thread(target=call, args=(i, *s)) for i, s in enumerate(streams)]
+        for th in workers:
+            th.start()
+        for th in workers:
+            th.join(timeout=30)
+        assert not any(th.is_alive() for th in workers)
+        assert threading.active_count() == threads
+        for (out, state), (ref, ref_state) in zip(results, serial):
+            np.testing.assert_array_equal(out, ref)
+            assert state == ref_state
 
     def test_caller_generator_keeps_its_32_bit_buffer(self):
         # a pending 32-bit half-word survives the call, as it does the loop
