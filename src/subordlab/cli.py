@@ -50,7 +50,8 @@ from scipy import integrate
 
 from . import __version__, catalog, criteria, montecarlo, transforms
 from .dickman import (
-    MAX_RECURSION_DEPTH, dickman_density, dickman_rho, recursion_depth, sample_dickman_recursion,
+    MAX_RECURSION_DEPTH, RHO_INTERVALS, dickman_density_norm, dickman_rho, recursion_depth,
+    sample_dickman_recursion,
 )
 from .errors import InvalidParameterError, NumericalFailure, SubordlabError, UnsupportedModelError
 from .simulate import can_sample, sample_cutoff_cp, sample_marginal, substream
@@ -194,9 +195,10 @@ RECURSION_GAMMA = Check(
     recursion_depth, f"a number > 0 that needs at most {MAX_RECURSION_DEPTH} recursion terms")
 DEPTH = Check(lambda v: int(v) == v and 1 <= v <= MAX_RECURSION_DEPTH,
               f"an integer in [1, {MAX_RECURSION_DEPTH}]", int)
-# the default table of rho covers z in [0, 40]
-Z = Check(lambda v: 0 <= v <= 40, "a number in [0, 40]")
-Z_MAX = Check(lambda v: int(v) == v and 1 <= v <= 40, "an integer in [1, 40]", int)
+# the default table of rho covers z in [0, RHO_INTERVALS]
+Z = Check(lambda v: 0 <= v <= RHO_INTERVALS, f"a number in [0, {RHO_INTERVALS}]")
+Z_MAX = Check(lambda v: int(v) == v and 1 <= v <= RHO_INTERVALS,
+              f"an integer in [1, {RHO_INTERVALS}]", int)
 
 # the default of a field that must be given; a field whose default is None
 # may be left out, and the handler then gets None
@@ -477,8 +479,7 @@ def _dickman_rho(v, m, seed):
 
 
 def _dickman_density_norm(v, m, seed):
-    total = sum(integrate.quad(dickman_density, a, a + 1, limit=200)[0]
-                for a in range(v["z_max"]))
+    total = dickman_density_norm(v["z_max"])
     return _result("dickman_density", total, v["tol"], abs(total - 1.0) <= v["tol"], target=1.0)
 
 
@@ -595,7 +596,7 @@ KINDS = {
         _dickman_rho, params={"z": (REQUIRED, Z)},
         assertions={"expected": (REQUIRED, NUMBER), "tol": (1e-8, NONNEGATIVE)}, models=()),
     "dickman_density_norm": Kind(
-        _dickman_density_norm, params={"z_max": (40, Z_MAX)},
+        _dickman_density_norm, params={"z_max": (RHO_INTERVALS, Z_MAX)},
         assertions={"tol": (1e-6, NONNEGATIVE)}, models=()),
     "recursion_mean": Kind(
         _recursion_mean, params={"n": (1_000_000, COUNT), "gamma": (REQUIRED, RECURSION_GAMMA),

@@ -1,16 +1,18 @@
-"""Dickman process machinery: tail, delay-ODE function table, density, samplers.
+"""Dickman process machinery: tail, the Dickman function rho, density, samplers.
 
 The subordinator here has jump density gamma/x on (0, 1], so its tail is
 nu_bar(x) = -gamma*log(x) with the exact inverse exp(-y/gamma).  The
 time-1, gamma=1 marginal density is exp(-euler)*rho(x) with rho the
 function solving rho(z) = 1 on [0, 1] and z*rho'(z) = -rho(z-1) beyond.
 
-rho decays roughly like z**(-z), so the table integrates u = log(rho):
-u'(z) = -exp(u(z-1) - u(z))/z.  That keeps every tabulated value positive
-and relatively accurate out to z_max = 40, far past anything Monte Carlo
-can reach.  The stepper is classical fixed-step fourth-order Runge-Kutta
-by the method of steps: each unit interval is integrated with the delayed
-values read back from the already completed part of the table.
+rho is tabulated as one power series per unit interval [k, k+1], about its
+midpoint (Marsaglia, Zaman & Marsaglia, Math. Comp. 53, 1989; van de Lune &
+Wattel, Math. Comp. 23, 1969).  The delay equation gives each series'
+coefficients from the previous interval's, all but the constant one; that
+is fixed by the identity (k+1)*rho(k+1) = integral of rho over [k, k+1],
+which keeps rho relatively accurate down to rho(40) ~ 7e-73.  The series
+are exact up to rounding: rho is good to a few parts in 1e14 over [0, 40],
+and it integrates to exp(euler) term by term.
 """
 
 from __future__ import annotations
@@ -31,9 +33,11 @@ __all__ = [
     "EULER",
     "RECURSION_REL_BIAS",
     "MAX_RECURSION_DEPTH",
+    "RHO_INTERVALS",
     "DickmanFunction",
     "dickman_rho",
     "dickman_density",
+    "dickman_density_norm",
     "sample_dickman_recursion",
     "recursion_mean_bias",
     "recursion_depth",
@@ -46,100 +50,59 @@ EULER = 0.57721566490153286
 RECURSION_REL_BIAS = 1e-12
 # most terms the recursion runs; each term holds its own generator
 MAX_RECURSION_DEPTH = 10_000
+# unit intervals [k, k+1] on which rho is tabulated, and terms of its series on each;
+# the series converges like 3**-i, so 40 terms reach rounding
+RHO_INTERVALS = 40
+SERIES_TERMS = 40
+# integral of s**i over [-1/2, 1/2]
+_MOMENTS = np.array([0.5**i / (i + 1) if i % 2 == 0 else 0.0 for i in range(SERIES_TERMS)])
 # paths per block of the recursion: a chunk's two block buffers stay in a 2 MB L2, and
 # each draw or ufunc runs long enough between GIL hand-offs for the chunks to overlap
 RECURSION_BLOCK = 1 << 16
 
 
-def _build_log_table(z_max, h):
-    """Tabulate u = log(rho) on a uniform grid of step h up to z_max.
-
-    Each unit interval is marched with classical RK4; the delayed term is
-    read from the finished part of the table (grid points exactly, half
-    points by 4-point cubic stencils kept on one side of the integer
-    knots, where the solution loses a derivative).  The delay equation
-    also implies z*rho(z) = integral of rho over [z-1, z]; re-anchoring
-    every interval endpoint on that identity pins the slowly decaying
-    perturbation mode that would otherwise swamp rho once it falls below
-    the absolute rounding floor, and keeps the table relatively accurate
-    all the way down to rho(z_max) ~ 1e-71.
-    """
-    steps_per_unit = int(round(1.0 / h))
-    if abs(steps_per_unit * h - 1.0) > 1e-12:
-        raise InvalidParameterError("step must divide the unit interval exactly")
-    if z_max < 2 or z_max != int(z_max) or z_max > 100:
-        raise InvalidParameterError("z_max must be an integer in [2, 100]")
-    k = steps_per_unit
-    if k % 2:
-        raise InvalidParameterError("1/h must be even for the boundary quadrature")
-    n_total = int(z_max) * k
-    u = np.zeros(n_total + 1)
-    simpson_w = np.ones(k + 1)
-    simpson_w[1:-1:2] = 4.0
-    simpson_w[2:-1:2] = 2.0
-    simpson_w *= h / 3.0
-
-    for m in range(1, int(z_max)):
-        a = m * k
-        if m == 1:
-            ud_grid = np.zeros(k + 1)
-            ud_half = np.zeros(k)
-        else:
-            ud_grid = u[a - k : a + 1].copy()
-            j = np.arange(a - k, a)
-            ud_half = (-u[j - 1] + 9.0 * u[j] + 9.0 * u[j + 1] - u[np.minimum(j + 2, a)]) / 16.0
-            j0 = a - k
-            ud_half[0] = (5.0 * u[j0] + 15.0 * u[j0 + 1] - 5.0 * u[j0 + 2] + u[j0 + 3]) / 16.0
-            ud_half[-1] = (u[a - 3] - 5.0 * u[a - 2] + 15.0 * u[a - 1] + 5.0 * u[a]) / 16.0
-        # march on Python floats: the same IEEE arithmetic as numpy scalars, at half the cost
-        ud_grid, ud_half = ud_grid.tolist(), ud_half.tolist()
-        ui = float(u[a])
-        half = 0.5 * h
-        march = []
-        for i in range(k):
-            z = m + i * h
-            d0 = ud_grid[i]
-            dh = ud_half[i]
-            d1 = ud_grid[i + 1]
-            k1 = -math.exp(d0 - ui) / z
-            k2 = -math.exp(dh - (ui + half * k1)) / (z + half)
-            k3 = -math.exp(dh - (ui + half * k2)) / (z + half)
-            k4 = -math.exp(d1 - (ui + h * k3)) / (z + h)
-            ui += h * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
-            march.append(ui)
-        u[a + 1 : a + k + 1] = march
-        # boundary anchor: (m+1) * rho(m+1) = integral of rho over [m, m+1]
-        integral = float(simpson_w @ np.exp(u[a : a + k + 1]))
-        u[a + k] = math.log(integral / (m + 1.0))
-    return u
+def _series_coefficients():
+    """Row k holds b_{k,i}, the power series of rho about k + 1/2 (see DickmanFunction)."""
+    b = [[1.0] + [0.0] * (SERIES_TERMS - 1)]
+    for k in range(1, RHO_INTERVALS):
+        # z*rho'(z) = -rho(z-1) at z = k + 1/2 + s, term by term in s
+        c, prev, row = k + 0.5, b[-1], [0.0] * SERIES_TERMS
+        for i in range(SERIES_TERMS - 1):
+            row[i + 1] = -(prev[i] + i * row[i]) / (c * (i + 1))
+        # the other coefficients do not depend on b_{k,0}: solve for it
+        # (k+1)*rho(k+1) = integral of rho over [k, k+1], i.e.
+        # (k+1) * sum_i b_{k,i} / 2**i = sum_i b_{k,i} * _MOMENTS[i], with _MOMENTS[0] = 1
+        row[0] = math.fsum(row[i] * (_MOMENTS[i] - (k + 1) * 0.5**i)
+                           for i in range(1, SERIES_TERMS)) / k
+        b.append(row)
+    return np.array(b)
 
 
 @dataclass(frozen=True)
 class DickmanFunction:
-    """Tabulated rho with cubic interpolation between knots."""
+    """rho on [0, RHO_INTERVALS] as one power series per unit interval.
 
-    h: float
-    z_max: float
-    rho_values: np.ndarray
-    _log_spline: "scipy.interpolate.CubicSpline"
+    On [k, k+1], rho(k + 1/2 + s) = sum_i b[k, i] * s**i for |s| <= 1/2.
+    """
+
+    b: np.ndarray
 
     @classmethod
-    def build(cls, z_max=40.0, h=1e-3):
-        # imported here, so that importing the package does not load scipy.interpolate
-        from scipy.interpolate import CubicSpline
-
-        u = _build_log_table(z_max, h)
-        zs = np.arange(u.size) * h
-        spline = CubicSpline(zs, u)
-        return cls(h=h, z_max=float(z_max), rho_values=np.exp(u), _log_spline=spline)
+    def build(cls):
+        return cls(b=_series_coefficients())
 
     def __call__(self, z):
         z_arr = np.asarray(z, dtype=float)
-        if np.any(z_arr < 0):
+        if not np.all(z_arr >= 0):
             raise InvalidParameterError("rho is defined on z >= 0")
-        if np.any(z_arr > self.z_max):
-            raise OutOfRangeError(f"rho tabulated only up to z_max = {self.z_max:g}")
-        out = np.where(z_arr <= 1.0, 1.0, np.exp(self._log_spline(np.maximum(z_arr, 1.0))))
+        if np.any(z_arr > RHO_INTERVALS):
+            raise OutOfRangeError(f"rho is evaluated only up to z = {RHO_INTERVALS}")
+        # z = RHO_INTERVALS is the right end of the last interval
+        k = np.minimum(np.floor(z_arr), RHO_INTERVALS - 1).astype(int)
+        s = z_arr - k - 0.5
+        out = self.b[k, -1]
+        for i in range(SERIES_TERMS - 2, -1, -1):
+            out = out * s + self.b[k, i]
         return out if out.ndim else float(out)
 
 
@@ -159,13 +122,26 @@ def _table():
 
 
 def dickman_rho(z):
-    """rho(z) from the default table (z_max = 40, step 1e-3)."""
+    """rho(z) for z in [0, RHO_INTERVALS], from the default series table."""
     return _table()(z)
 
 
 def dickman_density(x):
     """Time-1 marginal density for gamma = 1: exp(-euler) * rho(x)."""
     return np.exp(-EULER) * dickman_rho(x)
+
+
+def dickman_density_norm(z_max=RHO_INTERVALS):
+    """Integral of dickman_density over [0, z_max], integer z_max <= RHO_INTERVALS.
+
+    The series are integrated term by term and summed exactly rounded; at
+    z_max = RHO_INTERVALS the result is 1 to rounding (rho integrates to
+    exp(euler), and its mass past 40 is below 1e-72).
+    """
+    if not (int(z_max) == z_max and 0 <= z_max <= RHO_INTERVALS):
+        raise OutOfRangeError(f"z_max must be an integer in [0, {RHO_INTERVALS}]")
+    terms = _table().b[: int(z_max)] * _MOMENTS
+    return float(np.exp(-EULER) * math.fsum(terms.ravel().tolist()))
 
 
 def recursion_mean_bias(gamma, depth):

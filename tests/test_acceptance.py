@@ -15,7 +15,7 @@ from scipy.integrate import quad
 
 from subordlab import catalog, cli, criteria, montecarlo as mc, transforms
 from subordlab.dickman import (
-    dickman_density,
+    dickman_density_norm,
     dickman_rho,
     recursion_depth,
     sample_dickman_recursion,
@@ -111,7 +111,10 @@ def test_criterion_05_dickman(dickman1, dense_cp):
     t0 = time.time()
     rho_err = abs(dickman_rho(2.0) - (1.0 - math.log(2.0)))
     assert rho_err <= 1e-8
-    norm = sum(quad(dickman_density, a, a + 1.0, limit=200)[0] for a in range(40))
+    # off the knots too: next to z = 1 a spline through the kink was off by 8.5e-5
+    near_one_err = abs(dickman_rho(1.0004) - 0.9996000799786731)
+    assert near_one_err <= 1e-12
+    norm = dickman_density_norm(40)
     assert abs(norm - 1.0) <= 1e-6
     for gamma, stream in ((1.0, 0), (2.0, 1)):
         samples = sample_dickman_recursion(
@@ -127,7 +130,8 @@ def test_criterion_05_dickman(dickman1, dense_cp):
     _emit(
         "criterion 5 (Dickman machinery)",
         True,
-        f"rho(2) err={rho_err:.1e}, norm err={abs(norm-1):.1e}, "
+        f"rho(2) err={rho_err:.1e}, rho(1.0004) err={near_one_err:.1e}, "
+        f"norm err={abs(norm-1):.1e}, "
         f"two-sampler ks={two:.4f} (<= {crit:.4f}), {time.time()-t0:.1f}s",
     )
 

@@ -1,6 +1,5 @@
-"""Dickman machinery: the rho table, density, samplers, and their agreement."""
+"""Dickman machinery: the rho series, density, samplers, and their agreement."""
 
-import hashlib
 import math
 import os
 import subprocess
@@ -10,7 +9,6 @@ import time
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
 
 import subordlab
 from subordlab import dickman
@@ -20,8 +18,10 @@ from subordlab.dickman import (
     MAX_RECURSION_DEPTH,
     RECURSION_BLOCK,
     RECURSION_REL_BIAS,
+    RHO_INTERVALS,
     DickmanFunction,
     dickman_density,
+    dickman_density_norm,
     dickman_rho,
     make_dickman,
     recursion_depth,
@@ -75,40 +75,54 @@ class TestRho:
 
     def test_first_interval_closed_form(self):
         # rho(z) = 1 - log(z) on [1, 2], by one step of the delay recursion
-        assert dickman_rho(1.5) == pytest.approx(1.0 - math.log(1.5), abs=1e-10)
+        z = np.linspace(1.0, 2.0, 1001)
+        np.testing.assert_allclose(dickman_rho(z), 1.0 - np.log(z), rtol=1e-14, atol=0)
 
     def test_value_at_two(self):
-        assert dickman_rho(2.0) == pytest.approx(1.0 - math.log(2.0), abs=1e-8)
+        assert dickman_rho(2.0) == pytest.approx(1.0 - math.log(2.0), rel=1e-14)
 
     def test_against_published_values(self):
-        # high-precision reference values for the Dickman function
-        assert dickman_rho(3.0) == pytest.approx(4.8608388291132e-2, rel=1e-9)
-        assert dickman_rho(5.0) == pytest.approx(3.5472470045241e-4, rel=1e-9)
-        assert dickman_rho(10.0) == pytest.approx(2.7701718377260e-11, rel=1e-8)
+        # high-precision reference values for the Dickman function (60-digit series)
+        assert dickman_rho(3.0) == pytest.approx(4.8608388291131567e-2, rel=1e-12)
+        assert dickman_rho(5.0) == pytest.approx(3.5472470045603973e-4, rel=1e-12)
+        assert dickman_rho(10.0) == pytest.approx(2.7701718377259590e-11, rel=1e-12)
 
     def test_monotone_and_positive_over_table(self):
-        table = dickman_rho(np.linspace(1.0, 40.0, 4001))
+        table = dickman_rho(np.linspace(1.0, 40.0, 100_001))
         assert np.all(table > 0)
         assert np.all(np.diff(table) <= 0)
 
     def test_out_of_range(self):
+        assert math.isfinite(dickman_rho(40.0)) and dickman_rho(40.0) > 0
         with pytest.raises(OutOfRangeError):
             dickman_rho(40.001)
         with pytest.raises(InvalidParameterError):
             dickman_rho(-1.0)
-
-    def test_custom_table_step_validation(self):
         with pytest.raises(InvalidParameterError):
-            DickmanFunction.build(z_max=10.0, h=3e-4)  # 1/h not an integer
+            dickman_rho(float("nan"))
 
-    def test_table_bytes_are_pinned(self):
-        # the log table of the default build, bit for bit as the numpy-scalar march
-        # gave it (numpy 2.4.6 on x86-64; the anchor's dot product sums in the
-        # order of the CPU's BLAS kernel, so another kernel may move the last bits)
-        u = dickman._build_log_table(40, 1e-3)
-        assert u.shape == (40_001,)
-        digest = hashlib.sha256(u.tobytes()).hexdigest()
-        assert digest == "955571e2b9cc8d8c1c6f969fe389e049db9d7f2e2b5125cecbe631e2e1c5d284"
+    def test_continuous_at_every_knot(self):
+        # the series of [k-1, k] at its right end against the series of [k, k+1] at its left
+        b = dickman._table().b
+        for k in range(2, RHO_INTERVALS):
+            left = np.polynomial.polynomial.polyval(0.5, b[k - 1])
+            right = np.polynomial.polynomial.polyval(-0.5, b[k])
+            assert right == pytest.approx(left, rel=1e-13), k
+
+    def test_integral_identity_on_every_interval(self):
+        # (k+1) rho(k+1) = integral of rho over [k, k+1]; rho is analytic inside each
+        # interval, so 20-point Gauss-Legendre integrates it to rounding
+        nodes, weights = np.polynomial.legendre.leggauss(20)
+        for k in range(1, RHO_INTERVALS):
+            integral = 0.5 * weights @ dickman_rho(k + 0.5 + 0.5 * nodes)
+            assert integral == pytest.approx((k + 1) * dickman_rho(k + 1.0), rel=1e-13), k
+
+    def test_integrates_to_exp_euler(self):
+        nodes, weights = np.polynomial.legendre.leggauss(20)
+        total = 1.0 + sum(0.5 * weights @ dickman_rho(k + 0.5 + 0.5 * nodes)
+                          for k in range(1, RHO_INTERVALS))
+        assert total == pytest.approx(math.exp(EULER), rel=1e-14)
+        assert dickman_density_norm() == pytest.approx(1.0, rel=1e-14)
 
     def test_table_built_once_under_concurrent_calls(self, monkeypatch):
         table = dickman._table()
@@ -148,8 +162,7 @@ class TestDensity:
         assert dickman_density(0.5) == pytest.approx(math.exp(-EULER), rel=1e-12)
 
     def test_normalizes_to_one(self):
-        total = sum(quad(dickman_density, a, a + 1.0, limit=200)[0] for a in range(40))
-        assert total == pytest.approx(1.0, abs=1e-6)
+        assert dickman_density_norm(40) == pytest.approx(1.0, abs=1e-6)
 
     def test_nonincreasing_beyond_one(self):
         x = np.linspace(1.0, 10.0, 200)
@@ -376,12 +389,15 @@ class TestModel:
         assert rng.bit_generator.state == want.bit_generator.state
 
     def test_package_import_leaves_interpolation_unloaded(self):
-        # the spline module loads with the first table build, not with the CLI
+        # rho, the density and the density norm are series sums: no spline module loads
         code = (
             "import math, sys, subordlab.cli\n"
+            "from subordlab.dickman import dickman_density, dickman_rho\n"
+            "assert abs(dickman_rho(2.0) - (1.0 - math.log(2.0))) <= 1e-14\n"
+            "assert dickman_density(3.0) > 0\n"
+            "entry = {'kind': 'dickman_density_norm', 'params': {'z_max': 40}}\n"
+            "assert subordlab.cli.run_experiment(entry, 0, None, 0)['pass']\n"
             "assert 'scipy.interpolate' not in sys.modules\n"
-            "from subordlab.dickman import dickman_rho\n"
-            "assert abs(dickman_rho(2.0) - (1.0 - math.log(2.0))) <= 1e-8\n"
         )
         src = os.path.dirname(os.path.dirname(subordlab.__file__))
         env = dict(os.environ, PYTHONPATH=src)
