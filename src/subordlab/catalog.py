@@ -14,10 +14,9 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import integrate
 from scipy import special as sc
 
-from .core import CP_BLOCK, LaplaceExponent, LevyTail, SubordinatorModel
+from .core import BLOCK, LaplaceExponent, LevyTail, SubordinatorModel, integral
 from .dickman import make_dickman
 from .errors import InvalidParameterError
 
@@ -60,7 +59,6 @@ class GeneralFamily:
     """
 
     name: str
-    psi_t: Callable[[float, np.ndarray], np.ndarray]
     psi_t_log: Callable[[float, np.ndarray], np.ndarray]
     limit_cdf: Optional[Callable] = None
     params: dict = None
@@ -169,7 +167,7 @@ def _log_gamma_small_shape(a, log_lam, n, rng):
     E accepts it when e^y < E (y <= 0) or e^y - 1 - y < E (y > 0).  Every
     candidate is finite, so no draw is -inf.
 
-    Candidates are drawn ``min(CP_BLOCK, n - filled)`` at a time, all the
+    Candidates are drawn ``min(BLOCK, n - filled)`` at a time, all the
     block's uniforms and then its exponentials, and the accepted ones are
     appended to the n-float output in draw order until n are filled.
     """
@@ -177,12 +175,12 @@ def _log_gamma_small_shape(a, log_lam, n, rng):
     w = a / (math.e * (1.0 - a))
     ww = 1.0 / (1.0 + w)
     log_ww = math.log(ww)
-    u = np.empty(min(n, CP_BLOCK))
+    u = np.empty(min(n, BLOCK))
     e = np.empty(u.size)
     ok = np.empty(u.size, dtype=bool)
     filled = 0
     while filled < n:
-        k = min(CP_BLOCK, n - filled)
+        k = min(BLOCK, n - filled)
         ub = rng.random(out=u[:k])
         np.subtract(1.0, ub, out=ub)
         eb = rng.standard_exponential(out=e[:k])
@@ -224,12 +222,12 @@ def make_gamma(gamma, lam):
       Gamma(a) = Gamma(a+1) * U**(1/a), as log(Gamma(a+1)) + log(U)/a;
     - a >= 1: log of a direct ``standard_gamma`` draw.
 
-    Memory rule: the batch is the n-float output and O(``CP_BLOCK``)
+    Memory rule: the batch is the n-float output and O(``BLOCK``)
     buffers.  The rejection sampler writes its accepted draws into the
     output block by block.  The other two draw the n gamma variates into
     the output (``rng.gamma(k, size=n)`` is ``1.0 *
     rng.standard_gamma(k, size=n)``) and take the log, the boost and the
-    scale ``CP_BLOCK`` values at a time, each block drawing its own boost
+    scale ``BLOCK`` values at a time, each block drawing its own boost
     uniforms from the same stream, so that batch is bitwise the one drawn
     by ``rng.gamma`` and ``rng.random`` on all n at once.
     """
@@ -267,9 +265,9 @@ def make_gamma(gamma, lam):
         boost = shape < 1.0
         # rng.gamma(k, size=n) is 1.0 * rng.standard_gamma(k, size=n)
         out = rng.standard_gamma(shape + 1.0 if boost else shape, size=n, out=np.empty(n))
-        u = np.empty(min(n, CP_BLOCK)) if boost else None
-        for lo in range(0, n, CP_BLOCK):
-            block = out[lo : lo + CP_BLOCK]
+        u = np.empty(min(n, BLOCK)) if boost else None
+        for lo in range(0, n, BLOCK):
+            block = out[lo : lo + BLOCK]
             np.log(block, out=block)
             if boost:
                 # add log(u) / shape, u = 1 - U in (0, 1] keeps the log finite
@@ -308,7 +306,7 @@ def make_stable(a, alpha):
     known_gamma is absent.
 
     Memory rule: the n uniforms V are drawn into the output array; then,
-    ``CP_BLOCK`` values at a time, each block draws its exponentials W and
+    ``BLOCK`` values at a time, each block draws its exponentials W and
     overwrites its V with log(Y_t).  W continues the generator's stream
     after all n uniforms, so the batch is bitwise that of drawing all n V,
     then all n W, and forming log(Y_t) on the whole arrays.
@@ -325,10 +323,10 @@ def make_stable(a, alpha):
 
     def log_sampler(t, n, rng):
         out = rng.random(n)
-        w = np.empty(min(n, CP_BLOCK))
+        w = np.empty(min(n, BLOCK))
         log_scale = np.log(a * t) / alpha
-        for lo in range(0, n, CP_BLOCK):
-            v = out[lo : lo + CP_BLOCK]
+        for lo in range(0, n, BLOCK):
+            v = out[lo : lo + BLOCK]
             v[v == 0.0] = 2.0**-53
             # rng.exponential() is 1.0 * rng.standard_exponential()
             wb = rng.standard_exponential(out=w[: v.size])
@@ -586,10 +584,7 @@ def make_log_power(gamma, power=3):
         s = math.exp(ell)
         hi = min(s, 745.0)  # exp(-x) kills everything beyond
         fn = lambda x: math.exp(-x) * gamma * (ell - math.log(x)) ** power
-        cut = min(1.0, hi / 2.0)
-        val = integrate.quad(fn, 0.0, cut, limit=200)[0]
-        val += integrate.quad(fn, cut, hi, limit=200)[0]
-        return val
+        return integral(fn, [0.0, min(1.0, hi / 2.0), hi], op="log_power_phi")
 
     def eval_log(ell):
         ell_arr = np.asarray(ell, dtype=float)
@@ -621,15 +616,6 @@ def make_stable_nef(a, theta):
         out = np.exp(-a * (np.exp(t * lt) - np.exp(t * log_theta)))
         return out if out.ndim else float(out)
 
-    def psi_t(t, u):
-        u_arr = np.asarray(u, dtype=float)
-        out = np.where(
-            u_arr > 0,
-            psi_t_log(t, np.log(np.maximum(u_arr, 1e-300))),
-            1.0,
-        )
-        return out if out.ndim else float(out)
-
     def limit_cdf(x):
         x_arr = np.asarray(x, dtype=float)
         out = np.where(x_arr >= 1.0, -np.expm1(-a * (np.minimum(x_arr, 1e300) - 1.0)), 0.0)
@@ -638,15 +624,13 @@ def make_stable_nef(a, theta):
 
     return GeneralFamily(
         name="stable_nef",
-        psi_t=psi_t,
         psi_t_log=psi_t_log,
         limit_cdf=limit_cdf,
         params={"a": a, "theta": theta},
     )
 
 
-# name -> (factory, parameter schema) for the CLI; a model reports its own
-# surfaces through SubordinatorModel.exposes()
+# name -> (factory, parameter schema) for the CLI
 CATALOG = {
     "gamma": (make_gamma, {"gamma": "float > 0", "lam": "float > 0"}),
     "stable": (make_stable, {"a": "float > 0", "alpha": "float in (0,1)"}),

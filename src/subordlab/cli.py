@@ -46,9 +46,10 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy import integrate
 
 from . import __version__, catalog, criteria, montecarlo, transforms
+from .core import integral
+from .criteria import CRITERIA
 from .dickman import (
     MAX_RECURSION_DEPTH, RHO_INTERVALS, dickman_density_norm, dickman_rho, recursion_depth,
     sample_dickman_recursion,
@@ -67,10 +68,10 @@ class SchemaError(Exception):
         self.path = path
 
 
-# named slowly varying functions usable from configs
+# named slowly varying functions usable from configs, each a function of log x
 L_FUNCTIONS = {
-    "neg_log": (lambda x: -np.log(x), lambda ly: -ly),
-    "neg_log_cubed": (lambda x: (-np.log(x)) ** 3, lambda ly: (-ly) ** 3),
+    "neg_log": lambda ly: -ly,
+    "neg_log_cubed": lambda ly: (-ly) ** 3,
 }
 
 
@@ -83,13 +84,6 @@ def _ramp(x):
     np.minimum(1.0, out, out=out)
     return out if out.ndim else out[()]
 
-
-# criterion -> (the model surface its estimator reads, the estimator's name in criteria)
-CRITERIA = {
-    "S5": ("phi", "estimate_gamma_s5"), "S6": ("cdf1", "estimate_gamma_s6"),
-    "S7": ("tail", "estimate_gamma_s7"), "S8": ("density1", "estimate_gamma_s8"),
-    "GL": ("phi", "estimate_gamma_general"),
-}
 
 # named ergodic functionals: name -> (f, delta0)
 FUNCTIONALS = {
@@ -187,8 +181,8 @@ OPEN_UNIT = Check(lambda v: 0 < v < 1, "a number in (0, 1)")
 UNIT = Check(lambda v: 0 <= v <= 1, "a number in [0, 1]")
 TIMES = Check(lambda v: isinstance(v, list) and len(v) > 0 and all(POSITIVE.valid(t) for t in v),
               "a non-empty list of finite numbers > 0", tuple)
-GRID = Check(lambda v: isinstance(v, list) and all(NUMBER.valid(x) for x in v),
-             "a list of finite numbers")
+GRID = Check(lambda v: isinstance(v, list) and len(v) > 0 and all(NUMBER.valid(x) for x in v),
+             "a non-empty list of finite numbers")
 FILE_NAME = Check(lambda v: isinstance(v, str) and v != "", "a file name")
 # recursion_depth raises on a theta past the depth ceiling
 RECURSION_GAMMA = Check(
@@ -344,7 +338,7 @@ def _empirical_for_pareto(model, t, n, seed, cutoff, stream=0):
 def _criterion(v, m, seed):
     model, which = m["model"], v["criterion"]
     surface, name = CRITERIA[which]
-    L = (L_FUNCTIONS[v["L"]][0],) if which == "GL" else ()
+    L = (L_FUNCTIONS[v["L"]],) if which == "GL" else ()
     est = getattr(criteria, name)(getattr(model, surface), *L, v["grid"])
     ok = True
     if v["expected_gamma"] is not None:
@@ -414,9 +408,8 @@ def _pareto_limit(v, m, seed):
 
 
 def _general_limit(v, m, seed):
-    L, L_log = L_FUNCTIONS[v["L"]]
     reports = montecarlo.experiment_general_limit(
-        m["model"], L, v["gamma"], v["t_list"], v["n"], seed, cutoff=v["cutoff"], L_log=L_log)
+        m["model"], L_FUNCTIONS[v["L"]], v["gamma"], v["t_list"], v["n"], seed, cutoff=v["cutoff"])
     return _ks_result(reports[-1], v["ks_max"])
 
 
@@ -459,9 +452,9 @@ def _ergodic(v, m, seed):
     est = montecarlo.estimate_ergodic_functional(
         model, f, delta0, v["t"], v["n"], seed, cutoff=v["cutoff"])
     upper = model.tail.support_upper if model.tail is not None else np.inf
-    target, _ = integrate.quad(
-        lambda x: float(f(x)) * float(model.levy_density(x)), delta0,
-        upper if np.isfinite(upper) else 100.0, limit=200,
+    target = integral(
+        lambda x: float(f(x)) * float(model.levy_density(x)),
+        [delta0, upper if np.isfinite(upper) else 100.0], op="ergodic_target",
     )
     rel_err = abs(est.value - target) / abs(target)
     return _result(model.describe(), est.value, v["rel_tol"], rel_err <= v["rel_tol"],
@@ -605,7 +598,7 @@ KINDS = {
     "two_sampler_ks": Kind(
         _two_sampler_ks, params={"n": (100_000, COUNT), "cutoff": (1e-6, OPEN_UNIT),
                                  "gamma": (1.0, RECURSION_GAMMA)},
-        assertions={"level": (0.01, OPEN_UNIT)}, models=()),
+        assertions={"level": (0.01, _one_of(montecarlo.KS_COEFFICIENTS))}, models=()),
 }
 
 

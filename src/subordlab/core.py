@@ -18,7 +18,6 @@ functions; instances can be shared freely across threads.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -38,15 +37,24 @@ __all__ = [
     "phi_from_levy",
     "phi_from_tail",
     "lst_from_cdf",
+    "integral",
 ]
 
 # Largest x with exp(-x) above the float64 subnormal floor; integrands
 # weighted by exp(-x) are identically zero past this point.
 _EXP_CUTOFF = 745.0
 
-# floats per block of the blocked kernels: the cutoff compound-Poisson
-# draws, and the exact samplers' arithmetic after their first n-float draw
-CP_BLOCK = 1 << 16
+# floats (or paths) per block of every blocked kernel, so that the extra memory
+# of a pass over an n-float batch is a few blocks whatever n is:
+# - the cutoff compound-Poisson draws, and the exact samplers' arithmetic after
+#   their first n-float draw;
+# - montecarlo's passes over a batch (the KS statistic, the CSV rows, the masks,
+#   the functional of a dense ergodic batch), and the largest leaf of the
+#   summation tree that montecarlo._sparse_sum rebuilds;
+# - the Dickman recursion's path blocks: a chunk's two block buffers stay in a
+#   2 MB L2, and each draw or ufunc runs long enough between GIL hand-offs for
+#   the chunks to overlap.
+BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -112,14 +120,6 @@ class SubordinatorModel:
     levy_density: Optional[Callable] = None
     known_gamma: Optional[float] = None
     params: dict = field(default_factory=dict)
-    limit_degenerate_at_1: bool = False
-
-    def exposes(self):
-        surfaces = []
-        for attr in ("phi", "tail", "cdf1", "density1", "log_sampler"):
-            if getattr(self, attr) is not None:
-                surfaces.append(attr)
-        return tuple(surfaces)
 
     def describe(self):
         if not self.params or "(" in self.name:
@@ -212,17 +212,40 @@ class ExponentialLaw:
         return f"Exp(gamma={self.gamma:g})"
 
 
-def _quad_piece(fn, a, b, epsabs, epsrel, op):
-    # convergence is judged from the returned error estimate, not the warning
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        val, err = integrate.quad(fn, a, b, epsabs=epsabs, epsrel=epsrel, limit=200)
-    if not np.isfinite(val):
-        raise NumericalFailure(f"{op}: quadrature returned non-finite value", op=op)
-    return val, err
+# fixed tolerances of every integral: QUADPACK's own targets, and the factor
+# by which its summed error estimate may exceed them before the result is refused
+_EPSABS = 1e-12
+_EPSREL = 1e-10
+_ERR_SLACK = 100.0
 
 
-def phi_from_levy(levy_density, s, *, upper=np.inf, epsabs=1e-12, epsrel=1e-10):
+def integral(fn, points, *, op):
+    """Integral of scalar ``fn`` over [points[0], points[-1]], checked.
+
+    Each consecutive pair of points is one adaptive Gauss-Kronrod pass
+    (QUADPACK's QAGS, or QAGI for an infinite end) at the fixed absolute
+    and relative tolerances 1e-12 and 1e-10; the pieces' values and error
+    estimates are summed in order.  Raises NumericalFailure naming ``op``
+    (exit 3 from the CLI) when the sum is not finite or the summed error
+    estimate exceeds 100 * max(1e-12, 1e-10 * |sum|).
+    """
+    total = 0.0
+    err = 0.0
+    for a, b in zip(points[:-1], points[1:]):
+        # full_output makes quad return its diagnostics instead of warning
+        val, e = integrate.quad(
+            fn, a, b, epsabs=_EPSABS, epsrel=_EPSREL, limit=200, full_output=1)[:2]
+        total += val
+        err += e
+    if not (np.isfinite(total) and err <= _ERR_SLACK * max(_EPSABS, _EPSREL * abs(total))):
+        raise NumericalFailure(
+            f"{op}: quadrature gave {total!r} with error {err:.3e}, past tolerance",
+            op=op, achieved=err,
+        )
+    return total
+
+
+def phi_from_levy(levy_density, s, *, upper=np.inf):
     """Laplace exponent from a Levy density: integral of (1-exp(-s x)) nu'(x) dx.
 
     The integrand is split at the knee x = 1/s where 1 - exp(-s x) turns
@@ -239,29 +262,11 @@ def phi_from_levy(levy_density, s, *, upper=np.inf, epsabs=1e-12, epsrel=1e-10):
         return -np.expm1(-s * x) * levy_density(x)
 
     knee = 1.0 / s
-    total = 0.0
-    err_total = 0.0
-    cut = min(knee, upper)
-    if cut > 0:
-        val, err = _quad_piece(integrand, 0.0, cut, epsabs, epsrel, "phi_from_levy")
-        total += val
-        err_total += err
-    if upper > cut:
-        hi = upper if np.isfinite(upper) else np.inf
-        val, err = _quad_piece(integrand, cut, hi, epsabs, epsrel, "phi_from_levy")
-        total += val
-        err_total += err
-    bound = max(epsabs, epsrel * abs(total)) * 100.0
-    if err_total > max(bound, 1e-8 * abs(total)):
-        raise NumericalFailure(
-            f"phi_from_levy: quadrature error {err_total:.3e} exceeds tolerance",
-            op="phi_from_levy",
-            achieved=err_total,
-        )
-    return total
+    points = [0.0, knee, upper] if upper > knee else [0.0, upper]
+    return integral(integrand, points, op="phi_from_levy")
 
 
-def phi_from_tail(tail: LevyTail, s, *, epsabs=1e-12, epsrel=1e-10):
+def phi_from_tail(tail: LevyTail, s):
     """Laplace exponent from the tail: integral of exp(-x) nu_bar(x/s) dx.
 
     The upper limit is capped where exp(-x) drives the integrand below
@@ -284,25 +289,10 @@ def phi_from_tail(tail: LevyTail, s, *, epsabs=1e-12, epsrel=1e-10):
     # the tail factor varies on the x ~ s scale, the exponential on x ~ 1;
     # breaking at both keeps the adaptive pass from overlooking a narrow spike
     breaks = sorted({x_max} | {b for b in (min(s, 1.0), 1.0) if 0.0 < b < x_max})
-    total = 0.0
-    err = 0.0
-    lo = 0.0
-    for hi in breaks:
-        v, e = _quad_piece(integrand, lo, hi, epsabs, epsrel, "phi_from_tail")
-        total += v
-        err += e
-        lo = hi
-    bound = max(epsabs, epsrel * abs(total)) * 100.0
-    if err > max(bound, 1e-8 * abs(total)):
-        raise NumericalFailure(
-            f"phi_from_tail: quadrature error {err:.3e} exceeds tolerance",
-            op="phi_from_tail",
-            achieved=err,
-        )
-    return total
+    return integral(integrand, [0.0, *breaks], op="phi_from_tail")
 
 
-def lst_from_cdf(cdf, s, *, epsabs=1e-12, epsrel=1e-10):
+def lst_from_cdf(cdf, s):
     """Laplace-Stieltjes transform of a CDF via psi(s) = s * integral e^{-sx} F(x) dx.
 
     Substituting u = s x turns this into integral of e^{-u} F(u/s) du,
@@ -319,11 +309,5 @@ def lst_from_cdf(cdf, s, *, epsabs=1e-12, epsrel=1e-10):
     def integrand(u):
         return np.exp(-u) * float(cdf(u / s))
 
-    total, err = _quad_piece(integrand, 0.0, _EXP_CUTOFF, epsabs, epsrel, "lst_from_cdf")
-    if err > max(epsabs, epsrel * abs(total)) * 100.0:
-        raise NumericalFailure(
-            f"lst_from_cdf: quadrature error {err:.3e} exceeds tolerance",
-            op="lst_from_cdf",
-            achieved=err,
-        )
+    total = integral(integrand, [0.0, _EXP_CUTOFF], op="lst_from_cdf")
     return min(max(total, 0.0), 1.0)

@@ -25,6 +25,7 @@ from .core import LaplaceExponent, LevyTail, lst_from_cdf
 from .errors import DegenerateModelError, InvalidParameterError, NumericalFailure
 
 __all__ = [
+    "CRITERIA",
     "VERDICTS",
     "LimitEstimate",
     "estimate_gamma_s5",
@@ -43,6 +44,13 @@ __all__ = [
 
 # every verdict an estimate can carry
 VERDICTS = ("converged", "degenerate", "diverged")
+
+# criterion -> (the model surface its estimator reads, the estimator's name here)
+CRITERIA = {
+    "S5": ("phi", "estimate_gamma_s5"), "S6": ("cdf1", "estimate_gamma_s6"),
+    "S7": ("tail", "estimate_gamma_s7"), "S8": ("density1", "estimate_gamma_s8"),
+    "GL": ("phi", "estimate_gamma_general"),
+}
 
 _DEFAULT_LOG_S = np.linspace(np.log(1e2), np.log(1e12), 12)
 _DEFAULT_LOG_X = np.linspace(np.log(1e-2), np.log(1e-12), 12)
@@ -192,14 +200,14 @@ def estimate_gamma_s8(density1, log_x_grid=None):
 def estimate_gamma_general(phi: LaplaceExponent, L, log_s_grid=None):
     """Generalized index: Phi(1/s)/L(s) -> gamma as s -> 0.
 
-    L must be decreasing with L(s) -> infinity at 0 and slowly varying
-    there (the caller asserts slow variation; only monotonicity on the
-    grid is checked).  Extrapolation is affine in 1/L(s).
+    ``L`` takes log s.  L must be decreasing in s with L(s) -> infinity at
+    0 and slowly varying there (the caller asserts slow variation; only
+    monotonicity on the grid is checked).  Extrapolation is affine in 1/L(s).
     """
     grid = np.asarray(_DEFAULT_GL_LOG_S if log_s_grid is None else log_s_grid, dtype=float)
     if np.any(np.diff(grid) >= 0):
         raise InvalidParameterError("need a decreasing log-s grid (s -> 0)")
-    l_vals = np.asarray(L(np.exp(grid)), dtype=float)
+    l_vals = np.asarray(L(grid), dtype=float)
     if np.any(np.diff(l_vals) <= 0) or np.any(l_vals <= 0):
         raise InvalidParameterError("L must be positive and decreasing toward s = 0 on the grid")
     values = np.asarray(phi.eval_log(-grid), dtype=float)
@@ -306,15 +314,15 @@ def check_sandwich_ol2(cdf1, phi=None, z_grid=None, x_grid=None, tol=1e-9):
     return violations
 
 
-def estimate_all(model, log_s_grid=None, log_x_grid=None):
-    """Run every estimator the model's surfaces support; keyed by criterion id."""
+def estimate_all(model):
+    """Run every S-criterion the model's surfaces support; keyed by criterion id.
+
+    GL is left out: it needs an L.  Each estimator is looked up in this
+    module by name at call time.
+    """
     out = {}
-    if model.phi is not None:
-        out["S5"] = estimate_gamma_s5(model.phi, log_s_grid)
-    if model.cdf1 is not None:
-        out["S6"] = estimate_gamma_s6(model.cdf1, log_x_grid)
-    if model.tail is not None:
-        out["S7"] = estimate_gamma_s7(model.tail, log_x_grid)
-    if model.density1 is not None:
-        out["S8"] = estimate_gamma_s8(model.density1, log_x_grid)
+    for criterion, (surface, name) in CRITERIA.items():
+        arg = getattr(model, surface)
+        if criterion != "GL" and arg is not None:
+            out[criterion] = globals()[name](arg)
     return out

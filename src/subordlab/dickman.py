@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special as sc
 
-from .core import LaplaceExponent, LevyTail, SubordinatorModel
+from .core import BLOCK, LaplaceExponent, LevyTail, SubordinatorModel
 from .errors import InvalidParameterError, OutOfRangeError
 
 __all__ = [
@@ -56,9 +56,6 @@ RHO_INTERVALS = 40
 SERIES_TERMS = 40
 # integral of s**i over [-1/2, 1/2]
 _MOMENTS = np.array([0.5**i / (i + 1) if i % 2 == 0 else 0.0 for i in range(SERIES_TERMS)])
-# paths per block of the recursion: a chunk's two block buffers stay in a 2 MB L2, and
-# each draw or ufunc runs long enough between GIL hand-offs for the chunks to overlap
-RECURSION_BLOCK = 1 << 16
 
 
 def _series_coefficients():
@@ -188,7 +185,7 @@ def sample_dickman_recursion(gamma, depth, rng, n=1, *, log=False):
     to ``RECURSION_REL_BIAS * gamma``.  ``depth`` may not exceed
     ``MAX_RECURSION_DEPTH``.
 
-    Block and chunk rule: the paths are cut into ``RECURSION_BLOCK``-path
+    Block and chunk rule: the paths are cut into ``BLOCK``-path
     blocks, and the blocks into one contiguous chunk of whole blocks per
     usable CPU (the process's CPU affinity), never more chunks than blocks.
     Each chunk runs all ``depth`` terms on one block at a time, while its
@@ -222,10 +219,10 @@ def sample_dickman_recursion(gamma, depth, rng, n=1, *, log=False):
             bg.state = start
             bg.advance(k * n + lo)
             terms.append(np.random.Generator(bg))
-        u = np.empty(min(hi - lo, RECURSION_BLOCK))
+        u = np.empty(min(hi - lo, BLOCK))
         prod = np.empty_like(u)
-        for b in range(lo, hi, RECURSION_BLOCK):
-            m = min(RECURSION_BLOCK, hi - b)
+        for b in range(lo, hi, BLOCK):
+            m = min(BLOCK, hi - b)
             a, p, v = acc[b : b + m], prod[:m], u[:m]
             if log:
                 a.fill(-np.inf)
@@ -250,9 +247,9 @@ def sample_dickman_recursion(gamma, depth, rng, n=1, *, log=False):
                     a += p
         return terms[-1].bit_generator
 
-    blocks = -(-n // RECURSION_BLOCK)
+    blocks = -(-n // BLOCK)
     chunks = max(1, min(blocks, _usable_cpus()))
-    cuts = [RECURSION_BLOCK * (blocks * i // chunks) for i in range(chunks)] + [n]
+    cuts = [BLOCK * (blocks * i // chunks) for i in range(chunks)] + [n]
     if chunks == 1:
         end = run(0, n)
     else:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ExponentialLaw, ParetoLaw, SubordinatorModel, pareto_cdf
+from .core import BLOCK, ExponentialLaw, ParetoLaw, SubordinatorModel, pareto_cdf
 from .errors import InvalidParameterError, NumericalFailure, OutOfRangeError
 from .simulate import sample_cutoff_cp, sample_marginal, substream, to_neg_t_power, to_tl
 
@@ -33,6 +33,7 @@ __all__ = [
     "two_sample_ks",
     "ks_critical_value",
     "two_sample_ks_critical_value",
+    "KS_COEFFICIENTS",
     "ParetoProductLaw",
     "AffineMinLaw",
     "ParetoMixtureLaw",
@@ -57,11 +58,6 @@ __all__ = [
 DEFAULT_T_LIST = (0.2, 0.1, 0.05, 0.01)
 DEFAULT_N = 100_000
 
-# floats per block of this module's passes over a batch (the KS statistic,
-# the CSV rows, the masks, the functional of a dense ergodic batch), and the
-# largest leaf of the summation tree that _sparse_sum rebuilds
-ERGODIC_BLOCK = 1 << 16
-
 
 @dataclass(frozen=True)
 class EmpiricalDistribution:
@@ -81,9 +77,6 @@ class EmpiricalDistribution:
         else:
             arr = np.sort(np.asarray(values, dtype=float))
         return cls(arr, int(count_at_infinity), arr.size + int(count_at_infinity))
-
-    def ecdf(self, x):
-        return np.searchsorted(self.values, x, side="right") / self.n_total
 
 
 # CDF code can be monotone only up to rounding (scipy's gammainc steps back by
@@ -111,7 +104,7 @@ def ks_distance(emp: EmpiricalDistribution, cdf):
     statistic).  The at-infinity bucket contributes
     1 - finite/n - (1 - cdf(inf)), the gap left at the far right end.
 
-    ``cdf`` is evaluated once over the sorted values, ``ERGODIC_BLOCK``
+    ``cdf`` is evaluated once over the sorted values, ``BLOCK``
     of them at a time, so the extra memory is a few blocks whatever n is
     (``cdf`` must act elementwise).  Since F(x-) <= F(x),
     u_i = F(x_i) - (i-1)/n bounds the left term at x_i from above, so the
@@ -133,8 +126,8 @@ def ks_distance(emp: EmpiricalDistribution, cdf):
     m = x.size
     d = -np.inf
     u_max = -np.inf
-    for lo in range(0, m, ERGODIC_BLOCK):
-        xb = x[lo : lo + ERGODIC_BLOCK]
+    for lo in range(0, m, BLOCK):
+        xb = x[lo : lo + BLOCK]
         steps = np.arange(lo, lo + xb.size + 1, dtype=float)
         steps /= n  # steps[j] = (lo + j)/n
         lower = steps[:-1]  # (i-1)/n
@@ -169,15 +162,17 @@ def two_sample_ks(x, y):
     return float(np.max(np.abs(fx - fy)))
 
 
+# level -> c(level), the asymptotic Kolmogorov critical value times sqrt(n)
+KS_COEFFICIENTS = {0.10: 1.224, 0.05: 1.358, 0.01: 1.628}
+
+
 def ks_critical_value(n, level=0.01):
     """Asymptotic one-sample critical value, c(level)/sqrt(n)."""
-    coeff = {0.10: 1.224, 0.05: 1.358, 0.01: 1.628}[level]
-    return coeff / np.sqrt(n)
+    return KS_COEFFICIENTS[level] / np.sqrt(n)
 
 
 def two_sample_ks_critical_value(n1, n2, level=0.01):
-    coeff = {0.10: 1.224, 0.05: 1.358, 0.01: 1.628}[level]
-    return coeff * np.sqrt((n1 + n2) / (n1 * n2))
+    return KS_COEFFICIENTS[level] * np.sqrt((n1 + n2) / (n1 * n2))
 
 
 @dataclass(frozen=True)
@@ -187,24 +182,13 @@ class KsReport:
     n: int
     target: str
     ks_statistic: float
-    seed: int
-
-    def to_dict(self):
-        return {
-            "model": self.model,
-            "t": self.t,
-            "n": self.n,
-            "target": self.target,
-            "ks_statistic": self.ks_statistic,
-            "seed": self.seed,
-        }
 
 
-def _ks_report(model, t, n, law, emp, seed):
+def _ks_report(model, t, n, law, emp):
     """The KS report of ``emp`` against ``law`` for the model labelled ``model``."""
     return KsReport(
         model=model, t=float(t), n=int(n), target=law.describe(),
-        ks_statistic=ks_distance(emp, law.cdf), seed=int(seed),
+        ks_statistic=ks_distance(emp, law.cdf),
     )
 
 
@@ -285,8 +269,8 @@ def _sample_transformed(model, t, n, rng, cutoff):
 def _fraction_within(values, lo, hi):
     """``np.mean((values >= lo) & (values <= hi))``, counted a block at a time."""
     count = 0
-    for start in range(0, values.size, ERGODIC_BLOCK):
-        block = values[start : start + ERGODIC_BLOCK]
+    for start in range(0, values.size, BLOCK):
+        block = values[start : start + BLOCK]
         count += np.count_nonzero((block >= lo) & (block <= hi))
     return np.float64(count) / values.size
 
@@ -303,26 +287,26 @@ def experiment_pareto_limit(
     reports = []
     for k, t in enumerate(t_list):
         emp = _sample_transformed(model, t, n, substream(seed, k), cutoff)
-        reports.append(_ks_report(model.describe(), t, n, law, emp, seed))
+        reports.append(_ks_report(model.describe(), t, n, law, emp))
         del emp  # before the next t draws its batch
     return reports
 
 
 def experiment_general_limit(
     model: SubordinatorModel, L, gamma, t_list=DEFAULT_T_LIST, n=DEFAULT_N, seed=0,
-    *, cutoff=1e-6, L_log=None,
+    *, cutoff=1e-6,
 ):
-    """KS of t*L(Y_t) against the exponential law with rate gamma, per t."""
+    """KS of t*L(Y_t) against the exponential law with rate gamma, per t; L takes log y."""
     law = ExponentialLaw(gamma)
     reports = []
     for k, t in enumerate(t_list):
         rng = substream(seed, k)
         log_samples = sample_marginal(model, t, n, rng, cutoff=cutoff)
         emp = EmpiricalDistribution.from_values(
-            *to_tl(log_samples, L, t, L_log=L_log, out=log_samples), in_place=True
+            *to_tl(log_samples, L, t, out=log_samples), in_place=True
         )
         del log_samples
-        reports.append(_ks_report(model.describe(), t, n, law, emp, seed))
+        reports.append(_ks_report(model.describe(), t, n, law, emp))
         del emp  # before the next t draws its batch
     return reports
 
@@ -341,7 +325,7 @@ def experiment_min_rule(m1, m2, t, n=DEFAULT_N, seed=0, *, cutoff=1e-6):
         raise InvalidParameterError("both models need known indices")
     emp = _two_model_transformed(m1, m2, t, n, seed, cutoff, np.logaddexp)
     law = ParetoLaw(m1.known_gamma + m2.known_gamma)
-    return _ks_report(f"{m1.describe()}+{m2.describe()}", t, n, law, emp, seed)
+    return _ks_report(f"{m1.describe()}+{m2.describe()}", t, n, law, emp)
 
 
 def experiment_product_rule(m1, m2, t, n=DEFAULT_N, seed=0, *, cutoff=1e-6):
@@ -350,7 +334,7 @@ def experiment_product_rule(m1, m2, t, n=DEFAULT_N, seed=0, *, cutoff=1e-6):
         raise InvalidParameterError("both models need known indices")
     emp = _two_model_transformed(m1, m2, t, n, seed, cutoff, np.add)
     law = ParetoProductLaw(m1.known_gamma, m2.known_gamma)
-    return _ks_report(f"{m1.describe()}*{m2.describe()}", t, n, law, emp, seed)
+    return _ks_report(f"{m1.describe()}*{m2.describe()}", t, n, law, emp)
 
 
 def experiment_affine(model, a, b, t, n=DEFAULT_N, seed=0, *, cutoff=1e-6):
@@ -369,7 +353,7 @@ def experiment_affine(model, a, b, t, n=DEFAULT_N, seed=0, *, cutoff=1e-6):
     values, n_inf = to_neg_t_power(log_y, t, out=log_y)
     emp = EmpiricalDistribution.from_values(values, n_inf, in_place=True)
     law = AffineMinLaw(a, b, model.known_gamma)
-    return _ks_report(f"affine(a={a:g},b={b:g},{model.describe()})", t, n, law, emp, seed)
+    return _ks_report(f"affine(a={a:g},b={b:g},{model.describe()})", t, n, law, emp)
 
 
 def experiment_mixture(model, q, t, n=DEFAULT_N, seed=0, *, cutoff=1e-6, jump_window=0.05):
@@ -386,15 +370,15 @@ def experiment_mixture(model, q, t, n=DEFAULT_N, seed=0, *, cutoff=1e-6, jump_wi
     log_l = sample_marginal(model, t, n, substream(seed, 0), cutoff=cutoff)
     # the level B: the n uniforms of stream 1, drawn a block at a time
     level_rng = substream(seed, 1)
-    u = np.empty(min(n, ERGODIC_BLOCK))
-    for lo in range(0, n, ERGODIC_BLOCK):
-        block = log_l[lo : lo + ERGODIC_BLOCK]
+    u = np.empty(min(n, BLOCK))
+    for lo in range(0, n, BLOCK):
+        block = log_l[lo : lo + BLOCK]
         at_one = level_rng.random(out=u[: block.size]) >= q
         np.logaddexp(block, 0.0, out=block, where=at_one)
     values, n_inf = to_neg_t_power(log_l, t, out=log_l)
     emp = EmpiricalDistribution.from_values(values, n_inf, in_place=True)
     law = ParetoMixtureLaw(q, model.known_gamma)
-    report = _ks_report(f"mixture(q={q:g},{model.describe()})", t, n, law, emp, seed)
+    report = _ks_report(f"mixture(q={q:g},{model.describe()})", t, n, law, emp)
     inside = _fraction_within(emp.values, 1.0 - jump_window, 1.0 + 1e-9)
     jump_mass = float(inside * values.size / emp.n_total)
     return report, jump_mass
@@ -454,12 +438,12 @@ def _sparse_sum(n, fill, idx, vals, buf, lo=0):
     """``np.add.reduce`` of the n floats that are ``fill`` but ``vals`` at the ascending ``idx``.
 
     Replays numpy's pairwise summation tree (split at n//2 rounded down to
-    a multiple of 8) down to leaves of at most ``ERGODIC_BLOCK``; each leaf
-    is rebuilt in ``buf`` (at least ``min(n, ERGODIC_BLOCK)`` floats) and
+    a multiple of 8) down to leaves of at most ``BLOCK``; each leaf
+    is rebuilt in ``buf`` (at least ``min(n, BLOCK)`` floats) and
     reduced by ``np.add.reduce``, so the sum is bitwise that of the dense
     array.  ``lo`` is the offset of these n floats in the whole array.
     """
-    if n > ERGODIC_BLOCK:
+    if n > BLOCK:
         half = n // 2
         half -= half % 8
         return (_sparse_sum(half, fill, idx, vals, buf, lo)
@@ -483,10 +467,10 @@ def estimate_ergodic_functional(model, f, delta0, t, n, seed=0, *, cutoff=1e-6):
     compound-Poisson sampler in sparse form and never densified.  f is
     applied to the jump sums, and only the paths with f(v) != f(0) are
     kept, so the memory grows with the paths that jump plus one
-    ``ERGODIC_BLOCK`` buffer, not with n.  The mean and the ``ddof=1``
+    ``BLOCK`` buffer, not with n.  The mean and the ``ddof=1``
     standard deviation replay numpy's pairwise summation tree over the n
     virtual values (``_sparse_sum``).  A model with only an exact sampler
-    is drawn dense as log(Y_t); ``ERGODIC_BLOCK`` samples at a time are
+    is drawn dense as log(Y_t); ``BLOCK`` samples at a time are
     exponentiated and f applied, in place, and the statistics are formed
     in that buffer (peak one n-float array).  Either way they are the
     reductions ``ndarray.mean`` and ``ndarray.std`` use (one pairwise sum,
@@ -505,15 +489,15 @@ def estimate_ergodic_functional(model, f, delta0, t, n, seed=0, *, cutoff=1e-6):
         f0 = np.asarray(f(np.zeros(1)), dtype=float)[0]
         keep = fv != f0
         idx, fv = idx[keep], fv[keep]
-        buf = np.empty(min(n, ERGODIC_BLOCK))
+        buf = np.empty(min(n, BLOCK))
         mean = _sparse_sum(n, f0, idx, fv, buf) / n
         fv -= mean
         np.square(fv, out=fv)
         std = np.sqrt(_sparse_sum(n, np.square(f0 - mean), idx, fv, buf) / (n - 1))
     else:
         vals = sample_marginal(model, t, n, rng, cutoff=cutoff)
-        for lo in range(0, n, ERGODIC_BLOCK):
-            block = vals[lo : lo + ERGODIC_BLOCK]
+        for lo in range(0, n, BLOCK):
+            block = vals[lo : lo + BLOCK]
             np.exp(block, out=block)
             block[...] = f(block)
         mean = np.add.reduce(vals) / n
@@ -561,12 +545,12 @@ def export_curve(emp: EmpiricalDistribution, cdf, path):
 
     Each value is written as its ``repr``, rows end in CRLF and nothing is
     quoted: the bytes ``csv.writer`` would write.  The rows are formatted
-    and written ``ERGODIC_BLOCK // 32`` at a time (a row's Python floats
+    and written ``BLOCK // 32`` at a time (a row's Python floats
     and strings take about 32 floats' worth of memory), so the memory is
     about one block whatever the row count; ``cdf`` must act elementwise.
     """
     n = emp.values.size
-    chunk = ERGODIC_BLOCK // 32
+    chunk = BLOCK // 32
     with open(path, "w", newline="") as fh:
         fh.write("x,ecdf,target\r\n")
         for lo in range(0, n, chunk):

@@ -23,7 +23,7 @@ import math
 
 import numpy as np
 
-from .core import CP_BLOCK, LevyTail, SubordinatorModel
+from .core import BLOCK, LevyTail, SubordinatorModel
 from .errors import InvalidParameterError, UnsupportedModelError
 
 __all__ = [
@@ -47,7 +47,7 @@ def _hit_paths(lam, p, n, rng):
 
     The gaps between successive paths with at least one jump are
     Geometric(p), p = 1 - exp(-lam).  They are drawn in blocks of
-    ``min(CP_BLOCK, h + 4*sqrt(h) + 16)``, h = p * (paths left after the
+    ``min(BLOCK, h + 4*sqrt(h) + 16)``, h = p * (paths left after the
     last hit), and summed until a position passes n.  Each hit path's count
     is then drawn from the zero-truncated Poisson(lam), as 1 + Poisson(lam
     + log1p(-U*p)): the first arrival T <= 1 is inverted from U, and the
@@ -59,7 +59,7 @@ def _hit_paths(lam, p, n, rng):
     last = -1  # the position of the last hit so far
     while True:
         h = (n - 1 - last) * p
-        gaps = rng.geometric(p, min(CP_BLOCK, int(h + 4.0 * math.sqrt(h)) + 16))
+        gaps = rng.geometric(p, min(BLOCK, int(h + 4.0 * math.sqrt(h)) + 16))
         # a gap past n ends the batch; capping it keeps the positions in range
         np.minimum(gaps, n + 1, out=gaps)
         pos = np.cumsum(gaps)
@@ -98,12 +98,12 @@ def sample_cutoff_cp(tail: LevyTail, eps, t, rng, n=1):
       Geometric(p) gaps, and each hit's count from the zero-truncated
       Poisson (``_hit_paths``); the work grows with the hits, not with n.
       A p that underflows to 0 gives no hits.
-    - p >= 1/2 (dense): the n Poisson counts are drawn ``CP_BLOCK`` paths
+    - p >= 1/2 (dense): the n Poisson counts are drawn ``BLOCK`` paths
       at a time, keeping the paths with jumps and their counts; the batch
       is bitwise the one drawn by all n counts, then all jumps, in single
       calls.
 
-    Either way the jumps are then drawn in blocks of at most ``CP_BLOCK``
+    Either way the jumps are then drawn in blocks of at most ``BLOCK``
     that end on a path boundary (a path with more jumps is a block of its
     own), inverted (``inverse_tail`` must be elementwise), and each path's
     jumps summed in draw order.  Memory grows with neither n nor the jump
@@ -123,8 +123,8 @@ def sample_cutoff_cp(tail: LevyTail, eps, t, rng, n=1):
         hit_counts = [counts]
     else:
         hits, hit_counts = [], []  # per block of counts: paths with jumps, their counts
-        for start in range(0, n, CP_BLOCK):
-            counts = rng.poisson(lam, min(CP_BLOCK, n - start))
+        for start in range(0, n, BLOCK):
+            counts = rng.poisson(lam, min(BLOCK, n - start))
             hit = np.flatnonzero(counts)
             if hit.size:
                 hits.append(hit + start)
@@ -138,7 +138,7 @@ def sample_cutoff_cp(tail: LevyTail, eps, t, rng, n=1):
         lo = 0
         while lo < counts.size:
             done = ends[lo - 1] if lo else 0
-            hi = max(int(np.searchsorted(ends, done + CP_BLOCK, side="right")), lo + 1)
+            hi = max(int(np.searchsorted(ends, done + BLOCK, side="right")), lo + 1)
             jumps = rng.random(int(ends[hi - 1] - done))
             jumps *= nu_eps
             jumps = np.asarray(tail.inverse_tail(jumps), dtype=float)
@@ -189,7 +189,7 @@ def to_neg_t_power(samples, t, *, out=None):
     The images are written to ``out`` (any float array of the batch's
     size, the batch itself included) or, by default, to a fresh array, so
     the caller's samples are never changed unless passed as ``out``.  The
-    finite values are then packed to its front, in order, ``CP_BLOCK`` at
+    finite values are then packed to its front, in order, ``BLOCK`` at
     a time; the returned values are that prefix, a view of the array.
     """
     if t <= 0:
@@ -199,8 +199,8 @@ def to_neg_t_power(samples, t, *, out=None):
         res = np.multiply(log_y, -t, out=out)
         np.exp(res, out=res)
     k = 0
-    for lo in range(0, res.size, CP_BLOCK):
-        block = res[lo : lo + CP_BLOCK]
+    for lo in range(0, res.size, BLOCK):
+        block = res[lo : lo + BLOCK]
         finite = np.isfinite(block)
         if k == lo and finite.all():
             k += block.size
@@ -211,13 +211,12 @@ def to_neg_t_power(samples, t, *, out=None):
     return res[:k], int(res.size - k)
 
 
-def to_tl(samples, L, t, *, L_log=None, out=None):
+def to_tl(samples, L, t, *, out=None):
     """Map log y to t*L(y) for a decreasing L; returns (finite values, at-infinity count).
 
-    ``samples`` are log values.  ``L_log``, when given, evaluates L at
-    exp(log y) directly from log y, which keeps exact-sampler batches free
-    of spurious underflow.  L (or ``L_log``) sees only the finite log
-    values and must act elementwise: it is applied ``CP_BLOCK`` values at
+    ``samples`` are log values, and ``L`` takes log y, so that no batch
+    passes through exp and underflows.  L sees only the finite log
+    values and must act elementwise: it is applied ``BLOCK`` values at
     a time.  Samples with no finite image count as at infinity.  The
     finite images are packed, in order, at the front of ``out`` (any float
     array of the batch's size, the batch itself included) or, by default,
@@ -230,13 +229,10 @@ def to_tl(samples, L, t, *, L_log=None, out=None):
     if out is None:
         out = np.empty(log_y.size)
     k = 0
-    for lo in range(0, log_y.size, CP_BLOCK):
-        block = log_y[lo : lo + CP_BLOCK]
+    for lo in range(0, log_y.size, BLOCK):
+        block = log_y[lo : lo + BLOCK]
         block = block[np.isfinite(block)]
-        if L_log is not None:
-            vals = t * np.asarray(L_log(block), dtype=float)
-        else:
-            vals = t * np.asarray(L(np.exp(block)), dtype=float)
+        vals = t * np.asarray(L(block), dtype=float)
         vals = vals[np.isfinite(vals)]
         out[k : k + vals.size] = vals
         k += vals.size

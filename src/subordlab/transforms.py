@@ -12,9 +12,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import integrate
 
-from .core import LaplaceExponent, LevyTail, SubordinatorModel
+from .core import LaplaceExponent, LevyTail, SubordinatorModel, integral
 from .criteria import detect_limit
 from .errors import DegenerateModelError, InvalidParameterError, UnsupportedModelError
 
@@ -66,9 +65,8 @@ def tilt(model: SubordinatorModel, theta):
 
         def tilted_tail(x):
             x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-            hi = upper if np.isfinite(upper) else np.inf
             out = np.array(
-                [integrate.quad(new_density, float(v), hi, limit=200)[0] for v in x_arr]
+                [integral(new_density, [float(v), upper], op="tilted_tail") for v in x_arr]
             )
             return out if np.asarray(x).ndim else float(out[0])
 
@@ -193,9 +191,8 @@ def add_drift(model: SubordinatorModel, c):
     """Add deterministic drift c*t: exponent Phi(s) + c*s.
 
     Drift destroys the power-transform limit (the statistic collapses to
-    the point mass at 1), so the known index is cleared and the model is
-    flagged as limit-degenerate.  The log sampler adds the drift to the
-    base batch in place.
+    the point mass at 1), so the known index is cleared.  The log sampler
+    adds the drift to the base batch in place.
     """
     if c <= 0:
         raise InvalidParameterError("drift rate must be positive")
@@ -219,5 +216,4 @@ def add_drift(model: SubordinatorModel, c):
         phi=LaplaceExponent(eval_log=eval_log),
         log_sampler=log_sampler,
         params={"base": model.describe(), "c": c},
-        limit_degenerate_at_1=True,
     )

@@ -2,10 +2,23 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import integrate
 
 from subordlab import catalog
 from subordlab.dickman import make_dickman
 from subordlab.simulate import sample_cutoff_cp
+
+
+@pytest.fixture
+def loose_quad(monkeypatch):
+    """scipy's quad, reporting an error estimate of 1 on every piece."""
+    real = integrate.quad
+
+    def quad_loose(*args, **kwargs):
+        val, _, *rest = real(*args, **kwargs)
+        return (val, 1.0, *rest)
+
+    monkeypatch.setattr(integrate, "quad", quad_loose)
 
 
 @pytest.fixture(scope="session")

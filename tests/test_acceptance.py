@@ -175,12 +175,12 @@ def test_criterion_08_generalized_L():
     t0 = time.time()
     gamma = 0.1
     model = catalog.make_log_power(gamma, 3)
-    cube = lambda x: (-np.log(x)) ** 3
+    cube = lambda ly: (-ly) ** 3  # L takes log x
     est = criteria.estimate_gamma_general(model.phi, cube)
     assert est.verdict == "converged"
     assert abs(est.gamma_hat - gamma) <= 0.05
     report = mc.experiment_general_limit(
-        model, cube, gamma, (0.01,), N_MC, SEED, cutoff=1e-8, L_log=lambda ly: (-ly) ** 3
+        model, cube, gamma, (0.01,), N_MC, SEED, cutoff=1e-8
     )[0]
     _emit(
         "criterion 8 (generalized slowly varying L)",

@@ -401,6 +401,12 @@ class TestExperimentTable:
              "assertions.expected"),
             ({"kind": "s2", "model": GAMMA, "params": {"t_grid": [0.01, float("inf")]}},
              "params.t_grid"),
+            # these sampled, then exited 1 with a traceback
+            ({"kind": "two_sampler_ks", "assertions": {"level": 0.02}}, "assertions.level"),
+            ({"kind": "s2", "model": GAMMA, "params": {"t_grid": []}}, "params.t_grid"),
+            ({"kind": "s2", "model": GAMMA, "params": {"u_grid": []}}, "params.u_grid"),
+            ({"kind": "family_limit", "params": {"t_grid": []}}, "params.t_grid"),
+            ({"kind": "family_limit", "params": {"u_grid": []}}, "params.u_grid"),
         ],
     )
     def test_malformed_field_exits_two_before_any_draw(
@@ -723,6 +729,13 @@ class TestNumericalFailureExit:
         code = cli.main(["--config", cfg, "--out", str(tmp_path)])
         assert code == 3
         assert "estimate_gamma_s6" in capsys.readouterr().err
+
+    def test_ergodic_target_past_tolerance_exits_three(self, tmp_path, capsys, loose_quad):
+        entry = {"kind": "ergodic", "model": GAMMA, "params": {"n": 1000}}
+        cfg = write_config(tmp_path, {"experiments": [entry]})
+        assert cli.main(["--config", cfg, "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("numerical failure in ergodic_target:"), err
 
     def test_batch_past_the_address_space_exits_three(self, tmp_path, capsys):
         # 10**15 floats (7.1 PiB) exceed any address space, so the allocation

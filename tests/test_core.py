@@ -1,18 +1,21 @@
 """Core types, transform bridges, and their closed-form/quadrature oracles."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy import integrate
 from scipy.integrate import quad
 
-from subordlab import catalog
+from subordlab import catalog, transforms
 from subordlab.core import (
     ExponentialLaw,
     LaplaceExponent,
     ParetoLaw,
+    integral,
     lst_from_cdf,
     pareto_cdf,
     pareto_quantile,
@@ -20,7 +23,7 @@ from subordlab.core import (
     phi_from_tail,
 )
 from subordlab.dickman import EULER, make_dickman
-from subordlab.errors import InvalidParameterError
+from subordlab.errors import InvalidParameterError, NumericalFailure
 
 
 def exp1_oracle(z):
@@ -228,7 +231,6 @@ class TestPhiFromTail:
     def test_divergent_tail_fails(self):
         # a tail blowing up like 1/x near 0 is not integrable against exp(-x)
         from subordlab.core import LevyTail
-        from subordlab.errors import NumericalFailure
 
         bad = LevyTail(tail=lambda x: 1.0 / np.asarray(x, dtype=float))
         with pytest.raises(NumericalFailure):
@@ -238,6 +240,46 @@ class TestPhiFromTail:
         for g in (1.0, 2.0):
             model = catalog.make_thorin_uniform(g)
             assert phi_from_tail(model.tail, g) == pytest.approx(2.0 * g * math.log(2.0), rel=1e-8)
+
+
+class TestIntegral:
+    def test_pieces_sum_in_order(self):
+        assert integral(math.exp, [0.0, 1.0, 2.0], op="t") == pytest.approx(
+            math.exp(2.0) - 1.0, rel=1e-14)
+        assert integral(lambda x: math.exp(-x), [0.0, np.inf], op="t") == pytest.approx(
+            1.0, rel=1e-14)
+
+    def test_divergent_integral_names_op(self):
+        with pytest.raises(NumericalFailure) as info:
+            integral(lambda x: 1.0 / x, [0.0, 1.0], op="divergent")
+        assert info.value.op == "divergent" and info.value.achieved > 0
+
+    @pytest.mark.parametrize(
+        "op,call",
+        [
+            ("phi_from_levy", lambda: phi_from_levy(lambda x: 1.0 / x, 10.0, upper=1.0)),
+            ("phi_from_tail", lambda: phi_from_tail(make_dickman(2.0).tail, math.e)),
+            ("lst_from_cdf", lambda: lst_from_cdf(catalog.make_gamma(1.0, 1.0).cdf1, 1.0)),
+            ("tilted_tail",
+             lambda: transforms.tilt(catalog.make_gamma(1.0, 1.0), 0.5).tail(0.1)),
+            ("log_power_phi", lambda: catalog.make_log_power(0.1, 3).phi.eval_log(1.0)),
+        ],
+    )
+    def test_error_past_tolerance_names_op(self, loose_quad, op, call):
+        with pytest.raises(NumericalFailure) as info:
+            call()
+        assert info.value.op == op and info.value.achieved >= 1.0
+
+    def test_only_core_binds_scipy_integrate(self):
+        import subordlab.cli  # noqa: F401  (loads every subordlab module)
+
+        loaded = {name: mod for name, mod in sys.modules.items()
+                  if name == "subordlab" or name.startswith("subordlab.")}
+        assert "subordlab.core" in loaded and len(loaded) > 5
+        for name, mod in loaded.items():
+            bound = [key for key, value in vars(mod).items()
+                     if value is integrate or value is integrate.quad]
+            assert bound == (["integrate"] if name == "subordlab.core" else []), name
 
 
 class TestLstFromCdf:
@@ -346,9 +388,6 @@ class TestSubordinatorModelInvariants:
                 f_vals = np.asarray(model.cdf1(z / s_grid), dtype=float)
                 assert np.all(psi >= f_vals * math.exp(-z) - 1e-9)
                 assert np.all(psi <= f_vals * (1.0 - math.exp(-z)) + math.exp(-z) + 1e-9)
-
-    def test_exposes_lists_populated_surfaces(self, gamma11):
-        assert set(gamma11.exposes()) == {"phi", "tail", "cdf1", "density1", "log_sampler"}
 
 
 def test_degenerate_phi_accepted_by_constructor():

@@ -11,8 +11,9 @@ from subordlab.core import LaplaceExponent, LevyTail, pareto_cdf
 from subordlab.dickman import make_dickman
 from subordlab.errors import DegenerateModelError, InvalidParameterError, NumericalFailure
 
-NEG_LOG = lambda x: -np.log(x)
-NEG_LOG_CUBED = lambda x: (-np.log(x)) ** 3
+# L as a function of log s
+NEG_LOG = lambda ly: -ly
+NEG_LOG_CUBED = lambda ly: (-ly) ** 3
 
 
 class TestS5:
@@ -177,7 +178,7 @@ class TestGeneralized:
         assert est.verdict == "degenerate"
 
     def test_nonmonotone_L_rejected(self, gamma11):
-        wiggle = lambda x: -np.log(x) * (1.0 + 0.5 * np.sin(np.log(x) * 40.0))
+        wiggle = lambda ly: -ly * (1.0 + 0.5 * np.sin(ly * 40.0))
         with pytest.raises(InvalidParameterError):
             criteria.estimate_gamma_general(gamma11.phi, wiggle)
 

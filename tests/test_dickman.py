@@ -12,11 +12,10 @@ import pytest
 
 import subordlab
 from subordlab import dickman
-from subordlab.core import phi_from_levy
+from subordlab.core import BLOCK, phi_from_levy
 from subordlab.dickman import (
     EULER,
     MAX_RECURSION_DEPTH,
-    RECURSION_BLOCK,
     RECURSION_REL_BIAS,
     RHO_INTERVALS,
     DickmanFunction,
@@ -254,7 +253,7 @@ class TestRecursionSampler:
     def test_in_place_kernel_matches_naive_reference(self, gamma, log):
         # n = 1, part of one block, and three blocks plus a partial one
         depth = 25
-        for n in (1, 5000, 3 * RECURSION_BLOCK + 7):
+        for n in (1, 5000, 3 * BLOCK + 7):
             rng = substream(41, 0)
             acc = naive_recursion(gamma, depth, rng, n, log)
             caller = substream(41, 0)
@@ -268,7 +267,7 @@ class TestRecursionSampler:
     def test_bits_do_not_depend_on_the_chunks(self, monkeypatch, gamma, log):
         # 1, 2 and 3 chunks over three blocks plus a partial one, so the last
         # chunk ends in a partial block; the pool is gone when the call returns
-        depth, n = 25, 3 * RECURSION_BLOCK + 7
+        depth, n = 25, 3 * BLOCK + 7
         rng = substream(43, 0)
         acc = naive_recursion(gamma, depth, rng, n, log)
         for workers in (1, 2, 3):
@@ -283,7 +282,7 @@ class TestRecursionSampler:
     def test_concurrent_calls_match_their_serial_results(self, monkeypatch):
         # two experiments drawing at once, as under --threads 2, each on its own generator
         monkeypatch.setattr(dickman, "_usable_cpus", lambda: 2)
-        depth, n = 25, 3 * RECURSION_BLOCK + 7
+        depth, n = 25, 3 * BLOCK + 7
         streams = [(2.0, 44, False), (0.5, 45, True)]
         serial = []
         for gamma, seed, log in streams:

@@ -9,14 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from subordlab import catalog, cli, montecarlo as mc
-from subordlab.core import ExponentialLaw, ParetoLaw, pareto_cdf
+from subordlab.core import BLOCK, ExponentialLaw, ParetoLaw, pareto_cdf
 from subordlab.errors import InvalidParameterError, OutOfRangeError
 from subordlab.simulate import sample_marginal, substream, to_neg_t_power
 
-NEG_LOG = lambda x: -np.log(x)
-NEG_LOG_LOG = lambda ly: -ly
-CUBE = lambda x: (-np.log(x)) ** 3
-CUBE_LOG = lambda ly: (-ly) ** 3
+# L as a function of log x
+NEG_LOG = lambda ly: -ly
+CUBE = lambda ly: (-ly) ** 3
 
 
 class TestKsDistance:
@@ -132,20 +131,20 @@ class TestParetoLimitExperiment:
 class TestGeneralLimitExperiment:
     def test_neg_log_matches_pareto_under_log(self, gamma11):
         reports = mc.experiment_general_limit(
-            gamma11, NEG_LOG, 1.0, t_list=(0.01,), n=100_000, seed=4, L_log=NEG_LOG_LOG
+            gamma11, NEG_LOG, 1.0, t_list=(0.01,), n=100_000, seed=4
         )
         assert reports[0].ks_statistic <= 0.05
 
     def test_cubed_log_on_matching_tail(self):
         model = catalog.make_log_power(0.1, 3)
         reports = mc.experiment_general_limit(
-            model, CUBE, 0.1, t_list=(0.01,), n=100_000, seed=3, cutoff=1e-8, L_log=CUBE_LOG
+            model, CUBE, 0.1, t_list=(0.01,), n=100_000, seed=3, cutoff=1e-8
         )
         assert reports[0].ks_statistic <= 0.1
 
     def test_mismatched_rate_negative_control(self, gamma11):
         reports = mc.experiment_general_limit(
-            gamma11, NEG_LOG, 2.0, t_list=(0.01,), n=100_000, seed=4, L_log=NEG_LOG_LOG
+            gamma11, NEG_LOG, 2.0, t_list=(0.01,), n=100_000, seed=4
         )
         assert reports[0].ks_statistic >= 0.15
 
@@ -245,10 +244,10 @@ class TestErgodicFunctional:
     @pytest.mark.parametrize(
         "model,n",
         [
-            ("gamma", 3 * mc.ERGODIC_BLOCK + 5),  # cutoff compound Poisson
+            ("gamma", 3 * BLOCK + 5),  # cutoff compound Poisson
             ("dickman", 1),
-            ("stable", 2 * mc.ERGODIC_BLOCK),  # exact sampler, no inverse tail
-            ("gamma-t1", mc.ERGODIC_BLOCK + 9),  # f(Y_t) > 0 on most paths
+            ("stable", 2 * BLOCK),  # exact sampler, no inverse tail
+            ("gamma-t1", BLOCK + 9),  # f(Y_t) > 0 on most paths
         ],
     )
     def test_blocked_estimate_matches_mean_and_std(self, model, n, dense_cp):
@@ -278,15 +277,15 @@ class TestErgodicFunctional:
 
     @pytest.mark.parametrize(
         "n",
-        [1, 2, 7, 8, 9, 127, 128, 129, mc.ERGODIC_BLOCK - 1, mc.ERGODIC_BLOCK,
-         mc.ERGODIC_BLOCK + 1, 3 * mc.ERGODIC_BLOCK + 7, 2_000_003],
+        [1, 2, 7, 8, 9, 127, 128, 129, BLOCK - 1, BLOCK,
+         BLOCK + 1, 3 * BLOCK + 7, 2_000_003],
     )
     def test_sparse_sum_replays_numpy_summation(self, n):
         # if numpy ever changes its pairwise summation tree, this fails
         # instead of the ergodic statistics drifting
         rng = np.random.default_rng(n)
         dense = rng.standard_normal(n) * rng.lognormal(0.0, 5.0, n)
-        buf = np.empty(min(n, mc.ERGODIC_BLOCK))
+        buf = np.empty(min(n, BLOCK))
         got = mc._sparse_sum(n, np.nan, np.arange(n), dense, buf)
         assert got.tobytes() == np.add.reduce(dense).tobytes()
         idx = np.flatnonzero(rng.random(n) < 0.01)
@@ -324,7 +323,6 @@ class TestFamilyLimit:
     def test_gamma_wrapped_as_family(self, gamma11):
         fam = catalog.GeneralFamily(
             name="gamma-power",
-            psi_t=lambda t, u: np.exp(-t * np.asarray(gamma11.phi.eval(u), dtype=float)),
             psi_t_log=lambda t, lu: np.exp(-t * np.asarray(gamma11.phi.eval_log(lu), dtype=float)),
             limit_cdf=lambda x: pareto_cdf(1.0, x),
             params={},
@@ -334,7 +332,7 @@ class TestFamilyLimit:
 
     def test_missing_limit_rejected(self):
         fam = catalog.GeneralFamily(
-            name="no-limit", psi_t=lambda t, u: u, psi_t_log=lambda t, lu: lu, params={}
+            name="no-limit", psi_t_log=lambda t, lu: lu, params={}
         )
         with pytest.raises(InvalidParameterError):
             mc.check_family_limit(fam)
@@ -380,8 +378,8 @@ class TestExportCurve:
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
     @pytest.mark.parametrize(
-        "rows", [0, 1, mc.ERGODIC_BLOCK // 32 - 1, mc.ERGODIC_BLOCK // 32,
-                 mc.ERGODIC_BLOCK // 32 + 1, 100_000],
+        "rows", [0, 1, BLOCK // 32 - 1, BLOCK // 32,
+                 BLOCK // 32 + 1, 100_000],
     )
     def test_chunked_rows_match_single_string_writer(self, tmp_path, rows):
         # the writer before it wrote in chunks of rows: every row in one string

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy import special as sc
 
 from subordlab import catalog, criteria, montecarlo as mc, transforms
-from subordlab.core import ExponentialLaw, ParetoLaw, pareto_cdf
+from subordlab.core import BLOCK, ExponentialLaw, ParetoLaw, pareto_cdf
 from subordlab.dickman import make_dickman
 from subordlab.simulate import sample_marginal, substream, to_neg_t_power
 
@@ -115,8 +115,8 @@ class TestKsOnePassEqualsTwoPass:
         assert mc.ks_distance(emp, law.cdf) == two_pass_ks(emp, law.cdf)
 
     @pytest.mark.parametrize(
-        "m", [1, mc.ERGODIC_BLOCK - 1, mc.ERGODIC_BLOCK, mc.ERGODIC_BLOCK + 1,
-              3 * mc.ERGODIC_BLOCK + 7],
+        "m", [1, BLOCK - 1, BLOCK, BLOCK + 1,
+              3 * BLOCK + 7],
     )
     def test_block_edges(self, m):
         # the blocked pass against the two-pass formula, one block, several,

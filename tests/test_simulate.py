@@ -7,12 +7,11 @@ import pytest
 from scipy.stats import chi2
 
 from subordlab import catalog
-from subordlab.core import LevyTail
+from subordlab.core import BLOCK, LevyTail
 from subordlab.dickman import make_dickman
 from subordlab.errors import InvalidParameterError, UnsupportedModelError
 from subordlab.montecarlo import two_sample_ks, two_sample_ks_critical_value
 from subordlab.simulate import (
-    CP_BLOCK,
     sample_cutoff_cp,
     sample_marginal,
     substream,
@@ -158,7 +157,7 @@ class TestCutoffCp:
             hits, last = [], -1
             while True:
                 h = (n - 1 - last) * p
-                gaps = rng.geometric(p, min(CP_BLOCK, int(h + 4.0 * math.sqrt(h)) + 16))
+                gaps = rng.geometric(p, min(BLOCK, int(h + 4.0 * math.sqrt(h)) + 16))
                 pos = last + np.cumsum(np.minimum(gaps, n + 1))
                 hits.extend(pos[pos < n])
                 if pos[-1] >= n:
@@ -191,7 +190,7 @@ class TestCutoffCp:
     def test_block_sizes_are_crossed(self):
         # the dense case above draws several blocks of counts and of jumps
         jumps = 0.01 * float(CP_TAILS["log_power"]().tail(1e-8)) * 150_000
-        assert CP_BLOCK < 150_000 and CP_BLOCK < jumps / 4
+        assert BLOCK < 150_000 and BLOCK < jumps / 4
 
     def test_sparse_batch_memory_is_the_output_alone(self, traced_peak):
         # ~1.4% of 1e6 paths jump: beyond the 8n-byte output only the block
@@ -343,7 +342,7 @@ class TestTransforms:
         vals, n_inf = to_neg_t_power(log_y[1:], 0.3)
         assert n_inf == 0 and vals.tobytes() == np.exp(-0.3 * log_y[1:]).tobytes()
 
-    @pytest.mark.parametrize("n", [1, CP_BLOCK - 1, CP_BLOCK, CP_BLOCK + 1, 3 * CP_BLOCK + 7])
+    @pytest.mark.parametrize("n", [1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7])
     def test_out_matches_default_and_allocating_form(self, n):
         # the expressions both transforms used before they took out=
         def allocating_power(log_y, t):
@@ -352,9 +351,9 @@ class TestTransforms:
             finite = np.isfinite(vals)
             return vals[finite], int(np.sum(~finite))
 
-        def allocating_tl(log_y, t, L_log):
+        def allocating_tl(log_y, t, L):
             finite = np.isfinite(log_y)
-            vals = t * L_log(log_y[finite])
+            vals = t * L(log_y[finite])
             keep = np.isfinite(vals)
             return vals[keep], int(np.sum(~finite) + np.sum(~keep))
 
@@ -365,15 +364,14 @@ class TestTransforms:
         head = (-np.inf, -800.0, 800.0, -1e200)[:n]
         log_y[: len(head)] = head
 
-        def L_log(ly):
+        def L(ly):
             with np.errstate(over="ignore"):
                 return (-ly) ** 3
 
         for t in (1e-3, 2.0):
             for transform, want in (
                 (lambda y, **kw: to_neg_t_power(y, t, **kw), allocating_power(log_y, t)),
-                (lambda y, **kw: to_tl(y, None, t, L_log=L_log, **kw),
-                 allocating_tl(log_y, t, L_log)),
+                (lambda y, **kw: to_tl(y, L, t, **kw), allocating_tl(log_y, t, L)),
             ):
                 before = log_y.tobytes()
                 vals, n_inf = transform(log_y)
@@ -392,15 +390,13 @@ class TestTransforms:
                 assert np.shares_memory(vals, out) or not vals.size
 
     def test_tl_arithmetic(self):
-        vals, n_inf = to_tl(np.array([-5.0]), lambda y: -np.log(y), 0.2)
+        vals, n_inf = to_tl(np.array([-5.0]), lambda ly: -ly, 0.2)
         assert vals[0] == pytest.approx(1.0, rel=1e-12)
-        vals, _ = to_tl(np.array([-2.0]), lambda y: (-np.log(y)) ** 3, 0.5)
+        vals, _ = to_tl(np.array([-2.0]), lambda ly: (-ly) ** 3, 0.5)
         assert vals[0] == pytest.approx(4.0, rel=1e-12)
 
     def test_tl_log_variant(self):
-        vals, n_inf = to_tl(
-            np.array([-800.0, -np.inf]), None, 0.5, L_log=lambda ly: -ly
-        )
+        vals, n_inf = to_tl(np.array([-800.0, -np.inf]), lambda ly: -ly, 0.5)
         assert n_inf == 1
         assert vals[0] == pytest.approx(400.0)
 

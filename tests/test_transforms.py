@@ -166,7 +166,6 @@ class TestDrift:
     def test_index_cleared_and_flagged(self, gamma11):
         drifted = transforms.add_drift(gamma11, 1.0)
         assert drifted.known_gamma is None
-        assert drifted.limit_degenerate_at_1
 
     def test_nonpositive_rate_rejected(self, gamma11):
         with pytest.raises(InvalidParameterError):
