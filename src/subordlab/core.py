@@ -239,7 +239,7 @@ def integral(fn, points, *, op):
         err += e
     if not (np.isfinite(total) and err <= _ERR_SLACK * max(_EPSABS, _EPSREL * abs(total))):
         raise NumericalFailure(
-            f"{op}: quadrature gave {total!r} with error {err:.3e}, past tolerance",
+            f"quadrature gave {total!r} with error {err:.3e}, past tolerance",
             op=op, achieved=err,
         )
     return total

@@ -64,10 +64,13 @@ def tilt(model: SubordinatorModel, theta):
             return np.exp(-theta * x_arr) * base_density(x_arr)
 
         def tilted_tail(x):
+            # a finite first piece up to 1 keeps the density's peak at a tiny x
+            # out of QAGI's map of [x, inf), which cannot resolve it
             x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-            out = np.array(
-                [integral(new_density, [float(v), upper], op="tilted_tail") for v in x_arr]
-            )
+            out = np.array([
+                integral(new_density, [v, min(max(v, 1.0), upper), upper], op="tilted_tail")
+                for v in x_arr.tolist()
+            ])
             return out if np.asarray(x).ndim else float(out[0])
 
         new_tail = LevyTail(tail=tilted_tail, support_upper=upper)

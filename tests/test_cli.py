@@ -712,6 +712,15 @@ class TestTransformExpressions:
         )
         assert cli.main(["--config", cfg, "--out", str(tmp_path)]) == 0
 
+    def test_criteria_recovery_on_tilted_gamma(self, tmp_path):
+        # estimate_all runs S7 on the tilted tail down to x = 1e-12
+        entry = {"kind": "criteria_recovery", "model": {"transform": "tilt", "theta": 0.5, "of": GAMMA},
+                 "assertions": {"expected_gamma": 1.0, "tol": 0.02}}
+        code, report = cli.run(write_config(tmp_path, {"experiments": [entry]}),
+                               out_dir=str(tmp_path))
+        assert code == 0 and report["all_pass"] is True
+        assert sorted(report["results"][0]["estimates"]) == ["S5", "S7"]
+
 
 class TestNumericalFailureExit:
     def test_exit_three_names_failing_op(self, tmp_path, capsys):

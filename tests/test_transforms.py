@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from subordlab import catalog, criteria, transforms
-from subordlab.core import LaplaceExponent, SubordinatorModel
+from subordlab.core import LaplaceExponent, LevyTail, SubordinatorModel
 from subordlab.errors import DegenerateModelError, InvalidParameterError, UnsupportedModelError
 
 
@@ -58,6 +58,19 @@ class TestTilt:
             np.exp(-0.5 * 0.7) * float(gamma11.levy_density(0.7)), rel=1e-12
         )
         assert float(tilted.tail.tail(0.3)) == pytest.approx(float(sc.exp1(1.5 * 0.3)), rel=1e-9)
+
+    def test_tilted_tail_on_s7_grid(self, gamma11):
+        # the S7 grid reaches x = 1e-12, where the tilted density's peak sits
+        # at the lower end of an infinite range
+        import scipy.special as sc
+
+        tail = transforms.tilt(gamma11, 0.5).tail
+        x = np.exp(criteria._DEFAULT_LOG_X)
+        np.testing.assert_allclose(tail.tail(x), sc.exp1(1.5 * x), rtol=1e-9, atol=0)
+        est = criteria.estimate_gamma_s7(tail)
+        oracle = criteria.estimate_gamma_s7(LevyTail(tail=lambda v: sc.exp1(1.5 * np.asarray(v))))
+        assert est.verdict == oracle.verdict == "converged"
+        assert est.gamma_hat == pytest.approx(oracle.gamma_hat, abs=1e-9)
 
     def test_negative_theta_rejected(self, gamma11):
         with pytest.raises(InvalidParameterError):
