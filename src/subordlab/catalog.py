@@ -106,39 +106,65 @@ def _gamma_inverse_tail_factory(gamma, lam):
     below 1e-14 in size (that step included), at most 60, and the steps
     run only on the elements still moving.  An element's result therefore
     does not depend on the other values in the batch, so a batch inverted
-    in blocks gives the same bits as one call on the whole batch.
+    in blocks gives the same bits as one call on the whole batch.  The
+    seeds are formed in the output array and every step in two buffers
+    allocated once per call; only dropping the elements that stopped
+    allocates.
     """
 
     def inverse_tail(y):
         y_arr = np.atleast_1d(np.asarray(y, dtype=float))
         target = y_arr / gamma
-        # E1(z) ~ -euler - log z near 0, ~ exp(-z)/z at infinity
-        z = np.where(target > 1.0, np.exp(-target - _EULER), 1.0)
+        # E1(z) ~ -euler - log z near 0, ~ exp(-z)/z at infinity; z is formed in u
+        u = np.negative(target)
+        u -= _EULER
+        np.exp(u, out=u)
+        np.copyto(u, 1.0, where=~(target > 1.0))
         big = target <= 1.0
         if np.any(big):
-            guess = -np.log(np.maximum(target[big], 1e-300))
-            guess = np.maximum(guess, 1e-12)
-            z[big] = guess
-        u = np.log(z)
-        # the elements still moving: their indices, log-x values and targets
-        idx = np.arange(u.size)
-        u_act, t_act = u, target
+            guess = target[big]
+            np.maximum(guess, 1e-300, out=guess)
+            np.log(guess, out=guess)
+            np.negative(guess, out=guess)
+            np.maximum(guess, 1e-12, out=guess)
+            u[big] = guess
+            del guess
+        np.log(u, out=u)
+        # each step runs in these buffers, on the first k of them
+        ez, step = np.empty_like(u), np.empty_like(u)
+        small = np.empty(u.size, dtype=bool)
+        # the elements still moving: their indices (None while all are), log-x
+        # values and targets; until the first element stops, u itself moves
+        idx, u_act, t_act = None, u, target
         for _ in range(60):
-            ez = np.exp(u_act)
-            g = sc.exp1(ez) - t_act
-            step = g / np.exp(-ez)
-            step = np.clip(step, -2.0, 2.0)
-            u_act = u_act + step
+            k = u_act.size
+            e, s, stopped = ez[:k], step[:k], small[:k]
+            np.exp(u_act, out=e)
+            sc.exp1(e, out=s)
+            s -= t_act
+            np.negative(e, out=e)
+            np.exp(e, out=e)
+            s /= e
+            np.clip(s, -2.0, 2.0, out=s)
+            u_act += s
             # NaN steps keep moving, as they never pass the size test
-            moving = ~(np.abs(step) < 1e-14)
-            if not moving.all():
-                u[idx] = u_act
-                idx, u_act, t_act = idx[moving], u_act[moving], t_act[moving]
+            np.abs(s, out=s)
+            np.less(s, 1e-14, out=stopped)
+            if stopped.any():
+                moving = ~stopped
+                if idx is None:
+                    idx = np.flatnonzero(moving)
+                else:
+                    u[idx] = u_act
+                    idx = idx[moving]
+                u_act, t_act = u_act[moving], t_act[moving]
                 if not idx.size:
                     break
-        u[idx] = u_act
-        out = np.exp(u) / lam
-        return out if np.asarray(y).ndim else float(out[0])
+        if idx is not None:
+            u[idx] = u_act
+        np.exp(u, out=u)
+        u /= lam
+        return u if np.asarray(y).ndim else float(u[0])
 
     return inverse_tail
 

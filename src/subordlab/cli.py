@@ -297,6 +297,18 @@ _CRITERION_SURFACE = Need(
         getattr(m["model"], CRITERIA[v["criterion"]][0]) is None
         and f"criterion {v['criterion']} needs a model with {CRITERIA[v['criterion']][0]}; "
             f"{m['model'].describe()} has none"))
+
+
+def _grid_problem(m, v, entry):
+    L = L_FUNCTIONS[v["L"]] if v["criterion"] == "GL" else None
+    try:
+        criteria.log_grid(v["criterion"], v["grid"], L)
+    except InvalidParameterError as exc:
+        return f"criterion {v['criterion']}: {exc}"
+    return False
+
+
+_CRITERION_GRID = Need("params.grid", "a grid its criterion accepts", _grid_problem)
 _GAMMA_OR_INDEX = Need(
     "params.gamma", "given, or the model's known index", lambda m, v, e: (
         v["gamma"] is None and m["model"].known_gamma is None
@@ -480,8 +492,8 @@ def _recursion_mean(v, m, seed):
     gamma, n, mult = v["gamma"], v["n"], v["sigma_mult"]
     depth = recursion_depth(gamma) if v["depth"] is None else v["depth"]
     samples = sample_dickman_recursion(gamma, depth, substream(seed, 0), n)
-    mean = float(samples.mean())
-    stderr = float(samples.std(ddof=1) / np.sqrt(n))
+    mean, std = montecarlo.mean_std_in_place(samples)
+    mean, stderr = float(mean), float(std / np.sqrt(n))
     return _result(f"dickman_recursion(gamma={gamma:g})", mean, mult,
                    abs(mean - gamma) <= mult * stderr, n=n, stderr=stderr, target=gamma)
 
@@ -490,9 +502,7 @@ def _two_sampler_ks(v, m, seed):
     gamma, n = v["gamma"], v["n"]
     model = catalog.build_model("dickman", {"gamma": gamma})
     rec = sample_dickman_recursion(gamma, recursion_depth(gamma), substream(seed, 0), n)
-    idx, sums = sample_cutoff_cp(model.tail, v["cutoff"], 1.0, substream(seed, 1), n)
-    cp = np.zeros(n)
-    cp[idx] = sums
+    cp = sample_cutoff_cp(model.tail, v["cutoff"], 1.0, substream(seed, 1), n, out=np.empty(n))
     stat = montecarlo.two_sample_ks(rec, cp)
     crit = montecarlo.two_sample_ks_critical_value(n, n, v["level"])
     return _result(f"dickman(gamma={gamma:g})", stat, crit, stat <= crit, n=n)
@@ -539,7 +549,7 @@ KINDS = {
         _criterion, params={"criterion": ("S5", _one_of(CRITERIA)), "L": _L, "grid": (None, GRID)},
         assertions={"expected_gamma": (None, POSITIVE), "tol": (None, NONNEGATIVE),
                     "verdict": (None, _one_of(criteria.VERDICTS))},
-        needs=(_CRITERION_SURFACE,)),
+        needs=(_CRITERION_SURFACE, _CRITERION_GRID)),
     "criteria_recovery": Kind(
         _criteria_recovery,
         assertions={"expected_gamma": (REQUIRED, POSITIVE), "tol": (0.02, NONNEGATIVE)}),

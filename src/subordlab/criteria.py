@@ -27,6 +27,7 @@ from .errors import DegenerateModelError, InvalidParameterError, NumericalFailur
 __all__ = [
     "CRITERIA",
     "VERDICTS",
+    "log_grid",
     "LimitEstimate",
     "estimate_gamma_s5",
     "estimate_gamma_s6",
@@ -55,6 +56,35 @@ CRITERIA = {
 _DEFAULT_LOG_S = np.linspace(np.log(1e2), np.log(1e12), 12)
 _DEFAULT_LOG_X = np.linspace(np.log(1e-2), np.log(1e-12), 12)
 _DEFAULT_GL_LOG_S = np.linspace(np.log(1e-13), np.log(1e-26), 12)
+
+
+def log_grid(criterion, grid=None, L=None):
+    """The criterion's log grid as a float array (its default when ``grid`` is None), checked.
+
+    Raises ``InvalidParameterError`` unless the grid meets the criterion's
+    rule: S5 takes at least 6 increasing log-s points reaching log s >= 20;
+    S6, S7 and S8 a decreasing log-x grid reaching log x <= -20; GL a
+    decreasing log-s grid on which ``L`` (a function of log s), when given,
+    is positive and decreasing toward s = 0.
+    """
+    if criterion == "S5":
+        grid = np.asarray(_DEFAULT_LOG_S if grid is None else grid, dtype=float)
+        if grid.size < 6 or np.any(np.diff(grid) <= 0) or grid.max() < 20.0:
+            raise InvalidParameterError("need >= 6 increasing log-s points reaching log s >= 20")
+    elif criterion == "GL":
+        grid = np.asarray(_DEFAULT_GL_LOG_S if grid is None else grid, dtype=float)
+        if np.any(np.diff(grid) >= 0):
+            raise InvalidParameterError("need a decreasing log-s grid (s -> 0)")
+        if L is not None:
+            l_vals = np.asarray(L(grid), dtype=float)
+            if np.any(np.diff(l_vals) <= 0) or np.any(l_vals <= 0):
+                raise InvalidParameterError(
+                    "L must be positive and decreasing toward s = 0 on the grid")
+    else:
+        grid = np.asarray(_DEFAULT_LOG_X if grid is None else grid, dtype=float)
+        if np.any(np.diff(grid) >= 0) or grid.min() > -20.0:
+            raise InvalidParameterError("need a decreasing log-x grid reaching log x <= -20")
+    return grid
 
 
 @dataclass(frozen=True)
@@ -147,9 +177,7 @@ def _finish(criterion, grid, ratios, w, shift=0.0):
 
 def estimate_gamma_s5(phi: LaplaceExponent, log_s_grid=None):
     """Index from the exponent: Phi(s)/log(s) -> gamma as s -> infinity."""
-    grid = np.asarray(_DEFAULT_LOG_S if log_s_grid is None else log_s_grid, dtype=float)
-    if grid.size < 6 or np.any(np.diff(grid) <= 0) or grid.max() < 20.0:
-        raise InvalidParameterError("need >= 6 increasing log-s points reaching log s >= 20")
+    grid = log_grid("S5", log_s_grid)
     values = np.asarray(phi.eval_log(grid), dtype=float)
     if np.all(np.abs(values) < 1e-15):
         return LimitEstimate("S5", grid, np.zeros_like(grid), np.nan, 0.0, "degenerate")
@@ -159,9 +187,7 @@ def estimate_gamma_s5(phi: LaplaceExponent, log_s_grid=None):
 
 def estimate_gamma_s6(cdf1, log_x_grid=None):
     """Index from the marginal: log F(x)/log(x) -> gamma as x -> 0."""
-    grid = np.asarray(_DEFAULT_LOG_X if log_x_grid is None else log_x_grid, dtype=float)
-    if np.any(np.diff(grid) >= 0) or grid.min() > -20.0:
-        raise InvalidParameterError("need a decreasing log-x grid reaching log x <= -20")
+    grid = log_grid("S6", log_x_grid)
     f_vals = np.asarray(cdf1(np.exp(grid)), dtype=float)
     positive = f_vals > 0.0
     if not np.any(positive):
@@ -177,9 +203,7 @@ def estimate_gamma_s6(cdf1, log_x_grid=None):
 
 def estimate_gamma_s7(tail: LevyTail, log_x_grid=None):
     """Index from the jump tail: nu_bar(x)/(-log x) -> gamma as x -> 0."""
-    grid = np.asarray(_DEFAULT_LOG_X if log_x_grid is None else log_x_grid, dtype=float)
-    if np.any(np.diff(grid) >= 0) or grid.min() > -20.0:
-        raise InvalidParameterError("need a decreasing log-x grid reaching log x <= -20")
+    grid = log_grid("S7", log_x_grid)
     t_vals = np.asarray(tail.tail(np.exp(grid)), dtype=float)
     ratios = t_vals / (-grid)
     return _finish("S7", grid, ratios, -1.0 / grid)
@@ -187,9 +211,7 @@ def estimate_gamma_s7(tail: LevyTail, log_x_grid=None):
 
 def estimate_gamma_s8(density1, log_x_grid=None):
     """Index from the marginal density: 1 + limit of log f(x)/log(x) at 0."""
-    grid = np.asarray(_DEFAULT_LOG_X if log_x_grid is None else log_x_grid, dtype=float)
-    if np.any(np.diff(grid) >= 0) or grid.min() > -20.0:
-        raise InvalidParameterError("need a decreasing log-x grid reaching log x <= -20")
+    grid = log_grid("S8", log_x_grid)
     f_vals = np.asarray(density1(np.exp(grid)), dtype=float)
     if np.any(f_vals <= 0.0):
         raise NumericalFailure("density not positive on the grid", op="estimate_gamma_s8")
@@ -204,12 +226,8 @@ def estimate_gamma_general(phi: LaplaceExponent, L, log_s_grid=None):
     0 and slowly varying there (the caller asserts slow variation; only
     monotonicity on the grid is checked).  Extrapolation is affine in 1/L(s).
     """
-    grid = np.asarray(_DEFAULT_GL_LOG_S if log_s_grid is None else log_s_grid, dtype=float)
-    if np.any(np.diff(grid) >= 0):
-        raise InvalidParameterError("need a decreasing log-s grid (s -> 0)")
+    grid = log_grid("GL", log_s_grid, L)
     l_vals = np.asarray(L(grid), dtype=float)
-    if np.any(np.diff(l_vals) <= 0) or np.any(l_vals <= 0):
-        raise InvalidParameterError("L must be positive and decreasing toward s = 0 on the grid")
     values = np.asarray(phi.eval_log(-grid), dtype=float)
     if np.all(np.abs(values) < 1e-15):
         return LimitEstimate("GL", grid, np.zeros_like(grid), np.nan, 0.0, "degenerate")

@@ -46,6 +46,7 @@ __all__ = [
     "experiment_drift",
     "support_check",
     "estimate_ergodic_functional",
+    "mean_std_in_place",
     "check_family_limit",
     "FamilyLimitReport",
     "DriftReport",
@@ -455,6 +456,22 @@ def _sparse_sum(n, fill, idx, vals, buf, lo=0):
     return np.add.reduce(leaf)
 
 
+def mean_std_in_place(values):
+    """``values.mean()`` and ``values.std(ddof=1)``, bitwise, formed in the batch itself.
+
+    The reductions are those of ``ndarray.mean`` and ``ndarray.std``: one
+    pairwise sum, divided by n; then subtract the mean, square, sum and
+    divide by n - 1, and take the square root.  The deviations are formed
+    in ``values`` (a float ndarray the caller gives up), so the peak is the
+    batch alone.
+    """
+    n = values.size
+    mean = np.add.reduce(values) / n
+    values -= mean
+    np.square(values, out=values)
+    return mean, np.sqrt(np.add.reduce(values) / (n - 1))
+
+
 def estimate_ergodic_functional(model, f, delta0, t, n, seed=0, *, cutoff=1e-6):
     """Monte Carlo estimate of E f(Y_t) / t, with standard error.
 
@@ -472,10 +489,9 @@ def estimate_ergodic_functional(model, f, delta0, t, n, seed=0, *, cutoff=1e-6):
     virtual values (``_sparse_sum``).  A model with only an exact sampler
     is drawn dense as log(Y_t); ``BLOCK`` samples at a time are
     exponentiated and f applied, in place, and the statistics are formed
-    in that buffer (peak one n-float array).  Either way they are the
-    reductions ``ndarray.mean`` and ``ndarray.std`` use (one pairwise sum,
-    divide by n; subtract, square, sum, divide by n - 1, sqrt), so both
-    are bitwise theirs.
+    in that buffer by ``mean_std_in_place`` (peak one n-float array).
+    Either way they are the reductions ``ndarray.mean`` and
+    ``ndarray.std`` use, so both are bitwise theirs.
     """
     if delta0 <= cutoff:
         raise InvalidParameterError("need delta0 > cutoff, else the truncation biases f")
@@ -500,10 +516,7 @@ def estimate_ergodic_functional(model, f, delta0, t, n, seed=0, *, cutoff=1e-6):
             block = vals[lo : lo + BLOCK]
             np.exp(block, out=block)
             block[...] = f(block)
-        mean = np.add.reduce(vals) / n
-        vals -= mean
-        np.square(vals, out=vals)
-        std = np.sqrt(np.add.reduce(vals) / (n - 1))
+        mean, std = mean_std_in_place(vals)
     est = float(mean / t)
     stderr = float(std / (np.sqrt(n) * t))
     return ErgodicEstimate(value=est, stderr=stderr, t=float(t), n=int(n))

@@ -80,39 +80,72 @@ def _hit_paths(lam, p, n, rng):
     return idx, counts
 
 
-def sample_cutoff_cp(tail: LevyTail, eps, t, rng, n=1):
-    """Cutoff compound-Poisson batch in sparse form: the paths that jump, and their sums.
+def _jump_sums(tail, nu_eps, counts, rng, out):
+    """Write to ``out[i]`` the sum of ``counts[i]`` jumps drawn above eps, in path order.
+
+    The jumps are drawn in blocks of at most ``BLOCK`` that end on a path
+    boundary (a path with more jumps is a block of its own), inverted
+    (``inverse_tail`` must be elementwise), and each path's jumps summed
+    in draw order; a path with no jumps gets 0.0 and draws nothing.
+    """
+    ends = np.cumsum(counts)
+    lo = 0
+    while lo < counts.size:
+        done = ends[lo - 1] if lo else 0
+        hi = max(int(np.searchsorted(ends, done + BLOCK, side="right")), lo + 1)
+        total = int(ends[hi - 1] - done)
+        if not total:  # the paths left have no jumps
+            out[lo:hi] = 0.0
+        else:
+            jumps = rng.random(total)
+            jumps *= nu_eps
+            jumps = np.asarray(tail.inverse_tail(jumps), dtype=float)
+            owner = np.repeat(np.arange(hi - lo), counts[lo:hi])
+            out[lo:hi] = np.bincount(owner, weights=jumps, minlength=hi - lo)
+        lo = hi
+
+
+def sample_cutoff_cp(tail: LevyTail, eps, t, rng, n=1, *, out=None):
+    """Cutoff compound-Poisson batch of n paths: dense in ``out``, else in sparse form.
 
     Each of the n paths is the sum of Poisson(lam) jumps above eps,
     lam = t*nu_bar(eps), drawn by inversion, inverse_tail(U * nu_bar(eps)).
-    Returns ``(idx, sums)``: the ascending indices of the paths with at
-    least one jump (``np.intp``) and each one's jump sum.  Every other path
-    is an exact zero (the void path, probability exp(-lam)), a legitimate
-    sample; ``np.zeros(n)`` with ``[idx] = sums`` is the dense batch.  Mean
-    bias vs. the true marginal is -t * integral_0^eps x dnu(x).
+    A path with no jump is an exact zero (the void path, probability
+    exp(-lam)), a legitimate sample.  Mean bias vs. the true marginal is
+    -t * integral_0^eps x dnu(x).
 
-    The paths that jump are found one of two ways, by the chance
-    p = 1 - exp(-lam) that a path jumps:
+    With ``out`` (an n-float array) the batch is written to it and ``out``
+    is returned.  Without, the result is ``(idx, sums)``: the ascending
+    indices of the paths with at least one jump (``np.intp``) and each
+    one's jump sum, so that ``np.zeros(n)`` with ``[idx] = sums`` is the
+    dense batch.
+
+    The draw takes one of two forms, by the chance p = 1 - exp(-lam) that
+    a path jumps:
 
     - p < 1/2 (sparse): the hit positions are drawn directly, from
       Geometric(p) gaps, and each hit's count from the zero-truncated
       Poisson (``_hit_paths``); the work grows with the hits, not with n.
-      A p that underflows to 0 gives no hits.
-    - p >= 1/2 (dense): the n Poisson counts are drawn ``BLOCK`` paths
-      at a time, keeping the paths with jumps and their counts; the batch
-      is bitwise the one drawn by all n counts, then all jumps, in single
-      calls.
+      A p that underflows to 0 gives no hits.  ``out`` is zero-filled and
+      the hits' sums are scattered into it.
+    - p >= 1/2 (dense): the n Poisson counts are drawn ``BLOCK`` paths at
+      a time into the output itself (counts are exact as floats), then
+      each ``BLOCK``-path window's counts are overwritten with its paths'
+      jump sums.  The batch is bitwise the one drawn by all n counts, then
+      all jumps, in single calls.  Without ``out`` the batch is drawn into
+      a fresh n-float array and its nonzero paths returned.
 
-    Either way the jumps are then drawn in blocks of at most ``BLOCK``
-    that end on a path boundary (a path with more jumps is a block of its
-    own), inverted (``inverse_tail`` must be elementwise), and each path's
-    jumps summed in draw order.  Memory grows with neither n nor the jump
-    count, only with the paths that jump.
+    Either way the jumps are drawn by ``_jump_sums``, in path order, in
+    blocks of at most ``BLOCK`` jumps.  Beyond the n-float batch, memory
+    grows with neither n nor the jump count, only with the paths that jump
+    in the sparse form.
     """
     if tail.inverse_tail is None:
         raise UnsupportedModelError("tail has no inverse; cannot draw jumps")
     if not (0.0 < eps < tail.support_upper):
         raise InvalidParameterError("cutoff must lie inside the jump support")
+    if out is not None and out.shape != (n,):
+        raise InvalidParameterError(f"out must hold n = {n} floats, got shape {out.shape}")
     nu_eps = float(tail.tail(eps))
     if not np.isfinite(nu_eps) or nu_eps <= 0:
         raise InvalidParameterError(f"invalid cutoff: nu_bar(eps) = {nu_eps!r}")
@@ -120,33 +153,23 @@ def sample_cutoff_cp(tail: LevyTail, eps, t, rng, n=1):
     p = -math.expm1(-lam)
     if p < 0.5:
         idx, counts = _hit_paths(lam, p, n, rng)
-        hit_counts = [counts]
-    else:
-        hits, hit_counts = [], []  # per block of counts: paths with jumps, their counts
-        for start in range(0, n, BLOCK):
-            counts = rng.poisson(lam, min(BLOCK, n - start))
-            hit = np.flatnonzero(counts)
-            if hit.size:
-                hits.append(hit + start)
-                hit_counts.append(counts[hit])
-        idx = np.concatenate(hits) if hits else np.empty(0, dtype=np.intp)
-        del hits
-    sums = np.empty(idx.size)
-    pos = 0
-    for counts in hit_counts:
-        ends = np.cumsum(counts)
-        lo = 0
-        while lo < counts.size:
-            done = ends[lo - 1] if lo else 0
-            hi = max(int(np.searchsorted(ends, done + BLOCK, side="right")), lo + 1)
-            jumps = rng.random(int(ends[hi - 1] - done))
-            jumps *= nu_eps
-            jumps = np.asarray(tail.inverse_tail(jumps), dtype=float)
-            owner = np.repeat(np.arange(hi - lo), counts[lo:hi])
-            sums[pos + lo : pos + hi] = np.bincount(owner, weights=jumps, minlength=hi - lo)
-            lo = hi
-        pos += counts.size
-    return idx, sums
+        sums = np.empty(idx.size)
+        _jump_sums(tail, nu_eps, counts, rng, sums)
+        if out is None:
+            return idx, sums
+        out.fill(0.0)
+        out[idx] = sums
+        return out
+    dense = np.empty(n) if out is None else out
+    for lo in range(0, n, BLOCK):
+        dense[lo : lo + BLOCK] = rng.poisson(lam, min(BLOCK, n - lo))
+    for lo in range(0, n, BLOCK):
+        window = dense[lo : lo + BLOCK]
+        _jump_sums(tail, nu_eps, window.astype(np.int64), rng, window)
+    if out is None:
+        idx = np.flatnonzero(dense)
+        return idx, dense[idx]
+    return out
 
 
 def can_sample(model: SubordinatorModel):
@@ -160,9 +183,8 @@ def sample_marginal(model: SubordinatorModel, t, n, rng, *, cutoff=1e-6):
     """Draw n values of log(Y_t): exact log sampler if the model has one, else cutoff CP.
 
     Exact samplers produce log(Y_t) natively (no underflow, no zeros).
-    The cutoff-CP batch is scattered from its sparse form into the
-    n-float output, which then takes its log in place, so the void paths
-    become -inf.  Either way the result is a fresh array the caller owns.
+    The cutoff-CP batch is drawn into the n-float output, which then takes
+    its log in place, so the void paths become -inf.  Either way the result is a fresh array the caller owns.
     """
     if t <= 0:
         raise InvalidParameterError("time must be positive")
@@ -172,9 +194,7 @@ def sample_marginal(model: SubordinatorModel, t, n, rng, *, cutoff=1e-6):
         raise UnsupportedModelError(
             f"model {model.name!r} has neither an exact sampler nor an invertible tail"
         )
-    idx, sums = sample_cutoff_cp(model.tail, cutoff, t, rng, n)
-    values = np.zeros(n)
-    values[idx] = sums
+    values = sample_cutoff_cp(model.tail, cutoff, t, rng, n, out=np.empty(n))
     with np.errstate(divide="ignore"):
         np.log(values, out=values)
     return values

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy import special as sc
 from scipy.special import erfc, gammainc, gammaln
 
 from subordlab import catalog
@@ -144,6 +145,45 @@ class TestGamma:
         for a in (0.01, catalog.SMALL_SHAPE - 1e-3):
             peak = traced_peak(lambda: model.log_sampler(a, n, np.random.default_rng(14)))
             assert peak <= 8 * n + 2 * 2**20, a
+
+    @pytest.mark.parametrize("gamma,lam", [(1.0, 1.0), (0.5, 3.0), (2.0, 0.2), (0.01, 7.0)])
+    def test_inverse_tail_matches_allocating_newton(self, gamma, lam):
+        # the Newton iteration with a fresh array at every step, as it was
+        # before the steps ran in buffers
+        def allocating(y):
+            target = np.asarray(y, dtype=float) / gamma
+            z = np.where(target > 1.0, np.exp(-target - 0.57721566490153286), 1.0)
+            big = target <= 1.0
+            z[big] = np.maximum(-np.log(np.maximum(target[big], 1e-300)), 1e-12)
+            u = np.log(z)
+            idx, u_act, t_act = np.arange(u.size), u, target
+            for _ in range(60):
+                ez = np.exp(u_act)
+                step = np.clip((sc.exp1(ez) - t_act) / np.exp(-ez), -2.0, 2.0)
+                u_act = u_act + step
+                moving = ~(np.abs(step) < 1e-14)
+                if not moving.all():
+                    u[idx] = u_act
+                    idx, u_act, t_act = idx[moving], u_act[moving], t_act[moving]
+                    if not idx.size:
+                        break
+            u[idx] = u_act
+            return np.exp(u) / lam
+
+        tail = catalog.make_gamma(gamma, lam).tail
+        nu_eps = float(tail.tail(1e-12))
+        y = np.random.default_rng(16).random(3 * BLOCK + 7) * nu_eps
+        y[:6] = (nu_eps, 0.0, 5e-324, 1e300, np.inf, np.nan)
+        with np.errstate(all="ignore"):
+            got, want = tail.inverse_tail(y), allocating(y)
+        assert got.tobytes() == want.tobytes()
+
+    def test_inverse_tail_block_memory(self, traced_peak):
+        # the Newton steps run in buffers allocated once per call (5.3 MiB for
+        # one block when every step allocated its own arrays)
+        tail = catalog.make_gamma(1.0, 1.0).tail
+        y = np.random.default_rng(15).random(BLOCK) * float(tail.tail(1e-6))
+        assert traced_peak(lambda: tail.inverse_tail(y)) <= 4 * 2**20
 
     def test_tail_is_exponential_integral_by_quadrature(self):
         model = catalog.make_gamma(1.5, 2.0)

@@ -222,6 +222,28 @@ class TestParameterValidation:
         assert time.perf_counter() - t0 < 5.0
         assert "experiments[1].params.gamma" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "criterion,grid",
+        [("S5", [30.0]), ("S5", [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]), ("S7", [-1.0, -5.0]),
+         ("S6", [-30.0, -10.0]), ("GL", [-30.0, -10.0]), ("GL", [2.0, 1.0])],
+    )
+    def test_bad_criterion_grid_exits_two_before_sampling(
+        self, tmp_path, capsys, monkeypatch, criterion, grid
+    ):
+        # the grid was checked only when its entry ran, after the earlier ones
+        # had sampled, and the error named experiments[i].params
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled before every entry was checked")
+
+        monkeypatch.setattr(cli, "sample_marginal", no_sampling)
+        monkeypatch.setattr(montecarlo, "sample_marginal", no_sampling)
+        good = {"kind": "support", "model": GAMMA, "params": {"n": 10}}
+        bad = {"kind": "criterion", "model": GAMMA,
+               "params": {"criterion": criterion, "grid": grid, "L": "neg_log"}}
+        cfg = write_config(tmp_path, {"experiments": [good, bad]})
+        assert cli.main(["--config", cfg, "--out", str(tmp_path)]) == 2
+        assert "experiments[1].params.grid" in capsys.readouterr().err
+
     def test_recursion_depth_ceiling(self, tmp_path, capsys):
         params = {"gamma": 1.0, "n": 2, "depth": MAX_RECURSION_DEPTH + 1}
         cfg = write_config(tmp_path, {"experiments": [{"kind": "recursion_mean", "params": params}]})
@@ -682,6 +704,15 @@ class TestRun:
         )
         assert proc.returncode == 0
         assert "all_pass=True" in proc.stdout
+
+    def test_recursion_mean_matches_ndarray_statistics(self):
+        n, gamma = 100_003, 2.0
+        values = {"gamma": gamma, "n": n, "depth": None, "sigma_mult": 3.0}
+        result = cli._recursion_mean(values, {}, 5)
+        samples = dickman.sample_dickman_recursion(
+            gamma, dickman.recursion_depth(gamma), simulate.substream(5, 0), n)
+        assert result["statistic"] == float(samples.mean())
+        assert result["stderr"] == float(samples.std(ddof=1) / np.sqrt(n))
 
 
 class TestTransformExpressions:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from subordlab import catalog, cli, montecarlo as mc
+from subordlab import catalog, cli, dickman, montecarlo as mc
 from subordlab.core import BLOCK, ExponentialLaw, ParetoLaw, pareto_cdf
 from subordlab.errors import InvalidParameterError, OutOfRangeError
 from subordlab.simulate import sample_marginal, substream, to_neg_t_power
@@ -294,6 +294,14 @@ class TestErgodicFunctional:
         got = mc._sparse_sum(n, 0.25, idx, dense[idx], buf)
         assert got.tobytes() == np.add.reduce(dense).tobytes()
 
+    @pytest.mark.parametrize("n", [2, 9, 129, BLOCK + 1, 3 * BLOCK + 7])
+    def test_mean_std_in_place_replays_ndarray_reductions(self, n):
+        rng = np.random.default_rng(n)
+        dense = rng.standard_normal(n) * rng.lognormal(0.0, 5.0, n)
+        mean, std = dense.mean(), dense.std(ddof=1)
+        got = mc.mean_std_in_place(dense.copy())
+        assert got[0].tobytes() == mean.tobytes() and got[1].tobytes() == std.tobytes()
+
     def test_sparse_estimate_memory_does_not_grow_with_n(self, traced_peak):
         # ~1.4% of paths jump and ~0.07% reach the ramp: no n-float array is held
         m = catalog.make_dickman(1.0)
@@ -463,8 +471,17 @@ class TestExperimentMemory:
         peak = traced_peak(lambda: cli.run_experiment(entry, 7, None, 0))
         assert peak <= 16 * N_1E6 + 4 * MIB
 
+    def test_recursion_mean_holds_one_batch(self, monkeypatch, traced_peak):
+        # the statistics are formed in the batch (15.3 MiB when std copied it);
+        # two chunks hold two block buffers each
+        monkeypatch.setattr(dickman, "_usable_cpus", lambda: 2)
+        values = {"gamma": 1.0, "n": N_1E6, "depth": None, "sigma_mult": 3.0}
+        peak = traced_peak(lambda: cli._recursion_mean(values, {}, 0))
+        assert peak <= 8 * N_1E6 + 3 * MIB
+
     def test_general_limit_is_its_cutoff_cp_draw(self, traced_peak):
-        # 46.7 MiB before; the draw of ~6.4e6 jumps now sets the peak
+        # ~6.4e6 jumps are drawn into the one batch: 46.7 MiB when every jump
+        # was held, 25.5 MiB when the sparse pair was scattered into the batch
         entry = {
             "kind": "general_limit",
             "model": {"name": "log_power", "params": {"gamma": 0.1, "power": 3}},
@@ -472,4 +489,4 @@ class TestExperimentMemory:
                        "cutoff": 1e-8},
         }
         peak = traced_peak(lambda: cli.run_experiment(entry, 7, None, 0))
-        assert peak <= 32 * MIB
+        assert peak <= 8 * N_1E6 + 4 * MIB

@@ -184,8 +184,17 @@ class TestCutoffCp:
         idx, sums = sample_cutoff_cp(tail, eps, t, substream(36, 0), n)
         assert idx.dtype == np.intp and np.array_equal(idx, np.flatnonzero(want))
         assert sums.tobytes() == want[idx].tobytes()
+        # the dense form writes the same batch into out, from a dirty buffer
+        rng, out = substream(36, 0), np.full(n, np.nan)
+        assert sample_cutoff_cp(tail, eps, t, rng, n, out=out) is out
+        assert out.tobytes() == want.tobytes()
+        assert rng.bit_generator.state == ref.bit_generator.state
         if t == 1e-9:  # the void case really drew no jumps
             assert not got.any()
+
+    def test_out_must_hold_the_batch(self, dickman1):
+        with pytest.raises(InvalidParameterError):
+            sample_cutoff_cp(dickman1.tail, 1e-6, 1.0, substream(0, 0), 5, out=np.empty(4))
 
     def test_block_sizes_are_crossed(self):
         # the dense case above draws several blocks of counts and of jumps
@@ -211,14 +220,15 @@ class TestCutoffCp:
         assert max(peaks) <= 1.5 * min(peaks)
 
     def test_dense_marginal_pays_nothing_for_the_sparse_form(self, traced_peak):
-        # ~6.3 jumps per path, nearly every path jumps: the sparse pair is
-        # about n indices plus n sums, scattered into the one n-float batch
+        # ~6.3 jumps per path, nearly every path jumps: the counts and then
+        # the sums are written into the one n-float batch, with no sparse
+        # pair beside it (25.5 MiB when the pair was scattered into it)
         n = 1_000_000
         model = catalog.make_log_power(0.1, 3)
         peak = traced_peak(
             lambda: sample_marginal(model, 0.01, n, substream(40, 0), cutoff=1e-8)
         )
-        assert peak <= 32 * 2**20
+        assert peak <= 8 * n + 4 * 2**20
 
     @pytest.mark.parametrize(
         "tail",
