@@ -339,14 +339,6 @@ def _deviation_result(model, report, threshold):
                    deviations=[float(d) for d in report.deviations])
 
 
-def _empirical_for_pareto(model, t, n, seed, cutoff, stream=0):
-    from .simulate import to_neg_t_power
-
-    log_s = sample_marginal(model, t, n, substream(seed, stream), cutoff=cutoff)
-    values, n_inf = to_neg_t_power(log_s, t, out=log_s)
-    return montecarlo.EmpiricalDistribution.from_values(values, n_inf, in_place=True)
-
-
 def _criterion(v, m, seed):
     model, which = m["model"], v["criterion"]
     surface, name = CRITERIA[which]
@@ -398,24 +390,18 @@ def _s2(v, m, seed):
 
 
 def _pareto_limit(v, m, seed):
-    model, t_list, n, cutoff = m["model"], v["t_list"], v["n"], v["cutoff"]
-    gamma = model.known_gamma if v["gamma"] is None else v["gamma"]
     reports = montecarlo.experiment_pareto_limit(
-        model, t_list, n, seed, cutoff=cutoff, gamma=gamma)
+        m["model"], v["t_list"], v["n"], seed, cutoff=v["cutoff"], gamma=v["gamma"], csv=v["csv"])
     final = reports[-1]
     ok = v["ks_min"] is None or final.ks_statistic >= v["ks_min"]
     if v["trend_slack"] is not None:
         # trend is checked above the sampling resolution: values at the
         # 1/sqrt(n) noise floor carry no evidence either way
-        floor = montecarlo.ks_critical_value(n, 0.01)
+        floor = montecarlo.ks_critical_value(v["n"], 0.01)
         ks = [r.ks_statistic for r in reports]
         ok = ok and all(
             ks[i + 1] <= ks[i] * (1.0 + v["trend_slack"]) + floor for i in range(len(ks) - 1)
         )
-    if v["csv"] is not None:
-        # replay the final-t substream so the curve matches the statistic
-        emp = _empirical_for_pareto(model, final.t, n, seed, cutoff, stream=len(t_list) - 1)
-        montecarlo.export_curve(emp, montecarlo.ParetoLaw(gamma).cdf, v["csv"])
     return _ks_result(final, v["ks_max"], ok, ks_by_t={str(r.t): r.ks_statistic for r in reports})
 
 
@@ -452,8 +438,8 @@ def _drift(v, m, seed):
 
 def _support(v, m, seed):
     model, t, n = m["model"], v["t"], v["n"]
-    emp = _empirical_for_pareto(model, t, n, seed, v["cutoff"])
-    fraction = montecarlo.support_check(emp, v["delta"])
+    log_s = sample_marginal(model, t, n, substream(seed, 0), cutoff=v["cutoff"])
+    fraction = montecarlo.support_check(montecarlo.neg_t_power_ecdf(model, t, log_s), v["delta"])
     return _result(model.describe(), fraction, v["max_fraction"], fraction <= v["max_fraction"],
                    t=t, n=n)
 
@@ -492,7 +478,7 @@ def _recursion_mean(v, m, seed):
     gamma, n, mult = v["gamma"], v["n"], v["sigma_mult"]
     depth = recursion_depth(gamma) if v["depth"] is None else v["depth"]
     samples = sample_dickman_recursion(gamma, depth, substream(seed, 0), n)
-    mean, std = montecarlo.mean_std_in_place(samples)
+    mean, std = montecarlo.mean_std_in_place(np.exp(samples, out=samples))
     mean, stderr = float(mean), float(std / np.sqrt(n))
     return _result(f"dickman_recursion(gamma={gamma:g})", mean, mult,
                    abs(mean - gamma) <= mult * stderr, n=n, stderr=stderr, target=gamma)
@@ -503,6 +489,9 @@ def _two_sampler_ks(v, m, seed):
     model = catalog.build_model("dickman", {"gamma": gamma})
     rec = sample_dickman_recursion(gamma, recursion_depth(gamma), substream(seed, 0), n)
     cp = sample_cutoff_cp(model.tail, v["cutoff"], 1.0, substream(seed, 1), n, out=np.empty(n))
+    # the recursion draws log values; KS is invariant under the monotone log
+    with np.errstate(divide="ignore"):
+        np.log(cp, out=cp)
     stat = montecarlo.two_sample_ks(rec, cp)
     crit = montecarlo.two_sample_ks_critical_value(n, n, v["level"])
     return _result(f"dickman(gamma={gamma:g})", stat, crit, stat <= crit, n=n)
@@ -647,6 +636,9 @@ def run_experiment(entry, seed, out_dir, index):
     except MemoryError as exc:
         # e.g. an n whose batch the machine cannot hold
         raise NumericalFailure(f"out of memory: {exc}", op=f"experiments[{index}]") from exc
+    except NumericalFailure as exc:
+        exc.op = exc.op or f"experiments[{index}]"  # a failure of no operation of its own
+        raise
     return {"experiment": entry["kind"], "params": entry.get("params", {}), **result}
 
 

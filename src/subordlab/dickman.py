@@ -175,12 +175,12 @@ def _usable_cpus():
         return os.cpu_count() or 1
 
 
-def sample_dickman_recursion(gamma, depth, rng, n=1, *, log=False):
-    """Draw from the generalized Dickman law as sum_{i<=d} (U_1...U_i)**(1/gamma).
+def sample_dickman_recursion(gamma, depth, rng, n=1):
+    """Draw log S from the generalized Dickman law, S = sum_{i<=d} (U_1...U_i)**(1/gamma).
 
-    With ``log=True`` the running sum is carried through logaddexp, which
-    keeps samples exact for tiny gamma where the linear products
-    underflow.  The neglected tail has mean ``recursion_mean_bias(gamma,
+    log S = log1p(-U_1)/gamma + log1p(sum_{k>=2} W_2...W_k), W_j = (1 - U_j)**(1/gamma):
+    the inner sum is added to 1, so its terms may underflow, and tiny gamma
+    stays exact.  The neglected tail has mean ``recursion_mean_bias(gamma,
     depth)``; ``recursion_depth(gamma)`` is the fewest terms that hold it
     to ``RECURSION_REL_BIAS * gamma``.  ``depth`` may not exceed
     ``MAX_RECURSION_DEPTH``.
@@ -224,27 +224,22 @@ def sample_dickman_recursion(gamma, depth, rng, n=1, *, log=False):
         for b in range(lo, hi, BLOCK):
             m = min(BLOCK, hi - b)
             a, p, v = acc[b : b + m], prod[:m], u[:m]
-            if log:
-                a.fill(-np.inf)
-                p.fill(0.0)
-                for term in terms:
-                    term.random(m, out=v)
-                    np.negative(v, out=v)
-                    np.log1p(v, out=v)
-                    v /= gamma
-                    p += v
-                    np.logaddexp(a, p, out=a)
-            else:
-                a.fill(0.0)
-                p.fill(1.0)
-                for term in terms:
-                    term.random(m, out=v)
-                    np.subtract(1.0, v, out=v)
-                    # the in-place operator keeps numpy's scalar-exponent fast paths
-                    # (2 -> square, 0.5 -> sqrt)
-                    v **= e
-                    p *= v
-                    a += p
+            a.fill(0.0)
+            p.fill(1.0)
+            for term in terms[1:]:
+                term.random(m, out=v)
+                np.subtract(1.0, v, out=v)
+                # the in-place operator keeps numpy's scalar-exponent fast paths
+                # (2 -> square, 0.5 -> sqrt)
+                v **= e
+                p *= v
+                a += p
+            np.log1p(a, out=a)
+            terms[0].random(m, out=v)
+            np.negative(v, out=v)
+            np.log1p(v, out=v)
+            v /= gamma
+            a += v
         return terms[-1].bit_generator
 
     blocks = -(-n // BLOCK)
@@ -309,7 +304,7 @@ def make_dickman(gamma):
 
     def log_sampler(t, n, rng):
         theta = t * gamma
-        return sample_dickman_recursion(theta, recursion_depth(theta), rng, n, log=True)
+        return sample_dickman_recursion(theta, recursion_depth(theta), rng, n)
 
     density1 = None
     if gamma == 1.0:

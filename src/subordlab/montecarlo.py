@@ -22,12 +22,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import simulate
 from .core import BLOCK, ExponentialLaw, ParetoLaw, SubordinatorModel, pareto_cdf
 from .errors import InvalidParameterError, NumericalFailure, OutOfRangeError
 from .simulate import sample_cutoff_cp, sample_marginal, substream, to_neg_t_power, to_tl
 
 __all__ = [
     "EmpiricalDistribution",
+    "neg_t_power_ecdf",
     "KsReport",
     "ks_distance",
     "two_sample_ks",
@@ -154,13 +156,21 @@ def ks_distance(emp: EmpiricalDistribution, cdf):
 
 
 def two_sample_ks(x, y):
-    """Two-sample sup ECDF distance (values only, no at-infinity handling)."""
+    """Two-sample sup ECDF distance (values only, no at-infinity handling).
+
+    Both ECDFs are evaluated ``BLOCK`` values of one sorted sample at a time,
+    so beside the two sorted copies the memory is a few blocks.
+    """
     xs = np.sort(np.asarray(x, dtype=float))
     ys = np.sort(np.asarray(y, dtype=float))
-    both = np.concatenate([xs, ys])
-    fx = np.searchsorted(xs, both, side="right") / xs.size
-    fy = np.searchsorted(ys, both, side="right") / ys.size
-    return float(np.max(np.abs(fx - fy)))
+
+    def gap(points):
+        f = np.searchsorted(xs, points, side="right") / xs.size
+        f -= np.searchsorted(ys, points, side="right") / ys.size
+        return np.abs(f, out=f).max()
+
+    return float(np.max([gap(s[lo : lo + BLOCK]) for s in (xs, ys)
+                         for lo in range(0, s.size, BLOCK)]))
 
 
 # level -> c(level), the asymptotic Kolmogorov critical value times sqrt(n)
@@ -256,14 +266,12 @@ class ParetoMixtureLaw:
         return f"mixture(q={self.q:g},Pareto({self.gamma:g}))"
 
 
-def _sample_transformed(model, t, n, rng, cutoff):
-    """Log-space marginal batch pushed through the power transform, in place."""
-    log_samples = sample_marginal(model, t, n, rng, cutoff=cutoff)
-    values, n_inf = to_neg_t_power(log_samples, t, out=log_samples)
+def neg_t_power_ecdf(model, t, log_samples):
+    """ECDF of y**(-t) over a batch of log(Y_t) from ``model``, transformed and sorted in place."""
+    # through the module: perfbench/tracer.py expects calls at simulate's own binding site
+    values, n_inf = simulate.to_neg_t_power(log_samples, t, out=log_samples)
     if model.log_sampler is not None and n_inf:
-        raise NumericalFailure(
-            "exact sampler produced an at-infinity sample", op="experiment"
-        )
+        raise NumericalFailure(f"the exact sampler of {model.describe()} drew y = 0")
     return EmpiricalDistribution.from_values(values, n_inf, in_place=True)
 
 
@@ -278,18 +286,21 @@ def _fraction_within(values, lo, hi):
 
 def experiment_pareto_limit(
     model: SubordinatorModel, t_list=DEFAULT_T_LIST, n=DEFAULT_N, seed=0,
-    *, cutoff=1e-6, gamma=None,
+    *, cutoff=1e-6, gamma=None, csv=None,
 ):
-    """KS of the power-transformed marginal against its Pareto limit, per t."""
+    """KS of y**(-t) against its Pareto limit, per t; ``csv`` gets the last t's ECDF curve."""
     target_gamma = model.known_gamma if gamma is None else gamma
     if target_gamma is None:
         raise InvalidParameterError("model has no known index; pass gamma explicitly")
     law = ParetoLaw(target_gamma)
     reports = []
     for k, t in enumerate(t_list):
-        emp = _sample_transformed(model, t, n, substream(seed, k), cutoff)
+        log_samples = sample_marginal(model, t, n, substream(seed, k), cutoff=cutoff)
+        emp = neg_t_power_ecdf(model, t, log_samples)
         reports.append(_ks_report(model.describe(), t, n, law, emp))
-        del emp  # before the next t draws its batch
+        if csv is not None and k == len(t_list) - 1:
+            export_curve(emp, law.cdf, csv)
+        del log_samples, emp  # before the next t draws its batch
     return reports
 
 
@@ -351,8 +362,7 @@ def experiment_affine(model, a, b, t, n=DEFAULT_N, seed=0, *, cutoff=1e-6):
     log_y = sample_marginal(model, t, n, substream(seed, 0), cutoff=cutoff)
     np.add(log_y, log_a_t, out=log_y)
     np.logaddexp(log_y, log_b_t, out=log_y)
-    values, n_inf = to_neg_t_power(log_y, t, out=log_y)
-    emp = EmpiricalDistribution.from_values(values, n_inf, in_place=True)
+    emp = neg_t_power_ecdf(model, t, log_y)
     law = AffineMinLaw(a, b, model.known_gamma)
     return _ks_report(f"affine(a={a:g},b={b:g},{model.describe()})", t, n, law, emp)
 
@@ -376,12 +386,11 @@ def experiment_mixture(model, q, t, n=DEFAULT_N, seed=0, *, cutoff=1e-6, jump_wi
         block = log_l[lo : lo + BLOCK]
         at_one = level_rng.random(out=u[: block.size]) >= q
         np.logaddexp(block, 0.0, out=block, where=at_one)
-    values, n_inf = to_neg_t_power(log_l, t, out=log_l)
-    emp = EmpiricalDistribution.from_values(values, n_inf, in_place=True)
+    emp = neg_t_power_ecdf(model, t, log_l)
     law = ParetoMixtureLaw(q, model.known_gamma)
     report = _ks_report(f"mixture(q={q:g},{model.describe()})", t, n, law, emp)
     inside = _fraction_within(emp.values, 1.0 - jump_window, 1.0 + 1e-9)
-    jump_mass = float(inside * values.size / emp.n_total)
+    jump_mass = float(inside * emp.values.size / emp.n_total)
     return report, jump_mass
 
 

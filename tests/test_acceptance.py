@@ -117,12 +117,12 @@ def test_criterion_05_dickman(dickman1, dense_cp):
     norm = dickman_density_norm(40)
     assert abs(norm - 1.0) <= 1e-6
     for gamma, stream in ((1.0, 0), (2.0, 1)):
-        samples = sample_dickman_recursion(
+        samples = np.exp(sample_dickman_recursion(
             gamma, recursion_depth(gamma), substream(SEED, stream), 1_000_000
-        )
+        ))
         stderr = samples.std(ddof=1) / 1000.0
         assert abs(samples.mean() - gamma) <= 3.0 * stderr, gamma
-    rec = sample_dickman_recursion(1.0, 60, substream(SEED, 2), N_MC)
+    rec = np.exp(sample_dickman_recursion(1.0, 60, substream(SEED, 2), N_MC))
     cp = dense_cp(dickman1.tail, 1e-6, 1.0, substream(SEED, 3), N_MC)
     two = mc.two_sample_ks(rec, cp)
     crit = mc.two_sample_ks_critical_value(N_MC, N_MC, 0.01)

@@ -5,11 +5,12 @@ import os
 import subprocess
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from subordlab import cli, criteria, dickman, montecarlo, simulate
+from subordlab import catalog, cli, criteria, dickman, montecarlo, simulate
 from subordlab.dickman import MAX_RECURSION_DEPTH
 
 GAMMA = {"name": "gamma", "params": {"gamma": 1.0, "lam": 1.0}}
@@ -619,6 +620,26 @@ class TestRun:
         assert curve[0] == "x,ecdf,target"
         assert len(curve) == 5001
 
+    def test_pareto_curve_is_written_from_the_final_batch(self, tmp_path, sampler_calls):
+        # one draw per t, and the curve is the last t's batch: the bytes of the
+        # ECDF of that t's substream, the one the final statistic was computed on
+        t_list, n, seed = [0.1, 0.05], 5000, 5
+        entry = {"kind": "pareto_limit", "model": GAMMA, "params": {"t_list": t_list, "n": n},
+                 "csv": "curve.csv"}
+        code, report = cli.run(write_config(tmp_path, {"seed": seed, "experiments": [entry]}),
+                               out_dir=str(tmp_path))
+        assert code == 0
+        assert len(sampler_calls) == len(t_list)
+        model = catalog.build_model("gamma", GAMMA["params"])
+        last = simulate.substream(seed * 1_000_003, len(t_list) - 1)
+        log_s = simulate.sample_marginal(model, t_list[-1], n, last)
+        values, n_inf = simulate.to_neg_t_power(log_s, t_list[-1])
+        emp = montecarlo.EmpiricalDistribution.from_values(values, n_inf)
+        montecarlo.export_curve(emp, montecarlo.ParetoLaw(1.0).cdf, tmp_path / "replay.csv")
+        assert (tmp_path / "curve.csv").read_bytes() == (tmp_path / "replay.csv").read_bytes()
+        ks = montecarlo.ks_distance(emp, montecarlo.ParetoLaw(1.0).cdf)
+        assert report["results"][0]["statistic"] == ks
+
     def test_failed_assertion_exits_one(self, tmp_path):
         cfg = write_config(
             tmp_path,
@@ -709,8 +730,8 @@ class TestRun:
         n, gamma = 100_003, 2.0
         values = {"gamma": gamma, "n": n, "depth": None, "sigma_mult": 3.0}
         result = cli._recursion_mean(values, {}, 5)
-        samples = dickman.sample_dickman_recursion(
-            gamma, dickman.recursion_depth(gamma), simulate.substream(5, 0), n)
+        samples = np.exp(dickman.sample_dickman_recursion(
+            gamma, dickman.recursion_depth(gamma), simulate.substream(5, 0), n))
         assert result["statistic"] == float(samples.mean())
         assert result["stderr"] == float(samples.std(ddof=1) / np.sqrt(n))
 
@@ -776,6 +797,18 @@ class TestNumericalFailureExit:
         assert cli.main(["--config", cfg, "--out", str(tmp_path)]) == 3
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("numerical failure in ergodic_target:"), err
+
+    def test_exact_sampler_at_infinity_exits_three(self, tmp_path, capsys, monkeypatch):
+        # an exact sampler never draws y = 0; support now checks it like pareto_limit
+        stub = replace(catalog.make_gamma(1.0, 1.0),
+                       log_sampler=lambda t, n, rng: np.full(n, -np.inf))
+        monkeypatch.setitem(catalog.CATALOG, "stub", (lambda: stub, {}))
+        entry = {"kind": "support", "model": {"name": "stub"}, "params": {"n": 100}}
+        cfg = write_config(tmp_path, {"experiments": [FIRST, entry]})
+        assert cli.main(["--config", cfg, "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("numerical failure in experiments[1]:"), err
+        assert "exact sampler of gamma" in err[0]
 
     def test_batch_past_the_address_space_exits_three(self, tmp_path, capsys):
         # 10**15 floats (7.1 PiB) exceed any address space, so the allocation

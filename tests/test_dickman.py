@@ -41,20 +41,32 @@ def linear_depth_search(theta):
     return depth
 
 
-def naive_recursion(gamma, depth, rng, n, log):
+def naive_recursion(gamma, depth, rng, n):
     """The allocating form of the recursion: term by term over the whole batch,
-    one fresh array per operation."""
-    if log:
-        acc, log_prod = np.full(n, -np.inf), np.zeros(n)
-        for _ in range(depth):
-            log_prod = log_prod + np.log1p(-rng.random(n)) / gamma
-            acc = np.logaddexp(acc, log_prod)
-    else:
-        acc, prod = np.zeros(n), np.ones(n)
-        for _ in range(depth):
-            prod = prod * (1.0 - rng.random(n)) ** (1.0 / gamma)
-            acc = acc + prod
+    one fresh array per operation, the sum formed relative to the first term."""
+    first = np.log1p(-rng.random(n)) / gamma
+    rest, prod = np.zeros(n), np.ones(n)
+    for _ in range(depth - 1):
+        prod = prod * (1.0 - rng.random(n)) ** (1.0 / gamma)
+        rest = rest + prod
+    return np.log1p(rest) + first
+
+
+def logaddexp_recursion(gamma, depth, rng, n):
+    """The recursion summed in log space, one logaddexp a term: a reference form."""
+    acc, log_prod = np.full(n, -np.inf), np.zeros(n)
+    for _ in range(depth):
+        log_prod = log_prod + np.log1p(-rng.random(n)) / gamma
+        acc = np.logaddexp(acc, log_prod)
     return acc
+
+
+def pending_half_word(rng, pending):
+    """rng, holding a pending 32-bit half-word when pending; double draws leave it be."""
+    if pending:
+        rng.integers(0, 2**32, dtype=np.uint32)
+        assert rng.bit_generator.state["has_uint32"] == 1
+    return rng
 
 
 def ceiling_theta():
@@ -171,24 +183,24 @@ class TestDensity:
 
 class TestRecursionSampler:
     def test_single_term_arithmetic(self):
-        # depth 1, gamma = 1/2: the sample is (1 - U)**(1/gamma) = (1 - U)**2
+        # depth 1, gamma = 1/2: the sample is log((1 - U)**(1/gamma)) = log1p(-U)/gamma
         rng = substream(8, 0)
         copy = np.random.Generator(np.random.PCG64())
         copy.bit_generator.state = rng.bit_generator.state
         out = sample_dickman_recursion(0.5, 1, rng, 3)
-        np.testing.assert_array_equal(out, (1.0 - copy.random(3)) ** 2)
+        np.testing.assert_array_equal(out, np.log1p(-copy.random(3)) / 0.5)
         # the caller's generator moved past exactly those three uniforms
         assert rng.bit_generator.state == copy.bit_generator.state
 
     def test_mean_gamma_one(self):
         rng = substream(101, 0)
-        samples = sample_dickman_recursion(1.0, 60, rng, 1_000_000)
+        samples = np.exp(sample_dickman_recursion(1.0, 60, rng, 1_000_000))
         stderr = samples.std(ddof=1) / 1000.0
         assert abs(samples.mean() - 1.0) <= 3.0 * stderr
 
     def test_mean_gamma_two(self):
         rng = substream(102, 0)
-        samples = sample_dickman_recursion(2.0, 80, rng, 1_000_000)
+        samples = np.exp(sample_dickman_recursion(2.0, 80, rng, 1_000_000))
         stderr = samples.std(ddof=1) / 1000.0
         assert abs(samples.mean() - 2.0) <= 3.0 * stderr
 
@@ -248,33 +260,34 @@ class TestRecursionSampler:
         with pytest.raises(InvalidParameterError):
             sample_dickman_recursion(1.0, MAX_RECURSION_DEPTH + 1, substream(3, 0), 10)
 
-    @pytest.mark.parametrize("log", [False, True])
+    # the boolean puts a pending 32-bit half-word in the caller's generator
+    @pytest.mark.parametrize("pending", [False, True])
     @pytest.mark.parametrize("gamma", [0.5, 1.0, 2.0, 3.0])
-    def test_in_place_kernel_matches_naive_reference(self, gamma, log):
+    def test_in_place_kernel_matches_naive_reference(self, gamma, pending):
         # n = 1, part of one block, and three blocks plus a partial one
         depth = 25
         for n in (1, 5000, 3 * BLOCK + 7):
-            rng = substream(41, 0)
-            acc = naive_recursion(gamma, depth, rng, n, log)
-            caller = substream(41, 0)
-            out = sample_dickman_recursion(gamma, depth, caller, n, log=log)
+            rng = pending_half_word(substream(41, 0), pending)
+            acc = naive_recursion(gamma, depth, rng, n)
+            caller = pending_half_word(substream(41, 0), pending)
+            out = sample_dickman_recursion(gamma, depth, caller, n)
             np.testing.assert_array_equal(out, acc)
             # the caller's generator is left where the term-by-term loop leaves it
             assert caller.bit_generator.state == rng.bit_generator.state
 
-    @pytest.mark.parametrize("log", [False, True])
+    @pytest.mark.parametrize("pending", [False, True])
     @pytest.mark.parametrize("gamma", [0.5, 2.0])
-    def test_bits_do_not_depend_on_the_chunks(self, monkeypatch, gamma, log):
+    def test_bits_do_not_depend_on_the_chunks(self, monkeypatch, gamma, pending):
         # 1, 2 and 3 chunks over three blocks plus a partial one, so the last
         # chunk ends in a partial block; the pool is gone when the call returns
         depth, n = 25, 3 * BLOCK + 7
-        rng = substream(43, 0)
-        acc = naive_recursion(gamma, depth, rng, n, log)
+        rng = pending_half_word(substream(43, 0), pending)
+        acc = naive_recursion(gamma, depth, rng, n)
         for workers in (1, 2, 3):
             monkeypatch.setattr(dickman, "_usable_cpus", lambda: workers)
-            caller = substream(43, 0)
+            caller = pending_half_word(substream(43, 0), pending)
             threads = threading.active_count()
-            out = sample_dickman_recursion(gamma, depth, caller, n, log=log)
+            out = sample_dickman_recursion(gamma, depth, caller, n)
             assert threading.active_count() == threads
             np.testing.assert_array_equal(out, acc)
             assert caller.bit_generator.state == rng.bit_generator.state
@@ -283,20 +296,20 @@ class TestRecursionSampler:
         # two experiments drawing at once, as under --threads 2, each on its own generator
         monkeypatch.setattr(dickman, "_usable_cpus", lambda: 2)
         depth, n = 25, 3 * BLOCK + 7
-        streams = [(2.0, 44, False), (0.5, 45, True)]
+        streams = [(2.0, 44), (0.5, 45)]
         serial = []
-        for gamma, seed, log in streams:
+        for gamma, seed in streams:
             rng = substream(seed, 0)
-            out = sample_dickman_recursion(gamma, depth, rng, n, log=log)
+            out = sample_dickman_recursion(gamma, depth, rng, n)
             serial.append((out, rng.bit_generator.state))
         threads = threading.active_count()
         barrier = threading.Barrier(len(streams))
         results = [None] * len(streams)
 
-        def call(i, gamma, seed, log):
+        def call(i, gamma, seed):
             rng = substream(seed, 0)
             barrier.wait(timeout=5)
-            out = sample_dickman_recursion(gamma, depth, rng, n, log=log)
+            out = sample_dickman_recursion(gamma, depth, rng, n)
             results[i] = (out, rng.bit_generator.state)
 
         workers = [threading.Thread(target=call, args=(i, *s)) for i, s in enumerate(streams)]
@@ -323,16 +336,31 @@ class TestRecursionSampler:
         assert rng.integers(0, 2**32, dtype=np.uint32) == ref.integers(0, 2**32, dtype=np.uint32)
         assert out.shape == (100,)
 
-    def test_log_variant_agrees_with_linear(self):
-        lin = sample_dickman_recursion(1.0, 40, substream(7, 0), 2000)
-        logv = sample_dickman_recursion(1.0, 40, substream(7, 0), 2000, log=True)
-        np.testing.assert_allclose(np.exp(logv), lin, rtol=1e-12)
+    @pytest.mark.parametrize("theta", [1e-3, 0.01, 0.2, 1.0, 2.0])
+    def test_agrees_with_logaddexp_reference(self, theta):
+        # each of the depth terms of either form carries a few roundings, each
+        # relative to a partial sum of at most |log S| + 1 in log space
+        depth, n = recursion_depth(theta), 20_000
+        ref = logaddexp_recursion(theta, depth, substream(7, 0), n)
+        out = sample_dickman_recursion(theta, depth, substream(7, 0), n)
+        tol = 4 * depth * np.finfo(float).eps * (1.0 + np.abs(ref))
+        assert np.all(np.abs(out - ref) <= tol)
+
+    @pytest.mark.parametrize("theta", [0.01, 0.2, 1.0, 2.0])
+    def test_law_below_one(self, theta):
+        # P(X <= x) = exp(-euler*theta) x**theta / Gamma(1 + theta) on [0, 1]
+        n = 400_000
+        log_x = sample_dickman_recursion(theta, recursion_depth(theta), substream(17, 0), n)
+        for x in (0.5, 1.0):
+            p = math.exp(-EULER * theta) * x**theta / math.gamma(1.0 + theta)
+            z = (np.count_nonzero(log_x <= math.log(x)) / n - p) / math.sqrt(p * (1.0 - p) / n)
+            assert abs(z) <= 4.0, (x, z)
 
     def test_distributional_fixed_point(self):
         # U**(1/gamma) (X + 1) has the law of X
         gamma, n = 1.0, 100_000
-        x = sample_dickman_recursion(gamma, 60, substream(301, 0), n)
-        x_prime = sample_dickman_recursion(gamma, 60, substream(301, 1), n)
+        x = np.exp(sample_dickman_recursion(gamma, 60, substream(301, 0), n))
+        x_prime = np.exp(sample_dickman_recursion(gamma, 60, substream(301, 1), n))
         u = substream(301, 2).random(n)
         transformed = u ** (1.0 / gamma) * (x_prime + 1.0)
         assert two_sample_ks(x, transformed) <= two_sample_ks_critical_value(n, n, 0.01)

@@ -67,6 +67,21 @@ class TestTwoSampleKs:
     def test_disjoint_samples_one(self):
         assert mc.two_sample_ks(np.zeros(5), np.ones(5)) == 1.0
 
+    def test_blocks_match_the_concatenated_columns(self):
+        # both ECDFs over all values at once, as before the blocks; rounded values
+        # put ties within and across the samples, -inf stands for a log of 0, and
+        # the small pair reaches its sup only at a value of the second sample
+        rng = np.random.default_rng(3)
+        x = np.round(rng.normal(size=2 * BLOCK + 5), 2)
+        y = np.round(rng.normal(0.01, 1.0, size=BLOCK + 3), 2)
+        x[:7] = -np.inf
+        for a, b in ((x, y), (y, x), ([0.0, 1.0, 2.0], [0.5, 0.6, 0.7])):
+            a_sorted, b_sorted = np.sort(a), np.sort(b)
+            both = np.concatenate([a_sorted, b_sorted])
+            fa = np.searchsorted(a_sorted, both, side="right") / a_sorted.size
+            fb = np.searchsorted(b_sorted, both, side="right") / b_sorted.size
+            assert mc.two_sample_ks(a, b) == float(np.max(np.abs(fa - fb)))
+
 
 class TestProductLaw:
     def test_rederived_cdf_against_direct_sampling(self):
@@ -478,6 +493,12 @@ class TestExperimentMemory:
         values = {"gamma": 1.0, "n": N_1E6, "depth": None, "sigma_mult": 3.0}
         peak = traced_peak(lambda: cli._recursion_mean(values, {}, 0))
         assert peak <= 8 * N_1E6 + 3 * MIB
+
+    def test_two_sampler_ks_holds_its_two_batches_and_their_sorted_copies(self, traced_peak):
+        # 14 n-float arrays (107 MiB) when both ECDFs ran over concatenated columns
+        values = {"gamma": 1.0, "n": N_1E6, "cutoff": 1e-6, "level": 0.01}
+        peak = traced_peak(lambda: cli._two_sampler_ks(values, {}, 0))
+        assert peak <= 4 * 8 * N_1E6 + 3 * MIB
 
     def test_general_limit_is_its_cutoff_cp_draw(self, traced_peak):
         # ~6.4e6 jumps are drawn into the one batch: 46.7 MiB when every jump
