@@ -17,16 +17,14 @@ import numpy as np
 from scipy import special as sc
 
 from .core import BLOCK, LaplaceExponent, LevyTail, SubordinatorModel, integral
-from .dickman import make_dickman
+from .dickman import EULER, make_dickman
 from .errors import InvalidParameterError
 
 __all__ = [
     "GeneralFamily",
-    "ThorinMeasure",
     "make_gamma",
     "make_stable",
     "make_bessel",
-    "make_thorin",
     "make_thorin_uniform",
     "make_weibull",
     "make_pareto_type",
@@ -38,14 +36,13 @@ __all__ = [
     "build_model",
 ]
 
-_EULER = 0.57721566490153286
 _ZETA3 = 1.2020569031595943
 # moments of (-log x) under the unit exponential on (0, inf)
 _NEG_LOG_MOMENTS = (
     1.0,
-    _EULER,
-    _EULER**2 + math.pi**2 / 6.0,
-    _EULER**3 + _EULER * math.pi**2 / 2.0 + 2.0 * _ZETA3,
+    EULER,
+    EULER**2 + math.pi**2 / 6.0,
+    EULER**3 + EULER * math.pi**2 / 2.0 + 2.0 * _ZETA3,
 )
 
 
@@ -68,26 +65,6 @@ class GeneralFamily:
             return self.name
         inner = ",".join(f"{k}={v}" for k, v in sorted(self.params.items()))
         return f"{self.name}({inner})"
-
-
-@dataclass(frozen=True)
-class ThorinMeasure:
-    """Finite discrete mixing measure: atoms (location y_i >= 0, mass m_i > 0)."""
-
-    locations: tuple
-    masses: tuple
-
-    def __post_init__(self):
-        if len(self.locations) != len(self.masses) or not self.locations:
-            raise InvalidParameterError("need matching, nonempty atom locations and masses")
-        if any(m <= 0 for m in self.masses):
-            raise InvalidParameterError("atom masses must be positive")
-        if any(y < 0 or not np.isfinite(y) for y in self.locations):
-            raise InvalidParameterError("atom locations must be finite and >= 0")
-
-    @property
-    def total_mass(self):
-        return float(sum(self.masses))
 
 
 def _require_positive(**kwargs):
@@ -117,7 +94,7 @@ def _gamma_inverse_tail_factory(gamma, lam):
         target = y_arr / gamma
         # E1(z) ~ -euler - log z near 0, ~ exp(-z)/z at infinity; z is formed in u
         u = np.negative(target)
-        u -= _EULER
+        u -= EULER
         np.exp(u, out=u)
         np.copyto(u, 1.0, where=~(target > 1.0))
         big = target <= 1.0
@@ -406,45 +383,6 @@ def make_bessel():
         density1=density1,
         known_gamma=1.0,
         params={},
-    )
-
-
-def make_thorin(measure: ThorinMeasure):
-    """Generalized gamma convolution with a finite discrete Thorin measure.
-
-    Each atom (y, m) contributes a gamma component m*log(1 + s/y); an atom
-    at y = 0 would make the jump density non-integrable and is rejected.
-    The Pareto index is the total mass.
-    """
-    if any(y == 0 for y in measure.locations):
-        raise InvalidParameterError("Thorin atom at 0 gives a non-integrable jump density")
-    locs = np.asarray(measure.locations, dtype=float)
-    masses = np.asarray(measure.masses, dtype=float)
-    log_locs = np.log(locs)
-
-    def eval_log(ell):
-        ell_arr = np.asarray(ell, dtype=float)
-        terms = masses * np.logaddexp(0.0, ell_arr[..., None] - log_locs)
-        out = terms.sum(axis=-1)
-        return out if out.ndim else float(out)
-
-    def tail(x):
-        x_arr = np.asarray(x, dtype=float)
-        out = (masses * sc.exp1(np.multiply.outer(x_arr, locs))).sum(axis=-1)
-        return out if out.ndim else float(out)
-
-    def levy_density(x):
-        x_arr = np.asarray(x, dtype=float)
-        out = (masses * np.exp(-np.multiply.outer(x_arr, locs))).sum(axis=-1) / x_arr
-        return out if out.ndim else float(out)
-
-    return SubordinatorModel(
-        name="thorin",
-        phi=LaplaceExponent(eval_log=eval_log),
-        tail=LevyTail(tail=tail),
-        levy_density=levy_density,
-        known_gamma=measure.total_mass,
-        params={"atoms": tuple(zip(measure.locations, measure.masses))},
     )
 
 

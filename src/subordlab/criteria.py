@@ -34,12 +34,14 @@ __all__ = [
     "estimate_gamma_s7",
     "estimate_gamma_s8",
     "estimate_gamma_general",
+    "require_nondegenerate",
+    "DeviationReport",
+    "grid_deviations",
     "check_s2",
     "check_sandwich_ol",
     "check_sandwich_ol2",
     "estimate_all",
     "detect_limit",
-    "S2Report",
     "SandwichViolation",
 ]
 
@@ -235,9 +237,20 @@ def estimate_gamma_general(phi: LaplaceExponent, L, log_s_grid=None):
     return _finish("GL", grid, ratios, 1.0 / l_vals)
 
 
+def require_nondegenerate(phi: LaplaceExponent, what="the model"):
+    """``phi``, unless it is the null subordinator's exponent (DegenerateModelError).
+
+    The exponent counts as null when it is below 1e-15 at s = 1 and at
+    s = 100; the message names the model as ``what``.
+    """
+    if float(phi.eval(1.0)) < 1e-15 and float(phi.eval(100.0)) < 1e-15:
+        raise DegenerateModelError(f"{what} is the null subordinator")
+    return phi
+
+
 @dataclass(frozen=True)
-class S2Report:
-    """Deviations of t*Phi(u**(1/t)) from -log(1 - F*(u)) along a t grid."""
+class DeviationReport:
+    """Per-t max deviations over a u grid, largest t first; ``final`` is the smallest t's."""
 
     t_grid: np.ndarray
     deviations: np.ndarray
@@ -247,30 +260,40 @@ class S2Report:
         return float(self.deviations[-1])
 
 
-def check_s2(phi: LaplaceExponent, limit_cdf, t_grid=None, u_grid=None):
-    """Transform-level limit check: t*Phi(u**(1/t)) vs -log(1 - F*(u)).
+def grid_deviations(at, target, t_grid, u_grid):
+    """max over u of |at(t, log(u)/t) - target| for each t of ``t_grid``, largest t first.
 
-    Probes the exponent at log-argument log(u)/t, so arbitrarily small t
-    is fine.  Returns per-t max deviations over the u grid, largest t
-    first; the sequence should decrease toward zero.
+    ``at(t, ell)`` evaluates the t-indexed function at log-argument ell,
+    so the probe u**(1/t) never has to be formed and arbitrarily small t
+    is fine; ``target`` holds its limit at the u of ``u_grid``.
     """
-    t_arr = np.sort(np.asarray([0.1, 0.03, 0.01, 0.003, 0.001] if t_grid is None else t_grid,
-                               dtype=float))[::-1]
-    u_arr = np.asarray([1.25, 1.5, 2.0, 3.0, 5.0, 8.0] if u_grid is None else u_grid, dtype=float)
+    t_arr = np.sort(np.asarray(t_grid, dtype=float))[::-1]
     if np.any(t_arr <= 0):
         raise InvalidParameterError("t grid must be positive")
-    f_star = np.asarray(limit_cdf(u_arr), dtype=float)
-    if np.any(f_star >= 1.0):
-        raise InvalidParameterError("u grid hits F* = 1; deviation undefined there")
-    if float(phi.eval(1.0)) < 1e-15 and float(phi.eval(100.0)) < 1e-15:
-        raise DegenerateModelError("null subordinator has no transform limit")
-    target = -np.log1p(-f_star)
+    u_arr = np.asarray(u_grid, dtype=float)
+    if np.any(u_arr <= 0):
+        raise InvalidParameterError("u grid must be positive")
     log_u = np.log(u_arr)
     deviations = np.empty_like(t_arr)
     for k, t in enumerate(t_arr):
-        vals = t * np.asarray(phi.eval_log(log_u / t), dtype=float)
-        deviations[k] = np.max(np.abs(vals - target))
-    return S2Report(t_grid=t_arr, deviations=deviations)
+        deviations[k] = np.max(np.abs(np.asarray(at(t, log_u / t), dtype=float) - target))
+    return DeviationReport(t_grid=t_arr, deviations=deviations)
+
+
+def check_s2(phi: LaplaceExponent, limit_cdf, t_grid=None, u_grid=None):
+    """Transform-level limit check: t*Phi(u**(1/t)) vs -log(1 - F*(u)).
+
+    Returns the ``grid_deviations`` of t*Phi at log-argument log(u)/t; the
+    sequence should decrease toward zero.
+    """
+    t_grid = [0.1, 0.03, 0.01, 0.003, 0.001] if t_grid is None else t_grid
+    u_arr = np.asarray([1.25, 1.5, 2.0, 3.0, 5.0, 8.0] if u_grid is None else u_grid, dtype=float)
+    f_star = np.asarray(limit_cdf(u_arr), dtype=float)
+    if np.any(f_star >= 1.0):
+        raise InvalidParameterError("u grid hits F* = 1; deviation undefined there")
+    require_nondegenerate(phi)
+    return grid_deviations(
+        lambda t, ell: t * phi.eval_log(ell), -np.log1p(-f_star), t_grid, u_arr)
 
 
 @dataclass(frozen=True)

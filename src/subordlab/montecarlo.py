@@ -24,7 +24,8 @@ import numpy as np
 
 from . import simulate
 from .core import BLOCK, ExponentialLaw, ParetoLaw, SubordinatorModel, pareto_cdf
-from .errors import InvalidParameterError, NumericalFailure, OutOfRangeError
+from .criteria import grid_deviations
+from .errors import InvalidParameterError, NumericalFailure
 from .simulate import sample_cutoff_cp, sample_marginal, substream, to_neg_t_power, to_tl
 
 __all__ = [
@@ -50,7 +51,6 @@ __all__ = [
     "estimate_ergodic_functional",
     "mean_std_in_place",
     "check_family_limit",
-    "FamilyLimitReport",
     "DriftReport",
     "ErgodicEstimate",
     "export_curve",
@@ -357,8 +357,6 @@ def experiment_affine(model, a, b, t, n=DEFAULT_N, seed=0, *, cutoff=1e-6):
         raise InvalidParameterError("model needs a known index")
     log_a_t = -np.log(a) / t
     log_b_t = -np.log(b) / t
-    if np.exp(log_a_t) == 0.0 or np.exp(log_b_t) == 0.0:
-        raise OutOfRangeError("a**(-1/t) underflows; increase t")
     log_y = sample_marginal(model, t, n, substream(seed, 0), cutoff=cutoff)
     np.add(log_y, log_a_t, out=log_y)
     np.logaddexp(log_y, log_b_t, out=log_y)
@@ -367,7 +365,11 @@ def experiment_affine(model, a, b, t, n=DEFAULT_N, seed=0, *, cutoff=1e-6):
     return _ks_report(f"affine(a={a:g},b={b:g},{model.describe()})", t, n, law, emp)
 
 
-def experiment_mixture(model, q, t, n=DEFAULT_N, seed=0, *, cutoff=1e-6, jump_window=0.05):
+# width of the window just below the atom at 1 in which experiment_mixture counts its mass
+_JUMP_WINDOW = 0.05
+
+
+def experiment_mixture(model, q, t, n=DEFAULT_N, seed=0, *, cutoff=1e-6):
     """Start the process at an independent level B (0 with probability q, else 1).
 
     The transformed statistic converges to a mixture: an atom of mass
@@ -389,7 +391,7 @@ def experiment_mixture(model, q, t, n=DEFAULT_N, seed=0, *, cutoff=1e-6, jump_wi
     emp = neg_t_power_ecdf(model, t, log_l)
     law = ParetoMixtureLaw(q, model.known_gamma)
     report = _ks_report(f"mixture(q={q:g},{model.describe()})", t, n, law, emp)
-    inside = _fraction_within(emp.values, 1.0 - jump_window, 1.0 + 1e-9)
+    inside = _fraction_within(emp.values, 1.0 - _JUMP_WINDOW, 1.0 + 1e-9)
     jump_mass = float(inside * emp.values.size / emp.n_total)
     return report, jump_mass
 
@@ -397,12 +399,9 @@ def experiment_mixture(model, q, t, n=DEFAULT_N, seed=0, *, cutoff=1e-6, jump_wi
 @dataclass(frozen=True)
 class DriftReport:
     model: str
-    c: float
     t: float
     n: int
     fraction_within: float
-    window: float
-    seed: int
 
 
 def experiment_drift(model, c, t, n=DEFAULT_N, seed=0, *, cutoff=1e-6, window=0.05):
@@ -419,8 +418,7 @@ def experiment_drift(model, c, t, n=DEFAULT_N, seed=0, *, cutoff=1e-6, window=0.
     inside = _fraction_within(values, 1.0 - window, 1.0 + window)
     return DriftReport(
         model=f"drift(c={c:g},{model.describe()})",
-        c=float(c), t=float(t), n=int(n),
-        fraction_within=float(inside), window=float(window), seed=int(seed),
+        t=float(t), n=int(n), fraction_within=float(inside),
     )
 
 
@@ -531,35 +529,19 @@ def estimate_ergodic_functional(model, f, delta0, t, n, seed=0, *, cutoff=1e-6):
     return ErgodicEstimate(value=est, stderr=stderr, t=float(t), n=int(n))
 
 
-@dataclass(frozen=True)
-class FamilyLimitReport:
-    t_grid: np.ndarray
-    deviations: np.ndarray
-
-    @property
-    def final(self):
-        return float(self.deviations[-1])
-
-
 def check_family_limit(family, t_grid=None, u_grid=None):
     """Deterministic check of psi_t(u**(1/t)) against 1 - F*(u) on a grid.
 
     Works for arbitrary families t -> psi_t (not only powers of one
-    transform); requires the family to carry its limit CDF.
+    transform); requires the family to carry its limit CDF.  Returns the
+    ``criteria.grid_deviations`` of ``family.psi_t_log``.
     """
     if family.limit_cdf is None:
         raise InvalidParameterError("family carries no limit CDF to compare against")
-    t_arr = np.sort(np.asarray([1e-2, 1e-3, 1e-4] if t_grid is None else t_grid, dtype=float))[::-1]
+    t_grid = [1e-2, 1e-3, 1e-4] if t_grid is None else t_grid
     u_arr = np.asarray(np.geomspace(1.1, 10.0, 12) if u_grid is None else u_grid, dtype=float)
-    if np.any(t_arr <= 0):
-        raise InvalidParameterError("t grid must be positive")
     target = 1.0 - np.asarray(family.limit_cdf(u_arr), dtype=float)
-    log_u = np.log(u_arr)
-    deviations = np.empty_like(t_arr)
-    for k, t in enumerate(t_arr):
-        psi = np.asarray(family.psi_t_log(t, log_u / t), dtype=float)
-        deviations[k] = np.max(np.abs(psi - target))
-    return FamilyLimitReport(t_grid=t_arr, deviations=deviations)
+    return grid_deviations(family.psi_t_log, target, t_grid, u_arr)
 
 
 def export_curve(emp: EmpiricalDistribution, cdf, path):

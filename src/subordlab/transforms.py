@@ -14,8 +14,8 @@ import math
 import numpy as np
 
 from .core import LaplaceExponent, LevyTail, SubordinatorModel, integral
-from .criteria import detect_limit
-from .errors import DegenerateModelError, InvalidParameterError, UnsupportedModelError
+from .criteria import detect_limit, require_nondegenerate
+from .errors import InvalidParameterError, UnsupportedModelError
 
 __all__ = ["tilt", "compose_outer", "compose_inner", "add", "add_drift"]
 
@@ -27,10 +27,7 @@ def _require_phi(model):
 
 
 def _require_nondegenerate(model):
-    phi = _require_phi(model)
-    if float(phi.eval(1.0)) < 1e-15 and float(phi.eval(100.0)) < 1e-15:
-        raise DegenerateModelError(f"model {model.name!r} is the null subordinator")
-    return phi
+    return require_nondegenerate(_require_phi(model), f"model {model.name!r}")
 
 
 def tilt(model: SubordinatorModel, theta):
@@ -81,7 +78,6 @@ def tilt(model: SubordinatorModel, theta):
         tail=new_tail,
         levy_density=new_density,
         known_gamma=model.known_gamma,
-        params={"base": model.describe(), "theta": theta},
     )
 
 
@@ -96,7 +92,6 @@ def _composed(front, back, name, known_gamma):
         name=name,
         phi=LaplaceExponent(eval_log=eval_log),
         known_gamma=known_gamma,
-        params={"front": front.describe(), "back": back.describe()},
     )
 
 
@@ -186,7 +181,6 @@ def add(m1: SubordinatorModel, m2: SubordinatorModel):
         tail=new_tail,
         log_sampler=log_sampler,
         known_gamma=known,
-        params={"left": m1.describe(), "right": m2.describe()},
     )
 
 
@@ -218,5 +212,4 @@ def add_drift(model: SubordinatorModel, c):
         name=f"drift({model.describe()},c={c:g})",
         phi=LaplaceExponent(eval_log=eval_log),
         log_sampler=log_sampler,
-        params={"base": model.describe(), "c": c},
     )

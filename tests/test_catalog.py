@@ -8,7 +8,7 @@ from scipy.integrate import quad
 from scipy import special as sc
 from scipy.special import erfc, gammainc, gammaln
 
-from subordlab import catalog
+from subordlab import catalog, transforms
 from subordlab.core import BLOCK
 from subordlab.errors import InvalidParameterError
 from subordlab.montecarlo import ks_critical_value, ks_distance, EmpiricalDistribution
@@ -284,24 +284,17 @@ class TestThorin:
         assert tu.phi.eval(0.0) == 0.0
         assert 0.0 < tu.phi.eval(1e-12) < 1e-10
 
-    def test_dirac_atom_reproduces_gamma_process(self):
-        measure = catalog.ThorinMeasure(locations=(1.0,), masses=(2.0,))
-        td = catalog.make_thorin(measure)
-        ref = catalog.make_gamma(2.0, 1.0)
+    def test_discrete_measure_is_add_of_gammas(self):
+        # atoms (y_i, m_i): the independent sum of gamma(m_i, y_i) subordinators
+        atoms = ((0.5, 0.7), (3.0, 1.6))
+        model = transforms.add(*(catalog.make_gamma(m, y) for y, m in atoms))
         s = np.geomspace(1e-3, 1e8, 23)
-        np.testing.assert_allclose(td.phi.eval(s), ref.phi.eval(s), rtol=0, atol=1e-12)
-        assert td.known_gamma == measure.total_mass
-
-    def test_atom_at_zero_rejected(self):
-        measure = catalog.ThorinMeasure(locations=(0.0, 1.0), masses=(0.5, 0.5))
-        with pytest.raises(InvalidParameterError):
-            catalog.make_thorin(measure)
-
-    def test_measure_validation(self):
-        with pytest.raises(InvalidParameterError):
-            catalog.ThorinMeasure(locations=(1.0,), masses=(-1.0,))
-        with pytest.raises(InvalidParameterError):
-            catalog.ThorinMeasure(locations=(), masses=())
+        phi = sum(m * np.log1p(s / y) for y, m in atoms)
+        np.testing.assert_allclose(model.phi.eval(s), phi, rtol=0, atol=1e-12)
+        x = np.geomspace(1e-8, 10.0, 19)
+        tail = sum(m * sc.exp1(x * y) for y, m in atoms)
+        np.testing.assert_allclose(model.tail.tail(x), tail, rtol=1e-14)
+        assert model.known_gamma == sum(m for _, m in atoms)
 
 
 class TestDensityModels:

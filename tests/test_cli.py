@@ -9,6 +9,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy import special as sc
 
 from subordlab import catalog, cli, criteria, dickman, montecarlo, simulate
 from subordlab.dickman import MAX_RECURSION_DEPTH
@@ -16,6 +17,8 @@ from subordlab.dickman import MAX_RECURSION_DEPTH
 GAMMA = {"name": "gamma", "params": {"gamma": 1.0, "lam": 1.0}}
 STABLE = {"name": "stable", "params": {"a": 1.0, "alpha": 0.5}}
 DICKMAN_1E5 = {"name": "dickman", "params": {"gamma": 1e5}}
+# an exponent below 1e-15 at s = 1 and 100: the null subordinator
+NULL_GAMMA = {"name": "gamma", "params": {"gamma": 1e-300, "lam": 1.0}}
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -323,6 +326,18 @@ class TestParameterValidation:
         code, report = cli.run(write_config(tmp_path, {"experiments": [entry]}), str(tmp_path))
         assert code in (0, 1) and report["results"][0]["n"] == 1000
 
+    @pytest.mark.parametrize("lam", [1.0, 1e-3])
+    def test_ergodic_target_runs_to_the_support_end(self, tmp_path, lam):
+        # ramp * gamma e^{-lam x} / x over [1/2, inf): the ramp's piece in
+        # closed form, plus E1(3 lam / 4) past 3/4; cut at 100, lam = 1e-3 read 4.985
+        entry = {"kind": "ergodic", "model": {"name": "gamma", "params": {"gamma": 1.0, "lam": lam}},
+                 "params": {"n": 1000}}
+        code, report = cli.run(write_config(tmp_path, {"experiments": [entry]}), str(tmp_path))
+        ramp = 4.0 * ((np.exp(-lam / 2) - np.exp(-0.75 * lam)) / lam
+                      - 0.5 * (sc.exp1(lam / 2) - sc.exp1(0.75 * lam)))
+        assert code in (0, 1)
+        assert report["results"][0]["target"] == pytest.approx(ramp + sc.exp1(0.75 * lam), rel=1e-9)
+
     def test_ergodic_cutoff_must_sit_below_delta0(self, tmp_path, capsys):
         entry = {"kind": "ergodic", "model": GAMMA, "params": {"n": 10, "cutoff": 0.6}}
         cfg = write_config(tmp_path, {"experiments": [entry]})
@@ -345,6 +360,24 @@ class TestParameterValidation:
         assert cli.main(["--config", cfg, "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert "config error at experiments[0].model:" in err and message in err
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            # the null check of compose_outer, at build
+            {"kind": "criterion", "model": {"transform": "compose_outer", "outer": NULL_GAMMA,
+                                            "inner": STABLE}},
+            # the null check of check_s2, in the handler
+            {"kind": "s2", "model": NULL_GAMMA},
+        ],
+    )
+    def test_null_subordinator_exits_two(self, tmp_path, capsys, entry):
+        # each exited 1 with a traceback: DegenerateModelError escaped
+        cfg = write_config(tmp_path, {"experiments": [entry]})
+        assert cli.main(["--config", cfg, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error at experiments[0].model:") and "null subordinator" in err
+        assert "Traceback" not in err
 
 
 FIRST = {"kind": "pareto_limit", "model": GAMMA, "params": {"t_list": [0.1], "n": 10}}
@@ -485,6 +518,17 @@ class TestExperimentTable:
         assert cli.main(["--config", cfg, "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert err == ["config error at experiments[0].params: t grid must be positive"]
+
+    @pytest.mark.parametrize(
+        "entry,u", [({"kind": "s2", "model": GAMMA}, 0.0), ({"kind": "family_limit"}, -1.0)])
+    def test_nonpositive_u_exits_two(self, tmp_path, capsys, entry, u):
+        # log(u) was -inf or NaN: u = 0 passed past a RuntimeWarning, and u < 0
+        # exited 1 with a NaN statistic written into report.json
+        entry = {**entry, "params": {"u_grid": [2.0, u]}}
+        cfg = write_config(tmp_path, {"experiments": [entry]})
+        assert cli.main(["--config", cfg, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["config error at experiments[0].params: u grid must be positive"]
 
     @pytest.mark.parametrize(
         "payload,env,path",
@@ -798,6 +842,16 @@ class TestNumericalFailureExit:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("numerical failure in ergodic_target:"), err
 
+    def test_ergodic_target_past_float_range_exits_three(self, tmp_path, capsys):
+        # the target is about E1(0.75 lam) = 690, nearly all of it past 100, where
+        # QAGI cannot meet the tolerance; cut at 100, it read 5.08 and gated against that
+        model = {"name": "gamma", "params": {"gamma": 1.0, "lam": 1e-300}}
+        entry = {"kind": "ergodic", "model": model, "params": {"n": 1000}}
+        cfg = write_config(tmp_path, {"experiments": [entry]})
+        assert cli.main(["--config", cfg, "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("numerical failure in ergodic_target:"), err
+
     def test_exact_sampler_at_infinity_exits_three(self, tmp_path, capsys, monkeypatch):
         # an exact sampler never draws y = 0; support now checks it like pareto_limit
         stub = replace(catalog.make_gamma(1.0, 1.0),
@@ -826,3 +880,13 @@ def test_bundled_acceptance_config_exists():
     with open(path) as fh:
         payload = json.load(fh)
     assert payload["experiments"]
+
+
+def test_readme_example_runs():
+    # the README's python block, run as written: it fails when a name it uses goes
+    root = os.path.join(os.path.dirname(__file__), "..")
+    with open(os.path.join(root, "README.md")) as fh:
+        code = fh.read().split("```python\n", 1)[1].split("```", 1)[0]
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
