@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 from scipy import special as sc
@@ -52,13 +52,13 @@ class GeneralFamily:
 
     ``psi_t_log`` evaluates psi_t at u = exp(log_u) so the family can be
     probed at u**(1/t) for arbitrarily small t.  ``limit_cdf`` is the
-    known limit distribution used for validation, when available.
+    known limit distribution used for validation.
     """
 
     name: str
     psi_t_log: Callable[[float, np.ndarray], np.ndarray]
-    limit_cdf: Optional[Callable] = None
-    params: dict = None
+    limit_cdf: Callable
+    params: dict
 
     def describe(self):
         if not self.params:
@@ -519,8 +519,9 @@ def make_log_power(gamma, power=3):
     polynomial above, where the truncated remainder is below 1e-300.
     """
     _require_positive(gamma=gamma)
-    if power not in (1, 3):
-        raise InvalidParameterError("power must be 1 or 3 (odd, tabulated moments)")
+    if type(power) is not int or power not in (1, 3):
+        raise InvalidParameterError(
+            f"power must be the integer 1 or 3 (odd, tabulated moments), got {power!r}")
 
     def tail(x):
         x_arr = np.asarray(x, dtype=float)
@@ -570,8 +571,10 @@ def make_stable_nef(a, theta):
     exponential 1 - exp(-a(x-1)) on x >= 1.
     """
     _require_positive(a=a)
-    if theta <= 0:
-        raise InvalidParameterError("theta must be positive (theta = 0 loses the monotone transform)")
+    if not (theta > 0 and math.isfinite(theta)):
+        raise InvalidParameterError(
+            "theta must be positive and finite (theta = 0 loses the monotone transform), "
+            f"got {theta!r}")
     log_theta = math.log(theta)
 
     def psi_t_log(t, log_u):

@@ -282,6 +282,11 @@ def _samplable(key="model"):
         and f"{m[key].describe()} has neither an exact sampler nor an invertible jump tail"))
 
 
+_INVERTIBLE_TAIL = Need("model", "an invertible jump tail", lambda m, v, e: (
+    (m["model"].tail is None or m["model"].tail.inverse_tail is None)
+    and f"{m['model'].describe()} has no invertible jump tail"))
+
+
 def _drawn(key, field):
     """The model at key can be drawn from at the times in params.<field>.
 
@@ -602,7 +607,7 @@ KINDS = {
     "ergodic": Kind(
         _ergodic, params=_draw(1e-3, 10_000_000, functional=("ramp", _one_of(FUNCTIONALS))),
         assertions={"rel_tol": (0.05, NONNEGATIVE)},
-        needs=(_has("levy_density"), _samplable(), _BELOW_DELTA0)),
+        needs=(_has("levy_density"), _INVERTIBLE_TAIL, _BELOW_DELTA0)),
     "family_limit": Kind(
         _family_limit, params=_GRIDS, assertions={"max_dev": (1e-3, NONNEGATIVE)},
         models=("family",)),

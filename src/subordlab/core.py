@@ -48,9 +48,9 @@ _EXP_CUTOFF = 745.0
 # of a pass over an n-float batch is a few blocks whatever n is:
 # - the cutoff compound-Poisson draws, and the exact samplers' arithmetic after
 #   their first n-float draw;
-# - montecarlo's passes over a batch (the KS statistic, the CSV rows, the masks,
-#   the functional of a dense ergodic batch), and the largest leaf of the
-#   summation tree that montecarlo._sparse_sum rebuilds;
+# - montecarlo's passes over a batch (the KS statistic, the CSV rows, the
+#   masks), and the largest leaf of the summation tree that
+#   montecarlo._sparse_sum rebuilds;
 # - the Dickman recursion's path blocks: a chunk's two block buffers stay in a
 #   2 MB L2, and each draw or ufunc runs long enough between GIL hand-offs for
 #   the chunks to overlap.
@@ -79,9 +79,6 @@ class LaplaceExponent:
                 out[pos] = self.eval_log(np.log(s_arr[pos]))
         return out if out.ndim else float(out)
 
-    def __call__(self, s):
-        return self.eval(s)
-
 
 @dataclass(frozen=True)
 class LevyTail:
@@ -95,9 +92,6 @@ class LevyTail:
     tail: Callable[[np.ndarray], np.ndarray]
     inverse_tail: Optional[Callable[[np.ndarray], np.ndarray]] = None
     support_upper: float = np.inf
-
-    def __call__(self, x):
-        return self.tail(x)
 
 
 @dataclass(frozen=True)
@@ -122,7 +116,7 @@ class SubordinatorModel:
     params: dict = field(default_factory=dict)
 
     def describe(self):
-        if not self.params or "(" in self.name:
+        if not self.params:
             return self.name
         inner = ",".join(f"{k}={v}" for k, v in sorted(self.params.items()))
         return f"{self.name}({inner})"

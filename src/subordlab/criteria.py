@@ -123,20 +123,22 @@ def _affine_fit(w, r):
     return float(coef[0]), rms
 
 
-def detect_limit(values_fn, w_fn, grid=_DEFAULT_LOG_S):
-    """Extrapolated limit of a ratio sequence, or None when it degenerates.
+def detect_limit(values_fn):
+    """Extrapolated limit of a ratio sequence as s -> infinity, or None when it degenerates.
 
-    Only the deepest grid points enter the fit: the ratios here can carry
-    power-law corrections that would bias an affine fit over the shallow
-    region, while near the limit they are already flat.
+    ``values_fn`` maps the S5 log-s grid to the ratios, and the fit is
+    affine in 1/log s.  Only the deepest grid points enter the fit: the
+    ratios here can carry power-law corrections that would bias an affine
+    fit over the shallow region, while near the limit they are already flat.
     """
+    grid = _DEFAULT_LOG_S
     ratios = np.asarray(values_fn(grid), dtype=float)
     if not np.all(np.isfinite(ratios)):
         return None
     if np.all(np.diff(ratios) > 0) and ratios[-1] > 10.0 * max(abs(ratios[0]), 1e-300):
         return None
     deep = slice(-4, None)
-    intercept, _ = _affine_fit(np.asarray(w_fn(grid), dtype=float)[deep], ratios[deep])
+    intercept, _ = _affine_fit(1.0 / grid[deep], ratios[deep])
     if intercept <= 0.01 or (ratios[0] > 0 and ratios[-1] < 0.6 * ratios[0]):
         return None
     return float(intercept)

@@ -285,8 +285,8 @@ def make_dickman(gamma):
     t*gamma, run to recursion_depth(t*gamma) terms), and for gamma = 1
     the rho-based marginal density.
     """
-    if gamma <= 0:
-        raise InvalidParameterError("gamma must be positive")
+    if not (gamma > 0 and math.isfinite(gamma)):
+        raise InvalidParameterError(f"gamma must be positive and finite, got {gamma!r}")
 
     def tail(x):
         x_arr = np.asarray(x, dtype=float)

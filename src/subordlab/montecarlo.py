@@ -25,7 +25,7 @@ import numpy as np
 from . import simulate
 from .core import BLOCK, ExponentialLaw, ParetoLaw, SubordinatorModel, pareto_cdf
 from .criteria import grid_deviations
-from .errors import InvalidParameterError, NumericalFailure
+from .errors import InvalidParameterError, NumericalFailure, UnsupportedModelError
 from .simulate import sample_cutoff_cp, sample_marginal, substream, to_neg_t_power, to_tl
 
 __all__ = [
@@ -71,14 +71,11 @@ class EmpiricalDistribution:
     n_total: int
 
     @classmethod
-    def from_values(cls, values, count_at_infinity=0, *, in_place=False):
-        """Sort a copy of the values; with ``in_place=True``, ``values`` (a float
-        ndarray the caller gives up) is sorted in place and kept instead."""
-        if in_place:
-            arr = values
-            arr.sort()
-        else:
-            arr = np.sort(np.asarray(values, dtype=float))
+    def from_values(cls, values, count_at_infinity=0):
+        """Sort ``values`` in place and keep them: a float array the caller gives
+        up (any other sequence is copied first by ``np.asarray``)."""
+        arr = np.asarray(values, dtype=float)
+        arr.sort()
         return cls(arr, int(count_at_infinity), arr.size + int(count_at_infinity))
 
 
@@ -269,10 +266,10 @@ class ParetoMixtureLaw:
 def neg_t_power_ecdf(model, t, log_samples):
     """ECDF of y**(-t) over a batch of log(Y_t) from ``model``, transformed and sorted in place."""
     # through the module: perfbench/tracer.py expects calls at simulate's own binding site
-    values, n_inf = simulate.to_neg_t_power(log_samples, t, out=log_samples)
+    values, n_inf = simulate.to_neg_t_power(log_samples, t)
     if model.log_sampler is not None and n_inf:
         raise NumericalFailure(f"the exact sampler of {model.describe()} drew y = 0")
-    return EmpiricalDistribution.from_values(values, n_inf, in_place=True)
+    return EmpiricalDistribution.from_values(values, n_inf)
 
 
 def _fraction_within(values, lo, hi):
@@ -314,9 +311,7 @@ def experiment_general_limit(
     for k, t in enumerate(t_list):
         rng = substream(seed, k)
         log_samples = sample_marginal(model, t, n, rng, cutoff=cutoff)
-        emp = EmpiricalDistribution.from_values(
-            *to_tl(log_samples, L, t, out=log_samples), in_place=True
-        )
+        emp = EmpiricalDistribution.from_values(*to_tl(log_samples, L, t))
         del log_samples
         reports.append(_ks_report(model.describe(), t, n, law, emp))
         del emp  # before the next t draws its batch
@@ -327,8 +322,7 @@ def _two_model_transformed(m1, m2, t, n, seed, cutoff, combine):
     """Two independent log batches, ``combine``-d (a ufunc) into the first, transformed in place."""
     l1 = sample_marginal(m1, t, n, substream(seed, 0), cutoff=cutoff)
     combine(l1, sample_marginal(m2, t, n, substream(seed, 1), cutoff=cutoff), out=l1)
-    values, n_inf = to_neg_t_power(l1, t, out=l1)
-    return EmpiricalDistribution.from_values(values, n_inf, in_place=True)
+    return EmpiricalDistribution.from_values(*to_neg_t_power(l1, t))
 
 
 def experiment_min_rule(m1, m2, t, n=DEFAULT_N, seed=0, *, cutoff=1e-6):
@@ -414,7 +408,7 @@ def experiment_drift(model, c, t, n=DEFAULT_N, seed=0, *, cutoff=1e-6, window=0.
         raise InvalidParameterError("drift rate must be positive")
     log_y = sample_marginal(model, t, n, substream(seed, 0), cutoff=cutoff)
     np.logaddexp(np.log(c) + np.log(t), log_y, out=log_y)
-    values, _ = to_neg_t_power(log_y, t, out=log_y)
+    values, _ = to_neg_t_power(log_y, t)
     inside = _fraction_within(values, 1.0 - window, 1.0 + window)
     return DriftReport(
         model=f"drift(c={c:g},{model.describe()})",
@@ -422,16 +416,12 @@ def experiment_drift(model, c, t, n=DEFAULT_N, seed=0, *, cutoff=1e-6, window=0.
     )
 
 
-def support_check(samples, delta):
+def support_check(emp: EmpiricalDistribution, delta):
     """Empirical mass below 1 - delta; should vanish as t -> 0."""
     if not (0.0 < delta < 1.0):
         raise InvalidParameterError("delta must lie in (0, 1)")
-    if isinstance(samples, EmpiricalDistribution):
-        # the values are sorted: the count below is a search, not a mask
-        below = np.searchsorted(samples.values, 1.0 - delta)
-        return float(below / samples.n_total)
-    arr = np.asarray(samples, dtype=float)
-    return float(np.mean(arr < 1.0 - delta))
+    # the values are sorted: the count below is a search, not a mask
+    return float(np.searchsorted(emp.values, 1.0 - delta) / emp.n_total)
 
 
 @dataclass(frozen=True)
@@ -487,43 +477,31 @@ def estimate_ergodic_functional(model, f, delta0, t, n, seed=0, *, cutoff=1e-6):
     strictly below delta0, otherwise the dropped jumps bias the
     functional itself.  ``f`` must act elementwise on float arrays.
 
-    Memory rule: a model with an invertible tail is drawn by the cutoff
-    compound-Poisson sampler in sparse form and never densified.  f is
-    applied to the jump sums, and only the paths with f(v) != f(0) are
-    kept, so the memory grows with the paths that jump plus one
-    ``BLOCK`` buffer, not with n.  The mean and the ``ddof=1``
-    standard deviation replay numpy's pairwise summation tree over the n
-    virtual values (``_sparse_sum``).  A model with only an exact sampler
-    is drawn dense as log(Y_t); ``BLOCK`` samples at a time are
-    exponentiated and f applied, in place, and the statistics are formed
-    in that buffer by ``mean_std_in_place`` (peak one n-float array).
-    Either way they are the reductions ``ndarray.mean`` and
-    ``ndarray.std`` use, so both are bitwise theirs.
+    The model needs an invertible jump tail (else UnsupportedModelError):
+    f ignores everything below delta0 > cutoff, so the cutoff
+    compound-Poisson draw is exact for the functional.  It is drawn in
+    sparse form and never densified.  f is applied to the jump sums, and
+    only the paths with f(v) != f(0) are kept, so the memory grows with
+    the paths that jump plus one ``BLOCK`` buffer, not with n.  The mean
+    and the ``ddof=1`` standard deviation replay numpy's pairwise
+    summation tree over the n virtual values (``_sparse_sum``), so both
+    are bitwise those of ``ndarray.mean`` and ``ndarray.std``.
     """
     if delta0 <= cutoff:
         raise InvalidParameterError("need delta0 > cutoff, else the truncation biases f")
-    rng = substream(seed, 0)
-    if model.tail is not None and model.tail.inverse_tail is not None:
-        # f ignores everything below delta0 > cutoff, so the truncated
-        # path is exact for the functional and much cheaper at large n
-        idx, sums = sample_cutoff_cp(model.tail, cutoff, t, rng, n)
-        fv = np.asarray(f(sums), dtype=float)
-        del sums
-        f0 = np.asarray(f(np.zeros(1)), dtype=float)[0]
-        keep = fv != f0
-        idx, fv = idx[keep], fv[keep]
-        buf = np.empty(min(n, BLOCK))
-        mean = _sparse_sum(n, f0, idx, fv, buf) / n
-        fv -= mean
-        np.square(fv, out=fv)
-        std = np.sqrt(_sparse_sum(n, np.square(f0 - mean), idx, fv, buf) / (n - 1))
-    else:
-        vals = sample_marginal(model, t, n, rng, cutoff=cutoff)
-        for lo in range(0, n, BLOCK):
-            block = vals[lo : lo + BLOCK]
-            np.exp(block, out=block)
-            block[...] = f(block)
-        mean, std = mean_std_in_place(vals)
+    if model.tail is None or model.tail.inverse_tail is None:
+        raise UnsupportedModelError(f"model {model.describe()} has no invertible jump tail")
+    idx, sums = sample_cutoff_cp(model.tail, cutoff, t, substream(seed, 0), n)
+    fv = np.asarray(f(sums), dtype=float)
+    del sums
+    f0 = np.asarray(f(np.zeros(1)), dtype=float)[0]
+    keep = fv != f0
+    idx, fv = idx[keep], fv[keep]
+    buf = np.empty(min(n, BLOCK))
+    mean = _sparse_sum(n, f0, idx, fv, buf) / n
+    fv -= mean
+    np.square(fv, out=fv)
+    std = np.sqrt(_sparse_sum(n, np.square(f0 - mean), idx, fv, buf) / (n - 1))
     est = float(mean / t)
     stderr = float(std / (np.sqrt(n) * t))
     return ErgodicEstimate(value=est, stderr=stderr, t=float(t), n=int(n))
@@ -533,11 +511,9 @@ def check_family_limit(family, t_grid=None, u_grid=None):
     """Deterministic check of psi_t(u**(1/t)) against 1 - F*(u) on a grid.
 
     Works for arbitrary families t -> psi_t (not only powers of one
-    transform); requires the family to carry its limit CDF.  Returns the
+    transform), against the limit CDF the family carries.  Returns the
     ``criteria.grid_deviations`` of ``family.psi_t_log``.
     """
-    if family.limit_cdf is None:
-        raise InvalidParameterError("family carries no limit CDF to compare against")
     t_grid = [1e-2, 1e-3, 1e-4] if t_grid is None else t_grid
     u_arr = np.asarray(np.geomspace(1.1, 10.0, 12) if u_grid is None else u_grid, dtype=float)
     target = 1.0 - np.asarray(family.limit_cdf(u_arr), dtype=float)

@@ -35,6 +35,14 @@ __all__ = [
     "to_tl",
 ]
 
+# Work ceilings of the cutoff compound-Poisson draw, checked before it draws:
+# the expected jumps of one path, lam = t*nu_bar(eps) (a path's jumps are one
+# array, so this keeps it near 200 MB), and of the batch, n*lam.  Each is over
+# 100 times the most any bundled config or test asks for: lam = 2.1e5 and
+# n*lam = 1.4e7.
+MAX_CP_PATH_JUMPS = 2.5e7
+MAX_CP_JUMPS = 2e9
+
 
 def substream(seed, stream):
     """Independent, reproducible generator for (seed, stream index)."""
@@ -138,7 +146,10 @@ def sample_cutoff_cp(tail: LevyTail, eps, t, rng, n=1, *, out=None):
     Either way the jumps are drawn by ``_jump_sums``, in path order, in
     blocks of at most ``BLOCK`` jumps.  Beyond the n-float batch, memory
     grows with neither n nor the jump count, only with the paths that jump
-    in the sparse form.
+    in the sparse form and the jumps of the longest path.  A batch that
+    expects more than ``MAX_CP_PATH_JUMPS`` jumps per path or
+    ``MAX_CP_JUMPS`` in all is refused (InvalidParameterError) before
+    anything is drawn.
     """
     if tail.inverse_tail is None:
         raise UnsupportedModelError("tail has no inverse; cannot draw jumps")
@@ -150,6 +161,11 @@ def sample_cutoff_cp(tail: LevyTail, eps, t, rng, n=1, *, out=None):
     if not np.isfinite(nu_eps) or nu_eps <= 0:
         raise InvalidParameterError(f"invalid cutoff: nu_bar(eps) = {nu_eps!r}")
     lam = t * nu_eps
+    for jumps, ceiling, what in ((lam, MAX_CP_PATH_JUMPS, "per path"),
+                                 (n * lam, MAX_CP_JUMPS, "in all")):
+        if jumps > ceiling:
+            raise InvalidParameterError(f"the cutoff draw expects {jumps:.4g} jumps {what}, "
+                                        f"past the ceiling {ceiling:g}; raise the cutoff")
     p = -math.expm1(-lam)
     if p < 0.5:
         idx, counts = _hit_paths(lam, p, n, rng)
@@ -200,23 +216,21 @@ def sample_marginal(model: SubordinatorModel, t, n, rng, *, cutoff=1e-6):
     return values
 
 
-def to_neg_t_power(samples, t, *, out=None):
-    """Map log y to y**(-t) = exp(-t*log y); returns (finite values, at-infinity count).
+def to_neg_t_power(samples, t):
+    """Map log y to y**(-t) = exp(-t*log y) in place; returns (finite values, at-infinity count).
 
-    ``samples`` are log values.  A -inf sample (y = 0) has no finite
-    image and is counted in the at-infinity bucket instead.
-
-    The images are written to ``out`` (any float array of the batch's
-    size, the batch itself included) or, by default, to a fresh array, so
-    the caller's samples are never changed unless passed as ``out``.  The
-    finite values are then packed to its front, in order, ``BLOCK`` at
-    a time; the returned values are that prefix, a view of the array.
+    ``samples`` are log values, overwritten by their images (a float
+    array; any other sequence is copied first by ``np.asarray``).  A -inf
+    sample (y = 0) has no finite image and is counted in the at-infinity
+    bucket instead.  The finite values are then packed to the front of the
+    array, in order, ``BLOCK`` at a time; the returned values are that
+    prefix, a view of the array.
     """
     if t <= 0:
         raise InvalidParameterError("time must be positive")
-    log_y = np.asarray(samples, dtype=float)
+    res = np.asarray(samples, dtype=float)
     with np.errstate(over="ignore"):
-        res = np.multiply(log_y, -t, out=out)
+        res *= -t
         np.exp(res, out=res)
     k = 0
     for lo in range(0, res.size, BLOCK):
@@ -231,29 +245,27 @@ def to_neg_t_power(samples, t, *, out=None):
     return res[:k], int(res.size - k)
 
 
-def to_tl(samples, L, t, *, out=None):
-    """Map log y to t*L(y) for a decreasing L; returns (finite values, at-infinity count).
+def to_tl(samples, L, t):
+    """Map log y to t*L(y) for a decreasing L in place; returns (finite values, at-infinity count).
 
-    ``samples`` are log values, and ``L`` takes log y, so that no batch
-    passes through exp and underflows.  L sees only the finite log
-    values and must act elementwise: it is applied ``BLOCK`` values at
-    a time.  Samples with no finite image count as at infinity.  The
-    finite images are packed, in order, at the front of ``out`` (any float
-    array of the batch's size, the batch itself included) or, by default,
-    of a fresh array; the returned values are that prefix, a view of the
-    array.
+    ``samples`` are log values, overwritten by their images (a float
+    array; any other sequence is copied first by ``np.asarray``), and
+    ``L`` takes log y, so that no batch passes through exp and underflows.
+    L sees only the finite log values and must act elementwise: it is
+    applied ``BLOCK`` values at a time.  Samples with no finite image
+    count as at infinity.  The finite images are packed, in order, at the
+    front of the array; the returned values are that prefix, a view of
+    the array.
     """
     if t <= 0:
         raise InvalidParameterError("time must be positive")
     log_y = np.asarray(samples, dtype=float)
-    if out is None:
-        out = np.empty(log_y.size)
     k = 0
     for lo in range(0, log_y.size, BLOCK):
         block = log_y[lo : lo + BLOCK]
         block = block[np.isfinite(block)]
         vals = t * np.asarray(L(block), dtype=float)
         vals = vals[np.isfinite(vals)]
-        out[k : k + vals.size] = vals
+        log_y[k : k + vals.size] = vals
         k += vals.size
-    return out[:k], int(log_y.size - k)
+    return log_y[:k], int(log_y.size - k)

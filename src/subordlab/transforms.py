@@ -37,8 +37,8 @@ def tilt(model: SubordinatorModel, theta):
     log-scale tail behavior (and hence the limit index) untouched.
     theta = 0 is the identity.
     """
-    if theta < 0:
-        raise InvalidParameterError("tilting parameter must be >= 0")
+    if not (theta >= 0 and math.isfinite(theta)):
+        raise InvalidParameterError(f"tilting parameter must be >= 0 and finite, got {theta!r}")
     if theta == 0:
         return model
     phi = _require_phi(model)
@@ -105,9 +105,7 @@ def compose_outer(outer: SubordinatorModel, inner: SubordinatorModel):
     _require_nondegenerate(outer)
     phi_inner = _require_nondegenerate(inner)
     delta = detect_limit(
-        lambda grid: np.log(np.asarray(phi_inner.eval_log(grid), dtype=float)) / grid,
-        lambda grid: 1.0 / grid,
-    )
+        lambda grid: np.log(np.asarray(phi_inner.eval_log(grid), dtype=float)) / grid)
     known = None
     if delta is not None and outer.known_gamma is not None:
         known = outer.known_gamma * delta
@@ -126,9 +124,7 @@ def compose_inner(outer: SubordinatorModel, inner: SubordinatorModel):
     phi_outer = _require_nondegenerate(outer)
     _require_nondegenerate(inner)
     delta = detect_limit(
-        lambda grid: np.asarray(phi_outer.eval_log(grid), dtype=float) / np.exp(grid),
-        lambda grid: 1.0 / grid,
-    )
+        lambda grid: np.asarray(phi_outer.eval_log(grid), dtype=float) / np.exp(grid))
     known = None
     if delta is not None and inner.known_gamma is not None:
         known = inner.known_gamma * delta
@@ -191,8 +187,8 @@ def add_drift(model: SubordinatorModel, c):
     the point mass at 1), so the known index is cleared.  The log sampler
     adds the drift to the base batch in place.
     """
-    if c <= 0:
-        raise InvalidParameterError("drift rate must be positive")
+    if not (c > 0 and math.isfinite(c)):
+        raise InvalidParameterError(f"drift rate must be positive and finite, got {c!r}")
     phi = _require_phi(model)
 
     def eval_log(ell):

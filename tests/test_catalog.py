@@ -131,7 +131,7 @@ class TestGamma:
         rng = CountingRng(np.random.default_rng(int(1e6 * a)))
         log_g = catalog.make_gamma(1.0, 1.0).log_sampler(a, n, rng)
         assert not np.isneginf(log_g).any() and np.isfinite(log_g).all()
-        emp = EmpiricalDistribution.from_values(log_g, in_place=True)
+        emp = EmpiricalDistribution.from_values(log_g)
         assert ks_distance(emp, cdf) <= ks_critical_value(n, 0.01)
         if a < catalog.SMALL_SHAPE:
             # candidates drawn for n acceptances at rate r: mean n/r, sd sqrt(n(1-r))/r

@@ -344,6 +344,69 @@ class TestParameterValidation:
         assert cli.main(["--config", cfg, "--out", str(tmp_path)]) == 2
         assert "experiments[0].params.cutoff" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "entry,path",
+        [
+            # ran on and exited 1
+            pytest.param({"kind": "criterion",
+                          "model": {"name": "dickman", "params": {"gamma": float("inf")}}},
+                         "model.params", id="dickman-gamma-inf"),
+            pytest.param({"kind": "criterion",
+                          "model": {"name": "dickman", "params": {"gamma": float("nan")}}},
+                         "model.params", id="dickman-gamma-nan"),
+            # exited 0: phi.eval(NaN) reads 0
+            pytest.param({"kind": "criterion",
+                          "model": {"transform": "tilt", "theta": float("nan"), "of": GAMMA}},
+                         "model", id="tilt-theta-nan"),
+            pytest.param({"kind": "criterion",
+                          "model": {"transform": "drift", "c": float("nan"), "of": GAMMA}},
+                         "model", id="drift-c-nan"),
+            pytest.param({"kind": "criterion",
+                          "model": {"transform": "drift", "c": float("inf"), "of": GAMMA}},
+                         "model", id="drift-c-inf"),
+            # exited 1
+            pytest.param({"kind": "family_limit", "family": {
+                              "name": "stable_nef", "params": {"a": 1.0, "theta": float("inf")}}},
+                         "family.params", id="stable_nef-theta-inf"),
+            # accepted as power=1 and described as power=True
+            pytest.param({"kind": "criterion",
+                          "model": {"name": "log_power", "params": {"gamma": 0.1, "power": True}}},
+                         "model.params", id="log_power-power-true"),
+            # exited 2 with Python's "'float' object cannot be interpreted as an integer"
+            pytest.param({"kind": "criterion",
+                          "model": {"name": "log_power", "params": {"gamma": 0.1, "power": 3.0}}},
+                         "model.params", id="log_power-power-float"),
+        ],
+    )
+    def test_model_expression_number_must_be_finite(self, tmp_path, capsys, entry, path):
+        cfg = write_config(tmp_path, {"experiments": [entry]})
+        assert cli.main(["--config", cfg, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error at experiments[0].{path}:") and "Traceback" not in err
+        assert "interpreted" not in err
+
+    @pytest.mark.parametrize(
+        "t,n",
+        [
+            (1e6, 1_000),  # 6.25e8 jumps per path: one path's jumps would take 5 GB
+            (3.2e4, 101),  # 2e7 jumps per path, under that ceiling, but 2.02e9 in all
+        ],
+    )
+    def test_cutoff_cp_past_its_ceiling_exits_two_before_drawing(
+        self, tmp_path, capsys, monkeypatch, t, n
+    ):
+        def no_jumps(*args):
+            raise AssertionError("drew jumps past a work ceiling")
+
+        monkeypatch.setattr(simulate, "_jump_sums", no_jumps)
+        entry = {"kind": "general_limit", "model": {"name": "log_power", "params": {"gamma": 0.1}},
+                 "params": {"L": "neg_log_cubed", "gamma": 0.1, "t_list": [t], "n": n,
+                            "cutoff": 1e-8}}
+        cfg = write_config(tmp_path, {"experiments": [entry]})
+        assert cli.main(["--config", cfg, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error at experiments[0].params:") and "past the ceiling" in err
+
 
     @pytest.mark.parametrize(
         "model,message",

@@ -261,7 +261,7 @@ class TestIntegral:
             ("phi_from_tail", lambda: phi_from_tail(make_dickman(2.0).tail, math.e)),
             ("lst_from_cdf", lambda: lst_from_cdf(catalog.make_gamma(1.0, 1.0).cdf1, 1.0)),
             ("tilted_tail",
-             lambda: transforms.tilt(catalog.make_gamma(1.0, 1.0), 0.5).tail(0.1)),
+             lambda: transforms.tilt(catalog.make_gamma(1.0, 1.0), 0.5).tail.tail(0.1)),
             ("log_power_phi", lambda: catalog.make_log_power(0.1, 3).phi.eval_log(1.0)),
         ],
     )

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from subordlab import catalog, cli, dickman, montecarlo as mc
 from subordlab.core import BLOCK, ExponentialLaw, ParetoLaw, pareto_cdf
-from subordlab.errors import InvalidParameterError
+from subordlab.errors import InvalidParameterError, UnsupportedModelError
 from subordlab.simulate import sample_marginal, substream, to_neg_t_power
 
 # L as a function of log x
@@ -218,7 +218,7 @@ class TestDriftAndSupport:
 
     def test_exact_pareto_support(self):
         samples = ParetoLaw(1.0).sample(10_000, substream(12, 0))
-        assert mc.support_check(samples, 0.1) == 0.0
+        assert mc.support_check(mc.EmpiricalDistribution.from_values(samples), 0.1) == 0.0
 
     def test_gamma_support_fraction_vanishes(self, gamma11):
         log_s = sample_marginal(gamma11, 0.01, 100_000, substream(13, 0))
@@ -233,10 +233,16 @@ class TestDriftAndSupport:
 
     def test_support_delta_validation(self):
         with pytest.raises(InvalidParameterError):
-            mc.support_check(np.array([1.0]), 1.5)
+            mc.support_check(mc.EmpiricalDistribution.from_values([1.0]), 1.5)
 
 
 class TestErgodicFunctional:
+    def test_model_without_invertible_tail_rejected(self):
+        # an exact sampler but no jump tail: the cutoff compound-Poisson draw has nothing to invert
+        with pytest.raises(UnsupportedModelError, match="no invertible jump tail"):
+            mc.estimate_ergodic_functional(
+                catalog.make_stable(1.0, 0.5), lambda x: np.asarray(x), 0.5, 0.01, 100)
+
     def test_zero_functional(self, dickman1):
         est = mc.estimate_ergodic_functional(
             dickman1, lambda x: np.zeros_like(np.asarray(x, dtype=float)), 0.5, 0.01, 10_000
@@ -264,7 +270,6 @@ class TestErgodicFunctional:
         [
             ("gamma", 3 * BLOCK + 5),  # cutoff compound Poisson
             ("dickman", 1),
-            ("stable", 2 * BLOCK),  # exact sampler, no inverse tail
             ("gamma-t1", BLOCK + 9),  # f(Y_t) > 0 on most paths
         ],
     )
@@ -273,17 +278,11 @@ class TestErgodicFunctional:
         m, t = {
             "gamma": lambda: (catalog.make_gamma(1.0, 1.0), 0.05),
             "dickman": lambda: (catalog.make_dickman(1.0), 0.05),
-            "stable": lambda: (catalog.make_stable(1.0, 0.5), 0.05),
             "gamma-t1": lambda: (catalog.make_gamma(1.0, 1.0), 1.0),
         }[model]()
         ramp = lambda x: np.minimum(1.0, np.maximum(0.0, (np.asarray(x, dtype=float) - 0.5) * 4.0))
         seed = 11
-        rng = substream(seed, 0)
-        if m.tail is not None and m.tail.inverse_tail is not None:
-            samples = dense_cp(m.tail, 1e-6, t, rng, n)
-        else:
-            samples = np.exp(sample_marginal(m, t, n, rng))
-        vals = ramp(samples)
+        vals = ramp(dense_cp(m.tail, 1e-6, t, substream(seed, 0), n))
         if model == "gamma-t1":
             assert np.count_nonzero(vals) > n / 2
         with np.errstate(invalid="ignore"):  # n = 1 leaves no degree of freedom
@@ -355,13 +354,6 @@ class TestFamilyLimit:
         )
         report = mc.check_family_limit(fam, t_grid=[1e-3])
         assert report.final <= 1e-2
-
-    def test_missing_limit_rejected(self):
-        fam = catalog.GeneralFamily(
-            name="no-limit", psi_t_log=lambda t, lu: lu, params={}
-        )
-        with pytest.raises(InvalidParameterError):
-            mc.check_family_limit(fam)
 
 
 class TestExportCurve:

@@ -12,6 +12,8 @@ from subordlab.dickman import make_dickman
 from subordlab.errors import InvalidParameterError, UnsupportedModelError
 from subordlab.montecarlo import two_sample_ks, two_sample_ks_critical_value
 from subordlab.simulate import (
+    MAX_CP_JUMPS,
+    MAX_CP_PATH_JUMPS,
     sample_cutoff_cp,
     sample_marginal,
     substream,
@@ -112,6 +114,23 @@ class TestCutoffCp:
         emp_tail = np.array([(jumps > x).mean() for x in x_grid])
         target = np.log(x_grid) / np.log(eps)
         assert np.max(np.abs(emp_tail - target)) < 0.01
+
+    @pytest.mark.parametrize(
+        "t,n",
+        [
+            (1e6, 1_000),  # 6.25e8 jumps per path: one path's jumps would take 5 GB
+            (3.2e4, 101),  # 2e7 jumps per path, under that ceiling, but 2.02e9 in all
+        ],
+    )
+    def test_work_ceilings_checked_before_any_draw(self, t, n):
+        class NoDraws:
+            def __getattr__(self, name):
+                raise AssertionError(f"rng.{name} called past a work ceiling")
+
+        tail = catalog.make_log_power(0.1, 3).tail  # nu_bar(1e-8) = 625
+        assert t * tail.tail(1e-8) > MAX_CP_PATH_JUMPS or n * t * tail.tail(1e-8) > MAX_CP_JUMPS
+        with pytest.raises(InvalidParameterError, match="past the ceiling"):
+            sample_cutoff_cp(tail, 1e-8, t, NoDraws(), n)
 
     def test_invalid_cutoff(self, dickman1):
         with pytest.raises(InvalidParameterError):
@@ -342,19 +361,20 @@ class TestTransforms:
         rng = np.random.default_rng(4)
         log_y = np.concatenate([[-np.inf, -800.0, 0.0, 800.0], rng.normal(0.0, 50.0, 1000)])
         for t in (1e-3, 0.3, 2.0):
-            vals, n_inf = to_neg_t_power(log_y, t)
+            vals, n_inf = to_neg_t_power(log_y.copy(), t)
             with np.errstate(over="ignore"):
                 old = np.exp(-t * log_y)
             finite = np.isfinite(old)
             assert n_inf == int(np.sum(~finite)) and type(n_inf) is int
             assert vals.tobytes() == old[finite].tobytes()
         # nothing at infinity: the transformed batch is returned whole
-        vals, n_inf = to_neg_t_power(log_y[1:], 0.3)
+        vals, n_inf = to_neg_t_power(log_y[1:].copy(), 0.3)
         assert n_inf == 0 and vals.tobytes() == np.exp(-0.3 * log_y[1:]).tobytes()
 
     @pytest.mark.parametrize("n", [1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7])
     def test_out_matches_default_and_allocating_form(self, n):
-        # the expressions both transforms used before they took out=
+        # both transforms write into the batch; the allocating expressions they
+        # replaced are the reference
         def allocating_power(log_y, t):
             with np.errstate(over="ignore"):
                 vals = np.exp(-t * log_y)
@@ -380,24 +400,20 @@ class TestTransforms:
 
         for t in (1e-3, 2.0):
             for transform, want in (
-                (lambda y, **kw: to_neg_t_power(y, t, **kw), allocating_power(log_y, t)),
-                (lambda y, **kw: to_tl(y, L, t, **kw), allocating_tl(log_y, t, L)),
+                (lambda y: to_neg_t_power(y, t), allocating_power(log_y, t)),
+                (lambda y: to_tl(y, L, t), allocating_tl(log_y, t, L)),
             ):
-                before = log_y.tobytes()
-                vals, n_inf = transform(log_y)
-                assert log_y.tobytes() == before  # the default leaves the batch alone
+                batch = log_y.copy()
+                vals, n_inf = transform(batch)
                 assert vals.tobytes() == want[0].tobytes() and n_inf == want[1]
                 assert type(n_inf) is int
-                batch = log_y.copy()
-                vals, n_inf = transform(batch, out=batch)
-                assert vals.tobytes() == want[0].tobytes() and n_inf == want[1]
                 # written into the batch itself (n = 1 leaves nothing finite)
                 assert np.shares_memory(vals, batch) or not vals.size
-                out = np.empty(n)
-                vals, n_inf = transform(log_y, out=out)
-                assert log_y.tobytes() == before
+                # a sequence other than a float array is copied first
+                listed = log_y.tolist()
+                vals, n_inf = transform(listed)
+                assert listed == log_y.tolist()
                 assert vals.tobytes() == want[0].tobytes() and n_inf == want[1]
-                assert np.shares_memory(vals, out) or not vals.size
 
     def test_tl_arithmetic(self):
         vals, n_inf = to_tl(np.array([-5.0]), lambda ly: -ly, 0.2)
