@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 from scipy import special as sc
 
-from .core import BLOCK, LaplaceExponent, LevyTail, SubordinatorModel, integral
+from .core import BLOCK, OPEN_UNIT, POSITIVE, LaplaceExponent, LevyTail, SubordinatorModel, integral
 from .dickman import EULER, make_dickman
 from .errors import InvalidParameterError
 
@@ -65,12 +65,6 @@ class GeneralFamily:
             return self.name
         inner = ",".join(f"{k}={v}" for k, v in sorted(self.params.items()))
         return f"{self.name}({inner})"
-
-
-def _require_positive(**kwargs):
-    for name, value in kwargs.items():
-        if not (value > 0) or not np.isfinite(value):
-            raise InvalidParameterError(f"{name} must be positive and finite, got {value!r}")
 
 
 def _gamma_inverse_tail_factory(gamma, lam):
@@ -234,7 +228,7 @@ def make_gamma(gamma, lam):
     uniforms from the same stream, so that batch is bitwise the one drawn
     by ``rng.gamma`` and ``rng.random`` on all n at once.
     """
-    _require_positive(gamma=gamma, lam=lam)
+    POSITIVE.require(gamma=gamma, lam=lam)
     log_lam = math.log(lam)
 
     def eval_log(ell):
@@ -314,9 +308,8 @@ def make_stable(a, alpha):
     after all n uniforms, so the batch is bitwise that of drawing all n V,
     then all n W, and forming log(Y_t) on the whole arrays.
     """
-    _require_positive(a=a)
-    if not (0.0 < alpha < 1.0):
-        raise InvalidParameterError("stability index must lie in (0, 1)")
+    POSITIVE.require(a=a)
+    OPEN_UNIT.require(alpha=alpha)
 
     def eval_log(ell):
         with np.errstate(over="ignore"):
@@ -391,7 +384,7 @@ def make_thorin_uniform(gamma):
     (s+gamma)log(s+gamma) - s log s - gamma log gamma, jump density
     (1 - exp(-gamma x)) / x**2.
     """
-    _require_positive(gamma=gamma)
+    POSITIVE.require(gamma=gamma)
     log_g = math.log(gamma)
 
     def eval_log(ell):
@@ -432,7 +425,7 @@ def make_thorin_uniform(gamma):
 
 def make_weibull(gamma):
     """Weibull time-1 marginal F(x) = 1 - exp(-x**gamma); CDF/density only."""
-    _require_positive(gamma=gamma)
+    POSITIVE.require(gamma=gamma)
 
     def cdf1(x):
         return -np.expm1(-np.asarray(x, dtype=float) ** gamma)
@@ -452,7 +445,7 @@ def make_weibull(gamma):
 
 def make_pareto_type(a):
     """Density a / (1+x)**(a+1); the density is positive at 0, so the index is 1."""
-    _require_positive(a=a)
+    POSITIVE.require(a=a)
 
     def cdf1(x):
         return -np.expm1(-a * np.log1p(np.asarray(x, dtype=float)))
@@ -471,7 +464,7 @@ def make_pareto_type(a):
 
 def make_fdist(a, b):
     """Beta-prime style density x**(b-1) (1+x)**(-a-b) / B(a, b); index b."""
-    _require_positive(a=a, b=b)
+    POSITIVE.require(a=a, b=b)
     log_norm = sc.gammaln(a + b) - sc.gammaln(a) - sc.gammaln(b)
 
     def cdf1(x):
@@ -518,7 +511,7 @@ def make_log_power(gamma, power=3):
     exponent is quadrature below s = 1e6 and the exact log-moment
     polynomial above, where the truncated remainder is below 1e-300.
     """
-    _require_positive(gamma=gamma)
+    POSITIVE.require(gamma=gamma)
     if type(power) is not int or power not in (1, 3):
         raise InvalidParameterError(
             f"power must be the integer 1 or 3 (odd, tabulated moments), got {power!r}")
@@ -570,11 +563,8 @@ def make_stable_nef(a, theta):
     exp(-a[(theta+u)^t - theta^t]).  Limit CDF is the unit-shifted
     exponential 1 - exp(-a(x-1)) on x >= 1.
     """
-    _require_positive(a=a)
-    if not (theta > 0 and math.isfinite(theta)):
-        raise InvalidParameterError(
-            "theta must be positive and finite (theta = 0 loses the monotone transform), "
-            f"got {theta!r}")
+    # theta = 0 loses the monotone transform
+    POSITIVE.require(a=a, theta=theta)
     log_theta = math.log(theta)
 
     def psi_t_log(t, log_u):

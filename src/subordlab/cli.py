@@ -49,11 +49,11 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import __version__, catalog, criteria, montecarlo, transforms
-from .core import integral
+from .core import ABOVE_ONE, NONNEGATIVE, OPEN_UNIT, POSITIVE, Check, integral
 from .criteria import CRITERIA
 from .dickman import (
-    MAX_RECURSION_DEPTH, RHO_INTERVALS, dickman_density_norm, dickman_rho, recursion_depth,
-    sample_dickman_recursion,
+    DEPTH, MAX_RECURSION_DEPTH, RHO_INTERVALS, dickman_density_norm, dickman_rho,
+    recursion_depth, sample_dickman_recursion,
 )
 from .errors import InvalidParameterError, NumericalFailure, SubordlabError
 from .simulate import can_sample, sample_cutoff_cp, sample_marginal, substream
@@ -176,14 +176,7 @@ def _build_family(expr, path):
         return catalog.make_stable_nef(**expr.get("params", {}))
 
 
-# Field checks.  A value passes when valid(value) holds without raising; cast,
-# when set, makes the value the handler gets.
-
-class Check(NamedTuple):
-    valid: Callable
-    requirement: str
-    cast: Callable = None
-
+# Field checks, besides the number rules of core.
 
 def _one_of(names):
     return Check(lambda v: v in names, f"one of {list(names)}")
@@ -193,21 +186,17 @@ COUNT = Check(lambda v: int(v) == v >= 1, "an integer >= 1", int)
 SEED = Check(lambda v: int(v) == v >= 0, "an integer >= 0", int)
 # JSON's Infinity reaches here as a float; the numbers a run reads are finite
 NUMBER = Check(math.isfinite, "a finite number")
-POSITIVE = Check(lambda v: math.isfinite(v) and v > 0, "a finite number > 0")
-NONNEGATIVE = Check(lambda v: math.isfinite(v) and v >= 0, "a finite number >= 0")
-ABOVE_ONE = Check(lambda v: math.isfinite(v) and v > 1, "a finite number > 1")
-OPEN_UNIT = Check(lambda v: 0 < v < 1, "a number in (0, 1)")
 UNIT = Check(lambda v: 0 <= v <= 1, "a number in [0, 1]")
 TIMES = Check(lambda v: isinstance(v, list) and len(v) > 0 and all(POSITIVE.valid(t) for t in v),
               "a non-empty list of finite numbers > 0", tuple)
 GRID = Check(lambda v: isinstance(v, list) and len(v) > 0 and all(NUMBER.valid(x) for x in v),
              "a non-empty list of finite numbers")
-FILE_NAME = Check(lambda v: isinstance(v, str) and v != "", "a file name")
+# written into --out, so no directory part
+FILE_NAME = Check(lambda v: isinstance(v, str) and v not in ("", ".", "..")
+                  and os.path.basename(v) == v, "a bare file name")
 # recursion_depth raises on a theta past the depth ceiling
 RECURSION_GAMMA = Check(
     recursion_depth, f"a number > 0 that needs at most {MAX_RECURSION_DEPTH} recursion terms")
-DEPTH = Check(lambda v: int(v) == v and 1 <= v <= MAX_RECURSION_DEPTH,
-              f"an integer in [1, {MAX_RECURSION_DEPTH}]", int)
 # the default table of rho covers z in [0, RHO_INTERVALS]
 Z = Check(lambda v: 0 <= v <= RHO_INTERVALS, f"a number in [0, {RHO_INTERVALS}]")
 Z_MAX = Check(lambda v: int(v) == v and 1 <= v <= RHO_INTERVALS,
@@ -218,16 +207,9 @@ Z_MAX = Check(lambda v: int(v) == v and 1 <= v <= RHO_INTERVALS,
 REQUIRED = object()
 
 
-def _passes(check, value):
-    try:
-        return bool(check.valid(value))
-    except (TypeError, ValueError, OverflowError):
-        return False
-
-
 def _value(value, check, path):
     """value, cast by check; a SchemaError at path unless the check holds."""
-    if not _passes(check, value):
+    if not check.passes(value):
         raise SchemaError(path, f"must be {check.requirement}, got {value!r}")
     return value if check.cast is None else check.cast(value)
 
@@ -271,9 +253,17 @@ def _has(surface, key="model"):
                 and f"needs a model with {surface}; {m[key].describe()} has none")
 
 
+def _no_index(model):
+    """The message of the known-index rule on model; False when it holds."""
+    try:
+        montecarlo._index(model)
+    except InvalidParameterError as exc:
+        return str(exc)
+    return False
+
+
 def _known_index(key="model"):
-    return Need(key, "a model with a known index", lambda m, v, e: m[key].known_gamma is None
-                and f"model {m[key].describe()} has no known index")
+    return Need(key, "a model with a known index", lambda m, v, e: _no_index(m[key]))
 
 
 def _samplable(key="model"):
@@ -303,7 +293,7 @@ def _drawn(key, field):
             if node.get("name") == "dickman":
                 gamma = node["params"]["gamma"]
                 for t in times:
-                    if not _passes(RECURSION_GAMMA, t * gamma):
+                    if not RECURSION_GAMMA.passes(t * gamma):
                         return (f"t = {t!r} puts the Dickman recursion of {m[key].describe()} at "
                                 f"theta = t*gamma = {t * gamma:g}, past its "
                                 f"{MAX_RECURSION_DEPTH}-term ceiling")
@@ -333,10 +323,8 @@ def _grid_problem(m, v, entry):
 
 
 _CRITERION_GRID = Need("params.grid", "a grid its criterion accepts", _grid_problem)
-_GAMMA_OR_INDEX = Need(
-    "params.gamma", "given, or the model's known index", lambda m, v, e: (
-        v["gamma"] is None and m["model"].known_gamma is None
-        and f"model {m['model'].describe()} has no known index"))
+_GAMMA_OR_INDEX = Need("params.gamma", "given, or the model's known index",
+                       lambda m, v, e: v["gamma"] is None and _no_index(m["model"]))
 _BELOW_DELTA0 = Need(
     "params.cutoff", "below the functional's delta0", lambda m, v, e: (
         v["cutoff"] >= FUNCTIONALS[v["functional"]][1]
@@ -629,7 +617,7 @@ KINDS = {
 
 
 def _checked(entry, index):
-    """(kind, checked values, built models) of an entry; a SchemaError names the first bad field."""
+    """(entry, kind, checked values, built models); a SchemaError names the first bad field."""
     at = f"experiments[{index}]"
     if not isinstance(entry, dict) or "kind" not in entry:
         raise SchemaError(at, "each experiment needs a 'kind'")
@@ -648,13 +636,14 @@ def _checked(entry, index):
         problem = need.problem(models, values, entry)
         if problem:
             raise SchemaError(f"{at}.{need.path}", problem)
-    return kind, values, models
+    return entry, kind, values, models
 
 
-def run_experiment(entry, seed, out_dir, index):
-    kind, values, models = _checked(entry, index)
+def run_experiment(checked, seed, out_dir, index):
+    """The result of entry index, checked by validate_config; its csv goes into out_dir."""
+    entry, kind, values, models = checked
     if kind.csv and values["csv"] is not None:
-        values["csv"] = os.path.join(out_dir, values["csv"]) if out_dir is not None else None
+        values = {**values, "csv": None if out_dir is None else os.path.join(out_dir, values["csv"])}
     exp_seed = seed * 1_000_003 + index if values["seed"] is None else values["seed"]
     at = f"experiments[{index}]"
     model_at = f"{at}.{kind.models[0]}" if kind.models else None
@@ -664,13 +653,12 @@ def run_experiment(entry, seed, out_dir, index):
 
 
 def validate_config(config):
-    """Check every entry, fields and models alike; nothing samples."""
+    """Every entry checked, fields and models alike, for run_experiment; nothing samples."""
     if not isinstance(config, dict):
         raise SchemaError("<root>", "config must be a JSON object")
     if "experiments" not in config or not isinstance(config["experiments"], list):
         raise SchemaError("experiments", "missing or not a list")
-    for i, entry in enumerate(config["experiments"]):
-        _checked(entry, i)
+    return [_checked(entry, i) for i, entry in enumerate(config["experiments"])]
 
 
 def _run_seed(seed, config):
@@ -693,10 +681,12 @@ def run(config_path, out_dir=".", seed=None, threads=1):
         print(f"config error at <file>: {exc}", file=sys.stderr)
         return 2, None
     try:
-        validate_config(config)
+        threads = _value(threads, COUNT, "--threads")
+        entries = validate_config(config)
         effective_seed = _run_seed(seed, config)
-        entries = config["experiments"]
         os.makedirs(out_dir, exist_ok=True)
+        if not os.access(out_dir, os.W_OK | os.X_OK):
+            raise PermissionError(f"output directory {out_dir!r} is not writable")
 
         def job(pair):
             idx, entry = pair
@@ -707,6 +697,16 @@ def run(config_path, out_dir=".", seed=None, threads=1):
                 results = list(pool.map(job, enumerate(entries)))
         else:
             results = [job(pair) for pair in enumerate(entries)]
+        report = {
+            "version": __version__,
+            "seed": effective_seed,
+            "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
+            "results": results,
+            "all_pass": all(r.get("pass", False) for r in results),
+        }
+        with open(os.path.join(out_dir, "report.json"), "w") as fh:
+            json.dump(report, fh, indent=2, sort_keys=True)
+            fh.write("\n")
     except SchemaError as exc:
         print(str(exc), file=sys.stderr)
         return 2, None
@@ -714,18 +714,10 @@ def run(config_path, out_dir=".", seed=None, threads=1):
         op = exc.op or "unknown-op"
         print(f"numerical failure in {op}: {exc}", file=sys.stderr)
         return 3, None
-
-    report = {
-        "version": __version__,
-        "seed": effective_seed,
-        "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-        "results": results,
-        "all_pass": all(r.get("pass", False) for r in results),
-    }
-    report_path = os.path.join(out_dir, "report.json")
-    with open(report_path, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    except OSError as exc:
+        # the only files a run writes are in --out: the directory, the CSV curves, the report
+        print(f"config error at --out: {exc}", file=sys.stderr)
+        return 2, None
     return (0 if report["all_pass"] else 1), report
 
 

@@ -18,8 +18,9 @@ functions; instances can be shared freely across threads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 from scipy import integrate
@@ -27,6 +28,11 @@ from scipy import integrate
 from .errors import InvalidParameterError, NumericalFailure
 
 __all__ = [
+    "Check",
+    "POSITIVE",
+    "NONNEGATIVE",
+    "ABOVE_ONE",
+    "OPEN_UNIT",
     "LaplaceExponent",
     "LevyTail",
     "SubordinatorModel",
@@ -55,6 +61,33 @@ _EXP_CUTOFF = 745.0
 #   2 MB L2, and each draw or ufunc runs long enough between GIL hand-offs for
 #   the chunks to overlap.
 BLOCK = 1 << 16
+
+
+class Check(NamedTuple):
+    """A rule a value passes when valid(value) holds without raising; cast casts a CLI field."""
+
+    valid: Callable
+    requirement: str
+    cast: Callable = None
+
+    def passes(self, value):
+        try:
+            return bool(self.valid(value))
+        except (TypeError, ValueError, OverflowError):
+            return False
+
+    def require(self, **values):
+        """InvalidParameterError naming the first of values that does not pass."""
+        for name, value in values.items():
+            if not self.passes(value):
+                raise InvalidParameterError(f"{name} must be {self.requirement}, got {value!r}")
+
+
+# the paper's quantities are finite: NaN and infinity fail every number rule
+POSITIVE = Check(lambda v: math.isfinite(v) and v > 0, "a finite number > 0")
+NONNEGATIVE = Check(lambda v: math.isfinite(v) and v >= 0, "a finite number >= 0")
+ABOVE_ONE = Check(lambda v: math.isfinite(v) and v > 1, "a finite number > 1")
+OPEN_UNIT = Check(lambda v: 0 < v < 1, "a number in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -124,8 +157,7 @@ class SubordinatorModel:
 
 def pareto_cdf(gamma, x):
     """CDF of the Pareto law on [1, inf): 1 - x**(-gamma) for x >= 1."""
-    if gamma <= 0:
-        raise InvalidParameterError("Pareto index must be positive")
+    POSITIVE.require(gamma=gamma)
     # fmax sends NaN and -inf to 1 (CDF 0) and keeps +inf (CDF 1)
     x_arr = np.asarray(x, dtype=float)
     out = np.fmax(x_arr, 1.0, out=np.empty_like(x_arr))
@@ -138,8 +170,7 @@ def pareto_cdf(gamma, x):
 
 def pareto_quantile(gamma, p):
     """Inverse of ``pareto_cdf``: (1-p)**(-1/gamma) on p in [0, 1)."""
-    if gamma <= 0:
-        raise InvalidParameterError("Pareto index must be positive")
+    POSITIVE.require(gamma=gamma)
     p_arr = np.asarray(p, dtype=float)
     if np.any(p_arr < 0) or np.any(p_arr > 1):
         raise InvalidParameterError("probability must lie in [0, 1]")
@@ -156,8 +187,7 @@ class ParetoLaw:
     gamma: float
 
     def __post_init__(self):
-        if self.gamma <= 0:
-            raise InvalidParameterError("Pareto index must be positive")
+        POSITIVE.require(gamma=self.gamma)
 
     def cdf(self, x):
         return pareto_cdf(self.gamma, x)
@@ -180,8 +210,7 @@ class ExponentialLaw:
     gamma: float
 
     def __post_init__(self):
-        if self.gamma <= 0:
-            raise InvalidParameterError("rate must be positive")
+        POSITIVE.require(gamma=self.gamma)
 
     def cdf(self, x):
         # fmax sends NaN and -inf to 0 (CDF 0) and keeps +inf (CDF 1)
@@ -247,8 +276,7 @@ def phi_from_levy(levy_density, s, *, upper=np.inf):
     computed as -expm1(-s x), which is exact where the naive difference
     would cancel.  The caller asserts integrability of x nu'(x) near 0.
     """
-    if s < 0:
-        raise InvalidParameterError("rate s must be >= 0")
+    NONNEGATIVE.require(s=s)
     if s == 0:
         return 0.0
 
@@ -267,8 +295,7 @@ def phi_from_tail(tail: LevyTail, s):
     any representable contribution (x = 745, or earlier when the tail's
     support ends at s * support_upper).
     """
-    if s < 0:
-        raise InvalidParameterError("rate s must be >= 0")
+    NONNEGATIVE.require(s=s)
     if s == 0:
         return 0.0
 
@@ -293,8 +320,7 @@ def lst_from_cdf(cdf, s):
     a bounded integrand on [0, 745].  Moderate rates only (s <= 1e6);
     far larger rates need the exponent-side representations.
     """
-    if s < 0:
-        raise InvalidParameterError("rate s must be >= 0")
+    NONNEGATIVE.require(s=s)
     if s == 0:
         return 1.0
     if s > 1e6:

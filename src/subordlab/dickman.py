@@ -26,13 +26,14 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special as sc
 
-from .core import BLOCK, LaplaceExponent, LevyTail, SubordinatorModel
+from .core import BLOCK, POSITIVE, Check, LaplaceExponent, LevyTail, SubordinatorModel
 from .errors import InvalidParameterError, OutOfRangeError
 
 __all__ = [
     "EULER",
     "RECURSION_REL_BIAS",
     "MAX_RECURSION_DEPTH",
+    "DEPTH",
     "RHO_INTERVALS",
     "DickmanFunction",
     "dickman_rho",
@@ -48,8 +49,10 @@ EULER = 0.57721566490153286
 
 # relative mean bias the truncated recursion may leave: bias <= RECURSION_REL_BIAS * theta
 RECURSION_REL_BIAS = 1e-12
-# most terms the recursion runs; each term holds its own generator
+# most terms the recursion runs (each term holds its own generator), and the depth rule
 MAX_RECURSION_DEPTH = 10_000
+DEPTH = Check(lambda v: int(v) == v and 1 <= v <= MAX_RECURSION_DEPTH,
+              f"an integer in [1, {MAX_RECURSION_DEPTH}]", int)
 # unit intervals [k, k+1] on which rho is tabulated, and terms of its series on each;
 # the series converges like 3**-i, so 40 terms reach rounding
 RHO_INTERVALS = 40
@@ -154,8 +157,7 @@ def recursion_depth(theta):
     The search stops at ``MAX_RECURSION_DEPTH`` (reached near theta = 360): a theta that needs
     more terms raises ``InvalidParameterError``.
     """
-    if not (theta > 0 and math.isfinite(theta)):
-        raise InvalidParameterError("theta must be positive and finite")
+    POSITIVE.require(theta=theta)
     bound = RECURSION_REL_BIAS * theta
     depth = 1
     while recursion_mean_bias(theta, depth) > bound:
@@ -202,10 +204,8 @@ def sample_dickman_recursion(gamma, depth, rng, n=1):
     Afterwards ``rng`` is left where the term-by-term loop leaves it,
     n*depth doubles on.
     """
-    if gamma <= 0:
-        raise InvalidParameterError("gamma must be positive")
-    if not 1 <= depth <= MAX_RECURSION_DEPTH:
-        raise InvalidParameterError(f"depth must lie in [1, {MAX_RECURSION_DEPTH}]")
+    POSITIVE.require(gamma=gamma)
+    DEPTH.require(depth=depth)
     caller = rng.bit_generator
     start = caller.state
     acc = np.empty(n)
@@ -285,8 +285,7 @@ def make_dickman(gamma):
     t*gamma, run to recursion_depth(t*gamma) terms), and for gamma = 1
     the rho-based marginal density.
     """
-    if not (gamma > 0 and math.isfinite(gamma)):
-        raise InvalidParameterError(f"gamma must be positive and finite, got {gamma!r}")
+    POSITIVE.require(gamma=gamma)
 
     def tail(x):
         x_arr = np.asarray(x, dtype=float)

@@ -23,7 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import simulate
-from .core import BLOCK, ExponentialLaw, ParetoLaw, SubordinatorModel, pareto_cdf
+from .core import (
+    ABOVE_ONE, BLOCK, OPEN_UNIT, POSITIVE, ExponentialLaw, ParetoLaw, SubordinatorModel, pareto_cdf,
+)
 from .criteria import grid_deviations
 from .errors import InvalidParameterError, NumericalFailure, UnsupportedModelError
 from .simulate import sample_cutoff_cp, sample_marginal, substream, to_neg_t_power, to_tl
@@ -272,6 +274,13 @@ def neg_t_power_ecdf(model, t, log_samples):
     return EmpiricalDistribution.from_values(values, n_inf)
 
 
+def _index(model):
+    """The model's known index; InvalidParameterError when it has none."""
+    if model.known_gamma is None:
+        raise InvalidParameterError(f"model {model.describe()} has no known index")
+    return model.known_gamma
+
+
 def _fraction_within(values, lo, hi):
     """``np.mean((values >= lo) & (values <= hi))``, counted a block at a time."""
     count = 0
@@ -286,10 +295,7 @@ def experiment_pareto_limit(
     *, cutoff=1e-6, gamma=None, csv=None,
 ):
     """KS of y**(-t) against its Pareto limit, per t; ``csv`` gets the last t's ECDF curve."""
-    target_gamma = model.known_gamma if gamma is None else gamma
-    if target_gamma is None:
-        raise InvalidParameterError("model has no known index; pass gamma explicitly")
-    law = ParetoLaw(target_gamma)
+    law = ParetoLaw(_index(model) if gamma is None else gamma)
     reports = []
     for k, t in enumerate(t_list):
         log_samples = sample_marginal(model, t, n, substream(seed, k), cutoff=cutoff)
@@ -327,35 +333,28 @@ def _two_model_transformed(m1, m2, t, n, seed, cutoff, combine):
 
 def experiment_min_rule(m1, m2, t, n=DEFAULT_N, seed=0, *, cutoff=1e-6):
     """Sum of independent marginals, transformed: limit is Pareto(g1 + g2)."""
-    if m1.known_gamma is None or m2.known_gamma is None:
-        raise InvalidParameterError("both models need known indices")
+    law = ParetoLaw(_index(m1) + _index(m2))
     emp = _two_model_transformed(m1, m2, t, n, seed, cutoff, np.logaddexp)
-    law = ParetoLaw(m1.known_gamma + m2.known_gamma)
     return _ks_report(f"{m1.describe()}+{m2.describe()}", t, n, law, emp)
 
 
 def experiment_product_rule(m1, m2, t, n=DEFAULT_N, seed=0, *, cutoff=1e-6):
     """Product of independent marginals, transformed: limit is the Pareto product law."""
-    if m1.known_gamma is None or m2.known_gamma is None:
-        raise InvalidParameterError("both models need known indices")
+    law = ParetoProductLaw(_index(m1), _index(m2))
     emp = _two_model_transformed(m1, m2, t, n, seed, cutoff, np.add)
-    law = ParetoProductLaw(m1.known_gamma, m2.known_gamma)
     return _ks_report(f"{m1.describe()}*{m2.describe()}", t, n, law, emp)
 
 
 def experiment_affine(model, a, b, t, n=DEFAULT_N, seed=0, *, cutoff=1e-6):
     """KS of (a_t Y_t + b_t)**(-t) against min(a*Pareto, b), a_t = a**(-1/t)."""
-    if a <= 1.0 or b <= 1.0:
-        raise InvalidParameterError("a and b must exceed 1")
-    if model.known_gamma is None:
-        raise InvalidParameterError("model needs a known index")
+    ABOVE_ONE.require(a=a, b=b)
+    law = AffineMinLaw(a, b, _index(model))
     log_a_t = -np.log(a) / t
     log_b_t = -np.log(b) / t
     log_y = sample_marginal(model, t, n, substream(seed, 0), cutoff=cutoff)
     np.add(log_y, log_a_t, out=log_y)
     np.logaddexp(log_y, log_b_t, out=log_y)
     emp = neg_t_power_ecdf(model, t, log_y)
-    law = AffineMinLaw(a, b, model.known_gamma)
     return _ks_report(f"affine(a={a:g},b={b:g},{model.describe()})", t, n, law, emp)
 
 
@@ -370,10 +369,8 @@ def experiment_mixture(model, q, t, n=DEFAULT_N, seed=0, *, cutoff=1e-6):
     1-q at 1 plus q times the Pareto limit.  Returns the KS report and
     the empirical mass found in the window just below the atom.
     """
-    if not (0.0 < q < 1.0):
-        raise InvalidParameterError("q must lie in (0, 1)")
-    if model.known_gamma is None:
-        raise InvalidParameterError("model needs a known index")
+    OPEN_UNIT.require(q=q)
+    law = ParetoMixtureLaw(q, _index(model))
     log_l = sample_marginal(model, t, n, substream(seed, 0), cutoff=cutoff)
     # the level B: the n uniforms of stream 1, drawn a block at a time
     level_rng = substream(seed, 1)
@@ -383,7 +380,6 @@ def experiment_mixture(model, q, t, n=DEFAULT_N, seed=0, *, cutoff=1e-6):
         at_one = level_rng.random(out=u[: block.size]) >= q
         np.logaddexp(block, 0.0, out=block, where=at_one)
     emp = neg_t_power_ecdf(model, t, log_l)
-    law = ParetoMixtureLaw(q, model.known_gamma)
     report = _ks_report(f"mixture(q={q:g},{model.describe()})", t, n, law, emp)
     inside = _fraction_within(emp.values, 1.0 - _JUMP_WINDOW, 1.0 + 1e-9)
     jump_mass = float(inside * emp.values.size / emp.n_total)
@@ -404,8 +400,7 @@ def experiment_drift(model, c, t, n=DEFAULT_N, seed=0, *, cutoff=1e-6, window=0.
     Drift collapses the limit to the point mass at 1, so the fraction
     should approach one as t shrinks.
     """
-    if c <= 0:
-        raise InvalidParameterError("drift rate must be positive")
+    POSITIVE.require(c=c, window=window)
     log_y = sample_marginal(model, t, n, substream(seed, 0), cutoff=cutoff)
     np.logaddexp(np.log(c) + np.log(t), log_y, out=log_y)
     values, _ = to_neg_t_power(log_y, t)
@@ -418,8 +413,7 @@ def experiment_drift(model, c, t, n=DEFAULT_N, seed=0, *, cutoff=1e-6, window=0.
 
 def support_check(emp: EmpiricalDistribution, delta):
     """Empirical mass below 1 - delta; should vanish as t -> 0."""
-    if not (0.0 < delta < 1.0):
-        raise InvalidParameterError("delta must lie in (0, 1)")
+    OPEN_UNIT.require(delta=delta)
     # the values are sorted: the count below is a search, not a mask
     return float(np.searchsorted(emp.values, 1.0 - delta) / emp.n_total)
 

@@ -23,7 +23,7 @@ import math
 
 import numpy as np
 
-from .core import BLOCK, LevyTail, SubordinatorModel
+from .core import BLOCK, POSITIVE, LevyTail, SubordinatorModel
 from .errors import InvalidParameterError, UnsupportedModelError
 
 __all__ = [
@@ -151,6 +151,7 @@ def sample_cutoff_cp(tail: LevyTail, eps, t, rng, n=1, *, out=None):
     ``MAX_CP_JUMPS`` in all is refused (InvalidParameterError) before
     anything is drawn.
     """
+    POSITIVE.require(t=t)
     if tail.inverse_tail is None:
         raise UnsupportedModelError("tail has no inverse; cannot draw jumps")
     if not (0.0 < eps < tail.support_upper):
@@ -202,8 +203,7 @@ def sample_marginal(model: SubordinatorModel, t, n, rng, *, cutoff=1e-6):
     The cutoff-CP batch is drawn into the n-float output, which then takes
     its log in place, so the void paths become -inf.  Either way the result is a fresh array the caller owns.
     """
-    if t <= 0:
-        raise InvalidParameterError("time must be positive")
+    POSITIVE.require(t=t)
     if model.log_sampler is not None:
         return model.log_sampler(t, n, rng)
     if not can_sample(model):
@@ -226,8 +226,7 @@ def to_neg_t_power(samples, t):
     array, in order, ``BLOCK`` at a time; the returned values are that
     prefix, a view of the array.
     """
-    if t <= 0:
-        raise InvalidParameterError("time must be positive")
+    POSITIVE.require(t=t)
     res = np.asarray(samples, dtype=float)
     with np.errstate(over="ignore"):
         res *= -t
@@ -257,8 +256,7 @@ def to_tl(samples, L, t):
     front of the array; the returned values are that prefix, a view of
     the array.
     """
-    if t <= 0:
-        raise InvalidParameterError("time must be positive")
+    POSITIVE.require(t=t)
     log_y = np.asarray(samples, dtype=float)
     k = 0
     for lo in range(0, log_y.size, BLOCK):

@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .core import LaplaceExponent, LevyTail, SubordinatorModel, integral
+from .core import NONNEGATIVE, POSITIVE, LaplaceExponent, LevyTail, SubordinatorModel, integral
 from .criteria import detect_limit, require_nondegenerate
 from .errors import InvalidParameterError, UnsupportedModelError
 
@@ -37,8 +37,7 @@ def tilt(model: SubordinatorModel, theta):
     log-scale tail behavior (and hence the limit index) untouched.
     theta = 0 is the identity.
     """
-    if not (theta >= 0 and math.isfinite(theta)):
-        raise InvalidParameterError(f"tilting parameter must be >= 0 and finite, got {theta!r}")
+    NONNEGATIVE.require(theta=theta)
     if theta == 0:
         return model
     phi = _require_phi(model)
@@ -187,8 +186,7 @@ def add_drift(model: SubordinatorModel, c):
     the point mass at 1), so the known index is cleared.  The log sampler
     adds the drift to the base batch in place.
     """
-    if not (c > 0 and math.isfinite(c)):
-        raise InvalidParameterError(f"drift rate must be positive and finite, got {c!r}")
+    POSITIVE.require(c=c)
     phi = _require_phi(model)
 
     def eval_log(ell):

@@ -411,7 +411,8 @@ class TestParameterValidation:
     @pytest.mark.parametrize(
         "model,message",
         [
-            ({"transform": "tilt", "theta": -1.0, "of": GAMMA}, "tilting parameter must be >= 0"),
+            ({"transform": "tilt", "theta": -1.0, "of": GAMMA},
+             "theta must be a finite number >= 0"),
             ({"transform": "add", "of": [{"name": "dickman", "params": {"gamma": 1.0}},
                                          {"name": "weibull", "params": {"gamma": 2.0}}]},
              "carries no Laplace exponent"),
@@ -681,13 +682,13 @@ class TestList:
         listed = cli.list_catalog()["experiment_kinds"]
         assert len(set(listed)) == len(listed)
         with pytest.raises(cli.SchemaError) as exc:
-            cli.run_experiment({"kind": "wat"}, 0, None, 0)
+            cli.validate_config({"experiments": [{"kind": "wat"}]})
         assert exc.value.path == "experiments[0].kind"
         for kind in listed:
             entry = {"kind": kind, "model": {"name": "nope"}, "family": {"name": "nope"},
                      "params": {"n": 0, "z": -1.0, "z_max": 0}}
             try:
-                cli.run_experiment(entry, 0, None, 0)
+                cli.validate_config({"experiments": [entry]})
             except cli.SchemaError as err:
                 assert err.path != "experiments[0].kind", kind
 
@@ -841,6 +842,56 @@ class TestRun:
             gamma, dickman.recursion_depth(gamma), simulate.substream(5, 0), n))
         assert result["statistic"] == float(samples.mean())
         assert result["stderr"] == float(samples.std(ddof=1) / np.sqrt(n))
+
+
+class TestFlagsAndOutputPaths:
+    """Bad flags and output paths exit 2 naming the flag or field, with no traceback."""
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one_exit_two(self, tmp_path, capsys, threads):
+        # each exited 0 and ran one entry at a time
+        cfg = write_config(tmp_path, {"experiments": [FIRST]})
+        assert cli.main(["--config", cfg, "--out", str(tmp_path), "--threads", threads]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"config error at --threads: must be an integer >= 1, got {int(threads)}"]
+
+    @pytest.mark.parametrize("out", ["file", "file/sub"])
+    def test_out_that_cannot_be_a_directory_exits_two(self, tmp_path, capsys, sampler_calls, out):
+        # an existing file exited 1 with a FileExistsError traceback
+        (tmp_path / "file").write_text("")
+        cfg = write_config(tmp_path, {"experiments": [FIRST]})
+        assert cli.main(["--config", cfg, "--out", str(tmp_path / out)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("config error at --out:"), err
+        assert sampler_calls == []
+
+    def test_out_that_cannot_be_written_exits_two_before_any_draw(
+        self, tmp_path, capsys, sampler_calls, monkeypatch
+    ):
+        # a directory the process may not write into; a root process passes os.access anyway
+        monkeypatch.setattr(os, "access", lambda path, mode: False)
+        cfg = write_config(tmp_path, {"experiments": [FIRST]})
+        assert cli.main(["--config", cfg, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("config error at --out:"), err
+        assert sampler_calls == []
+
+    @pytest.mark.parametrize("taken", ["report.json", "curve.csv"])
+    def test_output_file_that_cannot_be_written_exits_two(self, tmp_path, capsys, taken):
+        # each exited 1 with an IsADirectoryError traceback
+        out = tmp_path / "out"
+        (out / taken).mkdir(parents=True)
+        cfg = write_config(tmp_path, {"experiments": [{**FIRST, "csv": "curve.csv"}]})
+        assert cli.main(["--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("config error at --out:") and taken in err[0], err
+
+    @pytest.mark.parametrize("name", ["nodir/curve.csv", "../curve.csv", "/curve.csv", ".."])
+    def test_csv_with_a_directory_part_exits_two(self, tmp_path, capsys, sampler_calls, name):
+        # nodir/curve.csv exited 1 with a FileNotFoundError traceback, after the draw
+        entry = {"kind": "pareto_limit", "model": GAMMA, "params": {"t_list": [0.1], "n": 10},
+                 "csv": name}
+        assert_exits_two_at(tmp_path, capsys, sampler_calls, entry, "csv")
 
 
 class TestTransformExpressions:

@@ -423,7 +423,8 @@ class TestModel:
             "assert abs(dickman_rho(2.0) - (1.0 - math.log(2.0))) <= 1e-14\n"
             "assert dickman_density(3.0) > 0\n"
             "entry = {'kind': 'dickman_density_norm', 'params': {'z_max': 40}}\n"
-            "assert subordlab.cli.run_experiment(entry, 0, None, 0)['pass']\n"
+            "[checked] = subordlab.cli.validate_config({'experiments': [entry]})\n"
+            "assert subordlab.cli.run_experiment(checked, 0, None, 0)['pass']\n"
             "assert 'scipy.interpolate' not in sys.modules\n"
         )
         src = os.path.dirname(os.path.dirname(subordlab.__file__))

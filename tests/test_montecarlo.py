@@ -466,19 +466,23 @@ TWO_BATCH_ENTRIES = {
 }
 
 
+def run_checked(entry):
+    """A call of cli.run_experiment on entry, checked (and its models built) now."""
+    [checked] = cli.validate_config({"experiments": [entry]})
+    return lambda: cli.run_experiment(checked, 7, None, 0)
+
+
 class TestExperimentMemory:
     """Each experiment holds one n-float batch, two where two marginals combine."""
 
     @pytest.mark.parametrize("name", sorted(ONE_BATCH_ENTRIES))
     def test_single_batch(self, name, traced_peak):
-        entry = ONE_BATCH_ENTRIES[name]
-        peak = traced_peak(lambda: cli.run_experiment(entry, 7, None, 0))
+        peak = traced_peak(run_checked(ONE_BATCH_ENTRIES[name]))
         assert peak <= 8 * N_1E6 + 4 * MIB
 
     @pytest.mark.parametrize("name", sorted(TWO_BATCH_ENTRIES))
     def test_two_batches(self, name, traced_peak):
-        entry = TWO_BATCH_ENTRIES[name]
-        peak = traced_peak(lambda: cli.run_experiment(entry, 7, None, 0))
+        peak = traced_peak(run_checked(TWO_BATCH_ENTRIES[name]))
         assert peak <= 16 * N_1E6 + 4 * MIB
 
     def test_recursion_mean_holds_one_batch(self, monkeypatch, traced_peak):
@@ -504,5 +508,5 @@ class TestExperimentMemory:
             "params": {"L": "neg_log_cubed", "gamma": 0.1, "t_list": [0.01], "n": N_1E6,
                        "cutoff": 1e-8},
         }
-        peak = traced_peak(lambda: cli.run_experiment(entry, 7, None, 0))
+        peak = traced_peak(run_checked(entry))
         assert peak <= 8 * N_1E6 + 4 * MIB
