@@ -10,13 +10,14 @@ usable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 from scipy import special as sc
 
-from .core import BLOCK, OPEN_UNIT, POSITIVE, LaplaceExponent, LevyTail, SubordinatorModel, integral
+from .core import (BLOCK, OPEN_UNIT, POSITIVE, Check, LaplaceExponent, LevyTail, SubordinatorModel,
+                   declares, integral)
 from .dickman import EULER, make_dickman
 from .errors import InvalidParameterError
 
@@ -33,6 +34,7 @@ __all__ = [
     "make_log_power",
     "make_stable_nef",
     "CATALOG",
+    "FAMILIES",
     "build_model",
 ]
 
@@ -55,16 +57,12 @@ class GeneralFamily:
     known limit distribution used for validation.
     """
 
-    name: str
     psi_t_log: Callable[[float, np.ndarray], np.ndarray]
     limit_cdf: Callable
-    params: dict
+    name: str = ""
+    params: dict = field(default_factory=dict)
 
-    def describe(self):
-        if not self.params:
-            return self.name
-        inner = ",".join(f"{k}={v}" for k, v in sorted(self.params.items()))
-        return f"{self.name}({inner})"
+    describe = SubordinatorModel.describe
 
 
 def _gamma_inverse_tail_factory(gamma, lam):
@@ -203,6 +201,7 @@ def _log_gamma_small_shape(a, log_lam, n, rng):
     return out
 
 
+@declares("gamma", gamma=POSITIVE, lam=POSITIVE)
 def make_gamma(gamma, lam):
     """Gamma subordinator: exponent gamma*log(1 + s/lam), marginal Gamma(t*gamma, lam).
 
@@ -228,7 +227,6 @@ def make_gamma(gamma, lam):
     uniforms from the same stream, so that batch is bitwise the one drawn
     by ``rng.gamma`` and ``rng.random`` on all n at once.
     """
-    POSITIVE.require(gamma=gamma, lam=lam)
     log_lam = math.log(lam)
 
     def eval_log(ell):
@@ -277,7 +275,6 @@ def make_gamma(gamma, lam):
         return out
 
     return SubordinatorModel(
-        name="gamma",
         phi=LaplaceExponent(eval_log=eval_log),
         tail=LevyTail(tail=tail, inverse_tail=_gamma_inverse_tail_factory(gamma, lam)),
         cdf1=cdf1,
@@ -285,10 +282,10 @@ def make_gamma(gamma, lam):
         log_sampler=log_sampler,
         levy_density=levy_density,
         known_gamma=float(gamma),
-        params={"gamma": gamma, "lam": lam},
     )
 
 
+@declares("stable", a=POSITIVE, alpha=OPEN_UNIT)
 def make_stable(a, alpha):
     """Positive alpha-stable subordinator with exponent a * s**alpha.
 
@@ -308,8 +305,6 @@ def make_stable(a, alpha):
     after all n uniforms, so the batch is bitwise that of drawing all n V,
     then all n W, and forming log(Y_t) on the whole arrays.
     """
-    POSITIVE.require(a=a)
-    OPEN_UNIT.require(alpha=alpha)
 
     def eval_log(ell):
         with np.errstate(over="ignore"):
@@ -336,13 +331,12 @@ def make_stable(a, alpha):
         return out
 
     return SubordinatorModel(
-        name="stable",
         phi=LaplaceExponent(eval_log=eval_log),
         log_sampler=log_sampler,
-        params={"a": a, "alpha": alpha},
     )
 
 
+@declares("bessel")
 def make_bessel():
     """Subordinator with exponent log(1 + s + sqrt(s^2 + 2 s)).
 
@@ -371,20 +365,18 @@ def make_bessel():
         return out if out.ndim else float(out)
 
     return SubordinatorModel(
-        name="bessel",
         phi=LaplaceExponent(eval_log=eval_log),
         density1=density1,
         known_gamma=1.0,
-        params={},
     )
 
 
+@declares("thorin_uniform", gamma=POSITIVE)
 def make_thorin_uniform(gamma):
     """Thorin measure uniform on (0, gamma): exponent
     (s+gamma)log(s+gamma) - s log s - gamma log gamma, jump density
     (1 - exp(-gamma x)) / x**2.
     """
-    POSITIVE.require(gamma=gamma)
     log_g = math.log(gamma)
 
     def eval_log(ell):
@@ -414,18 +406,16 @@ def make_thorin_uniform(gamma):
         return -np.expm1(-gamma * x_arr) / x_arr**2
 
     return SubordinatorModel(
-        name="thorin_uniform",
         phi=LaplaceExponent(eval_log=eval_log),
         tail=LevyTail(tail=tail),
         levy_density=levy_density,
         known_gamma=float(gamma),
-        params={"gamma": gamma},
     )
 
 
+@declares("weibull", gamma=POSITIVE)
 def make_weibull(gamma):
     """Weibull time-1 marginal F(x) = 1 - exp(-x**gamma); CDF/density only."""
-    POSITIVE.require(gamma=gamma)
 
     def cdf1(x):
         return -np.expm1(-np.asarray(x, dtype=float) ** gamma)
@@ -435,17 +425,15 @@ def make_weibull(gamma):
         return gamma * x_arr ** (gamma - 1.0) * np.exp(-(x_arr**gamma))
 
     return SubordinatorModel(
-        name="weibull",
         cdf1=cdf1,
         density1=density1,
         known_gamma=float(gamma),
-        params={"gamma": gamma},
     )
 
 
+@declares("pareto_type", a=POSITIVE)
 def make_pareto_type(a):
     """Density a / (1+x)**(a+1); the density is positive at 0, so the index is 1."""
-    POSITIVE.require(a=a)
 
     def cdf1(x):
         return -np.expm1(-a * np.log1p(np.asarray(x, dtype=float)))
@@ -454,17 +442,15 @@ def make_pareto_type(a):
         return a * np.exp(-(a + 1.0) * np.log1p(np.asarray(x, dtype=float)))
 
     return SubordinatorModel(
-        name="pareto_type",
         cdf1=cdf1,
         density1=density1,
         known_gamma=1.0,
-        params={"a": a},
     )
 
 
+@declares("fdist", a=POSITIVE, b=POSITIVE)
 def make_fdist(a, b):
     """Beta-prime style density x**(b-1) (1+x)**(-a-b) / B(a, b); index b."""
-    POSITIVE.require(a=a, b=b)
     log_norm = sc.gammaln(a + b) - sc.gammaln(a) - sc.gammaln(b)
 
     def cdf1(x):
@@ -476,14 +462,13 @@ def make_fdist(a, b):
         return np.exp(log_norm + (b - 1.0) * np.log(x_arr) - (a + b) * np.log1p(x_arr))
 
     return SubordinatorModel(
-        name="fdist",
         cdf1=cdf1,
         density1=density1,
         known_gamma=float(b),
-        params={"a": a, "b": b},
     )
 
 
+@declares("half_cauchy")
 def make_half_cauchy():
     """Cauchy folded onto (0, inf): density (2/pi) / (1 + x^2); index 1."""
 
@@ -494,14 +479,18 @@ def make_half_cauchy():
         return (2.0 / np.pi) / (1.0 + np.asarray(x, dtype=float) ** 2)
 
     return SubordinatorModel(
-        name="half_cauchy",
         cdf1=cdf1,
         density1=density1,
         known_gamma=1.0,
-        params={},
     )
 
 
+# odd powers whose log-moments are tabulated
+POWER = Check(lambda v: type(v) is int and v in (1, 3),
+              "the integer 1 or 3 (odd, tabulated moments)")
+
+
+@declares("log_power", gamma=POSITIVE, power=POWER)
 def make_log_power(gamma, power=3):
     """Tail gamma * (-log x)**power on (0, 1], the slowly-varying test model.
 
@@ -511,10 +500,6 @@ def make_log_power(gamma, power=3):
     exponent is quadrature below s = 1e6 and the exact log-moment
     polynomial above, where the truncated remainder is below 1e-300.
     """
-    POSITIVE.require(gamma=gamma)
-    if type(power) is not int or power not in (1, 3):
-        raise InvalidParameterError(
-            f"power must be the integer 1 or 3 (odd, tabulated moments), got {power!r}")
 
     def tail(x):
         x_arr = np.asarray(x, dtype=float)
@@ -550,21 +535,19 @@ def make_log_power(gamma, power=3):
         return out.reshape(ell_arr.shape) if ell_arr.ndim else float(out[0])
 
     return SubordinatorModel(
-        name="log_power",
         phi=LaplaceExponent(eval_log=eval_log),
         tail=LevyTail(tail=tail, inverse_tail=inverse_tail, support_upper=1.0),
         levy_density=levy_density,
-        params={"gamma": gamma, "power": power},
     )
 
 
+# theta = 0 loses the monotone transform
+@declares("stable_nef", a=POSITIVE, theta=POSITIVE)
 def make_stable_nef(a, theta):
     """Exponential family over the positive stable laws, transform
     exp(-a[(theta+u)^t - theta^t]).  Limit CDF is the unit-shifted
     exponential 1 - exp(-a(x-1)) on x >= 1.
     """
-    # theta = 0 loses the monotone transform
-    POSITIVE.require(a=a, theta=theta)
     log_theta = math.log(theta)
 
     def psi_t_log(t, log_u):
@@ -580,31 +563,20 @@ def make_stable_nef(a, theta):
         return out if out.ndim else float(out)
 
     return GeneralFamily(
-        name="stable_nef",
         psi_t_log=psi_t_log,
         limit_cdf=limit_cdf,
-        params={"a": a, "theta": theta},
     )
 
 
-# name -> (factory, parameter schema) for the CLI
-CATALOG = {
-    "gamma": (make_gamma, {"gamma": "float > 0", "lam": "float > 0"}),
-    "stable": (make_stable, {"a": "float > 0", "alpha": "float in (0,1)"}),
-    "bessel": (make_bessel, {}),
-    "thorin_uniform": (make_thorin_uniform, {"gamma": "float > 0"}),
-    "weibull": (make_weibull, {"gamma": "float > 0"}),
-    "pareto_type": (make_pareto_type, {"a": "float > 0"}),
-    "fdist": (make_fdist, {"a": "float > 0", "b": "float > 0"}),
-    "half_cauchy": (make_half_cauchy, {}),
-    "dickman": (make_dickman, {"gamma": "float > 0"}),
-    "log_power": (make_log_power, {"gamma": "float > 0", "power": "1 or 3"}),
-}
+# name -> factory of each catalog model, and of each family
+CATALOG = {factory.model_name: factory for factory in (
+    make_gamma, make_stable, make_bessel, make_thorin_uniform, make_weibull, make_pareto_type,
+    make_fdist, make_half_cauchy, make_dickman, make_log_power)}
+FAMILIES = {make_stable_nef.model_name: make_stable_nef}
 
 
 def build_model(name, params=None):
     """Instantiate a catalog model by name; unknown names raise InvalidParameterError."""
     if name not in CATALOG:
         raise InvalidParameterError(f"unknown model {name!r}; known: {sorted(CATALOG)}")
-    factory, _ = CATALOG[name]
-    return factory(**(params or {}))
+    return CATALOG[name](**(params or {}))

@@ -49,7 +49,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import __version__, catalog, criteria, montecarlo, transforms
-from .core import ABOVE_ONE, NONNEGATIVE, OPEN_UNIT, POSITIVE, Check, integral
+from .core import ABOVE_ONE, NONNEGATIVE, OPEN_UNIT, POSITIVE, REQUIRED, TIMES, Check, integral
 from .criteria import CRITERIA
 from .dickman import (
     DEPTH, MAX_RECURSION_DEPTH, RHO_INTERVALS, dickman_density_norm, dickman_rho,
@@ -98,22 +98,20 @@ TRANSFORMS = {
 }
 TRANSFORM_GRAMMAR = " | ".join(
     f"{name}({', '.join(fields)})" for name, fields in TRANSFORMS.items())
-# the fields of a catalog leaf and of a family
-LEAF_FIELDS = ("name", "params")
 
 # the family_limit family when the entry names none
 STABLE_NEF = {"name": "stable_nef", "params": {"a": 1.0, "theta": 1.0}}
 
 
 @contextlib.contextmanager
-def _exit_rule(path, op, *, model_path=None, also=(), what=""):
+def _exit_rule(path, op, *, model_path=None, what=""):
     """The one exit rule for a library error raised inside a build or a run.
 
     NumericalFailure and MemoryError exit 3: ``run`` names the failing
     operation, ``op`` when the failure names none or an allocation failed.
-    Every other SubordlabError, and ``also``, exits 2 as a SchemaError at
-    ``path``, its message prefixed by ``what``; at ``model_path`` instead,
-    when given, unless it is an InvalidParameterError (a parameter's fault).
+    Every other SubordlabError exits 2 as a SchemaError at ``path``, its
+    message prefixed by ``what``; at ``model_path`` instead, when given,
+    unless it is an InvalidParameterError (a parameter's fault).
     """
     try:
         yield
@@ -123,7 +121,7 @@ def _exit_rule(path, op, *, model_path=None, also=(), what=""):
     except MemoryError as exc:
         # e.g. an n whose batch the machine cannot hold
         raise NumericalFailure(f"out of memory: {exc}", op=op) from exc
-    except (SubordlabError, *also) as exc:
+    except SubordlabError as exc:
         at = path if model_path is None or isinstance(exc, InvalidParameterError) else model_path
         raise SchemaError(at, f"{what}{exc}") from exc
 
@@ -133,12 +131,7 @@ def build_model_expr(expr, path="model"):
     if not isinstance(expr, dict):
         raise SchemaError(path, "model expression must be an object")
     if "name" in expr:
-        _no_unknown(expr, LEAF_FIELDS, path)
-        name = expr["name"]
-        if name not in catalog.CATALOG:
-            raise SchemaError(f"{path}.name", f"unknown model {name!r}")
-        with _exit_rule(f"{path}.params", path, also=(TypeError,)):
-            return catalog.build_model(name, expr.get("params", {}))
+        return catalog.build_model(*_leaf(expr, path, catalog.CATALOG))
     if "transform" not in expr:
         raise SchemaError(path, "expected either 'name' or 'transform'")
     kind = expr["transform"]
@@ -148,7 +141,7 @@ def build_model_expr(expr, path="model"):
     for field in TRANSFORMS[kind]:
         if field not in expr:
             raise SchemaError(path, f"transform {kind!r} missing field {field!r}")
-    with _exit_rule(path, path, also=(TypeError,), what=f"transform {kind!r}: "):
+    with _exit_rule(path, path, what=f"transform {kind!r}: "):
         if kind == "tilt":
             return transforms.tilt(build_model_expr(expr["of"], f"{path}.of"), expr["theta"])
         if kind == "add":
@@ -168,12 +161,14 @@ def build_model_expr(expr, path="model"):
 
 
 def _build_family(expr, path):
-    expr = STABLE_NEF if expr is None else expr
-    if not isinstance(expr, dict) or expr.get("name") != "stable_nef":
-        raise SchemaError(f"{path}.name", "only stable_nef is available")
-    _no_unknown(expr, LEAF_FIELDS, path)
-    with _exit_rule(f"{path}.params", path, also=(TypeError,)):
-        return catalog.make_stable_nef(**expr.get("params", {}))
+    _, params = _leaf(STABLE_NEF if expr is None else expr, path, catalog.FAMILIES)
+    return catalog.make_stable_nef(**params)
+
+
+def _leaf(expr, path, factories):
+    """(name, params) of a catalog leaf or family; params checked as its factory declares them."""
+    name = _fields(expr, {"name": (REQUIRED, _one_of(factories))}, path, others=("params",))["name"]
+    return name, _fields(expr.get("params", {}), factories[name].fields, f"{path}.params")
 
 
 # Field checks, besides the number rules of core.
@@ -187,8 +182,6 @@ SEED = Check(lambda v: int(v) == v >= 0, "an integer >= 0", int)
 # JSON's Infinity reaches here as a float; the numbers a run reads are finite
 NUMBER = Check(math.isfinite, "a finite number")
 UNIT = Check(lambda v: 0 <= v <= 1, "a number in [0, 1]")
-TIMES = Check(lambda v: isinstance(v, list) and len(v) > 0 and all(POSITIVE.valid(t) for t in v),
-              "a non-empty list of finite numbers > 0", tuple)
 GRID = Check(lambda v: isinstance(v, list) and len(v) > 0 and all(NUMBER.valid(x) for x in v),
              "a non-empty list of finite numbers")
 # written into --out, so no directory part
@@ -201,10 +194,6 @@ RECURSION_GAMMA = Check(
 Z = Check(lambda v: 0 <= v <= RHO_INTERVALS, f"a number in [0, {RHO_INTERVALS}]")
 Z_MAX = Check(lambda v: int(v) == v and 1 <= v <= RHO_INTERVALS,
               f"an integer in [1, {RHO_INTERVALS}]", int)
-
-# the default of a field that must be given; a field whose default is None
-# may be left out, and the handler then gets None
-REQUIRED = object()
 
 
 def _value(value, check, path):
@@ -544,7 +533,7 @@ def _draws(t_list, **more):
 
 
 _KS_MAX = {"ks_max": (None, NONNEGATIVE)}
-_GRIDS = {"t_grid": (None, GRID), "u_grid": (None, GRID)}
+_GRIDS = {"t_grid": (None, TIMES), "u_grid": (None, TIMES)}
 _L = ("neg_log", _one_of(L_FUNCTIONS))
 _TWO_DRAWN = (*_drawn("model", "t"), *_drawn("model2", "t"), _known_index(), _known_index("model2"))
 
@@ -729,13 +718,15 @@ def _listed(fields):
     }
 
 
+def _declared(factories):
+    return {name: {"params": _listed(factory.fields)} for name, factory in factories.items()}
+
+
 def list_catalog():
     """Inventory of models, transforms, criteria and experiment kinds."""
     return {
-        "models": {
-            name: {"params": schema} for name, (_, schema) in sorted(catalog.CATALOG.items())
-        },
-        "families": {"stable_nef": {"params": {"a": "float > 0", "theta": "float > 0"}}},
+        "models": _declared(catalog.CATALOG),
+        "families": _declared(catalog.FAMILIES),
         "transforms": TRANSFORM_GRAMMAR,
         "criteria": list(CRITERIA),
         "L_functions": sorted(L_FUNCTIONS),

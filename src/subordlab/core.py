@@ -18,8 +18,10 @@ functions; instances can be shared freely across threads.
 
 from __future__ import annotations
 
+import functools
+import inspect
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -33,6 +35,9 @@ __all__ = [
     "NONNEGATIVE",
     "ABOVE_ONE",
     "OPEN_UNIT",
+    "TIMES",
+    "REQUIRED",
+    "declares",
     "LaplaceExponent",
     "LevyTail",
     "SubordinatorModel",
@@ -88,6 +93,40 @@ POSITIVE = Check(lambda v: math.isfinite(v) and v > 0, "a finite number > 0")
 NONNEGATIVE = Check(lambda v: math.isfinite(v) and v >= 0, "a finite number >= 0")
 ABOVE_ONE = Check(lambda v: math.isfinite(v) and v > 1, "a finite number > 1")
 OPEN_UNIT = Check(lambda v: 0 < v < 1, "a number in (0, 1)")
+# a list of times, or of the u values of a grid; the CLI passes it on as a tuple
+TIMES = Check(lambda v: len(v) > 0 and all(POSITIVE.valid(t) for t in v),
+              "a non-empty list of finite numbers > 0", tuple)
+
+# the default of an argument or field that must be given
+REQUIRED = object()
+
+
+def declares(name, **rules):
+    """Decorator of a model factory: the model's name and a Check per argument.
+
+    The wrapper checks each argument (``Check.require``, in signature order)
+    before the factory runs, then sets the model's ``name`` and its ``params``,
+    the bound call with defaults.  ``model_name`` and ``fields``, each
+    argument's (default or REQUIRED, Check), stay on the factory.
+    """
+
+    def decorate(factory):
+        sig = inspect.signature(factory)
+
+        @functools.wraps(factory)
+        def wrapper(*args, **kwargs):
+            bound = sig.bind(*args, **kwargs)
+            bound.apply_defaults()
+            for arg, value in bound.arguments.items():
+                rules[arg].require(**{arg: value})
+            return replace(factory(*args, **kwargs), name=name, params=dict(bound.arguments))
+
+        wrapper.model_name = name
+        wrapper.fields = {arg: (REQUIRED if p.default is p.empty else p.default, rules[arg])
+                          for arg, p in sig.parameters.items()}
+        return wrapper
+
+    return decorate
 
 
 @dataclass(frozen=True)
@@ -103,7 +142,8 @@ class LaplaceExponent:
 
     def eval(self, s):
         s_arr = np.asarray(s, dtype=float)
-        if np.any(s_arr < 0):
+        # NaN fails this, as it fails every comparison
+        if not np.all(s_arr >= 0):
             raise InvalidParameterError("Laplace exponent argument must be >= 0")
         out = np.zeros_like(s_arr)
         pos = s_arr > 0
@@ -135,10 +175,11 @@ class SubordinatorModel:
     dispatch on availability.  ``log_sampler`` draws the marginal at
     time t as log(Y_t), so that neither the draw nor the downstream power
     transforms underflow.  ``known_gamma`` is the Pareto index of the
-    small-time limit when it is known in closed form.
+    small-time limit when it is known in closed form.  A catalog model
+    gets ``name`` and ``params`` from its factory's ``declares``.
     """
 
-    name: str
+    name: str = ""
     phi: Optional[LaplaceExponent] = None
     tail: Optional[LevyTail] = None
     cdf1: Optional[Callable] = None

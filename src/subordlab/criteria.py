@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LaplaceExponent, LevyTail, lst_from_cdf
+from .core import TIMES, LaplaceExponent, LevyTail, lst_from_cdf
 from .errors import DegenerateModelError, InvalidParameterError, NumericalFailure
 
 __all__ = [
@@ -267,15 +267,12 @@ def grid_deviations(at, target, t_grid, u_grid):
 
     ``at(t, ell)`` evaluates the t-indexed function at log-argument ell,
     so the probe u**(1/t) never has to be formed and arbitrarily small t
-    is fine; ``target`` holds its limit at the u of ``u_grid``.
+    is fine; ``target`` holds its limit at the u of ``u_grid``.  Both
+    grids must pass ``TIMES``: non-empty, every value finite and > 0.
     """
+    TIMES.require(t_grid=t_grid, u_grid=u_grid)
     t_arr = np.sort(np.asarray(t_grid, dtype=float))[::-1]
-    if np.any(t_arr <= 0):
-        raise InvalidParameterError("t grid must be positive")
-    u_arr = np.asarray(u_grid, dtype=float)
-    if np.any(u_arr <= 0):
-        raise InvalidParameterError("u grid must be positive")
-    log_u = np.log(u_arr)
+    log_u = np.log(np.asarray(u_grid, dtype=float))
     deviations = np.empty_like(t_arr)
     for k, t in enumerate(t_arr):
         deviations[k] = np.max(np.abs(np.asarray(at(t, log_u / t), dtype=float) - target))

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special as sc
 
-from .core import BLOCK, POSITIVE, Check, LaplaceExponent, LevyTail, SubordinatorModel
+from .core import BLOCK, POSITIVE, Check, LaplaceExponent, LevyTail, SubordinatorModel, declares
 from .errors import InvalidParameterError, OutOfRangeError
 
 __all__ = [
@@ -276,6 +276,7 @@ def _phi_log_factory(gamma):
     return eval_log
 
 
+@declares("dickman", gamma=POSITIVE)
 def make_dickman(gamma):
     """Subordinator with jump density gamma/x on (0, 1].
 
@@ -285,7 +286,6 @@ def make_dickman(gamma):
     t*gamma, run to recursion_depth(t*gamma) terms), and for gamma = 1
     the rho-based marginal density.
     """
-    POSITIVE.require(gamma=gamma)
 
     def tail(x):
         x_arr = np.asarray(x, dtype=float)
@@ -310,12 +310,10 @@ def make_dickman(gamma):
         density1 = dickman_density
 
     return SubordinatorModel(
-        name="dickman",
         phi=LaplaceExponent(eval_log=_phi_log_factory(gamma)),
         tail=LevyTail(tail=tail, inverse_tail=inverse_tail, support_upper=1.0),
         density1=density1,
         log_sampler=log_sampler,
         levy_density=levy_density,
         known_gamma=float(gamma),
-        params={"gamma": gamma},
     )

@@ -370,8 +370,29 @@ def test_build_model_unknown_name():
         catalog.build_model("no_such_model")
 
 
+@pytest.mark.parametrize(
+    "model,described",
+    [
+        (catalog.make_gamma(lam=2.0, gamma=1.0), "gamma(gamma=1.0,lam=2.0)"),
+        (catalog.make_stable(1.0, 0.5), "stable(a=1.0,alpha=0.5)"),
+        (catalog.make_bessel(), "bessel"),
+        (catalog.make_thorin_uniform(2.0), "thorin_uniform(gamma=2.0)"),
+        (catalog.make_weibull(2), "weibull(gamma=2)"),
+        (catalog.make_pareto_type(1.5), "pareto_type(a=1.5)"),
+        (catalog.make_fdist(2.0, 3.0), "fdist(a=2.0,b=3.0)"),
+        (catalog.make_half_cauchy(), "half_cauchy"),
+        (catalog.make_dickman(1.0), "dickman(gamma=1.0)"),
+        (catalog.make_log_power(0.1), "log_power(gamma=0.1,power=3)"),
+        (catalog.make_stable_nef(1.0, 2.0), "stable_nef(a=1.0,theta=2.0)"),
+    ],
+)
+def test_describe_names_the_declared_params(model, described):
+    assert model.describe() == described
+
+
 def test_catalog_lists_surfaces(all_known_gamma_models):
     for name in ("gamma", "dickman", "bessel"):
         assert name in catalog.CATALOG
-    _, schema = catalog.CATALOG["gamma"]
-    assert set(schema) == {"gamma", "lam"}
+    # each name is the one its factory declares
+    assert all(factory.model_name == name for name, factory in catalog.CATALOG.items())
+    assert set(catalog.CATALOG["gamma"].fields) == {"gamma", "lam"}

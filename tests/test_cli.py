@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from scipy import special as sc
 
-from subordlab import catalog, cli, criteria, dickman, montecarlo, simulate
+from subordlab import catalog, cli, core, criteria, dickman, montecarlo, simulate
 from subordlab.dickman import MAX_RECURSION_DEPTH
 
 GAMMA = {"name": "gamma", "params": {"gamma": 1.0, "lam": 1.0}}
@@ -350,10 +350,10 @@ class TestParameterValidation:
             # ran on and exited 1
             pytest.param({"kind": "criterion",
                           "model": {"name": "dickman", "params": {"gamma": float("inf")}}},
-                         "model.params", id="dickman-gamma-inf"),
+                         "model.params.gamma", id="dickman-gamma-inf"),
             pytest.param({"kind": "criterion",
                           "model": {"name": "dickman", "params": {"gamma": float("nan")}}},
-                         "model.params", id="dickman-gamma-nan"),
+                         "model.params.gamma", id="dickman-gamma-nan"),
             # exited 0: phi.eval(NaN) reads 0
             pytest.param({"kind": "criterion",
                           "model": {"transform": "tilt", "theta": float("nan"), "of": GAMMA}},
@@ -367,15 +367,15 @@ class TestParameterValidation:
             # exited 1
             pytest.param({"kind": "family_limit", "family": {
                               "name": "stable_nef", "params": {"a": 1.0, "theta": float("inf")}}},
-                         "family.params", id="stable_nef-theta-inf"),
+                         "family.params.theta", id="stable_nef-theta-inf"),
             # accepted as power=1 and described as power=True
             pytest.param({"kind": "criterion",
                           "model": {"name": "log_power", "params": {"gamma": 0.1, "power": True}}},
-                         "model.params", id="log_power-power-true"),
+                         "model.params.power", id="log_power-power-true"),
             # exited 2 with Python's "'float' object cannot be interpreted as an integer"
             pytest.param({"kind": "criterion",
                           "model": {"name": "log_power", "params": {"gamma": 0.1, "power": 3.0}}},
-                         "model.params", id="log_power-power-float"),
+                         "model.params.power", id="log_power-power-float"),
         ],
     )
     def test_model_expression_number_must_be_finite(self, tmp_path, capsys, entry, path):
@@ -470,11 +470,26 @@ def assert_exits_two_at(tmp_path, capsys, sampler_calls, entry, path):
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith(f"config error at experiments[1].{path}:"), err
     assert sampler_calls == []
+    return err[0]
 
 
 # a valid value of each required field, so that a test can make any one other field bad
 VALID_REQUIRED = {"a": 2.0, "b": 4.0, "q": 0.3, "gamma": 1.0, "z": 2.0,
                   "expected_gamma": 1.0, "expected": 0.3}
+
+
+# a valid value of each model and family parameter
+VALID_PARAMS = {"gamma": 1.0, "lam": 1.0, "a": 1.0, "alpha": 0.5, "b": 1.0, "theta": 1.0,
+                "power": 3}
+# the entry key of a catalog model and of a family, with a kind that builds it
+LEAVES = {"model": ("criterion", catalog.CATALOG), "family": ("family_limit", catalog.FAMILIES)}
+
+
+def model_parameters():
+    for key, (_, factories) in LEAVES.items():
+        for name, factory in factories.items():
+            for arg in factory.fields:
+                yield key, name, arg
 
 
 def table_fields():
@@ -527,6 +542,10 @@ class TestExperimentTable:
             ({"kind": "s2", "model": GAMMA, "params": {"u_grid": []}}, "params.u_grid"),
             ({"kind": "family_limit", "params": {"t_grid": []}}, "params.t_grid"),
             ({"kind": "family_limit", "params": {"u_grid": []}}, "params.u_grid"),
+            # these exited 2 naming only params, after the earlier entries sampled
+            ({"kind": "s2", "model": GAMMA, "params": {"t_grid": [-1.0]}}, "params.t_grid"),
+            ({"kind": "s2", "model": GAMMA, "params": {"u_grid": [2.0, 0.0]}}, "params.u_grid"),
+            ({"kind": "family_limit", "params": {"u_grid": [2.0, -1.0]}}, "params.u_grid"),
         ],
     )
     def test_malformed_field_exits_two_before_any_draw(
@@ -545,6 +564,55 @@ class TestExperimentTable:
                     entry[g][f] = VALID_REQUIRED[f]
         entry[group][field] = "x"
         assert_exits_two_at(tmp_path, capsys, sampler_calls, entry, f"{group}.{field}")
+
+    @pytest.mark.parametrize("key,name,arg", list(model_parameters()))
+    def test_every_model_parameter_is_checked(
+        self, tmp_path, capsys, sampler_calls, key, name, arg
+    ):
+        kind, factories = LEAVES[key]
+        params = {a: VALID_PARAMS[a] for a in factories[name].fields}
+        entry = {"kind": kind, key: {"name": name, "params": {**params, arg: "x"}}}
+        assert_exits_two_at(tmp_path, capsys, sampler_calls, entry, f"{key}.params.{arg}")
+
+    @pytest.mark.parametrize(
+        "key,name,params,message",
+        [
+            # each exited 2 at .params in Python's words: "make_gamma() got an
+            # unexpected keyword argument 'foo'", "make_gamma() missing 1 required
+            # positional argument: 'lam'", "... argument after ** must be a mapping,
+            # not list"; a null param was refused as "gamma must be ..., got None"
+            ("model", "gamma", {"gamma": 1.0, "lam": 1.0, "foo": 1.0},
+             "params.foo: unknown field; known: ['gamma', 'lam']"),
+            ("model", "gamma", {"gamma": 1.0}, "params.lam: must be a finite number > 0, got nothing"),
+            ("model", "gamma", [1, 2], "params: must be an object"),
+            ("model", "gamma", {"gamma": None, "lam": 1.0},
+             "params.gamma: must be a finite number > 0, got nothing"),
+            ("family", "stable_nef", {"a": 1.0, "theta": 1.0, "foo": 1.0},
+             "params.foo: unknown field; known: ['a', 'theta']"),
+            ("family", "stable_nef", {"a": 1.0},
+             "params.theta: must be a finite number > 0, got nothing"),
+            ("family", "stable_nef", [1, 2], "params: must be an object"),
+            ("family", "stable_nef", {"a": None, "theta": 1.0},
+             "params.a: must be a finite number > 0, got nothing"),
+        ],
+        ids=[f"{key}-{probe}" for key in ("model", "family")
+             for probe in ("unknown", "missing", "list", "null")],
+    )
+    def test_malformed_model_params_exit_two_naming_the_param(
+        self, tmp_path, capsys, sampler_calls, key, name, params, message
+    ):
+        entry = {"kind": LEAVES[key][0], key: {"name": name, "params": params}}
+        path = f"{key}.{message.split(':')[0]}"
+        err = assert_exits_two_at(tmp_path, capsys, sampler_calls, entry, path)
+        assert err == f"config error at experiments[1].{key}.{message}"
+        for python in ("unexpected keyword", "required positional", "argument after"):
+            assert python not in err
+
+    def test_null_model_param_takes_its_default(self):
+        model = {"name": "log_power", "params": {"gamma": 0.1, "power": None}}
+        [(_, _, _, models)] = cli.validate_config(
+            {"experiments": [{"kind": "criterion", "model": model}]})
+        assert models["model"].describe() == "log_power(gamma=0.1,power=3)"
 
     @pytest.mark.parametrize(
         "entry,path",
@@ -576,24 +644,6 @@ class TestExperimentTable:
         # a misspelt assertion used to drop its gate silently
         assert_exits_two_at(tmp_path, capsys, sampler_calls, entry, path)
 
-    def test_library_parameter_error_names_params(self, tmp_path, capsys):
-        entry = {"kind": "s2", "model": GAMMA, "params": {"t_grid": [-1.0]}}
-        cfg = write_config(tmp_path, {"experiments": [entry]})
-        assert cli.main(["--config", cfg, "--out", str(tmp_path)]) == 2
-        err = capsys.readouterr().err.strip().splitlines()
-        assert err == ["config error at experiments[0].params: t grid must be positive"]
-
-    @pytest.mark.parametrize(
-        "entry,u", [({"kind": "s2", "model": GAMMA}, 0.0), ({"kind": "family_limit"}, -1.0)])
-    def test_nonpositive_u_exits_two(self, tmp_path, capsys, entry, u):
-        # log(u) was -inf or NaN: u = 0 passed past a RuntimeWarning, and u < 0
-        # exited 1 with a NaN statistic written into report.json
-        entry = {**entry, "params": {"u_grid": [2.0, u]}}
-        cfg = write_config(tmp_path, {"experiments": [entry]})
-        assert cli.main(["--config", cfg, "--out", str(tmp_path)]) == 2
-        err = capsys.readouterr().err.strip().splitlines()
-        assert err == ["config error at experiments[0].params: u grid must be positive"]
-
     @pytest.mark.parametrize(
         "payload,env,path",
         [
@@ -620,13 +670,17 @@ class TestExperimentTable:
         assert capsys.readouterr().err.startswith("config error at experiments[0].model:")
 
     @pytest.mark.parametrize(
-        "params", [{"a": 1.0}, {"a": 1.0, "theta": 1.0, "b": 2.0}, {"a": 1.0, "theta": -1.0}]
+        "params,field",
+        [({"a": 1.0}, "theta"), ({"a": 1.0, "theta": 1.0, "b": 2.0}, "b"),
+         ({"a": 1.0, "theta": -1.0}, "theta")],
+        ids=["params0", "params1", "params2"],
     )
-    def test_family_params_rejected_by_the_family_exit_two(self, tmp_path, capsys, params):
+    def test_family_params_rejected_by_the_family_exit_two(self, tmp_path, capsys, params, field):
         entry = {"kind": "family_limit", "family": {"name": "stable_nef", "params": params}}
         cfg = write_config(tmp_path, {"experiments": [entry]})
         assert cli.main(["--config", cfg, "--out", str(tmp_path)]) == 2
-        assert capsys.readouterr().err.startswith("config error at experiments[0].family.params:")
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error at experiments[0].family.params.{field}:"), err
 
     def test_list_derives_kinds_from_the_table(self):
         listed = cli.list_catalog()
@@ -970,13 +1024,13 @@ class TestNumericalFailureExit:
         # an exact sampler never draws y = 0; support now checks it like pareto_limit
         stub = replace(catalog.make_gamma(1.0, 1.0),
                        log_sampler=lambda t, n, rng: np.full(n, -np.inf))
-        monkeypatch.setitem(catalog.CATALOG, "stub", (lambda: stub, {}))
+        monkeypatch.setitem(catalog.CATALOG, "stub", core.declares("stub")(lambda: stub))
         entry = {"kind": "support", "model": {"name": "stub"}, "params": {"n": 100}}
         cfg = write_config(tmp_path, {"experiments": [FIRST, entry]})
         assert cli.main(["--config", cfg, "--out", str(tmp_path)]) == 3
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("numerical failure in experiments[1]:"), err
-        assert "exact sampler of gamma" in err[0]
+        assert "exact sampler of stub" in err[0]
 
     def test_batch_past_the_address_space_exits_three(self, tmp_path, capsys):
         # 10**15 floats (7.1 PiB) exceed any address space, so the allocation
@@ -994,6 +1048,13 @@ def test_bundled_acceptance_config_exists():
     with open(path) as fh:
         payload = json.load(fh)
     assert payload["experiments"]
+
+
+def test_readme_config_is_valid():
+    root = os.path.join(os.path.dirname(__file__), "..")
+    with open(os.path.join(root, "README.md")) as fh:
+        config = json.loads(fh.read().split("```json\n", 1)[1].split("```", 1)[0])
+    assert len(cli.validate_config(config)) == len(config["experiments"])
 
 
 def test_readme_example_runs():

@@ -326,6 +326,12 @@ class TestLaplaceExponentInvariants:
         with pytest.raises(InvalidParameterError):
             gamma11.phi.eval(-1.0)
 
+    @pytest.mark.parametrize("s", [math.nan, [1.0, math.nan]], ids=["scalar", "array"])
+    def test_nan_argument_rejected(self, gamma11, s):
+        # NaN read as s = 0, and eval returned 0
+        with pytest.raises(InvalidParameterError):
+            gamma11.phi.eval(s)
+
 
 class TestLevyTailInvariants:
     def test_tail_nonincreasing_and_vanishing(self, all_known_gamma_models):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from subordlab import catalog, criteria
+from subordlab import catalog, criteria, montecarlo
 from subordlab.core import LaplaceExponent, LevyTail, pareto_cdf
 from subordlab.dickman import make_dickman
 from subordlab.errors import DegenerateModelError, InvalidParameterError, NumericalFailure
@@ -160,6 +160,17 @@ class TestS2:
         null = LaplaceExponent(eval_log=lambda ell: np.zeros_like(np.asarray(ell, dtype=float)))
         with pytest.raises(DegenerateModelError):
             criteria.check_s2(null, lambda u: pareto_cdf(1.0, u))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    @pytest.mark.parametrize("grid", ["t_grid", "u_grid"])
+    def test_grid_value_not_finite_and_positive_rejected(self, grid, bad):
+        # NaN passed, and the deviation read NaN
+        grids = {"t_grid": [0.01], "u_grid": [2.0], grid: [bad, 0.5]}
+        message = f"{grid} must be a non-empty list of finite numbers > 0, got "
+        with pytest.raises(InvalidParameterError, match=f"^{message}"):
+            criteria.grid_deviations(lambda t, ell: ell, 0.0, **grids)
+        with pytest.raises(InvalidParameterError, match=f"^{message}"):
+            montecarlo.check_family_limit(catalog.make_stable_nef(1.0, 1.0), **grids)
 
 
 class TestGeneralized:

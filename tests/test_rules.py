@@ -68,6 +68,30 @@ def test_non_finite_argument_refused_before_any_draw(monkeypatch, arg, call, val
     assert rng.bit_generator.state == before
 
 
+# a valid value of each declared factory argument, so that a test can make any one other bad
+VALID_PARAMS = {"gamma": 1.0, "lam": 1.0, "a": 1.0, "alpha": 0.5, "b": 1.0, "theta": 1.0,
+                "power": 3}
+
+
+def declared_arguments():
+    listed = cli.list_catalog()
+    for group, factories in (("models", catalog.CATALOG), ("families", catalog.FAMILIES)):
+        for name, factory in factories.items():
+            for arg, field in listed[group][name]["params"].items():
+                yield pytest.param(factory, arg, field["requirement"], id=f"{name}-{arg}")
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, "x"],
+                         ids=["nan", "inf", "-inf", "x"])
+@pytest.mark.parametrize("factory,arg,requirement", list(declared_arguments()))
+def test_every_declared_argument_is_checked(factory, arg, requirement, value):
+    args = {name: VALID_PARAMS[name] for name in factory.fields}
+    factory(**args)
+    with pytest.raises(InvalidParameterError) as exc:
+        factory(**{**args, arg: value})
+    assert str(exc.value) == f"{arg} must be {requirement}, got {value!r}"
+
+
 def test_require_names_the_first_value_that_fails():
     POSITIVE.require(a=1.0, b=2)
     with pytest.raises(InvalidParameterError, match=r"^b must be a finite number > 0, got nan$"):
