@@ -24,14 +24,16 @@ Model expressions nest transforms over catalog leaves::
     {"transform": "drift", "c": 1.0, "of": <expr>}
 
 Each experiment kind is one entry of ``KINDS``: its fields with their
-defaults and checks, its models and what they must offer, and its
-handler.  Every entry of a config is checked against that table before
-any entry runs; ``--list`` prints it.
+defaults and checks, its models and what they must offer, its handler,
+and its gates, from which an entry's ``pass`` is read.  Every entry of a
+config is checked against that table before any entry runs; ``--list``
+prints it.
 
-Exit codes: 0 when every assertion passes, 2 on a config/schema error
-(with the offending field named), 3 on a numerical failure (with the
-failing operation named).  Reports rerun byte-identically for a fixed
-seed, except for the timestamp field.
+Exit codes: 0 when every assertion passes, 1 when the config ran and at
+least one gate failed, 2 on a config/schema error (with the offending
+field named), 3 on a numerical failure (with the failing operation
+named).  Reports rerun byte-identically for a fixed seed, except for the
+timestamp field.
 """
 
 from __future__ import annotations
@@ -39,11 +41,13 @@ from __future__ import annotations
 import argparse
 import contextlib
 import datetime
+import inspect
 import json
 import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -58,7 +62,7 @@ from .dickman import (
 from .errors import InvalidParameterError, NumericalFailure, SubordlabError
 from .simulate import can_sample, sample_cutoff_cp, sample_marginal, substream
 
-__all__ = ["main", "run", "list_catalog", "SchemaError", "KINDS"]
+__all__ = ["main", "run", "list_catalog", "margins", "SchemaError", "KINDS"]
 
 ENV_SEED = "SUBORDLAB_SEED"
 
@@ -321,23 +325,32 @@ _BELOW_DELTA0 = Need(
             f"got {v['cutoff']!r}"))
 
 
-# Handlers.  handler(values, models, seed) returns the result's fields; the
-# runner adds "experiment" and "params".
+# Handlers.  handler(values, models, seed) returns the result's statistics;
+# the runner adds "experiment", "params", "threshold" (the first gate's,
+# unless the handler reports its own) and "pass".
 
-def _result(model, statistic, threshold, ok, **more):
-    return {"model": model, "statistic": statistic, "threshold": threshold, "pass": bool(ok), **more}
-
-
-def _ks_result(report, threshold, ok=True, **more):
-    """The result of a KS report, gated by threshold (when given) and ok."""
-    ks = report.ks_statistic
-    return _result(report.model, ks, threshold, ok and (threshold is None or ks <= threshold),
-                   t=report.t, n=report.n, target=report.target, **more)
+def _ks(report, **more):
+    return {"model": report.model, "statistic": report.ks_statistic, "t": report.t,
+            "n": report.n, "target": report.target, **more}
 
 
-def _deviation_result(model, report, threshold):
-    return _result(model.describe(), report.final, threshold, report.final <= threshold,
-                   deviations=[float(d) for d in report.deviations])
+def _deviations(model, report):
+    return {"model": model.describe(), "statistic": report.final,
+            "deviations": [float(d) for d in report.deviations]}
+
+
+def _call(name, v, m, seed, **given):
+    """montecarlo.<name>, looked up at call time, on the models and seed.
+
+    Each other argument it names is the field of that name, unless given.
+    """
+    experiment = getattr(montecarlo, name)
+    fields = {key: v[key] for key in inspect.signature(experiment).parameters if key in v}
+    return experiment(*m.values(), **{**fields, "seed": seed, **given})
+
+
+def _ks_of(name, v, m, seed):
+    return _ks(_call(name, v, m, seed))
 
 
 def _criterion(v, m, seed):
@@ -345,111 +358,76 @@ def _criterion(v, m, seed):
     surface, name = CRITERIA[which]
     L = (L_FUNCTIONS[v["L"]],) if which == "GL" else ()
     est = getattr(criteria, name)(getattr(model, surface), *L, v["grid"])
-    ok = True
-    if v["expected_gamma"] is not None:
-        tol = 0.02 if v["tol"] is None else v["tol"]
-        ok = est.verdict == "converged" and abs(est.gamma_hat - v["expected_gamma"]) <= tol
-    if v["verdict"] is not None:
-        ok = ok and est.verdict == v["verdict"]
-    return {"model": model.describe(), "threshold": v["tol"], "pass": bool(ok), **est.to_dict()}
+    return {"model": model.describe(), **est.to_dict()}
 
 
 def _converged(model):
     ests = criteria.estimate_all(model)
-    return {c: e.gamma_hat for c, e in ests.items() if e.verdict == "converged"}
+    return {c: float(e.gamma_hat) for c, e in ests.items() if e.verdict == "converged"}
+
+
+def _worst(estimates, expected):
+    """The largest |estimate - expected|; inf when there is none."""
+    return max((abs(g - expected) for g in estimates.values()), default=math.inf)
 
 
 def _criteria_recovery(v, m, seed):
-    expected, tol = v["expected_gamma"], v["tol"]
     found = _converged(m["model"])
-    worst = max((abs(g - expected) for g in found.values()), default=np.inf)
-    return _result(m["model"].describe(), worst if np.isfinite(worst) else None, tol,
-                   bool(found) and worst <= tol, target=expected,
-                   estimates={c: float(g) for c, g in sorted(found.items())})
+    worst = _worst(found, v["expected_gamma"])
+    return {"model": m["model"].describe(), "statistic": worst if math.isfinite(worst) else None,
+            "target": v["expected_gamma"], "estimates": dict(sorted(found.items()))}
 
 
 def _equivalence(v, m, seed):
     found = _converged(m["model"])
     spread = max((abs(a - b) for a in found.values() for b in found.values()), default=0.0)
-    return _result(m["model"].describe(), spread, v["pairwise_tol"], spread <= v["pairwise_tol"],
-                   estimates={c: float(g) for c, g in found.items()})
+    return {"model": m["model"].describe(), "statistic": spread, "estimates": found}
 
 
 def _sandwich(v, m, seed):
     # psi comes from phi when the model has it, else from quadrature of cdf1
     model = m["model"]
     check = getattr(criteria, f"check_sandwich_{v['which']}")
-    violations = check(model.cdf1, model.phi, tol=v["tol"])
-    return _result(model.describe(), len(violations), 0, not violations)
+    return {"model": model.describe(), "statistic": len(check(model.cdf1, model.phi, tol=v["tol"]))}
 
 
 def _s2(v, m, seed):
     model = m["model"]
     law = montecarlo.ParetoLaw(model.known_gamma if v["gamma"] is None else v["gamma"])
-    report = criteria.check_s2(model.phi, law.cdf, v["t_grid"], v["u_grid"])
-    return _deviation_result(model, report, v["max_dev"])
+    return _deviations(model, criteria.check_s2(model.phi, law.cdf, v["t_grid"], v["u_grid"]))
 
 
 def _pareto_limit(v, m, seed):
-    reports = montecarlo.experiment_pareto_limit(
-        m["model"], v["t_list"], v["n"], seed, cutoff=v["cutoff"], gamma=v["gamma"], csv=v["csv"])
-    final = reports[-1]
-    ok = v["ks_min"] is None or final.ks_statistic >= v["ks_min"]
-    if v["trend_slack"] is not None:
-        # trend is checked above the sampling resolution: values at the
-        # 1/sqrt(n) noise floor carry no evidence either way
-        floor = montecarlo.ks_critical_value(v["n"], 0.01)
-        ks = [r.ks_statistic for r in reports]
-        ok = ok and all(
-            ks[i + 1] <= ks[i] * (1.0 + v["trend_slack"]) + floor for i in range(len(ks) - 1)
-        )
-    return _ks_result(final, v["ks_max"], ok, ks_by_t={str(r.t): r.ks_statistic for r in reports})
+    reports = _call("experiment_pareto_limit", v, m, seed)
+    return _ks(reports[-1], ks_by_t={str(r.t): r.ks_statistic for r in reports})
 
 
 def _general_limit(v, m, seed):
-    reports = montecarlo.experiment_general_limit(
-        m["model"], L_FUNCTIONS[v["L"]], v["gamma"], v["t_list"], v["n"], seed, cutoff=v["cutoff"])
-    return _ks_result(reports[-1], v["ks_max"])
-
-
-def _ks_experiment(name, *fields):
-    """Handler of montecarlo.<name>(models..., fields..., t, n, seed, cutoff=...)."""
-
-    def handler(v, m, seed):
-        experiment = getattr(montecarlo, name)
-        args = (*m.values(), *(v[field] for field in fields), v["t"], v["n"], seed)
-        return _ks_result(experiment(*args, cutoff=v["cutoff"]), v["ks_max"])
-
-    return handler
+    return _ks(_call("experiment_general_limit", v, m, seed, L=L_FUNCTIONS[v["L"]])[-1])
 
 
 def _mixture(v, m, seed):
-    report, jump = montecarlo.experiment_mixture(
-        m["model"], v["q"], v["t"], v["n"], seed, cutoff=v["cutoff"])
-    ok = v["jump_tol"] is None or abs(jump - (1.0 - v["q"])) <= v["jump_tol"]
-    return _ks_result(report, v["ks_max"], ok, jump_at_one=jump)
+    report, jump = _call("experiment_mixture", v, m, seed)
+    return _ks(report, jump_at_one=jump)
 
 
 def _drift(v, m, seed):
-    report = montecarlo.experiment_drift(
-        m["model"], v["c"], v["t"], v["n"], seed, cutoff=v["cutoff"], window=v["window"])
-    fraction, threshold = report.fraction_within, v["min_fraction"]
-    return _result(report.model, fraction, threshold, fraction >= threshold, t=report.t, n=report.n)
+    report = _call("experiment_drift", v, m, seed)
+    return {"model": report.model, "statistic": report.fraction_within, "t": report.t,
+            "n": report.n}
 
 
 def _support(v, m, seed):
     model, t, n = m["model"], v["t"], v["n"]
     log_s = sample_marginal(model, t, n, substream(seed, 0), cutoff=v["cutoff"])
     fraction = montecarlo.support_check(montecarlo.neg_t_power_ecdf(model, t, log_s), v["delta"])
-    return _result(model.describe(), fraction, v["max_fraction"], fraction <= v["max_fraction"],
-                   t=t, n=n)
+    return {"model": model.describe(), "statistic": fraction, "t": t, "n": n}
 
 
 def _ergodic(v, m, seed):
     model = m["model"]
     f, delta0 = FUNCTIONALS[v["functional"]]
-    est = montecarlo.estimate_ergodic_functional(
-        model, f, delta0, v["t"], v["n"], seed, cutoff=v["cutoff"])
+    est = _call("estimate_ergodic_functional", v, m, seed, f=f, delta0=delta0)
     upper = model.tail.support_upper if model.tail is not None else np.inf
     # over the whole support; QAGI's map of [delta0, inf) alone is coarser near
     # delta0 (it moved gamma(1, 1)'s target by 2.4e-12 relative), so it only
@@ -458,34 +436,32 @@ def _ergodic(v, m, seed):
         lambda x: float(f(x)) * float(model.levy_density(x)),
         [delta0, upper] if np.isfinite(upper) else [delta0, 100.0, np.inf], op="ergodic_target",
     )
-    rel_err = abs(est.value - target) / abs(target)
-    return _result(model.describe(), est.value, v["rel_tol"], rel_err <= v["rel_tol"],
-                   t=est.t, n=est.n, stderr=est.stderr, target=target)
+    return {"model": model.describe(), "statistic": est.value, "t": est.t, "n": est.n,
+            "stderr": est.stderr, "target": target}
 
 
 def _family_limit(v, m, seed):
-    report = montecarlo.check_family_limit(m["family"], v["t_grid"], v["u_grid"])
-    return _deviation_result(m["family"], report, v["max_dev"])
+    family = m["family"]
+    return _deviations(family, montecarlo.check_family_limit(family, v["t_grid"], v["u_grid"]))
 
 
 def _dickman_rho(v, m, seed):
-    value, expected, tol = float(dickman_rho(v["z"])), v["expected"], v["tol"]
-    return _result("dickman_rho", value, tol, abs(value - expected) <= tol, target=expected)
+    return {"model": "dickman_rho", "statistic": float(dickman_rho(v["z"])),
+            "target": v["expected"]}
 
 
 def _dickman_density_norm(v, m, seed):
-    total = dickman_density_norm(v["z_max"])
-    return _result("dickman_density", total, v["tol"], abs(total - 1.0) <= v["tol"], target=1.0)
+    return {"model": "dickman_density", "statistic": dickman_density_norm(v["z_max"]),
+            "target": 1.0}
 
 
 def _recursion_mean(v, m, seed):
-    gamma, n, mult = v["gamma"], v["n"], v["sigma_mult"]
+    gamma, n = v["gamma"], v["n"]
     depth = recursion_depth(gamma) if v["depth"] is None else v["depth"]
     samples = sample_dickman_recursion(gamma, depth, substream(seed, 0), n)
     mean, std = montecarlo.mean_std_in_place(np.exp(samples, out=samples))
-    mean, stderr = float(mean), float(std / np.sqrt(n))
-    return _result(f"dickman_recursion(gamma={gamma:g})", mean, mult,
-                   abs(mean - gamma) <= mult * stderr, n=n, stderr=stderr, target=gamma)
+    return {"model": f"dickman_recursion(gamma={gamma:g})", "statistic": float(mean), "n": n,
+            "stderr": float(std / np.sqrt(n)), "target": gamma}
 
 
 def _two_sampler_ks(v, m, seed):
@@ -496,9 +472,78 @@ def _two_sampler_ks(v, m, seed):
     # the recursion draws log values; KS is invariant under the monotone log
     with np.errstate(divide="ignore"):
         np.log(cp, out=cp)
-    stat = montecarlo.two_sample_ks(rec, cp)
-    crit = montecarlo.two_sample_ks_critical_value(n, n, v["level"])
-    return _result(f"dickman(gamma={gamma:g})", stat, crit, stat <= crit, n=n)
+    return {"model": f"dickman(gamma={gamma:g})", "statistic": montecarlo.two_sample_ks(rec, cp),
+            "threshold": montecarlo.two_sample_ks_critical_value(n, n, v["level"]), "n": n}
+
+
+# Gates.  A gate compares one statistic of the handler's result with a
+# threshold.  Its margin is >= 0 when it holds, in the units of the compared
+# quantity (0.0 or -inf for a categorical gate, -inf for a null statistic);
+# an entry passes when every margin of its gates is.
+
+class Side(NamedTuple):
+    """How a gate compares: margin(statistic, threshold, values, result).
+
+    ``text`` is what --list prints; ``fields`` are the fields it reads
+    besides the threshold, and a null one skips the gate.
+    """
+
+    text: str
+    margin: Callable
+    fields: tuple = ()
+
+
+AT_MOST = Side("<=", lambda s, b, v, r: b - s)
+AT_LEAST = Side(">=", lambda s, b, v, r: s - b)
+
+
+def _within(field):
+    """|statistic - field| <= threshold."""
+    return Side(f"|statistic - {field}| <=", lambda s, b, v, r: b - abs(s - v[field]), (field,))
+
+
+def _holds(text, holds):
+    """A categorical side: 0.0 when holds(statistic, threshold, values), else -inf."""
+    return Side(text, lambda s, b, v, r: 0.0 if holds(s, b, v) else -math.inf)
+
+
+def _trend(ks_by_t, slack, v):
+    # the floor c(1%)/sqrt(n): values at the noise floor carry no evidence either way
+    ks, floor = list(ks_by_t.values()), montecarlo.ks_critical_value(v["n"], 0.01)
+    return all(b <= a * (1.0 + slack) + floor for a, b in zip(ks, ks[1:]))
+
+
+class Gate(NamedTuple):
+    """The result's ``statistic`` against ``threshold``, an assertion field or a number.
+
+    A null threshold field, or a null field its side reads, skips the gate
+    (a categorical gate's threshold field only switches it on).
+    """
+
+    name: str
+    statistic: str
+    side: Side
+    threshold: object
+
+    def bound(self, values):
+        return values.get(self.threshold, self.threshold)
+
+
+def _gate(field, side=AT_MOST):
+    """The gate named after its threshold field, on the result's statistic."""
+    return Gate(field, "statistic", side, field)
+
+
+def margins(checked, result):
+    """{name: margin} of each gate of a validate_config entry that applies, on its result."""
+    _, kind, values, _ = checked
+    out = {}
+    for gate in kind.gates:
+        bound, stat = gate.bound(values), result[gate.statistic]
+        if bound is not None and all(values[f] is not None for f in gate.side.fields):
+            out[gate.name] = (-math.inf if stat is None
+                              else gate.side.margin(stat, bound, values, result))
+    return out
 
 
 # The experiment table.
@@ -509,11 +554,14 @@ class Kind(NamedTuple):
     ``params`` and ``assertions`` map each field to (default, Check); the
     default is ``REQUIRED``, None (the field may be left out) or a value.
     ``models`` are the entry keys built into models (``family`` defaults to
-    ``STABLE_NEF``); ``needs`` are checked on them.  A kind with ``csv``
-    accepts an entry field ``csv``, which the handler gets as an output path.
+    ``STABLE_NEF``); ``needs`` are checked on them.  ``gates`` decide
+    ``pass``; the first gate's threshold is the result's ``threshold``
+    unless the handler reports one.  A kind with ``csv`` accepts an entry
+    field ``csv``, which the handler gets as an output path.
     """
 
     handler: Callable
+    gates: tuple
     params: dict = {}
     assertions: dict = {}
     models: tuple = ("model",)
@@ -533,74 +581,104 @@ def _draws(t_list, **more):
 
 
 _KS_MAX = {"ks_max": (None, NONNEGATIVE)}
+_KS_GATE = (_gate("ks_max"),)
 _GRIDS = {"t_grid": (None, TIMES), "u_grid": (None, TIMES)}
 _L = ("neg_log", _one_of(L_FUNCTIONS))
 _TWO_DRAWN = (*_drawn("model", "t"), *_drawn("model2", "t"), _known_index(), _known_index("model2"))
 
 KINDS = {
     "criterion": Kind(
-        _criterion, params={"criterion": ("S5", _one_of(CRITERIA)), "L": _L, "grid": (None, GRID)},
-        assertions={"expected_gamma": (None, POSITIVE), "tol": (None, NONNEGATIVE),
+        _criterion,
+        (Gate("gamma", "gamma_hat", _within("expected_gamma"), "tol"),
+         Gate("converged", "verdict", _holds("== 'converged'", lambda s, b, v: s == "converged"),
+              "expected_gamma"),
+         Gate("verdict", "verdict", _holds("== threshold", lambda s, b, v: s == b), "verdict")),
+        params={"criterion": ("S5", _one_of(CRITERIA)), "L": _L, "grid": (None, GRID)},
+        assertions={"expected_gamma": (None, POSITIVE), "tol": (0.02, NONNEGATIVE),
                     "verdict": (None, _one_of(criteria.VERDICTS))},
         needs=(_CRITERION_SURFACE, _CRITERION_GRID)),
     "criteria_recovery": Kind(
         _criteria_recovery,
+        (Gate("tol", "estimates", Side(
+            "each |estimate - expected_gamma| <=",
+            lambda s, b, v, r: b - _worst(s, v["expected_gamma"]), ("expected_gamma",)), "tol"),),
         assertions={"expected_gamma": (REQUIRED, POSITIVE), "tol": (0.02, NONNEGATIVE)}),
-    "equivalence": Kind(_equivalence, assertions={"pairwise_tol": (0.05, NONNEGATIVE)}),
+    "equivalence": Kind(
+        _equivalence, (_gate("pairwise_tol"),), assertions={"pairwise_tol": (0.05, NONNEGATIVE)}),
     "sandwich": Kind(
-        _sandwich, params={"which": ("ol", _one_of(("ol", "ol2"))), "tol": (1e-9, NONNEGATIVE)},
+        _sandwich, (Gate("violations", "statistic", AT_MOST, 0),),
+        params={"which": ("ol", _one_of(("ol", "ol2"))), "tol": (1e-9, NONNEGATIVE)},
         needs=(_has("cdf1"),)),
     "s2": Kind(
-        _s2, params={"gamma": (None, POSITIVE), **_GRIDS},
+        _s2, (_gate("max_dev"),), params={"gamma": (None, POSITIVE), **_GRIDS},
         assertions={"max_dev": (1e-2, NONNEGATIVE)}, needs=(_has("phi"), _GAMMA_OR_INDEX)),
     "pareto_limit": Kind(
-        _pareto_limit, params=_draws(montecarlo.DEFAULT_T_LIST, gamma=(None, POSITIVE)),
+        _pareto_limit,
+        (*_KS_GATE, _gate("ks_min", AT_LEAST), Gate("trend", "ks_by_t", _holds(
+            "each <= the one before * (1 + threshold) + c(1%)/sqrt(n)", _trend), "trend_slack")),
+        params=_draws(montecarlo.DEFAULT_T_LIST, gamma=(None, POSITIVE)),
         assertions={**_KS_MAX, "ks_min": (None, NONNEGATIVE), "trend_slack": (None, NONNEGATIVE)},
         needs=(*_drawn("model", "t_list"), _GAMMA_OR_INDEX), csv=True),
     "general_limit": Kind(
-        _general_limit, params=_draws((0.01,), gamma=(REQUIRED, POSITIVE), L=_L),
+        _general_limit, _KS_GATE, params=_draws((0.01,), gamma=(REQUIRED, POSITIVE), L=_L),
         assertions=_KS_MAX, needs=_drawn("model", "t_list")),
     "min_rule": Kind(
-        _ks_experiment("experiment_min_rule"), params=_draw(0.01), assertions=_KS_MAX,
+        partial(_ks_of, "experiment_min_rule"), _KS_GATE, params=_draw(0.01), assertions=_KS_MAX,
         models=("model", "model2"), needs=_TWO_DRAWN),
     "product_rule": Kind(
-        _ks_experiment("experiment_product_rule"), params=_draw(0.01), assertions=_KS_MAX,
-        models=("model", "model2"), needs=_TWO_DRAWN),
+        partial(_ks_of, "experiment_product_rule"), _KS_GATE, params=_draw(0.01),
+        assertions=_KS_MAX, models=("model", "model2"), needs=_TWO_DRAWN),
     "affine": Kind(
-        _ks_experiment("experiment_affine", "a", "b"),
+        partial(_ks_of, "experiment_affine"), _KS_GATE,
         params=_draw(0.05, a=(REQUIRED, ABOVE_ONE), b=(REQUIRED, ABOVE_ONE)),
         assertions=_KS_MAX, needs=(*_drawn("model", "t"), _known_index())),
     "mixture": Kind(
-        _mixture, params=_draw(1e-3, q=(REQUIRED, OPEN_UNIT)),
+        _mixture,
+        (*_KS_GATE, Gate("jump", "jump_at_one", Side(
+            "|statistic - (1 - q)| <=", lambda s, b, v, r: b - abs(s - (1.0 - v["q"])), ("q",)),
+            "jump_tol")),
+        params=_draw(1e-3, q=(REQUIRED, OPEN_UNIT)),
         assertions={**_KS_MAX, "jump_tol": (None, NONNEGATIVE)},
         needs=(*_drawn("model", "t"), _known_index())),
     "drift": Kind(
-        _drift, params=_draw(1e-3, c=(1.0, POSITIVE), window=(0.05, POSITIVE)),
+        _drift, (_gate("min_fraction", AT_LEAST),),
+        params=_draw(1e-3, c=(1.0, POSITIVE), window=(0.05, POSITIVE)),
         assertions={"min_fraction": (0.99, UNIT)}, needs=_drawn("model", "t")),
     "support": Kind(
-        _support, params=_draw(0.01, delta=(0.1, OPEN_UNIT)),
+        _support, (_gate("max_fraction"),), params=_draw(0.01, delta=(0.1, OPEN_UNIT)),
         assertions={"max_fraction": (0.01, UNIT)}, needs=_drawn("model", "t")),
     # the estimate draws by cutoff compound Poisson, which has no depth ceiling
     "ergodic": Kind(
-        _ergodic, params=_draw(1e-3, 10_000_000, functional=("ramp", _one_of(FUNCTIONALS))),
+        _ergodic,
+        (_gate("rel_tol", Side("|statistic - target| / |target| <=",
+                               lambda s, b, v, r: b - abs(s - r["target"]) / abs(r["target"]))),),
+        params=_draw(1e-3, 10_000_000, functional=("ramp", _one_of(FUNCTIONALS))),
         assertions={"rel_tol": (0.05, NONNEGATIVE)},
         needs=(_has("levy_density"), _INVERTIBLE_TAIL, _BELOW_DELTA0)),
     "family_limit": Kind(
-        _family_limit, params=_GRIDS, assertions={"max_dev": (1e-3, NONNEGATIVE)},
-        models=("family",)),
+        _family_limit, (_gate("max_dev"),), params=_GRIDS,
+        assertions={"max_dev": (1e-3, NONNEGATIVE)}, models=("family",)),
     "dickman_rho": Kind(
-        _dickman_rho, params={"z": (REQUIRED, Z)},
+        _dickman_rho, (_gate("tol", _within("expected")),), params={"z": (REQUIRED, Z)},
         assertions={"expected": (REQUIRED, NUMBER), "tol": (1e-8, NONNEGATIVE)}, models=()),
     "dickman_density_norm": Kind(
-        _dickman_density_norm, params={"z_max": (RHO_INTERVALS, Z_MAX)},
+        _dickman_density_norm,
+        (_gate("tol", Side("|statistic - target| <=", lambda s, b, v, r: b - abs(s - r["target"]))),),
+        params={"z_max": (RHO_INTERVALS, Z_MAX)},
         assertions={"tol": (1e-6, NONNEGATIVE)}, models=()),
     "recursion_mean": Kind(
-        _recursion_mean, params={"n": (1_000_000, COUNT), "gamma": (REQUIRED, RECURSION_GAMMA),
-                                 "depth": (None, DEPTH)},
+        _recursion_mean,
+        (_gate("sigma_mult", Side("|statistic - target| <= threshold * stderr",
+                                  lambda s, b, v, r: b * r["stderr"] - abs(s - r["target"]))),),
+        params={"n": (1_000_000, COUNT), "gamma": (REQUIRED, RECURSION_GAMMA),
+                "depth": (None, DEPTH)},
         assertions={"sigma_mult": (3.0, POSITIVE)}, models=()),
     "two_sampler_ks": Kind(
-        _two_sampler_ks, params={"n": (100_000, COUNT), "cutoff": (1e-6, OPEN_UNIT),
-                                 "gamma": (1.0, RECURSION_GAMMA)},
+        _two_sampler_ks,
+        (_gate("level", Side("<= the critical value at level threshold",
+                             lambda s, b, v, r: r["threshold"] - s)),),
+        params={"n": (100_000, COUNT), "cutoff": (1e-6, OPEN_UNIT),
+                "gamma": (1.0, RECURSION_GAMMA)},
         assertions={"level": (0.01, _one_of(montecarlo.KS_COEFFICIENTS))}, models=()),
 }
 
@@ -637,8 +715,11 @@ def run_experiment(checked, seed, out_dir, index):
     at = f"experiments[{index}]"
     model_at = f"{at}.{kind.models[0]}" if kind.models else None
     with _exit_rule(f"{at}.params", at, model_path=model_at):
-        result = kind.handler(values, models, exp_seed)
-    return {"experiment": entry["kind"], "params": entry.get("params", {}), **result}
+        result = {"experiment": entry["kind"], "params": entry.get("params", {}),
+                  "threshold": kind.gates[0].bound(values),
+                  **kind.handler(values, models, exp_seed)}
+    result["pass"] = all(margin >= 0 for margin in margins(checked, result).values())
+    return result
 
 
 def validate_config(config):
@@ -663,12 +744,17 @@ def _run_seed(seed, config):
 
 def run(config_path, out_dir=".", seed=None, threads=1):
     """Execute a config; returns (exit_code, report dict)."""
+    return _run(config_path, out_dir, seed, threads)[:2]
+
+
+def _run(config_path, out_dir, seed, threads):
+    """run's (exit_code, report), and the {name: margin} of each result's failed gates."""
     try:
         with open(config_path) as fh:
             config = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         print(f"config error at <file>: {exc}", file=sys.stderr)
-        return 2, None
+        return 2, None, None
     try:
         threads = _value(threads, COUNT, "--threads")
         entries = validate_config(config)
@@ -698,16 +784,18 @@ def run(config_path, out_dir=".", seed=None, threads=1):
             fh.write("\n")
     except SchemaError as exc:
         print(str(exc), file=sys.stderr)
-        return 2, None
+        return 2, None, None
     except NumericalFailure as exc:
         op = exc.op or "unknown-op"
         print(f"numerical failure in {op}: {exc}", file=sys.stderr)
-        return 3, None
+        return 3, None, None
     except OSError as exc:
         # the only files a run writes are in --out: the directory, the CSV curves, the report
         print(f"config error at --out: {exc}", file=sys.stderr)
-        return 2, None
-    return (0 if report["all_pass"] else 1), report
+        return 2, None, None
+    failed = [{name: margin for name, margin in margins(entry, result).items() if not margin >= 0}
+              for entry, result in zip(entries, results)]
+    return (0 if report["all_pass"] else 1), report, failed
 
 
 def _listed(fields):
@@ -738,6 +826,8 @@ def list_catalog():
                 "models": list(kind.models),
                 "requires": [f"{need.path}: {need.requirement}" for need in kind.needs],
                 "csv": kind.csv,
+                "gates": [{"name": gate.name, "statistic": gate.statistic, "side": gate.side.text,
+                           "threshold": gate.threshold} for gate in kind.gates],
             }
             for name, kind in KINDS.items()
         },
@@ -768,13 +858,15 @@ def main(argv=None):
         parser.print_usage(sys.stderr)
         print("error: --config or --list required", file=sys.stderr)
         return 2
-    code, report = run(args.config, out_dir=args.out, seed=args.seed, threads=args.threads)
+    code, report, failed = _run(args.config, args.out, args.seed, args.threads)
     if report is not None:
-        for result in report["results"]:
-            status = "PASS" if result.get("pass") else "FAIL"
-            label = result.get("model", "")
+        for result, gates in zip(report["results"], failed):
+            status = "PASS" if result["pass"] else "FAIL"
             stat = result.get("statistic", result.get("gamma_hat"))
-            print(f"{status} {result['experiment']:18s} {label}  statistic={stat}")
+            line = f"{status} {result['experiment']:18s} {result['model']}  statistic={stat}"
+            if gates:
+                line += "  failed: " + ", ".join(f"{n} (margin {m:.4g})" for n, m in gates.items())
+            print(line)
         print(f"report: {os.path.join(args.out, 'report.json')}  all_pass={report['all_pass']}")
     return code
 

@@ -263,19 +263,22 @@ class DeviationReport:
 
 
 def grid_deviations(at, target, t_grid, u_grid):
-    """max over u of |at(t, log(u)/t) - target| for each t of ``t_grid``, largest t first.
+    """max over u of |at(t, log(u)/t) - target(u)| for each t of ``t_grid``, largest t first.
 
     ``at(t, ell)`` evaluates the t-indexed function at log-argument ell,
     so the probe u**(1/t) never has to be formed and arbitrarily small t
-    is fine; ``target`` holds its limit at the u of ``u_grid``.  Both
-    grids must pass ``TIMES``: non-empty, every value finite and > 0.
+    is fine; ``target(u)`` is its limit on the array of ``u_grid``.  Both
+    grids must pass ``TIMES``, non-empty with every value finite and > 0,
+    and are checked before anything is evaluated.
     """
     TIMES.require(t_grid=t_grid, u_grid=u_grid)
     t_arr = np.sort(np.asarray(t_grid, dtype=float))[::-1]
-    log_u = np.log(np.asarray(u_grid, dtype=float))
+    u_arr = np.asarray(u_grid, dtype=float)
+    limit = target(u_arr)
+    log_u = np.log(u_arr)
     deviations = np.empty_like(t_arr)
     for k, t in enumerate(t_arr):
-        deviations[k] = np.max(np.abs(np.asarray(at(t, log_u / t), dtype=float) - target))
+        deviations[k] = np.max(np.abs(np.asarray(at(t, log_u / t), dtype=float) - limit))
     return DeviationReport(t_grid=t_arr, deviations=deviations)
 
 
@@ -285,14 +288,18 @@ def check_s2(phi: LaplaceExponent, limit_cdf, t_grid=None, u_grid=None):
     Returns the ``grid_deviations`` of t*Phi at log-argument log(u)/t; the
     sequence should decrease toward zero.
     """
-    t_grid = [0.1, 0.03, 0.01, 0.003, 0.001] if t_grid is None else t_grid
-    u_arr = np.asarray([1.25, 1.5, 2.0, 3.0, 5.0, 8.0] if u_grid is None else u_grid, dtype=float)
-    f_star = np.asarray(limit_cdf(u_arr), dtype=float)
-    if np.any(f_star >= 1.0):
-        raise InvalidParameterError("u grid hits F* = 1; deviation undefined there")
     require_nondegenerate(phi)
+
+    def target(u):
+        f_star = np.asarray(limit_cdf(u), dtype=float)
+        if np.any(f_star >= 1.0):
+            raise InvalidParameterError("u grid hits F* = 1; deviation undefined there")
+        return -np.log1p(-f_star)
+
     return grid_deviations(
-        lambda t, ell: t * phi.eval_log(ell), -np.log1p(-f_star), t_grid, u_arr)
+        lambda t, ell: t * phi.eval_log(ell), target,
+        [0.1, 0.03, 0.01, 0.003, 0.001] if t_grid is None else t_grid,
+        [1.25, 1.5, 2.0, 3.0, 5.0, 8.0] if u_grid is None else u_grid)
 
 
 @dataclass(frozen=True)

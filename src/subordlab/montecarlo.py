@@ -508,10 +508,10 @@ def check_family_limit(family, t_grid=None, u_grid=None):
     transform), against the limit CDF the family carries.  Returns the
     ``criteria.grid_deviations`` of ``family.psi_t_log``.
     """
-    t_grid = [1e-2, 1e-3, 1e-4] if t_grid is None else t_grid
-    u_arr = np.asarray(np.geomspace(1.1, 10.0, 12) if u_grid is None else u_grid, dtype=float)
-    target = 1.0 - np.asarray(family.limit_cdf(u_arr), dtype=float)
-    return grid_deviations(family.psi_t_log, target, t_grid, u_arr)
+    return grid_deviations(
+        family.psi_t_log, lambda u: 1.0 - np.asarray(family.limit_cdf(u), dtype=float),
+        [1e-2, 1e-3, 1e-4] if t_grid is None else t_grid,
+        np.geomspace(1.1, 10.0, 12) if u_grid is None else u_grid)
 
 
 def export_curve(emp: EmpiricalDistribution, cdf, path):

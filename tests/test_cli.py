@@ -1,6 +1,7 @@
 """CLI: config schema, exit codes, reports, CSV curves, determinism."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -693,6 +694,134 @@ class TestExperimentTable:
         assert kinds["pareto_limit"]["csv"] is True and kinds["support"]["csv"] is False
         assert kinds["min_rule"]["models"] == ["model", "model2"]
         assert "model: a model with cdf1" in kinds["sandwich"]["requires"]
+        # one gate of each side: at most, at least, a distance to a target, categorical
+        assert kinds["support"]["gates"] == [
+            {"name": "max_fraction", "statistic": "statistic", "side": "<=",
+             "threshold": "max_fraction"}]
+        assert kinds["drift"]["gates"] == [
+            {"name": "min_fraction", "statistic": "statistic", "side": ">=",
+             "threshold": "min_fraction"}]
+        assert kinds["dickman_rho"]["gates"] == [
+            {"name": "tol", "statistic": "statistic", "side": "|statistic - expected| <=",
+             "threshold": "tol"}]
+        assert kinds["criterion"]["gates"][2] == {
+            "name": "verdict", "statistic": "verdict", "side": "== threshold",
+            "threshold": "verdict"}
+        assert kinds["sandwich"]["gates"][0]["threshold"] == 0
+        assert kinds["criterion"]["assertions"]["tol"]["default"] == 0.02
+
+
+# one small entry of each kind: a small-n entry of the kinds below (s2 has no
+# bundled entry), and of every other kind its first bundled entry, at its own
+# index and seed
+SMALL_ENTRIES = {
+    "min_rule": {"kind": "min_rule", "model": GAMMA,
+                 "model2": {"name": "gamma", "params": {"gamma": 0.5, "lam": 2.0}},
+                 "params": {"t": 0.01, "n": 2000}, "assertions": {"ks_max": 0.1}},
+    "product_rule": {"kind": "product_rule", "model": GAMMA,
+                     "model2": {"name": "gamma", "params": {"gamma": 2.0, "lam": 1.0}},
+                     "params": {"t": 0.01, "n": 2000}, "assertions": {"ks_max": 0.1}},
+    "affine": {"kind": "affine", "model": GAMMA,
+               "params": {"a": 2.0, "b": 32.0, "t": 0.05, "n": 2000},
+               "assertions": {"ks_max": 0.1}},
+    "drift": {"kind": "drift", "model": GAMMA,
+              "params": {"c": 2.0, "t": 0.001, "n": 2000}, "assertions": {"min_fraction": 0.9}},
+    "support": {"kind": "support", "model": {"name": "gamma", "params": {"gamma": 2.0, "lam": 1.0}},
+                "params": {"t": 0.01, "n": 2000}, "assertions": {"max_fraction": 0.05}},
+    "s2": {"kind": "s2", "model": GAMMA},
+}
+
+
+def one_entry_per_kind():
+    """kind -> (entry, seed, index): SMALL_ENTRIES, else the kind's first bundled entry."""
+    found = {kind: (entry, 0, 0) for kind, entry in SMALL_ENTRIES.items()}
+    for path in (cli.default_acceptance_config(),
+                 os.path.join(os.path.dirname(__file__), "..", "perfbench", "configs",
+                              "mc-sweep.json")):
+        with open(path) as fh:
+            config = json.load(fh)
+        for index, entry in enumerate(config["experiments"]):
+            found.setdefault(entry["kind"], (entry, config["seed"], index))
+    return found
+
+
+ENTRIES = one_entry_per_kind()
+
+
+class TestGates:
+    def test_every_kind_has_an_entry(self):
+        assert sorted(ENTRIES) == sorted(cli.KINDS)
+
+    @pytest.mark.parametrize("kind", list(cli.KINDS))
+    def test_pass_is_every_declared_margin_at_least_zero(self, monkeypatch, kind):
+        spec = cli.KINDS[kind]
+        returned = []
+
+        def recorded(*args, _handler=spec.handler):
+            returned.append(_handler(*args))
+            return returned[-1]
+
+        monkeypatch.setitem(cli.KINDS, kind, spec._replace(handler=recorded))
+        entry, seed, index = ENTRIES[kind]
+        [checked] = cli.validate_config({"experiments": [entry]})
+        result = cli.run_experiment(checked, seed, None, index)
+        margins = cli.margins(checked, result)
+        assert result["pass"] is all(m >= 0 for m in margins.values())
+        # the bundled entries pass at their config seed, and the small ones with room to spare
+        assert result["pass"] is True, margins
+        assert margins, "no gate applied"
+        assert len(returned) == 1 and "pass" not in returned[0]
+        assert result["threshold"] == returned[0].get("threshold", spec.gates[0].bound(checked[2]))
+
+    @pytest.mark.parametrize("kind", list(cli.KINDS))
+    def test_every_assertion_field_is_read_by_a_gate(self, kind):
+        spec = cli.KINDS[kind]
+        read = {field for gate in spec.gates for field in (gate.threshold, *gate.side.fields)}
+        assert set(spec.assertions) <= read
+        assert len({gate.name for gate in spec.gates}) == len(spec.gates)
+        for gate in spec.gates:
+            assert isinstance(gate.threshold, (int, float)) or gate.threshold in spec.assertions
+
+    def test_null_threshold_skips_its_gate(self):
+        entry = {"kind": "pareto_limit", "model": GAMMA, "params": {"t_list": [0.1], "n": 10}}
+        [checked] = cli.validate_config({"experiments": [entry]})
+        assert cli.margins(checked, {"statistic": 0.5, "ks_by_t": {"0.1": 0.5}}) == {}
+        entry["assertions"] = {"ks_min": 0.7}
+        [checked] = cli.validate_config({"experiments": [entry]})
+        assert cli.margins(checked, {"statistic": 0.5, "ks_by_t": {"0.1": 0.5}}) == {
+            "ks_min": pytest.approx(-0.2)}
+
+    @pytest.mark.parametrize(
+        "kind,assertions,result,expected",
+        [
+            # a null statistic: no criterion converged
+            ("criteria_recovery", {"expected_gamma": 1.0}, {"estimates": {}},
+             {"tol": -math.inf}),
+            ("criteria_recovery", {"expected_gamma": 1.0, "tol": 0.1},
+             {"estimates": {"S5": 1.05, "S6": 0.98}}, {"tol": pytest.approx(0.05)}),
+            ("criterion", {"expected_gamma": 1.0, "verdict": "converged"},
+             {"gamma_hat": None, "verdict": "diverged"},
+             {"gamma": -math.inf, "converged": -math.inf, "verdict": -math.inf}),
+            ("criterion", {"verdict": "degenerate"}, {"gamma_hat": None, "verdict": "degenerate"},
+             {"verdict": 0.0}),
+            ("mixture", {"jump_tol": 0.01}, {"statistic": 0.5, "jump_at_one": 0.695},
+             {"jump": pytest.approx(0.005)}),
+            ("recursion_mean", {}, {"statistic": 1.1, "target": 1.0, "stderr": 0.01},
+             {"sigma_mult": pytest.approx(-0.07)}),
+            ("ergodic", {"rel_tol": 0.05}, {"statistic": 1.1, "target": 1.0},
+             {"rel_tol": pytest.approx(-0.05)}),
+            ("two_sampler_ks", {}, {"statistic": 0.005, "threshold": 0.007},
+             {"level": pytest.approx(0.002)}),
+        ],
+    )
+    def test_margin_of_each_side(self, kind, assertions, result, expected):
+        entry = {**ENTRIES[kind][0], "assertions": assertions}
+        if kind == "mixture":
+            entry["params"] = {**entry["params"], "q": 0.3}
+        if kind == "recursion_mean":
+            entry["params"] = {"gamma": 1.0}
+        [checked] = cli.validate_config({"experiments": [entry]})
+        assert cli.margins(checked, result) == expected
 
 
 class TestRamp:
@@ -819,6 +948,26 @@ class TestRun:
         )
         assert cli.main(["--config", cfg, "--out", str(tmp_path)]) == 1
         assert load_report(tmp_path)["all_pass"] is False
+
+    def test_fail_line_names_the_failing_gates(self, tmp_path, capsys):
+        # ks_max and the trend hold; ks_min cannot
+        entry = {"kind": "pareto_limit", "model": GAMMA, "params": {"t_list": [0.1, 0.05], "n": 2000},
+                 "assertions": {"ks_max": 0.5, "ks_min": 0.9, "trend_slack": 0.2}}
+        cfg = write_config(tmp_path, {"seed": 3, "experiments": [entry]})
+        assert cli.main(["--config", cfg, "--out", str(tmp_path)]) == 1
+        [line] = [row for row in capsys.readouterr().out.splitlines() if row.startswith("FAIL")]
+        result = load_report(tmp_path)["results"][0]
+        margin = result["statistic"] - 0.9
+        assert line.endswith(f"  failed: ks_min (margin {margin:.4g})"), line
+        assert "ks_max" not in line and "trend" not in line
+        assert not any(key in result for key in ("margins", "failed", "ks_min"))
+
+    def test_criterion_tol_defaults_to_the_listed_value(self, tmp_path):
+        entry = {"kind": "criterion", "model": {"name": "bessel"},
+                 "assertions": {"expected_gamma": 1.0}}
+        code, report = cli.run(write_config(tmp_path, {"experiments": [entry]}),
+                               out_dir=str(tmp_path))
+        assert code == 0 and report["results"][0]["threshold"] == 0.02
 
     def test_reports_byte_identical_modulo_timestamp(self, tmp_path):
         payload = {

@@ -168,9 +168,23 @@ class TestS2:
         grids = {"t_grid": [0.01], "u_grid": [2.0], grid: [bad, 0.5]}
         message = f"{grid} must be a non-empty list of finite numbers > 0, got "
         with pytest.raises(InvalidParameterError, match=f"^{message}"):
-            criteria.grid_deviations(lambda t, ell: ell, 0.0, **grids)
+            criteria.grid_deviations(lambda t, ell: ell, lambda u: 0.0 * u, **grids)
         with pytest.raises(InvalidParameterError, match=f"^{message}"):
             montecarlo.check_family_limit(catalog.make_stable_nef(1.0, 1.0), **grids)
+
+    @pytest.mark.parametrize("u_grid", [[math.inf], [math.nan, 2.0]])
+    def test_u_grid_checked_before_the_limit_cdf_and_named_as_given(self, gamma11, u_grid):
+        # [inf] raised "u grid hits F* = 1", and [nan, 2.0] was echoed as array([nan,  2.])
+        def unread(u):
+            raise AssertionError("the limit CDF was evaluated on an unchecked grid")
+
+        message = f"u_grid must be a non-empty list of finite numbers > 0, got {u_grid!r}"
+        with pytest.raises(InvalidParameterError) as exc:
+            criteria.check_s2(gamma11.phi, unread, u_grid=u_grid)
+        assert str(exc.value) == message
+        with pytest.raises(InvalidParameterError) as exc:
+            montecarlo.check_family_limit(catalog.make_stable_nef(1.0, 1.0), u_grid=u_grid)
+        assert str(exc.value) == message
 
 
 class TestGeneralized:
