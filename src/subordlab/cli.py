@@ -53,7 +53,9 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import __version__, catalog, criteria, montecarlo, transforms
-from .core import ABOVE_ONE, NONNEGATIVE, OPEN_UNIT, POSITIVE, REQUIRED, TIMES, Check, integral
+from .core import (
+    ABOVE_ONE, DISTINCT_TIMES, NONNEGATIVE, OPEN_UNIT, POSITIVE, REQUIRED, TIMES, Check, integral,
+)
 from .criteria import CRITERIA
 from .dickman import (
     DEPTH, MAX_RECURSION_DEPTH, RHO_INTERVALS, dickman_density_norm, dickman_rho,
@@ -329,16 +331,6 @@ _BELOW_DELTA0 = Need(
 # the runner adds "experiment", "params", "threshold" (the first gate's,
 # unless the handler reports its own) and "pass".
 
-def _ks(report, **more):
-    return {"model": report.model, "statistic": report.ks_statistic, "t": report.t,
-            "n": report.n, "target": report.target, **more}
-
-
-def _deviations(model, report):
-    return {"model": model.describe(), "statistic": report.final,
-            "deviations": [float(d) for d in report.deviations]}
-
-
 def _call(name, v, m, seed, **given):
     """montecarlo.<name>, looked up at call time, on the models and seed.
 
@@ -347,10 +339,6 @@ def _call(name, v, m, seed, **given):
     experiment = getattr(montecarlo, name)
     fields = {key: v[key] for key in inspect.signature(experiment).parameters if key in v}
     return experiment(*m.values(), **{**fields, "seed": seed, **given})
-
-
-def _ks_of(name, v, m, seed):
-    return _ks(_call(name, v, m, seed))
 
 
 def _criterion(v, m, seed):
@@ -394,27 +382,12 @@ def _sandwich(v, m, seed):
 def _s2(v, m, seed):
     model = m["model"]
     law = montecarlo.ParetoLaw(model.known_gamma if v["gamma"] is None else v["gamma"])
-    return _deviations(model, criteria.check_s2(model.phi, law.cdf, v["t_grid"], v["u_grid"]))
-
-
-def _pareto_limit(v, m, seed):
-    reports = _call("experiment_pareto_limit", v, m, seed)
-    return _ks(reports[-1], ks_by_t={str(r.t): r.ks_statistic for r in reports})
+    return {"model": model.describe(),
+            **criteria.check_s2(model.phi, law.cdf, v["t_grid"], v["u_grid"])}
 
 
 def _general_limit(v, m, seed):
-    return _ks(_call("experiment_general_limit", v, m, seed, L=L_FUNCTIONS[v["L"]])[-1])
-
-
-def _mixture(v, m, seed):
-    report, jump = _call("experiment_mixture", v, m, seed)
-    return _ks(report, jump_at_one=jump)
-
-
-def _drift(v, m, seed):
-    report = _call("experiment_drift", v, m, seed)
-    return {"model": report.model, "statistic": report.fraction_within, "t": report.t,
-            "n": report.n}
+    return _call("experiment_general_limit", v, m, seed, L=L_FUNCTIONS[v["L"]])
 
 
 def _support(v, m, seed):
@@ -436,13 +409,13 @@ def _ergodic(v, m, seed):
         lambda x: float(f(x)) * float(model.levy_density(x)),
         [delta0, upper] if np.isfinite(upper) else [delta0, 100.0, np.inf], op="ergodic_target",
     )
-    return {"model": model.describe(), "statistic": est.value, "t": est.t, "n": est.n,
-            "stderr": est.stderr, "target": target}
+    return {**est, "target": target}
 
 
 def _family_limit(v, m, seed):
     family = m["family"]
-    return _deviations(family, montecarlo.check_family_limit(family, v["t_grid"], v["u_grid"]))
+    return {"model": family.describe(),
+            **montecarlo.check_family_limit(family, v["t_grid"], v["u_grid"])}
 
 
 def _dickman_rho(v, m, seed):
@@ -468,6 +441,9 @@ def _two_sampler_ks(v, m, seed):
     gamma, n = v["gamma"], v["n"]
     model = catalog.build_model("dickman", {"gamma": gamma})
     rec = sample_dickman_recursion(gamma, recursion_depth(gamma), substream(seed, 0), n)
+    # a path below the cutoff has no jump above it, so the cutoff draw reads
+    # it as 0: censor the recursion there alike, at log 0 = -inf
+    rec[rec < np.log(v["cutoff"])] = -np.inf
     cp = sample_cutoff_cp(model.tail, v["cutoff"], 1.0, substream(seed, 1), n, out=np.empty(n))
     # the recursion draws log values; KS is invariant under the monotone log
     with np.errstate(divide="ignore"):
@@ -576,7 +552,7 @@ def _draw(t, n=montecarlo.DEFAULT_N, **more):
 
 def _draws(t_list, **more):
     """The fields of draws of n paths at each time of t_list, plus more."""
-    return {"t_list": (t_list, TIMES), "n": (montecarlo.DEFAULT_N, COUNT),
+    return {"t_list": (t_list, DISTINCT_TIMES), "n": (montecarlo.DEFAULT_N, COUNT),
             "cutoff": (1e-6, OPEN_UNIT), **more}
 
 
@@ -613,7 +589,7 @@ KINDS = {
         _s2, (_gate("max_dev"),), params={"gamma": (None, POSITIVE), **_GRIDS},
         assertions={"max_dev": (1e-2, NONNEGATIVE)}, needs=(_has("phi"), _GAMMA_OR_INDEX)),
     "pareto_limit": Kind(
-        _pareto_limit,
+        partial(_call, "experiment_pareto_limit"),
         (*_KS_GATE, _gate("ks_min", AT_LEAST), Gate("trend", "ks_by_t", _holds(
             "each <= the one before * (1 + threshold) + c(1%)/sqrt(n)", _trend), "trend_slack")),
         params=_draws(montecarlo.DEFAULT_T_LIST, gamma=(None, POSITIVE)),
@@ -623,17 +599,17 @@ KINDS = {
         _general_limit, _KS_GATE, params=_draws((0.01,), gamma=(REQUIRED, POSITIVE), L=_L),
         assertions=_KS_MAX, needs=_drawn("model", "t_list")),
     "min_rule": Kind(
-        partial(_ks_of, "experiment_min_rule"), _KS_GATE, params=_draw(0.01), assertions=_KS_MAX,
+        partial(_call, "experiment_min_rule"), _KS_GATE, params=_draw(0.01), assertions=_KS_MAX,
         models=("model", "model2"), needs=_TWO_DRAWN),
     "product_rule": Kind(
-        partial(_ks_of, "experiment_product_rule"), _KS_GATE, params=_draw(0.01),
+        partial(_call, "experiment_product_rule"), _KS_GATE, params=_draw(0.01),
         assertions=_KS_MAX, models=("model", "model2"), needs=_TWO_DRAWN),
     "affine": Kind(
-        partial(_ks_of, "experiment_affine"), _KS_GATE,
+        partial(_call, "experiment_affine"), _KS_GATE,
         params=_draw(0.05, a=(REQUIRED, ABOVE_ONE), b=(REQUIRED, ABOVE_ONE)),
         assertions=_KS_MAX, needs=(*_drawn("model", "t"), _known_index())),
     "mixture": Kind(
-        _mixture,
+        partial(_call, "experiment_mixture"),
         (*_KS_GATE, Gate("jump", "jump_at_one", Side(
             "|statistic - (1 - q)| <=", lambda s, b, v, r: b - abs(s - (1.0 - v["q"])), ("q",)),
             "jump_tol")),
@@ -641,7 +617,7 @@ KINDS = {
         assertions={**_KS_MAX, "jump_tol": (None, NONNEGATIVE)},
         needs=(*_drawn("model", "t"), _known_index())),
     "drift": Kind(
-        _drift, (_gate("min_fraction", AT_LEAST),),
+        partial(_call, "experiment_drift"), (_gate("min_fraction", AT_LEAST),),
         params=_draw(1e-3, c=(1.0, POSITIVE), window=(0.05, POSITIVE)),
         assertions={"min_fraction": (0.99, UNIT)}, needs=_drawn("model", "t")),
     "support": Kind(

@@ -36,6 +36,7 @@ __all__ = [
     "ABOVE_ONE",
     "OPEN_UNIT",
     "TIMES",
+    "DISTINCT_TIMES",
     "REQUIRED",
     "declares",
     "LaplaceExponent",
@@ -96,6 +97,9 @@ OPEN_UNIT = Check(lambda v: 0 < v < 1, "a number in (0, 1)")
 # a list of times, or of the u values of a grid; the CLI passes it on as a tuple
 TIMES = Check(lambda v: len(v) > 0 and all(POSITIVE.valid(t) for t in v),
               "a non-empty list of finite numbers > 0", tuple)
+# times reported one statistic each, keyed by the time: no time twice
+DISTINCT_TIMES = Check(lambda v: TIMES.valid(v) and len(set(v)) == len(v),
+                       "a non-empty list of distinct finite numbers > 0", tuple)
 
 # the default of an argument or field that must be given
 REQUIRED = object()

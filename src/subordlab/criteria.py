@@ -35,7 +35,6 @@ __all__ = [
     "estimate_gamma_s8",
     "estimate_gamma_general",
     "require_nondegenerate",
-    "DeviationReport",
     "grid_deviations",
     "check_s2",
     "check_sandwich_ol",
@@ -250,18 +249,6 @@ def require_nondegenerate(phi: LaplaceExponent, what="the model"):
     return phi
 
 
-@dataclass(frozen=True)
-class DeviationReport:
-    """Per-t max deviations over a u grid, largest t first; ``final`` is the smallest t's."""
-
-    t_grid: np.ndarray
-    deviations: np.ndarray
-
-    @property
-    def final(self):
-        return float(self.deviations[-1])
-
-
 def grid_deviations(at, target, t_grid, u_grid):
     """max over u of |at(t, log(u)/t) - target(u)| for each t of ``t_grid``, largest t first.
 
@@ -269,7 +256,8 @@ def grid_deviations(at, target, t_grid, u_grid):
     so the probe u**(1/t) never has to be formed and arbitrarily small t
     is fine; ``target(u)`` is its limit on the array of ``u_grid``.  Both
     grids must pass ``TIMES``, non-empty with every value finite and > 0,
-    and are checked before anything is evaluated.
+    and are checked before anything is evaluated.  Returns the list as
+    ``deviations`` and the smallest t's as ``statistic``.
     """
     TIMES.require(t_grid=t_grid, u_grid=u_grid)
     t_arr = np.sort(np.asarray(t_grid, dtype=float))[::-1]
@@ -279,7 +267,7 @@ def grid_deviations(at, target, t_grid, u_grid):
     deviations = np.empty_like(t_arr)
     for k, t in enumerate(t_arr):
         deviations[k] = np.max(np.abs(np.asarray(at(t, log_u / t), dtype=float) - limit))
-    return DeviationReport(t_grid=t_arr, deviations=deviations)
+    return {"statistic": float(deviations[-1]), "deviations": deviations.tolist()}
 
 
 def check_s2(phi: LaplaceExponent, limit_cdf, t_grid=None, u_grid=None):

@@ -24,7 +24,8 @@ import numpy as np
 
 from . import simulate
 from .core import (
-    ABOVE_ONE, BLOCK, OPEN_UNIT, POSITIVE, ExponentialLaw, ParetoLaw, SubordinatorModel, pareto_cdf,
+    ABOVE_ONE, BLOCK, DISTINCT_TIMES, OPEN_UNIT, POSITIVE, ExponentialLaw, ParetoLaw,
+    SubordinatorModel, pareto_cdf,
 )
 from .criteria import grid_deviations
 from .errors import InvalidParameterError, NumericalFailure, UnsupportedModelError
@@ -33,7 +34,6 @@ from .simulate import sample_cutoff_cp, sample_marginal, substream, to_neg_t_pow
 __all__ = [
     "EmpiricalDistribution",
     "neg_t_power_ecdf",
-    "KsReport",
     "ks_distance",
     "two_sample_ks",
     "ks_critical_value",
@@ -53,8 +53,6 @@ __all__ = [
     "estimate_ergodic_functional",
     "mean_std_in_place",
     "check_family_limit",
-    "DriftReport",
-    "ErgodicEstimate",
     "export_curve",
     "DEFAULT_T_LIST",
     "DEFAULT_N",
@@ -185,21 +183,10 @@ def two_sample_ks_critical_value(n1, n2, level=0.01):
     return KS_COEFFICIENTS[level] * np.sqrt((n1 + n2) / (n1 * n2))
 
 
-@dataclass(frozen=True)
-class KsReport:
-    model: str
-    t: float
-    n: int
-    target: str
-    ks_statistic: float
-
-
-def _ks_report(model, t, n, law, emp):
-    """The KS report of ``emp`` against ``law`` for the model labelled ``model``."""
-    return KsReport(
-        model=model, t=float(t), n=int(n), target=law.describe(),
-        ks_statistic=ks_distance(emp, law.cdf),
-    )
+def _ks_result(label, t, n, law, emp, **more):
+    """The KS result of ``emp`` against ``law`` at time t, for the model labelled ``label``."""
+    return {"model": label, "statistic": ks_distance(emp, law.cdf), "t": float(t), "n": int(n),
+            "target": law.describe(), **more}
 
 
 @dataclass(frozen=True)
@@ -290,21 +277,36 @@ def _fraction_within(values, lo, hi):
     return np.float64(count) / values.size
 
 
+def _limit_result(label, law, t_list, n, ecdf_at, csv=None):
+    """The KS result of ``ecdf_at(k, t)`` against ``law`` at the last t of ``t_list``.
+
+    ``ks_by_t`` holds every t's statistic, keyed by ``str(float(t))``, so the
+    times must be distinct.  ``csv`` gets the last t's ECDF curve.
+    """
+    DISTINCT_TIMES.require(t_list=t_list)
+    ks_by_t = {}
+    for k, t in enumerate(t_list):
+        emp = ecdf_at(k, t)
+        result = _ks_result(label, t, n, law, emp)
+        ks_by_t[str(float(t))] = result["statistic"]
+        if csv is not None and k == len(t_list) - 1:
+            export_curve(emp, law.cdf, csv)
+        del emp  # before the next t draws its batch
+    return {**result, "ks_by_t": ks_by_t}
+
+
 def experiment_pareto_limit(
     model: SubordinatorModel, t_list=DEFAULT_T_LIST, n=DEFAULT_N, seed=0,
     *, cutoff=1e-6, gamma=None, csv=None,
 ):
     """KS of y**(-t) against its Pareto limit, per t; ``csv`` gets the last t's ECDF curve."""
     law = ParetoLaw(_index(model) if gamma is None else gamma)
-    reports = []
-    for k, t in enumerate(t_list):
+
+    def ecdf_at(k, t):
         log_samples = sample_marginal(model, t, n, substream(seed, k), cutoff=cutoff)
-        emp = neg_t_power_ecdf(model, t, log_samples)
-        reports.append(_ks_report(model.describe(), t, n, law, emp))
-        if csv is not None and k == len(t_list) - 1:
-            export_curve(emp, law.cdf, csv)
-        del log_samples, emp  # before the next t draws its batch
-    return reports
+        return neg_t_power_ecdf(model, t, log_samples)
+
+    return _limit_result(model.describe(), law, t_list, n, ecdf_at, csv)
 
 
 def experiment_general_limit(
@@ -312,16 +314,12 @@ def experiment_general_limit(
     *, cutoff=1e-6,
 ):
     """KS of t*L(Y_t) against the exponential law with rate gamma, per t; L takes log y."""
-    law = ExponentialLaw(gamma)
-    reports = []
-    for k, t in enumerate(t_list):
-        rng = substream(seed, k)
-        log_samples = sample_marginal(model, t, n, rng, cutoff=cutoff)
-        emp = EmpiricalDistribution.from_values(*to_tl(log_samples, L, t))
-        del log_samples
-        reports.append(_ks_report(model.describe(), t, n, law, emp))
-        del emp  # before the next t draws its batch
-    return reports
+
+    def ecdf_at(k, t):
+        log_samples = sample_marginal(model, t, n, substream(seed, k), cutoff=cutoff)
+        return EmpiricalDistribution.from_values(*to_tl(log_samples, L, t))
+
+    return _limit_result(model.describe(), ExponentialLaw(gamma), t_list, n, ecdf_at)
 
 
 def _two_model_transformed(m1, m2, t, n, seed, cutoff, combine):
@@ -335,14 +333,14 @@ def experiment_min_rule(m1, m2, t, n=DEFAULT_N, seed=0, *, cutoff=1e-6):
     """Sum of independent marginals, transformed: limit is Pareto(g1 + g2)."""
     law = ParetoLaw(_index(m1) + _index(m2))
     emp = _two_model_transformed(m1, m2, t, n, seed, cutoff, np.logaddexp)
-    return _ks_report(f"{m1.describe()}+{m2.describe()}", t, n, law, emp)
+    return _ks_result(f"{m1.describe()}+{m2.describe()}", t, n, law, emp)
 
 
 def experiment_product_rule(m1, m2, t, n=DEFAULT_N, seed=0, *, cutoff=1e-6):
     """Product of independent marginals, transformed: limit is the Pareto product law."""
     law = ParetoProductLaw(_index(m1), _index(m2))
     emp = _two_model_transformed(m1, m2, t, n, seed, cutoff, np.add)
-    return _ks_report(f"{m1.describe()}*{m2.describe()}", t, n, law, emp)
+    return _ks_result(f"{m1.describe()}*{m2.describe()}", t, n, law, emp)
 
 
 def experiment_affine(model, a, b, t, n=DEFAULT_N, seed=0, *, cutoff=1e-6):
@@ -355,7 +353,7 @@ def experiment_affine(model, a, b, t, n=DEFAULT_N, seed=0, *, cutoff=1e-6):
     np.add(log_y, log_a_t, out=log_y)
     np.logaddexp(log_y, log_b_t, out=log_y)
     emp = neg_t_power_ecdf(model, t, log_y)
-    return _ks_report(f"affine(a={a:g},b={b:g},{model.describe()})", t, n, law, emp)
+    return _ks_result(f"affine(a={a:g},b={b:g},{model.describe()})", t, n, law, emp)
 
 
 # width of the window just below the atom at 1 in which experiment_mixture counts its mass
@@ -366,8 +364,8 @@ def experiment_mixture(model, q, t, n=DEFAULT_N, seed=0, *, cutoff=1e-6):
     """Start the process at an independent level B (0 with probability q, else 1).
 
     The transformed statistic converges to a mixture: an atom of mass
-    1-q at 1 plus q times the Pareto limit.  Returns the KS report and
-    the empirical mass found in the window just below the atom.
+    1-q at 1 plus q times the Pareto limit.  The KS result carries, as
+    ``jump_at_one``, the empirical mass found in the window just below the atom.
     """
     OPEN_UNIT.require(q=q)
     law = ParetoMixtureLaw(q, _index(model))
@@ -380,35 +378,24 @@ def experiment_mixture(model, q, t, n=DEFAULT_N, seed=0, *, cutoff=1e-6):
         at_one = level_rng.random(out=u[: block.size]) >= q
         np.logaddexp(block, 0.0, out=block, where=at_one)
     emp = neg_t_power_ecdf(model, t, log_l)
-    report = _ks_report(f"mixture(q={q:g},{model.describe()})", t, n, law, emp)
     inside = _fraction_within(emp.values, 1.0 - _JUMP_WINDOW, 1.0 + 1e-9)
-    jump_mass = float(inside * emp.values.size / emp.n_total)
-    return report, jump_mass
-
-
-@dataclass(frozen=True)
-class DriftReport:
-    model: str
-    t: float
-    n: int
-    fraction_within: float
+    return _ks_result(f"mixture(q={q:g},{model.describe()})", t, n, law, emp,
+                      jump_at_one=float(inside * emp.values.size / emp.n_total))
 
 
 def experiment_drift(model, c, t, n=DEFAULT_N, seed=0, *, cutoff=1e-6, window=0.05):
     """Mass of (c*t + Y_t)**(-t) inside [1-window, 1+window].
 
     Drift collapses the limit to the point mass at 1, so the fraction
-    should approach one as t shrinks.
+    should approach one as t shrinks; the fraction is the result's ``statistic``.
     """
     POSITIVE.require(c=c, window=window)
     log_y = sample_marginal(model, t, n, substream(seed, 0), cutoff=cutoff)
     np.logaddexp(np.log(c) + np.log(t), log_y, out=log_y)
     values, _ = to_neg_t_power(log_y, t)
     inside = _fraction_within(values, 1.0 - window, 1.0 + window)
-    return DriftReport(
-        model=f"drift(c={c:g},{model.describe()})",
-        t=float(t), n=int(n), fraction_within=float(inside),
-    )
+    return {"model": f"drift(c={c:g},{model.describe()})", "statistic": float(inside),
+            "t": float(t), "n": int(n)}
 
 
 def support_check(emp: EmpiricalDistribution, delta):
@@ -416,14 +403,6 @@ def support_check(emp: EmpiricalDistribution, delta):
     OPEN_UNIT.require(delta=delta)
     # the values are sorted: the count below is a search, not a mask
     return float(np.searchsorted(emp.values, 1.0 - delta) / emp.n_total)
-
-
-@dataclass(frozen=True)
-class ErgodicEstimate:
-    value: float
-    stderr: float
-    t: float
-    n: int
 
 
 def _sparse_sum(n, fill, idx, vals, buf, lo=0):
@@ -464,7 +443,7 @@ def mean_std_in_place(values):
 
 
 def estimate_ergodic_functional(model, f, delta0, t, n, seed=0, *, cutoff=1e-6):
-    """Monte Carlo estimate of E f(Y_t) / t, with standard error.
+    """Monte Carlo estimate of E f(Y_t) / t (the ``statistic``), with its ``stderr``.
 
     For bounded continuous f vanishing on [0, delta0] this converges to
     the integral of f against the jump measure.  The cutoff must sit
@@ -496,9 +475,8 @@ def estimate_ergodic_functional(model, f, delta0, t, n, seed=0, *, cutoff=1e-6):
     fv -= mean
     np.square(fv, out=fv)
     std = np.sqrt(_sparse_sum(n, np.square(f0 - mean), idx, fv, buf) / (n - 1))
-    est = float(mean / t)
-    stderr = float(std / (np.sqrt(n) * t))
-    return ErgodicEstimate(value=est, stderr=stderr, t=float(t), n=int(n))
+    return {"model": model.describe(), "statistic": float(mean / t),
+            "stderr": float(std / (np.sqrt(n) * t)), "t": float(t), "n": int(n)}
 
 
 def check_family_limit(family, t_grid=None, u_grid=None):

@@ -94,14 +94,14 @@ def test_criterion_04_pareto_monte_carlo(gamma11, dickman1):
     floor = mc.ks_critical_value(N_MC, 0.01)
     details = []
     for model, bound in ((gamma11, 0.05), (dickman1, 0.07)):
-        reports = mc.experiment_pareto_limit(model, t_list, N_MC, SEED)
-        ks = [r.ks_statistic for r in reports]
+        result = mc.experiment_pareto_limit(model, t_list, N_MC, SEED)
+        ks = list(result["ks_by_t"].values())
         assert ks[-1] <= bound, (model.name, ks)
         # nonincreasing trend, 20% slack, above the sampling resolution
         assert all(ks[i + 1] <= ks[i] * 1.2 + floor for i in range(len(ks) - 1)), (model.name, ks)
         control = mc.experiment_pareto_limit(
             model, (0.01,), N_MC, SEED, gamma=2.0 * model.known_gamma
-        )[0].ks_statistic
+        )["statistic"]
         assert control >= 3.0 * ks[-1], (model.name, control, ks[-1])
         details.append(f"{model.name}: ks={ks[-1]:.4f} (<= {bound}), control x{control/ks[-1]:.0f}")
     _emit("criterion 4 (Pareto Monte Carlo)", True, "; ".join(details) + f", {time.time()-t0:.1f}s")
@@ -148,26 +148,26 @@ def test_criterion_06_transform_algebra(gamma11, gamma21, dickman1):
     combined = transforms.add(gamma11, gamma21)
     est_sum = criteria.estimate_gamma_s5(combined.phi)
     assert est_sum.gamma_hat == pytest.approx(3.0, abs=0.02)
-    ks_sum = mc.experiment_pareto_limit(combined, (0.01,), N_MC, SEED)[0].ks_statistic
+    ks_sum = mc.experiment_pareto_limit(combined, (0.01,), N_MC, SEED)["statistic"]
     assert ks_sum <= 0.07
     drift = mc.experiment_drift(gamma11, 1.0, t=1e-3, n=N_MC, seed=SEED, window=0.05)
-    assert drift.fraction_within >= 0.99
+    assert drift["statistic"] >= 0.99
     _emit(
         "criterion 6 (transform algebra)",
         True,
         f"tilt/compose/add indices ok, sum ks={ks_sum:.4f}, "
-        f"drift mass={drift.fraction_within:.4f}, {time.time()-t0:.1f}s",
+        f"drift mass={drift['statistic']:.4f}, {time.time()-t0:.1f}s",
     )
 
 
 def test_criterion_07_family_limit():
     t0 = time.time()
     fam = catalog.make_stable_nef(1.0, 1.0)
-    report = mc.check_family_limit(fam, t_grid=[1e-2, 1e-3, 1e-4])
+    result = mc.check_family_limit(fam, t_grid=[1e-2, 1e-3, 1e-4])
     _emit(
         "criterion 7 (non-power family limit)",
-        report.final <= 1e-3,
-        f"max deviation at t=1e-4: {report.final:.2e} (<= 1e-3), {time.time()-t0:.1f}s",
+        result["statistic"] <= 1e-3,
+        f"max deviation at t=1e-4: {result['statistic']:.2e} (<= 1e-3), {time.time()-t0:.1f}s",
     )
 
 
@@ -179,21 +179,22 @@ def test_criterion_08_generalized_L():
     est = criteria.estimate_gamma_general(model.phi, cube)
     assert est.verdict == "converged"
     assert abs(est.gamma_hat - gamma) <= 0.05
-    report = mc.experiment_general_limit(
+    result = mc.experiment_general_limit(
         model, cube, gamma, (0.01,), N_MC, SEED, cutoff=1e-8
-    )[0]
+    )
     _emit(
         "criterion 8 (generalized slowly varying L)",
-        report.ks_statistic <= 0.1,
+        result["statistic"] <= 0.1,
         f"gamma_hat={est.gamma_hat:.4f} (target {gamma}), "
-        f"ks={report.ks_statistic:.4f} (<= 0.1), {time.time()-t0:.1f}s",
+        f"ks={result['statistic']:.4f} (<= 0.1), {time.time()-t0:.1f}s",
     )
 
 
 def test_criterion_09_mixture_and_support(gamma11):
     t0 = time.time()
-    report, jump = mc.experiment_mixture(gamma11, q=0.3, t=1e-3, n=N_MC, seed=SEED)
-    assert report.ks_statistic <= 0.07
+    result = mc.experiment_mixture(gamma11, q=0.3, t=1e-3, n=N_MC, seed=SEED)
+    jump = result["jump_at_one"]
+    assert result["statistic"] <= 0.07
     assert abs(jump - 0.7) <= 0.01
     log_s = sample_marginal(gamma11, 0.01, N_MC, substream(SEED, 9))
     values, n_inf = to_neg_t_power(log_s, 0.01)
@@ -202,7 +203,7 @@ def test_criterion_09_mixture_and_support(gamma11):
     _emit(
         "criterion 9 (mixture atom and support)",
         fraction <= 0.01,
-        f"mixture ks={report.ks_statistic:.4f}, jump={jump:.4f} (target 0.7), "
+        f"mixture ks={result['statistic']:.4f}, jump={jump:.4f} (target 0.7), "
         f"support fraction={fraction:.5f} (<= 0.01), {time.time()-t0:.1f}s",
     )
 
@@ -212,11 +213,11 @@ def test_criterion_10_ergodic_functional(dickman1):
     ramp = lambda x: np.minimum(1.0, np.maximum(0.0, (np.asarray(x, dtype=float) - 0.5) * 4.0))
     est = mc.estimate_ergodic_functional(dickman1, ramp, 0.5, t=1e-3, n=10_000_000, seed=SEED)
     target, _ = quad(lambda x: min(1.0, max(0.0, (x - 0.5) * 4.0)) / x, 0.5, 1.0)
-    rel = abs(est.value - target) / target
+    rel = abs(est["statistic"] - target) / target
     _emit(
         "criterion 10 (small-time ergodic functional)",
         rel <= 0.05,
-        f"estimate={est.value:.5f} vs integral {target:.5f}, rel err={rel:.3%}, "
+        f"estimate={est['statistic']:.5f} vs integral {target:.5f}, rel err={rel:.3%}, "
         f"{time.time()-t0:.1f}s",
     )
 

@@ -547,6 +547,11 @@ class TestExperimentTable:
             ({"kind": "s2", "model": GAMMA, "params": {"t_grid": [-1.0]}}, "params.t_grid"),
             ({"kind": "s2", "model": GAMMA, "params": {"u_grid": [2.0, 0.0]}}, "params.u_grid"),
             ({"kind": "family_limit", "params": {"u_grid": [2.0, -1.0]}}, "params.u_grid"),
+            # each repeat was drawn, but ks_by_t holds one statistic per time
+            ({"kind": "pareto_limit", "model": GAMMA, "params": {"t_list": [0.1, 0.05, 0.1]}},
+             "params.t_list"),
+            ({"kind": "general_limit", "model": GAMMA,
+              "params": {"t_list": [0.1, 0.05, 0.1], "gamma": 1.0}}, "params.t_list"),
         ],
     )
     def test_malformed_field_exits_two_before_any_draw(
@@ -1036,6 +1041,14 @@ class TestRun:
         )
         assert proc.returncode == 0
         assert "all_pass=True" in proc.stdout
+
+    def test_two_sampler_ks_at_a_vanishing_gamma(self, tmp_path):
+        # every cutoff path is void at this gamma, so the recursion's finite logs
+        # far below log(cutoff) must be censored there too, or KS reads 1.0
+        entry = {"kind": "two_sampler_ks", "params": {"gamma": 1e-300, "n": 1000}}
+        cfg = write_config(tmp_path, {"seed": 1, "experiments": [entry]})
+        code, report = cli.run(cfg, out_dir=str(tmp_path))
+        assert code == 0, report["results"][0]
 
     def test_recursion_mean_matches_ndarray_statistics(self):
         n, gamma = 100_003, 2.0

@@ -1,6 +1,7 @@
 """KS machinery and the named limit experiments."""
 
 import csv
+import json
 import math
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from subordlab import catalog, cli, dickman, montecarlo as mc
+from subordlab import catalog, cli, criteria, dickman, montecarlo as mc
 from subordlab.core import BLOCK, ExponentialLaw, ParetoLaw, pareto_cdf
 from subordlab.errors import InvalidParameterError, UnsupportedModelError
 from subordlab.simulate import sample_marginal, substream, to_neg_t_power
@@ -104,18 +105,18 @@ class TestProductLaw:
 
 class TestParetoLimitExperiment:
     def test_gamma_small_t(self, gamma11):
-        reports = mc.experiment_pareto_limit(gamma11, t_list=(0.01,), n=100_000, seed=42)
-        assert reports[0].ks_statistic <= 0.05
+        result = mc.experiment_pareto_limit(gamma11, t_list=(0.01,), n=100_000, seed=42)
+        assert result["statistic"] <= 0.05
 
     def test_dickman_small_t(self, dickman1):
-        reports = mc.experiment_pareto_limit(dickman1, t_list=(0.01,), n=100_000, seed=42)
-        assert reports[0].ks_statistic <= 0.07
+        result = mc.experiment_pareto_limit(dickman1, t_list=(0.01,), n=100_000, seed=42)
+        assert result["statistic"] <= 0.07
 
     def test_trend_nonincreasing_with_slack(self, gamma11):
-        reports = mc.experiment_pareto_limit(
+        result = mc.experiment_pareto_limit(
             gamma11, t_list=(0.2, 0.1, 0.05, 0.01), n=100_000, seed=42
         )
-        ks = [r.ks_statistic for r in reports]
+        ks = list(result["ks_by_t"].values())
         floor = mc.ks_critical_value(100_000, 0.01)
         assert all(ks[i + 1] <= ks[i] * 1.2 + floor for i in range(3))
 
@@ -125,12 +126,12 @@ class TestParetoLimitExperiment:
             control = mc.experiment_pareto_limit(
                 model, t_list=(0.01,), n=100_000, seed=42, gamma=2.0 * model.known_gamma
             )
-            assert control[0].ks_statistic >= 3.0 * matched[0].ks_statistic
+            assert control["statistic"] >= 3.0 * matched["statistic"]
 
     def test_exact_sampler_never_hits_infinity_bucket(self, gamma11):
         # enforced inside the experiment; reaching a report implies it held
-        reports = mc.experiment_pareto_limit(gamma11, t_list=(0.001,), n=50_000, seed=1)
-        assert reports[0].ks_statistic < 1.0
+        result = mc.experiment_pareto_limit(gamma11, t_list=(0.001,), n=50_000, seed=1)
+        assert result["statistic"] < 1.0
 
     def test_requires_index(self):
         stable = catalog.make_stable(1.0, 0.5)
@@ -145,38 +146,38 @@ class TestParetoLimitExperiment:
 
 class TestGeneralLimitExperiment:
     def test_neg_log_matches_pareto_under_log(self, gamma11):
-        reports = mc.experiment_general_limit(
+        result = mc.experiment_general_limit(
             gamma11, NEG_LOG, 1.0, t_list=(0.01,), n=100_000, seed=4
         )
-        assert reports[0].ks_statistic <= 0.05
+        assert result["statistic"] <= 0.05
 
     def test_cubed_log_on_matching_tail(self):
         model = catalog.make_log_power(0.1, 3)
-        reports = mc.experiment_general_limit(
+        result = mc.experiment_general_limit(
             model, CUBE, 0.1, t_list=(0.01,), n=100_000, seed=3, cutoff=1e-8
         )
-        assert reports[0].ks_statistic <= 0.1
+        assert result["statistic"] <= 0.1
 
     def test_mismatched_rate_negative_control(self, gamma11):
-        reports = mc.experiment_general_limit(
+        result = mc.experiment_general_limit(
             gamma11, NEG_LOG, 2.0, t_list=(0.01,), n=100_000, seed=4
         )
-        assert reports[0].ks_statistic >= 0.15
+        assert result["statistic"] >= 0.15
 
 
 class TestCombinationExperiments:
     def test_min_rule_sum_of_indices(self, gamma11, gamma21):
-        report = mc.experiment_min_rule(gamma11, gamma21, t=0.01, n=100_000, seed=7)
-        assert report.ks_statistic <= 0.07
-        assert "3" in report.target
+        result = mc.experiment_min_rule(gamma11, gamma21, t=0.01, n=100_000, seed=7)
+        assert result["statistic"] <= 0.07
+        assert "3" in result["target"]
 
     def test_product_rule(self, gamma11):
-        report = mc.experiment_product_rule(gamma11, gamma11, t=0.01, n=100_000, seed=8)
-        assert report.ks_statistic <= 0.07
+        result = mc.experiment_product_rule(gamma11, gamma11, t=0.01, n=100_000, seed=8)
+        assert result["statistic"] <= 0.07
 
     def test_affine_with_separated_levels(self, gamma11):
-        report = mc.experiment_affine(gamma11, 2.0, 32.0, t=0.05, n=100_000, seed=9)
-        assert report.ks_statistic <= 0.1
+        result = mc.experiment_affine(gamma11, 2.0, 32.0, t=0.05, n=100_000, seed=9)
+        assert result["statistic"] <= 0.1
 
     def test_affine_target_saturates_at_b(self):
         law = mc.AffineMinLaw(2.0, 32.0, 1.0)
@@ -190,15 +191,15 @@ class TestCombinationExperiments:
         # a**(-1/t) = 2**-10000 underflows in linear space, not in log space:
         # small t is accepted and still meets the min(a*Pareto, b) law
         for seed in (0, 1, 2, 3, 9):
-            report = mc.experiment_affine(gamma11, 2.0, 32.0, t=1e-4, n=100_000, seed=seed)
-            assert report.ks_statistic <= mc.ks_critical_value(100_000, 0.01)
+            result = mc.experiment_affine(gamma11, 2.0, 32.0, t=1e-4, n=100_000, seed=seed)
+            assert result["statistic"] <= mc.ks_critical_value(100_000, 0.01)
 
 
 class TestMixtureExperiment:
     def test_ks_and_atom_mass(self, gamma11):
-        report, jump = mc.experiment_mixture(gamma11, q=0.3, t=1e-3, n=100_000, seed=10)
-        assert report.ks_statistic <= 0.07
-        assert jump == pytest.approx(0.7, abs=0.01)
+        result = mc.experiment_mixture(gamma11, q=0.3, t=1e-3, n=100_000, seed=10)
+        assert result["statistic"] <= 0.07
+        assert result["jump_at_one"] == pytest.approx(0.7, abs=0.01)
 
     def test_q_one_collapses_to_pure_pareto(self, gamma11):
         # q -> 1 means no atom: the target reduces to the plain Pareto law
@@ -213,8 +214,8 @@ class TestMixtureExperiment:
 
 class TestDriftAndSupport:
     def test_drift_mass_concentrates_at_one(self, gamma11):
-        report = mc.experiment_drift(gamma11, 1.0, t=1e-3, n=100_000, seed=11)
-        assert report.fraction_within >= 0.99
+        result = mc.experiment_drift(gamma11, 1.0, t=1e-3, n=100_000, seed=11)
+        assert result["statistic"] >= 0.99
 
     def test_exact_pareto_support(self):
         samples = ParetoLaw(1.0).sample(10_000, substream(12, 0))
@@ -228,8 +229,8 @@ class TestDriftAndSupport:
 
     def test_drifted_mass_leaves_both_sides(self, gamma11):
         # the limit point mass at 1: nothing escapes the window either way
-        report = mc.experiment_drift(gamma11, 1.0, t=1e-4, n=50_000, seed=14, window=0.05)
-        assert report.fraction_within == pytest.approx(1.0, abs=1e-3)
+        result = mc.experiment_drift(gamma11, 1.0, t=1e-4, n=50_000, seed=14, window=0.05)
+        assert result["statistic"] == pytest.approx(1.0, abs=1e-3)
 
     def test_support_delta_validation(self):
         with pytest.raises(InvalidParameterError):
@@ -247,7 +248,7 @@ class TestErgodicFunctional:
         est = mc.estimate_ergodic_functional(
             dickman1, lambda x: np.zeros_like(np.asarray(x, dtype=float)), 0.5, 0.01, 10_000
         )
-        assert est.value == 0.0
+        assert est["statistic"] == 0.0
 
     def test_dickman_ramp_against_quadrature(self, dickman1):
         from scipy.integrate import quad
@@ -255,7 +256,7 @@ class TestErgodicFunctional:
         ramp = lambda x: np.minimum(1.0, np.maximum(0.0, (np.asarray(x, dtype=float) - 0.5) * 4.0))
         est = mc.estimate_ergodic_functional(dickman1, ramp, 0.5, t=1e-3, n=2_000_000, seed=5)
         target, _ = quad(lambda x: min(1.0, max(0.0, (x - 0.5) * 4.0)) / x, 0.5, 1.0)
-        assert abs(est.value - target) <= 0.05 * target
+        assert abs(est["statistic"] - target) <= 0.05 * target
 
     def test_gamma_smoothed_indicator(self, gamma11):
         from scipy.integrate import quad
@@ -263,7 +264,7 @@ class TestErgodicFunctional:
         bump = lambda x: np.clip((np.asarray(x, dtype=float) - 0.9) / 0.2, 0.0, 1.0)
         est = mc.estimate_ergodic_functional(gamma11, bump, 0.9, t=0.01, n=2_000_000, seed=6)
         target, _ = quad(lambda x: min(max((x - 0.9) / 0.2, 0.0), 1.0) * math.exp(-x) / x, 0.9, 50.0)
-        assert abs(est.value - target) <= 0.05 * target
+        assert abs(est["statistic"] - target) <= 0.05 * target
 
     @pytest.mark.parametrize(
         "model,n",
@@ -287,10 +288,10 @@ class TestErgodicFunctional:
             assert np.count_nonzero(vals) > n / 2
         with np.errstate(invalid="ignore"):  # n = 1 leaves no degree of freedom
             est = mc.estimate_ergodic_functional(m, ramp, 0.5, t, n, seed)
-        assert est.value == float(vals.mean() / t)
+        assert est["statistic"] == float(vals.mean() / t)
         if n > 1:
-            assert est.stderr == float(vals.std(ddof=1) / (np.sqrt(n) * t))
-            assert est.stderr > 0.0
+            assert est["stderr"] == float(vals.std(ddof=1) / (np.sqrt(n) * t))
+            assert est["stderr"] > 0.0
 
     @pytest.mark.parametrize(
         "n",
@@ -336,14 +337,14 @@ class TestErgodicFunctional:
 class TestFamilyLimit:
     def test_stable_nef_deterministic_deviation(self):
         fam = catalog.make_stable_nef(1.0, 1.0)
-        report = mc.check_family_limit(fam, t_grid=[1e-2, 1e-3, 1e-4])
-        assert report.final <= 1e-3
-        assert np.all(np.diff(report.deviations) <= 1e-12)
+        result = mc.check_family_limit(fam, t_grid=[1e-2, 1e-3, 1e-4])
+        assert result["statistic"] <= 1e-3
+        assert np.all(np.diff(result["deviations"]) <= 1e-12)
 
     def test_below_support_trivial(self):
         fam = catalog.make_stable_nef(1.0, 1.0)
-        report = mc.check_family_limit(fam, t_grid=[1e-3], u_grid=[0.3, 0.7])
-        assert report.final <= 1e-6
+        result = mc.check_family_limit(fam, t_grid=[1e-3], u_grid=[0.3, 0.7])
+        assert result["statistic"] <= 1e-6
 
     def test_gamma_wrapped_as_family(self, gamma11):
         fam = catalog.GeneralFamily(
@@ -352,8 +353,53 @@ class TestFamilyLimit:
             limit_cdf=lambda x: pareto_cdf(1.0, x),
             params={},
         )
-        report = mc.check_family_limit(fam, t_grid=[1e-3])
-        assert report.final <= 1e-2
+        result = mc.check_family_limit(fam, t_grid=[1e-3])
+        assert result["statistic"] <= 1e-2
+
+
+# each library experiment and grid check at a small n, on gamma(1, 1)
+RESULTS = {
+    "experiment_pareto_limit": lambda g: mc.experiment_pareto_limit(g, (0.1, 0.05), 1000, 1),
+    "experiment_general_limit":
+        lambda g: mc.experiment_general_limit(g, NEG_LOG, 1.0, (0.1, 0.05), 1000, 1),
+    "experiment_min_rule": lambda g: mc.experiment_min_rule(g, g, 0.05, 1000, 1),
+    "experiment_product_rule": lambda g: mc.experiment_product_rule(g, g, 0.05, 1000, 1),
+    "experiment_affine": lambda g: mc.experiment_affine(g, 2.0, 32.0, 0.05, 1000, 1),
+    "experiment_mixture": lambda g: mc.experiment_mixture(g, 0.3, 0.05, 1000, 1),
+    "experiment_drift": lambda g: mc.experiment_drift(g, 1.0, 0.05, 1000, 1),
+    "estimate_ergodic_functional":
+        lambda g: mc.estimate_ergodic_functional(g, cli.FUNCTIONALS["ramp"][0], 0.5, 0.5, 1000, 1),
+    "check_family_limit": lambda g: mc.check_family_limit(catalog.make_stable_nef(1.0, 1.0)),
+    "check_s2": lambda g: criteria.check_s2(g.phi, ParetoLaw(1.0).cdf),
+}
+
+
+class TestResultContract:
+    """Each experiment returns the statistics its report row holds."""
+
+    def test_every_experiment_is_listed(self):
+        assert {name for name in dir(mc) if name.startswith("experiment_")} <= set(RESULTS)
+
+    @pytest.mark.parametrize("name", list(RESULTS))
+    def test_result_is_json_with_a_float_statistic(self, gamma11, name):
+        result = RESULTS[name](gamma11)
+        assert json.loads(json.dumps(result)) == result
+        assert type(result["statistic"]) is float
+
+    def test_limit_experiments_share_one_shape(self, gamma11):
+        pareto = RESULTS["experiment_pareto_limit"](gamma11)
+        general = RESULTS["experiment_general_limit"](gamma11)
+        assert set(pareto) == set(general)
+        assert list(pareto["ks_by_t"]) == ["0.1", "0.05"]
+        assert pareto["statistic"] == pareto["ks_by_t"]["0.05"] and pareto["t"] == 0.05
+
+    @pytest.mark.parametrize("name", ["experiment_pareto_limit", "experiment_general_limit"])
+    def test_repeated_time_refused(self, gamma11, name):
+        # ks_by_t is keyed by the time, so a repeat's first draw would be in no report
+        args = (gamma11,) if name == "experiment_pareto_limit" else (gamma11, NEG_LOG, 1.0)
+        with pytest.raises(InvalidParameterError, match=r"^t_list must be a non-empty list of "
+                           r"distinct finite numbers > 0, got \(0\.1, 0\.05, 0\.1\)$"):
+            getattr(mc, name)(*args, t_list=(0.1, 0.05, 0.1), n=10)
 
 
 class TestExportCurve:

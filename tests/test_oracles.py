@@ -92,12 +92,12 @@ class TestKsOnePassEqualsTwoPass:
         assert mc.ks_distance(emp, law.cdf) == two_pass_ks(emp, law.cdf)
         # the mixture experiment's own batch: atom values just below 1
         gamma = catalog.make_gamma(1.0, 1.0)
-        report, _ = mc.experiment_mixture(gamma, 0.4, 1e-3, 20_000, seed=43)
+        result = mc.experiment_mixture(gamma, 0.4, 1e-3, 20_000, seed=43)
         log_l = gamma.log_sampler(1e-3, 20_000, substream(43, 0))
         at_one = substream(43, 1).random(20_000) >= 0.4
         combined = np.where(at_one, np.logaddexp(log_l, 0.0), log_l)
         emp = mc.EmpiricalDistribution.from_values(*to_neg_t_power(combined, 1e-3))
-        assert report.ks_statistic == two_pass_ks(emp, law.cdf)
+        assert result["statistic"] == two_pass_ks(emp, law.cdf)
 
     def test_affine_min_ties_at_b(self):
         law = mc.AffineMinLaw(2.0, 8.0, 1.0)
@@ -139,15 +139,15 @@ class TestKsOnePassEqualsTwoPass:
         # expressions the experiments used before they worked in place
         n = 1_000_000
         gamma = catalog.make_gamma(1.0, 1.0)
-        report, _ = mc.experiment_mixture(gamma, 0.4, 1e-3, n, seed=50)
+        result = mc.experiment_mixture(gamma, 0.4, 1e-3, n, seed=50)
         emp = mixture_batch(n, 50)
-        assert report.ks_statistic == two_pass_ks(emp, mc.ParetoMixtureLaw(0.4, 1.0).cdf)
+        assert result["statistic"] == two_pass_ks(emp, mc.ParetoMixtureLaw(0.4, 1.0).cdf)
 
-        report = mc.experiment_affine(gamma, 2.0, 32.0, 0.05, n, seed=51)
+        result = mc.experiment_affine(gamma, 2.0, 32.0, 0.05, n, seed=51)
         emp = affine_batch(n, 51)
         law = mc.AffineMinLaw(2.0, 32.0, 1.0)
         assert np.sum(emp.values == emp.values[-1]) > n / 100  # the atom at b
-        assert report.ks_statistic == two_pass_ks(emp, law.cdf)
+        assert result["statistic"] == two_pass_ks(emp, law.cdf)
 
     def test_ties_take_one_left_limit_per_run(self):
         # ~60% of the mixture batch ties at the atom; each run of ties needs
@@ -276,7 +276,7 @@ class TestNegativeControls:
         assert control >= 3.0 * matched
 
     def test_mixture_control(self, gamma11):
-        report, _ = mc.experiment_mixture(gamma11, q=0.3, t=1e-3, n=50_000, seed=23)
+        result = mc.experiment_mixture(gamma11, q=0.3, t=1e-3, n=50_000, seed=23)
         # same samples, target with doubled index in the Pareto component
         rng = substream(23, 0)
         log_l = sample_marginal(gamma11, 1e-3, 50_000, rng)
@@ -286,16 +286,16 @@ class TestNegativeControls:
         )
         emp = mc.EmpiricalDistribution.from_values(values, n_inf)
         control = mc.ks_distance(emp, mc.ParetoMixtureLaw(0.3, 2.0).cdf)
-        assert control >= 3.0 * report.ks_statistic
+        assert control >= 3.0 * result["statistic"]
 
 
 class TestSpecSpotValues:
     def test_s2_gamma_at_u_e_t_one_thousandth(self, gamma11):
         # t*Phi(e**(1/t)) = t*log(1 + e**(1/t)) -> 1 = -log(1 - Pi_1(e))
-        report = criteria.check_s2(
+        result = criteria.check_s2(
             gamma11.phi, lambda u: pareto_cdf(1.0, u), t_grid=[1e-3], u_grid=[math.e]
         )
-        assert report.final <= 1e-2
+        assert result["statistic"] <= 1e-2
 
     def test_gamma_marginal_mass_spot_value(self, gamma11):
         # P(Y_t <= 2**-100) at t = 0.01 sits within half a percent of the
