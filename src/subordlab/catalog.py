@@ -82,8 +82,7 @@ def _gamma_inverse_tail_factory(gamma, lam):
     """
 
     def inverse_tail(y):
-        y_arr = np.atleast_1d(np.asarray(y, dtype=float))
-        target = y_arr / gamma
+        target = np.asarray(y, dtype=float).ravel() / gamma
         # E1(z) ~ -euler - log z near 0, ~ exp(-z)/z at infinity; z is formed in u
         u = np.negative(target)
         u -= EULER
@@ -133,7 +132,7 @@ def _gamma_inverse_tail_factory(gamma, lam):
             u[idx] = u_act
         np.exp(u, out=u)
         u /= lam
-        return u if np.asarray(y).ndim else float(u[0])
+        return u.reshape(np.shape(y))
 
     return inverse_tail
 
@@ -243,8 +242,7 @@ def make_gamma(gamma, lam):
             - lam * x_arr
             - sc.gammaln(gamma)
         )
-        out = np.exp(log_f)
-        return out if out.ndim else float(out)
+        return np.exp(log_f)
 
     def tail(x):
         return gamma * sc.exp1(lam * np.asarray(x, dtype=float))
@@ -357,12 +355,11 @@ def make_bessel():
             out[~small] = ell_arr[~small] + np.log(
                 2.0 + e + np.expm1(0.5 * np.log1p(2.0 * e))
             )
-        return out if out.ndim else float(out)
+        return out
 
     def density1(x):
         x_arr = np.asarray(x, dtype=float)
-        out = np.where(x_arr > 0, sc.ive(1.0, x_arr) / np.where(x_arr > 0, x_arr, 1.0), 0.5)
-        return out if out.ndim else float(out)
+        return np.where(x_arr > 0, sc.ive(1.0, x_arr) / np.where(x_arr > 0, x_arr, 1.0), 0.5)
 
     return SubordinatorModel(
         phi=LaplaceExponent(eval_log=eval_log),
@@ -395,7 +392,7 @@ def make_thorin_uniform(gamma):
                 + gamma * np.logaddexp(log_g, e)
                 - gamma * log_g
             )
-        return out if out.ndim else float(out)
+        return out
 
     def tail(x):
         x_arr = np.asarray(x, dtype=float)
@@ -504,20 +501,16 @@ def make_log_power(gamma, power=3):
     def tail(x):
         x_arr = np.asarray(x, dtype=float)
         with np.errstate(divide="ignore", invalid="ignore"):
-            out = np.where(x_arr < 1.0, gamma * (-np.log(np.minimum(x_arr, 1.0))) ** power, 0.0)
-        return out if out.ndim else float(out)
+            return np.where(x_arr < 1.0, gamma * (-np.log(np.minimum(x_arr, 1.0))) ** power, 0.0)
 
     def inverse_tail(y):
-        y_arr = np.asarray(y, dtype=float)
-        out = np.exp(-((y_arr / gamma) ** (1.0 / power)))
-        return out if out.ndim else float(out)
+        return np.exp(-((np.asarray(y, dtype=float) / gamma) ** (1.0 / power)))
 
     def levy_density(x):
         x_arr = np.asarray(x, dtype=float)
-        out = np.where(
+        return np.where(
             x_arr <= 1.0, gamma * power * (-np.log(x_arr)) ** (power - 1) / x_arr, 0.0
         )
-        return out if out.ndim else float(out)
 
     coeffs = [math.comb(power, k) * _NEG_LOG_MOMENTS[k] for k in range(power + 1)]
 
@@ -531,8 +524,7 @@ def make_log_power(gamma, power=3):
 
     def eval_log(ell):
         ell_arr = np.asarray(ell, dtype=float)
-        out = np.array([_phi_one(float(e)) for e in np.atleast_1d(ell_arr)])
-        return out.reshape(ell_arr.shape) if ell_arr.ndim else float(out[0])
+        return np.array([_phi_one(e) for e in ell_arr.ravel().tolist()]).reshape(ell_arr.shape)
 
     return SubordinatorModel(
         phi=LaplaceExponent(eval_log=eval_log),
@@ -553,14 +545,12 @@ def make_stable_nef(a, theta):
     def psi_t_log(t, log_u):
         lu = np.asarray(log_u, dtype=float)
         lt = np.logaddexp(log_theta, lu)
-        out = np.exp(-a * (np.exp(t * lt) - np.exp(t * log_theta)))
-        return out if out.ndim else float(out)
+        return np.exp(-a * (np.exp(t * lt) - np.exp(t * log_theta)))
 
     def limit_cdf(x):
         x_arr = np.asarray(x, dtype=float)
         out = np.where(x_arr >= 1.0, -np.expm1(-a * (np.minimum(x_arr, 1e300) - 1.0)), 0.0)
-        out = np.where(np.isposinf(x_arr), 1.0, out)
-        return out if out.ndim else float(out)
+        return np.where(np.isposinf(x_arr), 1.0, out)
 
     return GeneralFamily(
         psi_t_log=psi_t_log,

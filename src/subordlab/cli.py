@@ -54,7 +54,8 @@ import numpy as np
 
 from . import __version__, catalog, criteria, montecarlo, transforms
 from .core import (
-    ABOVE_ONE, DISTINCT_TIMES, NONNEGATIVE, OPEN_UNIT, POSITIVE, REQUIRED, TIMES, Check, integral,
+    ABOVE_ONE, DISTINCT_TIMES, NONNEGATIVE, OPEN_UNIT, POSITIVE, REQUIRED, STD_COUNT, TIMES, Check,
+    integral,
 )
 from .criteria import CRITERIA
 from .dickman import (
@@ -77,8 +78,8 @@ class SchemaError(Exception):
 
 # named slowly varying functions usable from configs, each a function of log x
 L_FUNCTIONS = {
-    "neg_log": lambda ly: -ly,
-    "neg_log_cubed": lambda ly: (-ly) ** 3,
+    "neg_log": np.negative,
+    "neg_log_cubed": lambda ly: np.negative(ly) ** 3,
 }
 
 
@@ -89,7 +90,7 @@ def _ramp(x):
     out *= 4.0
     np.maximum(0.0, out, out=out)
     np.minimum(1.0, out, out=out)
-    return out if out.ndim else out[()]
+    return out
 
 
 # named ergodic functionals: name -> (f, delta0)
@@ -320,6 +321,12 @@ def _grid_problem(m, v, entry):
 _CRITERION_GRID = Need("params.grid", "a grid its criterion accepts", _grid_problem)
 _GAMMA_OR_INDEX = Need("params.gamma", "given, or the model's known index",
                        lambda m, v, e: v["gamma"] is None and _no_index(m["model"]))
+# the mean gamma of a recursion draw comes from its paths whose first uniform falls
+# within about gamma of 1, some gamma * n of them; with under one, its gate often fails
+_MEAN_PATHS = Need("params.gamma", "gamma * n >= 1", lambda m, v, e: (
+    v["gamma"] * v["n"] < 1
+    and f"gamma * n = {v['gamma'] * v['n']:g} is below 1: the batch expects fewer than one "
+        f"path near the mean gamma, too few for the sigma_mult gate"))
 _BELOW_DELTA0 = Need(
     "params.cutoff", "below the functional's delta0", lambda m, v, e: (
         v["cutoff"] >= FUNCTIONALS[v["functional"]][1]
@@ -545,9 +552,9 @@ class Kind(NamedTuple):
     csv: bool = False
 
 
-def _draw(t, n=montecarlo.DEFAULT_N, **more):
-    """The fields of a draw of n paths at time t, plus more."""
-    return {"t": (t, POSITIVE), "n": (n, COUNT), "cutoff": (1e-6, OPEN_UNIT), **more}
+def _draw(t, n=(montecarlo.DEFAULT_N, COUNT), **more):
+    """The fields of a draw of n paths at time t, plus more; n is (default, Check)."""
+    return {"t": (t, POSITIVE), "n": n, "cutoff": (1e-6, OPEN_UNIT), **more}
 
 
 def _draws(t_list, **more):
@@ -628,7 +635,7 @@ KINDS = {
         _ergodic,
         (_gate("rel_tol", Side("|statistic - target| / |target| <=",
                                lambda s, b, v, r: b - abs(s - r["target"]) / abs(r["target"]))),),
-        params=_draw(1e-3, 10_000_000, functional=("ramp", _one_of(FUNCTIONALS))),
+        params=_draw(1e-3, (10_000_000, STD_COUNT), functional=("ramp", _one_of(FUNCTIONALS))),
         assertions={"rel_tol": (0.05, NONNEGATIVE)},
         needs=(_has("levy_density"), _INVERTIBLE_TAIL, _BELOW_DELTA0)),
     "family_limit": Kind(
@@ -646,9 +653,9 @@ KINDS = {
         _recursion_mean,
         (_gate("sigma_mult", Side("|statistic - target| <= threshold * stderr",
                                   lambda s, b, v, r: b * r["stderr"] - abs(s - r["target"]))),),
-        params={"n": (1_000_000, COUNT), "gamma": (REQUIRED, RECURSION_GAMMA),
+        params={"gamma": (REQUIRED, RECURSION_GAMMA), "n": (1_000_000, STD_COUNT),
                 "depth": (None, DEPTH)},
-        assertions={"sigma_mult": (3.0, POSITIVE)}, models=()),
+        assertions={"sigma_mult": (3.0, POSITIVE)}, models=(), needs=(_MEAN_PATHS,)),
     "two_sampler_ks": Kind(
         _two_sampler_ks,
         (_gate("level", Side("<= the critical value at level threshold",

@@ -12,6 +12,10 @@ small-time statistic probes the exponent at ``s = u**(1/t)``, which
 overflows any float for ``t`` below about 0.01, so every exponent carries
 an ``eval_log`` map taking ``log s`` directly.
 
+Every surface and limit law (an exponent, a tail and its inverse, a CDF, a
+density, a quantile, an L or a functional) keeps one elementwise contract: a
+float array in, a Python float counting as 0-d, float64 of its shape out.
+
 All types are immutable after construction and all operations are pure
 functions; instances can be shared freely across threads.
 """
@@ -37,6 +41,7 @@ __all__ = [
     "OPEN_UNIT",
     "TIMES",
     "DISTINCT_TIMES",
+    "STD_COUNT",
     "REQUIRED",
     "declares",
     "LaplaceExponent",
@@ -101,6 +106,8 @@ TIMES = Check(lambda v: len(v) > 0 and all(POSITIVE.valid(t) for t in v),
 DISTINCT_TIMES = Check(lambda v: TIMES.valid(v) and len(set(v)) == len(v),
                        "a non-empty list of distinct finite numbers > 0", tuple)
 
+# a sample count whose ddof=1 standard deviation divides by n - 1
+STD_COUNT = Check(lambda v: int(v) == v >= 2, "an integer >= 2", int)
 # the default of an argument or field that must be given
 REQUIRED = object()
 
@@ -154,7 +161,7 @@ class LaplaceExponent:
         if np.any(pos):
             with np.errstate(divide="ignore"):
                 out[pos] = self.eval_log(np.log(s_arr[pos]))
-        return out if out.ndim else float(out)
+        return out
 
 
 @dataclass(frozen=True)
@@ -210,7 +217,7 @@ def pareto_cdf(gamma, x):
     out *= -gamma
     np.expm1(out, out=out)
     np.negative(out, out=out)
-    return out if out.ndim else float(out)
+    return out
 
 
 def pareto_quantile(gamma, p):
@@ -221,8 +228,7 @@ def pareto_quantile(gamma, p):
         raise InvalidParameterError("probability must lie in [0, 1]")
     if np.any(p_arr == 1.0):
         raise InvalidParameterError("quantile unbounded at p = 1")
-    out = np.exp(-np.log1p(-p_arr) / gamma)
-    return out if out.ndim else float(out)
+    return np.exp(-np.log1p(-p_arr) / gamma)
 
 
 @dataclass(frozen=True)
@@ -264,14 +270,13 @@ class ExponentialLaw:
         out *= -self.gamma
         np.expm1(out, out=out)
         np.negative(out, out=out)
-        return out if out.ndim else float(out)
+        return out
 
     def quantile(self, p):
         p_arr = np.asarray(p, dtype=float)
         if np.any(p_arr < 0) or np.any(p_arr >= 1):
             raise InvalidParameterError("probability must lie in [0, 1)")
-        out = -np.log1p(-p_arr) / self.gamma
-        return out if out.ndim else float(out)
+        return -np.log1p(-p_arr) / self.gamma
 
     def sample(self, n, rng):
         return rng.exponential(scale=1.0 / self.gamma, size=n)

@@ -77,7 +77,7 @@ def log_grid(criterion, grid=None, L=None):
         if np.any(np.diff(grid) >= 0):
             raise InvalidParameterError("need a decreasing log-s grid (s -> 0)")
         if L is not None:
-            l_vals = np.asarray(L(grid), dtype=float)
+            l_vals = L(grid)
             if np.any(np.diff(l_vals) <= 0) or np.any(l_vals <= 0):
                 raise InvalidParameterError(
                     "L must be positive and decreasing toward s = 0 on the grid")
@@ -125,13 +125,13 @@ def _affine_fit(w, r):
 def detect_limit(values_fn):
     """Extrapolated limit of a ratio sequence as s -> infinity, or None when it degenerates.
 
-    ``values_fn`` maps the S5 log-s grid to the ratios, and the fit is
-    affine in 1/log s.  Only the deepest grid points enter the fit: the
+    ``values_fn`` maps the S5 log-s grid to the ratios' float array, and the
+    fit is affine in 1/log s.  Only the deepest grid points enter the fit: the
     ratios here can carry power-law corrections that would bias an affine
     fit over the shallow region, while near the limit they are already flat.
     """
     grid = _DEFAULT_LOG_S
-    ratios = np.asarray(values_fn(grid), dtype=float)
+    ratios = values_fn(grid)
     if not np.all(np.isfinite(ratios)):
         return None
     if np.all(np.diff(ratios) > 0) and ratios[-1] > 10.0 * max(abs(ratios[0]), 1e-300):
@@ -170,8 +170,8 @@ def _finish(criterion, grid, ratios, w, shift=0.0):
     gamma_hat = intercept + shift if verdict == "converged" else np.nan
     return LimitEstimate(
         criterion=criterion,
-        grid=np.asarray(grid, dtype=float),
-        ratios=np.asarray(ratios, dtype=float),
+        grid=grid,
+        ratios=ratios,
         gamma_hat=gamma_hat,
         residual=rms,
         verdict=verdict,
@@ -181,7 +181,7 @@ def _finish(criterion, grid, ratios, w, shift=0.0):
 def estimate_gamma_s5(phi: LaplaceExponent, log_s_grid=None):
     """Index from the exponent: Phi(s)/log(s) -> gamma as s -> infinity."""
     grid = log_grid("S5", log_s_grid)
-    values = np.asarray(phi.eval_log(grid), dtype=float)
+    values = phi.eval_log(grid)
     if np.all(np.abs(values) < 1e-15):
         return LimitEstimate("S5", grid, np.zeros_like(grid), np.nan, 0.0, "degenerate")
     ratios = values / grid
@@ -191,7 +191,7 @@ def estimate_gamma_s5(phi: LaplaceExponent, log_s_grid=None):
 def estimate_gamma_s6(cdf1, log_x_grid=None):
     """Index from the marginal: log F(x)/log(x) -> gamma as x -> 0."""
     grid = log_grid("S6", log_x_grid)
-    f_vals = np.asarray(cdf1(np.exp(grid)), dtype=float)
+    f_vals = cdf1(np.exp(grid))
     positive = f_vals > 0.0
     if not np.any(positive):
         raise NumericalFailure("CDF underflowed to zero on the whole grid", op="estimate_gamma_s6")
@@ -207,7 +207,7 @@ def estimate_gamma_s6(cdf1, log_x_grid=None):
 def estimate_gamma_s7(tail: LevyTail, log_x_grid=None):
     """Index from the jump tail: nu_bar(x)/(-log x) -> gamma as x -> 0."""
     grid = log_grid("S7", log_x_grid)
-    t_vals = np.asarray(tail.tail(np.exp(grid)), dtype=float)
+    t_vals = tail.tail(np.exp(grid))
     ratios = t_vals / (-grid)
     return _finish("S7", grid, ratios, -1.0 / grid)
 
@@ -215,7 +215,7 @@ def estimate_gamma_s7(tail: LevyTail, log_x_grid=None):
 def estimate_gamma_s8(density1, log_x_grid=None):
     """Index from the marginal density: 1 + limit of log f(x)/log(x) at 0."""
     grid = log_grid("S8", log_x_grid)
-    f_vals = np.asarray(density1(np.exp(grid)), dtype=float)
+    f_vals = density1(np.exp(grid))
     if np.any(f_vals <= 0.0):
         raise NumericalFailure("density not positive on the grid", op="estimate_gamma_s8")
     ratios = np.log(f_vals) / grid
@@ -230,8 +230,8 @@ def estimate_gamma_general(phi: LaplaceExponent, L, log_s_grid=None):
     monotonicity on the grid is checked).  Extrapolation is affine in 1/L(s).
     """
     grid = log_grid("GL", log_s_grid, L)
-    l_vals = np.asarray(L(grid), dtype=float)
-    values = np.asarray(phi.eval_log(-grid), dtype=float)
+    l_vals = L(grid)
+    values = phi.eval_log(-grid)
     if np.all(np.abs(values) < 1e-15):
         return LimitEstimate("GL", grid, np.zeros_like(grid), np.nan, 0.0, "degenerate")
     ratios = values / l_vals
@@ -266,7 +266,7 @@ def grid_deviations(at, target, t_grid, u_grid):
     log_u = np.log(u_arr)
     deviations = np.empty_like(t_arr)
     for k, t in enumerate(t_arr):
-        deviations[k] = np.max(np.abs(np.asarray(at(t, log_u / t), dtype=float) - limit))
+        deviations[k] = np.max(np.abs(at(t, log_u / t) - limit))
     return {"statistic": float(deviations[-1]), "deviations": deviations.tolist()}
 
 
@@ -279,7 +279,7 @@ def check_s2(phi: LaplaceExponent, limit_cdf, t_grid=None, u_grid=None):
     require_nondegenerate(phi)
 
     def target(u):
-        f_star = np.asarray(limit_cdf(u), dtype=float)
+        f_star = limit_cdf(u)
         if np.any(f_star >= 1.0):
             raise InvalidParameterError("u grid hits F* = 1; deviation undefined there")
         return -np.log1p(-f_star)
@@ -300,7 +300,7 @@ class SandwichViolation:
 
 def _psi_values(cdf1, phi, s_values):
     if phi is not None:
-        return np.exp(-np.asarray(phi.eval(s_values), dtype=float))
+        return np.exp(-phi.eval(s_values))
     return np.array([lst_from_cdf(cdf1, float(s)) for s in s_values])
 
 
@@ -317,7 +317,7 @@ def check_sandwich_ol(cdf1, phi=None, z_grid=None, s_grid=None, tol=1e-9):
     violations = []
     for z in z_arr:
         ez = np.exp(-z)
-        f_vals = np.asarray(cdf1(z / s_arr), dtype=float)
+        f_vals = cdf1(z / s_arr)
         lower = f_vals * ez
         upper = f_vals * (1.0 - ez) + ez
         for s, lo, ps, up in zip(s_arr, lower, psi, upper):
@@ -340,7 +340,7 @@ def check_sandwich_ol2(cdf1, phi=None, z_grid=None, x_grid=None, tol=1e-9):
         psi = _psi_values(cdf1, phi, z / x_arr)
         lower = (ez * psi - 1.0) / (ez - 1.0)
         upper = psi * ez
-        f_vals = np.asarray(cdf1(x_arr), dtype=float)
+        f_vals = cdf1(x_arr)
         for x, lo, fv, up in zip(x_arr, lower, f_vals, upper):
             if fv < lo - tol:
                 violations.append(SandwichViolation(float(z), float(x), "lower", float(lo - fv)))

@@ -103,7 +103,7 @@ class DickmanFunction:
         out = self.b[k, -1]
         for i in range(SERIES_TERMS - 2, -1, -1):
             out = out * s + self.b[k, i]
-        return out if out.ndim else float(out)
+        return out
 
 
 _default_table = None
@@ -271,7 +271,7 @@ def _phi_log_factory(gamma):
             with np.errstate(over="ignore"):
                 s = np.exp(ell_arr[rest])
             out[rest] = gamma * (EULER + ell_arr[rest] + sc.exp1(s))
-        return out if out.ndim else float(out)
+        return out
 
     return eval_log
 
@@ -290,16 +290,14 @@ def make_dickman(gamma):
     def tail(x):
         x_arr = np.asarray(x, dtype=float)
         with np.errstate(divide="ignore"):
-            out = np.where(x_arr < 1.0, -gamma * np.log(np.minimum(x_arr, 1.0)), 0.0)
-        return out if out.ndim else float(out)
+            return np.where(x_arr < 1.0, -gamma * np.log(np.minimum(x_arr, 1.0)), 0.0)
 
     def inverse_tail(y):
         return np.exp(-np.asarray(y, dtype=float) / gamma)
 
     def levy_density(x):
         x_arr = np.asarray(x, dtype=float)
-        out = np.where(x_arr <= 1.0, gamma / x_arr, 0.0)
-        return out if out.ndim else float(out)
+        return np.where(x_arr <= 1.0, gamma / x_arr, 0.0)
 
     def log_sampler(t, n, rng):
         theta = t * gamma

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import simulate
 from .core import (
-    ABOVE_ONE, BLOCK, DISTINCT_TIMES, OPEN_UNIT, POSITIVE, ExponentialLaw, ParetoLaw,
+    ABOVE_ONE, BLOCK, DISTINCT_TIMES, OPEN_UNIT, POSITIVE, STD_COUNT, ExponentialLaw, ParetoLaw,
     SubordinatorModel, pareto_cdf,
 )
 from .criteria import grid_deviations
@@ -89,8 +89,7 @@ def _left_max(cdf, xb, lower, sel):
     """Largest left term F(x-) - (i-1)/n over the block values ``xb[sel]``; (i-1)/n is ``lower``."""
     x = xb[sel]  # a copy, reused for the differences
     np.nextafter(x, -np.inf, out=x)
-    f_left = np.asarray(cdf(x), dtype=float)
-    return np.subtract(f_left, lower[sel], out=x).max()
+    return np.subtract(cdf(x), lower[sel], out=x).max()
 
 
 def ks_distance(emp: EmpiricalDistribution, cdf):
@@ -131,7 +130,7 @@ def ks_distance(emp: EmpiricalDistribution, cdf):
         steps = np.arange(lo, lo + xb.size + 1, dtype=float)
         steps /= n  # steps[j] = (lo + j)/n
         lower = steps[:-1]  # (i-1)/n
-        f = np.asarray(cdf(xb), dtype=float)
+        f = cdf(xb)
         u = np.subtract(steps[1:], f)
         d = max(d, u.max())
         u = np.subtract(f, lower, out=u)
@@ -212,8 +211,7 @@ class ParetoProductLaw:
             else:
                 surv = (g1 * xs ** (-g2) - g2 * xs ** (-g1)) / (g1 - g2)
         out = np.where(x_arr >= 1.0, 1.0 - surv, 0.0)
-        out = np.where(np.isposinf(x_arr), 1.0, out)
-        return out if out.ndim else float(out)
+        return np.where(np.isposinf(x_arr), 1.0, out)
 
     def describe(self):
         return f"ParetoProduct(gamma1={self.gamma1:g},gamma2={self.gamma2:g})"
@@ -229,8 +227,7 @@ class AffineMinLaw:
 
     def cdf(self, x):
         x_arr = np.asarray(x, dtype=float)
-        out = np.where(x_arr >= self.b, 1.0, pareto_cdf(self.gamma, x_arr / self.a))
-        return out if out.ndim else float(out)
+        return np.where(x_arr >= self.b, 1.0, pareto_cdf(self.gamma, x_arr / self.a))
 
     def describe(self):
         return f"min({self.a:g}*Pareto({self.gamma:g}),{self.b:g})"
@@ -245,8 +242,7 @@ class ParetoMixtureLaw:
 
     def cdf(self, x):
         x_arr = np.asarray(x, dtype=float)
-        out = (1.0 - self.q) * (x_arr >= 1.0) + self.q * pareto_cdf(self.gamma, x_arr)
-        return out if out.ndim else float(out)
+        return (1.0 - self.q) * (x_arr >= 1.0) + self.q * pareto_cdf(self.gamma, x_arr)
 
     def describe(self):
         return f"mixture(q={self.q:g},Pareto({self.gamma:g}))"
@@ -436,6 +432,7 @@ def mean_std_in_place(values):
     batch alone.
     """
     n = values.size
+    STD_COUNT.require(n=n)
     mean = np.add.reduce(values) / n
     values -= mean
     np.square(values, out=values)
@@ -448,7 +445,7 @@ def estimate_ergodic_functional(model, f, delta0, t, n, seed=0, *, cutoff=1e-6):
     For bounded continuous f vanishing on [0, delta0] this converges to
     the integral of f against the jump measure.  The cutoff must sit
     strictly below delta0, otherwise the dropped jumps bias the
-    functional itself.  ``f`` must act elementwise on float arrays.
+    functional itself.  ``f`` keeps core's elementwise contract; n >= 2.
 
     The model needs an invertible jump tail (else UnsupportedModelError):
     f ignores everything below delta0 > cutoff, so the cutoff
@@ -460,14 +457,15 @@ def estimate_ergodic_functional(model, f, delta0, t, n, seed=0, *, cutoff=1e-6):
     summation tree over the n virtual values (``_sparse_sum``), so both
     are bitwise those of ``ndarray.mean`` and ``ndarray.std``.
     """
+    STD_COUNT.require(n=n)
     if delta0 <= cutoff:
         raise InvalidParameterError("need delta0 > cutoff, else the truncation biases f")
     if model.tail is None or model.tail.inverse_tail is None:
         raise UnsupportedModelError(f"model {model.describe()} has no invertible jump tail")
     idx, sums = sample_cutoff_cp(model.tail, cutoff, t, substream(seed, 0), n)
-    fv = np.asarray(f(sums), dtype=float)
+    fv = f(sums)
     del sums
-    f0 = np.asarray(f(np.zeros(1)), dtype=float)[0]
+    f0 = f(0.0)
     keep = fv != f0
     idx, fv = idx[keep], fv[keep]
     buf = np.empty(min(n, BLOCK))
@@ -487,7 +485,7 @@ def check_family_limit(family, t_grid=None, u_grid=None):
     ``criteria.grid_deviations`` of ``family.psi_t_log``.
     """
     return grid_deviations(
-        family.psi_t_log, lambda u: 1.0 - np.asarray(family.limit_cdf(u), dtype=float),
+        family.psi_t_log, lambda u: 1.0 - family.limit_cdf(u),
         [1e-2, 1e-3, 1e-4] if t_grid is None else t_grid,
         np.geomspace(1.1, 10.0, 12) if u_grid is None else u_grid)
 
@@ -508,7 +506,7 @@ def export_curve(emp: EmpiricalDistribution, cdf, path):
         for lo in range(0, n, chunk):
             x = emp.values[lo : lo + chunk]
             ecdf = np.arange(lo + 1, lo + x.size + 1) / emp.n_total
-            targets = np.asarray(cdf(x), dtype=float)
+            targets = cdf(x)
             fh.write("".join(
                 f"{xv!r},{e!r},{tv!r}\r\n"
                 for xv, e, tv in zip(x.tolist(), ecdf.tolist(), targets.tolist())

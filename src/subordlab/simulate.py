@@ -107,7 +107,7 @@ def _jump_sums(tail, nu_eps, counts, rng, out):
         else:
             jumps = rng.random(total)
             jumps *= nu_eps
-            jumps = np.asarray(tail.inverse_tail(jumps), dtype=float)
+            jumps = tail.inverse_tail(jumps)
             owner = np.repeat(np.arange(hi - lo), counts[lo:hi])
             out[lo:hi] = np.bincount(owner, weights=jumps, minlength=hi - lo)
         lo = hi
@@ -262,7 +262,7 @@ def to_tl(samples, L, t):
     for lo in range(0, log_y.size, BLOCK):
         block = log_y[lo : lo + BLOCK]
         block = block[np.isfinite(block)]
-        vals = t * np.asarray(L(block), dtype=float)
+        vals = t * L(block)
         vals = vals[np.isfinite(vals)]
         log_y[k : k + vals.size] = vals
         k += vals.size

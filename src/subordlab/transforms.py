@@ -62,12 +62,11 @@ def tilt(model: SubordinatorModel, theta):
         def tilted_tail(x):
             # a finite first piece up to 1 keeps the density's peak at a tiny x
             # out of QAGI's map of [x, inf), which cannot resolve it
-            x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-            out = np.array([
+            x_arr = np.asarray(x, dtype=float)
+            return np.array([
                 integral(new_density, [v, min(max(v, 1.0), upper), upper], op="tilted_tail")
-                for v in x_arr.tolist()
-            ])
-            return out if np.asarray(x).ndim else float(out[0])
+                for v in x_arr.ravel().tolist()
+            ]).reshape(x_arr.shape)
 
         new_tail = LevyTail(tail=tilted_tail, support_upper=upper)
 
@@ -84,8 +83,7 @@ def _composed(front, back, name, known_gamma):
     front_phi, back_phi = front.phi, back.phi
 
     def eval_log(ell):
-        inner_vals = np.asarray(back_phi.eval_log(np.asarray(ell, dtype=float)), dtype=float)
-        return front_phi.eval(inner_vals)
+        return front_phi.eval(back_phi.eval_log(ell))
 
     return SubordinatorModel(
         name=name,
@@ -103,8 +101,7 @@ def compose_outer(outer: SubordinatorModel, inner: SubordinatorModel):
     """
     _require_nondegenerate(outer)
     phi_inner = _require_nondegenerate(inner)
-    delta = detect_limit(
-        lambda grid: np.log(np.asarray(phi_inner.eval_log(grid), dtype=float)) / grid)
+    delta = detect_limit(lambda grid: np.log(phi_inner.eval_log(grid)) / grid)
     known = None
     if delta is not None and outer.known_gamma is not None:
         known = outer.known_gamma * delta
@@ -122,8 +119,7 @@ def compose_inner(outer: SubordinatorModel, inner: SubordinatorModel):
     """
     phi_outer = _require_nondegenerate(outer)
     _require_nondegenerate(inner)
-    delta = detect_limit(
-        lambda grid: np.asarray(phi_outer.eval_log(grid), dtype=float) / np.exp(grid))
+    delta = detect_limit(lambda grid: phi_outer.eval_log(grid) / np.exp(grid))
     known = None
     if delta is not None and inner.known_gamma is not None:
         known = inner.known_gamma * delta
@@ -144,17 +140,14 @@ def add(m1: SubordinatorModel, m2: SubordinatorModel):
     phi2 = _require_nondegenerate(m2)
 
     def eval_log(ell):
-        ell_arr = np.asarray(ell, dtype=float)
-        return np.asarray(phi1.eval_log(ell_arr), dtype=float) + np.asarray(
-            phi2.eval_log(ell_arr), dtype=float
-        )
+        return phi1.eval_log(ell) + phi2.eval_log(ell)
 
     new_tail = None
     if m1.tail is not None and m2.tail is not None:
         t1, t2 = m1.tail, m2.tail
 
         def tail(x):
-            return np.asarray(t1.tail(x), dtype=float) + np.asarray(t2.tail(x), dtype=float)
+            return t1.tail(x) + t2.tail(x)
 
         new_tail = LevyTail(tail=tail, support_upper=max(t1.support_upper, t2.support_upper))
 
@@ -192,7 +185,7 @@ def add_drift(model: SubordinatorModel, c):
     def eval_log(ell):
         ell_arr = np.asarray(ell, dtype=float)
         with np.errstate(over="ignore"):
-            return np.asarray(phi.eval_log(ell_arr), dtype=float) + c * np.exp(ell_arr)
+            return phi.eval_log(ell_arr) + c * np.exp(ell_arr)
 
     log_sampler = None
     if model.log_sampler is not None:

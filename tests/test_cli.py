@@ -552,6 +552,15 @@ class TestExperimentTable:
              "params.t_list"),
             ({"kind": "general_limit", "model": GAMMA,
               "params": {"t_list": [0.1, 0.05, 0.1], "gamma": 1.0}}, "params.t_list"),
+            # the ddof=1 standard deviation divided by n - 1 = 0: a NaN stderr in
+            # report.json, or a traceback under -W error::RuntimeWarning
+            ({"kind": "recursion_mean", "params": {"gamma": 1.0, "n": 1}}, "params.n"),
+            ({"kind": "ergodic", "model": GAMMA, "params": {"n": 1}}, "params.n"),
+            # gamma * n < 1: each drew and failed its gate; at the first two every
+            # path's exp underflowed, so the mean and its stderr read 0.0
+            ({"kind": "recursion_mean", "params": {"gamma": 1e-12, "n": 1000}}, "params.gamma"),
+            ({"kind": "recursion_mean", "params": {"gamma": 1e-300, "n": 1000}}, "params.gamma"),
+            ({"kind": "recursion_mean", "params": {"gamma": 9e-7}}, "params.gamma"),
         ],
     )
     def test_malformed_field_exits_two_before_any_draw(
@@ -714,6 +723,9 @@ class TestExperimentTable:
             "threshold": "verdict"}
         assert kinds["sandwich"]["gates"][0]["threshold"] == 0
         assert kinds["criterion"]["assertions"]["tol"]["default"] == 0.02
+        assert "params.gamma: gamma * n >= 1" in kinds["recursion_mean"]["requires"]
+        for kind in ("recursion_mean", "ergodic"):
+            assert kinds[kind]["params"]["n"]["requirement"] == "an integer >= 2"
 
 
 # one small entry of each kind: a small-n entry of the kinds below (s2 has no
@@ -838,7 +850,7 @@ class TestRamp:
         assert ramp(x).tobytes() == old(x).tobytes()
         for point in points:
             got, want = ramp(point), old(point)
-            assert type(got) is type(want) and got.tobytes() == want.tobytes()
+            assert got.dtype == np.float64 and got.shape == () and got.tobytes() == want.tobytes()
 
 
 class TestList:

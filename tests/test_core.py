@@ -177,7 +177,7 @@ class TestCdfKernelsBitwise:
         assert got[keep].tobytes() == want[keep].tobytes()
         for k, point in enumerate(CDF_POINTS):
             got, want = new(point), old(point)
-            assert type(got) is float and got == want
+            assert got.dtype == np.float64 and got.shape == () and got == want
             if neg_zero_sign or k != NEG_ZERO:
                 assert math.copysign(1.0, got) == math.copysign(1.0, want)
 

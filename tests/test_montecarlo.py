@@ -270,7 +270,7 @@ class TestErgodicFunctional:
         "model,n",
         [
             ("gamma", 3 * BLOCK + 5),  # cutoff compound Poisson
-            ("dickman", 1),
+            ("dickman", 2),  # the fewest paths a standard deviation takes
             ("gamma-t1", BLOCK + 9),  # f(Y_t) > 0 on most paths
         ],
     )
@@ -286,12 +286,17 @@ class TestErgodicFunctional:
         vals = ramp(dense_cp(m.tail, 1e-6, t, substream(seed, 0), n))
         if model == "gamma-t1":
             assert np.count_nonzero(vals) > n / 2
-        with np.errstate(invalid="ignore"):  # n = 1 leaves no degree of freedom
-            est = mc.estimate_ergodic_functional(m, ramp, 0.5, t, n, seed)
+        est = mc.estimate_ergodic_functional(m, ramp, 0.5, t, n, seed)
         assert est["statistic"] == float(vals.mean() / t)
-        if n > 1:
-            assert est["stderr"] == float(vals.std(ddof=1) / (np.sqrt(n) * t))
-            assert est["stderr"] > 0.0
+        assert est["stderr"] == float(vals.std(ddof=1) / (np.sqrt(n) * t))
+        assert (est["stderr"] > 0.0) == (vals.min() < vals.max())
+
+    def test_one_path_has_no_standard_deviation(self, dickman1):
+        # the ddof=1 standard deviation divided by n - 1 = 0 and read NaN
+        with pytest.raises(InvalidParameterError, match="n must be an integer >= 2, got 1"):
+            mc.estimate_ergodic_functional(dickman1, cli.FUNCTIONALS["ramp"][0], 0.5, 0.05, 1)
+        with pytest.raises(InvalidParameterError, match="n must be an integer >= 2, got 1"):
+            mc.mean_std_in_place(np.ones(1))
 
     @pytest.mark.parametrize(
         "n",
