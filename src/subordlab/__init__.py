@@ -16,8 +16,6 @@ from .core import (
     lst_from_cdf,
     pareto_cdf,
     pareto_quantile,
-    phi_from_levy,
-    phi_from_tail,
 )
 from .errors import (
     DegenerateModelError,
@@ -38,8 +36,6 @@ __all__ = [
     "ExponentialLaw",
     "pareto_cdf",
     "pareto_quantile",
-    "phi_from_levy",
-    "phi_from_tail",
     "lst_from_cdf",
     "SubordlabError",
     "InvalidParameterError",

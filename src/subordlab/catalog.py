@@ -16,8 +16,8 @@ from typing import Callable
 import numpy as np
 from scipy import special as sc
 
-from .core import (BLOCK, OPEN_UNIT, POSITIVE, Check, LaplaceExponent, LevyTail, SubordinatorModel,
-                   declares, integral)
+from .core import (BLOCK, OPEN_UNIT, POSITIVE, SHAPE, Check, LaplaceExponent, LevyTail,
+                   SubordinatorModel, declares, integral)
 from .dickman import EULER, make_dickman
 from .errors import InvalidParameterError
 
@@ -158,8 +158,10 @@ def _log_gamma_small_shape(a, log_lam, n, rng):
     Gamma(a+1)/(1+w), which tends to 1 as a -> 0.  One uniform u in (0, 1]
     picks the side and the candidate: y = log(u/ww)/a when
     u <= ww = 1/(1+w), else y = -log((u-ww)/(1-ww))/(1-a).  An exponential
-    E accepts it when e^y < E (y <= 0) or e^y - 1 - y < E (y > 0).  Every
-    candidate is finite, so no draw is -inf.
+    E accepts it when e^y < E (y <= 0) or e^y - 1 - y < E (y > 0).  As
+    u >= 2**-53, every candidate is finite, and so is every draw, for a
+    at least ``SHAPE_FLOOR``; below it log(u)/a overflows to -inf, so
+    ``make_gamma``'s sampler refuses such a shape.
 
     Candidates are drawn ``min(BLOCK, n - filled)`` at a time, all the
     block's uniforms and then its exponentials, and the accepted ones are
@@ -253,6 +255,7 @@ def make_gamma(gamma, lam):
 
     def log_sampler(t, n, rng):
         shape = t * gamma
+        SHAPE.require(**{"t*gamma": shape})
         if shape < SMALL_SHAPE:
             return _log_gamma_small_shape(shape, log_lam, n, rng)
         boost = shape < 1.0
@@ -293,7 +296,9 @@ def make_stable(a, alpha):
         S = sin(alpha pi V) * sin((1-alpha) pi V)**((1-alpha)/alpha)
             / (sin(pi V)**(1/alpha) * W**((1-alpha)/alpha)),
 
-    V uniform on (0,1) and W unit exponential, then Y_t = (a t)**(1/alpha) S.
+    V uniform on (0,1) and W unit exponential, then Y_t = (a t)**(1/alpha) S;
+    an a*t below ``SHAPE_FLOOR``, the floor of every log-space draw, is
+    refused (at 5e-324 it underflows to 0 and every draw to -inf).
     The small-time limit degenerates at 1 (no finite Pareto index), so
     known_gamma is absent.
 
@@ -311,6 +316,7 @@ def make_stable(a, alpha):
     ratio = (1.0 - alpha) / alpha
 
     def log_sampler(t, n, rng):
+        SHAPE.require(**{"a*t": a * t})
         out = rng.random(n)
         w = np.empty(min(n, BLOCK))
         log_scale = np.log(a * t) / alpha

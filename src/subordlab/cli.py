@@ -54,8 +54,8 @@ import numpy as np
 
 from . import __version__, catalog, criteria, montecarlo, transforms
 from .core import (
-    ABOVE_ONE, DISTINCT_TIMES, NONNEGATIVE, OPEN_UNIT, POSITIVE, REQUIRED, STD_COUNT, TIMES, Check,
-    integral,
+    ABOVE_ONE, DECREASING_TIMES, GRID_TIMES, NONNEGATIVE, OPEN_UNIT, POSITIVE, REQUIRED, SHAPE,
+    STD_COUNT, TIMES, Check,
 )
 from .criteria import CRITERIA
 from .dickman import (
@@ -194,9 +194,10 @@ GRID = Check(lambda v: isinstance(v, list) and len(v) > 0 and all(NUMBER.valid(x
 # written into --out, so no directory part
 FILE_NAME = Check(lambda v: isinstance(v, str) and v not in ("", ".", "..")
                   and os.path.basename(v) == v, "a bare file name")
-# recursion_depth raises on a theta past the depth ceiling
+# recursion_depth raises on a theta below the shape floor or past the depth ceiling
 RECURSION_GAMMA = Check(
-    recursion_depth, f"a number > 0 that needs at most {MAX_RECURSION_DEPTH} recursion terms")
+    recursion_depth,
+    f"{SHAPE.requirement} that needs at most {MAX_RECURSION_DEPTH} recursion terms")
 # the default table of rho covers z in [0, RHO_INTERVALS]
 Z = Check(lambda v: 0 <= v <= RHO_INTERVALS, f"a number in [0, {RHO_INTERVALS}]")
 Z_MAX = Check(lambda v: int(v) == v and 1 <= v <= RHO_INTERVALS,
@@ -273,33 +274,41 @@ _INVERTIBLE_TAIL = Need("model", "an invertible jump tail", lambda m, v, e: (
     and f"{m['model'].describe()} has no invertible jump tail"))
 
 
+# catalog leaf -> (the param whose product with t is the shape of its exact
+# draw at time t, the rule of that shape)
+_SHAPES = {"gamma": ("gamma", SHAPE), "stable": ("a", SHAPE), "dickman": ("gamma", RECURSION_GAMMA)}
+
+
 def _drawn(key, field):
     """The model at key can be drawn from at the times in params.<field>.
 
-    A draw at time t runs the recursion of each ``dickman`` leaf reached
-    through ``add`` and ``drift`` (exact samplers survive only those) to
-    ``recursion_depth(t * gamma)`` terms, at most ``MAX_RECURSION_DEPTH``.
+    A draw at time t runs the exact sampler of each leaf reached through
+    ``add`` and ``drift`` (exact samplers survive only those) at its shape
+    (``_SHAPES``): gamma's t*gamma and stable's a*t must pass ``SHAPE``, and
+    the recursion of a ``dickman`` leaf runs ``recursion_depth(t * gamma)``
+    terms, at most ``MAX_RECURSION_DEPTH``.
     """
 
-    def too_deep(m, v, entry):
+    def bad_shape(m, v, entry):
         times = v[field] if field == "t_list" else (v[field],)
         nodes = [entry[key]]
         while nodes:
             node = nodes.pop()
-            if node.get("name") == "dickman":
-                gamma = node["params"]["gamma"]
+            if node.get("name") in _SHAPES:
+                param, rule = _SHAPES[node["name"]]
                 for t in times:
-                    if not RECURSION_GAMMA.passes(t * gamma):
-                        return (f"t = {t!r} puts the Dickman recursion of {m[key].describe()} at "
-                                f"theta = t*gamma = {t * gamma:g}, past its "
-                                f"{MAX_RECURSION_DEPTH}-term ceiling")
+                    shape = t * node["params"][param]
+                    if not rule.passes(shape):
+                        return (f"t = {t!r} puts the draw of {node['name']} in {m[key].describe()} "
+                                f"at shape t*{param} = {shape:g}, which must be {rule.requirement}")
             elif node.get("transform") == "add":
                 nodes.extend(node["of"])
             elif node.get("transform") == "drift":
                 nodes.append(node["of"])
 
-    ceiling = f"no Dickman recursion of {key} past {MAX_RECURSION_DEPTH} terms"
-    return _samplable(key), Need(f"params.{field}", ceiling, too_deep)
+    shapes = (f"exact draws of {key} at shapes t*param that are {SHAPE.requirement}, a Dickman "
+              f"recursion's needing at most {MAX_RECURSION_DEPTH} terms")
+    return _samplable(key), Need(f"params.{field}", shapes, bad_shape)
 
 
 _CRITERION_SURFACE = Need(
@@ -405,18 +414,8 @@ def _support(v, m, seed):
 
 
 def _ergodic(v, m, seed):
-    model = m["model"]
     f, delta0 = FUNCTIONALS[v["functional"]]
-    est = _call("estimate_ergodic_functional", v, m, seed, f=f, delta0=delta0)
-    upper = model.tail.support_upper if model.tail is not None else np.inf
-    # over the whole support; QAGI's map of [delta0, inf) alone is coarser near
-    # delta0 (it moved gamma(1, 1)'s target by 2.4e-12 relative), so it only
-    # takes the part past 100
-    target = integral(
-        lambda x: float(f(x)) * float(model.levy_density(x)),
-        [delta0, upper] if np.isfinite(upper) else [delta0, 100.0, np.inf], op="ergodic_target",
-    )
-    return {**est, "target": target}
+    return _call("estimate_ergodic_functional", v, m, seed, f=f, delta0=delta0)
 
 
 def _family_limit(v, m, seed):
@@ -559,13 +558,13 @@ def _draw(t, n=(montecarlo.DEFAULT_N, COUNT), **more):
 
 def _draws(t_list, **more):
     """The fields of draws of n paths at each time of t_list, plus more."""
-    return {"t_list": (t_list, DISTINCT_TIMES), "n": (montecarlo.DEFAULT_N, COUNT),
+    return {"t_list": (t_list, DECREASING_TIMES), "n": (montecarlo.DEFAULT_N, COUNT),
             "cutoff": (1e-6, OPEN_UNIT), **more}
 
 
 _KS_MAX = {"ks_max": (None, NONNEGATIVE)}
 _KS_GATE = (_gate("ks_max"),)
-_GRIDS = {"t_grid": (None, TIMES), "u_grid": (None, TIMES)}
+_GRIDS = {"t_grid": (None, GRID_TIMES), "u_grid": (None, TIMES)}
 _L = ("neg_log", _one_of(L_FUNCTIONS))
 _TWO_DRAWN = (*_drawn("model", "t"), *_drawn("model2", "t"), _known_index(), _known_index("model2"))
 

@@ -3,9 +3,11 @@
 A subordinator is described here by up to four interchangeable surfaces:
 the Laplace exponent ``Phi``, the jump-intensity tail ``nu_bar``, the
 time-1 marginal CDF ``F`` and its density ``f``.  This module holds the
-container types plus the numerical bridges between those surfaces
-(exponent from a jump density, exponent from a tail, Laplace transform
-from a CDF).
+container types, the number rules and floors every argument is checked
+against, the Laplace transform of a CDF and ``integral``, the one checked
+integral routine, which serves the package's four integrals: that
+transform, the tilted tail of ``transforms.tilt``, the quadrature part of
+the ``log_power`` exponent and the ergodic functional's target.
 
 Everything is evaluated in log-argument space where it matters: the
 small-time statistic probes the exponent at ``s = u**(1/t)``, which
@@ -40,7 +42,11 @@ __all__ = [
     "ABOVE_ONE",
     "OPEN_UNIT",
     "TIMES",
-    "DISTINCT_TIMES",
+    "DECREASING_TIMES",
+    "GRID_TIMES",
+    "SHAPE_FLOOR",
+    "TIME_FLOOR",
+    "SHAPE",
     "STD_COUNT",
     "REQUIRED",
     "declares",
@@ -51,8 +57,6 @@ __all__ = [
     "ExponentialLaw",
     "pareto_cdf",
     "pareto_quantile",
-    "phi_from_levy",
-    "phi_from_tail",
     "lst_from_cdf",
     "integral",
 ]
@@ -60,6 +64,15 @@ __all__ = [
 # Largest x with exp(-x) above the float64 subnormal floor; integrands
 # weighted by exp(-x) are identically zero past this point.
 _EXP_CUTOFF = 745.0
+
+# The floors below which the small-time regime leaves float64.  A log-space
+# draw divides a uniform's log, at least log(2**-53), by its shape a (gamma's
+# t*gamma, the Dickman recursion's theta = t*gamma, stable's a*t), which
+# overflows to -inf below 53 log 2 / float_max = 2.04e-307.  A grid time t
+# divides log u, at most 745 in size for a finite u > 0, which overflows below
+# 745 / float_max = 4.14e-306.
+SHAPE_FLOOR = 2.1e-307
+TIME_FLOOR = 4.2e-306
 
 # floats (or paths) per block of every blocked kernel, so that the extra memory
 # of a pass over an n-float batch is a few blocks whatever n is:
@@ -102,9 +115,16 @@ OPEN_UNIT = Check(lambda v: 0 < v < 1, "a number in (0, 1)")
 # a list of times, or of the u values of a grid; the CLI passes it on as a tuple
 TIMES = Check(lambda v: len(v) > 0 and all(POSITIVE.valid(t) for t in v),
               "a non-empty list of finite numbers > 0", tuple)
-# times reported one statistic each, keyed by the time: no time twice
-DISTINCT_TIMES = Check(lambda v: TIMES.valid(v) and len(set(v)) == len(v),
-                       "a non-empty list of distinct finite numbers > 0", tuple)
+# times drawn one batch each: ks_by_t is keyed by the time and read in order as
+# a trend, and the last, smallest time's KS is the statistic
+DECREASING_TIMES = Check(lambda v: TIMES.valid(v) and all(a > b for a, b in zip(v, v[1:])),
+                         "a non-empty list of strictly decreasing finite numbers > 0", tuple)
+# the t grid of a deterministic check, which evaluates at log(u)/t
+GRID_TIMES = Check(lambda v: TIMES.valid(v) and min(v) >= TIME_FLOOR,
+                   f"a non-empty list of finite numbers >= {TIME_FLOOR:g}", tuple)
+# the shape of a log-space draw
+SHAPE = Check(lambda v: math.isfinite(v) and v >= SHAPE_FLOOR,
+              f"a finite number >= {SHAPE_FLOOR:g}")
 
 # a sample count whose ddof=1 standard deviation divides by n - 1
 STD_COUNT = Check(lambda v: int(v) == v >= 2, "an integer >= 2", int)
@@ -293,12 +313,14 @@ _ERR_SLACK = 100.0
 
 
 def integral(fn, points, *, op):
-    """Integral of scalar ``fn`` over [points[0], points[-1]], checked.
+    """Integral of ``fn`` over [points[0], points[-1]], checked.
 
-    Each consecutive pair of points is one adaptive Gauss-Kronrod pass
-    (QUADPACK's QAGS, or QAGI for an infinite end) at the fixed absolute
-    and relative tolerances 1e-12 and 1e-10; the pieces' values and error
-    estimates are summed in order.  Raises NumericalFailure naming ``op``
+    ``fn`` is called on one Python float at a time and may return a float
+    or a 0-d float64 array: every integrand but ``log_power``'s keeps
+    core's elementwise contract.  Each consecutive pair of points is one
+    adaptive Gauss-Kronrod pass (QUADPACK's QAGS, or QAGI for an infinite
+    end) at the fixed absolute and relative tolerances 1e-12 and 1e-10; the
+    pieces' values and error estimates are summed in order.  Raises NumericalFailure naming ``op``
     (exit 3 from the CLI) when the sum is not finite or the summed error
     estimate exceeds 100 * max(1e-12, 1e-10 * |sum|).
     """
@@ -318,51 +340,6 @@ def integral(fn, points, *, op):
     return total
 
 
-def phi_from_levy(levy_density, s, *, upper=np.inf):
-    """Laplace exponent from a Levy density: integral of (1-exp(-s x)) nu'(x) dx.
-
-    The integrand is split at the knee x = 1/s where 1 - exp(-s x) turns
-    from linear growth into saturation; the small-argument factor is
-    computed as -expm1(-s x), which is exact where the naive difference
-    would cancel.  The caller asserts integrability of x nu'(x) near 0.
-    """
-    NONNEGATIVE.require(s=s)
-    if s == 0:
-        return 0.0
-
-    def integrand(x):
-        return -np.expm1(-s * x) * levy_density(x)
-
-    knee = 1.0 / s
-    points = [0.0, knee, upper] if upper > knee else [0.0, upper]
-    return integral(integrand, points, op="phi_from_levy")
-
-
-def phi_from_tail(tail: LevyTail, s):
-    """Laplace exponent from the tail: integral of exp(-x) nu_bar(x/s) dx.
-
-    The upper limit is capped where exp(-x) drives the integrand below
-    any representable contribution (x = 745, or earlier when the tail's
-    support ends at s * support_upper).
-    """
-    NONNEGATIVE.require(s=s)
-    if s == 0:
-        return 0.0
-
-    def integrand(x):
-        return np.exp(-x) * float(tail.tail(x / s))
-
-    x_max = _EXP_CUTOFF
-    if np.isfinite(tail.support_upper):
-        x_max = min(x_max, s * tail.support_upper)
-    if x_max <= 0:
-        return 0.0
-    # the tail factor varies on the x ~ s scale, the exponential on x ~ 1;
-    # breaking at both keeps the adaptive pass from overlooking a narrow spike
-    breaks = sorted({x_max} | {b for b in (min(s, 1.0), 1.0) if 0.0 < b < x_max})
-    return integral(integrand, [0.0, *breaks], op="phi_from_tail")
-
-
 def lst_from_cdf(cdf, s):
     """Laplace-Stieltjes transform of a CDF via psi(s) = s * integral e^{-sx} F(x) dx.
 
@@ -377,7 +354,7 @@ def lst_from_cdf(cdf, s):
         raise InvalidParameterError("lst_from_cdf is restricted to s <= 1e6")
 
     def integrand(u):
-        return np.exp(-u) * float(cdf(u / s))
+        return np.exp(-u) * cdf(u / s)
 
     total = integral(integrand, [0.0, _EXP_CUTOFF], op="lst_from_cdf")
     return min(max(total, 0.0), 1.0)

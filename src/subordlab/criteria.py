@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import TIMES, LaplaceExponent, LevyTail, lst_from_cdf
+from .core import GRID_TIMES, TIMES, LaplaceExponent, LevyTail, lst_from_cdf
 from .errors import DegenerateModelError, InvalidParameterError, NumericalFailure
 
 __all__ = [
@@ -253,13 +253,15 @@ def grid_deviations(at, target, t_grid, u_grid):
     """max over u of |at(t, log(u)/t) - target(u)| for each t of ``t_grid``, largest t first.
 
     ``at(t, ell)`` evaluates the t-indexed function at log-argument ell,
-    so the probe u**(1/t) never has to be formed and arbitrarily small t
-    is fine; ``target(u)`` is its limit on the array of ``u_grid``.  Both
-    grids must pass ``TIMES``, non-empty with every value finite and > 0,
-    and are checked before anything is evaluated.  Returns the list as
-    ``deviations`` and the smallest t's as ``statistic``.
+    so the probe u**(1/t) never has to be formed and t may go down to
+    ``TIME_FLOOR``, below which log(u)/t overflows for some finite u;
+    ``target(u)`` is its limit on the array of ``u_grid``.  The grids must
+    pass ``GRID_TIMES`` and ``TIMES``, and are checked before anything is
+    evaluated.  Returns the list as ``deviations`` and the smallest t's as
+    ``statistic``.
     """
-    TIMES.require(t_grid=t_grid, u_grid=u_grid)
+    GRID_TIMES.require(t_grid=t_grid)
+    TIMES.require(u_grid=u_grid)
     t_arr = np.sort(np.asarray(t_grid, dtype=float))[::-1]
     u_arr = np.asarray(u_grid, dtype=float)
     limit = target(u_arr)

@@ -26,7 +26,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special as sc
 
-from .core import BLOCK, POSITIVE, Check, LaplaceExponent, LevyTail, SubordinatorModel, declares
+from .core import (
+    BLOCK, POSITIVE, SHAPE, Check, LaplaceExponent, LevyTail, SubordinatorModel, declares,
+)
 from .errors import InvalidParameterError, OutOfRangeError
 
 __all__ = [
@@ -155,9 +157,10 @@ def recursion_depth(theta):
 
     The bias falls geometrically in d, so d grows like theta * log(theta / RECURSION_REL_BIAS).
     The search stops at ``MAX_RECURSION_DEPTH`` (reached near theta = 360): a theta that needs
-    more terms raises ``InvalidParameterError``.
+    more terms raises ``InvalidParameterError``, as does a theta below ``SHAPE_FLOOR``, where
+    the recursion's first term overflows.
     """
-    POSITIVE.require(theta=theta)
+    SHAPE.require(theta=theta)
     bound = RECURSION_REL_BIAS * theta
     depth = 1
     while recursion_mean_bias(theta, depth) > bound:
@@ -182,7 +185,8 @@ def sample_dickman_recursion(gamma, depth, rng, n=1):
 
     log S = log1p(-U_1)/gamma + log1p(sum_{k>=2} W_2...W_k), W_j = (1 - U_j)**(1/gamma):
     the inner sum is added to 1, so its terms may underflow, and tiny gamma
-    stays exact.  The neglected tail has mean ``recursion_mean_bias(gamma,
+    stays exact down to ``SHAPE_FLOOR``, below which log1p(-U_1)/gamma
+    overflows (InvalidParameterError).  The neglected tail has mean ``recursion_mean_bias(gamma,
     depth)``; ``recursion_depth(gamma)`` is the fewest terms that hold it
     to ``RECURSION_REL_BIAS * gamma``.  ``depth`` may not exceed
     ``MAX_RECURSION_DEPTH``.
@@ -204,7 +208,7 @@ def sample_dickman_recursion(gamma, depth, rng, n=1):
     Afterwards ``rng`` is left where the term-by-term loop leaves it,
     n*depth doubles on.
     """
-    POSITIVE.require(gamma=gamma)
+    SHAPE.require(gamma=gamma)
     DEPTH.require(depth=depth)
     caller = rng.bit_generator
     start = caller.state

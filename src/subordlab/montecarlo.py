@@ -24,8 +24,8 @@ import numpy as np
 
 from . import simulate
 from .core import (
-    ABOVE_ONE, BLOCK, DISTINCT_TIMES, OPEN_UNIT, POSITIVE, STD_COUNT, ExponentialLaw, ParetoLaw,
-    SubordinatorModel, pareto_cdf,
+    ABOVE_ONE, BLOCK, DECREASING_TIMES, OPEN_UNIT, POSITIVE, STD_COUNT, ExponentialLaw, ParetoLaw,
+    SubordinatorModel, integral, pareto_cdf,
 )
 from .criteria import grid_deviations
 from .errors import InvalidParameterError, NumericalFailure, UnsupportedModelError
@@ -274,12 +274,13 @@ def _fraction_within(values, lo, hi):
 
 
 def _limit_result(label, law, t_list, n, ecdf_at, csv=None):
-    """The KS result of ``ecdf_at(k, t)`` against ``law`` at the last t of ``t_list``.
+    """The KS result of ``ecdf_at(k, t)`` against ``law`` at the last, smallest t of ``t_list``.
 
-    ``ks_by_t`` holds every t's statistic, keyed by ``str(float(t))``, so the
-    times must be distinct.  ``csv`` gets the last t's ECDF curve.
+    ``ks_by_t`` holds every t's statistic, keyed by ``str(float(t))`` in
+    ``t_list``'s order, so the times must strictly decrease.  ``csv`` gets
+    the last t's ECDF curve.
     """
-    DISTINCT_TIMES.require(t_list=t_list)
+    DECREASING_TIMES.require(t_list=t_list)
     ks_by_t = {}
     for k, t in enumerate(t_list):
         emp = ecdf_at(k, t)
@@ -443,13 +444,15 @@ def estimate_ergodic_functional(model, f, delta0, t, n, seed=0, *, cutoff=1e-6):
     """Monte Carlo estimate of E f(Y_t) / t (the ``statistic``), with its ``stderr``.
 
     For bounded continuous f vanishing on [0, delta0] this converges to
-    the integral of f against the jump measure.  The cutoff must sit
+    the integral of f against the jump measure, the result's ``target``,
+    computed by quadrature (NumericalFailure named ``ergodic_target``
+    past tolerance) before anything is drawn.  The cutoff must sit
     strictly below delta0, otherwise the dropped jumps bias the
     functional itself.  ``f`` keeps core's elementwise contract; n >= 2.
 
-    The model needs an invertible jump tail (else UnsupportedModelError):
-    f ignores everything below delta0 > cutoff, so the cutoff
-    compound-Poisson draw is exact for the functional.  It is drawn in
+    The model needs an invertible jump tail and a Levy density (else
+    UnsupportedModelError): f ignores everything below delta0 > cutoff,
+    so the cutoff compound-Poisson draw is exact for the functional.  It is drawn in
     sparse form and never densified.  f is applied to the jump sums, and
     only the paths with f(v) != f(0) are kept, so the memory grows with
     the paths that jump plus one ``BLOCK`` buffer, not with n.  The mean
@@ -462,6 +465,16 @@ def estimate_ergodic_functional(model, f, delta0, t, n, seed=0, *, cutoff=1e-6):
         raise InvalidParameterError("need delta0 > cutoff, else the truncation biases f")
     if model.tail is None or model.tail.inverse_tail is None:
         raise UnsupportedModelError(f"model {model.describe()} has no invertible jump tail")
+    if model.levy_density is None:
+        raise UnsupportedModelError(f"model {model.describe()} has no Levy density")
+    upper = model.tail.support_upper
+    # over the whole support; QAGI's map of [delta0, inf) alone is coarser near
+    # delta0 (it moved gamma(1, 1)'s target by 2.4e-12 relative), so it only
+    # takes the part past 100
+    target = integral(
+        lambda x: f(x) * model.levy_density(x),
+        [delta0, upper] if np.isfinite(upper) else [delta0, 100.0, np.inf], op="ergodic_target",
+    )
     idx, sums = sample_cutoff_cp(model.tail, cutoff, t, substream(seed, 0), n)
     fv = f(sums)
     del sums
@@ -474,7 +487,7 @@ def estimate_ergodic_functional(model, f, delta0, t, n, seed=0, *, cutoff=1e-6):
     np.square(fv, out=fv)
     std = np.sqrt(_sparse_sum(n, np.square(f0 - mean), idx, fv, buf) / (n - 1))
     return {"model": model.describe(), "statistic": float(mean / t),
-            "stderr": float(std / (np.sqrt(n) * t)), "t": float(t), "n": int(n)}
+            "stderr": float(std / (np.sqrt(n) * t)), "t": float(t), "n": int(n), "target": target}
 
 
 def check_family_limit(family, t_grid=None, u_grid=None):

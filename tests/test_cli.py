@@ -295,7 +295,7 @@ class TestParameterValidation:
             ({"kind": "pareto_limit", "model": DICKMAN_1E5, "params": {"t_list": [0.01]}},
              "params.t_list"),
             ({"kind": "pareto_limit", "model": DICKMAN_1E5,
-              "params": {"t_list": [1e-4, 0.01], "gamma": 1.0}}, "params.t_list"),
+              "params": {"t_list": [0.01, 1e-4], "gamma": 1.0}}, "params.t_list"),
             ({"kind": "support", "model": {"transform": "drift", "c": 1.0, "of": DICKMAN_1E5},
               "params": {"t": 0.01}}, "params.t"),
             ({"kind": "min_rule", "model": GAMMA,
@@ -561,6 +561,27 @@ class TestExperimentTable:
             ({"kind": "recursion_mean", "params": {"gamma": 1e-12, "n": 1000}}, "params.gamma"),
             ({"kind": "recursion_mean", "params": {"gamma": 1e-300, "n": 1000}}, "params.gamma"),
             ({"kind": "recursion_mean", "params": {"gamma": 9e-7}}, "params.gamma"),
+            # increasing times: the statistic was the largest time's KS and the trend
+            # read the list backwards, so the order decided the verdict
+            ({"kind": "pareto_limit", "model": GAMMA,
+              "params": {"t_list": [0.01, 0.05, 0.1, 0.2]}}, "params.t_list"),
+            ({"kind": "general_limit", "model": GAMMA,
+              "params": {"t_list": [0.01, 0.1], "gamma": 1.0}}, "params.t_list"),
+            # shapes and grid times below the floors of float64: log(u)/a or log(u)/t
+            # overflowed, so each exited 3 blaming the exact sampler, passed on a batch
+            # of -inf draws, wrote "statistic": Infinity or failed at a meaningless
+            # deviation, or ended in a traceback under -W error::RuntimeWarning
+            ({"kind": "pareto_limit",
+              "model": {"name": "gamma", "params": {"gamma": 1e-20, "lam": 1.0}},
+              "params": {"t_list": [1e-290]}}, "params.t_list"),
+            ({"kind": "pareto_limit", "model": {"name": "dickman", "params": {"gamma": 1.0}},
+              "params": {"t_list": [1e-320]}}, "params.t_list"),
+            ({"kind": "drift", "model": GAMMA, "params": {"t": 1e-320}}, "params.t"),
+            ({"kind": "drift", "model": {"name": "stable", "params": {"a": 1e-300, "alpha": 0.5}},
+              "params": {"t": 1e-30}}, "params.t"),
+            ({"kind": "two_sampler_ks", "params": {"gamma": 1e-310}}, "params.gamma"),
+            ({"kind": "s2", "model": GAMMA, "params": {"t_grid": [0.01, 1e-320]}}, "params.t_grid"),
+            ({"kind": "family_limit", "params": {"t_grid": [1e-320]}}, "params.t_grid"),
         ],
     )
     def test_malformed_field_exits_two_before_any_draw(

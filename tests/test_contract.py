@@ -46,7 +46,8 @@ SURFACES = {
 }
 
 
-def _models():
+def models():
+    """(label, model) of every catalog model at its defaults and each transform of a leaf."""
     yield from ((name, catalog.build_model(name, _params(factory)))
                 for name, factory in catalog.CATALOG.items())
     for kind in cli.TRANSFORMS:
@@ -55,7 +56,7 @@ def _models():
 
 
 def _cases():
-    for label, model in _models():
+    for label, model in models():
         for surface, (get, span) in SURFACES.items():
             fn = get(model)
             if fn is not None:

@@ -1,4 +1,4 @@
-"""Core types, transform bridges, and their closed-form/quadrature oracles."""
+"""Core types, the integral routine, and the surfaces checked against quadrature oracles."""
 
 import math
 import sys
@@ -19,11 +19,11 @@ from subordlab.core import (
     lst_from_cdf,
     pareto_cdf,
     pareto_quantile,
-    phi_from_levy,
-    phi_from_tail,
 )
 from subordlab.dickman import EULER, make_dickman
 from subordlab.errors import InvalidParameterError, NumericalFailure
+from test_contract import models
+from test_oracles import phi_from_levy, phi_from_tail, quad_bound
 
 
 def exp1_oracle(z):
@@ -192,10 +192,6 @@ class TestExponentialLaw:
 
 
 class TestPhiFromLevy:
-    def test_zero_rate(self):
-        dens = lambda x: 1.0 / x
-        assert phi_from_levy(dens, 0.0, upper=1.0) == 0.0
-
     def test_dickman_large_s_exponential_integral_identity(self):
         # Phi(s) = log s + euler + E1(s); the oracle E1 is series/CF based
         dens = lambda x: 1.0 / x
@@ -365,7 +361,67 @@ class TestLevyTailInvariants:
             np.testing.assert_allclose(back, y, rtol=1e-8)
 
 
+S_GRID = (1e-2, 1.0, 1e2, 1e4, 1e6)
+# inside every jump support (dickman's and log_power's end at 1)
+X_GRID = (0.05, 0.5, 0.95)
+
+
+def _upper(model):
+    return model.tail.support_upper if model.tail is not None else np.inf
+
+
+def _tail_integral(model, x):
+    upper = _upper(model)
+    return integral(model.levy_density, [x, 1.0, upper], op="tail_oracle")
+
+
+# pair -> (the surfaces it reads, (point, surface value, its oracle) at each point).
+# A tilted tail runs a quadrature per point, so phi~tail, which integrates it,
+# takes two rates (a tilted model's rate costs about 0.5 s); phi~levy_density
+# spans the grid
+SURFACE_PAIRS = {
+    "phi~tail": (("phi", "tail"), lambda m: [
+        (s, float(m.phi.eval(s)), phi_from_tail(m.tail, s)) for s in S_GRID[:2]]),
+    "phi~levy_density": (("phi", "levy_density"), lambda m: [
+        (s, float(m.phi.eval(s)), phi_from_levy(m.levy_density, s, upper=_upper(m)))
+        for s in S_GRID]),
+    "tail~levy_density": (("tail", "levy_density"), lambda m: [
+        (x, float(m.tail.tail(x)), _tail_integral(m, x)) for x in X_GRID]),
+    "exp(-phi)~lst(cdf1)": (("phi", "cdf1"), lambda m: [
+        (s, math.exp(-float(m.phi.eval(s))), lst_from_cdf(m.cdf1, s))
+        for s in (1e-2, 1.0, 1e2, 1e4)]),
+    "cdf1~density1": (("cdf1", "density1"), lambda m: [
+        (x, float(m.cdf1(x)), integral(m.density1, [0.0, x], op="cdf_oracle"))
+        for x in (0.1, 1.0, 10.0)]),
+}
+# a call of each surface, to see whether it runs a quadrature of its own
+SURFACE_CALLS = {"phi": lambda m: m.phi.eval_log(0.5), "tail": lambda m: m.tail.tail(0.5),
+                 "levy_density": lambda m: m.levy_density(0.5), "cdf1": lambda m: m.cdf1(0.5),
+                 "density1": lambda m: m.density1(0.5)}
+
+
+def _surface_pairs():
+    for label, model in models():
+        for pair, (surfaces, compare) in SURFACE_PAIRS.items():
+            if all(getattr(model, surface) is not None for surface in surfaces):
+                yield pytest.param(model, surfaces, compare, id=f"{label}:{pair}")
+
+
 class TestSubordinatorModelInvariants:
+    @pytest.mark.parametrize("model,surfaces,compare", _surface_pairs())
+    def test_surfaces_agree_with_their_oracles(self, monkeypatch, model, surfaces, compare):
+        # each pair of surfaces that determine each other, one side by quadrature,
+        # within integral's bound on that quadrature; twice that when a surface
+        # runs one of its own (log_power's exponent, a tilted tail)
+        quads = []
+        real = integrate.quad
+        monkeypatch.setattr(integrate, "quad", lambda *a, **k: quads.append(1) or real(*a, **k))
+        for surface in surfaces:
+            SURFACE_CALLS[surface](model)
+        nesting = 2 if quads else 1
+        for point, got, oracle in compare(model):
+            assert abs(got - oracle) <= quad_bound(oracle, nesting), (point, got, oracle)
+
     def test_phi_matches_tail_representation(self, all_known_gamma_models):
         s_grid = np.geomspace(1e-2, 1e8, 11)
         for model, _ in all_known_gamma_models:

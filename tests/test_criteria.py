@@ -7,7 +7,7 @@ import pytest
 from scipy.integrate import quad
 
 from subordlab import catalog, criteria, montecarlo
-from subordlab.core import LaplaceExponent, LevyTail, pareto_cdf
+from subordlab.core import GRID_TIMES, TIME_FLOOR, TIMES, LaplaceExponent, LevyTail, pareto_cdf
 from subordlab.dickman import make_dickman
 from subordlab.errors import DegenerateModelError, InvalidParameterError, NumericalFailure
 
@@ -167,11 +167,21 @@ class TestS2:
     def test_grid_value_not_finite_and_positive_rejected(self, grid, bad):
         # NaN passed, and the deviation read NaN
         grids = {"t_grid": [0.01], "u_grid": [2.0], grid: [bad, 0.5]}
-        message = f"{grid} must be a non-empty list of finite numbers > 0, got "
+        rule = GRID_TIMES if grid == "t_grid" else TIMES
+        message = f"{grid} must be {rule.requirement}, got "
         with pytest.raises(InvalidParameterError, match=f"^{message}"):
             criteria.grid_deviations(lambda t, ell: ell, lambda u: 0.0 * u, **grids)
         with pytest.raises(InvalidParameterError, match=f"^{message}"):
             montecarlo.check_family_limit(catalog.make_stable_nef(1.0, 1.0), **grids)
+
+    def test_grid_times_down_to_the_floor(self, gamma11):
+        # below it, log(u)/t overflowed and the statistic read inf
+        law = lambda u: pareto_cdf(1.0, u)
+        u_grid = [1e-300, 1.5, 1e15]
+        result = criteria.check_s2(gamma11.phi, law, t_grid=[TIME_FLOOR], u_grid=u_grid)
+        assert np.all(np.isfinite(result["deviations"]))
+        with pytest.raises(InvalidParameterError, match="^t_grid must be"):
+            criteria.check_s2(gamma11.phi, law, t_grid=[TIME_FLOOR / 2.0], u_grid=u_grid)
 
     @pytest.mark.parametrize("u_grid", [[math.inf], [math.nan, 2.0]])
     def test_u_grid_checked_before_the_limit_cdf_and_named_as_given(self, gamma11, u_grid):

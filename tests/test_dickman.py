@@ -12,7 +12,7 @@ import pytest
 
 import subordlab
 from subordlab import dickman
-from subordlab.core import BLOCK, phi_from_levy
+from subordlab.core import BLOCK
 from subordlab.dickman import (
     EULER,
     MAX_RECURSION_DEPTH,
@@ -30,6 +30,7 @@ from subordlab.dickman import (
 from subordlab.errors import InvalidParameterError, OutOfRangeError
 from subordlab.montecarlo import two_sample_ks, two_sample_ks_critical_value
 from subordlab.simulate import sample_marginal, substream
+from test_oracles import phi_from_levy
 
 
 def linear_depth_search(theta):

@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -244,6 +245,19 @@ class TestErgodicFunctional:
             mc.estimate_ergodic_functional(
                 catalog.make_stable(1.0, 0.5), lambda x: np.asarray(x), 0.5, 0.01, 100)
 
+    def test_model_without_levy_density_rejected(self, dickman1, monkeypatch):
+        # the target integrates f against the jump density, before anything is drawn
+        monkeypatch.setattr(mc, "sample_cutoff_cp", None)
+        with pytest.raises(UnsupportedModelError, match="no Levy density"):
+            mc.estimate_ergodic_functional(
+                replace(dickman1, levy_density=None), cli.FUNCTIONALS["ramp"][0], 0.5, 0.01, 100)
+
+    def test_target_is_the_integral_against_the_jump_measure(self, dickman1):
+        # ramp * 1/x over [1/2, 1]: 4 (1/4 - (1/2) log(3/2)) + log(4/3)
+        est = mc.estimate_ergodic_functional(dickman1, cli.FUNCTIONALS["ramp"][0], 0.5, 0.01, 100)
+        want = 1.0 - 2.0 * math.log(1.5) + math.log(4.0 / 3.0)
+        assert est["target"] == pytest.approx(want, rel=1e-12)
+
     def test_zero_functional(self, dickman1):
         est = mc.estimate_ergodic_functional(
             dickman1, lambda x: np.zeros_like(np.asarray(x, dtype=float)), 0.5, 0.01, 10_000
@@ -403,8 +417,17 @@ class TestResultContract:
         # ks_by_t is keyed by the time, so a repeat's first draw would be in no report
         args = (gamma11,) if name == "experiment_pareto_limit" else (gamma11, NEG_LOG, 1.0)
         with pytest.raises(InvalidParameterError, match=r"^t_list must be a non-empty list of "
-                           r"distinct finite numbers > 0, got \(0\.1, 0\.05, 0\.1\)$"):
+                           r"strictly decreasing finite numbers > 0, got \(0\.1, 0\.05, 0\.1\)$"):
             getattr(mc, name)(*args, t_list=(0.1, 0.05, 0.1), n=10)
+
+    @pytest.mark.parametrize("name", ["experiment_pareto_limit", "experiment_general_limit"])
+    def test_increasing_times_refused(self, monkeypatch, gamma11, name):
+        # the statistic was the last time's KS and the trend read ks_by_t in list
+        # order, so [0.01, 0.05, 0.1, 0.2] failed where its reverse passed
+        args = (gamma11,) if name == "experiment_pareto_limit" else (gamma11, NEG_LOG, 1.0)
+        monkeypatch.setattr(mc, "sample_marginal", None)  # refused before any draw
+        with pytest.raises(InvalidParameterError, match="strictly decreasing"):
+            getattr(mc, name)(*args, t_list=(0.01, 0.05, 0.1, 0.2), n=10)
 
 
 class TestExportCurve:

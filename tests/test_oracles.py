@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy import special as sc
 
 from subordlab import catalog, criteria, montecarlo as mc, transforms
-from subordlab.core import BLOCK, ExponentialLaw, ParetoLaw, pareto_cdf
+from subordlab.core import BLOCK, ExponentialLaw, ParetoLaw, integral, pareto_cdf
 from subordlab.dickman import make_dickman
 from subordlab.simulate import sample_marginal, substream, to_neg_t_power
 
@@ -42,6 +42,46 @@ def two_pass_ks(emp, cdf):
     cdf_inf = float(cdf(np.inf))
     at_inf = (1.0 - m / n) - (1.0 - cdf_inf)
     return float(max(d, at_inf, 0.0))
+
+
+def quad_bound(value, nesting=1):
+    """The error ``integral`` accepts on a result near value, times the quadratures nested in it."""
+    return nesting * 100.0 * max(1e-12, 1e-10 * abs(value))
+
+
+def phi_from_levy(levy_density, s, *, upper=np.inf):
+    """Laplace exponent from a Levy density: integral of (1-exp(-s x)) nu'(x) dx, s > 0.
+
+    The integrand is split at the knee x = 1/s where 1 - exp(-s x) turns
+    from linear growth into saturation; the small-argument factor is
+    computed as -expm1(-s x), which is exact where the naive difference
+    would cancel.  The caller asserts integrability of x nu'(x) near 0.
+    """
+
+    def integrand(x):
+        return -np.expm1(-s * x) * levy_density(x)
+
+    knee = 1.0 / s
+    points = [0.0, knee, upper] if upper > knee else [0.0, upper]
+    return integral(integrand, points, op="phi_from_levy")
+
+
+def phi_from_tail(tail, s):
+    """Laplace exponent from the tail: integral of exp(-x) nu_bar(x/s) dx, s > 0.
+
+    The upper limit is capped where exp(-x) drives the integrand below
+    any representable contribution (x = 745, or earlier when the tail's
+    support ends at s * support_upper).
+    """
+
+    def integrand(x):
+        return np.exp(-x) * tail.tail(x / s)
+
+    x_max = min(745.0, s * tail.support_upper)
+    # the tail factor varies on the x ~ s scale, the exponential on x ~ 1;
+    # breaking at both keeps the adaptive pass from overlooking a narrow spike
+    breaks = sorted({x_max} | {b for b in (min(s, 1.0), 1.0) if 0.0 < b < x_max})
+    return integral(integrand, [0.0, *breaks], op="phi_from_tail")
 
 
 def counting(cdf):
@@ -335,3 +375,21 @@ class TestTiltIndexInvarianceProperty:
         model = make_dickman(1.0)
         est = criteria.estimate_gamma_s5(transforms.tilt(model, theta).phi)
         assert est.gamma_hat == pytest.approx(1.0, abs=0.02)
+
+
+class TestBridgeOracles:
+    """Each exponent oracle against a closed form, gamma(2, 3)'s 2 log(1 + s/3)."""
+
+    S = (1e-2, 1.0, 1e2, 1e6)
+
+    def test_phi_from_levy_closed_form(self):
+        model = catalog.make_gamma(2.0, 3.0)
+        for s in self.S:
+            want = 2.0 * math.log1p(s / 3.0)
+            assert abs(phi_from_levy(model.levy_density, s) - want) <= quad_bound(want), s
+
+    def test_phi_from_tail_closed_form(self):
+        model = catalog.make_gamma(2.0, 3.0)
+        for s in self.S:
+            want = 2.0 * math.log1p(s / 3.0)
+            assert abs(phi_from_tail(model.tail, s) - want) <= quad_bound(want), s

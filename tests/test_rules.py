@@ -19,9 +19,6 @@ CALLS = [
     pytest.param("gamma", lambda v, rng: core.pareto_quantile(v, 0.5), id="pareto_quantile"),
     pytest.param("gamma", lambda v, rng: core.ParetoLaw(v), id="ParetoLaw"),
     pytest.param("gamma", lambda v, rng: core.ExponentialLaw(v), id="ExponentialLaw"),
-    pytest.param("s", lambda v, rng: core.phi_from_levy(GAMMA11.levy_density, v),
-                 id="phi_from_levy"),
-    pytest.param("s", lambda v, rng: core.phi_from_tail(GAMMA11.tail, v), id="phi_from_tail"),
     pytest.param("s", lambda v, rng: core.lst_from_cdf(GAMMA11.cdf1, v), id="lst_from_cdf"),
     pytest.param("lam", lambda v, rng: catalog.make_gamma(1.0, v), id="make_gamma"),
     pytest.param("alpha", lambda v, rng: catalog.make_stable(1.0, v), id="make_stable"),

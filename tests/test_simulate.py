@@ -1,13 +1,14 @@
 """Samplers, substreams, and the log-space transforms."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 from scipy.stats import chi2
 
 from subordlab import catalog
-from subordlab.core import BLOCK, LevyTail
+from subordlab.core import BLOCK, SHAPE_FLOOR, LevyTail
 from subordlab.dickman import make_dickman
 from subordlab.errors import InvalidParameterError, UnsupportedModelError
 from subordlab.montecarlo import two_sample_ks, two_sample_ks_critical_value
@@ -66,6 +67,19 @@ class TestSampleMarginal:
     def test_exact_log_path_has_no_zeros(self, gamma11):
         log_s = sample_marginal(gamma11, 0.001, 100_000, substream(24, 0))
         assert np.all(np.isfinite(log_s))
+
+    @pytest.mark.parametrize("model,shape", [
+        (catalog.make_gamma(1.0, 1.0), "t*gamma"), (make_dickman(1.0), "theta"),
+        (catalog.make_stable(1.0, 0.5), "a*t")])
+    def test_exact_draws_are_finite_down_to_the_shape_floor(self, model, shape):
+        # below it, log(u)/shape overflowed: every draw -inf
+        log_s = sample_marginal(model, SHAPE_FLOOR, 10_000, substream(25, 0))
+        assert np.all(np.isfinite(log_s))
+        rng = substream(25, 0)
+        start = rng.bit_generator.state
+        with pytest.raises(InvalidParameterError, match=rf"^{re.escape(shape)} must be a finite"):
+            sample_marginal(model, SHAPE_FLOOR / 2.0, 10, rng)
+        assert rng.bit_generator.state == start
 
 
 # level of each chi-square check of the sparse branch: seven of them, so
