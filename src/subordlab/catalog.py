@@ -19,7 +19,7 @@ from scipy import special as sc
 from .core import (BLOCK, OPEN_UNIT, POSITIVE, SHAPE, Check, LaplaceExponent, LevyTail,
                    SubordinatorModel, declares, integral)
 from .dickman import EULER, make_dickman
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, NumericalFailure
 
 __all__ = [
     "GeneralFamily",
@@ -501,7 +501,8 @@ def make_log_power(gamma, power=3):
     so known_gamma stays empty; it converges instead under the generalized
     statistic t*L(Y_t) with L(x) = (-log x)**power and rate gamma.  The
     exponent is quadrature below s = 1e6 and the exact log-moment
-    polynomial above, where the truncated remainder is below 1e-300.
+    polynomial above, where the truncated remainder is below 1e-300 (past
+    float range, NumericalFailure named ``log_power_phi``).
     """
 
     def tail(x):
@@ -522,7 +523,13 @@ def make_log_power(gamma, power=3):
 
     def _phi_one(ell):
         if ell >= math.log(1e6):
-            return gamma * sum(c * ell ** (power - k) for k, c in enumerate(coeffs))
+            try:  # past float range, a float power raises and a sum or product rounds to inf
+                phi = gamma * sum(c * ell ** (power - k) for k, c in enumerate(coeffs))
+            except OverflowError:
+                phi = math.inf
+            if math.isinf(phi) and ell < math.inf:
+                raise NumericalFailure(f"Phi at log s = {ell!r} overflows", op="log_power_phi")
+            return phi
         s = math.exp(ell)
         hi = min(s, 745.0)  # exp(-x) kills everything beyond
         fn = lambda x: math.exp(-x) * gamma * (ell - math.log(x)) ** power

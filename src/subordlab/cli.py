@@ -54,8 +54,7 @@ import numpy as np
 
 from . import __version__, catalog, criteria, montecarlo, transforms
 from .core import (
-    ABOVE_ONE, DECREASING_TIMES, GRID_TIMES, NONNEGATIVE, OPEN_UNIT, POSITIVE, REQUIRED, SHAPE,
-    STD_COUNT, TIMES, Check,
+    COUNT, GRID_TIMES, NONNEGATIVE, OPEN_UNIT, POSITIVE, REQUIRED, SHAPE, STD_COUNT, TIMES, Check,
 )
 from .criteria import CRITERIA
 from .dickman import (
@@ -184,7 +183,6 @@ def _one_of(names):
     return Check(lambda v: v in names, f"one of {list(names)}")
 
 
-COUNT = Check(lambda v: int(v) == v >= 1, "an integer >= 1", int)
 SEED = Check(lambda v: int(v) == v >= 0, "an integer >= 0", int)
 # JSON's Infinity reaches here as a float; the numbers a run reads are finite
 NUMBER = Check(math.isfinite, "a finite number")
@@ -274,41 +272,29 @@ _INVERTIBLE_TAIL = Need("model", "an invertible jump tail", lambda m, v, e: (
     and f"{m['model'].describe()} has no invertible jump tail"))
 
 
-# catalog leaf -> (the param whose product with t is the shape of its exact
-# draw at time t, the rule of that shape)
-_SHAPES = {"gamma": ("gamma", SHAPE), "stable": ("a", SHAPE), "dickman": ("gamma", RECURSION_GAMMA)}
-
-
 def _drawn(key, field):
     """The model at key can be drawn from at the times in params.<field>.
 
-    A draw at time t runs the exact sampler of each leaf reached through
-    ``add`` and ``drift`` (exact samplers survive only those) at its shape
-    (``_SHAPES``): gamma's t*gamma and stable's a*t must pass ``SHAPE``, and
-    the recursion of a ``dickman`` leaf runs ``recursion_depth(t * gamma)``
-    terms, at most ``MAX_RECURSION_DEPTH``.
+    The model's exact sampler, when it has one, is asked for 0 paths at each
+    time on a throwaway generator: every ``log_sampler`` checks the shape of
+    its draw before it draws (gamma's t*gamma and stable's a*t against
+    ``SHAPE``, a Dickman recursion's depth against ``MAX_RECURSION_DEPTH``).
     """
 
-    def bad_shape(m, v, entry):
-        times = v[field] if field == "t_list" else (v[field],)
-        nodes = [entry[key]]
-        while nodes:
-            node = nodes.pop()
-            if node.get("name") in _SHAPES:
-                param, rule = _SHAPES[node["name"]]
-                for t in times:
-                    shape = t * node["params"][param]
-                    if not rule.passes(shape):
-                        return (f"t = {t!r} puts the draw of {node['name']} in {m[key].describe()} "
-                                f"at shape t*{param} = {shape:g}, which must be {rule.requirement}")
-            elif node.get("transform") == "add":
-                nodes.extend(node["of"])
-            elif node.get("transform") == "drift":
-                nodes.append(node["of"])
+    def refused(m, v, entry):
+        model = m[key]
+        if model.log_sampler is None:
+            return False
+        for t in v[field] if field == "t_list" else (v[field],):
+            try:
+                model.log_sampler(t, 0, substream(0, 0))
+            except InvalidParameterError as exc:
+                return f"t = {t!r}: the draw of {model.describe()} refuses it: {exc}"
+        return False
 
     shapes = (f"exact draws of {key} at shapes t*param that are {SHAPE.requirement}, a Dickman "
               f"recursion's needing at most {MAX_RECURSION_DEPTH} terms")
-    return _samplable(key), Need(f"params.{field}", shapes, bad_shape)
+    return _samplable(key), Need(f"params.{field}", shapes, refused)
 
 
 _CRITERION_SURFACE = Need(
@@ -370,15 +356,10 @@ def _converged(model):
     return {c: float(e.gamma_hat) for c, e in ests.items() if e.verdict == "converged"}
 
 
-def _worst(estimates, expected):
-    """The largest |estimate - expected|; inf when there is none."""
-    return max((abs(g - expected) for g in estimates.values()), default=math.inf)
-
-
 def _criteria_recovery(v, m, seed):
     found = _converged(m["model"])
-    worst = _worst(found, v["expected_gamma"])
-    return {"model": m["model"].describe(), "statistic": worst if math.isfinite(worst) else None,
+    worst = max((abs(g - v["expected_gamma"]) for g in found.values()), default=None)
+    return {"model": m["model"].describe(), "statistic": worst,
             "target": v["expected_gamma"], "estimates": dict(sorted(found.items()))}
 
 
@@ -533,8 +514,9 @@ def margins(checked, result):
 class Kind(NamedTuple):
     """One experiment kind.
 
-    ``params`` and ``assertions`` map each field to (default, Check); the
-    default is ``REQUIRED``, None (the field may be left out) or a value.
+    ``params`` and ``assertions`` map each field to (default, Check), as a
+    library experiment's ``fields`` do; the default is ``REQUIRED``, None
+    (the field may be left out) or a value.
     ``models`` are the entry keys built into models (``family`` defaults to
     ``STABLE_NEF``); ``needs`` are checked on them.  ``gates`` decide
     ``pass``; the first gate's threshold is the result's ``threshold``
@@ -551,22 +533,13 @@ class Kind(NamedTuple):
     csv: bool = False
 
 
-def _draw(t, n=(montecarlo.DEFAULT_N, COUNT), **more):
-    """The fields of a draw of n paths at time t, plus more; n is (default, Check)."""
-    return {"t": (t, POSITIVE), "n": n, "cutoff": (1e-6, OPEN_UNIT), **more}
-
-
-def _draws(t_list, **more):
-    """The fields of draws of n paths at each time of t_list, plus more."""
-    return {"t_list": (t_list, DECREASING_TIMES), "n": (montecarlo.DEFAULT_N, COUNT),
-            "cutoff": (1e-6, OPEN_UNIT), **more}
-
-
 _KS_MAX = {"ks_max": (None, NONNEGATIVE)}
 _KS_GATE = (_gate("ks_max"),)
 _GRIDS = {"t_grid": (None, GRID_TIMES), "u_grid": (None, TIMES)}
 _L = ("neg_log", _one_of(L_FUNCTIONS))
-_TWO_DRAWN = (*_drawn("model", "t"), *_drawn("model2", "t"), _known_index(), _known_index("model2"))
+# what min_rule and product_rule share: two models, each drawn at t
+_TWO = dict(assertions=_KS_MAX, models=("model", "model2"), needs=(
+    *_drawn("model", "t"), *_drawn("model2", "t"), _known_index(), _known_index("model2")))
 
 KINDS = {
     "criterion": Kind(
@@ -580,16 +553,14 @@ KINDS = {
                     "verdict": (None, _one_of(criteria.VERDICTS))},
         needs=(_CRITERION_SURFACE, _CRITERION_GRID)),
     "criteria_recovery": Kind(
-        _criteria_recovery,
-        (Gate("tol", "estimates", Side(
-            "each |estimate - expected_gamma| <=",
-            lambda s, b, v, r: b - _worst(s, v["expected_gamma"]), ("expected_gamma",)), "tol"),),
+        # the statistic is the worst distance from expected_gamma
+        _criteria_recovery, (_gate("tol", AT_MOST._replace(fields=("expected_gamma",))),),
         assertions={"expected_gamma": (REQUIRED, POSITIVE), "tol": (0.02, NONNEGATIVE)}),
     "equivalence": Kind(
         _equivalence, (_gate("pairwise_tol"),), assertions={"pairwise_tol": (0.05, NONNEGATIVE)}),
     "sandwich": Kind(
         _sandwich, (Gate("violations", "statistic", AT_MOST, 0),),
-        params={"which": ("ol", _one_of(("ol", "ol2"))), "tol": (1e-9, NONNEGATIVE)},
+        params={"which": ("ol", _one_of(("ol", "ol2"))), **criteria.check_sandwich_ol.fields},
         needs=(_has("cdf1"),)),
     "s2": Kind(
         _s2, (_gate("max_dev"),), params={"gamma": (None, POSITIVE), **_GRIDS},
@@ -598,43 +569,45 @@ KINDS = {
         partial(_call, "experiment_pareto_limit"),
         (*_KS_GATE, _gate("ks_min", AT_LEAST), Gate("trend", "ks_by_t", _holds(
             "each <= the one before * (1 + threshold) + c(1%)/sqrt(n)", _trend), "trend_slack")),
-        params=_draws(montecarlo.DEFAULT_T_LIST, gamma=(None, POSITIVE)),
+        params=montecarlo.experiment_pareto_limit.fields,
         assertions={**_KS_MAX, "ks_min": (None, NONNEGATIVE), "trend_slack": (None, NONNEGATIVE)},
         needs=(*_drawn("model", "t_list"), _GAMMA_OR_INDEX), csv=True),
     "general_limit": Kind(
-        _general_limit, _KS_GATE, params=_draws((0.01,), gamma=(REQUIRED, POSITIVE), L=_L),
+        _general_limit, _KS_GATE, params={**montecarlo.experiment_general_limit.fields, "L": _L},
         assertions=_KS_MAX, needs=_drawn("model", "t_list")),
     "min_rule": Kind(
-        partial(_call, "experiment_min_rule"), _KS_GATE, params=_draw(0.01), assertions=_KS_MAX,
-        models=("model", "model2"), needs=_TWO_DRAWN),
+        partial(_call, "experiment_min_rule"), _KS_GATE,
+        params=montecarlo.experiment_min_rule.fields, **_TWO),
     "product_rule": Kind(
-        partial(_call, "experiment_product_rule"), _KS_GATE, params=_draw(0.01),
-        assertions=_KS_MAX, models=("model", "model2"), needs=_TWO_DRAWN),
+        partial(_call, "experiment_product_rule"), _KS_GATE,
+        params=montecarlo.experiment_product_rule.fields, **_TWO),
     "affine": Kind(
-        partial(_call, "experiment_affine"), _KS_GATE,
-        params=_draw(0.05, a=(REQUIRED, ABOVE_ONE), b=(REQUIRED, ABOVE_ONE)),
+        partial(_call, "experiment_affine"), _KS_GATE, params=montecarlo.experiment_affine.fields,
         assertions=_KS_MAX, needs=(*_drawn("model", "t"), _known_index())),
     "mixture": Kind(
         partial(_call, "experiment_mixture"),
         (*_KS_GATE, Gate("jump", "jump_at_one", Side(
             "|statistic - (1 - q)| <=", lambda s, b, v, r: b - abs(s - (1.0 - v["q"])), ("q",)),
             "jump_tol")),
-        params=_draw(1e-3, q=(REQUIRED, OPEN_UNIT)),
+        params=montecarlo.experiment_mixture.fields,
         assertions={**_KS_MAX, "jump_tol": (None, NONNEGATIVE)},
         needs=(*_drawn("model", "t"), _known_index())),
     "drift": Kind(
         partial(_call, "experiment_drift"), (_gate("min_fraction", AT_LEAST),),
-        params=_draw(1e-3, c=(1.0, POSITIVE), window=(0.05, POSITIVE)),
+        params=montecarlo.experiment_drift.fields,
         assertions={"min_fraction": (0.99, UNIT)}, needs=_drawn("model", "t")),
     "support": Kind(
-        _support, (_gate("max_fraction"),), params=_draw(0.01, delta=(0.1, OPEN_UNIT)),
+        _support, (_gate("max_fraction"),),  # its draw is the CLI's own, not the library's
+        params={"t": (0.01, POSITIVE), "n": (montecarlo.DEFAULT_N, COUNT),
+                "cutoff": (1e-6, OPEN_UNIT), **montecarlo.support_check.fields},
         assertions={"max_fraction": (0.01, UNIT)}, needs=_drawn("model", "t")),
     # the estimate draws by cutoff compound Poisson, which has no depth ceiling
     "ergodic": Kind(
         _ergodic,
         (_gate("rel_tol", Side("|statistic - target| / |target| <=",
                                lambda s, b, v, r: b - abs(s - r["target"]) / abs(r["target"]))),),
-        params=_draw(1e-3, (10_000_000, STD_COUNT), functional=("ramp", _one_of(FUNCTIONALS))),
+        params={**montecarlo.estimate_ergodic_functional.fields,
+                "functional": ("ramp", _one_of(FUNCTIONALS))},
         assertions={"rel_tol": (0.05, NONNEGATIVE)},
         needs=(_has("levy_density"), _INVERTIBLE_TAIL, _BELOW_DELTA0)),
     "family_limit": Kind(

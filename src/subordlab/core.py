@@ -4,8 +4,9 @@ A subordinator is described here by up to four interchangeable surfaces:
 the Laplace exponent ``Phi``, the jump-intensity tail ``nu_bar``, the
 time-1 marginal CDF ``F`` and its density ``f``.  This module holds the
 container types, the number rules and floors every argument is checked
-against, the Laplace transform of a CDF and ``integral``, the one checked
-integral routine, which serves the package's four integrals: that
+against, ``checks`` and ``declares``, by which a function states each
+argument's rule once, the Laplace transform of a CDF and ``integral``, the
+one checked integral routine, which serves the package's four integrals: that
 transform, the tilted tail of ``transforms.tilt``, the quadrature part of
 the ``log_power`` exponent and the ergodic functional's target.
 
@@ -47,8 +48,10 @@ __all__ = [
     "SHAPE_FLOOR",
     "TIME_FLOOR",
     "SHAPE",
+    "COUNT",
     "STD_COUNT",
     "REQUIRED",
+    "checks",
     "declares",
     "LaplaceExponent",
     "LevyTail",
@@ -126,38 +129,49 @@ GRID_TIMES = Check(lambda v: TIMES.valid(v) and min(v) >= TIME_FLOOR,
 SHAPE = Check(lambda v: math.isfinite(v) and v >= SHAPE_FLOOR,
               f"a finite number >= {SHAPE_FLOOR:g}")
 
+# a count of paths or of threads
+COUNT = Check(lambda v: int(v) == v >= 1, "an integer >= 1", int)
 # a sample count whose ddof=1 standard deviation divides by n - 1
 STD_COUNT = Check(lambda v: int(v) == v >= 2, "an integer >= 2", int)
 # the default of an argument or field that must be given
 REQUIRED = object()
 
 
-def declares(name, **rules):
-    """Decorator of a model factory: the model's name and a Check per argument.
+def checks(**rules):
+    """Decorator of a library function: a Check per declared argument.
 
-    The wrapper checks each argument (``Check.require``, in signature order)
-    before the factory runs, then sets the model's ``name`` and its ``params``,
-    the bound call with defaults.  ``model_name`` and ``fields``, each
-    argument's (default or REQUIRED, Check), stay on the factory.
+    Each is checked (``Check.require``, in signature order; not a None at a
+    None default) before the function runs.  ``fields``, each declared
+    argument's (default or REQUIRED, Check), stays on the function.
     """
+    return lambda fn: _checked(fn, rules)
 
-    def decorate(factory):
-        sig = inspect.signature(factory)
 
-        @functools.wraps(factory)
-        def wrapper(*args, **kwargs):
-            bound = sig.bind(*args, **kwargs)
-            bound.apply_defaults()
-            for arg, value in bound.arguments.items():
-                rules[arg].require(**{arg: value})
-            return replace(factory(*args, **kwargs), name=name, params=dict(bound.arguments))
+def declares(name, **rules):
+    """``checks`` of a model factory, which also sets the model's ``name`` and ``params`` (the
+    bound call with defaults) and leaves ``model_name`` on the factory."""
+    return lambda factory: _checked(factory, rules, name)
 
-        wrapper.model_name = name
-        wrapper.fields = {arg: (REQUIRED if p.default is p.empty else p.default, rules[arg])
-                          for arg, p in sig.parameters.items()}
-        return wrapper
 
-    return decorate
+def _checked(fn, rules, name=None):
+    sig = inspect.signature(fn)
+    params = sig.parameters
+    # in signature order; a rule naming no argument of fn fails here, in list.index
+    fields = {arg: (REQUIRED if params[arg].default is params[arg].empty else params[arg].default,
+                    rules[arg]) for arg in sorted(rules, key=list(params).index)}
+
+    @functools.wraps(fn)
+    def wrapper(*args, **kwargs):
+        bound = sig.bind(*args, **kwargs)
+        bound.apply_defaults()
+        for arg, (default, check) in fields.items():
+            if bound.arguments[arg] is not None or default is not None:
+                check.require(**{arg: bound.arguments[arg]})
+        out = fn(*args, **kwargs)
+        return out if name is None else replace(out, name=name, params=dict(bound.arguments))
+
+    wrapper.fields, wrapper.model_name = fields, name
+    return wrapper
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GRID_TIMES, TIMES, LaplaceExponent, LevyTail, lst_from_cdf
+from .core import GRID_TIMES, NONNEGATIVE, TIMES, LaplaceExponent, LevyTail, checks, lst_from_cdf
 from .errors import DegenerateModelError, InvalidParameterError, NumericalFailure
 
 __all__ = [
@@ -64,9 +64,9 @@ def log_grid(criterion, grid=None, L=None):
 
     Raises ``InvalidParameterError`` unless the grid meets the criterion's
     rule: S5 takes at least 6 increasing log-s points reaching log s >= 20;
-    S6, S7 and S8 a decreasing log-x grid reaching log x <= -20; GL a
-    decreasing log-s grid on which ``L`` (a function of log s), when given,
-    is positive and decreasing toward s = 0.
+    S6, S7 and S8 at least 2 (for an affine fit) decreasing log-x points
+    reaching log x <= -20; GL at least 2 decreasing log-s points on which
+    ``L`` (a function of log s), when given, is positive and decreasing.
     """
     if criterion == "S5":
         grid = np.asarray(_DEFAULT_LOG_S if grid is None else grid, dtype=float)
@@ -74,8 +74,8 @@ def log_grid(criterion, grid=None, L=None):
             raise InvalidParameterError("need >= 6 increasing log-s points reaching log s >= 20")
     elif criterion == "GL":
         grid = np.asarray(_DEFAULT_GL_LOG_S if grid is None else grid, dtype=float)
-        if np.any(np.diff(grid) >= 0):
-            raise InvalidParameterError("need a decreasing log-s grid (s -> 0)")
+        if grid.size < 2 or np.any(np.diff(grid) >= 0):
+            raise InvalidParameterError("need >= 2 decreasing log-s points (s -> 0)")
         if L is not None:
             l_vals = L(grid)
             if np.any(np.diff(l_vals) <= 0) or np.any(l_vals <= 0):
@@ -83,8 +83,8 @@ def log_grid(criterion, grid=None, L=None):
                     "L must be positive and decreasing toward s = 0 on the grid")
     else:
         grid = np.asarray(_DEFAULT_LOG_X if grid is None else grid, dtype=float)
-        if np.any(np.diff(grid) >= 0) or grid.min() > -20.0:
-            raise InvalidParameterError("need a decreasing log-x grid reaching log x <= -20")
+        if grid.size < 2 or np.any(np.diff(grid) >= 0) or grid.min() > -20.0:
+            raise InvalidParameterError("need >= 2 decreasing log-x points reaching log x <= -20")
     return grid
 
 
@@ -249,6 +249,7 @@ def require_nondegenerate(phi: LaplaceExponent, what="the model"):
     return phi
 
 
+@checks(t_grid=GRID_TIMES, u_grid=TIMES)
 def grid_deviations(at, target, t_grid, u_grid):
     """max over u of |at(t, log(u)/t) - target(u)| for each t of ``t_grid``, largest t first.
 
@@ -260,8 +261,6 @@ def grid_deviations(at, target, t_grid, u_grid):
     evaluated.  Returns the list as ``deviations`` and the smallest t's as
     ``statistic``.
     """
-    GRID_TIMES.require(t_grid=t_grid)
-    TIMES.require(u_grid=u_grid)
     t_arr = np.sort(np.asarray(t_grid, dtype=float))[::-1]
     u_arr = np.asarray(u_grid, dtype=float)
     limit = target(u_arr)
@@ -306,6 +305,7 @@ def _psi_values(cdf1, phi, s_values):
     return np.array([lst_from_cdf(cdf1, float(s)) for s in s_values])
 
 
+@checks(tol=NONNEGATIVE)
 def check_sandwich_ol(cdf1, phi=None, z_grid=None, s_grid=None, tol=1e-9):
     """Verify F(z/s) e^{-z} <= psi(s) <= F(z/s)(1 - e^{-z}) + e^{-z} on a grid.
 
@@ -330,6 +330,7 @@ def check_sandwich_ol(cdf1, phi=None, z_grid=None, s_grid=None, tol=1e-9):
     return violations
 
 
+@checks(tol=NONNEGATIVE)
 def check_sandwich_ol2(cdf1, phi=None, z_grid=None, x_grid=None, tol=1e-9):
     """Verify (e^z psi(z/x) - 1)/(e^z - 1) <= F(x) <= psi(z/x) e^z on a grid."""
     z_arr = np.asarray(np.geomspace(0.5, 5.0, 10) if z_grid is None else z_grid, dtype=float)

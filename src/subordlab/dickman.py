@@ -27,7 +27,7 @@ import numpy as np
 from scipy import special as sc
 
 from .core import (
-    BLOCK, POSITIVE, SHAPE, Check, LaplaceExponent, LevyTail, SubordinatorModel, declares,
+    BLOCK, POSITIVE, SHAPE, Check, LaplaceExponent, LevyTail, SubordinatorModel, checks, declares,
 )
 from .errors import InvalidParameterError, OutOfRangeError
 
@@ -180,6 +180,7 @@ def _usable_cpus():
         return os.cpu_count() or 1
 
 
+@checks(gamma=SHAPE, depth=DEPTH)
 def sample_dickman_recursion(gamma, depth, rng, n=1):
     """Draw log S from the generalized Dickman law, S = sum_{i<=d} (U_1...U_i)**(1/gamma).
 
@@ -208,8 +209,6 @@ def sample_dickman_recursion(gamma, depth, rng, n=1):
     Afterwards ``rng`` is left where the term-by-term loop leaves it,
     n*depth doubles on.
     """
-    SHAPE.require(gamma=gamma)
-    DEPTH.require(depth=depth)
     caller = rng.bit_generator
     start = caller.state
     acc = np.empty(n)

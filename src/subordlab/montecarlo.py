@@ -24,8 +24,8 @@ import numpy as np
 
 from . import simulate
 from .core import (
-    ABOVE_ONE, BLOCK, DECREASING_TIMES, OPEN_UNIT, POSITIVE, STD_COUNT, ExponentialLaw, ParetoLaw,
-    SubordinatorModel, integral, pareto_cdf,
+    ABOVE_ONE, BLOCK, COUNT, DECREASING_TIMES, OPEN_UNIT, POSITIVE, STD_COUNT, ExponentialLaw,
+    ParetoLaw, SubordinatorModel, checks, integral, pareto_cdf,
 )
 from .criteria import grid_deviations
 from .errors import InvalidParameterError, NumericalFailure, UnsupportedModelError
@@ -54,12 +54,13 @@ __all__ = [
     "mean_std_in_place",
     "check_family_limit",
     "export_curve",
-    "DEFAULT_T_LIST",
     "DEFAULT_N",
 ]
 
-DEFAULT_T_LIST = (0.2, 0.1, 0.05, 0.01)
 DEFAULT_N = 100_000
+# the rules of a draw of n paths at each time of t_list, or at time t
+_DRAWS = {"t_list": DECREASING_TIMES, "n": COUNT, "cutoff": OPEN_UNIT}
+_DRAW = {"t": POSITIVE, "n": COUNT, "cutoff": OPEN_UNIT}
 
 
 @dataclass(frozen=True)
@@ -277,10 +278,9 @@ def _limit_result(label, law, t_list, n, ecdf_at, csv=None):
     """The KS result of ``ecdf_at(k, t)`` against ``law`` at the last, smallest t of ``t_list``.
 
     ``ks_by_t`` holds every t's statistic, keyed by ``str(float(t))`` in
-    ``t_list``'s order, so the times must strictly decrease.  ``csv`` gets
-    the last t's ECDF curve.
+    ``t_list``'s order, strictly decreasing as the callers declare.  ``csv``
+    gets the last t's ECDF curve.
     """
-    DECREASING_TIMES.require(t_list=t_list)
     ks_by_t = {}
     for k, t in enumerate(t_list):
         emp = ecdf_at(k, t)
@@ -292,8 +292,9 @@ def _limit_result(label, law, t_list, n, ecdf_at, csv=None):
     return {**result, "ks_by_t": ks_by_t}
 
 
+@checks(**_DRAWS, gamma=POSITIVE)
 def experiment_pareto_limit(
-    model: SubordinatorModel, t_list=DEFAULT_T_LIST, n=DEFAULT_N, seed=0,
+    model: SubordinatorModel, t_list=(0.2, 0.1, 0.05, 0.01), n=DEFAULT_N, seed=0,
     *, cutoff=1e-6, gamma=None, csv=None,
 ):
     """KS of y**(-t) against its Pareto limit, per t; ``csv`` gets the last t's ECDF curve."""
@@ -306,8 +307,9 @@ def experiment_pareto_limit(
     return _limit_result(model.describe(), law, t_list, n, ecdf_at, csv)
 
 
+@checks(**_DRAWS, gamma=POSITIVE)
 def experiment_general_limit(
-    model: SubordinatorModel, L, gamma, t_list=DEFAULT_T_LIST, n=DEFAULT_N, seed=0,
+    model: SubordinatorModel, L, gamma, t_list=(0.01,), n=DEFAULT_N, seed=0,
     *, cutoff=1e-6,
 ):
     """KS of t*L(Y_t) against the exponential law with rate gamma, per t; L takes log y."""
@@ -326,23 +328,25 @@ def _two_model_transformed(m1, m2, t, n, seed, cutoff, combine):
     return EmpiricalDistribution.from_values(*to_neg_t_power(l1, t))
 
 
-def experiment_min_rule(m1, m2, t, n=DEFAULT_N, seed=0, *, cutoff=1e-6):
+@checks(**_DRAW)
+def experiment_min_rule(m1, m2, t=0.01, n=DEFAULT_N, seed=0, *, cutoff=1e-6):
     """Sum of independent marginals, transformed: limit is Pareto(g1 + g2)."""
     law = ParetoLaw(_index(m1) + _index(m2))
     emp = _two_model_transformed(m1, m2, t, n, seed, cutoff, np.logaddexp)
     return _ks_result(f"{m1.describe()}+{m2.describe()}", t, n, law, emp)
 
 
-def experiment_product_rule(m1, m2, t, n=DEFAULT_N, seed=0, *, cutoff=1e-6):
+@checks(**_DRAW)
+def experiment_product_rule(m1, m2, t=0.01, n=DEFAULT_N, seed=0, *, cutoff=1e-6):
     """Product of independent marginals, transformed: limit is the Pareto product law."""
     law = ParetoProductLaw(_index(m1), _index(m2))
     emp = _two_model_transformed(m1, m2, t, n, seed, cutoff, np.add)
     return _ks_result(f"{m1.describe()}*{m2.describe()}", t, n, law, emp)
 
 
-def experiment_affine(model, a, b, t, n=DEFAULT_N, seed=0, *, cutoff=1e-6):
+@checks(**_DRAW, a=ABOVE_ONE, b=ABOVE_ONE)
+def experiment_affine(model, a, b, t=0.05, n=DEFAULT_N, seed=0, *, cutoff=1e-6):
     """KS of (a_t Y_t + b_t)**(-t) against min(a*Pareto, b), a_t = a**(-1/t)."""
-    ABOVE_ONE.require(a=a, b=b)
     law = AffineMinLaw(a, b, _index(model))
     log_a_t = -np.log(a) / t
     log_b_t = -np.log(b) / t
@@ -357,14 +361,14 @@ def experiment_affine(model, a, b, t, n=DEFAULT_N, seed=0, *, cutoff=1e-6):
 _JUMP_WINDOW = 0.05
 
 
-def experiment_mixture(model, q, t, n=DEFAULT_N, seed=0, *, cutoff=1e-6):
+@checks(**_DRAW, q=OPEN_UNIT)
+def experiment_mixture(model, q, t=1e-3, n=DEFAULT_N, seed=0, *, cutoff=1e-6):
     """Start the process at an independent level B (0 with probability q, else 1).
 
     The transformed statistic converges to a mixture: an atom of mass
     1-q at 1 plus q times the Pareto limit.  The KS result carries, as
     ``jump_at_one``, the empirical mass found in the window just below the atom.
     """
-    OPEN_UNIT.require(q=q)
     law = ParetoMixtureLaw(q, _index(model))
     log_l = sample_marginal(model, t, n, substream(seed, 0), cutoff=cutoff)
     # the level B: the n uniforms of stream 1, drawn a block at a time
@@ -380,13 +384,13 @@ def experiment_mixture(model, q, t, n=DEFAULT_N, seed=0, *, cutoff=1e-6):
                       jump_at_one=float(inside * emp.values.size / emp.n_total))
 
 
-def experiment_drift(model, c, t, n=DEFAULT_N, seed=0, *, cutoff=1e-6, window=0.05):
+@checks(**_DRAW, c=POSITIVE, window=POSITIVE)
+def experiment_drift(model, c=1.0, t=1e-3, n=DEFAULT_N, seed=0, *, cutoff=1e-6, window=0.05):
     """Mass of (c*t + Y_t)**(-t) inside [1-window, 1+window].
 
     Drift collapses the limit to the point mass at 1, so the fraction
     should approach one as t shrinks; the fraction is the result's ``statistic``.
     """
-    POSITIVE.require(c=c, window=window)
     log_y = sample_marginal(model, t, n, substream(seed, 0), cutoff=cutoff)
     np.logaddexp(np.log(c) + np.log(t), log_y, out=log_y)
     values, _ = to_neg_t_power(log_y, t)
@@ -395,9 +399,9 @@ def experiment_drift(model, c, t, n=DEFAULT_N, seed=0, *, cutoff=1e-6, window=0.
             "t": float(t), "n": int(n)}
 
 
-def support_check(emp: EmpiricalDistribution, delta):
+@checks(delta=OPEN_UNIT)
+def support_check(emp: EmpiricalDistribution, delta=0.1):
     """Empirical mass below 1 - delta; should vanish as t -> 0."""
-    OPEN_UNIT.require(delta=delta)
     # the values are sorted: the count below is a search, not a mask
     return float(np.searchsorted(emp.values, 1.0 - delta) / emp.n_total)
 
@@ -440,7 +444,8 @@ def mean_std_in_place(values):
     return mean, np.sqrt(np.add.reduce(values) / (n - 1))
 
 
-def estimate_ergodic_functional(model, f, delta0, t, n, seed=0, *, cutoff=1e-6):
+@checks(t=POSITIVE, n=STD_COUNT, cutoff=OPEN_UNIT)
+def estimate_ergodic_functional(model, f, delta0, t=1e-3, n=10_000_000, seed=0, *, cutoff=1e-6):
     """Monte Carlo estimate of E f(Y_t) / t (the ``statistic``), with its ``stderr``.
 
     For bounded continuous f vanishing on [0, delta0] this converges to
@@ -460,7 +465,6 @@ def estimate_ergodic_functional(model, f, delta0, t, n, seed=0, *, cutoff=1e-6):
     summation tree over the n virtual values (``_sparse_sum``), so both
     are bitwise those of ``ndarray.mean`` and ``ndarray.std``.
     """
-    STD_COUNT.require(n=n)
     if delta0 <= cutoff:
         raise InvalidParameterError("need delta0 > cutoff, else the truncation biases f")
     if model.tail is None or model.tail.inverse_tail is None:

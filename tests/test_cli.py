@@ -582,6 +582,12 @@ class TestExperimentTable:
             ({"kind": "two_sampler_ks", "params": {"gamma": 1e-310}}, "params.gamma"),
             ({"kind": "s2", "model": GAMMA, "params": {"t_grid": [0.01, 1e-320]}}, "params.t_grid"),
             ({"kind": "family_limit", "params": {"t_grid": [1e-320]}}, "params.t_grid"),
+            # a one-point grid leaves the affine fit underdetermined: lstsq's minimum-norm
+            # fit read S7 0.97535 and S6 0.99840 on gamma(1, 1), and S7 passed at tol 0.05
+            *[({"kind": "criterion", "model": GAMMA, "params": {"criterion": c, "grid": [-25.0]}},
+               "params.grid") for c in ("S6", "S7", "S8")],
+            ({"kind": "criterion", "model": GAMMA, "params": {"criterion": "GL", "grid": [-30.0]}},
+             "params.grid"),
         ],
     )
     def test_malformed_field_exits_two_before_any_draw(
@@ -833,10 +839,11 @@ class TestGates:
         "kind,assertions,result,expected",
         [
             # a null statistic: no criterion converged
-            ("criteria_recovery", {"expected_gamma": 1.0}, {"estimates": {}},
+            ("criteria_recovery", {"expected_gamma": 1.0}, {"statistic": None, "estimates": {}},
              {"tol": -math.inf}),
             ("criteria_recovery", {"expected_gamma": 1.0, "tol": 0.1},
-             {"estimates": {"S5": 1.05, "S6": 0.98}}, {"tol": pytest.approx(0.05)}),
+             {"statistic": 0.05, "estimates": {"S5": 1.05, "S6": 0.98}},
+             {"tol": pytest.approx(0.05)}),
             ("criterion", {"expected_gamma": 1.0, "verdict": "converged"},
              {"gamma_hat": None, "verdict": "diverged"},
              {"gamma": -math.inf, "converged": -math.inf, "verdict": -math.inf}),
@@ -1214,6 +1221,15 @@ class TestNumericalFailureExit:
         assert cli.main(["--config", cfg, "--out", str(tmp_path)]) == 3
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("numerical failure in ergodic_target:"), err
+
+    def test_log_power_exponent_past_float_range_exits_three(self, tmp_path, capsys):
+        # log s = log(u)/t reaches 2.2e199, whose cube ended in an OverflowError traceback
+        model = {"name": "log_power", "params": {"gamma": 0.1, "power": 3}}
+        entry = {"kind": "s2", "model": model, "params": {"gamma": 0.1, "t_grid": [1e-200]}}
+        cfg = write_config(tmp_path, {"experiments": [entry]})
+        assert cli.main(["--config", cfg, "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("numerical failure in log_power_phi:"), err
 
     def test_exact_sampler_at_infinity_exits_three(self, tmp_path, capsys, monkeypatch):
         # an exact sampler never draws y = 0; support now checks it like pareto_limit

@@ -105,6 +105,14 @@ class TestS7:
         assert est.gamma_hat == pytest.approx(oracle.gamma_hat, abs=1e-6)
 
 
+@pytest.mark.parametrize("criterion", ["S6", "S7", "S8", "GL"])
+def test_one_point_grid_refused(criterion):
+    # one point leaves the affine fit in 1/log x underdetermined
+    with pytest.raises(InvalidParameterError, match=r"^need >= 2 decreasing"):
+        criteria.log_grid(criterion, [-25.0])
+    assert criteria.log_grid(criterion, [-25.0, -30.0]).size == 2
+
+
 class TestS8:
     def test_gamma_density(self, gamma21):
         est = criteria.estimate_gamma_s8(gamma21.density1)
@@ -254,6 +262,15 @@ class TestSandwich:
     def test_ol2_small_z_guarded(self, gamma11):
         with pytest.raises(InvalidParameterError):
             criteria.check_sandwich_ol2(gamma11.cdf1, gamma11.phi, z_grid=[1e-4])
+
+    @pytest.mark.parametrize("which", ["ol", "ol2"])
+    def test_nan_tol_refused(self, gamma11, which):
+        # a CDF stuck at 1/2 breaks the bounds, but no comparison with a NaN tol holds
+        check = getattr(criteria, f"check_sandwich_{which}")
+        stuck = lambda x: np.full(np.shape(x), 0.5)
+        assert check(stuck, gamma11.phi)
+        with pytest.raises(InvalidParameterError, match=r"^tol must be a finite number >= 0"):
+            check(stuck, gamma11.phi, tol=math.nan)
 
     def test_violation_detected_for_wrong_pair(self, gamma11):
         # pairing the gamma CDF with a mismatched exponent must trip the check

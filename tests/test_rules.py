@@ -1,17 +1,48 @@
 """The number rules of core: one check, in one set of words, for the library and the CLI."""
 
+import inspect
 import math
 
 import numpy as np
 import pytest
 
-from subordlab import catalog, cli, core, dickman, montecarlo, simulate, transforms
+from subordlab import catalog, cli, core, criteria, dickman, montecarlo, simulate, transforms
 from subordlab.core import NONNEGATIVE, POSITIVE
 from subordlab.errors import InvalidParameterError
 
 GAMMA11 = catalog.make_gamma(1.0, 1.0)
 DICKMAN_TAIL = dickman.make_dickman(1.0).tail
 EMP = montecarlo.EmpiricalDistribution.from_values(np.array([0.5, 2.0]))
+
+# each kind that runs a library function declared with core.checks, and those functions
+RUNS = {
+    "pareto_limit": [montecarlo.experiment_pareto_limit],
+    "general_limit": [montecarlo.experiment_general_limit],
+    "min_rule": [montecarlo.experiment_min_rule],
+    "product_rule": [montecarlo.experiment_product_rule],
+    "affine": [montecarlo.experiment_affine],
+    "mixture": [montecarlo.experiment_mixture],
+    "drift": [montecarlo.experiment_drift],
+    "support": [montecarlo.support_check],
+    "ergodic": [montecarlo.estimate_ergodic_functional],
+    "sandwich": [criteria.check_sandwich_ol, criteria.check_sandwich_ol2],
+}
+# a valid value of each argument of those functions that has no default, and a small n
+VALID_ARGS = {"model": GAMMA11, "m1": GAMMA11, "m2": GAMMA11, "L": np.negative, "gamma": 1.0,
+              "a": 2.0, "b": 4.0, "q": 0.3, "emp": EMP, "f": cli.FUNCTIONALS["ramp"][0],
+              "delta0": 0.5, "cdf1": GAMMA11.cdf1, "n": 10}
+
+
+def declared_calls():
+    """A CALLS row per declared argument of each function of RUNS."""
+    for fn in (fn for fns in RUNS.values() for fn in fns):
+        valid = {arg: VALID_ARGS[arg] for arg in inspect.signature(fn).parameters
+                 if arg in VALID_ARGS}
+        for arg in fn.fields:
+            yield pytest.param(
+                arg, lambda v, rng, fn=fn, valid=valid, arg=arg: fn(**{**valid, arg: v}),
+                id=fn.__name__ if len(fn.fields) == 1 else f"{fn.__name__}-{arg}")
+
 
 # (argument, call of the library with the value under test and a generator)
 CALLS = [
@@ -38,16 +69,7 @@ CALLS = [
                  id="sample_cutoff_cp"),
     pytest.param("t", lambda v, rng: simulate.to_neg_t_power(np.zeros(3), v), id="to_neg_t_power"),
     pytest.param("t", lambda v, rng: simulate.to_tl(np.zeros(3), lambda ly: -ly, v), id="to_tl"),
-    pytest.param("a", lambda v, rng: montecarlo.experiment_affine(GAMMA11, v, 2.0, 0.05, 10),
-                 id="experiment_affine"),
-    pytest.param("q", lambda v, rng: montecarlo.experiment_mixture(GAMMA11, v, 0.01, 10),
-                 id="experiment_mixture"),
-    pytest.param("c", lambda v, rng: montecarlo.experiment_drift(GAMMA11, v, 0.01, 10),
-                 id="experiment_drift-c"),
-    pytest.param("window", lambda v, rng: montecarlo.experiment_drift(GAMMA11, 1.0, 0.01, 10,
-                                                                      window=v),
-                 id="experiment_drift-window"),
-    pytest.param("delta", lambda v, rng: montecarlo.support_check(EMP, v), id="support_check"),
+    *declared_calls(),
 ]
 
 
@@ -104,7 +126,9 @@ def test_library_refusal_reads_as_the_listed_requirement():
     assert str(exc.value) == f"c must be {listed}, got -1.0"
 
 
-def test_cli_fields_use_the_library_rules():
-    assert cli.POSITIVE is core.POSITIVE and cli.DEPTH is dickman.DEPTH
-    assert cli.KINDS["affine"].params["a"][1] is core.ABOVE_ONE
-    assert cli.KINDS["mixture"].params["q"][1] is core.OPEN_UNIT
+def test_every_kind_takes_its_functions_declared_fields():
+    for kind, functions in RUNS.items():
+        params = cli.KINDS[kind].params
+        for fn in functions:
+            for field, (default, check) in fn.fields.items():
+                assert params[field][0] == default and params[field][1] is check, (kind, field)
