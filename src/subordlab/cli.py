@@ -24,10 +24,10 @@ Model expressions nest transforms over catalog leaves::
     {"transform": "drift", "c": 1.0, "of": <expr>}
 
 Each experiment kind is one entry of ``KINDS``: its fields with their
-defaults and checks, its models and what they must offer, its handler,
-and its gates, from which an entry's ``pass`` is read.  Every entry of a
-config is checked against that table before any entry runs; ``--list``
-prints it.
+defaults and checks, its models and the rules they must pass (a library
+experiment's as its function declares them), its handler, and its gates,
+from which an entry's ``pass`` is read.  Every entry of a config is
+checked against that table before any entry runs; ``--list`` prints it.
 
 Exit codes: 0 when every assertion passes, 1 when the config ran and at
 least one gate failed, 2 on a config/schema error (with the offending
@@ -54,7 +54,8 @@ import numpy as np
 
 from . import __version__, catalog, criteria, montecarlo, transforms
 from .core import (
-    COUNT, GRID_TIMES, NONNEGATIVE, OPEN_UNIT, POSITIVE, REQUIRED, SHAPE, STD_COUNT, TIMES, Check,
+    COUNT, GRID_TIMES, KNOWN_INDEX, NONNEGATIVE, OPEN_UNIT, POSITIVE, REQUIRED, SHAPE, STD_COUNT,
+    TIMES, Check, has,
 )
 from .criteria import CRITERIA
 from .dickman import (
@@ -62,7 +63,7 @@ from .dickman import (
     recursion_depth, sample_dickman_recursion,
 )
 from .errors import InvalidParameterError, NumericalFailure, SubordlabError
-from .simulate import can_sample, sample_cutoff_cp, sample_marginal, substream
+from .simulate import SAMPLABLE, sample_cutoff_cp, sample_marginal, substream
 
 __all__ = ["main", "run", "list_catalog", "margins", "SchemaError", "KINDS"]
 
@@ -202,10 +203,15 @@ Z_MAX = Check(lambda v: int(v) == v and 1 <= v <= RHO_INTERVALS,
               f"an integer in [1, {RHO_INTERVALS}]", int)
 
 
+def _refusal(check, value, what=""):
+    """False when value passes check, else its refusal in the check's words, after what."""
+    return not check.passes(value) and f"{what}must be {check.requirement}, got {value!r}"
+
+
 def _value(value, check, path):
     """value, cast by check; a SchemaError at path unless the check holds."""
     if not check.passes(value):
-        raise SchemaError(path, f"must be {check.requirement}, got {value!r}")
+        raise SchemaError(path, _refusal(check, value))
     return value if check.cast is None else check.cast(value)
 
 
@@ -234,42 +240,13 @@ def _fields(given, fields, path, others=()):
     return values
 
 
-# Model requirements.  problem(models, values, entry) is false when the need
-# is met, else the message reported at experiments[i].<path>.
+# Requirements that relate a model to another field.  problem(models, values) is
+# false when the need is met, else the message reported at experiments[i].<path>.
 
 class Need(NamedTuple):
     path: str
     requirement: str
     problem: Callable
-
-
-def _has(surface, key="model"):
-    return Need(key, f"a model with {surface}", lambda m, v, e: getattr(m[key], surface) is None
-                and f"needs a model with {surface}; {m[key].describe()} has none")
-
-
-def _no_index(model):
-    """The message of the known-index rule on model; False when it holds."""
-    try:
-        montecarlo._index(model)
-    except InvalidParameterError as exc:
-        return str(exc)
-    return False
-
-
-def _known_index(key="model"):
-    return Need(key, "a model with a known index", lambda m, v, e: _no_index(m[key]))
-
-
-def _samplable(key="model"):
-    return Need(key, "an exact sampler or an invertible jump tail", lambda m, v, e: (
-        not can_sample(m[key])
-        and f"{m[key].describe()} has neither an exact sampler nor an invertible jump tail"))
-
-
-_INVERTIBLE_TAIL = Need("model", "an invertible jump tail", lambda m, v, e: (
-    (m["model"].tail is None or m["model"].tail.inverse_tail is None)
-    and f"{m['model'].describe()} has no invertible jump tail"))
 
 
 def _drawn(key, field):
@@ -281,7 +258,7 @@ def _drawn(key, field):
     ``SHAPE``, a Dickman recursion's depth against ``MAX_RECURSION_DEPTH``).
     """
 
-    def refused(m, v, entry):
+    def refused(m, v):
         model = m[key]
         if model.log_sampler is None:
             return False
@@ -294,17 +271,14 @@ def _drawn(key, field):
 
     shapes = (f"exact draws of {key} at shapes t*param that are {SHAPE.requirement}, a Dickman "
               f"recursion's needing at most {MAX_RECURSION_DEPTH} terms")
-    return _samplable(key), Need(f"params.{field}", shapes, refused)
+    return Need(f"params.{field}", shapes, refused)
 
 
-_CRITERION_SURFACE = Need(
-    "model", "a model with the surface its criterion reads", lambda m, v, e: (
-        getattr(m["model"], CRITERIA[v["criterion"]][0]) is None
-        and f"criterion {v['criterion']} needs a model with {CRITERIA[v['criterion']][0]}; "
-            f"{m['model'].describe()} has none"))
+_CRITERION_SURFACE = Need("model", "a model with the surface its criterion reads", lambda m, v: (
+    _refusal(has(CRITERIA[v["criterion"]][0]), m["model"], f"criterion {v['criterion']}: ")))
 
 
-def _grid_problem(m, v, entry):
+def _grid_problem(m, v):
     L = L_FUNCTIONS[v["L"]] if v["criterion"] == "GL" else None
     try:
         criteria.log_grid(v["criterion"], v["grid"], L)
@@ -314,16 +288,16 @@ def _grid_problem(m, v, entry):
 
 
 _CRITERION_GRID = Need("params.grid", "a grid its criterion accepts", _grid_problem)
-_GAMMA_OR_INDEX = Need("params.gamma", "given, or the model's known index",
-                       lambda m, v, e: v["gamma"] is None and _no_index(m["model"]))
+_GAMMA_OR_INDEX = Need("params.gamma", "given, or the model's known index", lambda m, v: (
+    v["gamma"] is None and _refusal(KNOWN_INDEX, m["model"], "not given, and model ")))
 # the mean gamma of a recursion draw comes from its paths whose first uniform falls
 # within about gamma of 1, some gamma * n of them; with under one, its gate often fails
-_MEAN_PATHS = Need("params.gamma", "gamma * n >= 1", lambda m, v, e: (
+_MEAN_PATHS = Need("params.gamma", "gamma * n >= 1", lambda m, v: (
     v["gamma"] * v["n"] < 1
     and f"gamma * n = {v['gamma'] * v['n']:g} is below 1: the batch expects fewer than one "
         f"path near the mean gamma, too few for the sigma_mult gate"))
 _BELOW_DELTA0 = Need(
-    "params.cutoff", "below the functional's delta0", lambda m, v, e: (
+    "params.cutoff", "below the functional's delta0", lambda m, v: (
         v["cutoff"] >= FUNCTIONALS[v["functional"]][1]
         and f"must lie below the functional's delta0 = {FUNCTIONALS[v['functional']][1]:g}, "
             f"got {v['cutoff']!r}"))
@@ -517,8 +491,9 @@ class Kind(NamedTuple):
     ``params`` and ``assertions`` map each field to (default, Check), as a
     library experiment's ``fields`` do; the default is ``REQUIRED``, None
     (the field may be left out) or a value.
-    ``models`` are the entry keys built into models (``family`` defaults to
-    ``STABLE_NEF``); ``needs`` are checked on them.  ``gates`` decide
+    ``models`` maps each entry key built into a model (``family`` defaults
+    to ``STABLE_NEF``) to the rules its model must pass, and ``needs``
+    relate the models to other fields.  ``gates`` decide
     ``pass``; the first gate's threshold is the result's ``threshold``
     unless the handler reports one.  A kind with ``csv`` accepts an entry
     field ``csv``, which the handler gets as an output path.
@@ -528,18 +503,35 @@ class Kind(NamedTuple):
     gates: tuple
     params: dict = {}
     assertions: dict = {}
-    models: tuple = ("model",)
+    models: dict = {"model": ()}
     needs: tuple = ()
     csv: bool = False
+
+
+def _library(name, keys=("model",), handler=None, needs=(), **params):
+    """The Kind fields of a kind that runs montecarlo.<name>, by ``_call`` unless ``handler``.
+
+    ``_call`` passes the models positionally, so the i-th of the model
+    ``keys`` takes the rules the function declares on its i-th parameter.
+    Each model it must draw from (``SAMPLABLE``) is probed at the function's
+    times (``_drawn``), before ``needs``; its other declared fields, and
+    ``params``, are the kind's params.
+    """
+    fn = getattr(montecarlo, name)
+    args = list(inspect.signature(fn).parameters)[:len(keys)]
+    models = {key: fn.fields[arg][1] for key, arg in zip(keys, args)}
+    times = "t_list" if "t_list" in fn.fields else "t"
+    return dict(handler=handler or partial(_call, name), models=models,
+                needs=(*(_drawn(key, times) for key in models if SAMPLABLE in models[key]), *needs),
+                params={**{f: fc for f, fc in fn.fields.items() if f not in args}, **params})
 
 
 _KS_MAX = {"ks_max": (None, NONNEGATIVE)}
 _KS_GATE = (_gate("ks_max"),)
 _GRIDS = {"t_grid": (None, GRID_TIMES), "u_grid": (None, TIMES)}
 _L = ("neg_log", _one_of(L_FUNCTIONS))
-# what min_rule and product_rule share: two models, each drawn at t
-_TWO = dict(assertions=_KS_MAX, models=("model", "model2"), needs=(
-    *_drawn("model", "t"), *_drawn("model2", "t"), _known_index(), _known_index("model2")))
+# the model keys of min_rule and product_rule
+_TWO = ("model", "model2")
 
 KINDS = {
     "criterion": Kind(
@@ -561,80 +553,69 @@ KINDS = {
     "sandwich": Kind(
         _sandwich, (Gate("violations", "statistic", AT_MOST, 0),),
         params={"which": ("ol", _one_of(("ol", "ol2"))), **criteria.check_sandwich_ol.fields},
-        needs=(_has("cdf1"),)),
+        models={"model": (has("cdf1"),)}),
     "s2": Kind(
         _s2, (_gate("max_dev"),), params={"gamma": (None, POSITIVE), **_GRIDS},
-        assertions={"max_dev": (1e-2, NONNEGATIVE)}, needs=(_has("phi"), _GAMMA_OR_INDEX)),
+        assertions={"max_dev": (1e-2, NONNEGATIVE)}, models={"model": (has("phi"),)},
+        needs=(_GAMMA_OR_INDEX,)),
     "pareto_limit": Kind(
-        partial(_call, "experiment_pareto_limit"),
-        (*_KS_GATE, _gate("ks_min", AT_LEAST), Gate("trend", "ks_by_t", _holds(
+        gates=(*_KS_GATE, _gate("ks_min", AT_LEAST), Gate("trend", "ks_by_t", _holds(
             "each <= the one before * (1 + threshold) + c(1%)/sqrt(n)", _trend), "trend_slack")),
-        params=montecarlo.experiment_pareto_limit.fields,
+        **_library("experiment_pareto_limit", needs=(_GAMMA_OR_INDEX,)),
         assertions={**_KS_MAX, "ks_min": (None, NONNEGATIVE), "trend_slack": (None, NONNEGATIVE)},
-        needs=(*_drawn("model", "t_list"), _GAMMA_OR_INDEX), csv=True),
-    "general_limit": Kind(
-        _general_limit, _KS_GATE, params={**montecarlo.experiment_general_limit.fields, "L": _L},
-        assertions=_KS_MAX, needs=_drawn("model", "t_list")),
-    "min_rule": Kind(
-        partial(_call, "experiment_min_rule"), _KS_GATE,
-        params=montecarlo.experiment_min_rule.fields, **_TWO),
-    "product_rule": Kind(
-        partial(_call, "experiment_product_rule"), _KS_GATE,
-        params=montecarlo.experiment_product_rule.fields, **_TWO),
-    "affine": Kind(
-        partial(_call, "experiment_affine"), _KS_GATE, params=montecarlo.experiment_affine.fields,
-        assertions=_KS_MAX, needs=(*_drawn("model", "t"), _known_index())),
+        csv=True),
+    "general_limit": Kind(gates=_KS_GATE, assertions=_KS_MAX,
+                          **_library("experiment_general_limit", handler=_general_limit, L=_L)),
+    "min_rule": Kind(gates=_KS_GATE, assertions=_KS_MAX, **_library("experiment_min_rule", _TWO)),
+    "product_rule": Kind(gates=_KS_GATE, assertions=_KS_MAX,
+                         **_library("experiment_product_rule", _TWO)),
+    "affine": Kind(gates=_KS_GATE, assertions=_KS_MAX, **_library("experiment_affine")),
     "mixture": Kind(
-        partial(_call, "experiment_mixture"),
-        (*_KS_GATE, Gate("jump", "jump_at_one", Side(
+        gates=(*_KS_GATE, Gate("jump", "jump_at_one", Side(
             "|statistic - (1 - q)| <=", lambda s, b, v, r: b - abs(s - (1.0 - v["q"])), ("q",)),
             "jump_tol")),
-        params=montecarlo.experiment_mixture.fields,
-        assertions={**_KS_MAX, "jump_tol": (None, NONNEGATIVE)},
-        needs=(*_drawn("model", "t"), _known_index())),
-    "drift": Kind(
-        partial(_call, "experiment_drift"), (_gate("min_fraction", AT_LEAST),),
-        params=montecarlo.experiment_drift.fields,
-        assertions={"min_fraction": (0.99, UNIT)}, needs=_drawn("model", "t")),
+        **_library("experiment_mixture"), assertions={**_KS_MAX, "jump_tol": (None, NONNEGATIVE)}),
+    "drift": Kind(gates=(_gate("min_fraction", AT_LEAST),), **_library("experiment_drift"),
+                  assertions={"min_fraction": (0.99, UNIT)}),
     "support": Kind(
         _support, (_gate("max_fraction"),),  # its draw is the CLI's own, not the library's
         params={"t": (0.01, POSITIVE), "n": (montecarlo.DEFAULT_N, COUNT),
                 "cutoff": (1e-6, OPEN_UNIT), **montecarlo.support_check.fields},
-        assertions={"max_fraction": (0.01, UNIT)}, needs=_drawn("model", "t")),
+        assertions={"max_fraction": (0.01, UNIT)}, models={"model": (SAMPLABLE,)},
+        needs=(_drawn("model", "t"),)),
     # the estimate draws by cutoff compound Poisson, which has no depth ceiling
     "ergodic": Kind(
-        _ergodic,
-        (_gate("rel_tol", Side("|statistic - target| / |target| <=",
-                               lambda s, b, v, r: b - abs(s - r["target"]) / abs(r["target"]))),),
-        params={**montecarlo.estimate_ergodic_functional.fields,
-                "functional": ("ramp", _one_of(FUNCTIONALS))},
-        assertions={"rel_tol": (0.05, NONNEGATIVE)},
-        needs=(_has("levy_density"), _INVERTIBLE_TAIL, _BELOW_DELTA0)),
+        gates=(_gate("rel_tol", Side(
+            "|statistic - target| / |target| <=",
+            lambda s, b, v, r: b - abs(s - r["target"]) / abs(r["target"]))),),
+        **_library("estimate_ergodic_functional", handler=_ergodic, needs=(_BELOW_DELTA0,),
+                   functional=("ramp", _one_of(FUNCTIONALS))),
+        assertions={"rel_tol": (0.05, NONNEGATIVE)}),
     "family_limit": Kind(
         _family_limit, (_gate("max_dev"),), params=_GRIDS,
-        assertions={"max_dev": (1e-3, NONNEGATIVE)}, models=("family",)),
+        assertions={"max_dev": (1e-3, NONNEGATIVE)}, models={"family": ()}),
     "dickman_rho": Kind(
         _dickman_rho, (_gate("tol", _within("expected")),), params={"z": (REQUIRED, Z)},
-        assertions={"expected": (REQUIRED, NUMBER), "tol": (1e-8, NONNEGATIVE)}, models=()),
+        assertions={"expected": (REQUIRED, NUMBER), "tol": (1e-8, NONNEGATIVE)}, models={}),
     "dickman_density_norm": Kind(
         _dickman_density_norm,
         (_gate("tol", Side("|statistic - target| <=", lambda s, b, v, r: b - abs(s - r["target"]))),),
         params={"z_max": (RHO_INTERVALS, Z_MAX)},
-        assertions={"tol": (1e-6, NONNEGATIVE)}, models=()),
+        assertions={"tol": (1e-6, NONNEGATIVE)}, models={}),
     "recursion_mean": Kind(
         _recursion_mean,
         (_gate("sigma_mult", Side("|statistic - target| <= threshold * stderr",
                                   lambda s, b, v, r: b * r["stderr"] - abs(s - r["target"]))),),
         params={"gamma": (REQUIRED, RECURSION_GAMMA), "n": (1_000_000, STD_COUNT),
                 "depth": (None, DEPTH)},
-        assertions={"sigma_mult": (3.0, POSITIVE)}, models=(), needs=(_MEAN_PATHS,)),
+        assertions={"sigma_mult": (3.0, POSITIVE)}, models={}, needs=(_MEAN_PATHS,)),
     "two_sampler_ks": Kind(
         _two_sampler_ks,
         (_gate("level", Side("<= the critical value at level threshold",
                              lambda s, b, v, r: r["threshold"] - s)),),
         params={"n": (100_000, COUNT), "cutoff": (1e-6, OPEN_UNIT),
                 "gamma": (1.0, RECURSION_GAMMA)},
-        assertions={"level": (0.01, _one_of(montecarlo.KS_COEFFICIENTS))}, models=()),
+        assertions={"level": (0.01, _one_of(montecarlo.KS_COEFFICIENTS))}, models={}),
 }
 
 
@@ -654,8 +635,11 @@ def _checked(entry, index):
         key: (_build_family if key == "family" else build_model_expr)(entry.get(key), f"{at}.{key}")
         for key in kind.models
     }
+    for key, rules in kind.models.items():
+        for check in rules:
+            _value(models[key], check, f"{at}.{key}")
     for need in kind.needs:
-        problem = need.problem(models, values, entry)
+        problem = need.problem(models, values)
         if problem:
             raise SchemaError(f"{at}.{need.path}", problem)
     return entry, kind, values, models
@@ -668,7 +652,7 @@ def run_experiment(checked, seed, out_dir, index):
         values = {**values, "csv": None if out_dir is None else os.path.join(out_dir, values["csv"])}
     exp_seed = seed * 1_000_003 + index if values["seed"] is None else values["seed"]
     at = f"experiments[{index}]"
-    model_at = f"{at}.{kind.models[0]}" if kind.models else None
+    model_at = next((f"{at}.{key}" for key in kind.models), None)
     with _exit_rule(f"{at}.params", at, model_path=model_at):
         result = {"experiment": entry["kind"], "params": entry.get("params", {}),
                   "threshold": kind.gates[0].bound(values),
@@ -779,7 +763,9 @@ def list_catalog():
                 "params": _listed(kind.params),
                 "assertions": _listed(kind.assertions),
                 "models": list(kind.models),
-                "requires": [f"{need.path}: {need.requirement}" for need in kind.needs],
+                "requires": [*(f"{key}: {check.requirement}"
+                               for key, rules in kind.models.items() for check in rules),
+                             *(f"{need.path}: {need.requirement}" for need in kind.needs)],
                 "csv": kind.csv,
                 "gates": [{"name": gate.name, "statistic": gate.statistic, "side": gate.side.text,
                            "threshold": gate.threshold} for gate in kind.gates],

@@ -3,9 +3,9 @@
 A subordinator is described here by up to four interchangeable surfaces:
 the Laplace exponent ``Phi``, the jump-intensity tail ``nu_bar``, the
 time-1 marginal CDF ``F`` and its density ``f``.  This module holds the
-container types, the number rules and floors every argument is checked
-against, ``checks`` and ``declares``, by which a function states each
-argument's rule once, the Laplace transform of a CDF and ``integral``, the
+container types, the number rules, floors and model rules every argument is
+checked against, ``checks`` and ``declares``, by which a function states
+each argument's rules once, the Laplace transform of a CDF and ``integral``, the
 one checked integral routine, which serves the package's four integrals: that
 transform, the tilted tail of ``transforms.tilt``, the quadrature part of
 the ``log_power`` exponent and the ergodic functional's target.
@@ -51,6 +51,9 @@ __all__ = [
     "COUNT",
     "STD_COUNT",
     "REQUIRED",
+    "has",
+    "KNOWN_INDEX",
+    "INVERTIBLE_TAIL",
     "checks",
     "declares",
     "LaplaceExponent",
@@ -98,9 +101,10 @@ class Check(NamedTuple):
     cast: Callable = None
 
     def passes(self, value):
+        # a value the rule cannot compare or read (a number given for a model) fails it
         try:
             return bool(self.valid(value))
-        except (TypeError, ValueError, OverflowError):
+        except (TypeError, ValueError, OverflowError, AttributeError):
             return False
 
     def require(self, **values):
@@ -140,9 +144,10 @@ REQUIRED = object()
 def checks(**rules):
     """Decorator of a library function: a Check per declared argument.
 
-    Each is checked (``Check.require``, in signature order; not a None at a
-    None default) before the function runs.  ``fields``, each declared
-    argument's (default or REQUIRED, Check), stays on the function.
+    A model argument declares a tuple of model rules.  Each is checked
+    (``Check.require``, in signature order; not a None at a None default)
+    before the function runs.  ``fields``, each declared argument's
+    (default or REQUIRED, Check or tuple), stays on the function.
     """
     return lambda fn: _checked(fn, rules)
 
@@ -164,9 +169,10 @@ def _checked(fn, rules, name=None):
     def wrapper(*args, **kwargs):
         bound = sig.bind(*args, **kwargs)
         bound.apply_defaults()
-        for arg, (default, check) in fields.items():
+        for arg, (default, rule) in fields.items():
             if bound.arguments[arg] is not None or default is not None:
-                check.require(**{arg: bound.arguments[arg]})
+                for check in (rule,) if isinstance(rule, Check) else rule:
+                    check.require(**{arg: bound.arguments[arg]})
         out = fn(*args, **kwargs)
         return out if name is None else replace(out, name=name, params=dict(bound.arguments))
 
@@ -239,6 +245,19 @@ class SubordinatorModel:
             return self.name
         inner = ",".join(f"{k}={v}" for k, v in sorted(self.params.items()))
         return f"{self.name}({inner})"
+
+    # a refusal names the model as describe() does, not by its closures
+    __repr__ = describe
+
+
+def has(surface):
+    """The model rule that a model carries ``surface``, one of its fields."""
+    return Check(lambda m: getattr(m, surface) is not None, f"a model with {surface}")
+
+
+KNOWN_INDEX = Check(lambda m: m.known_gamma is not None, "a model with a known index")
+INVERTIBLE_TAIL = Check(lambda m: m.tail is not None and m.tail.inverse_tail is not None,
+                        "an invertible jump tail")
 
 
 def pareto_cdf(gamma, x):

@@ -193,9 +193,10 @@ def estimate_gamma_s6(cdf1, log_x_grid=None):
     grid = log_grid("S6", log_x_grid)
     f_vals = cdf1(np.exp(grid))
     positive = f_vals > 0.0
-    if not np.any(positive):
-        raise NumericalFailure("CDF underflowed to zero on the whole grid", op="estimate_gamma_s6")
-    if not np.all(positive):
+    if (kept := np.count_nonzero(positive)) < 2:
+        raise NumericalFailure(f"CDF underflowed to zero on all but {kept} of the grid's "
+                               f"{grid.size} points; an affine fit needs 2", op="estimate_gamma_s6")
+    if kept < grid.size:
         warnings.warn("CDF underflowed on part of the grid; shrinking", stacklevel=2)
         grid, f_vals = grid[positive], f_vals[positive]
     if np.all(f_vals >= 1.0):

@@ -24,12 +24,12 @@ import numpy as np
 
 from . import simulate
 from .core import (
-    ABOVE_ONE, BLOCK, COUNT, DECREASING_TIMES, OPEN_UNIT, POSITIVE, STD_COUNT, ExponentialLaw,
-    ParetoLaw, SubordinatorModel, checks, integral, pareto_cdf,
+    ABOVE_ONE, BLOCK, COUNT, DECREASING_TIMES, INVERTIBLE_TAIL, KNOWN_INDEX, OPEN_UNIT, POSITIVE,
+    STD_COUNT, ExponentialLaw, ParetoLaw, SubordinatorModel, checks, has, integral, pareto_cdf,
 )
 from .criteria import grid_deviations
-from .errors import InvalidParameterError, NumericalFailure, UnsupportedModelError
-from .simulate import sample_cutoff_cp, sample_marginal, substream, to_neg_t_power, to_tl
+from .errors import InvalidParameterError, NumericalFailure
+from .simulate import SAMPLABLE, sample_cutoff_cp, sample_marginal, substream, to_neg_t_power, to_tl
 
 __all__ = [
     "EmpiricalDistribution",
@@ -61,6 +61,8 @@ DEFAULT_N = 100_000
 # the rules of a draw of n paths at each time of t_list, or at time t
 _DRAWS = {"t_list": DECREASING_TIMES, "n": COUNT, "cutoff": OPEN_UNIT}
 _DRAW = {"t": POSITIVE, "n": COUNT, "cutoff": OPEN_UNIT}
+# the rules of a model drawn for a limit whose index it knows
+_INDEXED = (SAMPLABLE, KNOWN_INDEX)
 
 
 @dataclass(frozen=True)
@@ -258,13 +260,6 @@ def neg_t_power_ecdf(model, t, log_samples):
     return EmpiricalDistribution.from_values(values, n_inf)
 
 
-def _index(model):
-    """The model's known index; InvalidParameterError when it has none."""
-    if model.known_gamma is None:
-        raise InvalidParameterError(f"model {model.describe()} has no known index")
-    return model.known_gamma
-
-
 def _fraction_within(values, lo, hi):
     """``np.mean((values >= lo) & (values <= hi))``, counted a block at a time."""
     count = 0
@@ -292,13 +287,15 @@ def _limit_result(label, law, t_list, n, ecdf_at, csv=None):
     return {**result, "ks_by_t": ks_by_t}
 
 
-@checks(**_DRAWS, gamma=POSITIVE)
+@checks(model=(SAMPLABLE,), **_DRAWS, gamma=POSITIVE)
 def experiment_pareto_limit(
     model: SubordinatorModel, t_list=(0.2, 0.1, 0.05, 0.01), n=DEFAULT_N, seed=0,
     *, cutoff=1e-6, gamma=None, csv=None,
 ):
     """KS of y**(-t) against its Pareto limit, per t; ``csv`` gets the last t's ECDF curve."""
-    law = ParetoLaw(_index(model) if gamma is None else gamma)
+    if gamma is None:  # the limit's index is then the model's
+        KNOWN_INDEX.require(model=model)
+    law = ParetoLaw(model.known_gamma if gamma is None else gamma)
 
     def ecdf_at(k, t):
         log_samples = sample_marginal(model, t, n, substream(seed, k), cutoff=cutoff)
@@ -307,7 +304,7 @@ def experiment_pareto_limit(
     return _limit_result(model.describe(), law, t_list, n, ecdf_at, csv)
 
 
-@checks(**_DRAWS, gamma=POSITIVE)
+@checks(model=(SAMPLABLE,), **_DRAWS, gamma=POSITIVE)
 def experiment_general_limit(
     model: SubordinatorModel, L, gamma, t_list=(0.01,), n=DEFAULT_N, seed=0,
     *, cutoff=1e-6,
@@ -328,26 +325,26 @@ def _two_model_transformed(m1, m2, t, n, seed, cutoff, combine):
     return EmpiricalDistribution.from_values(*to_neg_t_power(l1, t))
 
 
-@checks(**_DRAW)
+@checks(m1=_INDEXED, m2=_INDEXED, **_DRAW)
 def experiment_min_rule(m1, m2, t=0.01, n=DEFAULT_N, seed=0, *, cutoff=1e-6):
     """Sum of independent marginals, transformed: limit is Pareto(g1 + g2)."""
-    law = ParetoLaw(_index(m1) + _index(m2))
+    law = ParetoLaw(m1.known_gamma + m2.known_gamma)
     emp = _two_model_transformed(m1, m2, t, n, seed, cutoff, np.logaddexp)
     return _ks_result(f"{m1.describe()}+{m2.describe()}", t, n, law, emp)
 
 
-@checks(**_DRAW)
+@checks(m1=_INDEXED, m2=_INDEXED, **_DRAW)
 def experiment_product_rule(m1, m2, t=0.01, n=DEFAULT_N, seed=0, *, cutoff=1e-6):
     """Product of independent marginals, transformed: limit is the Pareto product law."""
-    law = ParetoProductLaw(_index(m1), _index(m2))
+    law = ParetoProductLaw(m1.known_gamma, m2.known_gamma)
     emp = _two_model_transformed(m1, m2, t, n, seed, cutoff, np.add)
     return _ks_result(f"{m1.describe()}*{m2.describe()}", t, n, law, emp)
 
 
-@checks(**_DRAW, a=ABOVE_ONE, b=ABOVE_ONE)
+@checks(model=_INDEXED, **_DRAW, a=ABOVE_ONE, b=ABOVE_ONE)
 def experiment_affine(model, a, b, t=0.05, n=DEFAULT_N, seed=0, *, cutoff=1e-6):
     """KS of (a_t Y_t + b_t)**(-t) against min(a*Pareto, b), a_t = a**(-1/t)."""
-    law = AffineMinLaw(a, b, _index(model))
+    law = AffineMinLaw(a, b, model.known_gamma)
     log_a_t = -np.log(a) / t
     log_b_t = -np.log(b) / t
     log_y = sample_marginal(model, t, n, substream(seed, 0), cutoff=cutoff)
@@ -361,7 +358,7 @@ def experiment_affine(model, a, b, t=0.05, n=DEFAULT_N, seed=0, *, cutoff=1e-6):
 _JUMP_WINDOW = 0.05
 
 
-@checks(**_DRAW, q=OPEN_UNIT)
+@checks(model=_INDEXED, **_DRAW, q=OPEN_UNIT)
 def experiment_mixture(model, q, t=1e-3, n=DEFAULT_N, seed=0, *, cutoff=1e-6):
     """Start the process at an independent level B (0 with probability q, else 1).
 
@@ -369,7 +366,7 @@ def experiment_mixture(model, q, t=1e-3, n=DEFAULT_N, seed=0, *, cutoff=1e-6):
     1-q at 1 plus q times the Pareto limit.  The KS result carries, as
     ``jump_at_one``, the empirical mass found in the window just below the atom.
     """
-    law = ParetoMixtureLaw(q, _index(model))
+    law = ParetoMixtureLaw(q, model.known_gamma)
     log_l = sample_marginal(model, t, n, substream(seed, 0), cutoff=cutoff)
     # the level B: the n uniforms of stream 1, drawn a block at a time
     level_rng = substream(seed, 1)
@@ -384,7 +381,7 @@ def experiment_mixture(model, q, t=1e-3, n=DEFAULT_N, seed=0, *, cutoff=1e-6):
                       jump_at_one=float(inside * emp.values.size / emp.n_total))
 
 
-@checks(**_DRAW, c=POSITIVE, window=POSITIVE)
+@checks(model=(SAMPLABLE,), **_DRAW, c=POSITIVE, window=POSITIVE)
 def experiment_drift(model, c=1.0, t=1e-3, n=DEFAULT_N, seed=0, *, cutoff=1e-6, window=0.05):
     """Mass of (c*t + Y_t)**(-t) inside [1-window, 1+window].
 
@@ -444,7 +441,7 @@ def mean_std_in_place(values):
     return mean, np.sqrt(np.add.reduce(values) / (n - 1))
 
 
-@checks(t=POSITIVE, n=STD_COUNT, cutoff=OPEN_UNIT)
+@checks(model=(INVERTIBLE_TAIL, has("levy_density")), t=POSITIVE, n=STD_COUNT, cutoff=OPEN_UNIT)
 def estimate_ergodic_functional(model, f, delta0, t=1e-3, n=10_000_000, seed=0, *, cutoff=1e-6):
     """Monte Carlo estimate of E f(Y_t) / t (the ``statistic``), with its ``stderr``.
 
@@ -455,9 +452,9 @@ def estimate_ergodic_functional(model, f, delta0, t=1e-3, n=10_000_000, seed=0, 
     strictly below delta0, otherwise the dropped jumps bias the
     functional itself.  ``f`` keeps core's elementwise contract; n >= 2.
 
-    The model needs an invertible jump tail and a Levy density (else
-    UnsupportedModelError): f ignores everything below delta0 > cutoff,
-    so the cutoff compound-Poisson draw is exact for the functional.  It is drawn in
+    The model needs an invertible jump tail and a Levy density, as
+    declared: f ignores everything below delta0 > cutoff, so the cutoff
+    compound-Poisson draw is exact for the functional.  It is drawn in
     sparse form and never densified.  f is applied to the jump sums, and
     only the paths with f(v) != f(0) are kept, so the memory grows with
     the paths that jump plus one ``BLOCK`` buffer, not with n.  The mean
@@ -467,10 +464,6 @@ def estimate_ergodic_functional(model, f, delta0, t=1e-3, n=10_000_000, seed=0, 
     """
     if delta0 <= cutoff:
         raise InvalidParameterError("need delta0 > cutoff, else the truncation biases f")
-    if model.tail is None or model.tail.inverse_tail is None:
-        raise UnsupportedModelError(f"model {model.describe()} has no invertible jump tail")
-    if model.levy_density is None:
-        raise UnsupportedModelError(f"model {model.describe()} has no Levy density")
     upper = model.tail.support_upper
     # over the whole support; QAGI's map of [delta0, inf) alone is coarser near
     # delta0 (it moved gamma(1, 1)'s target by 2.4e-12 relative), so it only

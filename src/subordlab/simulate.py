@@ -23,12 +23,13 @@ import math
 
 import numpy as np
 
-from .core import BLOCK, POSITIVE, LevyTail, SubordinatorModel
+from .core import BLOCK, INVERTIBLE_TAIL, POSITIVE, Check, LevyTail, SubordinatorModel
 from .errors import InvalidParameterError, UnsupportedModelError
 
 __all__ = [
     "substream",
     "can_sample",
+    "SAMPLABLE",
     "sample_marginal",
     "sample_cutoff_cp",
     "to_neg_t_power",
@@ -191,9 +192,10 @@ def sample_cutoff_cp(tail: LevyTail, eps, t, rng, n=1, *, out=None):
 
 def can_sample(model: SubordinatorModel):
     """Whether ``sample_marginal`` can draw from the model: exact log sampler or invertible tail."""
-    return model.log_sampler is not None or (
-        model.tail is not None and model.tail.inverse_tail is not None
-    )
+    return model.log_sampler is not None or INVERTIBLE_TAIL.valid(model)
+
+
+SAMPLABLE = Check(can_sample, "an exact sampler or an invertible jump tail")
 
 
 def sample_marginal(model: SubordinatorModel, t, n, rng, *, cutoff=1e-6):
@@ -207,9 +209,7 @@ def sample_marginal(model: SubordinatorModel, t, n, rng, *, cutoff=1e-6):
     if model.log_sampler is not None:
         return model.log_sampler(t, n, rng)
     if not can_sample(model):
-        raise UnsupportedModelError(
-            f"model {model.name!r} has neither an exact sampler nor an invertible tail"
-        )
+        raise UnsupportedModelError(f"model must be {SAMPLABLE.requirement}, got {model!r}")
     values = sample_cutoff_cp(model.tail, cutoff, t, rng, n, out=np.empty(n))
     with np.errstate(divide="ignore"):
         np.log(values, out=values)

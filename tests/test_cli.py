@@ -1205,6 +1205,16 @@ class TestNumericalFailureExit:
         assert code == 3
         assert "estimate_gamma_s6" in capsys.readouterr().err
 
+    def test_s6_grid_left_with_one_point_exits_three(self, tmp_path, capsys):
+        # the underflow shrank the grid to log x = -0.5, and the one-point fit
+        # read gamma_hat 8.0, converged: exit 0 at tol 100
+        entry = {"kind": "criterion", "model": {"name": "weibull", "params": {"gamma": 40}},
+                 "params": {"criterion": "S6", "grid": [-0.5, -25.0]},
+                 "assertions": {"expected_gamma": 40, "tol": 100}}
+        cfg = write_config(tmp_path, {"experiments": [entry]})
+        assert cli.main(["--config", cfg, "--out", str(tmp_path)]) == 3
+        assert "numerical failure in estimate_gamma_s6" in capsys.readouterr().err
+
     def test_ergodic_target_past_tolerance_exits_three(self, tmp_path, capsys, loose_quad):
         entry = {"kind": "ergodic", "model": GAMMA, "params": {"n": 1000}}
         cfg = write_config(tmp_path, {"experiments": [entry]})

@@ -78,6 +78,13 @@ class TestS6:
         with pytest.raises(NumericalFailure):
             criteria.estimate_gamma_s6(zero)
 
+    def test_underflow_to_one_point_fails(self):
+        # F(e^-25) = 1e-434 underflows, which left the one point log x = -0.5
+        # and a fit that read gamma_hat 8.0, converged
+        with pytest.raises(NumericalFailure, match="all but 1 of the grid's 2 points") as exc:
+            criteria.estimate_gamma_s6(catalog.make_weibull(40.0).cdf1, [-0.5, -25.0])
+        assert exc.value.op == "estimate_gamma_s6"
+
 
 class TestS7:
     def test_dickman_ratios_exactly_constant(self):

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from subordlab import catalog, cli, criteria, dickman, montecarlo as mc
 from subordlab.core import BLOCK, ExponentialLaw, ParetoLaw, pareto_cdf
-from subordlab.errors import InvalidParameterError, UnsupportedModelError
+from subordlab.errors import InvalidParameterError
 from subordlab.simulate import sample_marginal, substream, to_neg_t_power
 
 # L as a function of log x
@@ -241,14 +241,14 @@ class TestDriftAndSupport:
 class TestErgodicFunctional:
     def test_model_without_invertible_tail_rejected(self):
         # an exact sampler but no jump tail: the cutoff compound-Poisson draw has nothing to invert
-        with pytest.raises(UnsupportedModelError, match="no invertible jump tail"):
+        with pytest.raises(InvalidParameterError, match="must be an invertible jump tail"):
             mc.estimate_ergodic_functional(
                 catalog.make_stable(1.0, 0.5), lambda x: np.asarray(x), 0.5, 0.01, 100)
 
     def test_model_without_levy_density_rejected(self, dickman1, monkeypatch):
         # the target integrates f against the jump density, before anything is drawn
         monkeypatch.setattr(mc, "sample_cutoff_cp", None)
-        with pytest.raises(UnsupportedModelError, match="no Levy density"):
+        with pytest.raises(InvalidParameterError, match="must be a model with levy_density"):
             mc.estimate_ergodic_functional(
                 replace(dickman1, levy_density=None), cli.FUNCTIONALS["ramp"][0], 0.5, 0.01, 100)
 

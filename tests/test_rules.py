@@ -1,13 +1,14 @@
-"""The number rules of core: one check, in one set of words, for the library and the CLI."""
+"""The number and model rules: one check, in one set of words, for the library and the CLI."""
 
 import inspect
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from subordlab import catalog, cli, core, criteria, dickman, montecarlo, simulate, transforms
-from subordlab.core import NONNEGATIVE, POSITIVE
+from subordlab.core import INVERTIBLE_TAIL, KNOWN_INDEX, NONNEGATIVE, POSITIVE, Check
 from subordlab.errors import InvalidParameterError
 
 GAMMA11 = catalog.make_gamma(1.0, 1.0)
@@ -128,7 +129,57 @@ def test_library_refusal_reads_as_the_listed_requirement():
 
 def test_every_kind_takes_its_functions_declared_fields():
     for kind, functions in RUNS.items():
-        params = cli.KINDS[kind].params
+        entry = cli.KINDS[kind]
         for fn in functions:
-            for field, (default, check) in fn.fields.items():
-                assert params[field][0] == default and params[field][1] is check, (kind, field)
+            args = list(inspect.signature(fn).parameters)
+            for field, (default, rule) in fn.fields.items():
+                if isinstance(rule, Check):
+                    assert entry.params[field][0] == default, (kind, field)
+                    assert entry.params[field][1] is rule, (kind, field)
+                else:
+                    # a model parameter's rules: the model key at its position carries them
+                    assert field not in entry.params, (kind, field)
+                    assert list(entry.models.values())[args.index(field)] is rule, (kind, field)
+
+
+# a model that fails each model rule and passes every other: (rule's name, model)
+FAILS = {
+    simulate.SAMPLABLE.requirement: ("SAMPLABLE", transforms.tilt(GAMMA11, 0.5)),
+    KNOWN_INDEX.requirement: ("KNOWN_INDEX", catalog.make_stable(1.0, 0.5)),
+    INVERTIBLE_TAIL.requirement: ("INVERTIBLE_TAIL", replace(GAMMA11, tail=None)),
+    core.has("levy_density").requirement: ("levy_density", replace(GAMMA11, levy_density=None)),
+}
+
+
+def declared_model_rules():
+    """A row per model rule that a function of RUNS declares on one of its models."""
+    for kind, functions in RUNS.items():
+        for fn in functions:
+            for arg, (_, rule) in fn.fields.items():
+                for check in () if isinstance(rule, Check) else rule:
+                    name, model = FAILS[check.requirement]
+                    yield pytest.param(kind, fn, arg, check, model,
+                                       id=f"{fn.__name__}-{arg}-{name}")
+
+
+@pytest.mark.parametrize("kind,fn,arg,check,model", [
+    *declared_model_rules(),
+    # drew the whole gamma batch, then raised UnsupportedModelError on the tilt
+    pytest.param("min_rule", montecarlo.experiment_min_rule, "m2", simulate.SAMPLABLE,
+                 transforms.tilt(GAMMA11, 0.5), id="min_rule-gamma-tilt"),
+])
+def test_model_that_fails_a_declared_rule_is_refused_before_any_draw(
+    monkeypatch, kind, fn, arg, check, model
+):
+    rng = simulate.substream(0, 0)
+    monkeypatch.setattr(montecarlo, "substream", lambda seed, stream: rng)
+    before = rng.bit_generator.state
+    args = list(inspect.signature(fn).parameters)
+    valid = {name: VALID_ARGS[name] for name in args if name in VALID_ARGS}
+    with pytest.raises(InvalidParameterError) as exc:
+        fn(**{**valid, arg: model})
+    assert str(exc.value) == f"{arg} must be {check.requirement}, got {model.describe()}"
+    assert rng.bit_generator.state == before
+    # in the words --list prints for the kind's model key at the argument's position
+    key = list(cli.KINDS[kind].models)[args.index(arg)]
+    assert f"{key}: {check.requirement}" in cli.list_catalog()["experiment_kinds"][kind]["requires"]
