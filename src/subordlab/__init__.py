@@ -18,7 +18,6 @@ from .core import (
     pareto_quantile,
 )
 from .errors import (
-    DegenerateModelError,
     InvalidParameterError,
     NumericalFailure,
     OutOfRangeError,
@@ -40,7 +39,6 @@ __all__ = [
     "SubordlabError",
     "InvalidParameterError",
     "OutOfRangeError",
-    "DegenerateModelError",
     "UnsupportedModelError",
     "NumericalFailure",
     "__version__",

@@ -25,7 +25,7 @@ Model expressions nest transforms over catalog leaves::
 
 Each experiment kind is one entry of ``KINDS``: its fields with their
 defaults and checks, its models and the rules they must pass (a library
-experiment's as its function declares them), its handler, and its gates,
+function's as it declares them), its handler, and its gates,
 from which an entry's ``pass`` is read.  Every entry of a config is
 checked against that table before any entry runs; ``--list`` prints it.
 
@@ -54,8 +54,8 @@ import numpy as np
 
 from . import __version__, catalog, criteria, montecarlo, transforms
 from .core import (
-    COUNT, GRID_TIMES, KNOWN_INDEX, NONNEGATIVE, OPEN_UNIT, POSITIVE, REQUIRED, SHAPE, STD_COUNT,
-    TIMES, Check, has,
+    COUNT, KNOWN_INDEX, NONNEGATIVE, OPEN_UNIT, POSITIVE, REQUIRED, SHAPE, STD_COUNT, Check, has,
+    number_rule,
 )
 from .criteria import CRITERIA
 from .dickman import (
@@ -184,10 +184,10 @@ def _one_of(names):
     return Check(lambda v: v in names, f"one of {list(names)}")
 
 
-SEED = Check(lambda v: int(v) == v >= 0, "an integer >= 0", int)
+SEED = number_rule(lambda v: int(v) == v >= 0, "an integer >= 0", int)
 # JSON's Infinity reaches here as a float; the numbers a run reads are finite
-NUMBER = Check(math.isfinite, "a finite number")
-UNIT = Check(lambda v: 0 <= v <= 1, "a number in [0, 1]")
+NUMBER = number_rule(math.isfinite, "a finite number")
+UNIT = number_rule(lambda v: 0 <= v <= 1, "a number in [0, 1]")
 GRID = Check(lambda v: isinstance(v, list) and len(v) > 0 and all(NUMBER.valid(x) for x in v),
              "a non-empty list of finite numbers")
 # written into --out, so no directory part
@@ -198,9 +198,7 @@ RECURSION_GAMMA = Check(
     recursion_depth,
     f"{SHAPE.requirement} that needs at most {MAX_RECURSION_DEPTH} recursion terms")
 # the default table of rho covers z in [0, RHO_INTERVALS]
-Z = Check(lambda v: 0 <= v <= RHO_INTERVALS, f"a number in [0, {RHO_INTERVALS}]")
-Z_MAX = Check(lambda v: int(v) == v and 1 <= v <= RHO_INTERVALS,
-              f"an integer in [1, {RHO_INTERVALS}]", int)
+Z = number_rule(lambda v: 0 <= v <= RHO_INTERVALS, f"a number in [0, {RHO_INTERVALS}]")
 
 
 def _refusal(check, value, what=""):
@@ -354,7 +352,7 @@ def _s2(v, m, seed):
     model = m["model"]
     law = montecarlo.ParetoLaw(model.known_gamma if v["gamma"] is None else v["gamma"])
     return {"model": model.describe(),
-            **criteria.check_s2(model.phi, law.cdf, v["t_grid"], v["u_grid"])}
+            **criteria.check_s2(model, law.cdf, v["t_grid"], v["u_grid"])}
 
 
 def _general_limit(v, m, seed):
@@ -508,18 +506,19 @@ class Kind(NamedTuple):
     csv: bool = False
 
 
-def _library(name, keys=("model",), handler=None, needs=(), **params):
-    """The Kind fields of a kind that runs montecarlo.<name>, by ``_call`` unless ``handler``.
+def _library(name, keys=("model",), handler=None, needs=(), module=montecarlo, **params):
+    """The Kind fields of a kind that runs <module>.<name>: by ``_call`` (montecarlo's
+    experiments), or by ``handler``.
 
-    ``_call`` passes the models positionally, so the i-th of the model
-    ``keys`` takes the rules the function declares on its i-th parameter.
-    Each model it must draw from (``SAMPLABLE``) is probed at the function's
-    times (``_drawn``), before ``needs``; its other declared fields, and
-    ``params``, are the kind's params.
+    The models go in positionally, so the i-th of the model ``keys`` takes
+    the rules the function declares on its i-th parameter (none when it
+    declares none).  Each model it must draw from (``SAMPLABLE``) is probed
+    at the function's times (``_drawn``), before ``needs``; its other
+    declared fields, and ``params``, are the kind's params.
     """
-    fn = getattr(montecarlo, name)
+    fn = getattr(module, name)
     args = list(inspect.signature(fn).parameters)[:len(keys)]
-    models = {key: fn.fields[arg][1] for key, arg in zip(keys, args)}
+    models = {key: fn.fields.get(arg, (None, ()))[1] for key, arg in zip(keys, args)}
     times = "t_list" if "t_list" in fn.fields else "t"
     return dict(handler=handler or partial(_call, name), models=models,
                 needs=(*(_drawn(key, times) for key in models if SAMPLABLE in models[key]), *needs),
@@ -528,7 +527,6 @@ def _library(name, keys=("model",), handler=None, needs=(), **params):
 
 _KS_MAX = {"ks_max": (None, NONNEGATIVE)}
 _KS_GATE = (_gate("ks_max"),)
-_GRIDS = {"t_grid": (None, GRID_TIMES), "u_grid": (None, TIMES)}
 _L = ("neg_log", _one_of(L_FUNCTIONS))
 # the model keys of min_rule and product_rule
 _TWO = ("model", "model2")
@@ -555,9 +553,10 @@ KINDS = {
         params={"which": ("ol", _one_of(("ol", "ol2"))), **criteria.check_sandwich_ol.fields},
         models={"model": (has("cdf1"),)}),
     "s2": Kind(
-        _s2, (_gate("max_dev"),), params={"gamma": (None, POSITIVE), **_GRIDS},
-        assertions={"max_dev": (1e-2, NONNEGATIVE)}, models={"model": (has("phi"),)},
-        needs=(_GAMMA_OR_INDEX,)),
+        gates=(_gate("max_dev"),),
+        **_library("check_s2", handler=_s2, needs=(_GAMMA_OR_INDEX,), module=criteria,
+                   gamma=(None, POSITIVE)),
+        assertions={"max_dev": (1e-2, NONNEGATIVE)}),
     "pareto_limit": Kind(
         gates=(*_KS_GATE, _gate("ks_min", AT_LEAST), Gate("trend", "ks_by_t", _holds(
             "each <= the one before * (1 + threshold) + c(1%)/sqrt(n)", _trend), "trend_slack")),
@@ -592,15 +591,15 @@ KINDS = {
                    functional=("ramp", _one_of(FUNCTIONALS))),
         assertions={"rel_tol": (0.05, NONNEGATIVE)}),
     "family_limit": Kind(
-        _family_limit, (_gate("max_dev"),), params=_GRIDS,
-        assertions={"max_dev": (1e-3, NONNEGATIVE)}, models={"family": ()}),
+        gates=(_gate("max_dev"),), **_library("check_family_limit", ("family",), _family_limit),
+        assertions={"max_dev": (1e-3, NONNEGATIVE)}),
     "dickman_rho": Kind(
         _dickman_rho, (_gate("tol", _within("expected")),), params={"z": (REQUIRED, Z)},
         assertions={"expected": (REQUIRED, NUMBER), "tol": (1e-8, NONNEGATIVE)}, models={}),
     "dickman_density_norm": Kind(
         _dickman_density_norm,
         (_gate("tol", Side("|statistic - target| <=", lambda s, b, v, r: b - abs(s - r["target"]))),),
-        params={"z_max": (RHO_INTERVALS, Z_MAX)},
+        params=dickman_density_norm.fields,
         assertions={"tol": (1e-6, NONNEGATIVE)}, models={}),
     "recursion_mean": Kind(
         _recursion_mean,

@@ -4,8 +4,10 @@ A subordinator is described here by up to four interchangeable surfaces:
 the Laplace exponent ``Phi``, the jump-intensity tail ``nu_bar``, the
 time-1 marginal CDF ``F`` and its density ``f``.  This module holds the
 container types, the number rules, floors and model rules every argument is
-checked against, ``checks`` and ``declares``, by which a function states
-each argument's rules once, the Laplace transform of a CDF and ``integral``, the
+checked against (a bool fails every number rule; the null subordinator, an
+exponent below 1e-15 at s = 1 and at s = 100, fails ``NOT_NULL``),
+``checks`` and ``declares``, by which a function states each argument's
+rules once, the Laplace transform of a CDF and ``integral``, the
 one checked integral routine, which serves the package's four integrals: that
 transform, the tilted tail of ``transforms.tilt``, the quadrature part of
 the ``log_power`` exponent and the ergodic functional's target.
@@ -38,6 +40,7 @@ from .errors import InvalidParameterError, NumericalFailure
 
 __all__ = [
     "Check",
+    "number_rule",
     "POSITIVE",
     "NONNEGATIVE",
     "ABOVE_ONE",
@@ -54,6 +57,7 @@ __all__ = [
     "has",
     "KNOWN_INDEX",
     "INVERTIBLE_TAIL",
+    "NOT_NULL",
     "checks",
     "declares",
     "LaplaceExponent",
@@ -114,11 +118,16 @@ class Check(NamedTuple):
                 raise InvalidParameterError(f"{name} must be {self.requirement}, got {value!r}")
 
 
+def number_rule(valid, requirement, cast=None):
+    """The Check of a number: valid(value) on a value that is not a bool (JSON's true and false)."""
+    return Check(lambda v: not isinstance(v, bool) and valid(v), requirement, cast)
+
+
 # the paper's quantities are finite: NaN and infinity fail every number rule
-POSITIVE = Check(lambda v: math.isfinite(v) and v > 0, "a finite number > 0")
-NONNEGATIVE = Check(lambda v: math.isfinite(v) and v >= 0, "a finite number >= 0")
-ABOVE_ONE = Check(lambda v: math.isfinite(v) and v > 1, "a finite number > 1")
-OPEN_UNIT = Check(lambda v: 0 < v < 1, "a number in (0, 1)")
+POSITIVE = number_rule(lambda v: math.isfinite(v) and v > 0, "a finite number > 0")
+NONNEGATIVE = number_rule(lambda v: math.isfinite(v) and v >= 0, "a finite number >= 0")
+ABOVE_ONE = number_rule(lambda v: math.isfinite(v) and v > 1, "a finite number > 1")
+OPEN_UNIT = number_rule(lambda v: 0 < v < 1, "a number in (0, 1)")
 # a list of times, or of the u values of a grid; the CLI passes it on as a tuple
 TIMES = Check(lambda v: len(v) > 0 and all(POSITIVE.valid(t) for t in v),
               "a non-empty list of finite numbers > 0", tuple)
@@ -130,13 +139,13 @@ DECREASING_TIMES = Check(lambda v: TIMES.valid(v) and all(a > b for a, b in zip(
 GRID_TIMES = Check(lambda v: TIMES.valid(v) and min(v) >= TIME_FLOOR,
                    f"a non-empty list of finite numbers >= {TIME_FLOOR:g}", tuple)
 # the shape of a log-space draw
-SHAPE = Check(lambda v: math.isfinite(v) and v >= SHAPE_FLOOR,
-              f"a finite number >= {SHAPE_FLOOR:g}")
+SHAPE = number_rule(lambda v: math.isfinite(v) and v >= SHAPE_FLOOR,
+                    f"a finite number >= {SHAPE_FLOOR:g}")
 
 # a count of paths or of threads
-COUNT = Check(lambda v: int(v) == v >= 1, "an integer >= 1", int)
+COUNT = number_rule(lambda v: int(v) == v >= 1, "an integer >= 1", int)
 # a sample count whose ddof=1 standard deviation divides by n - 1
-STD_COUNT = Check(lambda v: int(v) == v >= 2, "an integer >= 2", int)
+STD_COUNT = number_rule(lambda v: int(v) == v >= 2, "an integer >= 2", int)
 # the default of an argument or field that must be given
 REQUIRED = object()
 
@@ -258,6 +267,11 @@ def has(surface):
 KNOWN_INDEX = Check(lambda m: m.known_gamma is not None, "a model with a known index")
 INVERTIBLE_TAIL = Check(lambda m: m.tail is not None and m.tail.inverse_tail is not None,
                         "an invertible jump tail")
+# the null subordinator's exponent is 0: a model's exponent counts as null when it is
+# below 1e-15 at s = 1 and at s = 100, where the model algebra and S2 have nothing to read
+NOT_NULL = Check(
+    lambda m: not (float(m.phi.eval(1.0)) < 1e-15 and float(m.phi.eval(100.0)) < 1e-15),
+    "a model with phi that is not the null subordinator")
 
 
 def pareto_cdf(gamma, x):

@@ -21,8 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GRID_TIMES, NONNEGATIVE, TIMES, LaplaceExponent, LevyTail, checks, lst_from_cdf
-from .errors import DegenerateModelError, InvalidParameterError, NumericalFailure
+from .core import (
+    GRID_TIMES, NONNEGATIVE, NOT_NULL, TIMES, LaplaceExponent, LevyTail, checks, lst_from_cdf,
+)
+from .errors import InvalidParameterError, NumericalFailure
 
 __all__ = [
     "CRITERIA",
@@ -34,7 +36,6 @@ __all__ = [
     "estimate_gamma_s7",
     "estimate_gamma_s8",
     "estimate_gamma_general",
-    "require_nondegenerate",
     "grid_deviations",
     "check_s2",
     "check_sandwich_ol",
@@ -239,17 +240,6 @@ def estimate_gamma_general(phi: LaplaceExponent, L, log_s_grid=None):
     return _finish("GL", grid, ratios, 1.0 / l_vals)
 
 
-def require_nondegenerate(phi: LaplaceExponent, what="the model"):
-    """``phi``, unless it is the null subordinator's exponent (DegenerateModelError).
-
-    The exponent counts as null when it is below 1e-15 at s = 1 and at
-    s = 100; the message names the model as ``what``.
-    """
-    if float(phi.eval(1.0)) < 1e-15 and float(phi.eval(100.0)) < 1e-15:
-        raise DegenerateModelError(f"{what} is the null subordinator")
-    return phi
-
-
 @checks(t_grid=GRID_TIMES, u_grid=TIMES)
 def grid_deviations(at, target, t_grid, u_grid):
     """max over u of |at(t, log(u)/t) - target(u)| for each t of ``t_grid``, largest t first.
@@ -272,13 +262,13 @@ def grid_deviations(at, target, t_grid, u_grid):
     return {"statistic": float(deviations[-1]), "deviations": deviations.tolist()}
 
 
-def check_s2(phi: LaplaceExponent, limit_cdf, t_grid=None, u_grid=None):
+@checks(model=(NOT_NULL,), t_grid=GRID_TIMES, u_grid=TIMES)
+def check_s2(model, limit_cdf, t_grid=None, u_grid=None):
     """Transform-level limit check: t*Phi(u**(1/t)) vs -log(1 - F*(u)).
 
     Returns the ``grid_deviations`` of t*Phi at log-argument log(u)/t; the
     sequence should decrease toward zero.
     """
-    require_nondegenerate(phi)
 
     def target(u):
         f_star = limit_cdf(u)
@@ -287,7 +277,7 @@ def check_s2(phi: LaplaceExponent, limit_cdf, t_grid=None, u_grid=None):
         return -np.log1p(-f_star)
 
     return grid_deviations(
-        lambda t, ell: t * phi.eval_log(ell), target,
+        lambda t, ell: t * model.phi.eval_log(ell), target,
         [0.1, 0.03, 0.01, 0.003, 0.001] if t_grid is None else t_grid,
         [1.25, 1.5, 2.0, 3.0, 5.0, 8.0] if u_grid is None else u_grid)
 

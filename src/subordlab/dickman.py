@@ -27,7 +27,8 @@ import numpy as np
 from scipy import special as sc
 
 from .core import (
-    BLOCK, POSITIVE, SHAPE, Check, LaplaceExponent, LevyTail, SubordinatorModel, checks, declares,
+    BLOCK, POSITIVE, SHAPE, LaplaceExponent, LevyTail, SubordinatorModel, checks, declares,
+    number_rule,
 )
 from .errors import InvalidParameterError, OutOfRangeError
 
@@ -53,8 +54,8 @@ EULER = 0.57721566490153286
 RECURSION_REL_BIAS = 1e-12
 # most terms the recursion runs (each term holds its own generator), and the depth rule
 MAX_RECURSION_DEPTH = 10_000
-DEPTH = Check(lambda v: int(v) == v and 1 <= v <= MAX_RECURSION_DEPTH,
-              f"an integer in [1, {MAX_RECURSION_DEPTH}]", int)
+DEPTH = number_rule(lambda v: int(v) == v and 1 <= v <= MAX_RECURSION_DEPTH,
+                    f"an integer in [1, {MAX_RECURSION_DEPTH}]", int)
 # unit intervals [k, k+1] on which rho is tabulated, and terms of its series on each;
 # the series converges like 3**-i, so 40 terms reach rounding
 RHO_INTERVALS = 40
@@ -133,15 +134,15 @@ def dickman_density(x):
     return np.exp(-EULER) * dickman_rho(x)
 
 
+@checks(z_max=number_rule(lambda v: int(v) == v and 1 <= v <= RHO_INTERVALS,
+                          f"an integer in [1, {RHO_INTERVALS}]", int))
 def dickman_density_norm(z_max=RHO_INTERVALS):
-    """Integral of dickman_density over [0, z_max], integer z_max <= RHO_INTERVALS.
+    """Integral of dickman_density over [0, z_max], integer z_max in [1, RHO_INTERVALS].
 
     The series are integrated term by term and summed exactly rounded; at
     z_max = RHO_INTERVALS the result is 1 to rounding (rho integrates to
     exp(euler), and its mass past 40 is below 1e-72).
     """
-    if not (int(z_max) == z_max and 0 <= z_max <= RHO_INTERVALS):
-        raise OutOfRangeError(f"z_max must be an integer in [0, {RHO_INTERVALS}]")
     terms = _table().b[: int(z_max)] * _MOMENTS
     return float(np.exp(-EULER) * math.fsum(terms.ravel().tolist()))
 

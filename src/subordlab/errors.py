@@ -13,10 +13,6 @@ class OutOfRangeError(SubordlabError, ValueError):
     """A value falls outside the representable or tabulated range."""
 
 
-class DegenerateModelError(SubordlabError):
-    """The model is the null subordinator (Laplace exponent identically zero)."""
-
-
 class UnsupportedModelError(SubordlabError):
     """The model does not expose the surface an operation needs."""
 

@@ -24,8 +24,9 @@ import numpy as np
 
 from . import simulate
 from .core import (
-    ABOVE_ONE, BLOCK, COUNT, DECREASING_TIMES, INVERTIBLE_TAIL, KNOWN_INDEX, OPEN_UNIT, POSITIVE,
-    STD_COUNT, ExponentialLaw, ParetoLaw, SubordinatorModel, checks, has, integral, pareto_cdf,
+    ABOVE_ONE, BLOCK, COUNT, DECREASING_TIMES, GRID_TIMES, INVERTIBLE_TAIL, KNOWN_INDEX, OPEN_UNIT,
+    POSITIVE, STD_COUNT, TIMES, ExponentialLaw, ParetoLaw, SubordinatorModel, checks, has, integral,
+    pareto_cdf,
 )
 from .criteria import grid_deviations
 from .errors import InvalidParameterError, NumericalFailure
@@ -487,6 +488,7 @@ def estimate_ergodic_functional(model, f, delta0, t=1e-3, n=10_000_000, seed=0, 
             "stderr": float(std / (np.sqrt(n) * t)), "t": float(t), "n": int(n), "target": target}
 
 
+@checks(t_grid=GRID_TIMES, u_grid=TIMES)
 def check_family_limit(family, t_grid=None, u_grid=None):
     """Deterministic check of psi_t(u**(1/t)) against 1 - F*(u) on a grid.
 

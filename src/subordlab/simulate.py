@@ -23,7 +23,7 @@ import math
 
 import numpy as np
 
-from .core import BLOCK, INVERTIBLE_TAIL, POSITIVE, Check, LevyTail, SubordinatorModel
+from .core import BLOCK, INVERTIBLE_TAIL, POSITIVE, Check, LevyTail, SubordinatorModel, checks
 from .errors import InvalidParameterError, UnsupportedModelError
 
 __all__ = [
@@ -198,6 +198,7 @@ def can_sample(model: SubordinatorModel):
 SAMPLABLE = Check(can_sample, "an exact sampler or an invertible jump tail")
 
 
+@checks(model=(SAMPLABLE,), t=POSITIVE)
 def sample_marginal(model: SubordinatorModel, t, n, rng, *, cutoff=1e-6):
     """Draw n values of log(Y_t): exact log sampler if the model has one, else cutoff CP.
 
@@ -205,11 +206,8 @@ def sample_marginal(model: SubordinatorModel, t, n, rng, *, cutoff=1e-6):
     The cutoff-CP batch is drawn into the n-float output, which then takes
     its log in place, so the void paths become -inf.  Either way the result is a fresh array the caller owns.
     """
-    POSITIVE.require(t=t)
     if model.log_sampler is not None:
         return model.log_sampler(t, n, rng)
-    if not can_sample(model):
-        raise UnsupportedModelError(f"model must be {SAMPLABLE.requirement}, got {model!r}")
     values = sample_cutoff_cp(model.tail, cutoff, t, rng, n, out=np.empty(n))
     with np.errstate(divide="ignore"):
         np.log(values, out=values)

@@ -13,23 +13,17 @@ import math
 
 import numpy as np
 
-from .core import NONNEGATIVE, POSITIVE, LaplaceExponent, LevyTail, SubordinatorModel, integral
-from .criteria import detect_limit, require_nondegenerate
-from .errors import InvalidParameterError, UnsupportedModelError
+from .core import (
+    NONNEGATIVE, NOT_NULL, POSITIVE, LaplaceExponent, LevyTail, SubordinatorModel, checks, has,
+    integral,
+)
+from .criteria import detect_limit
+from .errors import InvalidParameterError
 
 __all__ = ["tilt", "compose_outer", "compose_inner", "add", "add_drift"]
 
 
-def _require_phi(model):
-    if model.phi is None:
-        raise UnsupportedModelError(f"model {model.name!r} carries no Laplace exponent")
-    return model.phi
-
-
-def _require_nondegenerate(model):
-    return require_nondegenerate(_require_phi(model), f"model {model.name!r}")
-
-
+@checks(model=(has("phi"),), theta=NONNEGATIVE)
 def tilt(model: SubordinatorModel, theta):
     """Exponential tilting: exponent s -> Phi(theta + s) - Phi(theta).
 
@@ -37,10 +31,9 @@ def tilt(model: SubordinatorModel, theta):
     log-scale tail behavior (and hence the limit index) untouched.
     theta = 0 is the identity.
     """
-    NONNEGATIVE.require(theta=theta)
     if theta == 0:
         return model
-    phi = _require_phi(model)
+    phi = model.phi
     phi_at_theta = float(phi.eval(theta))
     if not np.isfinite(phi_at_theta):
         raise InvalidParameterError("Phi(theta) must be finite")
@@ -92,6 +85,7 @@ def _composed(front, back, name, known_gamma):
     )
 
 
+@checks(outer=(NOT_NULL,), inner=(NOT_NULL,))
 def compose_outer(outer: SubordinatorModel, inner: SubordinatorModel):
     """Time-change the inner process by the outer one: exponent Phi(phi(s)).
 
@@ -99,9 +93,7 @@ def compose_outer(outer: SubordinatorModel, inner: SubordinatorModel):
     model has a known index gamma, the composition's index is
     gamma * delta; otherwise it is left unknown.
     """
-    _require_nondegenerate(outer)
-    phi_inner = _require_nondegenerate(inner)
-    delta = detect_limit(lambda grid: np.log(phi_inner.eval_log(grid)) / grid)
+    delta = detect_limit(lambda grid: np.log(inner.phi.eval_log(grid)) / grid)
     known = None
     if delta is not None and outer.known_gamma is not None:
         known = outer.known_gamma * delta
@@ -110,6 +102,7 @@ def compose_outer(outer: SubordinatorModel, inner: SubordinatorModel):
     )
 
 
+@checks(outer=(NOT_NULL,), inner=(NOT_NULL,))
 def compose_inner(outer: SubordinatorModel, inner: SubordinatorModel):
     """Run the inner process on the outer one's clock: exponent phi(Phi(s)).
 
@@ -117,9 +110,7 @@ def compose_inner(outer: SubordinatorModel, inner: SubordinatorModel):
     positive and finite (zero kills the limit and leaves the index
     unknown); the base index comes from the inner model.
     """
-    phi_outer = _require_nondegenerate(outer)
-    _require_nondegenerate(inner)
-    delta = detect_limit(lambda grid: phi_outer.eval_log(grid) / np.exp(grid))
+    delta = detect_limit(lambda grid: outer.phi.eval_log(grid) / np.exp(grid))
     known = None
     if delta is not None and inner.known_gamma is not None:
         known = inner.known_gamma * delta
@@ -128,6 +119,7 @@ def compose_inner(outer: SubordinatorModel, inner: SubordinatorModel):
     )
 
 
+@checks(m1=(NOT_NULL,), m2=(NOT_NULL,))
 def add(m1: SubordinatorModel, m2: SubordinatorModel):
     """Independent sum: exponents add, tails add, log samplers add by logaddexp.
 
@@ -136,8 +128,7 @@ def add(m1: SubordinatorModel, m2: SubordinatorModel):
     second part's batch into the first's in place, so a draw holds two
     n-float batches at most.
     """
-    phi1 = _require_nondegenerate(m1)
-    phi2 = _require_nondegenerate(m2)
+    phi1, phi2 = m1.phi, m2.phi
 
     def eval_log(ell):
         return phi1.eval_log(ell) + phi2.eval_log(ell)
@@ -172,6 +163,7 @@ def add(m1: SubordinatorModel, m2: SubordinatorModel):
     )
 
 
+@checks(model=(has("phi"),), c=POSITIVE)
 def add_drift(model: SubordinatorModel, c):
     """Add deterministic drift c*t: exponent Phi(s) + c*s.
 
@@ -179,8 +171,7 @@ def add_drift(model: SubordinatorModel, c):
     the point mass at 1), so the known index is cleared.  The log sampler
     adds the drift to the base batch in place.
     """
-    POSITIVE.require(c=c)
-    phi = _require_phi(model)
+    phi = model.phi
 
     def eval_log(ell):
         ell_arr = np.asarray(ell, dtype=float)

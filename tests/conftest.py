@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from subordlab import catalog
+from subordlab import catalog, cli, dickman, montecarlo, simulate
 from subordlab.dickman import make_dickman
 from subordlab.simulate import sample_cutoff_cp
+
+SAMPLERS = ("sample_marginal", "sample_cutoff_cp", "sample_dickman_recursion")
 
 
 @pytest.fixture
@@ -19,6 +21,21 @@ def loose_quad(monkeypatch):
         return (val, 1.0, *rest)
 
     monkeypatch.setattr(integrate, "quad", quad_loose)
+
+
+@pytest.fixture
+def sampler_calls(monkeypatch):
+    """Counts calls of the samplers at every binding site the runner reaches."""
+    calls = []
+    for module in (cli, montecarlo, simulate, dickman):
+        for name in SAMPLERS:
+            if hasattr(module, name):
+                def counted(*args, _fn=getattr(module, name), **kwargs):
+                    calls.append(_fn)
+                    return _fn(*args, **kwargs)
+
+                monkeypatch.setattr(module, name, counted)
+    return calls
 
 
 @pytest.fixture(scope="session")

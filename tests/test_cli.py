@@ -416,7 +416,7 @@ class TestParameterValidation:
              "theta must be a finite number >= 0"),
             ({"transform": "add", "of": [{"name": "dickman", "params": {"gamma": 1.0}},
                                          {"name": "weibull", "params": {"gamma": 2.0}}]},
-             "carries no Laplace exponent"),
+             "m2 must be a model with phi that is not the null subordinator"),
         ],
     )
     def test_transform_error_exits_two(self, tmp_path, capsys, model, message):
@@ -432,7 +432,7 @@ class TestParameterValidation:
             # the null check of compose_outer, at build
             {"kind": "criterion", "model": {"transform": "compose_outer", "outer": NULL_GAMMA,
                                             "inner": STABLE}},
-            # the null check of check_s2, in the handler
+            # the null rule check_s2 declares, checked before any entry runs
             {"kind": "s2", "model": NULL_GAMMA},
         ],
     )
@@ -446,22 +446,6 @@ class TestParameterValidation:
 
 
 FIRST = {"kind": "pareto_limit", "model": GAMMA, "params": {"t_list": [0.1], "n": 10}}
-SAMPLERS = ("sample_marginal", "sample_cutoff_cp", "sample_dickman_recursion")
-
-
-@pytest.fixture
-def sampler_calls(monkeypatch):
-    """Counts calls of the samplers at every binding site the runner reaches."""
-    calls = []
-    for module in (cli, montecarlo, simulate, dickman):
-        for name in SAMPLERS:
-            if hasattr(module, name):
-                def counted(*args, _fn=getattr(module, name), **kwargs):
-                    calls.append(_fn)
-                    return _fn(*args, **kwargs)
-
-                monkeypatch.setattr(module, name, counted)
-    return calls
 
 
 def assert_exits_two_at(tmp_path, capsys, sampler_calls, entry, path):
@@ -537,6 +521,15 @@ class TestExperimentTable:
              "assertions.expected"),
             ({"kind": "s2", "model": GAMMA, "params": {"t_grid": [0.01, float("inf")]}},
              "params.t_grid"),
+            # JSON's true passed every number rule: the report read "model":
+            # "gamma(gamma=True,lam=1)" and "threshold": true
+            ({"kind": "pareto_limit",
+              "model": {"name": "gamma", "params": {"gamma": True, "lam": 1}}},
+             "model.params.gamma"),
+            ({"kind": "pareto_limit", "model": GAMMA, "assertions": {"ks_max": True}},
+             "assertions.ks_max"),
+            ({"kind": "support", "model": GAMMA, "seed": True}, "seed"),
+            ({"kind": "dickman_density_norm", "params": {"z_max": True}}, "params.z_max"),
             # these sampled, then exited 1 with a traceback
             ({"kind": "two_sampler_ks", "assertions": {"level": 0.02}}, "assertions.level"),
             ({"kind": "s2", "model": GAMMA, "params": {"t_grid": []}}, "params.t_grid"),

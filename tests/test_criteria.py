@@ -7,9 +7,12 @@ import pytest
 from scipy.integrate import quad
 
 from subordlab import catalog, criteria, montecarlo
-from subordlab.core import GRID_TIMES, TIME_FLOOR, TIMES, LaplaceExponent, LevyTail, pareto_cdf
+from subordlab.core import (
+    GRID_TIMES, NOT_NULL, TIME_FLOOR, TIMES, LaplaceExponent, LevyTail, SubordinatorModel,
+    pareto_cdf,
+)
 from subordlab.dickman import make_dickman
-from subordlab.errors import DegenerateModelError, InvalidParameterError, NumericalFailure
+from subordlab.errors import InvalidParameterError, NumericalFailure
 
 # L as a function of log s
 NEG_LOG = lambda ly: -ly
@@ -151,31 +154,33 @@ class TestCrossAgreement:
 
 class TestS2:
     def test_gamma_model_against_pareto_target(self, gamma11):
-        result = criteria.check_s2(gamma11.phi, lambda u: pareto_cdf(1.0, u))
+        result = criteria.check_s2(gamma11, lambda u: pareto_cdf(1.0, u))
         assert result["statistic"] <= 1e-2
         deviations = result["deviations"]
         assert np.all(np.diff(deviations) <= np.abs(deviations[:-1]) * 0.1 + 1e-15)
 
     def test_bessel_against_pareto_target(self):
         result = criteria.check_s2(
-            catalog.make_bessel().phi, lambda u: pareto_cdf(1.0, u), t_grid=[0.01, 0.001]
+            catalog.make_bessel(), lambda u: pareto_cdf(1.0, u), t_grid=[0.01, 0.001]
         )
         assert result["statistic"] <= 1e-2
 
     def test_below_support_is_trivial(self, gamma11):
         result = criteria.check_s2(
-            gamma11.phi, lambda u: pareto_cdf(1.0, u), u_grid=[0.2, 0.5, 0.9]
+            gamma11, lambda u: pareto_cdf(1.0, u), u_grid=[0.2, 0.5, 0.9]
         )
         assert result["statistic"] <= 1e-6
 
     def test_target_hitting_one_rejected(self, gamma11):
         with pytest.raises(InvalidParameterError):
-            criteria.check_s2(gamma11.phi, lambda u: np.ones_like(np.asarray(u, dtype=float)))
+            criteria.check_s2(gamma11, lambda u: np.ones_like(np.asarray(u, dtype=float)))
 
     def test_degenerate_model_rejected(self):
-        null = LaplaceExponent(eval_log=lambda ell: np.zeros_like(np.asarray(ell, dtype=float)))
-        with pytest.raises(DegenerateModelError):
+        null = SubordinatorModel(name="null", phi=LaplaceExponent(
+            eval_log=lambda ell: np.zeros_like(np.asarray(ell, dtype=float))))
+        with pytest.raises(InvalidParameterError) as exc:
             criteria.check_s2(null, lambda u: pareto_cdf(1.0, u))
+        assert str(exc.value) == f"model must be {NOT_NULL.requirement}, got null"
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -1.0])
     @pytest.mark.parametrize("grid", ["t_grid", "u_grid"])
@@ -193,10 +198,10 @@ class TestS2:
         # below it, log(u)/t overflowed and the statistic read inf
         law = lambda u: pareto_cdf(1.0, u)
         u_grid = [1e-300, 1.5, 1e15]
-        result = criteria.check_s2(gamma11.phi, law, t_grid=[TIME_FLOOR], u_grid=u_grid)
+        result = criteria.check_s2(gamma11, law, t_grid=[TIME_FLOOR], u_grid=u_grid)
         assert np.all(np.isfinite(result["deviations"]))
         with pytest.raises(InvalidParameterError, match="^t_grid must be"):
-            criteria.check_s2(gamma11.phi, law, t_grid=[TIME_FLOOR / 2.0], u_grid=u_grid)
+            criteria.check_s2(gamma11, law, t_grid=[TIME_FLOOR / 2.0], u_grid=u_grid)
 
     @pytest.mark.parametrize("u_grid", [[math.inf], [math.nan, 2.0]])
     def test_u_grid_checked_before_the_limit_cdf_and_named_as_given(self, gamma11, u_grid):
@@ -206,7 +211,7 @@ class TestS2:
 
         message = f"u_grid must be a non-empty list of finite numbers > 0, got {u_grid!r}"
         with pytest.raises(InvalidParameterError) as exc:
-            criteria.check_s2(gamma11.phi, unread, u_grid=u_grid)
+            criteria.check_s2(gamma11, unread, u_grid=u_grid)
         assert str(exc.value) == message
         with pytest.raises(InvalidParameterError) as exc:
             montecarlo.check_family_limit(catalog.make_stable_nef(1.0, 1.0), u_grid=u_grid)

@@ -389,7 +389,7 @@ RESULTS = {
     "estimate_ergodic_functional":
         lambda g: mc.estimate_ergodic_functional(g, cli.FUNCTIONALS["ramp"][0], 0.5, 0.5, 1000, 1),
     "check_family_limit": lambda g: mc.check_family_limit(catalog.make_stable_nef(1.0, 1.0)),
-    "check_s2": lambda g: criteria.check_s2(g.phi, ParetoLaw(1.0).cdf),
+    "check_s2": lambda g: criteria.check_s2(g, ParetoLaw(1.0).cdf),
 }
 
 

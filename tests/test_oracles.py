@@ -333,7 +333,7 @@ class TestSpecSpotValues:
     def test_s2_gamma_at_u_e_t_one_thousandth(self, gamma11):
         # t*Phi(e**(1/t)) = t*log(1 + e**(1/t)) -> 1 = -log(1 - Pi_1(e))
         result = criteria.check_s2(
-            gamma11.phi, lambda u: pareto_cdf(1.0, u), t_grid=[1e-3], u_grid=[math.e]
+            gamma11, lambda u: pareto_cdf(1.0, u), t_grid=[1e-3], u_grid=[math.e]
         )
         assert result["statistic"] <= 1e-2
 

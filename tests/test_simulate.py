@@ -10,7 +10,7 @@ from scipy.stats import chi2
 from subordlab import catalog
 from subordlab.core import BLOCK, SHAPE_FLOOR, LevyTail
 from subordlab.dickman import make_dickman
-from subordlab.errors import InvalidParameterError, UnsupportedModelError
+from subordlab.errors import InvalidParameterError
 from subordlab.montecarlo import two_sample_ks, two_sample_ks_critical_value
 from subordlab.simulate import (
     MAX_CP_JUMPS,
@@ -61,8 +61,12 @@ class TestSampleMarginal:
 
     def test_unsupported_model(self):
         w = catalog.make_weibull(2.0)
-        with pytest.raises(UnsupportedModelError):
-            sample_marginal(w, 0.5, 10, substream(0, 0))
+        rng = substream(0, 0)
+        before = rng.bit_generator.state
+        with pytest.raises(InvalidParameterError, match="^model must be an exact sampler or an "
+                                                        r"invertible jump tail, got weibull\("):
+            sample_marginal(w, 0.5, 10, rng)
+        assert rng.bit_generator.state == before
 
     def test_exact_log_path_has_no_zeros(self, gamma11):
         log_s = sample_marginal(gamma11, 0.001, 100_000, substream(24, 0))

@@ -5,7 +5,7 @@ import pytest
 
 from subordlab import catalog, criteria, transforms
 from subordlab.core import LaplaceExponent, LevyTail, SubordinatorModel
-from subordlab.errors import DegenerateModelError, InvalidParameterError, UnsupportedModelError
+from subordlab.errors import InvalidParameterError
 
 
 def custom_phi(fn, name):
@@ -20,6 +20,8 @@ LINEAR_PLUS_SQRT = custom_phi(
 )
 IDENTITY = custom_phi(lambda ell: np.exp(np.asarray(ell, dtype=float)), "identity")
 NULL = custom_phi(lambda ell: np.zeros_like(np.asarray(ell, dtype=float)), "null")
+# the words of core.NOT_NULL, which the null operand fails
+NN = "a model with phi that is not the null subordinator"
 
 
 class TestTilt:
@@ -117,7 +119,7 @@ class TestCompose:
         assert est.verdict in ("degenerate", "diverged")
 
     def test_degenerate_operand_rejected(self, gamma11):
-        with pytest.raises(DegenerateModelError):
+        with pytest.raises(InvalidParameterError, match=f"^inner must be {NN}, got null$"):
             transforms.compose_outer(gamma11, NULL)
 
 
@@ -143,7 +145,7 @@ class TestAdd:
         assert est.gamma_hat == pytest.approx(2.0, abs=0.05)
 
     def test_null_operand_rejected(self, gamma11):
-        with pytest.raises(DegenerateModelError):
+        with pytest.raises(InvalidParameterError, match=f"^m2 must be {NN}, got null$"):
             transforms.add(gamma11, NULL)
 
     def test_summed_sampler_distribution(self, gamma11, gamma21):
@@ -193,5 +195,6 @@ class TestDrift:
         np.testing.assert_allclose(shifted, base + 1.0, rtol=1e-12)
 
     def test_requires_exponent(self):
-        with pytest.raises(UnsupportedModelError):
+        with pytest.raises(InvalidParameterError,
+                           match=r"^model must be a model with phi, got weibull\(gamma=1.0\)$"):
             transforms.add_drift(catalog.make_weibull(1.0), 1.0)
