@@ -349,19 +349,17 @@ def make_bessel():
     scaled Bessel function so it survives large x.
     """
 
+    def small(ell):
+        s = np.exp(ell)
+        return np.log1p(s + np.sqrt(s * (s + 2.0)))
+
+    def large(ell):
+        e = np.exp(-ell)
+        return ell + np.log(2.0 + e + np.expm1(0.5 * np.log1p(2.0 * e)))
+
     def eval_log(ell):
         ell_arr = np.asarray(ell, dtype=float)
-        out = np.empty_like(ell_arr)
-        small = ell_arr <= 0.0
-        if np.any(small):
-            s = np.exp(ell_arr[small])
-            out[small] = np.log1p(s + np.sqrt(s * (s + 2.0)))
-        if np.any(~small):
-            e = np.exp(-ell_arr[~small])
-            out[~small] = ell_arr[~small] + np.log(
-                2.0 + e + np.expm1(0.5 * np.log1p(2.0 * e))
-            )
-        return out
+        return np.piecewise(ell_arr, [ell_arr <= 0.0], [small, large])
 
     def density1(x):
         x_arr = np.asarray(x, dtype=float)
@@ -382,23 +380,15 @@ def make_thorin_uniform(gamma):
     """
     log_g = math.log(gamma)
 
+    def rest(ell):
+        # s*log(1 + gamma/s) + gamma*log(s + gamma) - gamma*log(gamma)
+        return (np.exp(ell) * np.logaddexp(0.0, log_g - ell) + gamma * np.logaddexp(log_g, ell)
+                - gamma * log_g)
+
     def eval_log(ell):
         ell_arr = np.asarray(ell, dtype=float)
-        out = np.empty_like(ell_arr)
-        big = ell_arr > 700.0
-        if np.any(big):
-            out[big] = gamma * (1.0 + ell_arr[big] - log_g)
-        rest = ~big
-        if np.any(rest):
-            e = ell_arr[rest]
-            s = np.exp(e)
-            # s*log(1 + gamma/s) + gamma*log(s + gamma) - gamma*log(gamma)
-            out[rest] = (
-                s * np.logaddexp(0.0, log_g - e)
-                + gamma * np.logaddexp(log_g, e)
-                - gamma * log_g
-            )
-        return out
+        return np.piecewise(ell_arr, [ell_arr > 700.0], [
+            lambda e: gamma * (1.0 + e - log_g), rest])
 
     def tail(x):
         x_arr = np.asarray(x, dtype=float)

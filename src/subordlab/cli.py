@@ -289,11 +289,13 @@ _CRITERION_GRID = Need("params.grid", "a grid its criterion accepts", _grid_prob
 _GAMMA_OR_INDEX = Need("params.gamma", "given, or the model's known index", lambda m, v: (
     v["gamma"] is None and _refusal(KNOWN_INDEX, m["model"], "not given, and model ")))
 # the mean gamma of a recursion draw comes from its paths whose first uniform falls
-# within about gamma of 1, some gamma * n of them; with under one, its gate often fails
-_MEAN_PATHS = Need("params.gamma", "gamma * n >= 1", lambda m, v: (
-    v["gamma"] * v["n"] < 1
-    and f"gamma * n = {v['gamma'] * v['n']:g} is below 1: the batch expects fewer than one "
-        f"path near the mean gamma, too few for the sigma_mult gate"))
+# within about gamma of 1, some gamma * n of them; with few, the sample mean is a
+# rare-event estimate and its 3-sigma gate failed 88 and 71 of 400 seeds at
+# gamma * n = 1, 9 and 8 at 10, 3 and 1 at 31.6, and 0 and 1 at 100
+_MEAN_PATHS = Need("params.gamma", "gamma * n >= 100", lambda m, v: (
+    v["gamma"] * v["n"] < 100
+    and f"gamma * n = {v['gamma'] * v['n']:g} is below 100: the batch expects fewer than "
+        f"100 paths near the mean gamma, too few for the sigma_mult gate"))
 _BELOW_DELTA0 = Need(
     "params.cutoff", "below the functional's delta0", lambda m, v: (
         v["cutoff"] >= FUNCTIONALS[v["functional"]][1]

@@ -89,8 +89,7 @@ TIME_FLOOR = 4.2e-306
 # - the cutoff compound-Poisson draws, and the exact samplers' arithmetic after
 #   their first n-float draw;
 # - montecarlo's passes over a batch (the KS statistic, the CSV rows, the
-#   masks), and the largest leaf of the summation tree that
-#   montecarlo._sparse_sum rebuilds;
+#   masks) and simulate's log-space transforms;
 # - the Dickman recursion's path blocks: a chunk's two block buffers stay in a
 #   2 MB L2, and each draw or ufunc runs long enough between GIL hand-offs for
 #   the chunks to overlap.
@@ -205,12 +204,8 @@ class LaplaceExponent:
         # NaN fails this, as it fails every comparison
         if not np.all(s_arr >= 0):
             raise InvalidParameterError("Laplace exponent argument must be >= 0")
-        out = np.zeros_like(s_arr)
-        pos = s_arr > 0
-        if np.any(pos):
-            with np.errstate(divide="ignore"):
-                out[pos] = self.eval_log(np.log(s_arr[pos]))
-        return out
+        with np.errstate(divide="ignore"):
+            return np.piecewise(s_arr, [s_arr > 0], [lambda s: self.eval_log(np.log(s))])
 
 
 @dataclass(frozen=True)

@@ -296,6 +296,22 @@ def _psi_values(cdf1, phi, s_values):
     return np.array([lst_from_cdf(cdf1, float(s)) for s in s_values])
 
 
+def _violations(z_arr, points, bounds, tol):
+    """The grid points where a value leaves its bounds by more than tol, z-major.
+
+    ``bounds(z)`` gives (lower, value, upper) over ``points`` at each z of
+    ``z_arr``; at each point the lower side is checked before the upper.
+    """
+    violations = []
+    for z in z_arr:
+        for p, lo, v, up in zip(points, *bounds(z)):
+            if v < lo - tol:
+                violations.append(SandwichViolation(float(z), float(p), "lower", float(lo - v)))
+            if v > up + tol:
+                violations.append(SandwichViolation(float(z), float(p), "upper", float(v - up)))
+    return violations
+
+
 @checks(tol=NONNEGATIVE)
 def check_sandwich_ol(cdf1, phi=None, z_grid=None, s_grid=None, tol=1e-9):
     """Verify F(z/s) e^{-z} <= psi(s) <= F(z/s)(1 - e^{-z}) + e^{-z} on a grid.
@@ -307,18 +323,13 @@ def check_sandwich_ol(cdf1, phi=None, z_grid=None, s_grid=None, tol=1e-9):
     z_arr = np.asarray(np.geomspace(0.1, 10.0, 12) if z_grid is None else z_grid, dtype=float)
     s_arr = np.asarray(np.geomspace(1.0, 1e4, 12) if s_grid is None else s_grid, dtype=float)
     psi = _psi_values(cdf1, phi, s_arr)
-    violations = []
-    for z in z_arr:
+
+    def bounds(z):
         ez = np.exp(-z)
         f_vals = cdf1(z / s_arr)
-        lower = f_vals * ez
-        upper = f_vals * (1.0 - ez) + ez
-        for s, lo, ps, up in zip(s_arr, lower, psi, upper):
-            if ps < lo - tol:
-                violations.append(SandwichViolation(float(z), float(s), "lower", float(lo - ps)))
-            if ps > up + tol:
-                violations.append(SandwichViolation(float(z), float(s), "upper", float(ps - up)))
-    return violations
+        return f_vals * ez, psi, f_vals * (1.0 - ez) + ez
+
+    return _violations(z_arr, s_arr, bounds, tol)
 
 
 @checks(tol=NONNEGATIVE)
@@ -328,19 +339,13 @@ def check_sandwich_ol2(cdf1, phi=None, z_grid=None, x_grid=None, tol=1e-9):
     x_arr = np.asarray(np.geomspace(1e-3, 1.0, 12) if x_grid is None else x_grid, dtype=float)
     if np.any(z_arr < 1e-3):
         raise InvalidParameterError("z below 1e-3 makes the bounds degenerate")
-    violations = []
-    for z in z_arr:
+
+    def bounds(z):
         ez = np.exp(z)
         psi = _psi_values(cdf1, phi, z / x_arr)
-        lower = (ez * psi - 1.0) / (ez - 1.0)
-        upper = psi * ez
-        f_vals = cdf1(x_arr)
-        for x, lo, fv, up in zip(x_arr, lower, f_vals, upper):
-            if fv < lo - tol:
-                violations.append(SandwichViolation(float(z), float(x), "lower", float(lo - fv)))
-            if fv > up + tol:
-                violations.append(SandwichViolation(float(z), float(x), "upper", float(fv - up)))
-    return violations
+        return (ez * psi - 1.0) / (ez - 1.0), cdf1(x_arr), psi * ez
+
+    return _violations(z_arr, x_arr, bounds, tol)
 
 
 def estimate_all(model):

@@ -263,19 +263,18 @@ def sample_dickman_recursion(gamma, depth, rng, n=1):
 
 
 def _phi_log_factory(gamma):
+    def tiny(ell):
+        s = np.exp(ell)
+        return gamma * s * (1.0 - s / 4.0 + s * s / 18.0)
+
+    def rest(ell):
+        with np.errstate(over="ignore"):
+            s = np.exp(ell)
+        return gamma * (EULER + ell + sc.exp1(s))
+
     def eval_log(ell):
         ell_arr = np.asarray(ell, dtype=float)
-        out = np.empty_like(ell_arr)
-        tiny = ell_arr < -30.0
-        if np.any(tiny):
-            s = np.exp(ell_arr[tiny])
-            out[tiny] = gamma * s * (1.0 - s / 4.0 + s * s / 18.0)
-        rest = ~tiny
-        if np.any(rest):
-            with np.errstate(over="ignore"):
-                s = np.exp(ell_arr[rest])
-            out[rest] = gamma * (EULER + ell_arr[rest] + sc.exp1(s))
-        return out
+        return np.piecewise(ell_arr, [ell_arr < -30.0], [tiny, rest])
 
     return eval_log
 

@@ -404,27 +404,6 @@ def support_check(emp: EmpiricalDistribution, delta=0.1):
     return float(np.searchsorted(emp.values, 1.0 - delta) / emp.n_total)
 
 
-def _sparse_sum(n, fill, idx, vals, buf, lo=0):
-    """``np.add.reduce`` of the n floats that are ``fill`` but ``vals`` at the ascending ``idx``.
-
-    Replays numpy's pairwise summation tree (split at n//2 rounded down to
-    a multiple of 8) down to leaves of at most ``BLOCK``; each leaf
-    is rebuilt in ``buf`` (at least ``min(n, BLOCK)`` floats) and
-    reduced by ``np.add.reduce``, so the sum is bitwise that of the dense
-    array.  ``lo`` is the offset of these n floats in the whole array.
-    """
-    if n > BLOCK:
-        half = n // 2
-        half -= half % 8
-        return (_sparse_sum(half, fill, idx, vals, buf, lo)
-                + _sparse_sum(n - half, fill, idx, vals, buf, lo + half))
-    a, b = np.searchsorted(idx, (lo, lo + n))
-    leaf = buf[:n]
-    leaf.fill(fill)
-    leaf[idx[a:b] - lo] = vals[a:b]
-    return np.add.reduce(leaf)
-
-
 def mean_std_in_place(values):
     """``values.mean()`` and ``values.std(ddof=1)``, bitwise, formed in the batch itself.
 
@@ -457,11 +436,11 @@ def estimate_ergodic_functional(model, f, delta0, t=1e-3, n=10_000_000, seed=0, 
     declared: f ignores everything below delta0 > cutoff, so the cutoff
     compound-Poisson draw is exact for the functional.  It is drawn in
     sparse form and never densified.  f is applied to the jump sums, and
-    only the paths with f(v) != f(0) are kept, so the memory grows with
-    the paths that jump plus one ``BLOCK`` buffer, not with n.  The mean
-    and the ``ddof=1`` standard deviation replay numpy's pairwise
-    summation tree over the n virtual values (``_sparse_sum``), so both
-    are bitwise those of ``ndarray.mean`` and ``ndarray.std``.
+    only the k paths with f(v) != f0 = f(0) are kept, so the memory grows
+    with the paths that jump, not with n.  Every other path reads f0, so
+    the mean is f0 + sum(f - f0)/n and the ``ddof=1`` variance is
+    (sum((f - mean)**2) + (n - k)(f0 - mean)**2)/(n - 1), each sum taken
+    by ``np.add.reduce`` over the kept values in path order.
     """
     if delta0 <= cutoff:
         raise InvalidParameterError("need delta0 > cutoff, else the truncation biases f")
@@ -473,17 +452,15 @@ def estimate_ergodic_functional(model, f, delta0, t=1e-3, n=10_000_000, seed=0, 
         lambda x: f(x) * model.levy_density(x),
         [delta0, upper] if np.isfinite(upper) else [delta0, 100.0, np.inf], op="ergodic_target",
     )
-    idx, sums = sample_cutoff_cp(model.tail, cutoff, t, substream(seed, 0), n)
+    _, sums = sample_cutoff_cp(model.tail, cutoff, t, substream(seed, 0), n)
+    f0 = f(0.0)
     fv = f(sums)
     del sums
-    f0 = f(0.0)
-    keep = fv != f0
-    idx, fv = idx[keep], fv[keep]
-    buf = np.empty(min(n, BLOCK))
-    mean = _sparse_sum(n, f0, idx, fv, buf) / n
+    fv = fv[fv != f0]
+    mean = f0 + np.add.reduce(fv - f0) / n
     fv -= mean
     np.square(fv, out=fv)
-    std = np.sqrt(_sparse_sum(n, np.square(f0 - mean), idx, fv, buf) / (n - 1))
+    std = np.sqrt((np.add.reduce(fv) + (n - fv.size) * np.square(f0 - mean)) / (n - 1))
     return {"model": model.describe(), "statistic": float(mean / t),
             "stderr": float(std / (np.sqrt(n) * t)), "t": float(t), "n": int(n), "target": target}
 

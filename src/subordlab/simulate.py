@@ -214,32 +214,49 @@ def sample_marginal(model: SubordinatorModel, t, n, rng, *, cutoff=1e-6):
     return values
 
 
+def _finite_images(samples, image):
+    """The finite images of log values, packed in place; returns (them, at-infinity count).
+
+    ``image`` maps each ``BLOCK``-value block of ``samples`` (a float array;
+    any other sequence is copied first by ``np.asarray``) to its images,
+    and the finite ones are packed, in order, at the front of the array:
+    the returned values are that prefix, a view.  A block that ``image``
+    overwrote and returned stays where it is while nothing before it was
+    dropped and its images are all finite.
+    """
+    res = np.asarray(samples, dtype=float)
+    k = 0
+    for lo in range(0, res.size, BLOCK):
+        block = res[lo : lo + BLOCK]
+        vals = image(block)
+        finite = np.isfinite(vals)
+        if vals is block and k == lo and finite.all():
+            k += block.size
+            continue
+        kept = vals[finite]
+        res[k : k + kept.size] = kept
+        k += kept.size
+    return res[:k], int(res.size - k)
+
+
 def to_neg_t_power(samples, t):
     """Map log y to y**(-t) = exp(-t*log y) in place; returns (finite values, at-infinity count).
 
     ``samples`` are log values, overwritten by their images (a float
     array; any other sequence is copied first by ``np.asarray``).  A -inf
     sample (y = 0) has no finite image and is counted in the at-infinity
-    bucket instead.  The finite values are then packed to the front of the
-    array, in order, ``BLOCK`` at a time; the returned values are that
-    prefix, a view of the array.
+    bucket instead.  The finite values are packed to the front of the
+    array, in order; the returned values are that prefix, a view of the
+    array.
     """
     POSITIVE.require(t=t)
-    res = np.asarray(samples, dtype=float)
-    with np.errstate(over="ignore"):
-        res *= -t
-        np.exp(res, out=res)
-    k = 0
-    for lo in range(0, res.size, BLOCK):
-        block = res[lo : lo + BLOCK]
-        finite = np.isfinite(block)
-        if k == lo and finite.all():
-            k += block.size
-            continue
-        kept = block[finite]
-        res[k : k + kept.size] = kept
-        k += kept.size
-    return res[:k], int(res.size - k)
+
+    def image(block):
+        with np.errstate(over="ignore"):
+            block *= -t
+            return np.exp(block, out=block)
+
+    return _finite_images(samples, image)
 
 
 def to_tl(samples, L, t):
@@ -255,13 +272,4 @@ def to_tl(samples, L, t):
     the array.
     """
     POSITIVE.require(t=t)
-    log_y = np.asarray(samples, dtype=float)
-    k = 0
-    for lo in range(0, log_y.size, BLOCK):
-        block = log_y[lo : lo + BLOCK]
-        block = block[np.isfinite(block)]
-        vals = t * L(block)
-        vals = vals[np.isfinite(vals)]
-        log_y[k : k + vals.size] = vals
-        k += vals.size
-    return log_y[:k], int(log_y.size - k)
+    return _finite_images(samples, lambda block: t * L(block[np.isfinite(block)]))

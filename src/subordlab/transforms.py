@@ -104,11 +104,13 @@ def compose_outer(outer: SubordinatorModel, inner: SubordinatorModel):
 
 @checks(outer=(NOT_NULL,), inner=(NOT_NULL,))
 def compose_inner(outer: SubordinatorModel, inner: SubordinatorModel):
-    """Run the inner process on the outer one's clock: exponent phi(Phi(s)).
+    """Time-change the inner process by the outer one: exponent Phi(phi(s)).
 
-    The index multiplies by delta = limit of phi(s)/s when that limit is
-    positive and finite (zero kills the limit and leaves the index
-    unknown); the base index comes from the inner model.
+    This is ``compose_outer``'s exponent; the two differ only in their
+    index rule.  Here the outer exponent must grow linearly, Phi(s)/s ->
+    delta, so that Phi(phi(s)) ~ delta * phi(s): the index is delta times
+    the inner model's when delta is positive and finite (zero kills the
+    limit and leaves the index unknown).
     """
     delta = detect_limit(lambda grid: outer.phi.eval_log(grid) / np.exp(grid))
     known = None

@@ -219,7 +219,7 @@ class TestParameterValidation:
     @pytest.mark.parametrize("kind", ["recursion_mean", "two_sampler_ks"])
     def test_huge_recursion_gamma_exits_two_at_once(self, tmp_path, capsys, kind):
         # the recursion depth for gamma 1e9 is past MAX_RECURSION_DEPTH
-        good = {"kind": "recursion_mean", "params": {"gamma": 1.0, "n": 10}}
+        good = {"kind": "recursion_mean", "params": {"gamma": 1.0, "n": 100}}
         bad = {"kind": kind, "params": {"gamma": 1e9, "n": 1}}
         cfg = write_config(tmp_path, {"experiments": [good, bad]})
         t0 = time.perf_counter()
@@ -250,14 +250,21 @@ class TestParameterValidation:
         assert "experiments[1].params.grid" in capsys.readouterr().err
 
     def test_recursion_depth_ceiling(self, tmp_path, capsys):
-        params = {"gamma": 1.0, "n": 2, "depth": MAX_RECURSION_DEPTH + 1}
+        params = {"gamma": 1.0, "n": 100, "depth": MAX_RECURSION_DEPTH + 1}
         cfg = write_config(tmp_path, {"experiments": [{"kind": "recursion_mean", "params": params}]})
         assert cli.main(["--config", cfg, "--out", str(tmp_path)]) == 2
         assert "experiments[0].params.depth" in capsys.readouterr().err
         params["depth"] = MAX_RECURSION_DEPTH
         cfg = write_config(tmp_path, {"experiments": [{"kind": "recursion_mean", "params": params}]})
         code, report = cli.run(cfg, out_dir=str(tmp_path))
-        assert code in (0, 1) and report["results"][0]["n"] == 2
+        assert code in (0, 1) and report["results"][0]["n"] == 100
+
+    @pytest.mark.parametrize("gamma,n", [(1.0, 100), (0.01, 10_000)])
+    def test_recursion_mean_runs_at_its_bound(self, tmp_path, gamma, n):
+        entry = {"kind": "recursion_mean", "params": {"gamma": gamma, "n": n}}
+        cfg = write_config(tmp_path, {"experiments": [entry]})
+        code, report = cli.run(cfg, out_dir=str(tmp_path))
+        assert code in (0, 1) and report["results"][0]["n"] == n
 
     @pytest.mark.parametrize(
         "entry,path",
@@ -581,6 +588,9 @@ class TestExperimentTable:
                "params.grid") for c in ("S6", "S7", "S8")],
             ({"kind": "criterion", "model": GAMMA, "params": {"criterion": "GL", "grid": [-30.0]}},
              "params.grid"),
+            # gamma * n = 99: it drew, but below 100 its 3-sigma gate failed on
+            # several times its level of seeds
+            ({"kind": "recursion_mean", "params": {"gamma": 1.0, "n": 99}}, "params.gamma"),
         ],
     )
     def test_malformed_field_exits_two_before_any_draw(
@@ -743,7 +753,7 @@ class TestExperimentTable:
             "threshold": "verdict"}
         assert kinds["sandwich"]["gates"][0]["threshold"] == 0
         assert kinds["criterion"]["assertions"]["tol"]["default"] == 0.02
-        assert "params.gamma: gamma * n >= 1" in kinds["recursion_mean"]["requires"]
+        assert "params.gamma: gamma * n >= 100" in kinds["recursion_mean"]["requires"]
         for kind in ("recursion_mean", "ergodic"):
             assert kinds[kind]["params"]["n"]["requirement"] == "an integer >= 2"
 

@@ -15,21 +15,27 @@ from subordlab.dickman import dickman_density, dickman_rho
 from subordlab.montecarlo import AffineMinLaw, ParetoMixtureLaw, ParetoProductLaw
 
 
-def _params(factory):
-    """Each argument's default, or for a required one the first of 1.0, 0.5, 2.0 its rule accepts."""
-    return {arg: next(v for v in (1.0, 0.5, 2.0) if check.passes(v)) if default is REQUIRED
-            else default for arg, (default, check) in factory.fields.items()}
+def _params(factory, scale=1.0):
+    """Each argument's default, or for a required one the first of 1.0, 0.5, 2.0 its rule
+    accepts; times ``scale`` where its rule allows."""
+    params = {}
+    for arg, (default, check) in factory.fields.items():
+        value = next(v for v in (1.0, 0.5, 2.0) if check.passes(v)) if default is REQUIRED else default
+        scaled = value * scale
+        params[arg] = scaled if scale != 1.0 and check.passes(scaled) else value
+    return params
 
 
-def _leaf(name):
-    return {"name": name, "params": _params(catalog.CATALOG[name])}
+def _leaf(name, scale=1.0):
+    return {"name": name, "params": _params(catalog.CATALOG[name], scale)}
 
 
-def _transformed(kind, leaf):
-    """The transform ``kind`` over ``leaf``, with a gamma leaf wherever it takes a second model."""
-    other = _leaf("gamma")
+def _transformed(kind, leaf, scale=1.0):
+    """The transform ``kind`` over ``leaf``, with a gamma leaf wherever it takes a second model;
+    the gamma leaf and the transform's own numbers are scaled by ``scale``."""
+    other = _leaf("gamma", scale)
     fields = {"of": [leaf, other] if kind == "add" else leaf, "outer": leaf, "inner": other,
-              "theta": 0.5, "c": 1.0}
+              "theta": 0.5 * scale, "c": 1.0 * scale}
     expr = {"transform": kind, **{field: fields[field] for field in cli.TRANSFORMS[kind]}}
     return cli.build_model_expr(expr)
 
@@ -46,13 +52,15 @@ SURFACES = {
 }
 
 
-def models():
-    """(label, model) of every catalog model at its defaults and each transform of a leaf."""
-    yield from ((name, catalog.build_model(name, _params(factory)))
+def models(scale=1.0):
+    """(label, model) of every catalog model and each transform of a leaf, at the defaults,
+    or with every number scaled by ``scale`` where its rule allows."""
+    suffix = "" if scale == 1.0 else f"*{scale:g}"
+    yield from ((name + suffix, catalog.build_model(name, _params(factory, scale)))
                 for name, factory in catalog.CATALOG.items())
     for kind in cli.TRANSFORMS:
         for leaf in ("gamma", "dickman"):
-            yield f"{kind}({leaf})", _transformed(kind, _leaf(leaf))
+            yield f"{kind}({leaf}){suffix}", _transformed(kind, _leaf(leaf, scale), scale)
 
 
 def _cases():

@@ -238,6 +238,28 @@ class TestDriftAndSupport:
             mc.support_check(mc.EmpiricalDistribution.from_values([1.0]), 1.5)
 
 
+RAMP = cli.FUNCTIONALS["ramp"][0]
+SEED_RAMP = 11
+RAMP_BATCHES = [
+    ("gamma", 3 * BLOCK + 5),  # cutoff compound Poisson
+    ("dickman", 2),  # the fewest paths a standard deviation takes
+    ("gamma-t1", BLOCK + 9),  # f(Y_t) > 0 on most paths
+]
+
+
+def ramp_batch(model, n, dense_cp):
+    """(model, t, the ramp of the dense batch the ergodic estimate draws at ``SEED_RAMP``)."""
+    m, t = {
+        "gamma": lambda: (catalog.make_gamma(1.0, 1.0), 0.05),
+        "dickman": lambda: (catalog.make_dickman(1.0), 0.05),
+        "gamma-t1": lambda: (catalog.make_gamma(1.0, 1.0), 1.0),
+    }[model]()
+    vals = RAMP(dense_cp(m.tail, 1e-6, t, substream(SEED_RAMP, 0), n))
+    if model == "gamma-t1":
+        assert np.count_nonzero(vals) > n / 2
+    return m, t, vals
+
+
 class TestErgodicFunctional:
     def test_model_without_invertible_tail_rejected(self):
         # an exact sampler but no jump tail: the cutoff compound-Poisson draw has nothing to invert
@@ -280,30 +302,40 @@ class TestErgodicFunctional:
         target, _ = quad(lambda x: min(max((x - 0.9) / 0.2, 0.0), 1.0) * math.exp(-x) / x, 0.9, 50.0)
         assert abs(est["statistic"] - target) <= 0.05 * target
 
-    @pytest.mark.parametrize(
-        "model,n",
-        [
-            ("gamma", 3 * BLOCK + 5),  # cutoff compound Poisson
-            ("dickman", 2),  # the fewest paths a standard deviation takes
-            ("gamma-t1", BLOCK + 9),  # f(Y_t) > 0 on most paths
-        ],
-    )
+    @pytest.mark.parametrize("model,n", RAMP_BATCHES)
     def test_blocked_estimate_matches_mean_and_std(self, model, n, dense_cp):
-        # the allocating form: f on the whole batch, then ndarray.mean and std
-        m, t = {
-            "gamma": lambda: (catalog.make_gamma(1.0, 1.0), 0.05),
-            "dickman": lambda: (catalog.make_dickman(1.0), 0.05),
-            "gamma-t1": lambda: (catalog.make_gamma(1.0, 1.0), 1.0),
-        }[model]()
-        ramp = lambda x: np.minimum(1.0, np.maximum(0.0, (np.asarray(x, dtype=float) - 0.5) * 4.0))
-        seed = 11
-        vals = ramp(dense_cp(m.tail, 1e-6, t, substream(seed, 0), n))
-        if model == "gamma-t1":
-            assert np.count_nonzero(vals) > n / 2
-        est = mc.estimate_ergodic_functional(m, ramp, 0.5, t, n, seed)
-        assert est["statistic"] == float(vals.mean() / t)
-        assert est["stderr"] == float(vals.std(ddof=1) / (np.sqrt(n) * t))
+        # the kept-path formula on the dense batch: the sparse draw keeps exactly
+        # the paths whose ramp is not f0, in path order
+        m, t, vals = ramp_batch(model, n, dense_cp)
+        est = mc.estimate_ergodic_functional(m, RAMP, 0.5, t, n, SEED_RAMP)
+        f0 = RAMP(0.0)
+        kept = vals[vals != f0]
+        mean = f0 + np.add.reduce(kept - f0) / n
+        var = (np.add.reduce(np.square(kept - mean))
+               + (n - kept.size) * np.square(f0 - mean)) / (n - 1)
+        assert est["statistic"] == float(mean / t)
+        assert est["stderr"] == float(np.sqrt(var) / (np.sqrt(n) * t))
         assert (est["stderr"] > 0.0) == (vals.min() < vals.max())
+
+    @pytest.mark.parametrize("model,n", RAMP_BATCHES)
+    def test_estimate_is_within_ulps_of_exactly_rounded_sums(self, model, n, dense_cp):
+        # The bound is fixed from the arithmetic, not from a run.  The ramp is
+        # nonnegative and f0 = 0, so numpy's pairwise sum of k <= 2**18 kept
+        # values is within 37 roundings of the exact sum (<= 15 additions in a
+        # leaf's accumulator, 3 joining the 8 accumulators, <= 7 for the leaf's
+        # remainder, <= 12 tree levels).  The mean then takes 2 more (/n, /t),
+        # the oracle's math.fsum mean 2, so the statistic is within 41 ulps.
+        # The variance is flat in the mean at its minimum; its terms take 3
+        # roundings each and the same pairwise sum, the remainder term, the
+        # division and the square root about 4 more, and the oracle 4, so the
+        # stderr is within about 31 ulps.  48 ulps bounds both.
+        m, t, vals = ramp_batch(model, n, dense_cp)
+        assert RAMP(0.0) == 0.0 and vals.min() >= 0.0 and n <= 2**18
+        est = mc.estimate_ergodic_functional(m, RAMP, 0.5, t, n, SEED_RAMP)
+        mean = math.fsum(vals) / n
+        stderr = math.sqrt(math.fsum(np.square(vals - mean)) / (n - 1)) / (math.sqrt(n) * t)
+        for got, want in ((est["statistic"], mean / t), (est["stderr"], stderr)):
+            assert abs(got - want) <= 48 * np.spacing(want)
 
     def test_one_path_has_no_standard_deviation(self, dickman1):
         # the ddof=1 standard deviation divided by n - 1 = 0 and read NaN
@@ -311,25 +343,6 @@ class TestErgodicFunctional:
             mc.estimate_ergodic_functional(dickman1, cli.FUNCTIONALS["ramp"][0], 0.5, 0.05, 1)
         with pytest.raises(InvalidParameterError, match="n must be an integer >= 2, got 1"):
             mc.mean_std_in_place(np.ones(1))
-
-    @pytest.mark.parametrize(
-        "n",
-        [1, 2, 7, 8, 9, 127, 128, 129, BLOCK - 1, BLOCK,
-         BLOCK + 1, 3 * BLOCK + 7, 2_000_003],
-    )
-    def test_sparse_sum_replays_numpy_summation(self, n):
-        # if numpy ever changes its pairwise summation tree, this fails
-        # instead of the ergodic statistics drifting
-        rng = np.random.default_rng(n)
-        dense = rng.standard_normal(n) * rng.lognormal(0.0, 5.0, n)
-        buf = np.empty(min(n, BLOCK))
-        got = mc._sparse_sum(n, np.nan, np.arange(n), dense, buf)
-        assert got.tobytes() == np.add.reduce(dense).tobytes()
-        idx = np.flatnonzero(rng.random(n) < 0.01)
-        dense.fill(0.25)
-        dense[idx] = rng.standard_normal(idx.size)
-        got = mc._sparse_sum(n, 0.25, idx, dense[idx], buf)
-        assert got.tobytes() == np.add.reduce(dense).tobytes()
 
     @pytest.mark.parametrize("n", [2, 9, 129, BLOCK + 1, 3 * BLOCK + 7])
     def test_mean_std_in_place_replays_ndarray_reductions(self, n):

@@ -7,8 +7,11 @@ import numpy as np
 import pytest
 from scipy.stats import chi2
 
+from scipy.optimize import brentq
+from test_contract import models
+
 from subordlab import catalog
-from subordlab.core import BLOCK, SHAPE_FLOOR, LevyTail
+from subordlab.core import BLOCK, SHAPE_FLOOR, LevyTail, integral
 from subordlab.dickman import make_dickman
 from subordlab.errors import InvalidParameterError
 from subordlab.montecarlo import two_sample_ks, two_sample_ks_critical_value
@@ -16,6 +19,7 @@ from subordlab.simulate import (
     MAX_CP_JUMPS,
     MAX_CP_PATH_JUMPS,
     sample_cutoff_cp,
+    can_sample,
     sample_marginal,
     substream,
     to_neg_t_power,
@@ -102,6 +106,57 @@ CP_TAILS = {
     "gamma": lambda: catalog.make_gamma(1.0, 1.0).tail,
     "log_power": lambda: catalog.make_log_power(0.1, 3).tail,
 }
+
+
+# Every sampler against its own exponent: E exp(-s Y_t) = exp(-t phi(s)), and
+# exp(-s Y) lies in [0, 1], so by Hoeffding's inequality the mean of n draws
+# leaves it by more than c = sqrt(log(2/alpha) / (2n)) with chance at most
+# alpha, at any n and any law.  n and alpha are fixed here, not tuned on runs.
+LAPLACE_N = 200_000
+LAPLACE_ALPHA = 1e-3
+LAPLACE_C = math.sqrt(math.log(2.0 / LAPLACE_ALPHA) / (2 * LAPLACE_N))  # 0.00436
+LAPLACE_TIMES = (1.0, 0.01)
+# a cutoff compound-Poisson case draws at the default cutoff 1e-6 unless its
+# batch would then expect more jumps than this (log_power at t = 1 would expect
+# 5e8 to 1.3e9), and else at the cutoff eps with n t nu_bar(eps) = LAPLACE_JUMPS;
+# the gate reads the eps it drew at
+LAPLACE_JUMPS = 5e7
+
+
+def laplace_cases():
+    """Every model that has phi and can be drawn, at its defaults and at 2.5 times its
+    params, at each time of ``LAPLACE_TIMES``."""
+    for scale in (1.0, 2.5):
+        for label, model in models(scale):
+            if model.phi is not None and can_sample(model):
+                for t in LAPLACE_TIMES:
+                    yield pytest.param(model, t, id=f"{label}-t{t:g}")
+
+
+class TestLaplaceTransform:
+    # 32 cases: by the union bound a correct sampler fails one with chance at most 0.032
+    @pytest.mark.parametrize("model, t", list(laplace_cases()))
+    def test_sampler_matches_its_exponent(self, model, t):
+        # s solves t phi(s) = log 2, found on phi.eval_log, so the target is 1/2
+        hi = 1.0
+        while t * model.phi.eval_log(hi) < math.log(2.0):
+            hi *= 2.0
+        ell = brentq(lambda e: t * model.phi.eval_log(e) - math.log(2.0), -60.0, hi, xtol=1e-13)
+        target = math.exp(-t * model.phi.eval_log(ell))
+        upper = target
+        eps = 1e-6
+        if model.log_sampler is None:
+            # the cutoff draw's exponent is phi - phi_eps, 0 <= phi_eps(s) <= s m_eps,
+            # with m_eps the mean of the dropped jumps, integral_0^eps x nu(dx)
+            eps = max(eps, float(model.tail.inverse_tail(LAPLACE_JUMPS / (LAPLACE_N * t))))
+            m_eps = integral(lambda x: x * model.levy_density(x), [0.0, eps], op="m_eps")
+            upper = min(1.0, target * math.exp(t * math.exp(ell) * m_eps))
+        log_y = sample_marginal(model, t, LAPLACE_N, substream(14, 0), cutoff=eps)
+        with np.errstate(over="ignore"):
+            mean = np.exp(-np.exp(ell + log_y)).mean()
+        assert target - LAPLACE_C <= mean <= upper + LAPLACE_C, (
+            f"mean {mean!r} outside [{target!r}, {upper!r}] widened by c = {LAPLACE_C:.5f}: "
+            f"off by {max(target - mean, mean - upper) / LAPLACE_C:.2f} c")
 
 
 class TestCutoffCp:
