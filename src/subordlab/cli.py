@@ -150,7 +150,8 @@ def build_model_expr(expr, path="model"):
             raise SchemaError(path, f"transform {kind!r} missing field {field!r}")
     with _exit_rule(path, path, what=f"transform {kind!r}: "):
         if kind == "tilt":
-            return transforms.tilt(build_model_expr(expr["of"], f"{path}.of"), expr["theta"])
+            theta = _value(expr["theta"], transforms.tilt.fields["theta"][1], f"{path}.theta")
+            return transforms.tilt(build_model_expr(expr["of"], f"{path}.of"), theta)
         if kind == "add":
             parts = expr["of"]
             if not isinstance(parts, list) or len(parts) != 2:
@@ -164,7 +165,8 @@ def build_model_expr(expr, path="model"):
                 build_model_expr(expr["outer"], f"{path}.outer"),
                 build_model_expr(expr["inner"], f"{path}.inner"),
             )
-        return transforms.add_drift(build_model_expr(expr["of"], f"{path}.of"), expr["c"])
+        c = _value(expr["c"], transforms.add_drift.fields["c"][1], f"{path}.c")
+        return transforms.add_drift(build_model_expr(expr["of"], f"{path}.of"), c)
 
 
 def _build_family(expr, path):
@@ -364,7 +366,7 @@ def _general_limit(v, m, seed):
 def _support(v, m, seed):
     model, t, n = m["model"], v["t"], v["n"]
     log_s = sample_marginal(model, t, n, substream(seed, 0), cutoff=v["cutoff"])
-    fraction = montecarlo.support_check(montecarlo.neg_t_power_ecdf(model, t, log_s), v["delta"])
+    fraction = montecarlo.support_check(montecarlo.neg_t_power_ecdf(t, log_s), v["delta"])
     return {"model": model.describe(), "statistic": fraction, "t": t, "n": n}
 
 

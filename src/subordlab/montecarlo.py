@@ -8,8 +8,8 @@ assert against are calibrated constants for fixed (t, n), not test
 levels.
 
 Zero samples from the compound-Poisson void path transform to the
-at-infinity bucket; the KS statistic accounts for that mass explicitly,
-and exact-sampler runs assert the bucket stays empty.
+at-infinity bucket; the KS statistic accounts for that mass explicitly
+(``simulate.sample_marginal`` refuses an exact draw of y = 0).
 
 Determinism: every experiment derives its generators from (seed, stream
 index) substreams, so identical inputs reproduce identical reports
@@ -29,7 +29,7 @@ from .core import (
     pareto_cdf,
 )
 from .criteria import grid_deviations
-from .errors import InvalidParameterError, NumericalFailure
+from .errors import InvalidParameterError
 from .simulate import SAMPLABLE, sample_cutoff_cp, sample_marginal, substream, to_neg_t_power, to_tl
 
 __all__ = [
@@ -252,13 +252,10 @@ class ParetoMixtureLaw:
         return f"mixture(q={self.q:g},Pareto({self.gamma:g}))"
 
 
-def neg_t_power_ecdf(model, t, log_samples):
-    """ECDF of y**(-t) over a batch of log(Y_t) from ``model``, transformed and sorted in place."""
+def neg_t_power_ecdf(t, log_samples):
+    """ECDF of y**(-t) over a batch of log(Y_t), transformed and sorted in place."""
     # through the module: perfbench/tracer.py expects calls at simulate's own binding site
-    values, n_inf = simulate.to_neg_t_power(log_samples, t)
-    if model.log_sampler is not None and n_inf:
-        raise NumericalFailure(f"the exact sampler of {model.describe()} drew y = 0")
-    return EmpiricalDistribution.from_values(values, n_inf)
+    return EmpiricalDistribution.from_values(*simulate.to_neg_t_power(log_samples, t))
 
 
 def _fraction_within(values, lo, hi):
@@ -300,7 +297,7 @@ def experiment_pareto_limit(
 
     def ecdf_at(k, t):
         log_samples = sample_marginal(model, t, n, substream(seed, k), cutoff=cutoff)
-        return neg_t_power_ecdf(model, t, log_samples)
+        return neg_t_power_ecdf(t, log_samples)
 
     return _limit_result(model.describe(), law, t_list, n, ecdf_at, csv)
 
@@ -351,7 +348,7 @@ def experiment_affine(model, a, b, t=0.05, n=DEFAULT_N, seed=0, *, cutoff=1e-6):
     log_y = sample_marginal(model, t, n, substream(seed, 0), cutoff=cutoff)
     np.add(log_y, log_a_t, out=log_y)
     np.logaddexp(log_y, log_b_t, out=log_y)
-    emp = neg_t_power_ecdf(model, t, log_y)
+    emp = neg_t_power_ecdf(t, log_y)
     return _ks_result(f"affine(a={a:g},b={b:g},{model.describe()})", t, n, law, emp)
 
 
@@ -376,7 +373,7 @@ def experiment_mixture(model, q, t=1e-3, n=DEFAULT_N, seed=0, *, cutoff=1e-6):
         block = log_l[lo : lo + BLOCK]
         at_one = level_rng.random(out=u[: block.size]) >= q
         np.logaddexp(block, 0.0, out=block, where=at_one)
-    emp = neg_t_power_ecdf(model, t, log_l)
+    emp = neg_t_power_ecdf(t, log_l)
     inside = _fraction_within(emp.values, 1.0 - _JUMP_WINDOW, 1.0 + 1e-9)
     return _ks_result(f"mixture(q={q:g},{model.describe()})", t, n, law, emp,
                       jump_at_one=float(inside * emp.values.size / emp.n_total))
@@ -452,7 +449,7 @@ def estimate_ergodic_functional(model, f, delta0, t=1e-3, n=10_000_000, seed=0, 
         lambda x: f(x) * model.levy_density(x),
         [delta0, upper] if np.isfinite(upper) else [delta0, 100.0, np.inf], op="ergodic_target",
     )
-    _, sums = sample_cutoff_cp(model.tail, cutoff, t, substream(seed, 0), n)
+    sums = sample_cutoff_cp(model.tail, cutoff, t, substream(seed, 0), n)
     f0 = f(0.0)
     fv = f(sums)
     del sums

@@ -24,7 +24,7 @@ import math
 import numpy as np
 
 from .core import BLOCK, INVERTIBLE_TAIL, POSITIVE, Check, LevyTail, SubordinatorModel, checks
-from .errors import InvalidParameterError, UnsupportedModelError
+from .errors import InvalidParameterError, NumericalFailure, UnsupportedModelError
 
 __all__ = [
     "substream",
@@ -124,10 +124,8 @@ def sample_cutoff_cp(tail: LevyTail, eps, t, rng, n=1, *, out=None):
     -t * integral_0^eps x dnu(x).
 
     With ``out`` (an n-float array) the batch is written to it and ``out``
-    is returned.  Without, the result is ``(idx, sums)``: the ascending
-    indices of the paths with at least one jump (``np.intp``) and each
-    one's jump sum, so that ``np.zeros(n)`` with ``[idx] = sums`` is the
-    dense batch.
+    is returned.  Without, the result is the jump sums of the paths that
+    jump, in path order: the dense batch's nonzero values.
 
     The draw takes one of two forms, by the chance p = 1 - exp(-lam) that
     a path jumps:
@@ -142,7 +140,7 @@ def sample_cutoff_cp(tail: LevyTail, eps, t, rng, n=1, *, out=None):
       each ``BLOCK``-path window's counts are overwritten with its paths'
       jump sums.  The batch is bitwise the one drawn by all n counts, then
       all jumps, in single calls.  Without ``out`` the batch is drawn into
-      a fresh n-float array and its nonzero paths returned.
+      a fresh n-float array and its nonzero values returned.
 
     Either way the jumps are drawn by ``_jump_sums``, in path order, in
     blocks of at most ``BLOCK`` jumps.  Beyond the n-float batch, memory
@@ -174,7 +172,7 @@ def sample_cutoff_cp(tail: LevyTail, eps, t, rng, n=1, *, out=None):
         sums = np.empty(idx.size)
         _jump_sums(tail, nu_eps, counts, rng, sums)
         if out is None:
-            return idx, sums
+            return sums
         out.fill(0.0)
         out[idx] = sums
         return out
@@ -184,10 +182,7 @@ def sample_cutoff_cp(tail: LevyTail, eps, t, rng, n=1, *, out=None):
     for lo in range(0, n, BLOCK):
         window = dense[lo : lo + BLOCK]
         _jump_sums(tail, nu_eps, window.astype(np.int64), rng, window)
-    if out is None:
-        idx = np.flatnonzero(dense)
-        return idx, dense[idx]
-    return out
+    return dense[dense != 0.0] if out is None else out
 
 
 def can_sample(model: SubordinatorModel):
@@ -202,12 +197,17 @@ SAMPLABLE = Check(can_sample, "an exact sampler or an invertible jump tail")
 def sample_marginal(model: SubordinatorModel, t, n, rng, *, cutoff=1e-6):
     """Draw n values of log(Y_t): exact log sampler if the model has one, else cutoff CP.
 
-    Exact samplers produce log(Y_t) natively (no underflow, no zeros).
+    Exact samplers produce log(Y_t) natively (no underflow, no zeros), so
+    a batch whose min or max is not finite is refused (NumericalFailure).
     The cutoff-CP batch is drawn into the n-float output, which then takes
     its log in place, so the void paths become -inf.  Either way the result is a fresh array the caller owns.
     """
     if model.log_sampler is not None:
-        return model.log_sampler(t, n, rng)
+        log_y = model.log_sampler(t, n, rng)
+        if log_y.size and not (-np.inf < log_y.min() and log_y.max() < np.inf):
+            raise NumericalFailure(f"the exact sampler of {model.describe()} drew a non-finite "
+                                   "log(Y_t)")
+        return log_y
     values = sample_cutoff_cp(model.tail, cutoff, t, rng, n, out=np.empty(n))
     with np.errstate(divide="ignore"):
         np.log(values, out=values)

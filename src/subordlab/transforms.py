@@ -19,6 +19,7 @@ from .core import (
 )
 from .criteria import detect_limit
 from .errors import InvalidParameterError
+from .simulate import sample_marginal
 
 __all__ = ["tilt", "compose_outer", "compose_inner", "add", "add_drift"]
 
@@ -126,9 +127,9 @@ def add(m1: SubordinatorModel, m2: SubordinatorModel):
     """Independent sum: exponents add, tails add, log samplers add by logaddexp.
 
     The minimum of independent Pareto limits is Pareto with summed
-    indices, so known indices add as well.  The log sampler reduces the
-    second part's batch into the first's in place, so a draw holds two
-    n-float batches at most.
+    indices, so known indices add as well.  The log sampler draws each
+    part by ``sample_marginal``, which checks it, and reduces the second
+    batch into the first in place: a draw holds two n-float batches at most.
     """
     phi1, phi2 = m1.phi, m2.phi
 
@@ -146,11 +147,9 @@ def add(m1: SubordinatorModel, m2: SubordinatorModel):
 
     log_sampler = None
     if m1.log_sampler is not None and m2.log_sampler is not None:
-        ls1, ls2 = m1.log_sampler, m2.log_sampler
-
         def log_sampler(t, n, rng):
-            out = ls1(t, n, rng)
-            return np.logaddexp(out, ls2(t, n, rng), out=out)
+            out = sample_marginal(m1, t, n, rng)
+            return np.logaddexp(out, sample_marginal(m2, t, n, rng), out=out)
 
     known = None
     if m1.known_gamma is not None and m2.known_gamma is not None:
@@ -171,7 +170,7 @@ def add_drift(model: SubordinatorModel, c):
 
     Drift destroys the power-transform limit (the statistic collapses to
     the point mass at 1), so the known index is cleared.  The log sampler
-    adds the drift to the base batch in place.
+    adds the drift in place to the base batch, drawn by ``sample_marginal``.
     """
     phi = model.phi
 
@@ -182,10 +181,8 @@ def add_drift(model: SubordinatorModel, c):
 
     log_sampler = None
     if model.log_sampler is not None:
-        base_log = model.log_sampler
-
         def log_sampler(t, n, rng):
-            out = base_log(t, n, rng)
+            out = sample_marginal(model, t, n, rng)
             return np.logaddexp(math.log(c) + math.log(t), out, out=out)
 
     return SubordinatorModel(

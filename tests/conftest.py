@@ -55,13 +55,10 @@ def dickman1():
 
 @pytest.fixture(scope="session")
 def dense_cp():
-    """``sample_cutoff_cp`` with its sparse batch scattered into ``np.zeros(n)``."""
+    """``sample_cutoff_cp`` in its dense form, written into a fresh n-float batch."""
 
     def draw(tail, eps, t, rng, n):
-        idx, sums = sample_cutoff_cp(tail, eps, t, rng, n)
-        out = np.zeros(n)
-        out[idx] = sums
-        return out
+        return sample_cutoff_cp(tail, eps, t, rng, n, out=np.empty(n))
 
     return draw
 

@@ -365,13 +365,13 @@ class TestParameterValidation:
             # exited 0: phi.eval(NaN) reads 0
             pytest.param({"kind": "criterion",
                           "model": {"transform": "tilt", "theta": float("nan"), "of": GAMMA}},
-                         "model", id="tilt-theta-nan"),
+                         "model.theta", id="tilt-theta-nan"),
             pytest.param({"kind": "criterion",
                           "model": {"transform": "drift", "c": float("nan"), "of": GAMMA}},
-                         "model", id="drift-c-nan"),
+                         "model.c", id="drift-c-nan"),
             pytest.param({"kind": "criterion",
                           "model": {"transform": "drift", "c": float("inf"), "of": GAMMA}},
-                         "model", id="drift-c-inf"),
+                         "model.c", id="drift-c-inf"),
             # exited 1
             pytest.param({"kind": "family_limit", "family": {
                               "name": "stable_nef", "params": {"a": 1.0, "theta": float("inf")}}},
@@ -417,21 +417,24 @@ class TestParameterValidation:
 
 
     @pytest.mark.parametrize(
-        "model,message",
+        "model,path,message",
         [
-            ({"transform": "tilt", "theta": -1.0, "of": GAMMA},
-             "theta must be a finite number >= 0"),
+            # a number field is checked at its own path, as a leaf's params are
+            ({"transform": "tilt", "theta": -1.0, "of": GAMMA}, "model.theta",
+             "must be a finite number >= 0, got -1.0"),
+            ({"transform": "add", "of": [{"transform": "drift", "c": 0, "of": GAMMA}, GAMMA]},
+             "model.of[0].c", "must be a finite number > 0, got 0"),
             ({"transform": "add", "of": [{"name": "dickman", "params": {"gamma": 1.0}},
                                          {"name": "weibull", "params": {"gamma": 2.0}}]},
-             "m2 must be a model with phi that is not the null subordinator"),
+             "model", "m2 must be a model with phi that is not the null subordinator"),
         ],
     )
-    def test_transform_error_exits_two(self, tmp_path, capsys, model, message):
+    def test_transform_error_exits_two(self, tmp_path, capsys, model, path, message):
         # each exited 1 with a traceback: the transform's own error escaped
         cfg = write_config(tmp_path, {"experiments": [{"kind": "criterion", "model": model}]})
         assert cli.main(["--config", cfg, "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
-        assert "config error at experiments[0].model:" in err and message in err
+        assert err.startswith(f"config error at experiments[0].{path}:") and message in err
 
     @pytest.mark.parametrize(
         "entry",
@@ -712,7 +715,7 @@ class TestExperimentTable:
         model = {"transform": "tilt", "theta": "x", "of": GAMMA}
         cfg = write_config(tmp_path, {"experiments": [{"kind": "criterion", "model": model}]})
         assert cli.main(["--config", cfg, "--out", str(tmp_path)]) == 2
-        assert capsys.readouterr().err.startswith("config error at experiments[0].model:")
+        assert capsys.readouterr().err.startswith("config error at experiments[0].model.theta:")
 
     @pytest.mark.parametrize(
         "params,field",
@@ -1191,6 +1194,25 @@ class TestTransformExpressions:
         assert sorted(report["results"][0]["estimates"]) == ["S5", "S7"]
 
 
+# an entry of each kind that draws through sample_marginal, but for its model
+EXACT_DRAW_ENTRIES = {
+    "pareto_limit": {"params": {"t_list": [0.1], "n": 100, "gamma": 1.0}},
+    "general_limit": {"params": {"gamma": 1.0, "t_list": [0.01], "n": 100}},
+    "min_rule": {"model2": GAMMA, "params": {"n": 100}},
+    "product_rule": {"model2": GAMMA, "params": {"n": 100}},
+    "affine": {"params": {"a": 2.0, "b": 4.0, "n": 100}},
+    "mixture": {"params": {"q": 0.3, "n": 100}},
+    "drift": {"params": {"n": 100}},
+    "support": {"params": {"n": 100}},
+}
+# the stub as the model, as a part of add, and under drift, which clears the
+# known index that min_rule, product_rule, affine and mixture read
+EXACT_DRAW_CASES = [
+    *((kind, placement) for kind in EXACT_DRAW_ENTRIES for placement in ("leaf", "add")),
+    *((kind, "drift") for kind in ("pareto_limit", "general_limit", "drift", "support")),
+]
+
+
 class TestNumericalFailureExit:
     def test_exit_three_names_failing_op(self, tmp_path, capsys):
         # a CDF that underflows to zero on the whole probe grid cannot be
@@ -1244,12 +1266,23 @@ class TestNumericalFailureExit:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("numerical failure in log_power_phi:"), err
 
-    def test_exact_sampler_at_infinity_exits_three(self, tmp_path, capsys, monkeypatch):
-        # an exact sampler never draws y = 0; support now checks it like pareto_limit
+    @pytest.mark.parametrize("log_y", [-np.inf, np.inf, np.nan], ids=["y=0", "y=inf", "nan"])
+    @pytest.mark.parametrize("kind,placement", EXACT_DRAW_CASES)
+    def test_exact_sampler_at_infinity_exits_three(
+        self, tmp_path, capsys, monkeypatch, kind, placement, log_y
+    ):
+        # an exact draw is checked where it is drawn, in every kind and in every
+        # part of add and drift: at -inf, general_limit, min_rule, product_rule,
+        # affine and drift exited 0, affine's logaddexp hiding the -inf
         stub = replace(catalog.make_gamma(1.0, 1.0),
-                       log_sampler=lambda t, n, rng: np.full(n, -np.inf))
+                       log_sampler=lambda t, n, rng: np.full(n, log_y))
         monkeypatch.setitem(catalog.CATALOG, "stub", core.declares("stub")(lambda: stub))
-        entry = {"kind": "support", "model": {"name": "stub"}, "params": {"n": 100}}
+        model = {"name": "stub"}
+        if placement == "add":
+            model = {"transform": "add", "of": [model, GAMMA]}
+        elif placement == "drift":
+            model = {"transform": "drift", "c": 1.0, "of": model}
+        entry = {**EXACT_DRAW_ENTRIES[kind], "kind": kind, "model": model}
         cfg = write_config(tmp_path, {"experiments": [FIRST, entry]})
         assert cli.main(["--config", cfg, "--out", str(tmp_path)]) == 3
         err = capsys.readouterr().err.strip().splitlines()

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from scipy import integrate
+from scipy import integrate, special
 from scipy.integrate import quad
 
 from subordlab import catalog, transforms
@@ -267,15 +267,19 @@ class TestIntegral:
         assert info.value.op == op and info.value.achieved >= 1.0
 
     def test_only_core_binds_scipy_integrate(self):
+        # and only catalog and dickman bind scipy.special, each as sc
         import subordlab.cli  # noqa: F401  (loads every subordlab module)
 
         loaded = {name: mod for name, mod in sys.modules.items()
                   if name == "subordlab" or name.startswith("subordlab.")}
         assert "subordlab.core" in loaded and len(loaded) > 5
-        for name, mod in loaded.items():
-            bound = [key for key, value in vars(mod).items()
-                     if value is integrate or value is integrate.quad]
-            assert bound == (["integrate"] if name == "subordlab.core" else []), name
+        for lib, binders in ((integrate, {"subordlab.core": ["integrate"]}),
+                             (special, {"subordlab.catalog": ["sc"], "subordlab.dickman": ["sc"]})):
+            # the module itself, or any function it defines
+            names = {id(value) for value in vars(lib).values() if callable(value)} | {id(lib)}
+            for name, mod in loaded.items():
+                bound = [key for key, value in vars(mod).items() if id(value) in names]
+                assert bound == binders.get(name, []), (lib.__name__, name)
 
 
 class TestLstFromCdf:
