@@ -16,9 +16,9 @@ from typing import Callable
 import numpy as np
 from scipy import special as sc
 
-from .core import (BLOCK, OPEN_UNIT, POSITIVE, SHAPE, Check, LaplaceExponent, LevyTail,
-                   SubordinatorModel, declares, integral)
-from .dickman import EULER, make_dickman
+from .core import (BLOCK, OPEN_UNIT, POSITIVE, SHAPE, Check, ExponentialLaw,
+                   LaplaceExponent, LevyTail, SubordinatorModel, declares, integral)
+from .dickman import EULER, log_power_tail, make_dickman
 from .errors import InvalidParameterError, NumericalFailure
 
 __all__ = [
@@ -76,9 +76,8 @@ def _gamma_inverse_tail_factory(gamma, lam):
     run only on the elements still moving.  An element's result therefore
     does not depend on the other values in the batch, so a batch inverted
     in blocks gives the same bits as one call on the whole batch.  The
-    seeds are formed in the output array and every step in two buffers
-    allocated once per call; only dropping the elements that stopped
-    allocates.
+    seeds are formed in the output array; each step gathers the elements
+    still moving, steps them and writes them back.
     """
 
     def inverse_tail(y):
@@ -98,38 +97,22 @@ def _gamma_inverse_tail_factory(gamma, lam):
             u[big] = guess
             del guess
         np.log(u, out=u)
-        # each step runs in these buffers, on the first k of them
-        ez, step = np.empty_like(u), np.empty_like(u)
-        small = np.empty(u.size, dtype=bool)
-        # the elements still moving: their indices (None while all are), log-x
-        # values and targets; until the first element stops, u itself moves
-        idx, u_act, t_act = None, u, target
+        moving = np.arange(u.size)  # the indices of the elements still moving
         for _ in range(60):
-            k = u_act.size
-            e, s, stopped = ez[:k], step[:k], small[:k]
-            np.exp(u_act, out=e)
-            sc.exp1(e, out=s)
-            s -= t_act
+            x = u[moving]
+            e = np.exp(x)
+            s = sc.exp1(e)
+            s -= target[moving]
             np.negative(e, out=e)
             np.exp(e, out=e)
             s /= e
             np.clip(s, -2.0, 2.0, out=s)
-            u_act += s
+            x += s
+            u[moving] = x
             # NaN steps keep moving, as they never pass the size test
-            np.abs(s, out=s)
-            np.less(s, 1e-14, out=stopped)
-            if stopped.any():
-                moving = ~stopped
-                if idx is None:
-                    idx = np.flatnonzero(moving)
-                else:
-                    u[idx] = u_act
-                    idx = idx[moving]
-                u_act, t_act = u_act[moving], t_act[moving]
-                if not idx.size:
-                    break
-        if idx is not None:
-            u[idx] = u_act
+            moving = moving[~(np.abs(s, out=s) < 1e-14)]
+            if not moving.size:
+                break
         np.exp(u, out=u)
         u /= lam
         return u.reshape(np.shape(y))
@@ -487,27 +470,15 @@ POWER = Check(lambda v: type(v) is int and v in (1, 3),
 def make_log_power(gamma, power=3):
     """Tail gamma * (-log x)**power on (0, 1], the slowly-varying test model.
 
-    This model has no Pareto limit (its tail dominates every -gamma*log x),
-    so known_gamma stays empty; it converges instead under the generalized
-    statistic t*L(Y_t) with L(x) = (-log x)**power and rate gamma.  The
+    At power 1 the tail is Dickman's, gamma * log(1/x), and known_gamma is
+    gamma.  At power 3 the model has no Pareto limit (its tail dominates
+    every -gamma*log x), so known_gamma stays empty.  Either way it
+    converges under the generalized statistic t*L(Y_t) with
+    L(x) = (-log x)**power and rate gamma.  The
     exponent is quadrature below s = 1e6 and the exact log-moment
     polynomial above, where the truncated remainder is below 1e-300 (past
     float range, NumericalFailure named ``log_power_phi``).
     """
-
-    def tail(x):
-        x_arr = np.asarray(x, dtype=float)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(x_arr < 1.0, gamma * (-np.log(np.minimum(x_arr, 1.0))) ** power, 0.0)
-
-    def inverse_tail(y):
-        return np.exp(-((np.asarray(y, dtype=float) / gamma) ** (1.0 / power)))
-
-    def levy_density(x):
-        x_arr = np.asarray(x, dtype=float)
-        return np.where(
-            x_arr <= 1.0, gamma * power * (-np.log(x_arr)) ** (power - 1) / x_arr, 0.0
-        )
 
     coeffs = [math.comb(power, k) * _NEG_LOG_MOMENTS[k] for k in range(power + 1)]
 
@@ -529,10 +500,12 @@ def make_log_power(gamma, power=3):
         ell_arr = np.asarray(ell, dtype=float)
         return np.array([_phi_one(e) for e in ell_arr.ravel().tolist()]).reshape(ell_arr.shape)
 
+    tail, levy_density = log_power_tail(gamma, power)
     return SubordinatorModel(
         phi=LaplaceExponent(eval_log=eval_log),
-        tail=LevyTail(tail=tail, inverse_tail=inverse_tail, support_upper=1.0),
+        tail=tail,
         levy_density=levy_density,
+        known_gamma=float(gamma) if power == 1 else None,
     )
 
 
@@ -541,7 +514,7 @@ def make_log_power(gamma, power=3):
 def make_stable_nef(a, theta):
     """Exponential family over the positive stable laws, transform
     exp(-a[(theta+u)^t - theta^t]).  Limit CDF is the unit-shifted
-    exponential 1 - exp(-a(x-1)) on x >= 1.
+    exponential 1 - exp(-a(x-1)) on x >= 1, ``ExponentialLaw(a)`` at x - 1.
     """
     log_theta = math.log(theta)
 
@@ -550,14 +523,10 @@ def make_stable_nef(a, theta):
         lt = np.logaddexp(log_theta, lu)
         return np.exp(-a * (np.exp(t * lt) - np.exp(t * log_theta)))
 
-    def limit_cdf(x):
-        x_arr = np.asarray(x, dtype=float)
-        out = np.where(x_arr >= 1.0, -np.expm1(-a * (np.minimum(x_arr, 1e300) - 1.0)), 0.0)
-        return np.where(np.isposinf(x_arr), 1.0, out)
-
+    limit = ExponentialLaw(a)
     return GeneralFamily(
         psi_t_log=psi_t_log,
-        limit_cdf=limit_cdf,
+        limit_cdf=lambda x: limit.cdf(np.subtract(x, 1.0)),
     )
 
 

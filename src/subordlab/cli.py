@@ -84,13 +84,8 @@ L_FUNCTIONS = {
 
 
 def _ramp(x):
-    """min(1, max(0, 4 * (x - 1/2))), computed in one buffer."""
-    x = np.asarray(x, dtype=float)
-    out = np.subtract(x, 0.5, out=np.empty_like(x))
-    out *= 4.0
-    np.maximum(0.0, out, out=out)
-    np.minimum(1.0, out, out=out)
-    return out
+    """min(1, max(0, 4 * (x - 1/2)))."""
+    return np.clip(4.0 * (np.asarray(x, dtype=float) - 0.5), 0.0, 1.0)
 
 
 # named ergodic functionals: name -> (f, delta0)

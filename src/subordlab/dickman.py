@@ -1,7 +1,9 @@
 """Dickman process machinery: tail, the Dickman function rho, density, samplers.
 
 The subordinator here has jump density gamma/x on (0, 1], so its tail is
-nu_bar(x) = -gamma*log(x) with the exact inverse exp(-y/gamma).  The
+nu_bar(x) = gamma*(-log x) with the exact inverse exp(-y/gamma): the
+power-1 member of the tails gamma*(-log x)**p that ``log_power_tail``
+builds for this model and for ``catalog.make_log_power``.  The
 time-1, gamma=1 marginal density is exp(-euler)*rho(x) with rho the
 function solving rho(z) = 1 on [0, 1] and z*rho'(z) = -rho(z-1) beyond.
 
@@ -45,6 +47,7 @@ __all__ = [
     "sample_dickman_recursion",
     "recursion_mean_bias",
     "recursion_depth",
+    "log_power_tail",
     "make_dickman",
 ]
 
@@ -279,28 +282,40 @@ def _phi_log_factory(gamma):
     return eval_log
 
 
-@declares("dickman", gamma=POSITIVE)
-def make_dickman(gamma):
-    """Subordinator with jump density gamma/x on (0, 1].
+def log_power_tail(gamma, power):
+    """The jump tail gamma*(-log x)**power on (0, 1], with its exact inverse, and its
+    Levy density gamma*power*(-log x)**(power - 1)/x: (``LevyTail``, density).
 
-    Tail -gamma*log(x) with exact inverse, closed-form exponent
-    gamma*(euler + log s + E1(s)), exact log-space marginal sampler through
-    the uniform-product recursion (Y_t is generalized Dickman with parameter
-    t*gamma, run to recursion_depth(t*gamma) terms), and for gamma = 1
-    the rho-based marginal density.
+    At power 1 these are Dickman's -gamma*log x, exp(-y/gamma) and gamma/x,
+    bitwise: numpy raises to the powers 1 and 0 exactly.
     """
 
     def tail(x):
         x_arr = np.asarray(x, dtype=float)
-        with np.errstate(divide="ignore"):
-            return np.where(x_arr < 1.0, -gamma * np.log(np.minimum(x_arr, 1.0)), 0.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(x_arr < 1.0, gamma * (-np.log(np.minimum(x_arr, 1.0))) ** power, 0.0)
 
     def inverse_tail(y):
-        return np.exp(-np.asarray(y, dtype=float) / gamma)
+        return np.exp(-((np.asarray(y, dtype=float) / gamma) ** (1.0 / power)))
 
     def levy_density(x):
         x_arr = np.asarray(x, dtype=float)
-        return np.where(x_arr <= 1.0, gamma / x_arr, 0.0)
+        return np.where(x_arr <= 1.0, gamma * power * (-np.log(x_arr)) ** (power - 1) / x_arr, 0.0)
+
+    return LevyTail(tail=tail, inverse_tail=inverse_tail, support_upper=1.0), levy_density
+
+
+@declares("dickman", gamma=POSITIVE)
+def make_dickman(gamma):
+    """Subordinator with jump density gamma/x on (0, 1].
+
+    Tail -gamma*log(x) with exact inverse (``log_power_tail`` at power 1),
+    closed-form exponent gamma*(euler + log s + E1(s)), exact log-space
+    marginal sampler through the uniform-product recursion (Y_t is
+    generalized Dickman with parameter t*gamma, run to
+    recursion_depth(t*gamma) terms), and for gamma = 1 the rho-based
+    marginal density.
+    """
 
     def log_sampler(t, n, rng):
         theta = t * gamma
@@ -309,10 +324,11 @@ def make_dickman(gamma):
     density1 = None
     if gamma == 1.0:
         density1 = dickman_density
+    tail, levy_density = log_power_tail(gamma, 1)
 
     return SubordinatorModel(
         phi=LaplaceExponent(eval_log=_phi_log_factory(gamma)),
-        tail=LevyTail(tail=tail, inverse_tail=inverse_tail, support_upper=1.0),
+        tail=tail,
         density1=density1,
         log_sampler=log_sampler,
         levy_density=levy_density,

@@ -72,7 +72,6 @@ class EmpiricalDistribution:
 
     values: np.ndarray
     count_at_infinity: int
-    n_total: int
 
     @classmethod
     def from_values(cls, values, count_at_infinity=0):
@@ -80,7 +79,12 @@ class EmpiricalDistribution:
         up (any other sequence is copied first by ``np.asarray``)."""
         arr = np.asarray(values, dtype=float)
         arr.sort()
-        return cls(arr, int(count_at_infinity), arr.size + int(count_at_infinity))
+        return cls(arr, int(count_at_infinity))
+
+    @property
+    def n_total(self):
+        """Every sample: the finite values and the ones at infinity."""
+        return self.values.size + self.count_at_infinity
 
 
 # CDF code can be monotone only up to rounding (scipy's gammainc steps back by
@@ -433,14 +437,16 @@ def estimate_ergodic_functional(model, f, delta0, t=1e-3, n=10_000_000, seed=0, 
     declared: f ignores everything below delta0 > cutoff, so the cutoff
     compound-Poisson draw is exact for the functional.  It is drawn in
     sparse form and never densified.  f is applied to the jump sums, and
-    only the k paths with f(v) != f0 = f(0) are kept, so the memory grows
-    with the paths that jump, not with n.  Every other path reads f0, so
-    the mean is f0 + sum(f - f0)/n and the ``ddof=1`` variance is
-    (sum((f - mean)**2) + (n - k)(f0 - mean)**2)/(n - 1), each sum taken
-    by ``np.add.reduce`` over the kept values in path order.
+    only the k paths with f(v) != 0 are kept, so the memory grows with the
+    paths that jump, not with n.  f vanishes at 0 (an f with f(0) != 0 is
+    refused), so every other path reads 0: the mean is sum(f)/n and the
+    ``ddof=1`` variance is (sum((f - mean)**2) + (n - k)*mean**2)/(n - 1),
+    each sum taken by ``np.add.reduce`` over the kept values in path order.
     """
     if delta0 <= cutoff:
         raise InvalidParameterError("need delta0 > cutoff, else the truncation biases f")
+    if f(0.0) != 0.0:
+        raise InvalidParameterError("f must vanish on [0, delta0], got f(0) != 0")
     upper = model.tail.support_upper
     # over the whole support; QAGI's map of [delta0, inf) alone is coarser near
     # delta0 (it moved gamma(1, 1)'s target by 2.4e-12 relative), so it only
@@ -450,14 +456,13 @@ def estimate_ergodic_functional(model, f, delta0, t=1e-3, n=10_000_000, seed=0, 
         [delta0, upper] if np.isfinite(upper) else [delta0, 100.0, np.inf], op="ergodic_target",
     )
     sums = sample_cutoff_cp(model.tail, cutoff, t, substream(seed, 0), n)
-    f0 = f(0.0)
     fv = f(sums)
     del sums
-    fv = fv[fv != f0]
-    mean = f0 + np.add.reduce(fv - f0) / n
+    fv = fv[fv != 0.0]
+    mean = np.add.reduce(fv) / n
     fv -= mean
     np.square(fv, out=fv)
-    std = np.sqrt((np.add.reduce(fv) + (n - fv.size) * np.square(f0 - mean)) / (n - 1))
+    std = np.sqrt((np.add.reduce(fv) + (n - fv.size) * np.square(mean)) / (n - 1))
     return {"model": model.describe(), "statistic": float(mean / t),
             "stderr": float(std / (np.sqrt(n) * t)), "t": float(t), "n": int(n), "target": target}
 

@@ -8,10 +8,12 @@ from scipy.integrate import quad
 from scipy import special as sc
 from scipy.special import erfc, gammainc, gammaln
 
-from subordlab import catalog, transforms
+from subordlab import catalog, criteria, transforms
 from subordlab.core import BLOCK
 from subordlab.errors import InvalidParameterError
 from subordlab.montecarlo import ks_critical_value, ks_distance, EmpiricalDistribution
+
+from test_contract import _params
 
 
 class CountingRng:
@@ -339,6 +341,40 @@ class TestLogPower:
         with pytest.raises(InvalidParameterError):
             catalog.make_log_power(1.0, 2)
 
+    @pytest.mark.parametrize("gamma", [0.3, 1.0, 2.0])
+    def test_power_one_is_dickmans_tail(self, gamma):
+        # Dickman's closed forms, bitwise: -gamma*log x, exp(-y/gamma) and gamma/x
+        lp = catalog.make_log_power(gamma, 1)
+        x = np.concatenate([np.geomspace(1e-300, 1.0, 40), [0.0, 1.5, np.inf, np.nan]])
+        y = np.concatenate([np.geomspace(1e-12, 1e3, 40), [0.0, np.inf, np.nan]])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            tail = np.where(x < 1.0, -gamma * np.log(np.minimum(x, 1.0)), 0.0)
+            density = np.where(x <= 1.0, gamma / x, 0.0)
+            assert lp.tail.tail(x).tobytes() == tail.tobytes()
+            assert lp.levy_density(x).tobytes() == density.tobytes()
+        assert lp.tail.inverse_tail(y).tobytes() == np.exp(-y / gamma).tobytes()
+        assert lp.tail.support_upper == 1.0
+
+
+# every catalog model at its default params, and log_power at power 1, Dickman's tail
+INDEX_CASES = [pytest.param(name, _params(factory), id=name)
+               for name, factory in catalog.CATALOG.items()]
+INDEX_CASES.append(pytest.param("log_power", {"gamma": 2.0, "power": 1}, id="log_power-power-1"))
+
+
+@pytest.mark.parametrize("name,params", INDEX_CASES)
+def test_converged_index_estimate_is_declared(name, params):
+    # S5 reads the exponent and S7 the jump tail: a model on which either
+    # converges has that small-time index, and declares it as known_gamma
+    model = catalog.build_model(name, params)
+    estimates = [criteria.estimate_gamma_s5(model.phi)] if model.phi is not None else []
+    if model.tail is not None:
+        estimates.append(criteria.estimate_gamma_s7(model.tail))
+    for est in estimates:
+        if est.verdict == "converged":
+            assert model.known_gamma is not None, est.criterion
+            assert abs(model.known_gamma - est.gamma_hat) <= 0.02, est.criterion
+
 
 class TestStableNef:
     def test_limit_cdf_endpoints(self):
@@ -363,6 +399,16 @@ class TestStableNef:
     def test_theta_zero_rejected(self):
         with pytest.raises(InvalidParameterError):
             catalog.make_stable_nef(1.0, 0.0)
+
+    @pytest.mark.parametrize("a", [0.5, 1.0, 3.0])
+    def test_limit_cdf_is_the_shifted_exponential_bitwise(self, a):
+        # the shifted exponential law written out by hand, zero below 1 and one at +inf
+        fam = catalog.make_stable_nef(a, 1.0)
+        x = np.concatenate([np.linspace(-2.0, 40.0, 300), np.geomspace(1.0, 1e300, 30),
+                            [np.nextafter(1.0, 0.0), -np.inf, np.inf, np.nan]])
+        want = np.where(x >= 1.0, -np.expm1(-a * (np.minimum(x, 1e300) - 1.0)), 0.0)
+        want = np.where(np.isposinf(x), 1.0, want)
+        assert fam.limit_cdf(x).tobytes() == want.tobytes()
 
 
 def test_build_model_unknown_name():

@@ -216,6 +216,22 @@ class TestParameterValidation:
         assert cli.main(["--config", cfg, "--out", str(tmp_path)]) == 2
         assert f"experiments[0].{path}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "entry,target",
+        [
+            ({"kind": "pareto_limit", "params": {"t_list": [0.01], "n": 100}}, "Pareto(gamma=2)"),
+            ({"kind": "min_rule", "model2": GAMMA, "params": {"n": 100}}, "Pareto(gamma=3)"),
+            ({"kind": "mixture", "params": {"q": 0.3, "n": 100}}, "mixture(q=0.3,Pareto(2))"),
+        ],
+    )
+    def test_log_power_at_power_one_has_a_known_index(self, tmp_path, entry, target):
+        # its tail is Dickman's: it exited 2, "not given, and model must be a
+        # model with a known index"
+        model = {"name": "log_power", "params": {"gamma": 2.0, "power": 1}}
+        cfg = write_config(tmp_path, {"experiments": [{**entry, "model": model}]})
+        code, report = cli.run(cfg, out_dir=str(tmp_path))
+        assert code == 0 and report["results"][0]["target"] == target
+
     @pytest.mark.parametrize("kind", ["recursion_mean", "two_sampler_ks"])
     def test_huge_recursion_gamma_exits_two_at_once(self, tmp_path, capsys, kind):
         # the recursion depth for gamma 1e9 is past MAX_RECURSION_DEPTH

@@ -71,18 +71,28 @@ class TestTwoSampleKs:
 
     def test_blocks_match_the_concatenated_columns(self):
         # both ECDFs over all values at once, as before the blocks; rounded values
-        # put ties within and across the samples, -inf stands for a log of 0, and
-        # the small pair reaches its sup only at a value of the second sample
+        # put ties within and across the samples, -inf stands for a log of 0, the
+        # first small pair reaches its sup only at a value of the second sample,
+        # and the second only at the first value of the first sample's first block
         rng = np.random.default_rng(3)
         x = np.round(rng.normal(size=2 * BLOCK + 5), 2)
         y = np.round(rng.normal(0.01, 1.0, size=BLOCK + 3), 2)
         x[:7] = -np.inf
-        for a, b in ((x, y), (y, x), ([0.0, 1.0, 2.0], [0.5, 0.6, 0.7])):
+        for a, b in ((x, y), (y, x), ([0.0, 1.0, 2.0], [0.5, 0.6, 0.7]),
+                     ([0.0, 4.0], [1.0, 2.0, 3.0, 4.0])):
             a_sorted, b_sorted = np.sort(a), np.sort(b)
             both = np.concatenate([a_sorted, b_sorted])
             fa = np.searchsorted(a_sorted, both, side="right") / a_sorted.size
             fb = np.searchsorted(b_sorted, both, side="right") / b_sorted.size
             assert mc.two_sample_ks(a, b) == float(np.max(np.abs(fa - fb)))
+
+
+@pytest.mark.parametrize("level", [0.10, 0.05, 0.01])
+def test_ks_coefficients_are_kolmogorov_quantiles(level):
+    # c(level) is the upper level-quantile of the Kolmogorov distribution, to 3 places
+    from scipy.stats import kstwobign
+
+    assert mc.KS_COEFFICIENTS[level] == round(float(kstwobign.isf(level)), 3)
 
 
 class TestProductLaw:
@@ -212,6 +222,16 @@ class TestMixtureExperiment:
         with pytest.raises(InvalidParameterError):
             mc.experiment_mixture(gamma11, q=0.0, t=0.01, n=100, seed=0)
 
+    def test_jump_window_edges(self, gamma11, monkeypatch):
+        # a hand-built batch in place of the drawn one: the window [1 - 0.05, 1 + 1e-9]
+        # holds both edges and 1, and the floats just past either edge stay out
+        lo, hi = 1.0 - 0.05, 1.0 + 1e-9
+        values = [0.5, np.nextafter(lo, 0.0), lo, 1.0, hi, np.nextafter(hi, 2.0), 1.0 + 2e-9, 3.0]
+        emp = mc.EmpiricalDistribution.from_values(values, count_at_infinity=2)
+        monkeypatch.setattr(mc, "neg_t_power_ecdf", lambda t, log_samples: emp)
+        result = mc.experiment_mixture(gamma11, q=0.4, t=1e-3, n=10, seed=0)
+        assert result["jump_at_one"] == 3 / 10
+
 
 class TestDriftAndSupport:
     def test_drift_mass_concentrates_at_one(self, gamma11):
@@ -336,6 +356,27 @@ class TestErgodicFunctional:
         stderr = math.sqrt(math.fsum(np.square(vals - mean)) / (n - 1)) / (math.sqrt(n) * t)
         for got, want in ((est["statistic"], mean / t), (est["stderr"], stderr)):
             assert abs(got - want) <= 48 * np.spacing(want)
+
+    def test_estimate_matches_the_dense_batch_moments(self, dense_cp):
+        # most paths read f > 0 here, so the paths left out (f = 0) weigh in the variance
+        m, t, vals = ramp_batch("gamma-t1", BLOCK + 9, dense_cp)
+        n = vals.size
+        est = mc.estimate_ergodic_functional(m, RAMP, 0.5, t, n, SEED_RAMP)
+        assert est["statistic"] == pytest.approx(vals.mean() / t, rel=1e-12)
+        assert est["stderr"] == pytest.approx(vals.std(ddof=1) / (math.sqrt(n) * t), rel=1e-12)
+
+    def test_functional_not_vanishing_at_zero_refused(self, dickman1, monkeypatch):
+        # f must vanish on [0, delta0]: an f with f(0) != 0 is refused before anything is drawn
+        monkeypatch.setattr(mc, "sample_cutoff_cp", None)
+        for f0 in (1.0, np.nan):
+            with pytest.raises(InvalidParameterError, match="f must vanish"):
+                mc.estimate_ergodic_functional(
+                    dickman1, lambda x, f0=f0: RAMP(x) + f0, 0.5, 0.01, 100)
+
+    def test_ramp_is_the_clipped_line_bitwise(self):
+        x = np.concatenate([np.linspace(-1.0, 2.0, 301), [0.5, 0.75, -np.inf, np.inf, np.nan]])
+        want = np.minimum(1.0, np.maximum(0.0, (x - 0.5) * 4.0))
+        assert RAMP(x).tobytes() == want.tobytes()
 
     def test_one_path_has_no_standard_deviation(self, dickman1):
         # the ddof=1 standard deviation divided by n - 1 = 0 and read NaN

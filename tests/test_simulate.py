@@ -108,6 +108,31 @@ CP_TAILS = {
 }
 
 
+def hit_gaps(tail, eps, t, n, rng):
+    """The sparse cutoff draw as first written: (the hit paths, their jump sums).
+
+    The hit positions come from geometric gaps in the sampler's blocks, then
+    every hit's truncated-Poisson count, then all the jumps at once.
+    """
+    nu_eps = float(tail.tail(eps))
+    lam = t * nu_eps
+    p = -math.expm1(-lam)
+    hits, last = [], -1
+    while True:
+        h = (n - 1 - last) * p
+        gaps = rng.geometric(p, min(BLOCK, int(h + 4.0 * math.sqrt(h)) + 16))
+        pos = last + np.cumsum(np.minimum(gaps, n + 1))
+        hits.extend(pos[pos < n])
+        if pos[-1] >= n:
+            break
+        last = pos[-1]
+    idx = np.array(hits, dtype=np.intp)
+    counts = 1 + rng.poisson(np.maximum(lam + np.log1p(-rng.random(idx.size) * p), 0.0))
+    jumps = np.asarray(tail.inverse_tail(rng.random(int(counts.sum())) * nu_eps), dtype=float)
+    owner = np.repeat(np.arange(idx.size), counts)
+    return idx, np.bincount(owner, weights=jumps, minlength=idx.size)
+
+
 # Every sampler against its own exponent: E exp(-s Y_t) = exp(-t phi(s)), and
 # exp(-s Y) lies in [0, 1], so by Hoeffding's inequality the mean of n draws
 # leaves it by more than c = sqrt(log(2/alpha) / (2n)) with chance at most
@@ -225,6 +250,7 @@ class TestCutoffCp:
             ("dickman", 1e-6, 1e-3, 1_000_000),  # sparse: ~1.4% of paths jump
             ("log_power", 1e-8, 0.01, 150_000),  # dense: ~6.3 jumps per path
             ("log_power", 1e-12, 100.0, 3),  # one path's jumps span several blocks
+            ("dickman", 1e-6, 0.06, BLOCK + 2),  # dense: the last window draws no jumps
         ],
     )
     def test_matches_full_length_binning(self, model, eps, t, n, dense_cp):
@@ -240,36 +266,17 @@ class TestCutoffCp:
                 sums = np.bincount(owner, weights=jumps, minlength=n)
             return sums
 
-        # p < 1/2: the hit positions from geometric gaps, in the sampler's
-        # blocks, then every hit's truncated-Poisson count, then all jumps
-        def hit_gaps(tail, rng):
-            nu_eps = float(tail.tail(eps))
-            lam = t * nu_eps
-            p = -math.expm1(-lam)
-            hits, last = [], -1
-            while True:
-                h = (n - 1 - last) * p
-                gaps = rng.geometric(p, min(BLOCK, int(h + 4.0 * math.sqrt(h)) + 16))
-                pos = last + np.cumsum(np.minimum(gaps, n + 1))
-                hits.extend(pos[pos < n])
-                if pos[-1] >= n:
-                    break
-                last = pos[-1]
-            idx = np.array(hits, dtype=np.intp)
-            counts = 1 + rng.poisson(np.maximum(lam + np.log1p(-rng.random(idx.size) * p), 0.0))
-            total = int(counts.sum())
-            sums = np.zeros(n)
-            if total:
-                jumps = np.asarray(tail.inverse_tail(rng.random(total) * nu_eps), dtype=float)
-                owner = np.repeat(idx, counts)
-                sums = np.bincount(owner, weights=jumps, minlength=n)
-            return sums
+        def hit_gaps_dense(tail, rng):
+            idx, sums = hit_gaps(tail, eps, t, n, rng)
+            dense = np.zeros(n)
+            dense[idx] = sums
+            return dense
 
         tail = CP_TAILS[model]()
         sparse = -math.expm1(-t * float(tail.tail(eps))) < 0.5
         rng, ref = substream(36, 0), substream(36, 0)
         got = dense_cp(tail, eps, t, rng, n)
-        want = (hit_gaps if sparse else full_length)(tail, ref)
+        want = (hit_gaps_dense if sparse else full_length)(tail, ref)
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
         assert rng.bit_generator.state == ref.bit_generator.state
         # the sparse form is the sums of exactly the paths that jumped, in path order
@@ -282,6 +289,21 @@ class TestCutoffCp:
         assert rng.bit_generator.state == ref.bit_generator.state
         if t == 1e-9:  # the void case really drew no jumps
             assert not got.any()
+        if n == BLOCK + 2:  # and the last window's two paths drew none
+            assert not got[BLOCK:].any()
+
+    def test_sparse_draw_over_several_blocks_of_hits(self):
+        # n*p = 2.1e5 hits take four blocks of gaps, each block sized from the
+        # paths left after the last hit.  A floor of 1e-3 on the truncated-Poisson
+        # means would change about n*5e-7 = 5 of the counts.  The sums and the
+        # generator's end state are those of the reference
+        tail, eps, t, n = CP_TAILS["dickman"](), 1e-6, 1.5e-3, 10_000_000
+        assert n * -math.expm1(-t * float(tail.tail(eps))) > 3 * BLOCK
+        rng, ref = substream(38, 0), substream(38, 0)
+        got = sample_cutoff_cp(tail, eps, t, rng, n)
+        _, want = hit_gaps(tail, eps, t, n, ref)
+        assert got.tobytes() == want.tobytes()
+        assert rng.bit_generator.state == ref.bit_generator.state
 
     def test_out_must_hold_the_batch(self, dickman1):
         with pytest.raises(InvalidParameterError):
