@@ -274,9 +274,8 @@ _CRITERION_SURFACE = Need("model", "a model with the surface its criterion reads
 
 
 def _grid_problem(m, v):
-    L = L_FUNCTIONS[v["L"]] if v["criterion"] == "GL" else None
-    try:
-        criteria.log_grid(v["criterion"], v["grid"], L)
+    try:  # only GL reads L
+        criteria.log_grid(v["criterion"], v["grid"], L_FUNCTIONS[v["L"]])
     except InvalidParameterError as exc:
         return f"criterion {v['criterion']}: {exc}"
     return False
@@ -305,21 +304,21 @@ _BELOW_DELTA0 = Need(
 # unless the handler reports its own) and "pass".
 
 def _call(name, v, m, seed, **given):
-    """montecarlo.<name>, looked up at call time, on the models and seed.
+    """montecarlo.<name>, looked up at call time, on the models.
 
-    Each other argument it names is the field of that name, unless given.
+    Each other argument its signature names is the one given, else the
+    seed, else the field of that name; it gets no argument it does not name.
     """
     experiment = getattr(montecarlo, name)
-    fields = {key: v[key] for key in inspect.signature(experiment).parameters if key in v}
-    return experiment(*m.values(), **{**fields, "seed": seed, **given})
+    args = {**v, "seed": seed, **given}
+    return experiment(*m.values(), **{key: args[key] for key in
+                                      inspect.signature(experiment).parameters if key in args})
 
 
 def _criterion(v, m, seed):
-    model, which = m["model"], v["criterion"]
-    surface, name = CRITERIA[which]
-    L = (L_FUNCTIONS[v["L"]],) if which == "GL" else ()
-    est = getattr(criteria, name)(getattr(model, surface), *L, v["grid"])
-    return {"model": model.describe(), **est.to_dict()}
+    # only GL reads L
+    est = criteria.estimate_gamma(m["model"], v["criterion"], v["grid"], L_FUNCTIONS[v["L"]])
+    return {"model": m["model"].describe(), **est.to_dict()}
 
 
 def _converged(model):
@@ -370,12 +369,6 @@ def _ergodic(v, m, seed):
     return _call("estimate_ergodic_functional", v, m, seed, f=f, delta0=delta0)
 
 
-def _family_limit(v, m, seed):
-    family = m["family"]
-    return {"model": family.describe(),
-            **montecarlo.check_family_limit(family, v["t_grid"], v["u_grid"])}
-
-
 def _dickman_rho(v, m, seed):
     return {"model": "dickman_rho", "statistic": float(dickman_rho(v["z"])),
             "target": v["expected"]}
@@ -390,7 +383,7 @@ def _recursion_mean(v, m, seed):
     gamma, n = v["gamma"], v["n"]
     depth = recursion_depth(gamma) if v["depth"] is None else v["depth"]
     samples = sample_dickman_recursion(gamma, depth, substream(seed, 0), n)
-    mean, std = montecarlo.mean_std_in_place(np.exp(samples, out=samples))
+    mean, std = montecarlo.mean_std_in_place(np.exp(samples, out=samples), n)
     return {"model": f"dickman_recursion(gamma={gamma:g})", "statistic": float(mean), "n": n,
             "stderr": float(std / np.sqrt(n)), "target": gamma}
 
@@ -590,7 +583,7 @@ KINDS = {
                    functional=("ramp", _one_of(FUNCTIONALS))),
         assertions={"rel_tol": (0.05, NONNEGATIVE)}),
     "family_limit": Kind(
-        gates=(_gate("max_dev"),), **_library("check_family_limit", ("family",), _family_limit),
+        gates=(_gate("max_dev"),), **_library("check_family_limit", ("family",)),
         assertions={"max_dev": (1e-3, NONNEGATIVE)}),
     "dickman_rho": Kind(
         _dickman_rho, (_gate("tol", _within("expected")),), params={"z": (REQUIRED, Z)},

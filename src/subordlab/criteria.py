@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    GRID_TIMES, NONNEGATIVE, NOT_NULL, TIMES, LaplaceExponent, LevyTail, checks, lst_from_cdf,
+    GRID_TIMES, NONNEGATIVE, NOT_NULL, TIMES, LaplaceExponent, LevyTail, checks, has, lst_from_cdf,
 )
 from .errors import InvalidParameterError, NumericalFailure
 
@@ -40,6 +40,7 @@ __all__ = [
     "check_s2",
     "check_sandwich_ol",
     "check_sandwich_ol2",
+    "estimate_gamma",
     "estimate_all",
     "detect_limit",
     "SandwichViolation",
@@ -348,15 +349,25 @@ def check_sandwich_ol2(cdf1, phi=None, z_grid=None, x_grid=None, tol=1e-9):
     return _violations(z_arr, x_arr, bounds, tol)
 
 
-def estimate_all(model):
-    """Run every S-criterion the model's surfaces support; keyed by criterion id.
+def estimate_gamma(model, criterion, grid=None, L=None):
+    """The ``criterion`` estimate of the model's index, on the surface ``CRITERIA`` names.
 
-    GL is left out: it needs an L.  Each estimator is looked up in this
-    module by name at call time.
+    The estimator is looked up in this module by name at call time, and
+    gets the log ``grid`` (its default when None); GL also gets ``L``, a
+    function of log s, which it needs.  The other criteria ignore ``L``.
     """
-    out = {}
-    for criterion, (surface, name) in CRITERIA.items():
-        arg = getattr(model, surface)
-        if criterion != "GL" and arg is not None:
-            out[criterion] = globals()[name](arg)
-    return out
+    surface, name = CRITERIA[criterion]
+    has(surface).require(model=model)
+    if criterion == "GL" and L is None:
+        raise InvalidParameterError("criterion GL needs an L, a function of log s")
+    args = (L, grid) if criterion == "GL" else (grid,)
+    return globals()[name](getattr(model, surface), *args)
+
+
+def estimate_all(model):
+    """``estimate_gamma`` of every S-criterion the model's surfaces support; keyed by criterion id.
+
+    GL is left out: it needs an L.
+    """
+    return {c: estimate_gamma(model, c) for c, (surface, _) in CRITERIA.items()
+            if c != "GL" and getattr(model, surface) is not None}

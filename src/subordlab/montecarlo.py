@@ -262,15 +262,6 @@ def neg_t_power_ecdf(t, log_samples):
     return EmpiricalDistribution.from_values(*simulate.to_neg_t_power(log_samples, t))
 
 
-def _fraction_within(values, lo, hi):
-    """``np.mean((values >= lo) & (values <= hi))``, counted a block at a time."""
-    count = 0
-    for start in range(0, values.size, BLOCK):
-        block = values[start : start + BLOCK]
-        count += np.count_nonzero((block >= lo) & (block <= hi))
-    return np.float64(count) / values.size
-
-
 def _limit_result(label, law, t_list, n, ecdf_at, csv=None):
     """The KS result of ``ecdf_at(k, t)`` against ``law`` at the last, smallest t of ``t_list``.
 
@@ -378,9 +369,11 @@ def experiment_mixture(model, q, t=1e-3, n=DEFAULT_N, seed=0, *, cutoff=1e-6):
         at_one = level_rng.random(out=u[: block.size]) >= q
         np.logaddexp(block, 0.0, out=block, where=at_one)
     emp = neg_t_power_ecdf(t, log_l)
-    inside = _fraction_within(emp.values, 1.0 - _JUMP_WINDOW, 1.0 + 1e-9)
+    # the values are sorted: the window's count is two searches
+    inside = (np.searchsorted(emp.values, 1.0 + 1e-9, side="right")
+              - np.searchsorted(emp.values, 1.0 - _JUMP_WINDOW))
     return _ks_result(f"mixture(q={q:g},{model.describe()})", t, n, law, emp,
-                      jump_at_one=float(inside * emp.values.size / emp.n_total))
+                      jump_at_one=float(inside / emp.n_total))
 
 
 @checks(model=(SAMPLABLE,), **_DRAW, c=POSITIVE, window=POSITIVE)
@@ -393,8 +386,12 @@ def experiment_drift(model, c=1.0, t=1e-3, n=DEFAULT_N, seed=0, *, cutoff=1e-6, 
     log_y = sample_marginal(model, t, n, substream(seed, 0), cutoff=cutoff)
     np.logaddexp(np.log(c) + np.log(t), log_y, out=log_y)
     values, _ = to_neg_t_power(log_y, t)
-    inside = _fraction_within(values, 1.0 - window, 1.0 + window)
-    return {"model": f"drift(c={c:g},{model.describe()})", "statistic": float(inside),
+    # the values are not sorted: the window's count is a mask, a block at a time
+    inside = 0
+    for lo in range(0, values.size, BLOCK):
+        block = values[lo : lo + BLOCK]
+        inside += np.count_nonzero((block >= 1.0 - window) & (block <= 1.0 + window))
+    return {"model": f"drift(c={c:g},{model.describe()})", "statistic": float(inside / n),
             "t": float(t), "n": int(n)}
 
 
@@ -405,21 +402,22 @@ def support_check(emp: EmpiricalDistribution, delta=0.1):
     return float(np.searchsorted(emp.values, 1.0 - delta) / emp.n_total)
 
 
-def mean_std_in_place(values):
-    """``values.mean()`` and ``values.std(ddof=1)``, bitwise, formed in the batch itself.
+def mean_std_in_place(values, n):
+    """The mean and the ``ddof=1`` std of n samples: ``values``, and n - values.size zeros.
 
     The reductions are those of ``ndarray.mean`` and ``ndarray.std``: one
-    pairwise sum, divided by n; then subtract the mean, square, sum and
-    divide by n - 1, and take the square root.  The deviations are formed
-    in ``values`` (a float ndarray the caller gives up), so the peak is the
-    batch alone.
+    pairwise sum, divided by n; then subtract the mean, square and sum, add
+    the zeros' (n - values.size) * mean**2, divide by n - 1, and take the
+    square root.  At n = values.size the added term is +0.0, so the result
+    is ``values.mean()`` and ``values.std(ddof=1)``, bitwise.  The
+    deviations are formed in ``values`` (a float ndarray the caller gives
+    up), so the peak is the batch alone.
     """
-    n = values.size
     STD_COUNT.require(n=n)
     mean = np.add.reduce(values) / n
     values -= mean
     np.square(values, out=values)
-    return mean, np.sqrt(np.add.reduce(values) / (n - 1))
+    return mean, np.sqrt((np.add.reduce(values) + (n - values.size) * np.square(mean)) / (n - 1))
 
 
 @checks(model=(INVERTIBLE_TAIL, has("levy_density")), t=POSITIVE, n=STD_COUNT, cutoff=OPEN_UNIT)
@@ -439,9 +437,8 @@ def estimate_ergodic_functional(model, f, delta0, t=1e-3, n=10_000_000, seed=0, 
     sparse form and never densified.  f is applied to the jump sums, and
     only the k paths with f(v) != 0 are kept, so the memory grows with the
     paths that jump, not with n.  f vanishes at 0 (an f with f(0) != 0 is
-    refused), so every other path reads 0: the mean is sum(f)/n and the
-    ``ddof=1`` variance is (sum((f - mean)**2) + (n - k)*mean**2)/(n - 1),
-    each sum taken by ``np.add.reduce`` over the kept values in path order.
+    refused), so every other path reads 0: ``mean_std_in_place`` takes the
+    kept values, in path order, and counts the n - k zeros.
     """
     if delta0 <= cutoff:
         raise InvalidParameterError("need delta0 > cutoff, else the truncation biases f")
@@ -455,14 +452,8 @@ def estimate_ergodic_functional(model, f, delta0, t=1e-3, n=10_000_000, seed=0, 
         lambda x: f(x) * model.levy_density(x),
         [delta0, upper] if np.isfinite(upper) else [delta0, 100.0, np.inf], op="ergodic_target",
     )
-    sums = sample_cutoff_cp(model.tail, cutoff, t, substream(seed, 0), n)
-    fv = f(sums)
-    del sums
-    fv = fv[fv != 0.0]
-    mean = np.add.reduce(fv) / n
-    fv -= mean
-    np.square(fv, out=fv)
-    std = np.sqrt((np.add.reduce(fv) + (n - fv.size) * np.square(mean)) / (n - 1))
+    fv = f(sample_cutoff_cp(model.tail, cutoff, t, substream(seed, 0), n))
+    mean, std = mean_std_in_place(fv[fv != 0.0], n)
     return {"model": model.describe(), "statistic": float(mean / t),
             "stderr": float(std / (np.sqrt(n) * t)), "t": float(t), "n": int(n), "target": target}
 
@@ -473,12 +464,13 @@ def check_family_limit(family, t_grid=None, u_grid=None):
 
     Works for arbitrary families t -> psi_t (not only powers of one
     transform), against the limit CDF the family carries.  Returns the
-    ``criteria.grid_deviations`` of ``family.psi_t_log``.
+    ``criteria.grid_deviations`` of ``family.psi_t_log``, with the
+    family's ``describe()`` as ``model``.
     """
-    return grid_deviations(
+    return {"model": family.describe(), **grid_deviations(
         family.psi_t_log, lambda u: 1.0 - family.limit_cdf(u),
         [1e-2, 1e-3, 1e-4] if t_grid is None else t_grid,
-        np.geomspace(1.1, 10.0, 12) if u_grid is None else u_grid)
+        np.geomspace(1.1, 10.0, 12) if u_grid is None else u_grid)}
 
 
 def export_curve(emp: EmpiricalDistribution, cdf, path):

@@ -95,22 +95,19 @@ def _jump_sums(tail, nu_eps, counts, rng, out):
     The jumps are drawn in blocks of at most ``BLOCK`` that end on a path
     boundary (a path with more jumps is a block of its own), inverted
     (``inverse_tail`` must be elementwise), and each path's jumps summed
-    in draw order; a path with no jumps gets 0.0 and draws nothing.
+    in draw order; a path with no jumps gets 0.0 and draws nothing (a
+    block with no jumps draws ``rng.random(0)``, which takes no bits).
     """
     ends = np.cumsum(counts)
     lo = 0
     while lo < counts.size:
         done = ends[lo - 1] if lo else 0
         hi = max(int(np.searchsorted(ends, done + BLOCK, side="right")), lo + 1)
-        total = int(ends[hi - 1] - done)
-        if not total:  # the paths left have no jumps
-            out[lo:hi] = 0.0
-        else:
-            jumps = rng.random(total)
-            jumps *= nu_eps
-            jumps = tail.inverse_tail(jumps)
-            owner = np.repeat(np.arange(hi - lo), counts[lo:hi])
-            out[lo:hi] = np.bincount(owner, weights=jumps, minlength=hi - lo)
+        jumps = rng.random(int(ends[hi - 1] - done))
+        jumps *= nu_eps
+        jumps = tail.inverse_tail(jumps)
+        owner = np.repeat(np.arange(hi - lo), counts[lo:hi])
+        out[lo:hi] = np.bincount(owner, weights=jumps, minlength=hi - lo)
         lo = hi
 
 

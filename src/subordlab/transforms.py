@@ -73,16 +73,22 @@ def tilt(model: SubordinatorModel, theta):
     )
 
 
-def _composed(front, back, name, known_gamma):
-    front_phi, back_phi = front.phi, back.phi
+def _composed(kind, outer, inner, ratio, indexed):
+    """``kind``(outer, inner), of exponent Phi(phi(s)): its index is ``indexed``'s times the
+    limit of ``ratio`` on the S5 grid (``detect_limit``) when both are known, else unknown."""
+    delta = detect_limit(ratio)
+    known = None
+    if delta is not None and indexed.known_gamma is not None:
+        known = indexed.known_gamma * delta
+    outer_phi, inner_phi = outer.phi, inner.phi
 
     def eval_log(ell):
-        return front_phi.eval(back_phi.eval_log(ell))
+        return outer_phi.eval(inner_phi.eval_log(ell))
 
     return SubordinatorModel(
-        name=name,
+        name=f"{kind}({outer.describe()},{inner.describe()})",
         phi=LaplaceExponent(eval_log=eval_log),
-        known_gamma=known_gamma,
+        known_gamma=known,
     )
 
 
@@ -94,13 +100,8 @@ def compose_outer(outer: SubordinatorModel, inner: SubordinatorModel):
     model has a known index gamma, the composition's index is
     gamma * delta; otherwise it is left unknown.
     """
-    delta = detect_limit(lambda grid: np.log(inner.phi.eval_log(grid)) / grid)
-    known = None
-    if delta is not None and outer.known_gamma is not None:
-        known = outer.known_gamma * delta
-    return _composed(
-        outer, inner, f"compose_outer({outer.describe()},{inner.describe()})", known
-    )
+    return _composed("compose_outer", outer, inner,
+                     lambda grid: np.log(inner.phi.eval_log(grid)) / grid, outer)
 
 
 @checks(outer=(NOT_NULL,), inner=(NOT_NULL,))
@@ -113,13 +114,8 @@ def compose_inner(outer: SubordinatorModel, inner: SubordinatorModel):
     the inner model's when delta is positive and finite (zero kills the
     limit and leaves the index unknown).
     """
-    delta = detect_limit(lambda grid: outer.phi.eval_log(grid) / np.exp(grid))
-    known = None
-    if delta is not None and inner.known_gamma is not None:
-        known = inner.known_gamma * delta
-    return _composed(
-        outer, inner, f"compose_inner({outer.describe()},{inner.describe()})", known
-    )
+    return _composed("compose_inner", outer, inner,
+                     lambda grid: outer.phi.eval_log(grid) / np.exp(grid), inner)
 
 
 @checks(m1=(NOT_NULL,), m2=(NOT_NULL,))

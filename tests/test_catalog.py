@@ -1,5 +1,6 @@
 """Model constructors against their closed forms and sampling identities."""
 
+import json
 import math
 
 import numpy as np
@@ -9,7 +10,7 @@ from scipy import special as sc
 from scipy.special import erfc, gammainc, gammaln
 
 from subordlab import catalog, criteria, transforms
-from subordlab.core import BLOCK
+from subordlab.core import BLOCK, ParetoLaw
 from subordlab.errors import InvalidParameterError
 from subordlab.montecarlo import ks_critical_value, ks_distance, EmpiricalDistribution
 
@@ -286,6 +287,25 @@ class TestThorin:
         assert tu.phi.eval(0.0) == 0.0
         assert 0.0 < tu.phi.eval(1e-12) < 1e-10
 
+    @pytest.mark.parametrize("gamma", [0.5, 1.0, 2.0, 30.0])
+    def test_uniform_phi_past_log_s_700(self, gamma):
+        # past log s = 700, exp(log s) would soon overflow, so the exponent reads
+        # gamma*(1 + log s - log gamma); the terms it drops are about gamma**2 * e**-700,
+        # so the branches agree at the switch to rounding: 1e-14 is about 60 ulps
+        phi = catalog.make_thorin_uniform(gamma).phi
+        at, past = phi.eval_log(np.array([700.0, np.nextafter(700.0, np.inf)]))
+        assert past == pytest.approx(at, rel=1e-14)
+        ell = np.array([700.5, 701.0, 750.0, 1e3, 1e5, 1e300])
+        values = phi.eval_log(ell)
+        assert np.all(np.isfinite(values)) and np.all(np.diff(values) > 0)
+
+    def test_uniform_s2_grid_at_small_t(self):
+        # at t = 1e-3 the S2 probe log(u)/t passes 700 for every u above e**0.7
+        model = catalog.make_thorin_uniform(1.0)
+        result = criteria.check_s2(model, ParetoLaw(1.0).cdf, t_grid=[1e-2, 1e-3])
+        assert np.all(np.isfinite(result["deviations"]))
+        assert result["statistic"] <= 2e-3
+
     def test_discrete_measure_is_add_of_gammas(self):
         # atoms (y_i, m_i): the independent sum of gamma(m_i, y_i) subordinators
         atoms = ((0.5, 0.7), (3.0, 1.6))
@@ -360,6 +380,30 @@ class TestLogPower:
 INDEX_CASES = [pytest.param(name, _params(factory), id=name)
                for name, factory in catalog.CATALOG.items()]
 INDEX_CASES.append(pytest.param("log_power", {"gamma": 2.0, "power": 1}, id="log_power-power-1"))
+
+
+def _outcome(estimate):
+    """The estimate's dict as JSON (NaN reads equal), or the type and text of what it raised."""
+    try:
+        return json.dumps(estimate().to_dict(), sort_keys=True)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("name,params", INDEX_CASES)
+@pytest.mark.parametrize("criterion", list(criteria.CRITERIA))
+def test_dispatch_is_the_direct_call(name, params, criterion):
+    # criteria.estimate_gamma reads the surface CRITERIA names and calls its estimator
+    model = catalog.build_model(name, params)
+    surface, estimator = criteria.CRITERIA[criterion]
+    arg = getattr(model, surface)
+    if arg is None:
+        with pytest.raises(InvalidParameterError, match=f"a model with {surface}"):
+            criteria.estimate_gamma(model, criterion)
+        return
+    L = (np.negative,) if criterion == "GL" else ()  # GL's L, -log s, takes log s
+    direct = _outcome(lambda: getattr(criteria, estimator)(arg, *L))
+    assert _outcome(lambda: criteria.estimate_gamma(model, criterion, None, *L)) == direct
 
 
 @pytest.mark.parametrize("name,params", INDEX_CASES)

@@ -233,6 +233,11 @@ class TestGeneralized:
         est = criteria.estimate_gamma_general(gamma11.phi, NEG_LOG_CUBED)
         assert est.verdict == "degenerate"
 
+    def test_dispatch_needs_an_L(self, gamma11):
+        # the estimator itself would fail on a missing L with a TypeError
+        with pytest.raises(InvalidParameterError, match="GL needs an L"):
+            criteria.estimate_gamma(gamma11, "GL")
+
     def test_nonmonotone_L_rejected(self, gamma11):
         wiggle = lambda ly: -ly * (1.0 + 0.5 * np.sin(ly * 40.0))
         with pytest.raises(InvalidParameterError):

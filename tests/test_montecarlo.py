@@ -238,6 +238,18 @@ class TestDriftAndSupport:
         result = mc.experiment_drift(gamma11, 1.0, t=1e-3, n=100_000, seed=11)
         assert result["statistic"] >= 0.99
 
+    def test_drift_window_edges(self, gamma11, monkeypatch):
+        # hand-built values in place of the transformed ones: the window
+        # [1 - 0.05, 1 + 0.05] holds both edges and 1, the floats just past either
+        # edge stay out, and the first value of each counted block is read
+        lo, hi = 1.0 - 0.05, 1.0 + 0.05
+        values = np.full(BLOCK + 8, 3.0)
+        values[:8] = [1.0, np.nextafter(lo, 0.0), lo, 1.0, hi, np.nextafter(hi, 2.0), 0.5, 1.0]
+        values[BLOCK] = 1.0
+        monkeypatch.setattr(mc, "to_neg_t_power", lambda log_y, t: (values, 0))
+        result = mc.experiment_drift(gamma11, 1.0, t=1e-3, n=values.size, seed=0)
+        assert result["statistic"] == 6 / values.size
+
     def test_exact_pareto_support(self):
         samples = ParetoLaw(1.0).sample(10_000, substream(12, 0))
         assert mc.support_check(mc.EmpiricalDistribution.from_values(samples), 0.1) == 0.0
@@ -383,15 +395,19 @@ class TestErgodicFunctional:
         with pytest.raises(InvalidParameterError, match="n must be an integer >= 2, got 1"):
             mc.estimate_ergodic_functional(dickman1, cli.FUNCTIONALS["ramp"][0], 0.5, 0.05, 1)
         with pytest.raises(InvalidParameterError, match="n must be an integer >= 2, got 1"):
-            mc.mean_std_in_place(np.ones(1))
+            mc.mean_std_in_place(np.ones(1), 1)
 
     @pytest.mark.parametrize("n", [2, 9, 129, BLOCK + 1, 3 * BLOCK + 7])
     def test_mean_std_in_place_replays_ndarray_reductions(self, n):
         rng = np.random.default_rng(n)
         dense = rng.standard_normal(n) * rng.lognormal(0.0, 5.0, n)
         mean, std = dense.mean(), dense.std(ddof=1)
-        got = mc.mean_std_in_place(dense.copy())
+        got = mc.mean_std_in_place(dense.copy(), n)
         assert got[0].tobytes() == mean.tobytes() and got[1].tobytes() == std.tobytes()
+        # the batch's negative values as zeros, left out and counted
+        zeroed = np.maximum(dense, 0.0)
+        got = mc.mean_std_in_place(dense[dense > 0.0], n)
+        assert got == pytest.approx((zeroed.mean(), zeroed.std(ddof=1)), rel=1e-12)
 
     def test_sparse_estimate_memory_does_not_grow_with_n(self, traced_peak):
         # ~1.4% of paths jump and ~0.07% reach the ramp: no n-float array is held
@@ -411,6 +427,7 @@ class TestFamilyLimit:
     def test_stable_nef_deterministic_deviation(self):
         fam = catalog.make_stable_nef(1.0, 1.0)
         result = mc.check_family_limit(fam, t_grid=[1e-2, 1e-3, 1e-4])
+        assert result["model"] == fam.describe()
         assert result["statistic"] <= 1e-3
         assert np.all(np.diff(result["deviations"]) <= 1e-12)
 

@@ -369,6 +369,8 @@ class TestCutoffCp:
             )
             assert blocks.tobytes() == full.tobytes()
         assert tail.inverse_tail(float(y[7])) == full[7]
+        # a block with no jumps inverts an empty draw
+        assert np.asarray(tail.inverse_tail(y[:0]), dtype=float).shape == (0,)
 
     @pytest.mark.parametrize("lam", [1e-3, 0.05, 0.3, 0.69])
     def test_sparse_hits_are_binomial(self, lam):
