@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 from scipy import special as sc
 
-from .core import (BLOCK, OPEN_UNIT, POSITIVE, SHAPE, Check, ExponentialLaw,
+from .core import (BLOCK, EXP_CUTOFF, OPEN_UNIT, POSITIVE, SHAPE, Check, ExponentialLaw,
                    LaplaceExponent, LevyTail, SubordinatorModel, declares, integral)
 from .dickman import EULER, log_power_tail, make_dickman
 from .errors import InvalidParameterError, NumericalFailure
@@ -492,7 +492,7 @@ def make_log_power(gamma, power=3):
                 raise NumericalFailure(f"Phi at log s = {ell!r} overflows", op="log_power_phi")
             return phi
         s = math.exp(ell)
-        hi = min(s, 745.0)  # exp(-x) kills everything beyond
+        hi = min(s, EXP_CUTOFF)  # exp(-x) kills everything beyond
         fn = lambda x: math.exp(-x) * gamma * (ell - math.log(x)) ** power
         return integral(fn, [0.0, min(1.0, hi / 2.0), hi], op="log_power_phi")
 

@@ -63,7 +63,7 @@ from .dickman import (
     recursion_depth, sample_dickman_recursion,
 )
 from .errors import InvalidParameterError, NumericalFailure, SubordlabError
-from .simulate import SAMPLABLE, sample_cutoff_cp, sample_marginal, substream
+from .simulate import CUTOFF, SAMPLABLE, sample_cutoff_cp, sample_marginal, substream
 
 __all__ = ["main", "run", "list_catalog", "margins", "SchemaError", "KINDS"]
 
@@ -177,8 +177,8 @@ def _leaf(expr, path, factories):
 
 # Field checks, besides the number rules of core.
 
-def _one_of(names):
-    return Check(lambda v: v in names, f"one of {list(names)}")
+def _one_of(names, cast=None):
+    return Check(lambda v: v in names, f"one of {list(names)}", cast)
 
 
 SEED = number_rule(lambda v: int(v) == v >= 0, "an integer >= 0", int)
@@ -198,15 +198,10 @@ RECURSION_GAMMA = Check(
 Z = number_rule(lambda v: 0 <= v <= RHO_INTERVALS, f"a number in [0, {RHO_INTERVALS}]")
 
 
-def _refusal(check, value, what=""):
-    """False when value passes check, else its refusal in the check's words, after what."""
-    return not check.passes(value) and f"{what}must be {check.requirement}, got {value!r}"
-
-
 def _value(value, check, path):
     """value, cast by check; a SchemaError at path unless the check holds."""
-    if not check.passes(value):
-        raise SchemaError(path, _refusal(check, value))
+    if refused := check.refusal(value):
+        raise SchemaError(path, refused)
     return value if check.cast is None else check.cast(value)
 
 
@@ -218,20 +213,21 @@ def _no_unknown(given, known, path):
 
 
 def _fields(given, fields, path, others=()):
-    """Checked values of fields, defaults filled in; a SchemaError names the first bad field.
+    """Checked and cast values of fields; a SchemaError names the first bad field.
 
-    A field left out or null takes its default.  A key of given that is
-    neither a field nor one of others is an error.
+    A field left out or null takes its default, which is checked and cast
+    as a given value is: a REQUIRED one is refused, and a None stays None.
+    A key of given that is neither a field nor one of others is an error.
     """
     if not isinstance(given, dict):
         raise SchemaError(path, "must be an object")
     _no_unknown(given, [*fields, *others], path)
     values = {}
     for field, (default, check) in fields.items():
-        value = given.get(field)
-        if value is None and default is REQUIRED:
+        value = default if given.get(field) is None else given[field]
+        if value is REQUIRED:
             raise SchemaError(f"{path}.{field}", f"must be {check.requirement}, got nothing")
-        values[field] = default if value is None else _value(value, check, f"{path}.{field}")
+        values[field] = None if value is None else _value(value, check, f"{path}.{field}")
     return values
 
 
@@ -270,12 +266,12 @@ def _drawn(key, field):
 
 
 _CRITERION_SURFACE = Need("model", "a model with the surface its criterion reads", lambda m, v: (
-    _refusal(has(CRITERIA[v["criterion"]][0]), m["model"], f"criterion {v['criterion']}: ")))
+    has(CRITERIA[v["criterion"]][0]).refusal(m["model"], f"criterion {v['criterion']}: ")))
 
 
 def _grid_problem(m, v):
     try:  # only GL reads L
-        criteria.log_grid(v["criterion"], v["grid"], L_FUNCTIONS[v["L"]])
+        criteria.log_grid(v["criterion"], v["grid"], v["L"])
     except InvalidParameterError as exc:
         return f"criterion {v['criterion']}: {exc}"
     return False
@@ -283,7 +279,7 @@ def _grid_problem(m, v):
 
 _CRITERION_GRID = Need("params.grid", "a grid its criterion accepts", _grid_problem)
 _GAMMA_OR_INDEX = Need("params.gamma", "given, or the model's known index", lambda m, v: (
-    v["gamma"] is None and _refusal(KNOWN_INDEX, m["model"], "not given, and model ")))
+    v["gamma"] is None and KNOWN_INDEX.refusal(m["model"], "not given, and model ")))
 # the mean gamma of a recursion draw comes from its paths whose first uniform falls
 # within about gamma of 1, some gamma * n of them; with few, the sample mean is a
 # rare-event estimate and its 3-sigma gate failed 88 and 71 of 400 seeds at
@@ -294,8 +290,8 @@ _MEAN_PATHS = Need("params.gamma", "gamma * n >= 100", lambda m, v: (
         f"100 paths near the mean gamma, too few for the sigma_mult gate"))
 _BELOW_DELTA0 = Need(
     "params.cutoff", "below the functional's delta0", lambda m, v: (
-        v["cutoff"] >= FUNCTIONALS[v["functional"]][1]
-        and f"must lie below the functional's delta0 = {FUNCTIONALS[v['functional']][1]:g}, "
+        v["cutoff"] >= v["functional"][1]
+        and f"must lie below the functional's delta0 = {v['functional'][1]:g}, "
             f"got {v['cutoff']!r}"))
 
 
@@ -317,7 +313,7 @@ def _call(name, v, m, seed, **given):
 
 def _criterion(v, m, seed):
     # only GL reads L
-    est = criteria.estimate_gamma(m["model"], v["criterion"], v["grid"], L_FUNCTIONS[v["L"]])
+    est = criteria.estimate_gamma(m["model"], v["criterion"], v["grid"], v["L"])
     return {"model": m["model"].describe(), **est.to_dict()}
 
 
@@ -353,10 +349,6 @@ def _s2(v, m, seed):
             **criteria.check_s2(model, law.cdf, v["t_grid"], v["u_grid"])}
 
 
-def _general_limit(v, m, seed):
-    return _call("experiment_general_limit", v, m, seed, L=L_FUNCTIONS[v["L"]])
-
-
 def _support(v, m, seed):
     model, t, n = m["model"], v["t"], v["n"]
     log_s = sample_marginal(model, t, n, substream(seed, 0), cutoff=v["cutoff"])
@@ -365,7 +357,7 @@ def _support(v, m, seed):
 
 
 def _ergodic(v, m, seed):
-    f, delta0 = FUNCTIONALS[v["functional"]]
+    f, delta0 = v["functional"]
     return _call("estimate_ergodic_functional", v, m, seed, f=f, delta0=delta0)
 
 
@@ -519,7 +511,7 @@ def _library(name, keys=("model",), handler=None, needs=(), module=montecarlo, *
 
 _KS_MAX = {"ks_max": (None, NONNEGATIVE)}
 _KS_GATE = (_gate("ks_max"),)
-_L = ("neg_log", _one_of(L_FUNCTIONS))
+_L = ("neg_log", _one_of(L_FUNCTIONS, L_FUNCTIONS.get))
 # the model keys of min_rule and product_rule
 _TWO = ("model", "model2")
 
@@ -556,7 +548,7 @@ KINDS = {
         assertions={**_KS_MAX, "ks_min": (None, NONNEGATIVE), "trend_slack": (None, NONNEGATIVE)},
         csv=True),
     "general_limit": Kind(gates=_KS_GATE, assertions=_KS_MAX,
-                          **_library("experiment_general_limit", handler=_general_limit, L=_L)),
+                          **_library("experiment_general_limit", L=_L)),
     "min_rule": Kind(gates=_KS_GATE, assertions=_KS_MAX, **_library("experiment_min_rule", _TWO)),
     "product_rule": Kind(gates=_KS_GATE, assertions=_KS_MAX,
                          **_library("experiment_product_rule", _TWO)),
@@ -571,7 +563,7 @@ KINDS = {
     "support": Kind(
         _support, (_gate("max_fraction"),),  # its draw is the CLI's own, not the library's
         params={"t": (0.01, POSITIVE), "n": (montecarlo.DEFAULT_N, COUNT),
-                "cutoff": (1e-6, OPEN_UNIT), **montecarlo.support_check.fields},
+                "cutoff": (CUTOFF, OPEN_UNIT), **montecarlo.support_check.fields},
         assertions={"max_fraction": (0.01, UNIT)}, models={"model": (SAMPLABLE,)},
         needs=(_drawn("model", "t"),)),
     # the estimate draws by cutoff compound Poisson, which has no depth ceiling
@@ -580,7 +572,7 @@ KINDS = {
             "|statistic - target| / |target| <=",
             lambda s, b, v, r: b - abs(s - r["target"]) / abs(r["target"]))),),
         **_library("estimate_ergodic_functional", handler=_ergodic, needs=(_BELOW_DELTA0,),
-                   functional=("ramp", _one_of(FUNCTIONALS))),
+                   functional=("ramp", _one_of(FUNCTIONALS, FUNCTIONALS.get))),
         assertions={"rel_tol": (0.05, NONNEGATIVE)}),
     "family_limit": Kind(
         gates=(_gate("max_dev"),), **_library("check_family_limit", ("family",)),
@@ -604,7 +596,7 @@ KINDS = {
         _two_sampler_ks,
         (_gate("level", Side("<= the critical value at level threshold",
                              lambda s, b, v, r: r["threshold"] - s)),),
-        params={"n": (100_000, COUNT), "cutoff": (1e-6, OPEN_UNIT),
+        params={"n": (montecarlo.DEFAULT_N, COUNT), "cutoff": (CUTOFF, OPEN_UNIT),
                 "gamma": (1.0, RECURSION_GAMMA)},
         assertions={"level": (0.01, _one_of(montecarlo.KS_COEFFICIENTS))}, models={}),
 }

@@ -73,7 +73,7 @@ __all__ = [
 
 # Largest x with exp(-x) above the float64 subnormal floor; integrands
 # weighted by exp(-x) are identically zero past this point.
-_EXP_CUTOFF = 745.0
+EXP_CUTOFF = 745.0
 
 # The floors below which the small-time regime leaves float64.  A log-space
 # draw divides a uniform's log, at least log(2**-53), by its shape a (gamma's
@@ -110,11 +110,15 @@ class Check(NamedTuple):
         except (TypeError, ValueError, OverflowError, AttributeError):
             return False
 
+    def refusal(self, value, what=""):
+        """False when value passes, else its refusal in the rule's words, after what."""
+        return not self.passes(value) and f"{what}must be {self.requirement}, got {value!r}"
+
     def require(self, **values):
         """InvalidParameterError naming the first of values that does not pass."""
         for name, value in values.items():
-            if not self.passes(value):
-                raise InvalidParameterError(f"{name} must be {self.requirement}, got {value!r}")
+            if refused := self.refusal(value, f"{name} "):
+                raise InvalidParameterError(refused)
 
 
 def number_rule(valid, requirement, cast=None):
@@ -398,5 +402,5 @@ def lst_from_cdf(cdf, s):
     def integrand(u):
         return np.exp(-u) * cdf(u / s)
 
-    total = integral(integrand, [0.0, _EXP_CUTOFF], op="lst_from_cdf")
+    total = integral(integrand, [0.0, EXP_CUTOFF], op="lst_from_cdf")
     return min(max(total, 0.0), 1.0)

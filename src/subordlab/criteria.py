@@ -180,14 +180,18 @@ def _finish(criterion, grid, ratios, w, shift=0.0):
     )
 
 
+def _exponent_ratios(criterion, grid, values, scale):
+    """The estimate from an exponent's ``values`` over ``scale`` on ``grid``, fit affine in
+    1/scale; degenerate when the exponent is null there (every value below 1e-15)."""
+    if np.all(np.abs(values) < 1e-15):
+        return LimitEstimate(criterion, grid, np.zeros_like(grid), np.nan, 0.0, "degenerate")
+    return _finish(criterion, grid, values / scale, 1.0 / scale)
+
+
 def estimate_gamma_s5(phi: LaplaceExponent, log_s_grid=None):
     """Index from the exponent: Phi(s)/log(s) -> gamma as s -> infinity."""
     grid = log_grid("S5", log_s_grid)
-    values = phi.eval_log(grid)
-    if np.all(np.abs(values) < 1e-15):
-        return LimitEstimate("S5", grid, np.zeros_like(grid), np.nan, 0.0, "degenerate")
-    ratios = values / grid
-    return _finish("S5", grid, ratios, 1.0 / grid)
+    return _exponent_ratios("S5", grid, phi.eval_log(grid), grid)
 
 
 def estimate_gamma_s6(cdf1, log_x_grid=None):
@@ -233,12 +237,7 @@ def estimate_gamma_general(phi: LaplaceExponent, L, log_s_grid=None):
     monotonicity on the grid is checked).  Extrapolation is affine in 1/L(s).
     """
     grid = log_grid("GL", log_s_grid, L)
-    l_vals = L(grid)
-    values = phi.eval_log(-grid)
-    if np.all(np.abs(values) < 1e-15):
-        return LimitEstimate("GL", grid, np.zeros_like(grid), np.nan, 0.0, "degenerate")
-    ratios = values / l_vals
-    return _finish("GL", grid, ratios, 1.0 / l_vals)
+    return _exponent_ratios("GL", grid, phi.eval_log(-grid), L(grid))
 
 
 @checks(t_grid=GRID_TIMES, u_grid=TIMES)

@@ -185,7 +185,7 @@ def _usable_cpus():
 
 
 @checks(gamma=SHAPE, depth=DEPTH)
-def sample_dickman_recursion(gamma, depth, rng, n=1):
+def sample_dickman_recursion(gamma, depth, rng, n):
     """Draw log S from the generalized Dickman law, S = sum_{i<=d} (U_1...U_i)**(1/gamma).
 
     log S = log1p(-U_1)/gamma + log1p(sum_{k>=2} W_2...W_k), W_j = (1 - U_j)**(1/gamma):
@@ -208,8 +208,9 @@ def sample_dickman_recursion(gamma, depth, rng, n=1):
     is bitwise the one that loop gives, whatever the number of chunks.
     The caller's thread runs the last chunk and a thread pool the others;
     numpy's draws and ufuncs release the GIL, so the chunks run in
-    parallel.  One chunk (n within one block, or one usable CPU) runs
-    inline and starts no thread, and no thread outlives the call.
+    parallel.  The pool starts a thread only for a chunk it is given, so
+    one chunk (n within one block, or one usable CPU) runs on the calling
+    thread and no thread starts; no thread outlives the call.
     Afterwards ``rng`` is left where the term-by-term loop leaves it,
     n*depth doubles on.
     """
@@ -252,14 +253,11 @@ def sample_dickman_recursion(gamma, depth, rng, n=1):
     blocks = -(-n // BLOCK)
     chunks = max(1, min(blocks, _usable_cpus()))
     cuts = [BLOCK * (blocks * i // chunks) for i in range(chunks)] + [n]
-    if chunks == 1:
-        end = run(0, n)
-    else:
-        with ThreadPoolExecutor(chunks - 1) as pool:
-            rest = [pool.submit(run, lo, hi) for lo, hi in zip(cuts[:-2], cuts[1:-1])]
-            end = run(cuts[-2], n)
-            for future in rest:
-                future.result()
+    with ThreadPoolExecutor(chunks) as pool:
+        rest = [pool.submit(run, lo, hi) for lo, hi in zip(cuts[:-2], cuts[1:-1])]
+        end = run(cuts[-2], n)
+        for future in rest:
+            future.result()
     # the bit generator's 32-bit buffer is untouched by double draws
     caller.state = dict(start, state=end.state["state"])
     return acc

@@ -30,7 +30,9 @@ from .core import (
 )
 from .criteria import grid_deviations
 from .errors import InvalidParameterError
-from .simulate import SAMPLABLE, sample_cutoff_cp, sample_marginal, substream, to_neg_t_power, to_tl
+from .simulate import (
+    CUTOFF, SAMPLABLE, sample_cutoff_cp, sample_marginal, substream, to_neg_t_power, to_tl,
+)
 
 __all__ = [
     "EmpiricalDistribution",
@@ -262,17 +264,19 @@ def neg_t_power_ecdf(t, log_samples):
     return EmpiricalDistribution.from_values(*simulate.to_neg_t_power(log_samples, t))
 
 
-def _limit_result(label, law, t_list, n, ecdf_at, csv=None):
-    """The KS result of ``ecdf_at(k, t)`` against ``law`` at the last, smallest t of ``t_list``.
+def _limit_result(model, law, t_list, n, seed, cutoff, ecdf, csv=None):
+    """The KS result against ``law`` at the last, smallest t of ``t_list``.
 
+    At the k-th t, n values of log(Y_t) are drawn from ``substream(seed,
+    k)`` and ``ecdf(t, log_samples)`` maps them to the compared ECDF.
     ``ks_by_t`` holds every t's statistic, keyed by ``str(float(t))`` in
     ``t_list``'s order, strictly decreasing as the callers declare.  ``csv``
     gets the last t's ECDF curve.
     """
     ks_by_t = {}
     for k, t in enumerate(t_list):
-        emp = ecdf_at(k, t)
-        result = _ks_result(label, t, n, law, emp)
+        emp = ecdf(t, sample_marginal(model, t, n, substream(seed, k), cutoff=cutoff))
+        result = _ks_result(model.describe(), t, n, law, emp)
         ks_by_t[str(float(t))] = result["statistic"]
         if csv is not None and k == len(t_list) - 1:
             export_curve(emp, law.cdf, csv)
@@ -283,32 +287,24 @@ def _limit_result(label, law, t_list, n, ecdf_at, csv=None):
 @checks(model=(SAMPLABLE,), **_DRAWS, gamma=POSITIVE)
 def experiment_pareto_limit(
     model: SubordinatorModel, t_list=(0.2, 0.1, 0.05, 0.01), n=DEFAULT_N, seed=0,
-    *, cutoff=1e-6, gamma=None, csv=None,
+    *, cutoff=CUTOFF, gamma=None, csv=None,
 ):
     """KS of y**(-t) against its Pareto limit, per t; ``csv`` gets the last t's ECDF curve."""
     if gamma is None:  # the limit's index is then the model's
         KNOWN_INDEX.require(model=model)
     law = ParetoLaw(model.known_gamma if gamma is None else gamma)
-
-    def ecdf_at(k, t):
-        log_samples = sample_marginal(model, t, n, substream(seed, k), cutoff=cutoff)
-        return neg_t_power_ecdf(t, log_samples)
-
-    return _limit_result(model.describe(), law, t_list, n, ecdf_at, csv)
+    return _limit_result(model, law, t_list, n, seed, cutoff, neg_t_power_ecdf, csv)
 
 
 @checks(model=(SAMPLABLE,), **_DRAWS, gamma=POSITIVE)
 def experiment_general_limit(
     model: SubordinatorModel, L, gamma, t_list=(0.01,), n=DEFAULT_N, seed=0,
-    *, cutoff=1e-6,
+    *, cutoff=CUTOFF,
 ):
     """KS of t*L(Y_t) against the exponential law with rate gamma, per t; L takes log y."""
-
-    def ecdf_at(k, t):
-        log_samples = sample_marginal(model, t, n, substream(seed, k), cutoff=cutoff)
-        return EmpiricalDistribution.from_values(*to_tl(log_samples, L, t))
-
-    return _limit_result(model.describe(), ExponentialLaw(gamma), t_list, n, ecdf_at)
+    return _limit_result(
+        model, ExponentialLaw(gamma), t_list, n, seed, cutoff,
+        lambda t, log_samples: EmpiricalDistribution.from_values(*to_tl(log_samples, L, t)))
 
 
 def _two_model_transformed(m1, m2, t, n, seed, cutoff, combine):
@@ -319,7 +315,7 @@ def _two_model_transformed(m1, m2, t, n, seed, cutoff, combine):
 
 
 @checks(m1=_INDEXED, m2=_INDEXED, **_DRAW)
-def experiment_min_rule(m1, m2, t=0.01, n=DEFAULT_N, seed=0, *, cutoff=1e-6):
+def experiment_min_rule(m1, m2, t=0.01, n=DEFAULT_N, seed=0, *, cutoff=CUTOFF):
     """Sum of independent marginals, transformed: limit is Pareto(g1 + g2)."""
     law = ParetoLaw(m1.known_gamma + m2.known_gamma)
     emp = _two_model_transformed(m1, m2, t, n, seed, cutoff, np.logaddexp)
@@ -327,7 +323,7 @@ def experiment_min_rule(m1, m2, t=0.01, n=DEFAULT_N, seed=0, *, cutoff=1e-6):
 
 
 @checks(m1=_INDEXED, m2=_INDEXED, **_DRAW)
-def experiment_product_rule(m1, m2, t=0.01, n=DEFAULT_N, seed=0, *, cutoff=1e-6):
+def experiment_product_rule(m1, m2, t=0.01, n=DEFAULT_N, seed=0, *, cutoff=CUTOFF):
     """Product of independent marginals, transformed: limit is the Pareto product law."""
     law = ParetoProductLaw(m1.known_gamma, m2.known_gamma)
     emp = _two_model_transformed(m1, m2, t, n, seed, cutoff, np.add)
@@ -335,7 +331,7 @@ def experiment_product_rule(m1, m2, t=0.01, n=DEFAULT_N, seed=0, *, cutoff=1e-6)
 
 
 @checks(model=_INDEXED, **_DRAW, a=ABOVE_ONE, b=ABOVE_ONE)
-def experiment_affine(model, a, b, t=0.05, n=DEFAULT_N, seed=0, *, cutoff=1e-6):
+def experiment_affine(model, a, b, t=0.05, n=DEFAULT_N, seed=0, *, cutoff=CUTOFF):
     """KS of (a_t Y_t + b_t)**(-t) against min(a*Pareto, b), a_t = a**(-1/t)."""
     law = AffineMinLaw(a, b, model.known_gamma)
     log_a_t = -np.log(a) / t
@@ -352,7 +348,7 @@ _JUMP_WINDOW = 0.05
 
 
 @checks(model=_INDEXED, **_DRAW, q=OPEN_UNIT)
-def experiment_mixture(model, q, t=1e-3, n=DEFAULT_N, seed=0, *, cutoff=1e-6):
+def experiment_mixture(model, q, t=1e-3, n=DEFAULT_N, seed=0, *, cutoff=CUTOFF):
     """Start the process at an independent level B (0 with probability q, else 1).
 
     The transformed statistic converges to a mixture: an atom of mass
@@ -377,7 +373,7 @@ def experiment_mixture(model, q, t=1e-3, n=DEFAULT_N, seed=0, *, cutoff=1e-6):
 
 
 @checks(model=(SAMPLABLE,), **_DRAW, c=POSITIVE, window=POSITIVE)
-def experiment_drift(model, c=1.0, t=1e-3, n=DEFAULT_N, seed=0, *, cutoff=1e-6, window=0.05):
+def experiment_drift(model, c=1.0, t=1e-3, n=DEFAULT_N, seed=0, *, cutoff=CUTOFF, window=0.05):
     """Mass of (c*t + Y_t)**(-t) inside [1-window, 1+window].
 
     Drift collapses the limit to the point mass at 1, so the fraction
@@ -421,7 +417,7 @@ def mean_std_in_place(values, n):
 
 
 @checks(model=(INVERTIBLE_TAIL, has("levy_density")), t=POSITIVE, n=STD_COUNT, cutoff=OPEN_UNIT)
-def estimate_ergodic_functional(model, f, delta0, t=1e-3, n=10_000_000, seed=0, *, cutoff=1e-6):
+def estimate_ergodic_functional(model, f, delta0, t=1e-3, n=10_000_000, seed=0, *, cutoff=CUTOFF):
     """Monte Carlo estimate of E f(Y_t) / t (the ``statistic``), with its ``stderr``.
 
     For bounded continuous f vanishing on [0, delta0] this converges to

@@ -43,6 +43,8 @@ __all__ = [
 # n*lam = 1.4e7.
 MAX_CP_PATH_JUMPS = 2.5e7
 MAX_CP_JUMPS = 2e9
+# the jump size eps below which a cutoff compound-Poisson draw drops jumps, by default
+CUTOFF = 1e-6
 
 
 def substream(seed, stream):
@@ -111,7 +113,7 @@ def _jump_sums(tail, nu_eps, counts, rng, out):
         lo = hi
 
 
-def sample_cutoff_cp(tail: LevyTail, eps, t, rng, n=1, *, out=None):
+def sample_cutoff_cp(tail: LevyTail, eps, t, rng, n, *, out=None):
     """Cutoff compound-Poisson batch of n paths: dense in ``out``, else in sparse form.
 
     Each of the n paths is the sum of Poisson(lam) jumps above eps,
@@ -191,7 +193,7 @@ SAMPLABLE = Check(can_sample, "an exact sampler or an invertible jump tail")
 
 
 @checks(model=(SAMPLABLE,), t=POSITIVE)
-def sample_marginal(model: SubordinatorModel, t, n, rng, *, cutoff=1e-6):
+def sample_marginal(model: SubordinatorModel, t, n, rng, *, cutoff=CUTOFF):
     """Draw n values of log(Y_t): exact log sampler if the model has one, else cutoff CP.
 
     Exact samplers produce log(Y_t) natively (no underflow, no zeros), so

@@ -638,6 +638,25 @@ class TestExperimentTable:
         entry = {"kind": kind, key: {"name": name, "params": {**params, arg: "x"}}}
         assert_exits_two_at(tmp_path, capsys, sampler_calls, entry, f"{key}.params.{arg}")
 
+    # a default is checked and cast as a given value is, so a default its own rule
+    # refuses would make every entry that leaves the field out exit 2
+    @pytest.mark.parametrize("kind,group,field", list(table_fields()))
+    def test_every_table_default_passes_its_rule(self, kind, group, field):
+        default, check = getattr(cli.KINDS[kind], group)[field]
+        assert default is None or default is cli.REQUIRED or check.passes(default)
+
+    @pytest.mark.parametrize("key,name,arg", list(model_parameters()))
+    def test_every_model_default_passes_its_rule(self, key, name, arg):
+        default, check = LEAVES[key][1][name].fields[arg]
+        assert default is None or default is cli.REQUIRED or check.passes(default)
+
+    def test_a_default_name_is_cast_to_what_it_names(self):
+        (_, _, general, _), (_, _, ergodic, _) = cli.validate_config({"experiments": [
+            {"kind": "general_limit", "model": GAMMA, "params": {"gamma": 1.0}},
+            {"kind": "ergodic", "model": GAMMA}]})
+        assert general["L"] is np.negative
+        assert ergodic["functional"] == cli.FUNCTIONALS["ramp"]
+
     @pytest.mark.parametrize(
         "key,name,params,message",
         [

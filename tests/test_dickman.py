@@ -97,7 +97,7 @@ class TestRho:
         # high-precision reference values for the Dickman function (60-digit series)
         assert dickman_rho(3.0) == pytest.approx(4.8608388291131567e-2, rel=1e-12)
         assert dickman_rho(5.0) == pytest.approx(3.5472470045603973e-4, rel=1e-12)
-        assert dickman_rho(10.0) == pytest.approx(2.7701718377259590e-11, rel=1e-12)
+        assert dickman_rho(10.0) == pytest.approx(2.7701718377259590e-11, rel=1e-12, abs=0.0)
 
     def test_monotone_and_positive_over_table(self):
         table = dickman_rho(np.linspace(1.0, 40.0, 100_001))
@@ -119,7 +119,7 @@ class TestRho:
         for k in range(2, RHO_INTERVALS):
             left = np.polynomial.polynomial.polyval(0.5, b[k - 1])
             right = np.polynomial.polynomial.polyval(-0.5, b[k])
-            assert right == pytest.approx(left, rel=1e-13), k
+            assert right == pytest.approx(left, rel=1e-13, abs=0.0), k
 
     def test_integral_identity_on_every_interval(self):
         # (k+1) rho(k+1) = integral of rho over [k, k+1]; rho is analytic inside each
@@ -127,7 +127,8 @@ class TestRho:
         nodes, weights = np.polynomial.legendre.leggauss(20)
         for k in range(1, RHO_INTERVALS):
             integral = 0.5 * weights @ dickman_rho(k + 0.5 + 0.5 * nodes)
-            assert integral == pytest.approx((k + 1) * dickman_rho(k + 1.0), rel=1e-13), k
+            assert integral == pytest.approx(
+                (k + 1) * dickman_rho(k + 1.0), rel=1e-13, abs=0.0), k
 
     def test_integrates_to_exp_euler(self):
         nodes, weights = np.polynomial.legendre.leggauss(20)
@@ -172,6 +173,7 @@ class TestRho:
 class TestDensity:
     def test_constant_below_one(self):
         assert dickman_density(0.5) == pytest.approx(math.exp(-EULER), rel=1e-12)
+        assert dickman_density_norm(1) == pytest.approx(math.exp(-EULER), rel=1e-15)
 
     def test_normalizes_to_one(self):
         assert dickman_density_norm(40) == pytest.approx(1.0, abs=1e-6)
@@ -213,7 +215,8 @@ class TestRecursionSampler:
         assert recursion_mean_bias(gamma, depth) == pytest.approx(brute, rel=1e-12)
         assert recursion_mean_bias(4.0, recursion_depth(4.0)) <= 1e-12 * 4.0
 
-    @pytest.mark.parametrize("theta", [0.001, 0.01, 0.2, 1.0, 2.0, 4.0])
+    # 1e-13: one term already holds the bias to 1e-12 * theta
+    @pytest.mark.parametrize("theta", [1e-13, 0.001, 0.01, 0.2, 1.0, 2.0, 4.0])
     def test_recursion_depth_is_minimal(self, theta):
         depth = recursion_depth(theta)
         assert depth >= 1
@@ -293,6 +296,18 @@ class TestRecursionSampler:
             np.testing.assert_array_equal(out, acc)
             assert caller.bit_generator.state == rng.bit_generator.state
 
+    def test_one_chunk_starts_no_thread(self, monkeypatch):
+        # the pool starts a thread only for a chunk it is given: one usable CPU
+        # runs every block on the calling thread
+        def start(thread):
+            raise AssertionError("a thread started")
+
+        monkeypatch.setattr(dickman, "_usable_cpus", lambda: 1)
+        monkeypatch.setattr(threading.Thread, "start", start)
+        n = 3 * BLOCK + 7
+        np.testing.assert_array_equal(sample_dickman_recursion(2.0, 25, substream(44, 0), n),
+                                      naive_recursion(2.0, 25, substream(44, 0), n))
+
     def test_concurrent_calls_match_their_serial_results(self, monkeypatch):
         # two experiments drawing at once, as under --threads 2, each on its own generator
         monkeypatch.setattr(dickman, "_usable_cpus", lambda: 2)
@@ -368,9 +383,9 @@ class TestRecursionSampler:
 
     def test_validation(self):
         with pytest.raises(InvalidParameterError):
-            sample_dickman_recursion(0.0, 10, substream(0, 0))
+            sample_dickman_recursion(0.0, 10, substream(0, 0), 1)
         with pytest.raises(InvalidParameterError):
-            sample_dickman_recursion(1.0, 0, substream(0, 0))
+            sample_dickman_recursion(1.0, 0, substream(0, 0), 1)
 
 
 class TestModel:
@@ -397,6 +412,13 @@ class TestModel:
         assert float(m.phi.eval(s)) - math.log(s) == pytest.approx(EULER, abs=1e-4)
         oracle = phi_from_levy(lambda x: 1.0 / x, s, upper=1.0)
         assert float(m.phi.eval(s)) == pytest.approx(oracle, rel=1e-8)
+
+    @pytest.mark.parametrize("s", [1e-14, 1e-20])
+    def test_phi_below_log_s_minus_30_against_quadrature(self, s):
+        # there the exponent is its series, gamma*s*(1 - s/4 + s**2/18)
+        m = make_dickman(2.0)
+        oracle = phi_from_levy(m.levy_density, s, upper=1.0)
+        assert float(m.phi.eval(s)) == pytest.approx(oracle, rel=1e-12, abs=0.0)
 
     def test_samplers_and_cp_agree(self, dense_cp):
         n = 100_000

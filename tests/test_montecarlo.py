@@ -107,6 +107,17 @@ class TestProductLaw:
             law = mc.ParetoProductLaw(g1, g2)
             assert mc.ks_distance(emp, law.cdf) <= mc.ks_critical_value(n, 0.01), (g1, g2)
 
+    @pytest.mark.parametrize("g1,g2", [(1.0, 1.0), (1.0, 2.0)])
+    @pytest.mark.parametrize("x", [1.001, 1.005, 1.0099, 2.0])
+    def test_cdf_near_one_against_quadrature(self, g1, g2, x):
+        # P(P1 P2 <= x) is the integral over p in [1, x] of P(P2 <= x/p) times P1's
+        # density; [1, 1.01) holds about 5e-5 of the mass at (1, 1), below any KS gate
+        from scipy.integrate import quad
+
+        oracle, _ = quad(lambda p: (1.0 - (x / p) ** -g2) * g1 * p ** (-g1 - 1.0), 1.0, x,
+                         epsabs=1e-15, epsrel=1e-12)
+        assert abs(float(mc.ParetoProductLaw(g1, g2).cdf(x)) - oracle) <= 1e-12
+
     def test_equal_gamma_limit_continuous(self):
         near = mc.ParetoProductLaw(1.0, 1.0 + 5e-7)
         exact = mc.ParetoProductLaw(1.0, 1.0)
@@ -249,6 +260,16 @@ class TestDriftAndSupport:
         monkeypatch.setattr(mc, "to_neg_t_power", lambda log_y, t: (values, 0))
         result = mc.experiment_drift(gamma11, 1.0, t=1e-3, n=values.size, seed=0)
         assert result["statistic"] == 6 / values.size
+
+    def test_drift_adds_c_times_t(self, gamma11):
+        # the fraction of (c*t + Y_t)**(-t) in the window, computed by hand from the
+        # same draw: at c = 100 and t = 0.1 the values sit near 10**-0.1 = 0.79, inside
+        # [0.75, 1.25], where a drift of c/t would put them near 1000**-0.1 = 0.5
+        c, t, n, window = 100.0, 0.1, 1000, 0.25
+        y = np.exp(sample_marginal(gamma11, t, n, substream(15, 0)))
+        inside = np.count_nonzero(np.abs((c * t + y) ** -t - 1.0) <= window)
+        result = mc.experiment_drift(gamma11, c, t=t, n=n, seed=15, window=window)
+        assert result["statistic"] == inside / n > 0.99
 
     def test_exact_pareto_support(self):
         samples = ParetoLaw(1.0).sample(10_000, substream(12, 0))
