@@ -20,9 +20,7 @@ from .core import (
 from .errors import (
     InvalidParameterError,
     NumericalFailure,
-    OutOfRangeError,
     SubordlabError,
-    UnsupportedModelError,
 )
 
 __version__ = "0.1.0"
@@ -38,8 +36,6 @@ __all__ = [
     "lst_from_cdf",
     "SubordlabError",
     "InvalidParameterError",
-    "OutOfRangeError",
-    "UnsupportedModelError",
     "NumericalFailure",
     "__version__",
 ]

@@ -59,16 +59,13 @@ from .core import (
 )
 from .criteria import CRITERIA
 from .dickman import (
-    DEPTH, MAX_RECURSION_DEPTH, RHO_INTERVALS, dickman_density_norm, dickman_rho,
+    MAX_RECURSION_DEPTH, RHO_INTERVALS, dickman_density_norm, dickman_rho,
     recursion_depth, sample_dickman_recursion,
 )
 from .errors import InvalidParameterError, NumericalFailure, SubordlabError
 from .simulate import CUTOFF, SAMPLABLE, sample_cutoff_cp, sample_marginal, substream
 
 __all__ = ["main", "run", "list_catalog", "margins", "SchemaError", "KINDS"]
-
-ENV_SEED = "SUBORDLAB_SEED"
-
 
 class SchemaError(Exception):
     def __init__(self, path, message):
@@ -101,19 +98,22 @@ TRANSFORMS = {
 TRANSFORM_GRAMMAR = " | ".join(
     f"{name}({', '.join(fields)})" for name, fields in TRANSFORMS.items())
 
+# transforms one model expression may nest: the build and the run recurse once per
+# transform, so about 1000 pass Python's recursion limit; the bundled configs nest one
+MAX_NESTING = 100
+
 # the family_limit family when the entry names none
 STABLE_NEF = {"name": "stable_nef", "params": {"a": 1.0, "theta": 1.0}}
 
 
 @contextlib.contextmanager
-def _exit_rule(path, op, *, model_path=None, what=""):
+def _exit_rule(path, op, *, what=""):
     """The one exit rule for a library error raised inside a build or a run.
 
     NumericalFailure and MemoryError exit 3: ``run`` names the failing
     operation, ``op`` when the failure names none or an allocation failed.
     Every other SubordlabError exits 2 as a SchemaError at ``path``, its
-    message prefixed by ``what``; at ``model_path`` instead, when given,
-    unless it is an InvalidParameterError (a parameter's fault).
+    message prefixed by ``what``.
     """
     try:
         yield
@@ -124,18 +124,19 @@ def _exit_rule(path, op, *, model_path=None, what=""):
         # e.g. an n whose batch the machine cannot hold
         raise NumericalFailure(f"out of memory: {exc}", op=op) from exc
     except SubordlabError as exc:
-        at = path if model_path is None or isinstance(exc, InvalidParameterError) else model_path
-        raise SchemaError(at, f"{what}{exc}") from exc
+        raise SchemaError(path, f"{what}{exc}") from exc
 
 
-def build_model_expr(expr, path="model"):
-    """Recursively build a model from a config expression tree."""
+def build_model_expr(expr, path="model", nesting=0):
+    """Recursively build a model from a config expression tree, at ``nesting`` transforms deep."""
     if not isinstance(expr, dict):
         raise SchemaError(path, "model expression must be an object")
     if "name" in expr:
         return catalog.build_model(*_leaf(expr, path, catalog.CATALOG))
     if "transform" not in expr:
         raise SchemaError(path, "expected either 'name' or 'transform'")
+    if nesting == MAX_NESTING:
+        raise SchemaError(path, f"a model expression nests at most {MAX_NESTING} transforms")
     kind = expr["transform"]
     if not isinstance(kind, str) or kind not in TRANSFORMS:
         raise SchemaError(f"{path}.transform", f"unknown transform {kind!r}")
@@ -143,25 +144,21 @@ def build_model_expr(expr, path="model"):
     for field in TRANSFORMS[kind]:
         if field not in expr:
             raise SchemaError(path, f"transform {kind!r} missing field {field!r}")
+    inner = partial(build_model_expr, nesting=nesting + 1)
     with _exit_rule(path, path, what=f"transform {kind!r}: "):
         if kind == "tilt":
             theta = _value(expr["theta"], transforms.tilt.fields["theta"][1], f"{path}.theta")
-            return transforms.tilt(build_model_expr(expr["of"], f"{path}.of"), theta)
+            return transforms.tilt(inner(expr["of"], f"{path}.of"), theta)
         if kind == "add":
             parts = expr["of"]
             if not isinstance(parts, list) or len(parts) != 2:
                 raise SchemaError(f"{path}.of", "add takes a list of exactly two expressions")
-            return transforms.add(
-                build_model_expr(parts[0], f"{path}.of[0]"),
-                build_model_expr(parts[1], f"{path}.of[1]"),
-            )
+            return transforms.add(inner(parts[0], f"{path}.of[0]"), inner(parts[1], f"{path}.of[1]"))
         if kind in ("compose_outer", "compose_inner"):
             return getattr(transforms, kind)(
-                build_model_expr(expr["outer"], f"{path}.outer"),
-                build_model_expr(expr["inner"], f"{path}.inner"),
-            )
+                inner(expr["outer"], f"{path}.outer"), inner(expr["inner"], f"{path}.inner"))
         c = _value(expr["c"], transforms.add_drift.fields["c"][1], f"{path}.c")
-        return transforms.add_drift(build_model_expr(expr["of"], f"{path}.of"), c)
+        return transforms.add_drift(inner(expr["of"], f"{path}.of"), c)
 
 
 def _build_family(expr, path):
@@ -187,8 +184,8 @@ NUMBER = number_rule(math.isfinite, "a finite number")
 UNIT = number_rule(lambda v: 0 <= v <= 1, "a number in [0, 1]")
 GRID = Check(lambda v: isinstance(v, list) and len(v) > 0 and all(NUMBER.valid(x) for x in v),
              "a non-empty list of finite numbers")
-# written into --out, so no directory part
-FILE_NAME = Check(lambda v: isinstance(v, str) and v not in ("", ".", "..")
+# written into --out, so no directory part, and no null byte, which no path holds
+FILE_NAME = Check(lambda v: isinstance(v, str) and v not in ("", ".", "..") and "\0" not in v
                   and os.path.basename(v) == v, "a bare file name")
 # recursion_depth raises on a theta below the shape floor or past the depth ceiling
 RECURSION_GAMMA = Check(
@@ -373,8 +370,7 @@ def _dickman_density_norm(v, m, seed):
 
 def _recursion_mean(v, m, seed):
     gamma, n = v["gamma"], v["n"]
-    depth = recursion_depth(gamma) if v["depth"] is None else v["depth"]
-    samples = sample_dickman_recursion(gamma, depth, substream(seed, 0), n)
+    samples = sample_dickman_recursion(gamma, recursion_depth(gamma), substream(seed, 0), n)
     mean, std = montecarlo.mean_std_in_place(np.exp(samples, out=samples), n)
     return {"model": f"dickman_recursion(gamma={gamma:g})", "statistic": float(mean), "n": n,
             "stderr": float(std / np.sqrt(n)), "target": gamma}
@@ -589,8 +585,7 @@ KINDS = {
         _recursion_mean,
         (_gate("sigma_mult", Side("|statistic - target| <= threshold * stderr",
                                   lambda s, b, v, r: b * r["stderr"] - abs(s - r["target"]))),),
-        params={"gamma": (REQUIRED, RECURSION_GAMMA), "n": (1_000_000, STD_COUNT),
-                "depth": (None, DEPTH)},
+        params={"gamma": (REQUIRED, RECURSION_GAMMA), "n": (1_000_000, STD_COUNT)},
         assertions={"sigma_mult": (3.0, POSITIVE)}, models={}, needs=(_MEAN_PATHS,)),
     "two_sampler_ks": Kind(
         _two_sampler_ks,
@@ -635,8 +630,7 @@ def run_experiment(checked, seed, out_dir, index):
         values = {**values, "csv": None if out_dir is None else os.path.join(out_dir, values["csv"])}
     exp_seed = seed * 1_000_003 + index if values["seed"] is None else values["seed"]
     at = f"experiments[{index}]"
-    model_at = next((f"{at}.{key}" for key in kind.models), None)
-    with _exit_rule(f"{at}.params", at, model_path=model_at):
+    with _exit_rule(f"{at}.params", at):
         result = {"experiment": entry["kind"], "params": entry.get("params", {}),
                   "threshold": kind.gates[0].bound(values),
                   **kind.handler(values, models, exp_seed)}
@@ -654,11 +648,8 @@ def validate_config(config):
 
 
 def _run_seed(seed, config):
-    """The run's seed: the argument, else the config's, else $SUBORDLAB_SEED, else 0."""
-    env = os.environ.get(ENV_SEED)
-    if env is not None and env.strip().isdigit():
-        env = int(env)
-    for path, value in (("--seed", seed), ("seed", config.get("seed")), (ENV_SEED, env)):
+    """The run's seed: the argument, else the config's, else 0."""
+    for path, value in (("--seed", seed), ("seed", config.get("seed"))):
         if value is not None:
             return _value(value, SEED, path)
     return 0
@@ -674,7 +665,9 @@ def _run(config_path, out_dir, seed, threads):
     try:
         with open(config_path) as fh:
             config = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    # a JSONDecodeError and a file that is not UTF-8 are ValueErrors; nesting past
+    # Python's recursion limit raises RecursionError
+    except (OSError, ValueError, RecursionError) as exc:
         print(f"config error at <file>: {exc}", file=sys.stderr)
         return 2, None, None
     try:
@@ -770,7 +763,7 @@ def main(argv=None):
     )
     parser.add_argument("--config", help="path to the experiment config (JSON)")
     parser.add_argument("--out", default=".", help="output directory for report.json and CSV curves")
-    parser.add_argument("--seed", type=int, default=None, help="seed override (also: env SUBORDLAB_SEED)")
+    parser.add_argument("--seed", type=int, default=None, help="seed override (else the config's, else 0)")
     parser.add_argument("--threads", type=int, default=1, help="run experiments concurrently")
     parser.add_argument("--list", action="store_true", help="print the model/transform/criterion inventory")
     args = parser.parse_args(argv)

@@ -145,10 +145,12 @@ GRID_TIMES = Check(lambda v: TIMES.valid(v) and min(v) >= TIME_FLOOR,
 SHAPE = number_rule(lambda v: math.isfinite(v) and v >= SHAPE_FLOOR,
                     f"a finite number >= {SHAPE_FLOOR:g}")
 
-# a count of paths or of threads
-COUNT = number_rule(lambda v: int(v) == v >= 1, "an integer >= 1", int)
+# a count of paths or of threads; past 2**53 a count is no longer exact as a float, and
+# no batch of that many floats can be allocated: numpy refuses past 2**63 with a ValueError
+COUNT = number_rule(lambda v: int(v) == v and 1 <= v <= 2**53, "an integer in [1, 2**53]", int)
 # a sample count whose ddof=1 standard deviation divides by n - 1
-STD_COUNT = number_rule(lambda v: int(v) == v >= 2, "an integer >= 2", int)
+STD_COUNT = number_rule(lambda v: int(v) == v and 2 <= v <= 2**53, "an integer in [2, 2**53]",
+                        int)
 # the default of an argument or field that must be given
 REQUIRED = object()
 

@@ -32,7 +32,7 @@ from .core import (
     BLOCK, POSITIVE, SHAPE, LaplaceExponent, LevyTail, SubordinatorModel, checks, declares,
     number_rule,
 )
-from .errors import InvalidParameterError, OutOfRangeError
+from .errors import InvalidParameterError
 
 __all__ = [
     "EULER",
@@ -99,10 +99,8 @@ class DickmanFunction:
 
     def __call__(self, z):
         z_arr = np.asarray(z, dtype=float)
-        if not np.all(z_arr >= 0):
-            raise InvalidParameterError("rho is defined on z >= 0")
-        if np.any(z_arr > RHO_INTERVALS):
-            raise OutOfRangeError(f"rho is evaluated only up to z = {RHO_INTERVALS}")
+        if not np.all((0 <= z_arr) & (z_arr <= RHO_INTERVALS)):
+            raise InvalidParameterError(f"rho is evaluated on z in [0, {RHO_INTERVALS}]")
         # z = RHO_INTERVALS is the right end of the last interval
         k = np.minimum(np.floor(z_arr), RHO_INTERVALS - 1).astype(int)
         s = z_arr - k - 0.5

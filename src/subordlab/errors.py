@@ -9,14 +9,6 @@ class InvalidParameterError(SubordlabError, ValueError):
     """An argument violates an operation's precondition."""
 
 
-class OutOfRangeError(SubordlabError, ValueError):
-    """A value falls outside the representable or tabulated range."""
-
-
-class UnsupportedModelError(SubordlabError):
-    """The model does not expose the surface an operation needs."""
-
-
 class NumericalFailure(SubordlabError, ArithmeticError):
     """Quadrature or root finding did not reach the requested accuracy.
 

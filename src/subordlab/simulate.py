@@ -24,11 +24,10 @@ import math
 import numpy as np
 
 from .core import BLOCK, INVERTIBLE_TAIL, POSITIVE, Check, LevyTail, SubordinatorModel, checks
-from .errors import InvalidParameterError, NumericalFailure, UnsupportedModelError
+from .errors import InvalidParameterError, NumericalFailure
 
 __all__ = [
     "substream",
-    "can_sample",
     "SAMPLABLE",
     "sample_marginal",
     "sample_cutoff_cp",
@@ -151,7 +150,7 @@ def sample_cutoff_cp(tail: LevyTail, eps, t, rng, n, *, out=None):
     """
     POSITIVE.require(t=t)
     if tail.inverse_tail is None:
-        raise UnsupportedModelError("tail has no inverse; cannot draw jumps")
+        raise InvalidParameterError("tail has no inverse; cannot draw jumps")
     if not (0.0 < eps < tail.support_upper):
         raise InvalidParameterError("cutoff must lie inside the jump support")
     if out is not None and out.shape != (n,):
@@ -184,12 +183,9 @@ def sample_cutoff_cp(tail: LevyTail, eps, t, rng, n, *, out=None):
     return dense[dense != 0.0] if out is None else out
 
 
-def can_sample(model: SubordinatorModel):
-    """Whether ``sample_marginal`` can draw from the model: exact log sampler or invertible tail."""
-    return model.log_sampler is not None or INVERTIBLE_TAIL.valid(model)
-
-
-SAMPLABLE = Check(can_sample, "an exact sampler or an invertible jump tail")
+# what sample_marginal draws from: an exact log sampler, else the tail's inverse
+SAMPLABLE = Check(lambda m: m.log_sampler is not None or INVERTIBLE_TAIL.valid(m),
+                  "an exact sampler or an invertible jump tail")
 
 
 @checks(model=(SAMPLABLE,), t=POSITIVE)

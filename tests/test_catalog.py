@@ -39,14 +39,14 @@ BLOCK_EDGES = (1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7)
 
 class TestGamma:
     def test_phi_closed_form(self, gamma11):
-        assert gamma11.phi.eval(math.e - 1.0) == pytest.approx(1.0, rel=1e-12)
+        assert gamma11.phi.eval(math.e - 1.0) == pytest.approx(1.0, rel=1e-12, abs=0.0)
 
     def test_phi_at_zero(self):
         assert catalog.make_gamma(2.0, 3.0).phi.eval(0.0) == 0.0
 
     def test_density_tends_to_one_at_origin(self, gamma11):
         # density ~ x**(gamma-1) near 0; gamma = lam = 1 gives limit 1
-        assert gamma11.density1(1e-9) == pytest.approx(1.0, rel=1e-6)
+        assert gamma11.density1(1e-9) == pytest.approx(1.0, rel=1e-6, abs=0.0)
 
     def test_rejects_nonpositive_parameters(self):
         with pytest.raises(InvalidParameterError):
@@ -192,13 +192,13 @@ class TestGamma:
         model = catalog.make_gamma(1.5, 2.0)
         for x in (0.05, 0.5, 2.0):
             oracle, _ = quad(lambda u: 1.5 * math.exp(-2.0 * u) / u, x, np.inf, limit=200)
-            assert float(model.tail.tail(x)) == pytest.approx(oracle, rel=1e-9)
+            assert float(model.tail.tail(x)) == pytest.approx(oracle, rel=1e-9, abs=0.0)
 
 
 class TestStable:
     def test_phi_power_form(self):
         st = catalog.make_stable(1.0, 0.5)
-        assert st.phi.eval(4.0) == pytest.approx(2.0, rel=1e-12)
+        assert st.phi.eval(4.0) == pytest.approx(2.0, rel=1e-12, abs=0.0)
         assert catalog.make_stable(2.0, 0.3).phi.eval(0.0) == 0.0
 
     def test_rejects_bad_index(self):
@@ -262,7 +262,7 @@ class TestBessel:
     def test_phi_values(self):
         b = catalog.make_bessel()
         assert b.phi.eval(0.0) == 0.0
-        assert b.phi.eval(0.25) == pytest.approx(math.log(2.0), rel=1e-12)
+        assert b.phi.eval(0.25) == pytest.approx(math.log(2.0), rel=1e-12, abs=0.0)
 
     def test_phi_over_log_approaches_one(self):
         b = catalog.make_bessel()
@@ -273,13 +273,13 @@ class TestBessel:
 
     def test_density_positive_constant_at_origin(self):
         b = catalog.make_bessel()
-        assert b.density1(1e-8) == pytest.approx(0.5, rel=1e-6)
+        assert b.density1(1e-8) == pytest.approx(0.5, rel=1e-6, abs=0.0)
 
 
 class TestThorin:
     def test_uniform_phi_at_gamma(self):
         assert catalog.make_thorin_uniform(2.0).phi.eval(2.0) == pytest.approx(
-            4.0 * math.log(2.0), rel=1e-12
+            4.0 * math.log(2.0), rel=1e-12, abs=0.0
         )
 
     def test_uniform_phi_continuous_at_zero(self):
@@ -294,7 +294,7 @@ class TestThorin:
         # so the branches agree at the switch to rounding: 1e-14 is about 60 ulps
         phi = catalog.make_thorin_uniform(gamma).phi
         at, past = phi.eval_log(np.array([700.0, np.nextafter(700.0, np.inf)]))
-        assert past == pytest.approx(at, rel=1e-14)
+        assert past == pytest.approx(at, rel=1e-14, abs=0.0)
         ell = np.array([700.5, 701.0, 750.0, 1e3, 1e5, 1e300])
         values = phi.eval_log(ell)
         assert np.all(np.isfinite(values)) and np.all(np.diff(values) > 0)
@@ -334,7 +334,7 @@ class TestDensityModels:
     def test_fdist_density_normalizes(self):
         m = catalog.make_fdist(1.5, 2.0)
         total, _ = quad(lambda x: float(m.density1(x)), 0.0, np.inf, limit=200)
-        assert total == pytest.approx(1.0, rel=1e-8)
+        assert total == pytest.approx(1.0, rel=1e-8, abs=0.0)
 
     def test_density_models_expose_no_exponent(self):
         for m in (catalog.make_weibull(2.0), catalog.make_pareto_type(1.0),
@@ -346,9 +346,10 @@ class TestLogPower:
     def test_tail_and_inverse(self):
         lp = catalog.make_log_power(2.0, 3)
         x = 1e-4
-        assert float(lp.tail.tail(x)) == pytest.approx(2.0 * (-math.log(x)) ** 3, rel=1e-12)
+        assert float(lp.tail.tail(x)) == pytest.approx(2.0 * (-math.log(x)) ** 3,
+                                                       rel=1e-12, abs=0.0)
         y = 50.0
-        assert float(lp.tail.tail(lp.tail.inverse_tail(y))) == pytest.approx(y, rel=1e-12)
+        assert float(lp.tail.tail(lp.tail.inverse_tail(y))) == pytest.approx(y, rel=1e-12, abs=0.0)
 
     def test_phi_quadrature_matches_moment_polynomial(self):
         lp = catalog.make_log_power(1.0, 3)
@@ -424,7 +425,7 @@ class TestStableNef:
     def test_limit_cdf_endpoints(self):
         fam = catalog.make_stable_nef(1.0, 1.0)
         assert fam.limit_cdf(1.0) == 0.0
-        assert fam.limit_cdf(1.0 + math.log(2.0)) == pytest.approx(0.5, rel=1e-12)
+        assert fam.limit_cdf(1.0 + math.log(2.0)) == pytest.approx(0.5, rel=1e-12, abs=0.0)
 
     def test_transform_close_to_limit_at_small_t(self):
         fam = catalog.make_stable_nef(1.0, 1.0)

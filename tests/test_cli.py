@@ -13,7 +13,6 @@ import pytest
 from scipy import special as sc
 
 from subordlab import catalog, cli, core, criteria, dickman, montecarlo, simulate
-from subordlab.dickman import MAX_RECURSION_DEPTH
 
 GAMMA = {"name": "gamma", "params": {"gamma": 1.0, "lam": 1.0}}
 STABLE = {"name": "stable", "params": {"a": 1.0, "alpha": 0.5}}
@@ -86,17 +85,20 @@ class TestParameterValidation:
         assert cli.main(["--config", cfg, "--out", str(tmp_path)]) == 2
         assert f"experiments[0].params.{field}" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("depth", [0, -3])
-    def test_bad_recursion_depth_exits_two(self, tmp_path, capsys, depth):
-        params = {"gamma": 1.0, "n": 1000, "depth": depth}
-        cfg = write_config(tmp_path, {"experiments": [{"kind": "recursion_mean", "params": params}]})
-        assert cli.main(["--config", cfg, "--out", str(tmp_path)]) == 2
-        assert "experiments[0].params.depth" in capsys.readouterr().err
-
     def test_missing_recursion_gamma_exits_two(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"experiments": [{"kind": "recursion_mean", "params": {}}]})
         assert cli.main(["--config", cfg, "--out", str(tmp_path)]) == 2
         assert "experiments[0].params.gamma" in capsys.readouterr().err
+
+    def test_rho_read_past_its_table_exits_two_naming_params(self, tmp_path, capsys):
+        # S8 reads rho where the grid sends it, here past z = 40: a refusal raised while
+        # the entry runs names its params, which hold the grid
+        entry = {"kind": "criterion", "model": {"name": "dickman", "params": {"gamma": 1.0}},
+                 "params": {"criterion": "S8", "grid": [4.0, -5.0, -21.0]}}
+        cfg = write_config(tmp_path, {"experiments": [entry]})
+        assert cli.main(["--config", cfg, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error at experiments[0].params: ") and "Traceback" not in err
 
     @pytest.mark.parametrize(
         "model",
@@ -263,17 +265,8 @@ class TestParameterValidation:
                "params": {"criterion": criterion, "grid": grid, "L": "neg_log"}}
         cfg = write_config(tmp_path, {"experiments": [good, bad]})
         assert cli.main(["--config", cfg, "--out", str(tmp_path)]) == 2
-        assert "experiments[1].params.grid" in capsys.readouterr().err
-
-    def test_recursion_depth_ceiling(self, tmp_path, capsys):
-        params = {"gamma": 1.0, "n": 100, "depth": MAX_RECURSION_DEPTH + 1}
-        cfg = write_config(tmp_path, {"experiments": [{"kind": "recursion_mean", "params": params}]})
-        assert cli.main(["--config", cfg, "--out", str(tmp_path)]) == 2
-        assert "experiments[0].params.depth" in capsys.readouterr().err
-        params["depth"] = MAX_RECURSION_DEPTH
-        cfg = write_config(tmp_path, {"experiments": [{"kind": "recursion_mean", "params": params}]})
-        code, report = cli.run(cfg, out_dir=str(tmp_path))
-        assert code in (0, 1) and report["results"][0]["n"] == 100
+        # refused by its criterion, a one-point grid too, not by the grid's list rule
+        assert f"experiments[1].params.grid: criterion {criterion}: " in capsys.readouterr().err
 
     @pytest.mark.parametrize("gamma,n", [(1.0, 100), (0.01, 10_000)])
     def test_recursion_mean_runs_at_its_bound(self, tmp_path, gamma, n):
@@ -333,7 +326,7 @@ class TestParameterValidation:
         self, tmp_path, capsys, monkeypatch, entry, path
     ):
         # each exited 1 with a traceback: InvalidParameterError from
-        # recursion_depth, or UnsupportedModelError from sample_marginal
+        # recursion_depth, or from sample_marginal on a tail with no inverse
         def no_sampling(*args, **kwargs):
             raise AssertionError("sampled before the recursion depth was checked")
 
@@ -360,13 +353,16 @@ class TestParameterValidation:
         ramp = 4.0 * ((np.exp(-lam / 2) - np.exp(-0.75 * lam)) / lam
                       - 0.5 * (sc.exp1(lam / 2) - sc.exp1(0.75 * lam)))
         assert code in (0, 1)
-        assert report["results"][0]["target"] == pytest.approx(ramp + sc.exp1(0.75 * lam), rel=1e-9)
+        assert report["results"][0]["target"] == pytest.approx(ramp + sc.exp1(0.75 * lam),
+                                                               rel=1e-9, abs=0.0)
 
     def test_ergodic_cutoff_must_sit_below_delta0(self, tmp_path, capsys):
-        entry = {"kind": "ergodic", "model": GAMMA, "params": {"n": 10, "cutoff": 0.6}}
-        cfg = write_config(tmp_path, {"experiments": [entry]})
-        assert cli.main(["--config", cfg, "--out", str(tmp_path)]) == 2
-        assert "experiments[0].params.cutoff" in capsys.readouterr().err
+        # ramp's delta0 is 0.5: a cutoff there is refused too
+        for cutoff in (0.6, 0.5):
+            entry = {"kind": "ergodic", "model": GAMMA, "params": {"n": 10, "cutoff": cutoff}}
+            cfg = write_config(tmp_path, {"experiments": [entry]})
+            assert cli.main(["--config", cfg, "--out", str(tmp_path)]) == 2
+            assert "experiments[0].params.cutoff" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "entry,path",
@@ -691,6 +687,26 @@ class TestExperimentTable:
         for python in ("unexpected keyword", "required positional", "argument after"):
             assert python not in err
 
+    def test_family_left_out_is_the_stable_nef_at_a_1_theta_1(self):
+        [(_, _, _, models)] = cli.validate_config({"experiments": [{"kind": "family_limit"}]})
+        assert (models["family"].name, models["family"].params) == (
+            "stable_nef", {"a": 1.0, "theta": 1.0})
+
+    @pytest.mark.parametrize("entry,group,field", [
+        ({"kind": "support", "model": GAMMA, "assertions": {"max_fraction": 1}},
+         "assertions", "max_fraction"),
+        ({"kind": "support", "model": GAMMA, "assertions": {"max_fraction": 0}},
+         "assertions", "max_fraction"),
+        ({"kind": "dickman_rho", "params": {"z": 0}, "assertions": {"expected": 1.0}},
+         "params", "z"),
+        ({"kind": "dickman_rho", "params": {"z": 40}, "assertions": {"expected": 0.0}},
+         "params", "z"),
+    ])
+    def test_closed_interval_ends_are_accepted(self, entry, group, field):
+        # UNIT is [0, 1] and Z is [0, 40]: each end is a value of the field
+        [(_, _, values, _)] = cli.validate_config({"experiments": [entry]})
+        assert values[field] == entry[group][field]
+
     def test_null_model_param_takes_its_default(self):
         model = {"name": "log_power", "params": {"gamma": 0.1, "power": None}}
         [(_, _, _, models)] = cli.validate_config(
@@ -721,30 +737,22 @@ class TestExperimentTable:
              "model.of[1].lam"),
             ({"kind": "family_limit", "family": {"name": "stable_nef", "parms": {}}},
              "family.parms"),
+            # the recursion runs at recursion_depth(gamma), the fewest terms that hold
+            # its mean bias to RECURSION_REL_BIAS * gamma: a depth is no field of it
+            ({"kind": "recursion_mean", "params": {"gamma": 1.0, "n": 1000, "depth": 40}},
+             "params.depth"),
         ],
     )
     def test_unknown_key_exits_two(self, tmp_path, capsys, sampler_calls, entry, path):
         # a misspelt assertion used to drop its gate silently
         assert_exits_two_at(tmp_path, capsys, sampler_calls, entry, path)
 
-    @pytest.mark.parametrize(
-        "payload,env,path",
-        [
-            ({"seed": "abc"}, None, "seed"),
-            ({"seed": 1.5}, None, "seed"),
-            ({"seed": -1}, None, "seed"),
-            ({}, "abc", cli.ENV_SEED),
-        ],
-    )
-    def test_malformed_run_seed_exits_two(self, tmp_path, capsys, monkeypatch, payload, env, path):
+    @pytest.mark.parametrize("seed", ["abc", 1.5, -1])
+    def test_malformed_run_seed_exits_two(self, tmp_path, capsys, seed):
         # each exited 1 with a traceback
-        if env is None:
-            monkeypatch.delenv(cli.ENV_SEED, raising=False)
-        else:
-            monkeypatch.setenv(cli.ENV_SEED, env)
-        cfg = write_config(tmp_path, {**payload, "experiments": []})
+        cfg = write_config(tmp_path, {"seed": seed, "experiments": []})
         assert cli.main(["--config", cfg, "--out", str(tmp_path)]) == 2
-        assert capsys.readouterr().err.startswith(f"config error at {path}:")
+        assert capsys.readouterr().err.startswith("config error at seed:")
 
     def test_transform_parameter_of_wrong_type_exits_two(self, tmp_path, capsys):
         model = {"transform": "tilt", "theta": "x", "of": GAMMA}
@@ -771,7 +779,7 @@ class TestExperimentTable:
         assert list(kinds) == list(cli.KINDS)
         assert listed["criteria"] == list(cli.CRITERIA)
         assert kinds["pareto_limit"]["params"]["n"] == {
-            "default": montecarlo.DEFAULT_N, "requirement": "an integer >= 1"}
+            "default": montecarlo.DEFAULT_N, "requirement": "an integer in [1, 2**53]"}
         assert kinds["mixture"]["params"]["q"]["default"] == "required"
         assert kinds["pareto_limit"]["csv"] is True and kinds["support"]["csv"] is False
         assert kinds["min_rule"]["models"] == ["model", "model2"]
@@ -793,7 +801,7 @@ class TestExperimentTable:
         assert kinds["criterion"]["assertions"]["tol"]["default"] == 0.02
         assert "params.gamma: gamma * n >= 100" in kinds["recursion_mean"]["requires"]
         for kind in ("recursion_mean", "ergodic"):
-            assert kinds[kind]["params"]["n"]["requirement"] == "an integer >= 2"
+            assert kinds[kind]["params"]["n"]["requirement"] == "an integer in [2, 2**53]"
 
 
 # one small entry of each kind: a small-n entry of the kinds below (s2 has no
@@ -857,6 +865,17 @@ class TestGates:
         assert margins, "no gate applied"
         assert len(returned) == 1 and "pass" not in returned[0]
         assert result["threshold"] == returned[0].get("threshold", spec.gates[0].bound(checked[2]))
+
+    @pytest.mark.parametrize("ks,slack,holds", [
+        ([0.10, 0.105], 0.1, True),
+        ([0.10, 0.105], 0.0, False),
+        ([0.10, 0.1009], 0.0, False),
+        # each time against the one before it, not against an earlier one
+        ([0.10, 0.05, 0.09], 0.0, False),
+    ])
+    def test_trend_reads_each_time_against_the_one_before(self, ks, slack, holds):
+        # at n = 1e12 the noise floor c(1%)/sqrt(n) is 1.6e-6, below every gap here
+        assert cli._trend(dict(zip((0.4, 0.2, 0.1), ks)), slack, {"n": 10**12}) is holds
 
     @pytest.mark.parametrize("kind", list(cli.KINDS))
     def test_every_assertion_field_is_read_by_a_gate(self, kind):
@@ -1102,11 +1121,10 @@ class TestRun:
         r1.pop("timestamp"), r2.pop("timestamp")
         assert r1 == r2
 
-    def test_seed_resolution_order(self, tmp_path, monkeypatch):
+    def test_seed_resolution_order(self, tmp_path):
         cfg_no_seed = write_config(tmp_path, {"experiments": []}, "noseed.json")
-        monkeypatch.setenv(cli.ENV_SEED, "99")
         _, report = cli.run(cfg_no_seed, out_dir=str(tmp_path))
-        assert report["seed"] == 99
+        assert report["seed"] == 0
         _, report = cli.run(cfg_no_seed, out_dir=str(tmp_path), seed=123)
         assert report["seed"] == 123
         cfg_seeded = write_config(tmp_path, {"seed": 55, "experiments": []}, "seeded.json")
@@ -1133,7 +1151,7 @@ class TestRun:
 
     def test_recursion_mean_matches_ndarray_statistics(self):
         n, gamma = 100_003, 2.0
-        values = {"gamma": gamma, "n": n, "depth": None, "sigma_mult": 3.0}
+        values = {"gamma": gamma, "n": n, "sigma_mult": 3.0}
         result = cli._recursion_mean(values, {}, 5)
         samples = np.exp(dickman.sample_dickman_recursion(
             gamma, dickman.recursion_depth(gamma), simulate.substream(5, 0), n))
@@ -1144,13 +1162,18 @@ class TestRun:
 class TestFlagsAndOutputPaths:
     """Bad flags and output paths exit 2 naming the flag or field, with no traceback."""
 
+    def test_neither_config_nor_list_exits_two(self, capsys):
+        assert cli.main([]) == 2
+        assert capsys.readouterr().err.strip().endswith("error: --config or --list required")
+
     @pytest.mark.parametrize("threads", ["0", "-3"])
     def test_threads_below_one_exit_two(self, tmp_path, capsys, threads):
         # each exited 0 and ran one entry at a time
         cfg = write_config(tmp_path, {"experiments": [FIRST]})
         assert cli.main(["--config", cfg, "--out", str(tmp_path), "--threads", threads]) == 2
         err = capsys.readouterr().err.strip().splitlines()
-        assert err == [f"config error at --threads: must be an integer >= 1, got {int(threads)}"]
+        assert err == [
+            f"config error at --threads: must be an integer in [1, 2**53], got {int(threads)}"]
 
     @pytest.mark.parametrize("out", ["file", "file/sub"])
     def test_out_that_cannot_be_a_directory_exits_two(self, tmp_path, capsys, sampler_calls, out):
@@ -1190,8 +1213,59 @@ class TestFlagsAndOutputPaths:
                  "csv": name}
         assert_exits_two_at(tmp_path, capsys, sampler_calls, entry, "csv")
 
+    def test_csv_with_a_null_byte_exits_two(self, tmp_path, capsys, sampler_calls):
+        # exited 1 with a ValueError traceback from open(), after the entry had drawn
+        err = assert_exits_two_at(tmp_path, capsys, sampler_calls, {**FIRST, "csv": "a\u0000b.csv"},
+                                  "csv")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "content", [b'{"experiments": [], "seed": "\xff"}', b"[" * 100_000 + b"]" * 100_000],
+        ids=["not-utf8", "nested-past-the-recursion-limit"])
+    def test_config_that_cannot_be_read_exits_two(self, tmp_path, capsys, content):
+        # each exited 1 with a traceback: UnicodeDecodeError, and RecursionError from json.load
+        path = tmp_path / "config.json"
+        path.write_bytes(content)
+        assert cli.main(["--config", str(path), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error at <file>: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("n", [1e19, 1e30, 2**53 + 1])
+    def test_count_past_two_to_the_53_exits_two_before_any_draw(
+        self, tmp_path, capsys, sampler_calls, n
+    ):
+        # 1e19 and 1e30 exited 1 with "ValueError: Maximum allowed dimension exceeded"
+        # from np.empty, which allocated nothing
+        entry = {**FIRST, "params": {"t_list": [0.1], "n": n}}
+        err = assert_exits_two_at(tmp_path, capsys, sampler_calls, entry, "params.n")
+        assert "must be an integer in [1, 2**53]" in err and "Traceback" not in err
+        assert core.COUNT.passes(2**53) and core.STD_COUNT.passes(2**53)
+
+
+def tilts(depth):
+    """The text of a model expression of depth tilts over GAMMA."""
+    return '{"transform": "tilt", "theta": 0.5, "of": ' * depth + json.dumps(GAMMA) + "}" * depth
+
 
 class TestTransformExpressions:
+    def test_expression_nested_past_its_bound_exits_two(self, tmp_path):
+        # 980 tilts loaded, then raised RecursionError while the entry was built or run
+        # (950 ran); in a child process, so that the test's own frames do not count
+        cfg = tmp_path / "deep.json"
+        cfg.write_text('{"experiments": [{"kind": "criterion", "model": ' + tilts(980) + "}]}")
+        proc = subprocess.run(
+            [sys.executable, "-m", "subordlab.cli", "--config", str(cfg), "--out", str(tmp_path)],
+            capture_output=True, text=True)
+        path = "experiments[0].model" + ".of" * cli.MAX_NESTING
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith(f"config error at {path}: a model expression nests at most "
+                                      f"{cli.MAX_NESTING} transforms")
+        assert "Traceback" not in proc.stderr
+
+    def test_expression_at_its_bound_builds(self):
+        model = cli.build_model_expr(json.loads(tilts(cli.MAX_NESTING)))
+        assert model.describe().count("tilt") == cli.MAX_NESTING
+
     def test_nested_expression_builds(self, tmp_path):
         cfg = write_config(
             tmp_path,

@@ -60,7 +60,7 @@ def test_exp1_oracle_sanity():
     import scipy.special as sc
 
     for z in [0.01, 0.3, 1.0, 2.5, 10.0, 50.0]:
-        assert exp1_oracle(z) == pytest.approx(float(sc.exp1(z)), rel=1e-12)
+        assert exp1_oracle(z) == pytest.approx(float(sc.exp1(z)), rel=1e-12, abs=0.0)
 
 
 class TestParetoLaw:
@@ -99,7 +99,7 @@ class TestParetoLaw:
         # gamma * log(x) <= 9: x in [1, 1e6] is drawn inside that domain
         gamma = data.draw(st.floats(0.05, 20.0), label="gamma")
         x = math.exp(data.draw(st.floats(0.0, min(math.log(1e6), 9.0 / gamma)), label="log_x"))
-        assert pareto_quantile(gamma, pareto_cdf(gamma, x)) == pytest.approx(x, rel=1e-10)
+        assert pareto_quantile(gamma, pareto_cdf(gamma, x)) == pytest.approx(x, rel=1e-10, abs=0.0)
 
     @given(
         g1=st.floats(0.1, 5.0),
@@ -128,7 +128,7 @@ class TestParetoLaw:
         samples = law.sample(200_000, rng)
         assert samples.min() >= 1.0
         # analytic median
-        assert np.median(samples) == pytest.approx(law.quantile(0.5), rel=5e-3)
+        assert np.median(samples) == pytest.approx(law.quantile(0.5), rel=5e-3, abs=0.0)
 
 
 CDF_POINTS = [-np.inf, -1.0, -0.0, 0.0, 0.5, 1.0, 2.0, 1e308, np.inf, np.nan]
@@ -188,7 +188,7 @@ class TestExponentialLaw:
         assert law.cdf(0.0) == 0.0
         assert law.cdf(np.inf) == 1.0
         assert law.cdf(1.0) == pytest.approx(1.0 - math.exp(-2.0), abs=1e-15)
-        assert law.quantile(0.5) == pytest.approx(math.log(2.0) / 2.0, rel=1e-12)
+        assert law.quantile(0.5) == pytest.approx(math.log(2.0) / 2.0, rel=1e-12, abs=0.0)
 
 
 class TestPhiFromLevy:
@@ -198,7 +198,7 @@ class TestPhiFromLevy:
         for s in [10.0, 1e3, 1e6]:
             val = phi_from_levy(dens, s, upper=1.0)
             expected = math.log(s) + EULER + exp1_oracle(s)
-            assert val == pytest.approx(expected, rel=1e-9)
+            assert val == pytest.approx(expected, rel=1e-9, abs=0.0)
 
     def test_dickman_phi_minus_log_tends_to_euler(self):
         dens = lambda x: 1.0 / x
@@ -207,7 +207,7 @@ class TestPhiFromLevy:
 
     def test_gamma_closed_form(self):
         dens = lambda x: math.exp(-x) / x
-        assert phi_from_levy(dens, math.e - 1.0) == pytest.approx(1.0, rel=1e-9)
+        assert phi_from_levy(dens, math.e - 1.0) == pytest.approx(1.0, rel=1e-9, abs=0.0)
 
 
 class TestPhiFromTail:
@@ -221,7 +221,7 @@ class TestPhiFromTail:
         dens = lambda x: 2.0 / x
         s = math.e
         assert phi_from_tail(model.tail, s) == pytest.approx(
-            phi_from_levy(dens, s, upper=1.0), rel=1e-6
+            phi_from_levy(dens, s, upper=1.0), rel=1e-6, abs=0.0
         )
 
     def test_divergent_tail_fails(self):
@@ -235,15 +235,16 @@ class TestPhiFromTail:
     def test_thorin_uniform_closed_form(self):
         for g in (1.0, 2.0):
             model = catalog.make_thorin_uniform(g)
-            assert phi_from_tail(model.tail, g) == pytest.approx(2.0 * g * math.log(2.0), rel=1e-8)
+            assert phi_from_tail(model.tail, g) == pytest.approx(2.0 * g * math.log(2.0),
+                                                                 rel=1e-8, abs=0.0)
 
 
 class TestIntegral:
     def test_pieces_sum_in_order(self):
         assert integral(math.exp, [0.0, 1.0, 2.0], op="t") == pytest.approx(
-            math.exp(2.0) - 1.0, rel=1e-14)
+            math.exp(2.0) - 1.0, rel=1e-14, abs=0.0)
         assert integral(lambda x: math.exp(-x), [0.0, np.inf], op="t") == pytest.approx(
-            1.0, rel=1e-14)
+            1.0, rel=1e-14, abs=0.0)
 
     def test_divergent_integral_names_op(self):
         with pytest.raises(NumericalFailure) as info:
@@ -288,11 +289,11 @@ class TestLstFromCdf:
         assert lst_from_cdf(degenerate, 3.7) == pytest.approx(1.0, abs=1e-10)
 
     def test_gamma_exponential_case(self, gamma11):
-        assert lst_from_cdf(gamma11.cdf1, 1.0) == pytest.approx(0.5, rel=1e-8)
+        assert lst_from_cdf(gamma11.cdf1, 1.0) == pytest.approx(0.5, rel=1e-8, abs=0.0)
 
     def test_weibull_one_is_exponential(self):
         w = catalog.make_weibull(1.0)
-        assert lst_from_cdf(w.cdf1, 1.0) == pytest.approx(0.5, rel=1e-8)
+        assert lst_from_cdf(w.cdf1, 1.0) == pytest.approx(0.5, rel=1e-8, abs=0.0)
 
     def test_rejects_huge_rate(self, gamma11):
         with pytest.raises(InvalidParameterError):
@@ -434,12 +435,12 @@ class TestSubordinatorModelInvariants:
             for s in s_grid:
                 direct = float(model.phi.eval(s))
                 via_tail = phi_from_tail(model.tail, s)
-                assert via_tail == pytest.approx(direct, rel=1e-6), (model.name, s)
+                assert via_tail == pytest.approx(direct, rel=1e-6, abs=0.0), (model.name, s)
 
     def test_lst_from_cdf_matches_exponent(self, gamma11):
         for s in (0.5, 1.0, 10.0, 1e3):
             assert lst_from_cdf(gamma11.cdf1, s) == pytest.approx(
-                math.exp(-float(gamma11.phi.eval(s))), rel=1e-6
+                math.exp(-float(gamma11.phi.eval(s))), rel=1e-6, abs=0.0
             )
 
     def test_sandwich_bound_cross_type(self, all_known_gamma_models):

@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -331,7 +332,7 @@ class TestErgodicFunctional:
         # ramp * 1/x over [1/2, 1]: 4 (1/4 - (1/2) log(3/2)) + log(4/3)
         est = mc.estimate_ergodic_functional(dickman1, cli.FUNCTIONALS["ramp"][0], 0.5, 0.01, 100)
         want = 1.0 - 2.0 * math.log(1.5) + math.log(4.0 / 3.0)
-        assert est["target"] == pytest.approx(want, rel=1e-12)
+        assert est["target"] == pytest.approx(want, rel=1e-12, abs=0.0)
 
     def test_zero_functional(self, dickman1):
         est = mc.estimate_ergodic_functional(
@@ -395,8 +396,9 @@ class TestErgodicFunctional:
         m, t, vals = ramp_batch("gamma-t1", BLOCK + 9, dense_cp)
         n = vals.size
         est = mc.estimate_ergodic_functional(m, RAMP, 0.5, t, n, SEED_RAMP)
-        assert est["statistic"] == pytest.approx(vals.mean() / t, rel=1e-12)
-        assert est["stderr"] == pytest.approx(vals.std(ddof=1) / (math.sqrt(n) * t), rel=1e-12)
+        assert est["statistic"] == pytest.approx(vals.mean() / t, rel=1e-12, abs=0.0)
+        assert est["stderr"] == pytest.approx(vals.std(ddof=1) / (math.sqrt(n) * t),
+                                              rel=1e-12, abs=0.0)
 
     def test_functional_not_vanishing_at_zero_refused(self, dickman1, monkeypatch):
         # f must vanish on [0, delta0]: an f with f(0) != 0 is refused before anything is drawn
@@ -413,9 +415,10 @@ class TestErgodicFunctional:
 
     def test_one_path_has_no_standard_deviation(self, dickman1):
         # the ddof=1 standard deviation divided by n - 1 = 0 and read NaN
-        with pytest.raises(InvalidParameterError, match="n must be an integer >= 2, got 1"):
+        refusal = re.escape("n must be an integer in [2, 2**53], got 1")
+        with pytest.raises(InvalidParameterError, match=refusal):
             mc.estimate_ergodic_functional(dickman1, cli.FUNCTIONALS["ramp"][0], 0.5, 0.05, 1)
-        with pytest.raises(InvalidParameterError, match="n must be an integer >= 2, got 1"):
+        with pytest.raises(InvalidParameterError, match=refusal):
             mc.mean_std_in_place(np.ones(1), 1)
 
     @pytest.mark.parametrize("n", [2, 9, 129, BLOCK + 1, 3 * BLOCK + 7])
@@ -428,7 +431,7 @@ class TestErgodicFunctional:
         # the batch's negative values as zeros, left out and counted
         zeroed = np.maximum(dense, 0.0)
         got = mc.mean_std_in_place(dense[dense > 0.0], n)
-        assert got == pytest.approx((zeroed.mean(), zeroed.std(ddof=1)), rel=1e-12)
+        assert got == pytest.approx((zeroed.mean(), zeroed.std(ddof=1)), rel=1e-12, abs=0.0)
 
     def test_sparse_estimate_memory_does_not_grow_with_n(self, traced_peak):
         # ~1.4% of paths jump and ~0.07% reach the ramp: no n-float array is held

@@ -185,7 +185,7 @@ def declared_model_rules():
 
 @pytest.mark.parametrize("kind,fn,arg,check,model", [
     *declared_model_rules(),
-    # drew the whole gamma batch, then raised UnsupportedModelError on the tilt
+    # drew the whole gamma batch, then refused the tilt, whose tail has no inverse
     pytest.param("min_rule", montecarlo.experiment_min_rule, "m2", simulate.SAMPLABLE,
                  transforms.tilt(GAMMA11, 0.5), id="min_rule-gamma-tilt"),
 ])

@@ -57,9 +57,10 @@ class TestTilt:
         tilted = transforms.tilt(gamma11, 0.5)
         # exponent-level tilt matches the measure-level factor exp(-theta x)
         assert float(tilted.levy_density(0.7)) == pytest.approx(
-            np.exp(-0.5 * 0.7) * float(gamma11.levy_density(0.7)), rel=1e-12
+            np.exp(-0.5 * 0.7) * float(gamma11.levy_density(0.7)), rel=1e-12, abs=0.0
         )
-        assert float(tilted.tail.tail(0.3)) == pytest.approx(float(sc.exp1(1.5 * 0.3)), rel=1e-9)
+        assert float(tilted.tail.tail(0.3)) == pytest.approx(float(sc.exp1(1.5 * 0.3)),
+                                                             rel=1e-9, abs=0.0)
 
     def test_tilted_tail_on_s7_grid(self, gamma11):
         # the S7 grid reaches x = 1e-12, where the tilted density's peak sits
@@ -137,7 +138,7 @@ class TestAdd:
         combined = transforms.add(gamma11, dickman1)
         x = 0.2
         expected = float(gamma11.tail.tail(x)) + float(dickman1.tail.tail(x))
-        assert float(combined.tail.tail(x)) == pytest.approx(expected, rel=1e-12)
+        assert float(combined.tail.tail(x)) == pytest.approx(expected, rel=1e-12, abs=0.0)
 
     def test_dickman_plus_bessel_index(self, dickman1):
         combined = transforms.add(dickman1, catalog.make_bessel())
@@ -171,7 +172,7 @@ class TestDrift:
         drifted = transforms.add_drift(gamma11, 2.0)
         s = 5.0
         assert float(drifted.phi.eval(s)) == pytest.approx(
-            float(gamma11.phi.eval(s)) + 2.0 * s, rel=1e-12
+            float(gamma11.phi.eval(s)) + 2.0 * s, rel=1e-12, abs=0.0
         )
 
     def test_estimator_diverges(self, gamma11):
