@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy import special as sc
+import scipy
 
 from .core import (BLOCK, EXP_CUTOFF, OPEN_UNIT, POSITIVE, SHAPE, Check, ExponentialLaw,
                    LaplaceExponent, LevyTail, SubordinatorModel, declares, integral)
@@ -101,7 +101,7 @@ def _gamma_inverse_tail_factory(gamma, lam):
         for _ in range(60):
             x = u[moving]
             e = np.exp(x)
-            s = sc.exp1(e)
+            s = scipy.special.exp1(e)
             s -= target[moving]
             np.negative(e, out=e)
             np.exp(e, out=e)
@@ -217,7 +217,7 @@ def make_gamma(gamma, lam):
         return gamma * np.logaddexp(0.0, np.asarray(ell, dtype=float) - log_lam)
 
     def cdf1(x):
-        return sc.gammainc(gamma, lam * np.asarray(x, dtype=float))
+        return scipy.special.gammainc(gamma, lam * np.asarray(x, dtype=float))
 
     def density1(x):
         x_arr = np.asarray(x, dtype=float)
@@ -225,12 +225,12 @@ def make_gamma(gamma, lam):
             (gamma - 1.0) * np.log(x_arr)
             + gamma * log_lam
             - lam * x_arr
-            - sc.gammaln(gamma)
+            - scipy.special.gammaln(gamma)
         )
         return np.exp(log_f)
 
     def tail(x):
-        return gamma * sc.exp1(lam * np.asarray(x, dtype=float))
+        return gamma * scipy.special.exp1(lam * np.asarray(x, dtype=float))
 
     def levy_density(x):
         x_arr = np.asarray(x, dtype=float)
@@ -346,7 +346,7 @@ def make_bessel():
 
     def density1(x):
         x_arr = np.asarray(x, dtype=float)
-        return np.where(x_arr > 0, sc.ive(1.0, x_arr) / np.where(x_arr > 0, x_arr, 1.0), 0.5)
+        return np.where(x_arr > 0, scipy.special.ive(1.0, x_arr) / np.where(x_arr > 0, x_arr, 1.0), 0.5)
 
     return SubordinatorModel(
         phi=LaplaceExponent(eval_log=eval_log),
@@ -375,7 +375,7 @@ def make_thorin_uniform(gamma):
 
     def tail(x):
         x_arr = np.asarray(x, dtype=float)
-        return -np.expm1(-gamma * x_arr) / x_arr + gamma * sc.exp1(gamma * x_arr)
+        return -np.expm1(-gamma * x_arr) / x_arr + gamma * scipy.special.exp1(gamma * x_arr)
 
     def levy_density(x):
         x_arr = np.asarray(x, dtype=float)
@@ -427,11 +427,11 @@ def make_pareto_type(a):
 @declares("fdist", a=POSITIVE, b=POSITIVE)
 def make_fdist(a, b):
     """Beta-prime style density x**(b-1) (1+x)**(-a-b) / B(a, b); index b."""
-    log_norm = sc.gammaln(a + b) - sc.gammaln(a) - sc.gammaln(b)
+    log_norm = scipy.special.gammaln(a + b) - scipy.special.gammaln(a) - scipy.special.gammaln(b)
 
     def cdf1(x):
         x_arr = np.asarray(x, dtype=float)
-        return sc.betainc(b, a, x_arr / (1.0 + x_arr))
+        return scipy.special.betainc(b, a, x_arr / (1.0 + x_arr))
 
     def density1(x):
         x_arr = np.asarray(x, dtype=float)

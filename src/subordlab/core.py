@@ -34,7 +34,7 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
-from scipy import integrate
+import scipy
 
 from .errors import InvalidParameterError, NumericalFailure
 
@@ -376,7 +376,7 @@ def integral(fn, points, *, op):
     err = 0.0
     for a, b in zip(points[:-1], points[1:]):
         # full_output makes quad return its diagnostics instead of warning
-        val, e = integrate.quad(
+        val, e = scipy.integrate.quad(
             fn, a, b, epsabs=_EPSABS, epsrel=_EPSREL, limit=200, full_output=1)[:2]
         total += val
         err += e

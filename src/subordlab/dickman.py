@@ -26,7 +26,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special as sc
+import scipy
 
 from .core import (
     BLOCK, POSITIVE, SHAPE, LaplaceExponent, LevyTail, SubordinatorModel, checks, declares,
@@ -269,7 +269,7 @@ def _phi_log_factory(gamma):
     def rest(ell):
         with np.errstate(over="ignore"):
             s = np.exp(ell)
-        return gamma * (EULER + ell + sc.exp1(s))
+        return gamma * (EULER + ell + scipy.special.exp1(s))
 
     def eval_log(ell):
         ell_arr = np.asarray(ell, dtype=float)

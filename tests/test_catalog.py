@@ -274,6 +274,14 @@ class TestBessel:
     def test_density_positive_constant_at_origin(self):
         b = catalog.make_bessel()
         assert b.density1(1e-8) == pytest.approx(0.5, rel=1e-6, abs=0.0)
+        assert b.density1(0.0) == 0.5
+
+    def test_phi_above_one_against_closed_form(self):
+        # s > 1 takes the large-s form, log s + log(2 + 1/s + sqrt(1 + 2/s) - 1)
+        phi = catalog.make_bessel().phi
+        for s in (2.0, 10.0, 1e3):
+            assert phi.eval(s) == pytest.approx(math.log1p(s + math.sqrt(s * (s + 2.0))),
+                                                rel=1e-14, abs=0.0)
 
 
 class TestThorin:
@@ -361,6 +369,10 @@ class TestLogPower:
     def test_rejects_even_power(self):
         with pytest.raises(InvalidParameterError):
             catalog.make_log_power(1.0, 2)
+
+    def test_phi_at_infinity_is_infinite(self):
+        # only a finite log s whose exponent overflows is a numerical failure
+        assert catalog.make_log_power(0.1, 3).phi.eval_log(math.inf) == math.inf
 
     @pytest.mark.parametrize("gamma", [0.3, 1.0, 2.0])
     def test_power_one_is_dickmans_tail(self, gamma):
@@ -479,6 +491,11 @@ def test_build_model_unknown_name():
 )
 def test_describe_names_the_declared_params(model, described):
     assert model.describe() == described
+
+
+def test_known_index_is_declared(all_known_gamma_models):
+    for model, gamma in all_known_gamma_models:
+        assert model.known_gamma == gamma, model.name
 
 
 def test_catalog_lists_surfaces(all_known_gamma_models):

@@ -1121,6 +1121,36 @@ class TestRun:
         r1.pop("timestamp"), r2.pop("timestamp")
         assert r1 == r2
 
+    def test_two_threads_that_load_scipy_at_once_report_as_one(self, tmp_path):
+        # scipy's submodules load at their first use, so in a fresh interpreter the
+        # first two entries run on two threads while scipy.special and scipy.integrate load
+        weibull = {"name": "weibull", "params": {"gamma": 1.0}}
+        entries = [{"kind": "criteria_recovery",
+                    "model": {"name": "gamma", "params": {"gamma": g, "lam": 1.0}},
+                    "assertions": {"expected_gamma": g, "tol": 0.02}} for g in (1.0, 2.0)]
+        entries += [{"kind": "sandwich", "model": weibull, "params": {"which": which}}
+                    for which in ("ol", "ol2")]
+        cfg = write_config(tmp_path, {"seed": 3, "experiments": entries})
+        code = (
+            "import json, sys, subordlab.cli as cli\n"
+            "cfg, out, threads = sys.argv[1:]\n"
+            "with open(cfg) as fh:\n"
+            "    cli.validate_config(json.load(fh))\n"
+            "assert not {'scipy.integrate', 'scipy.special'} & set(sys.modules)\n"
+            "sys.exit(cli.main(['--config', cfg, '--out', out, '--threads', threads]))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+        reports = []
+        for threads in ("2", "1"):
+            out = tmp_path / f"t{threads}"
+            proc = subprocess.run([sys.executable, "-c", code, cfg, str(out), threads], env=env,
+                                  capture_output=True, text=True)
+            assert proc.returncode == 0, proc.stderr
+            assert "Traceback" not in proc.stderr
+            reports.append(load_report(out))
+            reports[-1].pop("timestamp")
+        assert reports[0] == reports[1]
+
     def test_seed_resolution_order(self, tmp_path):
         cfg_no_seed = write_config(tmp_path, {"experiments": []}, "noseed.json")
         _, report = cli.run(cfg_no_seed, out_dir=str(tmp_path))

@@ -1,16 +1,21 @@
 """Core types, the integral routine, and the surfaces checked against quadrature oracles."""
 
+import ast
+import glob
+import json
 import math
+import os
+import subprocess
 import sys
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from scipy import integrate, special
+from scipy import integrate
 from scipy.integrate import quad
 
-from subordlab import catalog, transforms
+from subordlab import catalog, core, transforms
 from subordlab.core import (
     ExponentialLaw,
     LaplaceExponent,
@@ -189,6 +194,13 @@ class TestExponentialLaw:
         assert law.cdf(np.inf) == 1.0
         assert law.cdf(1.0) == pytest.approx(1.0 - math.exp(-2.0), abs=1e-15)
         assert law.quantile(0.5) == pytest.approx(math.log(2.0) / 2.0, rel=1e-12, abs=0.0)
+        with pytest.raises(InvalidParameterError):
+            law.quantile(1.0)
+
+    def test_sample_mean_is_one_over_gamma(self):
+        # the mean 1/gamma within 5 standard errors; a 1% change of scale is 10 of them
+        draws = ExponentialLaw(2.0).sample(1_000_000, np.random.default_rng(5))
+        assert abs(draws.mean() - 0.5) <= 5.0 * 0.5 / math.sqrt(draws.size)
 
 
 class TestPhiFromLevy:
@@ -239,6 +251,52 @@ class TestPhiFromTail:
                                                                  rel=1e-8, abs=0.0)
 
 
+SCIPY_SUBMODULES = ("scipy.integrate", "scipy.special")
+
+
+class _ScipyNames(ast.NodeVisitor):
+    """(submodule, whether at import) of each place a module names a scipy submodule."""
+
+    def __init__(self):
+        self.found = set()
+        self.in_body = 0
+
+    def note(self, dotted):
+        for sub in SCIPY_SUBMODULES:
+            if dotted == sub or dotted.startswith(sub + "."):
+                self.found.add((sub, not self.in_body))
+
+    def visit_Import(self, node):
+        for alias in node.names:
+            self.note(alias.name)
+
+    def visit_ImportFrom(self, node):
+        for alias in node.names:
+            self.note(f"{node.module}.{alias.name}")
+
+    def visit_Attribute(self, node):
+        if isinstance(node.value, ast.Name):
+            self.note(f"{node.value.id}.{node.attr}")
+        self.generic_visit(node)
+
+    def visit_FunctionDef(self, node):
+        # decorators and defaults run at import, the body at each call
+        for child in [*node.decorator_list, node.args]:
+            self.visit(child)
+        self.in_body += 1
+        for child in node.body:
+            self.visit(child)
+        self.in_body -= 1
+
+    visit_AsyncFunctionDef = visit_FunctionDef
+
+    def visit_Lambda(self, node):
+        self.visit(node.args)
+        self.in_body += 1
+        self.visit(node.body)
+        self.in_body -= 1
+
+
 class TestIntegral:
     def test_pieces_sum_in_order(self):
         assert integral(math.exp, [0.0, 1.0, 2.0], op="t") == pytest.approx(
@@ -267,23 +325,54 @@ class TestIntegral:
             call()
         assert info.value.op == op and info.value.achieved >= 1.0
 
-    def test_only_core_binds_scipy_integrate(self):
-        # and only catalog and dickman bind scipy.special, each as sc
-        import subordlab.cli  # noqa: F401  (loads every subordlab module)
+    def test_only_core_names_scipy_integrate_loaded_at_first_use(self, tmp_path):
+        # and only catalog and dickman name scipy.special; no module binds either
+        # submodule, or a function of one, at import, so scipy loads each at its first use
+        named = {}
+        for path in sorted(glob.glob(os.path.join(os.path.dirname(core.__file__), "*.py"))):
+            with open(path) as fh:
+                found = _ScipyNames()
+                found.visit(ast.parse(fh.read(), path))
+            named[os.path.basename(path)[:-3]] = found.found
+        users = {sub: sorted(mod for mod, found in named.items() if sub in dict(found))
+                 for sub in SCIPY_SUBMODULES}
+        assert users == {"scipy.integrate": ["core"], "scipy.special": ["catalog", "dickman"]}
+        assert [mod for mod, found in named.items() if any(at for _, at in found)] == []
 
-        loaded = {name: mod for name, mod in sys.modules.items()
-                  if name == "subordlab" or name.startswith("subordlab.")}
-        assert "subordlab.core" in loaded and len(loaded) > 5
-        for lib, binders in ((integrate, {"subordlab.core": ["integrate"]}),
-                             (special, {"subordlab.catalog": ["sc"], "subordlab.dickman": ["sc"]})):
-            # the module itself, or any function it defines
-            names = {id(value) for value in vars(lib).values() if callable(value)} | {id(lib)}
-            for name, mod in loaded.items():
-                bound = [key for key, value in vars(mod).items() if id(value) in names]
-                assert bound == binders.get(name, []), (lib.__name__, name)
+        gamma = {"name": "gamma", "params": {"gamma": 1.0, "lam": 1.0}}
+        configs = {
+            "bad": [{"kind": "criterion", "model": {"name": "gamma", "params": {"gamma": -1}}}],
+            "exact": [{"kind": "pareto_limit", "model": model,
+                       "params": {"t_list": [0.1, 0.01], "n": 1000}}
+                      for model in (gamma, {"name": "dickman", "params": {"gamma": 1.0}})],
+            "sandwich": [{"kind": "sandwich", "params": {"which": "ol"},
+                          "model": {"name": "weibull", "params": {"gamma": 1.0}}}],
+        }
+        for name, entries in configs.items():
+            (tmp_path / f"{name}.json").write_text(json.dumps({"experiments": entries}))
+        code = (
+            "import os, sys, subordlab.cli as cli\n"
+            "def run(name):\n"
+            "    return cli.main(['--config', os.path.join(sys.argv[1], name + '.json'),\n"
+            "                     '--out', sys.argv[1]])\n"
+            "def loaded():\n"
+            "    return [s for s in ('scipy.integrate', 'scipy.special') if s in sys.modules]\n"
+            "assert loaded() == [], 'import'\n"
+            "assert cli.main(['--list']) == 0 and loaded() == [], '--list'\n"
+            "assert run('bad') == 2 and loaded() == [], 'exit 2'\n"
+            "assert run('exact') == 0 and loaded() == [], 'exact samplers'\n"
+            "assert run('sandwich') == 0 and 'scipy.integrate' in loaded(), 'sandwich'\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(core.__file__)))
+        proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestLstFromCdf:
+    def test_zero_rate_is_one(self, gamma11):
+        assert lst_from_cdf(gamma11.cdf1, 0.0) == 1.0
+
     def test_point_mass_at_zero(self):
         degenerate = lambda x: np.ones_like(np.asarray(x, dtype=float))
         assert lst_from_cdf(degenerate, 3.7) == pytest.approx(1.0, abs=1e-10)
@@ -296,8 +385,12 @@ class TestLstFromCdf:
         assert lst_from_cdf(w.cdf1, 1.0) == pytest.approx(0.5, rel=1e-8, abs=0.0)
 
     def test_rejects_huge_rate(self, gamma11):
-        with pytest.raises(InvalidParameterError):
-            lst_from_cdf(gamma11.cdf1, 1e7)
+        # s <= 1e6 is served, the next float refused
+        assert lst_from_cdf(gamma11.cdf1, 1e6) == pytest.approx(1.0 / (1.0 + 1e6),
+                                                              rel=1e-8, abs=0.0)
+        for s in (np.nextafter(1e6, np.inf), 1e7):
+            with pytest.raises(InvalidParameterError):
+                lst_from_cdf(gamma11.cdf1, s)
 
 
 class TestLaplaceExponentInvariants:

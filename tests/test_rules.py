@@ -139,6 +139,15 @@ def test_require_names_the_first_value_that_fails():
     assert not NONNEGATIVE.passes("x") and not NONNEGATIVE.passes(None)
 
 
+def test_each_rule_holds_its_closed_end():
+    # a repeated time is not strictly decreasing; a standard deviation needs two samples
+    assert core.DECREASING_TIMES.passes((0.2, 0.1))
+    assert not core.DECREASING_TIMES.passes((0.1, 0.1))
+    for rule, low in ((core.COUNT, 1), (core.STD_COUNT, 2)):
+        assert rule.passes(low) and rule.passes(2**53)
+        assert not rule.passes(low - 1) and not rule.passes(2**53 + 1)
+
+
 def test_library_refusal_reads_as_the_listed_requirement():
     listed = cli.list_catalog()["experiment_kinds"]["drift"]["params"]["c"]["requirement"]
     with pytest.raises(InvalidParameterError) as exc:

@@ -100,3 +100,17 @@ def test_reach_of_a_one_entry_config(tmp_path):
     first, last = reach.span(next(code for code in missed["cli.py"]
                                   if code.co_qualname == "_recursion_mean"))
     assert 0 < first < last
+
+
+def test_mutate_names_the_failing_test_of_a_failing_baseline(tmp_path, capsys):
+    (tmp_path / "src" / "subordlab").mkdir(parents=True)
+    (tmp_path / "src" / "subordlab" / "mod.py").write_text("def f():\n    return 1 + 2\n")
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "test_mod.py").write_text(
+        "from subordlab.mod import f\n\n\ndef test_f_is_four():\n    assert f() == 4\n")
+    assert load_tool("mutate").main(["mod", "--tree", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    failed, verdict = captured.err.splitlines()
+    assert failed.startswith("FAILED tests/test_mod.py::test_f_is_four")
+    assert verdict == "the unmutated suite fails: no score"

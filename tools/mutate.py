@@ -26,10 +26,11 @@ written, and the copies are removed at the end.
 A mutant is killed when pytest exits non-zero, or runs past ``TIMEOUT``
 seconds; pytest runs in a session of its own, whose processes are killed
 when it ends either way.  The unmutated suite runs once first, and no
-score is given unless it passes.
+score is given unless it passes; when it fails, its failing tests (or the
+last lines of its output) are printed to stderr.
 
-Prints one JSON line per mutant, then the table per module as Markdown,
-then the wall time.
+Prints one JSON line per mutant as its run ends, in the sample's order,
+then the table per module as Markdown, then the wall time.
 """
 
 from __future__ import annotations
@@ -61,6 +62,8 @@ TIMEOUT = 300.0
 # copied with the tree but never needed by a test run
 IGNORED = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis",
                                  ".perfbench_out")
+# lines of a failing baseline's output shown when it names no failing test
+TAIL = 20
 
 
 class Mutant(NamedTuple):
@@ -161,8 +164,11 @@ def candidates(source, filename):
     return found
 
 
-def pytest_passes(copy, module):
-    """Whether ``pytest -x`` passes in the copy (its module's test file first); None on timeout."""
+def pytest_passes(copy, module, log=subprocess.DEVNULL):
+    """Whether ``pytest -x`` passes in the copy (its module's test file first); None on timeout.
+
+    pytest's output goes to ``log``.
+    """
     # each file named: pytest runs a directory argument in its own order
     files = sorted(os.path.join("tests", name) for name in os.listdir(os.path.join(copy, "tests"))
                    if name.startswith("test_") and name.endswith(".py"))
@@ -172,8 +178,8 @@ def pytest_passes(copy, module):
     # no bytecode: a mutant of the original's size, written within its second, must not
     # be read from a stale cache
     env = {**os.environ, "PYTHONPATH": "src", "PYTHONDONTWRITEBYTECODE": "1"}
-    proc = subprocess.Popen(cmd, cwd=copy, env=env, stdout=subprocess.DEVNULL,
-                            stderr=subprocess.DEVNULL, start_new_session=True)
+    proc = subprocess.Popen(cmd, cwd=copy, env=env, stdout=log, stderr=subprocess.STDOUT,
+                            start_new_session=True)
     try:
         code = proc.wait(TIMEOUT)
     except subprocess.TimeoutExpired:
@@ -185,6 +191,13 @@ def pytest_passes(copy, module):
             pass
         proc.wait()
     return None if code is None else code == 0
+
+
+def failures(output):
+    """The failing test ids of a pytest run's output, else its last lines."""
+    lines = output.splitlines()
+    return "\n".join([line for line in lines if line.startswith(("FAILED ", "ERROR "))]
+                     or lines[-TAIL:])
 
 
 def run_mutant(copies, module, mutant):
@@ -220,9 +233,12 @@ def main(argv=None):
         copies = queue.Queue()
         for k in range(args.jobs):
             copies.put(shutil.copytree(args.tree, os.path.join(scratch, str(k)), ignore=IGNORED))
-        if not pytest_passes(os.path.join(scratch, "0"), args.modules[0]):
-            print("the unmutated suite fails: no score", file=sys.stderr)
-            return 1
+        with open(os.path.join(scratch, "baseline.log"), "w+b") as log:
+            if not pytest_passes(os.path.join(scratch, "0"), args.modules[0], log):
+                log.seek(0)
+                print(failures(log.read().decode(errors="replace")), file=sys.stderr)
+                print("the unmutated suite fails: no score", file=sys.stderr)
+                return 1
         rows = []
         for module in args.modules:
             path = os.path.join(args.tree, "src", "subordlab", f"{module}.py")
@@ -231,13 +247,13 @@ def main(argv=None):
             found = candidates(source, path)
             picked = random.Random(SEED).sample(range(len(found)), min(PER_MODULE, len(found)))
             sample = [found[i] for i in sorted(picked)]
-            with ThreadPoolExecutor(args.jobs) as pool:
-                outcomes = list(pool.map(lambda m: run_mutant(copies, module, m), sample))
             survivors = {kind: 0 for kind in CLASSES}
-            for mutant, (survived, timed_out) in zip(sample, outcomes):
-                survivors[mutant.kind] += survived
-                print(json.dumps({"module": module, "mutant": mutant.describe(source),
-                                  "survived": survived, "timed_out": timed_out}), flush=True)
+            with ThreadPoolExecutor(args.jobs) as pool:
+                outcomes = pool.map(lambda m: run_mutant(copies, module, m), sample)
+                for mutant, (survived, timed_out) in zip(sample, outcomes):
+                    survivors[mutant.kind] += survived
+                    print(json.dumps({"module": module, "mutant": mutant.describe(source),
+                                      "survived": survived, "timed_out": timed_out}), flush=True)
             rows.append((module, len(found), len(sample), len(sample) - sum(survivors.values()),
                          survivors))
     finally:
