@@ -32,8 +32,10 @@ checked against that table before any entry runs; ``--list`` prints it.
 Exit codes: 0 when every assertion passes, 1 when the config ran and at
 least one gate failed, 2 on a config/schema error (with the offending
 field named), 3 on a numerical failure (with the failing operation
-named).  Reports rerun byte-identically for a fixed seed, except for the
-timestamp field.
+named).  Only a run that exits 0 or 1 leaves a ``report.json`` in its output
+directory: one that exits 2 or 3 leaves none, not even an earlier run's.
+Reports rerun byte-identically for a fixed seed, except for the timestamp
+field.
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ import json
 import math
 import os
 import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 from typing import Callable, NamedTuple
@@ -662,6 +665,11 @@ def run(config_path, out_dir=".", seed=None, threads=1):
 
 def _run(config_path, out_dir, seed, threads):
     """run's (exit_code, report), and the {name: margin} of each result's failed gates."""
+    report_path = os.path.join(out_dir, "report.json")
+    # first, so that a run that fails leaves no report, not even an earlier run's; a
+    # path that cannot be removed (a directory, say) fails where the report is written
+    with contextlib.suppress(OSError):
+        os.remove(report_path)
     try:
         with open(config_path) as fh:
             config = json.load(fh)
@@ -694,9 +702,16 @@ def _run(config_path, out_dir, seed, threads):
             "results": results,
             "all_pass": all(r.get("pass", False) for r in results),
         }
-        with open(os.path.join(out_dir, "report.json"), "w") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        # written whole or not at all: a run cut short leaves no partial report
+        partial = f"{report_path}.{os.getpid()}.{threading.get_ident()}.tmp"
+        try:
+            with open(partial, "w") as fh:
+                json.dump(report, fh, indent=2, sort_keys=True)
+                fh.write("\n")
+            os.replace(partial, report_path)
+        finally:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(partial)
     except SchemaError as exc:
         print(str(exc), file=sys.stderr)
         return 2, None, None

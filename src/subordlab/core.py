@@ -18,8 +18,8 @@ overflows any float for ``t`` below about 0.01, so every exponent carries
 an ``eval_log`` map taking ``log s`` directly.
 
 Every surface and limit law (an exponent, a tail and its inverse, a CDF, a
-density, a quantile, an L or a functional) keeps one elementwise contract: a
-float array in, a Python float counting as 0-d, float64 of its shape out.
+density, an L or a functional) keeps one elementwise contract: a float array
+in, a Python float counting as 0-d, float64 of its shape out.
 
 All types are immutable after construction and all operations are pure
 functions; instances can be shared freely across threads.
@@ -66,7 +66,6 @@ __all__ = [
     "ParetoLaw",
     "ExponentialLaw",
     "pareto_cdf",
-    "pareto_quantile",
     "lst_from_cdf",
     "integral",
 ]
@@ -288,17 +287,6 @@ def pareto_cdf(gamma, x):
     return out
 
 
-def pareto_quantile(gamma, p):
-    """Inverse of ``pareto_cdf``: (1-p)**(-1/gamma) on p in [0, 1)."""
-    POSITIVE.require(gamma=gamma)
-    p_arr = np.asarray(p, dtype=float)
-    if np.any(p_arr < 0) or np.any(p_arr > 1):
-        raise InvalidParameterError("probability must lie in [0, 1]")
-    if np.any(p_arr == 1.0):
-        raise InvalidParameterError("quantile unbounded at p = 1")
-    return np.exp(-np.log1p(-p_arr) / gamma)
-
-
 @dataclass(frozen=True)
 class ParetoLaw:
     """Pareto limit law on [1, inf) with index gamma."""
@@ -310,13 +298,6 @@ class ParetoLaw:
 
     def cdf(self, x):
         return pareto_cdf(self.gamma, x)
-
-    def quantile(self, p):
-        return pareto_quantile(self.gamma, p)
-
-    def sample(self, n, rng):
-        # inverse transform; 1 - U stays in (0, 1] so no log(0)
-        return np.exp(-np.log1p(-rng.random(n)) / self.gamma)
 
     def describe(self):
         return f"Pareto(gamma={self.gamma:g})"
@@ -339,15 +320,6 @@ class ExponentialLaw:
         np.expm1(out, out=out)
         np.negative(out, out=out)
         return out
-
-    def quantile(self, p):
-        p_arr = np.asarray(p, dtype=float)
-        if np.any(p_arr < 0) or np.any(p_arr >= 1):
-            raise InvalidParameterError("probability must lie in [0, 1)")
-        return -np.log1p(-p_arr) / self.gamma
-
-    def sample(self, n, rng):
-        return rng.exponential(scale=1.0 / self.gamma, size=n)
 
     def describe(self):
         return f"Exp(gamma={self.gamma:g})"

@@ -5,10 +5,42 @@ import pytest
 from scipy import integrate
 
 from subordlab import catalog, cli, dickman, montecarlo, simulate
+from subordlab.core import POSITIVE
 from subordlab.dickman import make_dickman
+from subordlab.errors import InvalidParameterError
 from subordlab.simulate import sample_cutoff_cp
 
 SAMPLERS = ("sample_marginal", "sample_cutoff_cp", "sample_dickman_recursion")
+
+
+# The quantiles and samplers of the two limit laws, the Pareto law on [1, inf) and
+# the exponential law, with index (rate) gamma: oracles of the tests, which no run
+# calls.  A test imports them with ``from conftest import ...``.
+def pareto_quantile(gamma, p):
+    """Inverse of ``core.pareto_cdf``: (1-p)**(-1/gamma) on p in [0, 1)."""
+    POSITIVE.require(gamma=gamma)
+    p_arr = np.asarray(p, dtype=float)
+    if np.any(p_arr < 0) or np.any(p_arr > 1):
+        raise InvalidParameterError("probability must lie in [0, 1]")
+    if np.any(p_arr == 1.0):
+        raise InvalidParameterError("quantile unbounded at p = 1")
+    return np.exp(-np.log1p(-p_arr) / gamma)
+
+
+def pareto_sample(gamma, n, rng):
+    # inverse transform; 1 - U stays in (0, 1] so no log(0)
+    return np.exp(-np.log1p(-rng.random(n)) / gamma)
+
+
+def exponential_quantile(gamma, p):
+    p_arr = np.asarray(p, dtype=float)
+    if np.any(p_arr < 0) or np.any(p_arr >= 1):
+        raise InvalidParameterError("probability must lie in [0, 1)")
+    return -np.log1p(-p_arr) / gamma
+
+
+def exponential_sample(gamma, n, rng):
+    return rng.exponential(scale=1.0 / gamma, size=n)
 
 
 @pytest.fixture

@@ -964,6 +964,16 @@ class TestList:
             kinds = {entry["kind"] for entry in json.load(fh)["experiments"]}
         assert kinds <= set(cli.list_catalog()["experiment_kinds"])
 
+    @pytest.mark.parametrize("kind, group, field, default", [
+        ("support", "params", "t", 0.01),
+        ("family_limit", "assertions", "max_dev", 1e-3),
+        ("two_sampler_ks", "params", "gamma", 1.0),
+    ])
+    def test_listed_default(self, kind, group, field, default):
+        # what an entry that leaves the field out runs with
+        listed = cli.list_catalog()["experiment_kinds"][kind][group][field]
+        assert listed["default"] == default
+
     def test_every_listed_kind_is_run(self):
         # each entry is malformed for its kind, so it fails fast, but never
         # as an unknown kind
@@ -1179,6 +1189,22 @@ class TestRun:
         code, report = cli.run(cfg, out_dir=str(tmp_path))
         assert code == 0, report["results"][0]
 
+    def test_two_sampler_ks_reads_its_two_draws(self):
+        # the recursion on stream 0, censored below the cutoff, against the cutoff
+        # compound-Poisson draw at t = 1 on stream 1, both as logs
+        n, gamma, cutoff = 10_000, 1.0, 1e-6
+        values = {"gamma": gamma, "n": n, "cutoff": cutoff, "level": 0.01}
+        result = cli._two_sampler_ks(values, {}, 5)
+        rec = dickman.sample_dickman_recursion(
+            gamma, dickman.recursion_depth(gamma), simulate.substream(5, 0), n)
+        rec[rec < np.log(cutoff)] = -np.inf
+        tail = catalog.build_model("dickman", {"gamma": gamma}).tail
+        cp = simulate.sample_cutoff_cp(tail, cutoff, 1.0, simulate.substream(5, 1), n,
+                                       out=np.empty(n))
+        with np.errstate(divide="ignore"):
+            log_cp = np.log(cp)
+        assert result["statistic"] == montecarlo.two_sample_ks(rec, log_cp)
+
     def test_recursion_mean_matches_ndarray_statistics(self):
         n, gamma = 100_003, 2.0
         values = {"gamma": gamma, "n": n, "sigma_mult": 3.0}
@@ -1270,6 +1296,59 @@ class TestFlagsAndOutputPaths:
         err = assert_exits_two_at(tmp_path, capsys, sampler_calls, entry, "params.n")
         assert "must be an integer in [1, 2**53]" in err and "Traceback" not in err
         assert core.COUNT.passes(2**53) and core.STD_COUNT.passes(2**53)
+
+
+DICKMAN_RHO = {"kind": "dickman_rho", "params": {"z": 1.0}, "assertions": {"expected": 1.0}}
+
+
+class TestFailedRunLeavesNoReport:
+    """A run that exits 2 or 3 leaves no report.json in --out, not even an earlier run's."""
+
+    @pytest.fixture
+    def passed(self, tmp_path):
+        """An --out that holds the report of a passing run, and nothing else."""
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, {"experiments": [DICKMAN_RHO]}, "pass.json")
+        assert cli.main(["--config", cfg, "--out", str(out)]) == 0
+        assert load_report(out)["all_pass"] is True
+        assert os.listdir(out) == ["report.json"]
+        return out
+
+    @pytest.mark.parametrize("entry", [
+        {**DICKMAN_RHO, "params": {"z": 99.0}},
+        {"kind": "criterion", "model": {"name": "dickman", "params": {"gamma": 1.0}},
+         "params": {"criterion": "S8", "grid": [4.0, -5.0, -21.0]}},
+    ], ids=["refused-by-validation", "refused-while-running"])
+    def test_exit_two(self, tmp_path, capsys, passed, entry):
+        # each left the passing report in place
+        cfg = write_config(tmp_path, {"experiments": [DICKMAN_RHO, entry]}, "fail.json")
+        assert cli.main(["--config", cfg, "--out", str(passed)]) == 2
+        assert "config error at experiments[1]" in capsys.readouterr().err
+        assert os.listdir(passed) == []
+
+    def test_exit_three(self, tmp_path, capsys, passed, loose_quad):
+        # a NumericalFailure inside the second entry, after the first has run
+        entry = {"kind": "ergodic", "model": GAMMA, "params": {"n": 1000}}
+        cfg = write_config(tmp_path, {"experiments": [DICKMAN_RHO, entry]}, "fail.json")
+        assert cli.main(["--config", cfg, "--out", str(passed)]) == 3
+        assert "numerical failure in ergodic_target" in capsys.readouterr().err
+        assert os.listdir(passed) == []
+
+    def test_config_that_cannot_be_read(self, tmp_path, passed):
+        assert cli.main(["--config", str(tmp_path / "missing.json"), "--out", str(passed)]) == 2
+        assert os.listdir(passed) == []
+
+    def test_report_cut_short_while_written(self, tmp_path, capsys, passed, monkeypatch):
+        # the write fails after the report's first key, "all_pass", is out
+        def dump_then_fail(obj, fh, **kwargs):
+            fh.write('{\n  "all_pass": true,\n')
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(json, "dump", dump_then_fail)
+        cfg = write_config(tmp_path, {"experiments": [DICKMAN_RHO]}, "pass.json")
+        assert cli.main(["--config", cfg, "--out", str(passed)]) == 2
+        assert capsys.readouterr().err.startswith("config error at --out:")
+        assert os.listdir(passed) == []
 
 
 def tilts(depth):

@@ -16,17 +16,10 @@ from scipy import integrate
 from scipy.integrate import quad
 
 from subordlab import catalog, core, transforms
-from subordlab.core import (
-    ExponentialLaw,
-    LaplaceExponent,
-    ParetoLaw,
-    integral,
-    lst_from_cdf,
-    pareto_cdf,
-    pareto_quantile,
-)
+from subordlab.core import ExponentialLaw, LaplaceExponent, integral, lst_from_cdf, pareto_cdf
 from subordlab.dickman import EULER, make_dickman
 from subordlab.errors import InvalidParameterError, NumericalFailure
+from conftest import exponential_quantile, exponential_sample, pareto_quantile, pareto_sample
 from test_contract import models
 from test_oracles import phi_from_levy, phi_from_tail, quad_bound
 
@@ -128,12 +121,11 @@ class TestParetoLaw:
         assert surv**n == pytest.approx(1.0 - pareto_cdf(n * gamma, x), rel=1e-9, abs=5e-15)
 
     def test_law_object_sampling_matches_quantiles(self):
-        law = ParetoLaw(2.0)
         rng = np.random.default_rng(0)
-        samples = law.sample(200_000, rng)
+        samples = pareto_sample(2.0, 200_000, rng)
         assert samples.min() >= 1.0
         # analytic median
-        assert np.median(samples) == pytest.approx(law.quantile(0.5), rel=5e-3, abs=0.0)
+        assert np.median(samples) == pytest.approx(pareto_quantile(2.0, 0.5), rel=5e-3, abs=0.0)
 
 
 CDF_POINTS = [-np.inf, -1.0, -0.0, 0.0, 0.5, 1.0, 2.0, 1e308, np.inf, np.nan]
@@ -193,13 +185,14 @@ class TestExponentialLaw:
         assert law.cdf(0.0) == 0.0
         assert law.cdf(np.inf) == 1.0
         assert law.cdf(1.0) == pytest.approx(1.0 - math.exp(-2.0), abs=1e-15)
-        assert law.quantile(0.5) == pytest.approx(math.log(2.0) / 2.0, rel=1e-12, abs=0.0)
+        assert exponential_quantile(2.0, 0.5) == pytest.approx(math.log(2.0) / 2.0, rel=1e-12,
+                                                               abs=0.0)
         with pytest.raises(InvalidParameterError):
-            law.quantile(1.0)
+            exponential_quantile(2.0, 1.0)
 
     def test_sample_mean_is_one_over_gamma(self):
         # the mean 1/gamma within 5 standard errors; a 1% change of scale is 10 of them
-        draws = ExponentialLaw(2.0).sample(1_000_000, np.random.default_rng(5))
+        draws = exponential_sample(2.0, 1_000_000, np.random.default_rng(5))
         assert abs(draws.mean() - 0.5) <= 5.0 * 0.5 / math.sqrt(draws.size)
 
 
@@ -553,3 +546,16 @@ class TestSubordinatorModelInvariants:
 def test_degenerate_phi_accepted_by_constructor():
     null = LaplaceExponent(eval_log=lambda ell: np.zeros_like(np.asarray(ell, dtype=float)))
     assert null.eval(5.0) == 0.0
+
+
+def test_package_exports_the_documented_names():
+    # README's Library section imports the modules and names these; the surfaces and
+    # the laws are imported from subordlab.core
+    import subordlab
+    from subordlab import errors
+
+    assert sorted(subordlab.__all__) == [
+        "InvalidParameterError", "NumericalFailure", "SubordlabError", "__version__"]
+    for name in ("InvalidParameterError", "NumericalFailure", "SubordlabError"):
+        assert getattr(subordlab, name) is getattr(errors, name)
+    assert subordlab.__version__ == "0.1.0"

@@ -71,8 +71,10 @@ class TestS6:
 
     def test_partial_underflow_warns_and_shrinks(self):
         steep = catalog.make_weibull(40.0)  # F(1e-12) = 1e-480 underflows
-        with pytest.warns(UserWarning):
+        with pytest.warns(UserWarning) as record:
             est = criteria.estimate_gamma_s6(steep.cdf1)
+        # the warning names the estimator's caller
+        assert record[0].filename == __file__
         assert est.verdict == "converged"
         assert est.gamma_hat == pytest.approx(40.0, rel=0.01, abs=0.0)
 
@@ -87,6 +89,12 @@ class TestS6:
         with pytest.raises(NumericalFailure, match="all but 1 of the grid's 2 points") as exc:
             criteria.estimate_gamma_s6(catalog.make_weibull(40.0).cdf1, [-0.5, -25.0])
         assert exc.value.op == "estimate_gamma_s6"
+
+    def test_underflow_to_two_points_still_fits(self):
+        # two points are enough for the affine fit
+        with pytest.warns(UserWarning):
+            est = criteria.estimate_gamma_s6(catalog.make_weibull(40.0).cdf1, [-0.5, -1.0, -25.0])
+        assert est.grid.tolist() == [-0.5, -1.0] and np.isfinite(est.residual)
 
 
 class TestS7:
@@ -123,6 +131,37 @@ def test_one_point_grid_refused(criterion):
     assert criteria.log_grid(criterion, [-25.0, -30.0]).size == 2
 
 
+@pytest.mark.parametrize("criterion, ends", [
+    ("S5", (1e2, 1e12)), ("S6", (1e-2, 1e-12)), ("S7", (1e-2, 1e-12)), ("S8", (1e-2, 1e-12)),
+    ("GL", (1e-13, 1e-26)),
+])
+def test_default_grid(criterion, ends):
+    # 12 points evenly spaced in log, between the ends README states
+    expected = np.linspace(np.log(ends[0]), np.log(ends[1]), 12)
+    assert criteria.log_grid(criterion).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("criterion, grid, holds", [
+    ("S5", np.linspace(15.0, 20.0, 6), True),
+    ("S5", np.linspace(16.0, 20.0, 5), False),
+    ("S5", np.linspace(15.0, np.nextafter(20.0, 0.0), 6), False),
+    ("S6", [-19.0, -20.0], True),
+    ("S6", [-19.0, np.nextafter(-20.0, 0.0)], False),
+], ids=["S5-6-points-to-20", "S5-5-points", "S5-short-of-20", "S6-to-minus-20", "S6-short"])
+def test_each_grid_rule_holds_its_closed_end(criterion, grid, holds):
+    if holds:
+        assert criteria.log_grid(criterion, grid).tolist() == list(grid)
+    else:
+        with pytest.raises(InvalidParameterError, match="^need >= "):
+            criteria.log_grid(criterion, grid)
+
+
+def test_gl_takes_any_positive_L_that_decreases_toward_zero():
+    # values and steps below 1 pass: the rule is positive and decreasing, nothing more
+    small = lambda ls: -ls / 1000.0
+    assert criteria.log_grid("GL", None, small).tobytes() == criteria.log_grid("GL").tobytes()
+
+
 class TestS8:
     def test_gamma_density(self, gamma21):
         est = criteria.estimate_gamma_s8(gamma21.density1)
@@ -138,6 +177,13 @@ class TestS8:
     def test_small_gamma_shifted_ratio(self):
         est = criteria.estimate_gamma_s8(catalog.make_gamma(0.5, 1.0).density1)
         assert est.gamma_hat == pytest.approx(0.5, abs=0.01)
+
+    def test_density_zero_on_the_grid_fails(self):
+        # log f would be -inf there
+        vanishing = lambda x: np.where(np.asarray(x, dtype=float) < 1e-10, 0.0, 1.0)
+        with pytest.raises(NumericalFailure, match="density not positive") as exc:
+            criteria.estimate_gamma_s8(vanishing)
+        assert exc.value.op == "estimate_gamma_s8"
 
 
 class TestCrossAgreement:
@@ -193,6 +239,18 @@ class TestS2:
             criteria.grid_deviations(lambda t, ell: ell, lambda u: 0.0 * u, **grids)
         with pytest.raises(InvalidParameterError, match=f"^{message}"):
             montecarlo.check_family_limit(catalog.make_stable_nef(1.0, 1.0), **grids)
+
+    def test_default_grids(self, gamma11):
+        u_grids = []
+
+        def law(u):
+            u_grids.append(u.tolist())
+            return pareto_cdf(1.0, u)
+
+        given = criteria.check_s2(gamma11, law, t_grid=[0.1, 0.03, 0.01, 0.003, 0.001],
+                                  u_grid=[1.25, 1.5, 2.0, 3.0, 5.0, 8.0])
+        assert criteria.check_s2(gamma11, law) == given
+        assert u_grids[0] == u_grids[1]
 
     def test_grid_times_down_to_the_floor(self, gamma11):
         # below it, log(u)/t overflowed and the statistic read inf
@@ -279,6 +337,16 @@ class TestSandwich:
     def test_ol2_small_z_guarded(self, gamma11):
         with pytest.raises(InvalidParameterError):
             criteria.check_sandwich_ol2(gamma11.cdf1, gamma11.phi, z_grid=[1e-4])
+        # the guard's own end passes
+        assert criteria.check_sandwich_ol2(gamma11.cdf1, gamma11.phi, z_grid=[1e-3]) == []
+
+    def test_ol_upper_side_by_its_excess(self, gamma11):
+        # a CDF stuck at 0.1 puts F(1-e^-z) + e^-z below psi(1) = 1/2 at z = 10
+        stuck = lambda x: np.full(np.shape(x), 0.1)
+        [got] = criteria.check_sandwich_ol(stuck, gamma11.phi, [10.0], [1.0])
+        upper = 0.1 * (1.0 - math.exp(-10.0)) + math.exp(-10.0)
+        assert (got.z, got.s, got.side) == (10.0, 1.0, "upper")
+        assert got.excess == pytest.approx(0.5 - upper, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("which", ["ol", "ol2"])
     def test_nan_tol_refused(self, gamma11, which):
@@ -288,6 +356,24 @@ class TestSandwich:
         assert check(stuck, gamma11.phi)
         with pytest.raises(InvalidParameterError, match=r"^tol must be a finite number >= 0"):
             check(stuck, gamma11.phi, tol=math.nan)
+
+    def test_default_grids(self, gamma11):
+        # a CDF stuck at 1/2 violates at grid points, which name the default grids' values
+        stuck = lambda x: np.full(np.shape(x), 0.5)
+        ol = criteria.check_sandwich_ol(stuck, gamma11.phi)
+        assert ol and ol == criteria.check_sandwich_ol(
+            stuck, gamma11.phi, np.geomspace(0.1, 10.0, 12), np.geomspace(1.0, 1e4, 12))
+        ol2 = criteria.check_sandwich_ol2(stuck, gamma11.phi)
+        assert ol2 and ol2 == criteria.check_sandwich_ol2(
+            stuck, gamma11.phi, np.geomspace(0.5, 5.0, 10), np.geomspace(1e-3, 1.0, 12))
+
+    def test_violations_allow_tol_on_each_side(self):
+        # on a bound, or within tol outside it, is no violation; past tol is, by its excess
+        lower, upper = np.full(6, 1.0), np.full(6, 2.0)
+        values = np.array([1.0, 1.0 - 5e-10, 0.5, 2.0, 2.0 + 5e-10, 2.5])
+        got = criteria._violations([0.1], np.arange(6.0), lambda z: (lower, values, upper), 1e-9)
+        assert got == [criteria.SandwichViolation(0.1, 2.0, "lower", 0.5),
+                       criteria.SandwichViolation(0.1, 5.0, "upper", 0.5)]
 
     def test_violation_detected_for_wrong_pair(self, gamma11):
         # pairing the gamma CDF with a mismatched exponent must trip the check
@@ -310,3 +396,42 @@ class TestLimitEstimateContract:
         assert d["criterion"] == "S5"
         assert d["verdict"] == "converged"
         assert isinstance(d["ratios"], list)
+
+
+# (ratios, the limit or None): each sequence sits at, or just past, one edge of a rule
+DETECT_EDGES = [
+    # strictly increasing, past ten times the first ratio: diverged
+    pytest.param(np.r_[np.linspace(1.0, 1.1, 11), 11.0], None, id="diverging"),
+    # strictly increasing to exactly ten times the first: a limit
+    pytest.param(np.r_[np.linspace(1.0, 2.0, 11), 10.0], 30.959486662170676, id="ten-times"),
+    # past ten times, but not strictly increasing: a limit
+    pytest.param(np.r_[1.0, 1.0, np.linspace(1.05, 1.5, 9), 11.0], 35.418300780375944,
+                 id="not-strictly-increasing"),
+    # the last ratio below 0.6 of the first: melting away, the limit at 1
+    pytest.param(np.r_[np.linspace(1.0, 0.62, 11), 0.59], None, id="melting"),
+    # the last at exactly 0.6 of the first: a limit
+    pytest.param(np.r_[np.linspace(1.0, 0.63, 11), 0.6], 0.24534340127914595, id="six-tenths"),
+]
+
+
+@pytest.mark.parametrize("ratios, limit", DETECT_EDGES)
+def test_detect_limit_at_the_edges_of_its_rules(ratios, limit):
+    got = criteria.detect_limit(lambda grid: ratios)
+    if limit is None:
+        assert got is None
+    else:
+        # the intercept of the affine fit over the deepest 4 points, in 1/log s
+        assert got == pytest.approx(limit, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("ratios, intercept, verdict", [
+    ([1.0, 2.0, 10.0], 1.0, "converged"),  # up to exactly ten times the first: not diverged
+    ([1.0, 1.0, 11.0], 1.0, "converged"),  # past ten times, but not strictly increasing
+    ([1.0, 0.8, 0.6], 1.0, "converged"),  # down to exactly 0.6 of the first: not melting
+    ([1.0, 1.0, 0.5], 1.0, "converged"),  # below 0.6, but not strictly decreasing
+    ([1.0, 2.0, 1.0], 0.0, "degenerate"),  # no positive intercept, the last back at the first
+    ([1.0, 2.0, 1.5], 0.0, "diverged"),  # no positive intercept, the last above the first
+], ids=["ten-times", "not-strictly-increasing", "six-tenths", "not-strictly-decreasing",
+        "zero-intercept-back-at-first", "zero-intercept-above-first"])
+def test_classify_at_the_edges_of_its_rules(ratios, intercept, verdict):
+    assert criteria._classify(np.array(ratios), intercept, 0.0) == verdict

@@ -15,6 +15,7 @@ from subordlab import catalog, cli, criteria, dickman, montecarlo as mc
 from subordlab.core import BLOCK, ExponentialLaw, ParetoLaw, pareto_cdf
 from subordlab.errors import InvalidParameterError
 from subordlab.simulate import sample_marginal, substream, to_neg_t_power
+from conftest import pareto_quantile, pareto_sample
 
 # L as a function of log x
 NEG_LOG = lambda ly: -ly
@@ -25,14 +26,14 @@ class TestKsDistance:
     def test_plugin_quantile_grid(self):
         law = ParetoLaw(2.0)
         n = 500
-        xs = law.quantile(np.arange(1, n + 1) / (n + 1))
+        xs = pareto_quantile(2.0, np.arange(1, n + 1) / (n + 1))
         emp = mc.EmpiricalDistribution.from_values(xs)
         assert mc.ks_distance(emp, law.cdf) <= 1.0 / (n + 1) + 1e-12
 
     def test_exact_sampling_self_consistency(self):
         law = ParetoLaw(2.0)
         n = 100_000
-        samples = law.sample(n, substream(1, 0))
+        samples = pareto_sample(2.0, n, substream(1, 0))
         emp = mc.EmpiricalDistribution.from_values(samples)
         assert mc.ks_distance(emp, law.cdf) <= mc.ks_critical_value(n, 0.01)
 
@@ -43,7 +44,7 @@ class TestKsDistance:
     def test_atomic_target_handled_one_sidedly(self):
         # half the mass at the atom of a Bernoulli-at-1 target
         law = mc.ParetoMixtureLaw(q=0.5, gamma=1.0)
-        values = np.concatenate([np.ones(500), ParetoLaw(1.0).quantile((np.arange(1, 501) - 0.5) / 500)])
+        values = np.concatenate([np.ones(500), pareto_quantile(1.0, (np.arange(1, 501) - 0.5) / 500)])
         emp = mc.EmpiricalDistribution.from_values(values)
         assert mc.ks_distance(emp, law.cdf) <= 2e-3
 
@@ -55,8 +56,7 @@ class TestKsDistance:
     @given(st.integers(10, 500), st.floats(0.3, 4.0))
     @settings(max_examples=30, deadline=None)
     def test_statistic_bounded(self, n, gamma):
-        law = ParetoLaw(gamma)
-        samples = law.sample(n, np.random.default_rng(n))
+        samples = pareto_sample(gamma, n, np.random.default_rng(n))
         emp = mc.EmpiricalDistribution.from_values(samples)
         stat = mc.ks_distance(emp, ParetoLaw(2.0 * gamma).cdf)
         assert 0.0 <= stat <= 1.0
@@ -102,8 +102,8 @@ class TestProductLaw:
         rng = substream(9, 0)
         n = 1_000_000
         for g1, g2 in [(1.0, 1.0), (1.0, 2.0), (0.5, 1.7)]:
-            p1 = ParetoLaw(g1).sample(n, rng)
-            p2 = ParetoLaw(g2).sample(n, rng)
+            p1 = pareto_sample(g1, n, rng)
+            p2 = pareto_sample(g2, n, rng)
             emp = mc.EmpiricalDistribution.from_values(p1 * p2)
             law = mc.ParetoProductLaw(g1, g2)
             assert mc.ks_distance(emp, law.cdf) <= mc.ks_critical_value(n, 0.01), (g1, g2)
@@ -273,7 +273,7 @@ class TestDriftAndSupport:
         assert result["statistic"] == inside / n > 0.99
 
     def test_exact_pareto_support(self):
-        samples = ParetoLaw(1.0).sample(10_000, substream(12, 0))
+        samples = pareto_sample(1.0, 10_000, substream(12, 0))
         assert mc.support_check(mc.EmpiricalDistribution.from_values(samples), 0.1) == 0.0
 
     def test_gamma_support_fraction_vanishes(self, gamma11):
@@ -546,7 +546,7 @@ class TestExportCurve:
                 3,
                 ExponentialLaw(1.0).cdf,
             ),
-            (ParetoLaw(1.0).sample(1000, substream(9, 0)), 0, ParetoLaw(0.5).cdf),
+            (pareto_sample(1.0, 1000, substream(9, 0)), 0, ParetoLaw(0.5).cdf),
             ([], 2, ParetoLaw(1.0).cdf),
         ],
     )
@@ -580,7 +580,7 @@ class TestExportCurve:
                 fh.write("x,ecdf,target\r\n" + "".join(lines))
 
         law = ParetoLaw(1.0)
-        emp = mc.EmpiricalDistribution.from_values(law.sample(rows, substream(15, 0)), 2)
+        emp = mc.EmpiricalDistribution.from_values(pareto_sample(1.0, rows, substream(15, 0)), 2)
         mc.export_curve(emp, law.cdf, tmp_path / "new.csv")
         single_string_export(emp, law.cdf, tmp_path / "old.csv")
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
@@ -588,7 +588,7 @@ class TestExportCurve:
     def test_memory_is_one_chunk_of_rows(self, tmp_path, traced_peak):
         # 28.0 MiB when every row went into one string
         law = ParetoLaw(1.0)
-        emp = mc.EmpiricalDistribution.from_values(law.sample(100_000, substream(16, 0)))
+        emp = mc.EmpiricalDistribution.from_values(pareto_sample(1.0, 100_000, substream(16, 0)))
         peak = traced_peak(lambda: mc.export_curve(emp, law.cdf, tmp_path / "curve.csv"))
         assert peak <= 4 * 2**20
 

@@ -12,6 +12,7 @@ from subordlab import catalog, criteria, montecarlo as mc, transforms
 from subordlab.core import BLOCK, ExponentialLaw, ParetoLaw, integral, pareto_cdf
 from subordlab.dickman import make_dickman
 from subordlab.simulate import sample_marginal, substream, to_neg_t_power
+from conftest import exponential_sample, pareto_sample
 
 
 def brute_force_ks(emp, cdf):
@@ -127,7 +128,7 @@ class TestKsOnePassEqualsTwoPass:
     def test_mixture_atom_at_one(self):
         law = mc.ParetoMixtureLaw(q=0.4, gamma=1.0)
         rng = substream(42, 0)
-        values = np.where(rng.random(50_000) < 0.6, 1.0, ParetoLaw(1.0).sample(50_000, rng))
+        values = np.where(rng.random(50_000) < 0.6, 1.0, pareto_sample(1.0, 50_000, rng))
         emp = mc.EmpiricalDistribution.from_values(values)
         assert mc.ks_distance(emp, law.cdf) == two_pass_ks(emp, law.cdf)
         # the mixture experiment's own batch: atom values just below 1
@@ -142,7 +143,7 @@ class TestKsOnePassEqualsTwoPass:
     def test_affine_min_ties_at_b(self):
         law = mc.AffineMinLaw(2.0, 8.0, 1.0)
         rng = substream(44, 0)
-        values = np.minimum(2.0 * ParetoLaw(1.0).sample(50_000, rng), 8.0)
+        values = np.minimum(2.0 * pareto_sample(1.0, 50_000, rng), 8.0)
         assert np.sum(values == 8.0) > 5000
         emp = mc.EmpiricalDistribution.from_values(values)
         assert mc.ks_distance(emp, law.cdf) == two_pass_ks(emp, law.cdf)
@@ -150,7 +151,7 @@ class TestKsOnePassEqualsTwoPass:
     def test_at_infinity_mass(self):
         law = ParetoLaw(1.0)
         emp = mc.EmpiricalDistribution.from_values(
-            law.sample(9000, substream(45, 0)), count_at_infinity=1000
+            pareto_sample(1.0, 9000, substream(45, 0)), count_at_infinity=1000
         )
         assert mc.ks_distance(emp, law.cdf) == two_pass_ks(emp, law.cdf)
 
@@ -162,11 +163,11 @@ class TestKsOnePassEqualsTwoPass:
         # the blocked pass against the two-pass formula, one block, several,
         # and a partial last block; the mixture target puts its atom in every block
         rng = substream(49, 0)
-        pareto = ParetoLaw(1.0).sample(m, rng)
+        pareto = pareto_sample(1.0, m, rng)
         values = np.where(rng.random(m) < 0.3, 1.0, pareto)
         # too heavy a tail, capped at b: u peaks at the atom at b, while the
         # sup is the left term just below it, found only as a candidate
-        capped = np.minimum(2.0 * ParetoLaw(0.5).sample(m, rng), 8.0)
+        capped = np.minimum(2.0 * pareto_sample(0.5, m, rng), 8.0)
         for emp, law in (
             (mc.EmpiricalDistribution.from_values(pareto, 5), ParetoLaw(1.1)),
             (mc.EmpiricalDistribution.from_values(values), mc.ParetoMixtureLaw(0.7, 1.0)),
@@ -204,7 +205,7 @@ class TestKsOnePassEqualsTwoPass:
     def test_left_dominated_batch_stays_one_pass(self):
         # a Pareto(0.99) batch has more mass far out than Pareto(1), so the sup
         # is a left-limit term and u > sup(right terms) holds almost everywhere
-        values = ParetoLaw(0.99).sample(100_000, substream(46, 0))
+        values = pareto_sample(0.99, 100_000, substream(46, 0))
         emp = mc.EmpiricalDistribution.from_values(values)
         law = ParetoLaw(1.0)
         i = np.arange(1, values.size + 1)
@@ -235,7 +236,7 @@ class TestKsOnePassEqualsTwoPass:
         assert mc.ks_distance(emp, cdf) == two_pass_ks(emp, cdf)
 
     def test_exponential_target(self):
-        values = ExponentialLaw(2.0).sample(20_000, substream(48, 0))
+        values = exponential_sample(2.0, 20_000, substream(48, 0))
         emp = mc.EmpiricalDistribution.from_values(values)
         law = ExponentialLaw(2.1)
         assert mc.ks_distance(emp, law.cdf) == two_pass_ks(emp, law.cdf)
@@ -244,7 +245,7 @@ class TestKsOnePassEqualsTwoPass:
 class TestKsAgainstBruteForce:
     def test_continuous_target(self):
         law = ParetoLaw(1.5)
-        emp = mc.EmpiricalDistribution.from_values(law.sample(5000, substream(3, 0)))
+        emp = mc.EmpiricalDistribution.from_values(pareto_sample(1.5, 5000, substream(3, 0)))
         assert mc.ks_distance(emp, law.cdf) == pytest.approx(
             brute_force_ks(emp, law.cdf), abs=1e-12
         )
@@ -252,7 +253,7 @@ class TestKsAgainstBruteForce:
     def test_atomic_target(self):
         law = mc.ParetoMixtureLaw(q=0.4, gamma=1.0)
         rng = substream(4, 0)
-        values = np.where(rng.random(5000) < 0.6, 1.0, ParetoLaw(1.0).sample(5000, rng))
+        values = np.where(rng.random(5000) < 0.6, 1.0, pareto_sample(1.0, 5000, rng))
         emp = mc.EmpiricalDistribution.from_values(values)
         assert mc.ks_distance(emp, law.cdf) == pytest.approx(
             brute_force_ks(emp, law.cdf), abs=1e-12
@@ -269,7 +270,7 @@ class TestKsAgainstBruteForce:
     def test_with_at_infinity_mass(self):
         law = ParetoLaw(1.0)
         emp = mc.EmpiricalDistribution.from_values(
-            law.sample(900, substream(5, 0)), count_at_infinity=100
+            pareto_sample(1.0, 900, substream(5, 0)), count_at_infinity=100
         )
         assert mc.ks_distance(emp, law.cdf) == pytest.approx(
             brute_force_ks(emp, law.cdf), abs=1e-12
@@ -284,7 +285,7 @@ class TestKsAgainstBruteForce:
     @settings(max_examples=50, deadline=None)
     def test_formula_equals_sup_on_random_batches(self, n, n_inf, gamma, seed):
         law = ParetoLaw(gamma)
-        values = ParetoLaw(1.0).sample(n, substream(seed, 0))
+        values = pareto_sample(1.0, n, substream(seed, 0))
         emp = mc.EmpiricalDistribution.from_values(values, count_at_infinity=n_inf)
         assert mc.ks_distance(emp, law.cdf) == pytest.approx(
             brute_force_ks(emp, law.cdf), abs=1e-12

@@ -14,6 +14,7 @@ import subordlab
 from subordlab import catalog, cli, core, criteria, dickman, montecarlo, simulate, transforms
 from subordlab.core import INVERTIBLE_TAIL, KNOWN_INDEX, NONNEGATIVE, NOT_NULL, POSITIVE, Check
 from subordlab.errors import InvalidParameterError
+from conftest import pareto_quantile
 
 GAMMA11 = catalog.make_gamma(1.0, 1.0)
 # an exponent below 1e-15 at s = 1 and 100: the null subordinator
@@ -79,7 +80,7 @@ def declared_calls():
 # (argument, call of the library with the value under test and a generator)
 CALLS = [
     pytest.param("gamma", lambda v, rng: core.pareto_cdf(v, 2.0), id="pareto_cdf"),
-    pytest.param("gamma", lambda v, rng: core.pareto_quantile(v, 0.5), id="pareto_quantile"),
+    pytest.param("gamma", lambda v, rng: pareto_quantile(v, 0.5), id="pareto_quantile"),
     pytest.param("gamma", lambda v, rng: core.ParetoLaw(v), id="ParetoLaw"),
     pytest.param("gamma", lambda v, rng: core.ExponentialLaw(v), id="ExponentialLaw"),
     pytest.param("s", lambda v, rng: core.lst_from_cdf(GAMMA11.cdf1, v), id="lst_from_cdf"),
@@ -146,6 +147,10 @@ def test_each_rule_holds_its_closed_end():
     for rule, low in ((core.COUNT, 1), (core.STD_COUNT, 2)):
         assert rule.passes(low) and rule.passes(2**53)
         assert not rule.passes(low - 1) and not rule.passes(2**53 + 1)
+    # the two floors at the values README states, each accepted and the float below refused
+    assert core.SHAPE.passes(2.1e-307) and not core.SHAPE.passes(math.nextafter(2.1e-307, 0))
+    assert core.GRID_TIMES.passes([4.2e-306])
+    assert not core.GRID_TIMES.passes([math.nextafter(4.2e-306, 0)])
 
 
 def test_library_refusal_reads_as_the_listed_requirement():
